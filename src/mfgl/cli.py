@@ -299,7 +299,7 @@ def cmd_plan(cfg: RunConfig) -> int:
 
     ds_norm, _ = normalize(ds, Normalization(cfg.normalization))
     pcfg = _pipeline_config(cfg, m=cfg.m)
-    spectrum = planning_spectrum(ds_norm.lf, pcfg)
+    spectrum = planning_spectrum(ds_norm.lf, pcfg).spectrum
     plan = plan_acquisition(spectrum, cfg.m, cfg.seed, embed_dim=cfg.embed_dim)
 
     outdir = Path(cfg.output_dir)
@@ -331,10 +331,15 @@ def cmd_plan(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    import dataclasses
+
+    import numpy as np
+
     from .acquisition import load_plan
-    from .bench import estimate_attached, sigma_in_solve_coords
+    from .bench import estimate_attached, planning_spectrum, sigma_in_solve_coords
     from .data import Dataset, Normalization, normalize
     from .matio import write_csv
+    from .posterior import SolverTag
 
     if cfg.lf_path is None:
         raise InvalidConfig("estimate needs --lf-path (the reordered matrix from plan)")
@@ -359,12 +364,28 @@ def cmd_estimate(cfg: RunConfig) -> int:
             f"selected {plan.m}"
         )
 
-    ds_norm, nspec = normalize(Dataset(lf=lf), Normalization(cfg.normalization))
-    sigma = sigma_in_solve_coords(cfg.sigma, nspec)
-    ds_solve = Dataset(lf=ds_norm.lf, hf=nspec.apply(hf))
-    art = estimate_attached(ds_solve, _pipeline_config(cfg, m=plan.m, sigma=sigma))
+    # Undo the plan's reordering, then normalize and build the graph prior
+    # in input order exactly as plan and run_pipeline do, so the estimate
+    # matches run_pipeline bit for bit.
+    perm = np.asarray(plan.permutation, dtype=np.intp)
+    lf_input = np.empty_like(lf)
+    lf_input[perm] = lf
+    ds_norm, nspec = normalize(Dataset(lf=lf_input), Normalization(cfg.normalization))
+    pcfg = _pipeline_config(
+        cfg, m=plan.m, sigma=sigma_in_solve_coords(cfg.sigma, nspec)
+    )
+    prior = None
+    if pcfg.solver is not SolverTag.NYSTROM:
+        prior = planning_spectrum(
+            ds_norm.lf, dataclasses.replace(pcfg, embed_dim=plan.embed_dim)
+        ).permuted(perm, pcfg.spectrum_size(ds_norm.n))
+    spec_perm = nspec.permuted(perm)
+    lf_solve = ds_norm.lf[perm]
+    art = estimate_attached(
+        Dataset(lf=lf_solve, hf=spec_perm.apply(hf)), pcfg, prior
+    )
 
-    mf = nspec.invert(ds_norm.lf + art.posterior.phi_star)
+    mf = spec_perm.invert(lf_solve + art.posterior.phi_star)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     mf_file = outdir / _matrix_name("mf_estimates", cfg)

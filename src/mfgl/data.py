@@ -181,6 +181,12 @@ class NormalizationSpec:
         self._check_rows(a)
         return a * self.scales[: a.shape[0], None]
 
+    def permuted(self, perm) -> "NormalizationSpec":
+        """The same statistics for the rows reordered by ``perm``."""
+        if self.mode is Normalization.INSTANCE:
+            return NormalizationSpec(mode=self.mode, scales=self.scales[perm])
+        return self
+
     def _check_cols(self, a: np.ndarray) -> None:
         if a.ndim != 2 or a.shape[1] != self.mean.shape[0]:
             raise DimensionMismatch(

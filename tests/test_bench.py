@@ -1,8 +1,12 @@
+import functools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import mfgl.bench
+from mfgl.acquisition import plan_acquisition
 from mfgl.bench import (
     ErrorMetric,
     ErrorReport,
@@ -14,12 +18,14 @@ from mfgl.bench import (
     error_field,
     estimate_attached,
     generate,
+    planning_spectrum,
     run_pipeline,
     sample_hf,
     sigma_in_solve_coords,
     write_report,
 )
 from mfgl.data import Dataset, Normalization, normalize
+from mfgl.graph import build_graph, laplacian
 from mfgl.exceptions import (
     InvalidConfig,
     MissingHighFidelity,
@@ -27,6 +33,7 @@ from mfgl.exceptions import (
     ZeroReferenceSet,
 )
 from mfgl.posterior import SolverTag
+from mfgl.spectral import DENSE_EIG_THRESHOLD, low_spectrum
 
 
 def test_error_component_values(rng):
@@ -246,3 +253,69 @@ def test_write_report_files(tmp_path):
     stddevs = np.loadtxt(tmp_path / "stddevs.csv", delimiter=",").reshape(-1)
     assert stddevs.shape == (100,)
     assert np.array_equal(stddevs, out.posterior.stddevs)
+
+
+@pytest.mark.parametrize("solver", [SolverTag.DENSE, SolverTag.TRUNCATED])
+def test_pipeline_builds_graph_and_spectrum_once(solver, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(mfgl.bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_graph", "low_spectrum"):
+        monkeypatch.setattr(mfgl.bench, name, counted(name))
+    prob = generate(Generator.CLUSTERED_SHIFT, 150, 3, seed=8, clusters=5)
+    run_pipeline(prob, PipelineConfig(solver=solver, m=5, seed=2))
+    assert calls == {"build_graph": 1, "low_spectrum": 1}
+
+
+def _planned_solve_inputs(prob, config):
+    """Plan-order prior, the plan's permutation, and the solve-order dataset."""
+    prior = planning_spectrum(prob.lf_data, config)
+    plan = plan_acquisition(prior.spectrum, config.m, config.seed)
+    perm = np.asarray(plan.permutation, dtype=np.intp)
+    hf = sample_hf(prob, plan.selected_indices, seed=config.seed + 1)
+    return prior, perm, Dataset(lf=prob.lf_data[perm], hf=hf)
+
+
+@pytest.mark.parametrize("dense_threshold", [DENSE_EIG_THRESHOLD, 50])
+@pytest.mark.parametrize("kind", [Generator.CLUSTERED_SHIFT, Generator.BEAM_LIKE_1D])
+def test_permuted_prior_matches_fresh_build(kind, dense_threshold, monkeypatch):
+    # a threshold of 50 sends N=300 down the Lanczos branch
+    monkeypatch.setattr(
+        mfgl.bench, "low_spectrum",
+        functools.partial(low_spectrum, dense_threshold=dense_threshold),
+    )
+    prob = generate(kind, 300, 5, seed=0)
+    config = PipelineConfig(
+        m=10, seed=0, sigma=prob.hf_noise_sigma, omega=1.0, tau=1e-3
+    )
+    prior, perm, ds = _planned_solve_inputs(prob, config)
+    reused = estimate_attached(
+        ds, config, prior.permuted(perm, config.spectrum_size(ds.n))
+    ).posterior
+    fresh = estimate_attached(ds, config).posterior  # builds on the permuted rows
+    scale = np.abs(fresh.phi_star).max()
+    assert np.abs(reused.phi_star - fresh.phi_star).max() <= 1e-8 * scale
+    np.testing.assert_allclose(reused.stddevs, fresh.stddevs, rtol=1e-8)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 0.0)])
+def test_permuted_dense_prior_matches_permuted_graph(p, q):
+    prob = generate(Generator.CLUSTERED_SHIFT, 120, 3, seed=9, clusters=4)
+    config = PipelineConfig(
+        solver=SolverTag.DENSE, m=4, p=p, q=q, seed=1, sigma=prob.hf_noise_sigma
+    )
+    prior, perm, ds = _planned_solve_inputs(prob, config)
+    gl = prior.permuted(perm, config.spectrum_size(ds.n)).laplacian
+    assert np.array_equal(gl.matrix, laplacian(gl.graph, p, q).matrix)
+    fresh = build_graph(ds.lf, config.knn_k)
+    np.testing.assert_array_equal(gl.graph.scales, fresh.scales)
+    np.testing.assert_allclose(gl.graph.weights, fresh.weights, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gl.graph.degrees, fresh.degrees, rtol=1e-12)

@@ -319,3 +319,51 @@ def test_cli_estimate_matches_pipeline_phi_star(tmp_path, capsys):
     assert code == 0
     mf_cli = read_matrix(out_dir / "mf_estimates.csv")
     assert np.array_equal(mf_cli, out.posterior.mf_estimates)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--normalization", "component"),
+        ("--normalization", "instance"),
+        ("--solver", "dense"),
+    ],
+    ids=["component", "instance", "dense"],
+)
+def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, flags):
+    # estimate normalizes and builds the graph prior in input order, as
+    # run_pipeline does, so the files agree bit for bit with it
+    from mfgl.bench import PipelineConfig, run_pipeline
+    from mfgl.data import Normalization
+    from mfgl.posterior import SolverTag
+
+    option = dict([flags])
+    prob, lf_path = write_problem(tmp_path, n=80, d=3, seed=2, clusters=4)
+    cfg = PipelineConfig(
+        m=4,
+        seed=5,
+        solver=SolverTag(option.get("--solver", "truncated")),
+        normalization=Normalization(option.get("--normalization", "none")),
+    )
+    out = run_pipeline(prob, cfg)
+
+    out_dir = tmp_path / "cli"
+    shared = list(flags) + ["--m", "4", "--seed", "5", "--output-dir", str(out_dir)]
+    code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), *shared)
+    assert code == 0
+    hf_path = tmp_path / "hf.csv"
+    write_csv(hf_path, sample_hf(prob, out.plan.selected_indices, seed=6))
+    code, _, _ = run_cli(
+        capsys, "estimate",
+        "--lf-path", str(out_dir / "lf_permuted.csv"),
+        "--hf-path", str(hf_path),
+        "--plan-path", str(out_dir / "plan.json"),
+        "--sigma", f"{prob.hf_noise_sigma:.17g}",
+        *shared,
+    )
+    assert code == 0
+    assert np.array_equal(
+        read_matrix(out_dir / "mf_estimates.csv"), out.posterior.mf_estimates
+    )
+    stddevs = read_matrix(out_dir / "stddevs.csv")[:, 0]
+    assert np.array_equal(stddevs, out.posterior.stddevs)
