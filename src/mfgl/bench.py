@@ -46,7 +46,6 @@ from .graph import (
 from .matio import write_csv
 from .nystrom import (
     CovarianceOperator,
-    SaddleMethod,
     build_saddle,
     lowrank_spectrum,
     nystrom_factor,
@@ -58,6 +57,7 @@ from .posterior import (
     SolverTag,
     calibrate_omega,
     choose_tau,
+    dense_mean_stddev,
     dense_posterior,
 )
 from .spectral import (
@@ -68,7 +68,6 @@ from .spectral import (
     truncated_variances,
 )
 
-WOODBURY_RHS_LIMIT = 64
 TRUNCATION_FACTOR = 4
 
 
@@ -339,7 +338,6 @@ class PipelineConfig:
     omega: Optional[float] = None
     tau: Optional[float] = None
     seed: int = 0
-    saddle_method: Optional[SaddleMethod] = None
     rank_r: Optional[int] = None
     embed_dim: Optional[int] = None
     metric: ErrorMetric = ErrorMetric.FIELD_REL_L2
@@ -491,41 +489,30 @@ def estimate_attached(
     t0 = time.perf_counter()
     tau = choose_tau(spectrum) if config.tau is None else config.tau
 
-    if config.solver is SolverTag.NYSTROM:
-        def mean_stddev(omega: float) -> float:
-            hp = _make_hp(sigma, omega, tau, config)
-            ops = build_saddle(lrl, hp, m)
-            diag = CovarianceOperator(lrl, ops).diagonal()
-            return float(np.sqrt(diag[m:]).mean())
-    elif config.solver is SolverTag.TRUNCATED:
-        def mean_stddev(omega: float) -> float:
-            hp = _make_hp(sigma, omega, tau, config)
-            tp = truncated_posterior(spectrum, phi_hat, hp)
-            return float(np.sqrt(truncated_variances(tp)[m:]).mean())
+    if config.omega is not None:
+        omega = config.omega
     else:
-        def mean_stddev(omega: float) -> float:
-            hp = _make_hp(sigma, omega, tau, config)
-            return float(dense_posterior(gl, phi_hat, hp).stddevs[m:].mean())
-
-    omega = (
-        calibrate_omega(mean_stddev, sigma, config.r)
-        if config.omega is None
-        else config.omega
-    )
+        if config.solver is SolverTag.NYSTROM:
+            def mean_stddev(omega: float) -> float:
+                hp = _make_hp(sigma, omega, tau, config)
+                ops = build_saddle(lrl, hp, m)
+                diag = CovarianceOperator(lrl, ops).diagonal()
+                return float(np.sqrt(diag[m:]).mean())
+        elif config.solver is SolverTag.TRUNCATED:
+            def mean_stddev(omega: float) -> float:
+                hp = _make_hp(sigma, omega, tau, config)
+                tp = truncated_posterior(spectrum, phi_hat, hp)
+                return float(np.sqrt(truncated_variances(tp)[m:]).mean())
+        else:
+            mean_stddev = dense_mean_stddev(gl, _make_hp(sigma, 1.0, tau, config), m)
+        omega = calibrate_omega(mean_stddev, sigma, config.r)
     hp = _make_hp(sigma, omega, tau, config)
     timings["hyperparameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if config.solver is SolverTag.NYSTROM:
         ops = build_saddle(lrl, hp, m)
-        method = config.saddle_method
-        if method is None:
-            method = (
-                SaddleMethod.WOODBURY
-                if phi_hat.shape[1] <= WOODBURY_RHS_LIMIT
-                else SaddleMethod.SYMMETRIC
-            )
-        phi_star = solve_map_saddle(lrl, ops, phi_hat, method=method)
+        phi_star = solve_map_saddle(lrl, ops, phi_hat)
         stddevs = np.sqrt(CovarianceOperator(lrl, ops).diagonal())
         posterior = PosteriorResult(
             phi_star=phi_star, stddevs=stddevs, solver_tag=SolverTag.NYSTROM

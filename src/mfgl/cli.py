@@ -43,7 +43,6 @@ _THREAD_ENV_VARS = (
 _FORMATS = ("csv", "bin")
 _SOLVERS = ("dense", "truncated", "nystrom")
 _NORMALIZATIONS = ("none", "component", "instance")
-_SADDLE_METHODS = ("symmetric", "unsymmetric", "woodbury")
 _GENERATORS = ("clustered-shift", "smooth-manifold", "beam-like-1d")
 _METRICS = ("component", "field")
 
@@ -93,7 +92,6 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "."
     threads: Optional[int] = None
-    saddle_method: Optional[str] = None
     rank_r: Optional[int] = None
     embed_dim: Optional[int] = None
 
@@ -105,10 +103,6 @@ class RunConfig:
         if self.normalization not in _NORMALIZATIONS:
             raise InvalidConfig(
                 f"normalization must be one of {_NORMALIZATIONS}, got {self.normalization!r}"
-            )
-        if self.saddle_method is not None and self.saddle_method not in _SADDLE_METHODS:
-            raise InvalidConfig(
-                f"saddle-method must be one of {_SADDLE_METHODS}, got {self.saddle_method!r}"
             )
         if self.solver == "nystrom" and abs(self.p + self.q - 1.0) > 1e-12:
             raise InvalidConfig(
@@ -257,10 +251,8 @@ def _matrix_name(stem: str, cfg: RunConfig) -> str:
 def _pipeline_config(cfg: RunConfig, m: int, sigma: Optional[float] = None):
     from .bench import PipelineConfig
     from .data import Normalization
-    from .nystrom import SaddleMethod
     from .posterior import SolverTag
 
-    method = None if cfg.saddle_method is None else SaddleMethod(cfg.saddle_method)
     return PipelineConfig(
         solver=SolverTag(cfg.solver),
         m=m,
@@ -275,7 +267,6 @@ def _pipeline_config(cfg: RunConfig, m: int, sigma: Optional[float] = None):
         omega=cfg.omega_value,
         tau=cfg.tau_value,
         seed=cfg.seed,
-        saddle_method=method,
         rank_r=cfg.rank_r,
         embed_dim=cfg.embed_dim,
     )
@@ -482,7 +473,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--seed", type=int)
     g.add_argument("--output-dir", dest="output_dir", metavar="DIR")
     g.add_argument("--threads", type=int, help="cap for BLAS worker pools (MFGL_THREADS equivalent)")
-    g.add_argument("--saddle-method", choices=_SADDLE_METHODS, dest="saddle_method")
     g.add_argument("--rank-r", type=int, dest="rank_r", help="extra rank cut for the landmark factor")
     g.add_argument("--embed-dim", type=int, dest="embed_dim", help="spectral embedding width for planning")
 

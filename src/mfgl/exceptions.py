@@ -134,14 +134,6 @@ class SingularLandmarkBlock(NumericalError):
     """W(X,X) is numerically zero; no usable landmark information."""
 
 
-class IterativeDivergence(NumericalError):
-    """Krylov solve hit its iteration cap above the residual tolerance."""
-
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"iterative solve stopped at relative residual {residual:.3e}")
-
-
 class SingularCapacitance(NumericalError):
     """The K x K Woodbury core is numerically singular."""
 

@@ -1,5 +1,6 @@
 """Low-rank solver path: Nyström factorization of the kernel, closed-form
-powers of (L + tau I), saddle-point MAP solves, and Woodbury covariance.
+powers of (L + tau I), and the MAP solve and covariance access, both
+through one factored Woodbury core.
 
 Nothing in this module may touch the full N x N weight matrix; kernel
 access goes through W(:, X) columns only, so memory stays O(NK).  The
@@ -19,19 +20,16 @@ p + q = 1 on this path (p = q = 1/2 being the symmetric member).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import LinearOperator, gmres, minres
 
 from .data import HyperParameters
 from .exceptions import (
     DimensionMismatch,
     InvalidConfig,
-    IterativeDivergence,
     NegativeApproxDegree,
     SingularCapacitance,
     SingularLandmarkBlock,
@@ -40,7 +38,6 @@ from .spectral import Spectrum, _fix_signs
 
 PINV_REL_CUTOFF = 1e-12
 XI_DROP_REL_TOL = 1e-10
-KRYLOV_RTOL = 1e-10
 
 WeightAccess = Union[np.ndarray, Callable[[Sequence[int]], np.ndarray]]
 
@@ -192,16 +189,6 @@ def nystrom_factor(
     )
 
 
-def nystrom_general_p(
-    weight_access: WeightAccess,
-    landmarks: Sequence[int],
-    p: float,
-    rank_r: Optional[int] = None,
-) -> LowRankLaplacian:
-    """Factor for the exponent pair (p, 1-p); see :func:`nystrom_factor`."""
-    return nystrom_factor(weight_access, landmarks, rank_r=rank_r, p=p)
-
-
 def lowrank_spectrum(lrl: LowRankLaplacian) -> Spectrum:
     """Approximate low-lying spectrum implied by the factors.
 
@@ -242,12 +229,6 @@ def lowrank_power_apply(
     return scalar * v + lrl.u_tilde @ (coeff[:, None] * inner)
 
 
-class SaddleMethod(Enum):
-    SYMMETRIC = "symmetric"
-    UNSYMMETRIC = "unsymmetric"
-    WOODBURY = "woodbury"
-
-
 @dataclass(frozen=True)
 class SaddleOperators:
     """Diagonals of the low-rank MAP system (Theta - V Xi V^T) x = P_M^T b.
@@ -285,15 +266,15 @@ class SaddleOperators:
 def build_saddle(
     lrl: LowRankLaplacian, hp: HyperParameters, m: int
 ) -> SaddleOperators:
-    """Assemble the diagonals Theta and Xi for the MAP saddle systems.
+    """Assemble the diagonals Theta and Xi of the low-rank MAP system.
 
     Theta_ii = [i < M] + sigma^2 omega (1+tau)^beta D_hat_i^{2p-1}
     Xi_ii    = sigma^2 omega ((1+tau)^beta - (1+tau-sigma_i)^beta)
 
     (D_hat^{2p-1} is identically 1 for p = 1/2.)  Xi entries may be
     negative: the kernel is indefinite, so sigma_i < 0 occurs.  That is
-    expected and only the symmetric-saddle route needs care (it inverts
-    Xi, which stays safe under the drop threshold).
+    expected; the Woodbury core inverts Xi, which stays safe under the
+    drop threshold.
     """
     if not 0 <= m <= lrl.n:
         raise DimensionMismatch(f"M must be in [0, {lrl.n}], got {m}")
@@ -322,125 +303,42 @@ def build_saddle(
     )
 
 
-def _retained_v(lrl: LowRankLaplacian, ops: SaddleOperators) -> np.ndarray:
-    return lrl.v[:, list(ops.retained)]
+def _woodbury_factors(lrl: LowRankLaplacian, ops: SaddleOperators) -> tuple:
+    """Theta^{-1}, the retained V, Theta^{-1} V, and the LU factors of the
+    K x K Woodbury core Xi^{-1} - V^T Theta^{-1} V (None when no column
+    is retained).  O(NK^2), done once per system.
 
-
-def _reduced_residual(
-    theta: np.ndarray, v: np.ndarray, xi: np.ndarray, x: np.ndarray, b: np.ndarray
-) -> float:
-    r = theta[:, None] * x - v @ (xi[:, None] * (v.T @ x)) - b
-    denom = np.linalg.norm(b)
-    return float(np.linalg.norm(r) / denom) if denom > 0 else float(np.linalg.norm(r))
-
-
-def _solve_woodbury(theta, v, xi, rhs):
-    theta_inv = 1.0 / theta
-    base = theta_inv[:, None] * rhs
-    if xi.size == 0:
-        return base
+    Raises
+    ------
+    SingularCapacitance
+        The core is numerically singular.
+    """
+    theta_inv = 1.0 / ops.theta
+    v = lrl.v[:, list(ops.retained)]
     tiv = theta_inv[:, None] * v
+    if not ops.rank:
+        return theta_inv, v, tiv, None
     core = v.T @ tiv
     core *= -1.0
-    core[np.arange(xi.size), np.arange(xi.size)] += 1.0 / xi
+    core[np.arange(ops.rank), np.arange(ops.rank)] += 1.0 / ops.xi
     try:
         lu = sla.lu_factor(core)
     except sla.LinAlgError as exc:
         raise SingularCapacitance(f"Woodbury core factorization failed: {exc}") from exc
-    return base + tiv @ sla.lu_solve(lu, v.T @ base)
-
-
-def _solve_symmetric(theta, v, xi, rhs, maxiter):
-    n, k = v.shape
-    if k == 0:
-        return rhs / theta[:, None]
-
-    def matvec(z):
-        x, y = z[:n], z[n:]
-        return np.concatenate([theta * x + v @ y, v.T @ x + y / xi])
-
-    # SPD Jacobi preconditioner; |Xi| keeps it positive when Xi is not
-    precond = np.concatenate([1.0 / theta, np.abs(xi)])
-    op = LinearOperator((n + k, n + k), matvec=matvec)
-    pre = LinearOperator((n + k, n + k), matvec=lambda z: precond * z)
-    out = np.empty_like(rhs)
-    for j in range(rhs.shape[1]):
-        b = rhs[:, j]
-        if np.linalg.norm(b) == 0.0:
-            out[:, j] = 0.0
-            continue
-        z, info = minres(
-            op,
-            np.concatenate([b, np.zeros(k)]),
-            rtol=KRYLOV_RTOL,
-            maxiter=maxiter,
-            M=pre,
-        )
-        x = z[:n]
-        if info != 0:
-            resid = _reduced_residual(theta, v, xi, x[:, None], b[:, None])
-            if resid > KRYLOV_RTOL:
-                raise IterativeDivergence(resid)
-        out[:, j] = x
-    return out
-
-
-def _solve_unsymmetric(theta, v, xi, rhs, maxiter):
-    n, k = v.shape
-    if k == 0:
-        return rhs / theta[:, None]
-
-    def matvec(z):
-        x, y = z[:n], z[n:]
-        return np.concatenate([theta * x + v @ y, xi * (v.T @ x) + y])
-
-    precond = np.concatenate([1.0 / theta, np.ones(k)])
-    op = LinearOperator((n + k, n + k), matvec=matvec)
-    pre = LinearOperator((n + k, n + k), matvec=lambda z: precond * z)
-    restart = int(min(n + k, maxiter))
-    outer = max(1, maxiter // restart)
-    out = np.empty_like(rhs)
-    for j in range(rhs.shape[1]):
-        b = rhs[:, j]
-        if np.linalg.norm(b) == 0.0:
-            out[:, j] = 0.0
-            continue
-        z, info = gmres(
-            op,
-            np.concatenate([b, np.zeros(k)]),
-            rtol=KRYLOV_RTOL,
-            restart=restart,
-            maxiter=outer,
-            M=pre,
-        )
-        x = z[:n]
-        if info != 0:
-            resid = _reduced_residual(theta, v, xi, x[:, None], b[:, None])
-            if resid > KRYLOV_RTOL:
-                raise IterativeDivergence(resid)
-        out[:, j] = x
-    return out
+    return theta_inv, v, tiv, lu
 
 
 def solve_map_saddle(
-    lrl: LowRankLaplacian,
-    ops: SaddleOperators,
-    phi_hat: np.ndarray,
-    method: SaddleMethod = SaddleMethod.WOODBURY,
+    lrl: LowRankLaplacian, ops: SaddleOperators, phi_hat: np.ndarray
 ) -> np.ndarray:
     """MAP displacements from the low-rank system, N x D.
 
-    Three equivalent routes: ``WOODBURY`` factors the K x K capacitance
-    once and is direct; ``SYMMETRIC`` runs preconditioned MINRES on the
-    indefinite 2 x 2 block form with the Xi^{-1} trailing block;
-    ``UNSYMMETRIC`` runs GMRES on the block form with identity trailing
-    block.  Iterative routes target relative residual 1e-10 with an
-    iteration cap of 10 (K+1).
+    Direct: the Woodbury identity turns (Theta - V Xi V^T)^{-1} into the
+    diagonal Theta^{-1} plus a rank-K correction through the factored
+    K x K core, so every column costs O(NK).
 
     Raises
     ------
-    IterativeDivergence
-        Cap hit with the reduced-system residual still above tolerance.
     SingularCapacitance
         The Woodbury core is numerically singular.
     """
@@ -453,15 +351,11 @@ def solve_map_saddle(
         )
     rhs = np.zeros((lrl.n, phi_hat.shape[1]))
     rhs[: ops.m] = phi_hat
-    v = _retained_v(lrl, ops)
-    maxiter = 10 * (ops.rank + 1)
-    if method is SaddleMethod.WOODBURY:
-        return _solve_woodbury(ops.theta, v, ops.xi, rhs)
-    if method is SaddleMethod.SYMMETRIC:
-        return _solve_symmetric(ops.theta, v, ops.xi, rhs, maxiter)
-    if method is SaddleMethod.UNSYMMETRIC:
-        return _solve_unsymmetric(ops.theta, v, ops.xi, rhs, maxiter)
-    raise InvalidConfig(f"unknown saddle method {method!r}")
+    theta_inv, v, tiv, lu = _woodbury_factors(lrl, ops)
+    base = theta_inv[:, None] * rhs
+    if lu is None:
+        return base
+    return base + tiv @ sla.lu_solve(lu, v.T @ base)
 
 
 class CovarianceOperator:
@@ -473,21 +367,7 @@ class CovarianceOperator:
 
     def __init__(self, lrl: LowRankLaplacian, ops: SaddleOperators):
         self._sigma_sq = ops.sigma_sq
-        self._theta_inv = 1.0 / ops.theta
-        v = _retained_v(lrl, ops)
-        self._k = v.shape[1]
-        if self._k:
-            self._tiv = self._theta_inv[:, None] * v
-            core = v.T @ self._tiv
-            core *= -1.0
-            core[np.arange(self._k), np.arange(self._k)] += 1.0 / ops.xi
-            try:
-                self._lu = sla.lu_factor(core)
-            except sla.LinAlgError as exc:
-                raise SingularCapacitance(
-                    f"Woodbury core factorization failed: {exc}"
-                ) from exc
-            self._v = v
+        self._theta_inv, self._v, self._tiv, self._lu = _woodbury_factors(lrl, ops)
 
     @property
     def n(self) -> int:
@@ -496,21 +376,17 @@ class CovarianceOperator:
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
         base = self._theta_inv * vec
-        if not self._k:
+        if self._lu is None:
             return self._sigma_sq * base
         corr = self._tiv @ sla.lu_solve(self._lu, self._v.T @ base)
         return self._sigma_sq * (base + corr)
 
     def diagonal(self) -> np.ndarray:
         """Exact diag(C) via the explicit Woodbury form, no sampling."""
-        if not self._k:
+        if self._lu is None:
             return self._sigma_sq * self._theta_inv
-        core_inv = sla.lu_solve(self._lu, np.eye(self._k))
+        core_inv = sla.lu_solve(self._lu, np.eye(self._v.shape[1]))
         core_inv = 0.5 * (core_inv + core_inv.T)
         rank_part = np.einsum("nk,nk->n", self._tiv @ core_inv, self._tiv)
         return self._sigma_sq * (self._theta_inv + rank_part)
 
-
-def covariance_matvec(cov: CovarianceOperator, v: np.ndarray) -> np.ndarray:
-    """Apply the posterior covariance to one vector in O(NK)."""
-    return cov.matvec(v)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -92,15 +92,29 @@ def shifted_power(sym: np.ndarray, tau: float, beta: float) -> np.ndarray:
     return (vecs * powered) @ vecs.T
 
 
-def _map_matrix(gl: GraphLaplacian, hp: HyperParameters, m: int) -> np.ndarray:
-    n = gl.graph.n
+def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
+    """S (L_sym + tau I)^beta S with S = D^{(p-q)/2}: the prior precision
+    per unit omega."""
     b = shifted_power(gl.sym_matrix, hp.tau, hp.beta)
     if gl.p != gl.q:
         s = gl.graph.degrees ** (0.5 * (gl.p - gl.q))
         b = s[:, None] * b * s[None, :]
-    a = hp.omega * b
+    return b
+
+
+def _map_cholesky(
+    gl: GraphLaplacian, hp: HyperParameters, m: int, dense_limit: int
+) -> tuple:
+    """Cholesky factor of the MAP matrix A for the first M rows observed."""
+    n = gl.graph.n
+    if n > dense_limit:
+        raise DenseLimitExceeded(f"N={n} exceeds the dense posterior limit {dense_limit}")
+    a = hp.omega * _prior_matrix(gl, hp)
     a[np.arange(m), np.arange(m)] += 1.0 / hp.sigma**2
-    return a
+    try:
+        return sla.cho_factor(a, lower=True)
+    except sla.LinAlgError as exc:
+        raise SingularSystem(f"MAP system factorization failed: {exc}") from exc
 
 
 def dense_posterior(
@@ -128,16 +142,10 @@ def dense_posterior(
     if not np.all(np.isfinite(phi_hat)):
         raise NonFiniteInput("phi_hat contains NaN or Inf")
     n = gl.graph.n
-    if n > dense_limit:
-        raise DenseLimitExceeded(f"N={n} exceeds the dense posterior limit {dense_limit}")
     m = phi_hat.shape[0] if m is None else m
     if m != phi_hat.shape[0] or m > n:
         raise DimensionMismatch(f"phi_hat rows ({phi_hat.shape[0]}) must equal M={m} <= N={n}")
-    a = _map_matrix(gl, hp, m)
-    try:
-        chol = sla.cho_factor(a, lower=True)
-    except sla.LinAlgError as exc:
-        raise SingularSystem(f"MAP system factorization failed: {exc}") from exc
+    chol = _map_cholesky(gl, hp, m, dense_limit)
     rhs = np.zeros((n, phi_hat.shape[1]))
     rhs[:m] = phi_hat / hp.sigma**2
     phi_star = sla.cho_solve(chol, rhs)
@@ -152,23 +160,23 @@ def dense_posterior(
     )
 
 
-def choose_tau(spectrum: Union[Spectrum, np.ndarray]) -> float:
+def choose_tau(spectrum: Spectrum) -> float:
     """Smallest non-zero eigenvalue, the shift that makes the prior proper.
 
-    "Non-zero" means above 1e-8 times the largest available eigenvalue, so
-    round-off zeros and genuine multi-component kernels are both skipped.
+    "Non-zero" means above 1e-8 times ``spectrum.shift_a``, the bound of
+    the whole spectrum, so round-off zeros and genuine multi-component
+    kernels are both skipped, and the choice does not depend on how many
+    eigenpairs were computed.
 
     Raises
     ------
     AllZeroSpectrum
         When every eigenvalue sits below the zero threshold.
     """
-    vals = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum
-    vals = np.asarray(vals, dtype=np.float64)
+    vals = spectrum.eigenvalues
     if vals.size < 2:
         raise InvalidConfig("need at least two eigenvalues to choose tau")
-    tol_zero = ZERO_EIGENVALUE_REL_TOL * float(vals.max())
-    positive = vals[vals > tol_zero]
+    positive = vals[vals > ZERO_EIGENVALUE_REL_TOL * spectrum.shift_a]
     if positive.size == 0:
         raise AllZeroSpectrum("no eigenvalue above the zero threshold")
     return float(positive.min())
@@ -249,8 +257,7 @@ def dense_mean_stddev(
             beta=hp_template.beta,
             r=hp_template.r,
         )
-        a = _map_matrix(gl, hp, m)
-        chol = sla.cho_factor(a, lower=True)
+        chol = _map_cholesky(gl, hp, m, DENSE_POSTERIOR_LIMIT)
         diag = np.diag(sla.cho_solve(chol, np.eye(gl.graph.n)))
         return float(np.sqrt(diag[m:]).mean())
 
@@ -302,10 +309,7 @@ def constrained_minimizer(
     n = gl.graph.n
     if not 1 <= m < n:
         raise DimensionMismatch(f"need 1 <= M < N, got M={m}, N={n}")
-    b = shifted_power(gl.sym_matrix, hp.tau, hp.beta)
-    if gl.p != gl.q:
-        s = gl.graph.degrees ** (0.5 * (gl.p - gl.q))
-        b = s[:, None] * b * s[None, :]
+    b = _prior_matrix(gl, hp)
     try:
         chol = sla.cho_factor(b[m:, m:], lower=True)
     except sla.LinAlgError as exc:
@@ -345,10 +349,7 @@ def regularization_path(
     m, d = phi_observed.shape
     n = gl.graph.n
     omegas = omega_coeff * deltas**omega_exponent
-    b = shifted_power(gl.sym_matrix, hp.tau, hp.beta)
-    if gl.p != gl.q:
-        s = gl.graph.degrees ** (0.5 * (gl.p - gl.q))
-        b = s[:, None] * b * s[None, :]
+    b = _prior_matrix(gl, hp)
     rng = np.random.default_rng(seed)
     iterates = []
     for delta, omega in zip(deltas, omegas):

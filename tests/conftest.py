@@ -1,7 +1,11 @@
 """Shared builders for the test suite."""
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mfgl
 from mfgl.graph import build_graph, laplacian
 
 
@@ -27,3 +31,10 @@ def two_blob_points(n_per=15, gap=0.8, spread=0.1, d=2, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def cli_env():
+    """Environment whose PYTHONPATH puts the imported `mfgl` package first."""
+    src = str(Path(mfgl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -6,7 +6,6 @@ plain pytest run doubles as the acceptance report.
 
 import importlib
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -19,7 +18,7 @@ import numpy.linalg as nla
 import pytest
 
 import mfgl.cli
-from conftest import random_points
+from conftest import cli_env, random_points
 from mfgl.bench import Generator, PipelineConfig, generate, run_pipeline, sample_hf
 from mfgl.data import HyperParameters
 from mfgl.graph import (
@@ -32,11 +31,9 @@ from mfgl.graph import (
 from mfgl.matio import read_csv, write_csv
 from mfgl.nystrom import (
     CovarianceOperator,
-    SaddleMethod,
     build_saddle,
     lowrank_power_apply,
     nystrom_factor,
-    nystrom_general_p,
     select_landmarks,
     solve_map_saddle,
 )
@@ -103,7 +100,7 @@ def test_ac1_truncated_matches_dense_oracle(capsys):
 def test_ac2_nystrom_full_landmarks_matches_dense(capsys):
     rng = np.random.default_rng(102)
     t0 = time.perf_counter()
-    worst_dense = worst_mutual = 0.0
+    worst_dense = 0.0
     for n, seed in ((80, 0), (150, 1), (200, 2)):
         m = n // 10
         g = build_graph(random_points(n, 3, seed=seed), knn_k=6)
@@ -114,26 +111,17 @@ def test_ac2_nystrom_full_landmarks_matches_dense(capsys):
         for _ in range(3):
             phi_hat = rng.normal(size=(m, 2))
             ref = dense_posterior(gl, phi_hat, hp)
-            maps = {
-                method: solve_map_saddle(lrl, ops, phi_hat, method=method)
-                for method in SaddleMethod
-            }
-            scale = nla.norm(ref.phi_star)
-            for got in maps.values():
-                worst_dense = max(worst_dense, nla.norm(got - ref.phi_star) / scale)
-            base = maps[SaddleMethod.WOODBURY]
-            for got in maps.values():
-                worst_mutual = max(
-                    worst_mutual, nla.norm(got - base) / nla.norm(base)
-                )
+            got = solve_map_saddle(lrl, ops, phi_hat)
+            worst_dense = max(
+                worst_dense, nla.norm(got - ref.phi_star) / nla.norm(ref.phi_star)
+            )
     elapsed = time.perf_counter() - t0
-    ok = worst_dense <= 1e-6 and worst_mutual <= 1e-8 and elapsed < 30.0
+    ok = worst_dense <= 1e-6 and elapsed < 30.0
     report(
         capsys,
         "AC2 full-landmark low-rank solve vs dense oracle",
         ok,
-        f"3 sizes x 3 routes x 3 rhs, max dense rel {worst_dense:.2e}, "
-        f"max mutual rel {worst_mutual:.2e}, {elapsed:.1f}s",
+        f"3 sizes x 3 rhs, max dense rel {worst_dense:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -325,7 +313,7 @@ def test_ac8_general_normalization(capsys):
         hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)
         phi_hat = rng.normal(size=(m, 2))
         ref = dense_posterior(laplacian(g, 1.0, 0.0), phi_hat, hp)
-        lrl = nystrom_general_p(g.weights, range(n), p=1.0)
+        lrl = nystrom_factor(g.weights, range(n), p=1.0)
         got = solve_map_saddle(lrl, build_saddle(lrl, hp, m), phi_hat)
         worst_map = max(worst_map, nla.norm(got - ref.phi_star) / nla.norm(ref.phi_star))
     worst_adj = 0.0
@@ -344,13 +332,6 @@ def test_ac8_general_normalization(capsys):
         f"random-walk MAP rel {worst_map:.2e} over 5 instances, "
         f"self-adjointness resid {worst_adj:.1e} over 20 graphs",
     )
-
-
-def cli_env():
-    """Environment whose PYTHONPATH puts the imported `mfgl` package first."""
-    src = str(Path(mfgl.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_cli(command, *args):

@@ -15,21 +15,15 @@ from mfgl.graph import build_graph, laplacian
 from mfgl.nystrom import (
     CovarianceOperator,
     LowRankLaplacian,
-    SaddleMethod,
     SaddleOperators,
     build_saddle,
-    covariance_matvec,
     lowrank_power_apply,
     lowrank_spectrum,
     nystrom_factor,
-    nystrom_general_p,
     select_landmarks,
     solve_map_saddle,
 )
 from mfgl.posterior import dense_posterior
-
-METHODS = (SaddleMethod.WOODBURY, SaddleMethod.SYMMETRIC, SaddleMethod.UNSYMMETRIC)
-
 
 def graph_weights(n, d, seed, knn_k=6):
     return build_graph(random_points(n, d, seed=seed), knn_k=knn_k).weights
@@ -200,16 +194,19 @@ def test_linear_beta_xi_is_proportional_to_sigma(rng):
     assert np.abs(ops.xi - expect).max() < 1e-12
 
 
-def test_three_routes_agree(rng):
+def test_woodbury_solve_residual(rng):
+    # rank-truncated factor: the solve must satisfy the reduced system
+    # (Theta - V Xi V^T) x = P_M^T phi_hat it was built from
     w = graph_weights(200, 3, seed=8)
     lrl = nystrom_factor(w, select_landmarks(200, 10, 40, seed=4), rank_r=20)
     hp = HyperParameters(sigma=0.05, omega=4.0, tau=0.3, beta=2.0)
     ops = build_saddle(lrl, hp, m=10)
     phi_hat = rng.normal(size=(10, 2))
-    maps = [solve_map_saddle(lrl, ops, phi_hat, method=m) for m in METHODS]
-    scale = nla.norm(maps[0])
-    for other in maps[1:]:
-        assert nla.norm(other - maps[0]) <= 1e-8 * scale
+    x = solve_map_saddle(lrl, ops, phi_hat)
+    vr = lrl.v[:, list(ops.retained)]
+    resid = ops.theta[:, None] * x - vr @ (ops.xi[:, None] * (vr.T @ x))
+    resid[:10] -= phi_hat
+    assert nla.norm(resid) <= 1e-10 * nla.norm(phi_hat)
 
 
 def test_full_landmarks_match_dense_posterior(rng):
@@ -230,13 +227,12 @@ def test_full_landmarks_match_dense_posterior(rng):
     assert np.abs(cov.diagonal() - dref).max() <= 1e-6 * dref.max()
 
 
-def test_zero_rhs_gives_zero_for_every_route():
+def test_zero_rhs_gives_zero():
     w = graph_weights(50, 2, seed=12)
     lrl = nystrom_factor(w, select_landmarks(50, 4, 15, seed=1), rank_r=7)
     ops = build_saddle(lrl, HyperParameters(sigma=0.2, omega=1.0, tau=0.2), m=4)
-    for method in METHODS:
-        out = solve_map_saddle(lrl, ops, np.zeros((4, 2)), method=method)
-        assert np.all(out == 0.0)
+    out = solve_map_saddle(lrl, ops, np.zeros((4, 2)))
+    assert np.all(out == 0.0)
 
 
 def test_map_shape_validation():
@@ -257,7 +253,7 @@ def test_covariance_is_the_saddle_inverse(rng):
     cov = CovarianceOperator(lrl, ops)
     vr = lrl.v[:, list(ops.retained)]
     vec = rng.normal(size=90)
-    y = covariance_matvec(cov, vec)
+    y = cov.matvec(vec)
     back = ops.theta * y - vr @ (ops.xi * (vr.T @ y))
     assert np.abs(back - hp.sigma**2 * vec).max() < 1e-8 * np.abs(vec).max()
     # diagonal agrees with basis-vector probes
@@ -282,17 +278,16 @@ def test_empty_correction_reduces_to_diagonal(rng):
     cov = CovarianceOperator(lrl, ops)
     assert np.abs(cov.diagonal() - 0.04 / theta).max() < 1e-15
     rhs = rng.normal(size=(1, 2))
-    for method in METHODS:
-        out = solve_map_saddle(lrl, ops, rhs, method=method)
-        expect = np.zeros((7, 2))
-        expect[0] = rhs[0] / theta[0]
-        assert np.abs(out - expect).max() < 1e-14
+    out = solve_map_saddle(lrl, ops, rhs)
+    expect = np.zeros((7, 2))
+    expect[0] = rhs[0] / theta[0]
+    assert np.abs(out - expect).max() < 1e-14
 
 
 def test_general_p_duality_and_dense_agreement(rng):
     pts = random_points(100, 3, seed=16)
     g = build_graph(pts, knn_k=6)
-    lrl = nystrom_general_p(g.weights, range(100), p=1.0)
+    lrl = nystrom_factor(g.weights, range(100), p=1.0)
     assert np.abs(lrl.v.T @ lrl.u - np.eye(lrl.rank)).max() < 1e-8
 
     hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)

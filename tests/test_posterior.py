@@ -3,6 +3,7 @@ import numpy.linalg as nla
 import pytest
 
 from conftest import random_points, two_blob_points
+from mfgl.bench import Generator, generate
 from mfgl.data import Dataset, HyperParameters, displacements
 from mfgl.exceptions import (
     AllZeroSpectrum,
@@ -20,7 +21,7 @@ from mfgl.posterior import (
     regularization_path,
     shifted_power,
 )
-from mfgl.spectral import low_spectrum, truncated_posterior, truncated_variances
+from mfgl.spectral import Spectrum, low_spectrum, truncated_posterior, truncated_variances
 
 
 def hand_graph(w):
@@ -120,27 +121,46 @@ def test_choose_tau_two_node_graph():
     assert choose_tau(spec) == pytest.approx(2.0, abs=1e-12)
 
 
+def spectrum_of(vals, shift_a=2.0):
+    vals = np.asarray(vals, dtype=np.float64)
+    return Spectrum(
+        K=vals.size, eigenvalues=vals, eigenvectors=np.eye(vals.size),
+        shift_a=shift_a, pq=(0.5, 0.5),
+    )
+
+
 def test_choose_tau_selection_rule():
-    assert choose_tau(np.array([0.0, 0.5, 1.3])) == 0.5
+    assert choose_tau(spectrum_of([0.0, 0.5, 1.3])) == 0.5
     # round-off negatives and tiny positives both count as zero
-    assert choose_tau(np.array([-1e-12, 1e-11, 0.7, 2.0])) == 0.7
+    assert choose_tau(spectrum_of([-1e-12, 1e-11, 0.7, 2.0])) == 0.7
 
 
 def test_choose_tau_skips_disconnected_kernel():
     lf = two_blob_points(n_per=10, gap=50.0, seed=1)  # fully underflowed
     gl = laplacian(build_graph(lf, knn_k=3), 0.5, 0.5)
-    lam = nla.eigvalsh(gl.matrix)
-    tau = choose_tau(lam)
-    positive = lam[lam > 1e-8 * lam.max()]
+    spec = low_spectrum(gl, 20)
+    tau = choose_tau(spec)
+    lam = spec.eigenvalues
+    positive = lam[lam > 1e-8 * spec.shift_a]
     assert tau == pytest.approx(positive.min())
     assert lam[1] < 1e-10  # really had two kernel modes
 
 
 def test_choose_tau_all_zero():
-    # the cutoff is relative to the largest eigenvalue, so the raise
-    # needs a spectrum with nothing strictly positive at all
+    # the cutoff scales with the spectrum's bound, not with the largest
+    # eigenvalue passed in, so a spectrum of tiny positives is all zero
     with pytest.raises(AllZeroSpectrum):
-        choose_tau(np.array([0.0, -1e-13, 0.0]))
+        choose_tau(spectrum_of([0.0, -1e-13, 1e-9]))
+
+
+def test_choose_tau_does_not_depend_on_K():
+    vals = np.concatenate([[0.0, 3e-9], np.arange(1, 20) / 10.0])
+    full = spectrum_of(vals)
+    first_three = Spectrum(
+        K=3, eigenvalues=vals[:3], eigenvectors=full.eigenvectors[:, :3],
+        shift_a=full.shift_a, pq=full.pq,
+    )
+    assert choose_tau(first_three) == choose_tau(full) == 0.1
 
 
 def test_calibration_self_consistency():
@@ -255,3 +275,25 @@ def test_stddevs_are_positive_and_match_covariance(rng):
     assert np.allclose(res.stddevs, np.sqrt(np.diag(res.covariance)))
     assert np.abs(res.covariance - res.covariance.T).max() < 1e-14
     assert nla.eigvalsh(res.covariance).min() > 0
+
+
+def test_dense_posterior_accurate_with_unobserved_cluster():
+    # clustered-shift with clusters 0, 5 and 9 unobserved and a tiny tau:
+    # (L + tau I)^2 is near-singular there.  The oracle is the block form
+    # [[P^T P / sigma^2, omega B], [B, -I]] with B = L + tau I, which
+    # never squares B.
+    prob = generate(Generator.CLUSTERED_SHIFT, 200, 5, seed=0)
+    m, n = 10, 200
+    assert {0, 5, 9}.isdisjoint(prob.cluster_labels[:m])
+    gl = laplacian(build_graph(prob.lf_data, knn_k=7), 0.5, 0.5)
+    hp = HyperParameters(sigma=0.05, omega=1.0, tau=5e-8, beta=2.0)
+    phi_hat = (prob.true_data - prob.lf_data)[:m]
+    b = gl.matrix + hp.tau * np.eye(n)
+    obs = np.zeros((n, n))
+    obs[np.arange(m), np.arange(m)] = 1.0 / hp.sigma**2
+    block = np.block([[obs, hp.omega * b], [b, -np.eye(n)]])
+    rhs = np.zeros((2 * n, phi_hat.shape[1]))
+    rhs[:m] = phi_hat / hp.sigma**2
+    oracle = nla.solve(block, rhs)[:n]
+    got = dense_posterior(gl, phi_hat, hp).phi_star
+    assert nla.norm(got - oracle) <= 1e-3 * nla.norm(oracle)
