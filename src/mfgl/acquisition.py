@@ -82,10 +82,9 @@ def kmeans(
     points: np.ndarray,
     m: int,
     seed: int,
-    n_init: int = KMEANS_RESTARTS,
-    max_iter: int = KMEANS_MAX_ITER,
 ):
-    """k-means with k-means++ starts; keeps the lowest-WCSS restart.
+    """k-means with k-means++ starts; keeps the lowest-WCSS of
+    ``KMEANS_RESTARTS`` restarts.
 
     Parameters
     ----------
@@ -106,9 +105,9 @@ def kmeans(
         raise InvalidConfig(f"cluster count must be in [1, {n}], got {m}")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
+    for _ in range(KMEANS_RESTARTS):
         init = _kmeanspp_init(points, m, rng)
-        centroids, assignment, wcss = _lloyd(points, init.copy(), max_iter)
+        centroids, assignment, wcss = _lloyd(points, init.copy(), KMEANS_MAX_ITER)
         if best is None or wcss < best[2]:
             best = (centroids, assignment, wcss)
     return best[0], best[1]

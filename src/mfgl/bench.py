@@ -32,6 +32,7 @@ from .data import (
 from .exceptions import (
     InvalidConfig,
     MissingHighFidelity,
+    RowCountMismatch,
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
@@ -318,11 +319,15 @@ class PipelineConfig:
     """Everything the drivers need beyond the data itself.
 
     ``sigma``, ``omega``, ``tau``, and ``K`` may be left unset: sigma then
-    comes from the problem's stored noise level (mapped into normalized
-    coordinates by the mean column std or mean row scale, an approximation
-    documented here because a single scalar cannot be exact once columns
-    are rescaled differently), tau from the smallest non-zero eigenvalue,
-    omega from the spread-calibration rule, and K from 4M.
+    comes from the problem's stored noise level, tau from the smallest
+    non-zero eigenvalue, omega from the spread-calibration rule, and K
+    from 4M.  ``sigma`` is in input units on every entry point;
+    :func:`estimate_planned` maps it into normalized coordinates by the
+    mean column std or mean row scale, an approximation because a single
+    scalar cannot be exact once columns are rescaled differently.
+
+    Every field is checked here, against the bounds the solvers enforce,
+    so a bad value fails before any data is read or any graph is built.
     """
 
     solver: SolverTag = SolverTag.TRUNCATED
@@ -349,6 +354,18 @@ class PipelineConfig:
             )
         if self.m < 0:
             raise InvalidConfig(f"M must be non-negative, got {self.m}")
+        for name in ("knn_k", "K", "rank_r", "embed_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InvalidConfig(f"{name} must be at least 1, got {value}")
+        for name in ("sigma", "omega", "tau"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise InvalidConfig(f"{name} must be positive, got {value}")
+        if not self.beta >= 1:
+            raise InvalidConfig(f"beta must be at least 1, got {self.beta}")
+        if not self.r > 1:
+            raise InvalidConfig(f"r must exceed 1, got {self.r}")
 
     def spectrum_size(self, n: int) -> int:
         return min(n, max(self.K or TRUNCATION_FACTOR * self.m, self.m, 2))
@@ -446,8 +463,8 @@ def estimate_attached(
     """Resolve hyperparameters and solve for an observation-ready dataset.
 
     The dataset must carry its high-fidelity rows (first-M convention)
-    and ``config.sigma`` must be set: this entry point has no problem
-    generator to read the noise level from.
+    and ``config.sigma`` must be set, in the dataset's coordinates: unlike
+    :func:`estimate_planned`, this entry point maps nothing.
 
     ``prior`` is the graph prior of ``ds.lf`` in the dataset's row order,
     usually the planning prior after :meth:`GraphPrior.permuted`; the
@@ -461,15 +478,14 @@ def estimate_attached(
         raise InvalidConfig("sigma is required when estimating from files")
     m = ds.m
     sigma = config.sigma
-    k_spec = config.spectrum_size(ds.n)
-    phi_hat = displacements(ds).phi_hat
+    phi_hat = displacements(ds)
     timings: dict = {}
 
     t0 = time.perf_counter()
     if config.solver is SolverTag.NYSTROM:
         scales = self_tuning_scales(ds.lf, config.knn_k)
         lf = ds.lf
-        landmarks = select_landmarks(ds.n, m, k_spec, config.seed)
+        landmarks = select_landmarks(ds.n, m, config.spectrum_size(ds.n), config.seed)
         lrl = nystrom_factor(
             lambda idx: weight_columns(lf, scales, idx),
             landmarks,
@@ -480,7 +496,7 @@ def estimate_attached(
         gl = None
     else:
         if prior is None:
-            prior = planning_spectrum(ds.lf, config).permuted(np.arange(ds.n), k_spec)
+            prior = planning_spectrum(ds.lf, dataclasses.replace(config, embed_dim=None))
         spectrum = prior.spectrum
         gl = prior.laplacian
         lrl = None
@@ -558,15 +574,80 @@ def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior
     return GraphPrior(spectrum, gl if config.solver is SolverTag.DENSE else None)
 
 
+def _solve_order_prior(
+    ds_norm: Dataset,
+    plan: AcquisitionPlan,
+    config: PipelineConfig,
+    prior: Optional[GraphPrior] = None,
+) -> Optional[GraphPrior]:
+    """The planning prior of ``ds_norm`` (built here exactly as planning
+    built it when not given) in the plan's row order; None for the
+    low-rank solver, which builds its own landmark factor."""
+    if config.solver is SolverTag.NYSTROM:
+        return None
+    if prior is None:
+        prior = planning_spectrum(ds_norm.lf, config)
+    perm = np.asarray(plan.permutation, dtype=np.intp)
+    return prior.permuted(perm, config.spectrum_size(ds_norm.n))
+
+
+def estimate_planned(
+    ds_norm: Dataset,
+    nspec: NormalizationSpec,
+    plan: AcquisitionPlan,
+    hf_raw: np.ndarray,
+    config: PipelineConfig,
+    prior: Optional[GraphPrior] = None,
+) -> EstimateArtifacts:
+    """Estimate from the rows a plan selected: the step shared by
+    :func:`run_pipeline` and ``mfgl estimate``.
+
+    ``ds_norm`` holds the normalized low-fidelity rows in input order and
+    ``nspec`` their normalization; ``hf_raw`` holds the high-fidelity rows
+    of ``plan.selected_indices``, in that order and in input units, and so
+    does ``config.sigma``.  M and the embedding width are the plan's.
+    ``prior`` is the graph prior in solve order (see
+    :func:`_solve_order_prior`), built here when not given.
+
+    Outputs are in solve order; the posterior's ``mf_estimates`` are in
+    input units.  ``timings["assemble"]`` covers the reordering, and the
+    graph prior when none was passed.
+    """
+    t0 = time.perf_counter()
+    if len(hf_raw) != plan.m:
+        raise RowCountMismatch(
+            f"{len(hf_raw)} high-fidelity rows, but the plan selected {plan.m}"
+        )
+    sigma = None if config.sigma is None else sigma_in_solve_coords(config.sigma, nspec)
+    config = dataclasses.replace(
+        config, m=plan.m, embed_dim=plan.embed_dim, sigma=sigma
+    )
+    if prior is None:
+        prior = _solve_order_prior(ds_norm, plan, config)
+    ds_perm = apply_permutation(ds_norm, plan)
+    spec_perm = nspec.permuted(np.asarray(plan.permutation, dtype=np.intp))
+    ds_solve = Dataset(lf=ds_perm.lf, hf=spec_perm.apply(hf_raw))
+    assemble_s = time.perf_counter() - t0
+
+    art = estimate_attached(ds_solve, config, prior)
+    mf = spec_perm.invert(ds_solve.lf + art.posterior.phi_star)
+    return dataclasses.replace(
+        art,
+        posterior=dataclasses.replace(art.posterior, mf_estimates=mf),
+        timings={"assemble": assemble_s, **art.timings},
+    )
+
+
 def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineOutput:
     """Full workflow: normalize, plan acquisition on the graph spectrum,
     attach noisy high-fidelity samples, resolve hyperparameters, solve,
     and score against the ground truth.
 
     The graph and its spectrum are built once, in input order, by
-    :func:`planning_spectrum`; estimation reuses them in solve order.
-    ``timings["plan"]`` therefore holds the graph build and eigensolve,
-    and ``timings["assemble"]`` the reordering.
+    :func:`planning_spectrum`; :func:`estimate_planned` reuses them in
+    solve order.  ``timings["plan"]`` therefore holds the graph build,
+    the eigensolve and the prior's reordering.  ``sigma`` is in input
+    units and defaults to the problem's noise level.
 
     With M = 0 the update is skipped and the report scores the raw
     low-fidelity data (zero reduction by construction).
@@ -585,44 +666,31 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
             report=report, posterior=None, plan=None, hyper=None,
             timings=timings, embedding=None,
         )
-
-    sigma_raw = problem.hf_noise_sigma if config.sigma is None else config.sigma
-    sigma = (
-        sigma_in_solve_coords(sigma_raw, nspec)
-        if config.sigma is None
-        else config.sigma
-    )
-    config = dataclasses.replace(config, sigma=sigma)
+    if config.sigma is None:
+        config = dataclasses.replace(config, sigma=problem.hf_noise_sigma)
 
     t0 = time.perf_counter()
     prior = planning_spectrum(ds_norm.lf, config)
     plan = plan_acquisition(prior.spectrum, config.m, config.seed, embed_dim=config.embed_dim)
+    # Reorder here, not inside estimate_planned: rebinding drops the only
+    # reference to the plan-order graph, which the dense solver would
+    # otherwise hold through omega calibration (tracemalloc peak 6.7 ->
+    # 9.4 MB at N=400).
+    prior = _solve_order_prior(ds_norm, plan, config, prior)
     timings["plan"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    perm = np.asarray(plan.permutation, dtype=np.intp)
-    if config.solver is SolverTag.NYSTROM:
-        prior = None
-    else:
-        prior = prior.permuted(perm, config.spectrum_size(ds_norm.n))
-    ds_perm = apply_permutation(ds_norm, plan)
-    spec_perm = nspec.permuted(perm)
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
-    ds_solve = Dataset(lf=ds_perm.lf, hf=spec_perm.apply(hf_raw))
-    timings["assemble"] = time.perf_counter() - t0
-
-    art = estimate_attached(ds_solve, config, prior)
+    art = estimate_planned(ds_norm, nspec, plan, hf_raw, config, prior)
     timings.update(art.timings)
 
-    mf_norm = ds_solve.lf + art.posterior.phi_star
-    mf_raw = spec_perm.invert(mf_norm)
-    posterior = dataclasses.replace(art.posterior, mf_estimates=mf_raw)
+    perm = np.asarray(plan.permutation, dtype=np.intp)
     report = build_report(
-        mf_raw, problem.lf_data[perm], problem.true_data[perm], config.metric
+        art.posterior.mf_estimates, problem.lf_data[perm], problem.true_data[perm],
+        config.metric,
     )
     embedding = embed(art.spectrum, min(plan.embed_dim, art.spectrum.K))
     return PipelineOutput(
-        report=report, posterior=posterior, plan=plan, hyper=art.hyper,
+        report=report, posterior=art.posterior, plan=plan, hyper=art.hyper,
         timings=timings, embedding=embedding,
     )
 

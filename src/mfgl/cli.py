@@ -51,22 +51,20 @@ _METRICS = ("component", "field")
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _auto_or_positive(value, name: str) -> Optional[float]:
+def _auto_or_number(value, name: str) -> Optional[float]:
     # "auto" (or None) means: resolve from the data at run time.
     if value is None or value == "auto":
         return None
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise InvalidConfig(f"{name} must be 'auto' or a number, got {value!r}")
-    if not out > 0:
-        raise InvalidConfig(f"{name} must be positive, got {out}")
-    return out
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Checked bag of settings shared by all subcommands.
+    """Settings shared by all subcommands; ``PipelineConfig`` checks the
+    pipeline's fields, :meth:`validate` only the CLI's own.
 
     ``omega`` and ``tau`` accept the string ``"auto"`` (resolve from the
     data) or a fixed positive value, matching the flags.
@@ -104,39 +102,8 @@ class RunConfig:
             raise InvalidConfig(
                 f"normalization must be one of {_NORMALIZATIONS}, got {self.normalization!r}"
             )
-        if self.solver == "nystrom" and abs(self.p + self.q - 1.0) > 1e-12:
-            raise InvalidConfig(
-                f"solver 'nystrom' needs p + q = 1, got p={self.p}, q={self.q}"
-            )
-        if self.knn_k < 1:
-            raise InvalidConfig(f"knn-k must be at least 1, got {self.knn_k}")
-        if self.m < 0:
-            raise InvalidConfig(f"m must be non-negative, got {self.m}")
-        if self.K is not None and self.K < 1:
-            raise InvalidConfig(f"K must be at least 1, got {self.K}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise InvalidConfig(f"sigma must be positive, got {self.sigma}")
-        if not self.beta > 0:
-            raise InvalidConfig(f"beta must be positive, got {self.beta}")
-        if not self.r > 0:
-            raise InvalidConfig(f"r must be positive, got {self.r}")
         if self.threads is not None and self.threads < 1:
             raise InvalidConfig(f"threads must be at least 1, got {self.threads}")
-        if self.rank_r is not None and self.rank_r < 1:
-            raise InvalidConfig(f"rank-r must be at least 1, got {self.rank_r}")
-        if self.embed_dim is not None and self.embed_dim < 1:
-            raise InvalidConfig(f"embed-dim must be at least 1, got {self.embed_dim}")
-        # Parse eagerly so a bad value fails before any compute.
-        _auto_or_positive(self.omega, "omega")
-        _auto_or_positive(self.tau, "tau")
-
-    @property
-    def omega_value(self) -> Optional[float]:
-        return _auto_or_positive(self.omega, "omega")
-
-    @property
-    def tau_value(self) -> Optional[float]:
-        return _auto_or_positive(self.tau, "tau")
 
 
 @dataclass(frozen=True)
@@ -220,86 +187,62 @@ def _apply_thread_cap(threads: Optional[int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Matrix I/O in the configured format
-# ---------------------------------------------------------------------------
-
-def _read_matrix(path: str, cfg: RunConfig):
-    from . import matio
-
-    if cfg.format == "bin":
-        return matio.read_binary(path)
-    return matio.read_csv(path, header=cfg.header)
-
-
-def _write_matrix(path: Path, a, cfg: RunConfig) -> None:
-    from . import matio
-
-    if cfg.format == "bin":
-        matio.write_binary(path, a)
-    else:
-        matio.write_csv(path, a)
-
-
-def _matrix_name(stem: str, cfg: RunConfig) -> str:
-    return f"{stem}.bin" if cfg.format == "bin" else f"{stem}.csv"
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _pipeline_config(cfg: RunConfig, m: int, sigma: Optional[float] = None):
-    from .bench import PipelineConfig
+def _pipeline_config(cfg: RunConfig, bcfg: BenchConfig):
+    from .bench import ErrorMetric, PipelineConfig
     from .data import Normalization
     from .posterior import SolverTag
 
     return PipelineConfig(
         solver=SolverTag(cfg.solver),
-        m=m,
+        m=cfg.m,
         knn_k=cfg.knn_k,
         p=cfg.p,
         q=cfg.q,
         normalization=Normalization(cfg.normalization),
-        sigma=sigma,
+        sigma=cfg.sigma,
         K=cfg.K,
         beta=cfg.beta,
         r=cfg.r,
-        omega=cfg.omega_value,
-        tau=cfg.tau_value,
+        omega=_auto_or_number(cfg.omega, "omega"),
+        tau=_auto_or_number(cfg.tau, "tau"),
         seed=cfg.seed,
         rank_r=cfg.rank_r,
         embed_dim=cfg.embed_dim,
+        metric=ErrorMetric(bcfg.metric),
     )
 
 
-def cmd_plan(cfg: RunConfig) -> int:
+def cmd_plan(cfg: RunConfig, pcfg) -> int:
     import numpy as np
 
+    from . import matio
     from .acquisition import plan_acquisition, save_plan
     from .bench import planning_spectrum
-    from .data import Dataset, Normalization, normalize
+    from .data import Dataset, normalize
 
     if cfg.lf_path is None:
         raise InvalidConfig("plan needs --lf-path")
-    if cfg.m < 1:
+    if pcfg.m < 1:
         raise InvalidConfig("plan needs m >= 1")
-    lf = _read_matrix(cfg.lf_path, cfg)
+    lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
     ds = Dataset(lf=lf)
-    if cfg.m > ds.n:
-        raise InvalidConfig(f"m={cfg.m} exceeds the number of rows {ds.n}")
+    if pcfg.m > ds.n:
+        raise InvalidConfig(f"m={pcfg.m} exceeds the number of rows {ds.n}")
 
-    ds_norm, _ = normalize(ds, Normalization(cfg.normalization))
-    pcfg = _pipeline_config(cfg, m=cfg.m)
+    ds_norm, _ = normalize(ds, pcfg.normalization)
     spectrum = planning_spectrum(ds_norm.lf, pcfg).spectrum
-    plan = plan_acquisition(spectrum, cfg.m, cfg.seed, embed_dim=cfg.embed_dim)
+    plan = plan_acquisition(spectrum, pcfg.m, pcfg.seed, embed_dim=pcfg.embed_dim)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     plan_file = outdir / "plan.json"
     save_plan(plan_file, plan)
     perm = np.asarray(plan.permutation, dtype=np.intp)
-    lf_file = outdir / _matrix_name("lf_permuted", cfg)
-    _write_matrix(lf_file, lf[perm], cfg)
+    lf_file = outdir / f"lf_permuted.{cfg.format}"
+    matio.write_matrix(lf_file, lf[perm], cfg.format)
 
     # The ids the user must now evaluate with their high-fidelity model,
     # in the exact row order the estimate step expects the results in.
@@ -321,16 +264,13 @@ def cmd_plan(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
-    import dataclasses
-
+def cmd_estimate(cfg: RunConfig, pcfg) -> int:
     import numpy as np
 
+    from . import matio
     from .acquisition import load_plan
-    from .bench import estimate_attached, planning_spectrum, sigma_in_solve_coords
-    from .data import Dataset, Normalization, normalize
-    from .matio import write_csv
-    from .posterior import SolverTag
+    from .bench import estimate_planned
+    from .data import Dataset, normalize
 
     if cfg.lf_path is None:
         raise InvalidConfig("estimate needs --lf-path (the reordered matrix from plan)")
@@ -338,50 +278,32 @@ def cmd_estimate(cfg: RunConfig) -> int:
         raise InvalidConfig("estimate needs --hf-path")
     if cfg.plan_path is None:
         raise InvalidConfig("estimate needs --plan-path")
-    if cfg.sigma is None:
+    if pcfg.sigma is None:
         raise InvalidConfig("estimate needs --sigma (observation noise level)")
 
     plan = load_plan(cfg.plan_path)
-    lf = _read_matrix(cfg.lf_path, cfg)
-    hf = _read_matrix(cfg.hf_path, cfg)
+    lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
+    hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
     if lf.shape[0] != len(plan.permutation):
         raise RowCountMismatch(
             f"low-fidelity matrix has {lf.shape[0]} rows but the plan "
             f"covers {len(plan.permutation)}"
         )
-    if hf.shape[0] != plan.m:
-        raise RowCountMismatch(
-            f"high-fidelity matrix has {hf.shape[0]} rows but the plan "
-            f"selected {plan.m}"
-        )
 
-    # Undo the plan's reordering, then normalize and build the graph prior
-    # in input order exactly as plan and run_pipeline do, so the estimate
-    # matches run_pipeline bit for bit.
+    # Undo the plan's reordering, then normalize in input order exactly as
+    # plan and run_pipeline do, so the estimate matches run_pipeline bit
+    # for bit.
     perm = np.asarray(plan.permutation, dtype=np.intp)
     lf_input = np.empty_like(lf)
     lf_input[perm] = lf
-    ds_norm, nspec = normalize(Dataset(lf=lf_input), Normalization(cfg.normalization))
-    pcfg = _pipeline_config(
-        cfg, m=plan.m, sigma=sigma_in_solve_coords(cfg.sigma, nspec)
-    )
-    prior = None
-    if pcfg.solver is not SolverTag.NYSTROM:
-        prior = planning_spectrum(
-            ds_norm.lf, dataclasses.replace(pcfg, embed_dim=plan.embed_dim)
-        ).permuted(perm, pcfg.spectrum_size(ds_norm.n))
-    spec_perm = nspec.permuted(perm)
-    lf_solve = ds_norm.lf[perm]
-    art = estimate_attached(
-        Dataset(lf=lf_solve, hf=spec_perm.apply(hf)), pcfg, prior
-    )
+    ds_norm, nspec = normalize(Dataset(lf=lf_input), pcfg.normalization)
+    art = estimate_planned(ds_norm, nspec, plan, hf, pcfg)
 
-    mf = spec_perm.invert(lf_solve + art.posterior.phi_star)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    mf_file = outdir / _matrix_name("mf_estimates", cfg)
-    _write_matrix(mf_file, mf, cfg)
-    write_csv(outdir / "stddevs.csv", art.posterior.stddevs[:, None])
+    mf_file = outdir / f"mf_estimates.{cfg.format}"
+    matio.write_matrix(mf_file, art.posterior.mf_estimates, cfg.format)
+    matio.write_csv(outdir / "stddevs.csv", art.posterior.stddevs[:, None])
     hp = art.hyper
     resolved = {
         "sigma": hp.sigma,
@@ -405,10 +327,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig, bcfg: BenchConfig) -> int:
-    import dataclasses
-
-    from .bench import ErrorMetric, Generator, generate, run_pipeline, write_report
+def cmd_bench(cfg: RunConfig, bcfg: BenchConfig, pcfg) -> int:
+    from .bench import Generator, generate, run_pipeline, write_report
 
     problem = generate(
         Generator(bcfg.generator),
@@ -420,8 +340,6 @@ def cmd_bench(cfg: RunConfig, bcfg: BenchConfig) -> int:
         noise_rel=bcfg.noise_rel,
         lf_scale=bcfg.lf_scale,
     )
-    pcfg = _pipeline_config(cfg, m=cfg.m, sigma=cfg.sigma)
-    pcfg = dataclasses.replace(pcfg, metric=ErrorMetric(bcfg.metric))
     output = run_pipeline(problem, pcfg)
     write_report(cfg.output_dir, output)
     print(
@@ -465,7 +383,7 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--solver", choices=_SOLVERS)
     g.add_argument("--K", type=int, dest="K", help="spectrum size (truncated) or landmark count (nystrom)")
     g.add_argument("--m", type=int, help="high-fidelity budget")
-    g.add_argument("--sigma", type=float, help="observation noise level")
+    g.add_argument("--sigma", type=float, help="observation noise level, in input units")
     g.add_argument("--beta", type=float, help="prior smoothness exponent")
     g.add_argument("--r", type=float, help="spread-calibration multiple")
     g.add_argument("--omega", help="'auto' or a fixed prior strength")
@@ -526,11 +444,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise InvalidConfig(f"MFGL_THREADS must be an integer, got {env_threads!r}")
         cfg, bcfg = _merge_config(ns)
         _apply_thread_cap(cfg.threads)
+        pcfg = _pipeline_config(cfg, bcfg)
         if ns.command == "plan":
-            return cmd_plan(cfg)
+            return cmd_plan(cfg, pcfg)
         if ns.command == "estimate":
-            return cmd_estimate(cfg)
-        return cmd_bench(cfg, bcfg)
+            return cmd_estimate(cfg, pcfg)
+        return cmd_bench(cfg, bcfg, pcfg)
     except SystemExit as exc:  # argparse --help/--version
         return exc.code if isinstance(exc.code, int) else 0
     except (MatrixIOError, OSError) as exc:

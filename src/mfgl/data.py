@@ -294,32 +294,8 @@ class HyperParameters:
         return self.omega * self.tau ** self.beta
 
 
-@dataclass(frozen=True)
-class DisplacementMatrices:
-    """Observed displacements phi_hat (M x D) and, once solved, the MAP
-    displacement field phi_star (N x D)."""
-
-    phi_hat: np.ndarray
-    phi_star: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        ph = _frozen_f64(self.phi_hat)
-        if ph.ndim != 2:
-            raise DimensionMismatch("phi_hat must be 2-D")
-        _require_finite(ph, "phi_hat")
-        object.__setattr__(self, "phi_hat", ph)
-        if self.phi_star is not None:
-            ps = _frozen_f64(self.phi_star)
-            if ps.ndim != 2 or ps.shape[1] != ph.shape[1]:
-                raise DimensionMismatch("phi_star column count must match phi_hat")
-            if ps.shape[0] < ph.shape[0]:
-                raise RowCountMismatch("phi_star has fewer rows than phi_hat")
-            _require_finite(ps, "phi_star")
-            object.__setattr__(self, "phi_star", ps)
-
-
-def displacements(data: Dataset) -> DisplacementMatrices:
-    """Observed low-to-high-fidelity displacements hf - lf[:M].
+def displacements(data: Dataset) -> np.ndarray:
+    """Observed low-to-high-fidelity displacements hf - lf[:M], M x D.
 
     Raises
     ------
@@ -328,4 +304,4 @@ def displacements(data: Dataset) -> DisplacementMatrices:
     """
     if data.hf is None or data.m == 0:
         raise MissingHighFidelity("dataset has no high-fidelity rows")
-    return DisplacementMatrices(phi_hat=data.hf - data.lf[: data.m])
+    return data.hf - data.lf[: data.m]

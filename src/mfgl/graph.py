@@ -230,21 +230,6 @@ def weighted_inner(
     return float(u @ (graph.degrees ** (p - q) * v))
 
 
-def weighted_frobenius(
-    a: np.ndarray, b: np.ndarray, graph: AffinityGraph, p: float, q: float
-) -> float:
-    """Reweighted Frobenius inner product trace(A^T D^{p-q} B)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.shape[0] != graph.n:
-        raise DimensionMismatch(
-            f"expected two ({graph.n}, *) matrices, got {a.shape} and {b.shape}"
-        )
-    if p == q:
-        return float(np.sum(a * b))
-    return float(np.sum(a * (graph.degrees[:, None] ** (p - q)) * b))
-
-
 def self_adjointness_check(
     gl: GraphLaplacian, trials: int = 20, seed: int = 0
 ) -> float:

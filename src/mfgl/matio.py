@@ -17,11 +17,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exceptions import MatrixIOError
+from .exceptions import InvalidConfig, MatrixIOError
 
 MAGIC = b"MFGL"
 VERSION = 0x01
 _HEADER = struct.Struct("<4sBQQ")
+
+# The format of a matrix file is always named, never guessed from a suffix.
+FORMATS = ("csv", "bin")
 
 PathLike = Union[str, Path]
 
@@ -118,30 +121,21 @@ def read_binary(path: PathLike) -> np.ndarray:
     return data.reshape(rows, cols).astype(np.float64, copy=True)
 
 
-def read_matrix(path: PathLike, header: bool = False) -> np.ndarray:
-    """Read a matrix, picking the format by file suffix.
-
-    ``.csv``/``.txt`` parse as CSV; anything else is tried as the binary
-    container first with a CSV fallback on magic mismatch.
-    """
-    p = Path(path)
-    if p.suffix.lower() in (".csv", ".txt"):
-        return read_csv(p, header=header)
-    try:
-        return read_binary(p)
-    except MatrixIOError:
-        if p.suffix.lower() in (".mfgl", ".bin"):
-            raise
-        return read_csv(p, header=header)
+def read_matrix(path: PathLike, fmt: str, header: bool = False) -> np.ndarray:
+    """Read a matrix stored in format ``fmt`` (one of :data:`FORMATS`);
+    ``header`` applies to CSV only."""
+    if fmt == "bin":
+        return read_binary(path)
+    if fmt == "csv":
+        return read_csv(path, header=header)
+    raise InvalidConfig(f"matrix format must be one of {FORMATS}, got {fmt!r}")
 
 
-def write_matrix(
-    path: PathLike, a, header: Optional[Sequence[str]] = None
-) -> None:
-    """Write a matrix, picking the format by file suffix (CSV unless
-    ``.mfgl``/``.bin``)."""
-    p = Path(path)
-    if p.suffix.lower() in (".mfgl", ".bin"):
-        write_binary(p, a)
+def write_matrix(path: PathLike, a, fmt: str) -> None:
+    """Write a matrix in format ``fmt`` (one of :data:`FORMATS`)."""
+    if fmt == "bin":
+        write_binary(path, a)
+    elif fmt == "csv":
+        write_csv(path, a)
     else:
-        write_csv(p, a, header=header)
+        raise InvalidConfig(f"matrix format must be one of {FORMATS}, got {fmt!r}")

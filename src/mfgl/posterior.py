@@ -121,7 +121,6 @@ def dense_posterior(
     gl: GraphLaplacian,
     phi_hat: np.ndarray,
     hp: HyperParameters,
-    m: Optional[int] = None,
     want_cov: bool = False,
     dense_limit: int = DENSE_POSTERIOR_LIMIT,
 ) -> PosteriorResult:
@@ -142,9 +141,9 @@ def dense_posterior(
     if not np.all(np.isfinite(phi_hat)):
         raise NonFiniteInput("phi_hat contains NaN or Inf")
     n = gl.graph.n
-    m = phi_hat.shape[0] if m is None else m
-    if m != phi_hat.shape[0] or m > n:
-        raise DimensionMismatch(f"phi_hat rows ({phi_hat.shape[0]}) must equal M={m} <= N={n}")
+    m = phi_hat.shape[0]
+    if m > n:
+        raise DimensionMismatch(f"phi_hat has {m} rows, more than N={n}")
     chol = _map_cholesky(gl, hp, m, dense_limit)
     rhs = np.zeros((n, phi_hat.shape[1]))
     rhs[:m] = phi_hat / hp.sigma**2

@@ -11,7 +11,6 @@ inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -73,7 +72,6 @@ def low_spectrum(
     gl: GraphLaplacian,
     K: int,
     dense_threshold: int = DENSE_EIG_THRESHOLD,
-    residual_tol: float = EIG_RESIDUAL_TOL,
 ) -> Spectrum:
     """K smallest eigenpairs of L, via the shifted leading-pair solve.
 
@@ -84,7 +82,7 @@ def low_spectrum(
     Raises
     ------
     ConvergenceFailure
-        When some returned pair has residual above ``residual_tol``.
+        When some returned pair has residual above ``EIG_RESIDUAL_TOL``.
     """
     n = gl.graph.n
     if not 1 <= K <= n:
@@ -106,7 +104,7 @@ def low_spectrum(
     resid = lsym @ vecs_s - vecs_s * vals[None, :]
     resid_norms = np.linalg.norm(resid, axis=0)
     worst = int(np.argmax(resid_norms))
-    if resid_norms[worst] > residual_tol:
+    if resid_norms[worst] > EIG_RESIDUAL_TOL:
         raise ConvergenceFailure(worst, float(resid_norms[worst]))
     vecs_s = _fix_signs(vecs_s)
     if gl.p != gl.q:
@@ -160,7 +158,6 @@ def truncated_posterior(
     spectrum: Spectrum,
     phi_hat: np.ndarray,
     hp: HyperParameters,
-    m: Optional[int] = None,
 ) -> TruncatedPosterior:
     """Posterior over expansion coefficients in the truncated eigenbasis.
 
@@ -180,11 +177,7 @@ def truncated_posterior(
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     if phi_hat.ndim != 2:
         raise DimensionMismatch("phi_hat must be 2-D")
-    m = phi_hat.shape[0] if m is None else m
-    if m != phi_hat.shape[0]:
-        raise DimensionMismatch(
-            f"phi_hat has {phi_hat.shape[0]} rows but M={m} was requested"
-        )
+    m = phi_hat.shape[0]
     if m > spectrum.n:
         raise DimensionMismatch("more observations than graph nodes")
     b = spectrum.eigenvectors[:m]

@@ -163,6 +163,28 @@ def test_pipeline_config_rules():
     with pytest.raises(InvalidConfig):
         PipelineConfig(m=-1)
     PipelineConfig(solver=SolverTag.NYSTROM, p=1.0, q=0.0)
+    # one value just past each bound the solvers enforce
+    for bad in (
+        dict(beta=0.5), dict(r=1.0), dict(K=0), dict(knn_k=0), dict(sigma=0.0),
+        dict(omega=0.0), dict(tau=-1.0), dict(rank_r=0), dict(embed_dim=0),
+        dict(sigma=float("nan")),
+    ):
+        with pytest.raises(InvalidConfig):
+            PipelineConfig(**bad)
+    PipelineConfig(beta=1.0, r=1.5, K=1, knn_k=1, sigma=1e-9, omega=1e-9,
+                   tau=1e-9, rank_r=1, embed_dim=1)
+
+
+@pytest.mark.parametrize("mode", [Normalization.COMPONENT, Normalization.INSTANCE])
+def test_explicit_sigma_is_in_input_units(mode):
+    # an explicit sigma means what the default means: the noise level of
+    # the high-fidelity rows as given, before normalization
+    prob = generate(Generator.CLUSTERED_SHIFT, 120, 3, seed=4, clusters=4)
+    base = dict(m=4, seed=1, normalization=mode)
+    auto = run_pipeline(prob, PipelineConfig(**base)).posterior
+    given = run_pipeline(prob, PipelineConfig(sigma=prob.hf_noise_sigma, **base)).posterior
+    assert np.array_equal(given.phi_star, auto.phi_star)
+    assert np.array_equal(given.stddevs, auto.stddevs)
 
 
 def test_estimate_attached_guards(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import main
-from mfgl.matio import read_binary, read_csv, read_matrix, write_csv
+from mfgl.matio import read_binary, read_csv, write_csv
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +198,27 @@ def test_bench_nystrom_needs_rank_r(tmp_path, capsys):
     assert last_json(out)["reduction_pct"] > 50.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("bench", "--n", "60", "--beta", "0.5"), ("plan", "--m", "3", "--r", "1.0")],
+    ids=["bench-beta", "plan-r"],
+)
+def test_solver_bounds_checked_before_any_graph(tmp_path, capsys, monkeypatch, argv):
+    import mfgl.bench
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the flags were checked")
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", no_graph)
+    _, lf_path = write_problem(tmp_path)
+    extra = ["--lf-path", str(lf_path)] if argv[0] == "plan" else []
+    code, _, err = run_cli(
+        capsys, *argv, *extra, "--output-dir", str(tmp_path / "out")
+    )
+    assert code == 3
+    assert last_json(err)["error"] == "InvalidConfig"
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "plan", "--lf-path", str(tmp_path / "nope.csv"), "--m", "3",
@@ -317,7 +338,7 @@ def test_cli_estimate_matches_pipeline_phi_star(tmp_path, capsys):
         "--output-dir", str(out_dir),
     )
     assert code == 0
-    mf_cli = read_matrix(out_dir / "mf_estimates.csv")
+    mf_cli = read_csv(out_dir / "mf_estimates.csv")
     assert np.array_equal(mf_cli, out.posterior.mf_estimates)
 
 
@@ -363,7 +384,7 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, flags):
     )
     assert code == 0
     assert np.array_equal(
-        read_matrix(out_dir / "mf_estimates.csv"), out.posterior.mf_estimates
+        read_csv(out_dir / "mf_estimates.csv"), out.posterior.mf_estimates
     )
-    stddevs = read_matrix(out_dir / "stddevs.csv")[:, 0]
+    stddevs = read_csv(out_dir / "stddevs.csv")[:, 0]
     assert np.array_equal(stddevs, out.posterior.stddevs)

@@ -3,8 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from mfgl.exceptions import MatrixIOError
+from mfgl.exceptions import InvalidConfig, MatrixIOError
 from mfgl.matio import (
+    FORMATS,
     MAGIC,
     VERSION,
     read_binary,
@@ -131,23 +132,28 @@ def test_binary_truncated_header_rejected(tmp_path):
         read_binary(path)
 
 
-def test_dispatch_by_suffix(tmp_path, rng):
+def test_explicit_format_round_trip(tmp_path, rng):
+    # the format is named by the caller, never taken from the suffix
     a = rng.normal(size=(3, 4))
-    for name in ("m.csv", "m.txt"):
-        write_matrix(tmp_path / name, a)
-        assert (tmp_path / name).read_text().count(",") > 0
-        assert np.array_equal(read_matrix(tmp_path / name), a)
-    for name in ("m.bin", "m.mfgl"):
-        write_matrix(tmp_path / name, a)
-        assert (tmp_path / name).read_bytes()[:4] == MAGIC
-        assert np.array_equal(read_matrix(tmp_path / name), a)
+    for fmt in FORMATS:
+        path = tmp_path / f"m_{fmt}.dat"
+        write_matrix(path, a, fmt)
+        assert (path.read_bytes()[:4] == MAGIC) == (fmt == "bin")
+        assert np.array_equal(read_matrix(path, fmt), a)
+    with pytest.raises(MatrixIOError, match="magic"):
+        read_matrix(tmp_path / "m_csv.dat", "bin")
 
 
-def test_dispatch_unknown_suffix_falls_back_to_csv(tmp_path, rng):
+def test_unknown_format_rejected(tmp_path, rng):
+    # an unknown format name is an error, not a fallback to CSV
     a = rng.normal(size=(2, 2))
     path = tmp_path / "m.dat"
-    write_matrix(path, a)  # CSV by default
-    assert np.array_equal(read_matrix(path), a)
+    write_matrix(path, a, "csv")
+    with pytest.raises(InvalidConfig):
+        write_matrix(tmp_path / "m.csv", a, "txt")
+    with pytest.raises(InvalidConfig):
+        read_matrix(path, "txt")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_version_constant_is_one():

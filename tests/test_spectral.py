@@ -144,7 +144,7 @@ def test_truncated_full_rank_matches_dense_oracle(rng):
     ds = Dataset(lf=lf, hf=hf)
     gl = laplacian(build_graph(lf, knn_k=4), 0.5, 0.5)
     hp = HyperParameters(sigma=0.05, omega=2.0, tau=0.3, beta=2.0)
-    phi_hat = displacements(ds).phi_hat
+    phi_hat = displacements(ds)
     phi_ref, c_ref = dense_map_oracle(gl, phi_hat, hp)
 
     spec = low_spectrum(gl, n)
@@ -163,7 +163,7 @@ def test_truncated_data_dominated_limit(rng):
     gl = laplacian(build_graph(lf, knn_k=4), 0.5, 0.5)
     spec = low_spectrum(gl, n)
     hp = HyperParameters(sigma=1e-6, omega=1e-6, tau=0.2)
-    phi_hat = displacements(ds).phi_hat
+    phi_hat = displacements(ds)
     phi = truncated_posterior(spec, phi_hat, hp).map_displacements()
     rel = nla.norm(phi - phi_hat, "fro") / nla.norm(phi_hat, "fro")
     assert rel < 1e-3
@@ -200,7 +200,7 @@ def test_general_pq_truncated_matches_weighted_dense(rng):
     ds = Dataset(lf=lf, hf=hf)
     gl = laplacian(build_graph(lf, knn_k=4), 1.0, 0.0)
     hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.3, beta=2.0)
-    phi_hat = displacements(ds).phi_hat
+    phi_hat = displacements(ds)
     ref = dense_posterior(gl, phi_hat, hp)
     spec = low_spectrum(gl, n)
     tp = truncated_posterior(spec, phi_hat, hp)
