@@ -522,6 +522,8 @@ def estimate_attached(
         else:
             mean_stddev = dense_mean_stddev(gl, _make_hp(sigma, 1.0, tau, config), m)
         omega = calibrate_omega(mean_stddev, sigma, config.r)
+        # the dense handle holds an N x N prior; free it before the final solve
+        del mean_stddev
     hp = _make_hp(sigma, omega, tau, config)
     timings["hyperparameters"] = time.perf_counter() - t0
 

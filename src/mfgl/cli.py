@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from . import __version__
 from .exceptions import (
@@ -142,6 +142,38 @@ class BenchConfig:
             raise InvalidConfig(f"lf-scale must be positive, got {self.lf_scale}")
 
 
+_FIELD_TYPES = {**get_type_hints(RunConfig), **get_type_hints(BenchConfig)}
+_AUTO_KEYS = ("omega", "tau")  # a number, or "auto" to resolve from the data
+
+
+def _is_of(value, kind) -> bool:
+    # JSON booleans are Python ints; accept them only where bool is meant.
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _check_config_type(key: str, value, config_path) -> None:
+    """Reject a config-file value whose JSON type does not fit its field."""
+    if key in _AUTO_KEYS:
+        if value == "auto":
+            return
+        kinds = (float, type(None))
+    else:
+        hint = _FIELD_TYPES[key]
+        kinds = get_args(hint) or (hint,)  # Optional[X] -> (X, NoneType)
+    if not any(_is_of(value, k) for k in kinds):
+        names = ["null" if k is type(None) else k.__name__ for k in kinds]
+        if key in _AUTO_KEYS:
+            names.insert(0, "'auto'")
+        expected = " or ".join(names)
+        raise InvalidConfig(
+            f"config key {key!r} in {config_path} must be {expected}, got {value!r}"
+        )
+
+
 def _merge_config(ns: argparse.Namespace) -> tuple[RunConfig, BenchConfig]:
     """Defaults, then the JSON config file, then explicit flags."""
     run_kw = {f.name: f.default for f in fields(RunConfig)}
@@ -157,11 +189,13 @@ def _merge_config(ns: argparse.Namespace) -> tuple[RunConfig, BenchConfig]:
             raise InvalidConfig(f"config file {config_path} must hold a JSON object")
         for key, value in raw.items():
             if key in run_kw:
-                run_kw[key] = value
+                target = run_kw
             elif key in bench_kw:
-                bench_kw[key] = value
+                target = bench_kw
             else:
                 raise InvalidConfig(f"unknown config key {key!r} in {config_path}")
+            _check_config_type(key, value, config_path)
+            target[key] = value
     for key in run_kw:
         flag = getattr(ns, key, None)
         if flag is not None:

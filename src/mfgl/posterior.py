@@ -10,6 +10,12 @@ in its symmetric form
 
 with S = D^{(p-q)/2}, which equals the D^{p-q}-weighted normal equations
 of the non-symmetric L and stays Cholesky-friendly for any (p, q).
+
+The stddevs sqrt(diag(A^{-1})) are read from the triangular inverse of
+the Cholesky factor L of A (the squared column norms of L^{-1}), so the
+N x N covariance is formed only when it is asked for.  The omega
+calibration handle builds the omega-independent prior S (L_sym + tau
+I)^beta S once per handle, not once per call.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtrtri
 
 from .data import HyperParameters
 from .exceptions import (
@@ -102,19 +109,41 @@ def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
     return b
 
 
-def _map_cholesky(
-    gl: GraphLaplacian, hp: HyperParameters, m: int, dense_limit: int
-) -> tuple:
-    """Cholesky factor of the MAP matrix A for the first M rows observed."""
+def _dense_prior(
+    gl: GraphLaplacian, hp: HyperParameters, dense_limit: int
+) -> np.ndarray:
+    """``_prior_matrix`` after the size check, so an oversized dense run
+    fails before any N^3 work."""
     n = gl.graph.n
     if n > dense_limit:
         raise DenseLimitExceeded(f"N={n} exceeds the dense posterior limit {dense_limit}")
-    a = hp.omega * _prior_matrix(gl, hp)
-    a[np.arange(m), np.arange(m)] += 1.0 / hp.sigma**2
+    return _prior_matrix(gl, hp)
+
+
+def _map_cholesky(
+    prior: np.ndarray, omega: float, sigma: float, m: int
+) -> np.ndarray:
+    """Lower Cholesky factor (upper triangle zero) of the MAP matrix
+    A = omega * prior + (1/sigma^2) P_M^T P_M for the first M rows observed."""
+    a = omega * prior
+    a[np.arange(m), np.arange(m)] += 1.0 / sigma**2
     try:
-        return sla.cho_factor(a, lower=True)
+        return sla.cholesky(a, lower=True, overwrite_a=True)
     except sla.LinAlgError as exc:
         raise SingularSystem(f"MAP system factorization failed: {exc}") from exc
+
+
+def _inverse_diagonal(chol: np.ndarray) -> np.ndarray:
+    """diag(A^{-1}) from the lower Cholesky factor L of A.
+
+    A^{-1} = L^{-T} L^{-1}, so its diagonal holds the squared column norms
+    of the triangular inverse L^{-1} (LAPACK ``dtrtri``, in place); the
+    full A^{-1} is never formed.
+    """
+    inv, info = dtrtri(chol, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SingularSystem(f"triangular inverse failed: dtrtri info={info}")
+    return np.einsum("ij,ij->j", inv, inv)
 
 
 def dense_posterior(
@@ -126,8 +155,9 @@ def dense_posterior(
 ) -> PosteriorResult:
     """Exact Gaussian posterior by one SPD factorization.
 
-    Solves A Phi* = (1/sigma^2) P_M^T Phi_hat and inverts A for the
-    covariance; ``stddevs`` are sqrt(diag(A^{-1})) either way.
+    Solves A Phi* = (1/sigma^2) P_M^T Phi_hat; ``stddevs`` are
+    sqrt(diag(A^{-1})), from the triangular inverse of the factor unless
+    ``want_cov`` asks for the full inverse, when they are its diagonal.
 
     Raises
     ------
@@ -144,18 +174,22 @@ def dense_posterior(
     m = phi_hat.shape[0]
     if m > n:
         raise DimensionMismatch(f"phi_hat has {m} rows, more than N={n}")
-    chol = _map_cholesky(gl, hp, m, dense_limit)
+    chol = _map_cholesky(_dense_prior(gl, hp, dense_limit), hp.omega, hp.sigma, m)
     rhs = np.zeros((n, phi_hat.shape[1]))
     rhs[:m] = phi_hat / hp.sigma**2
-    phi_star = sla.cho_solve(chol, rhs)
-    cov = sla.cho_solve(chol, np.eye(n))
-    cov = 0.5 * (cov + cov.T)
-    stddevs = np.sqrt(np.diag(cov))
+    phi_star = sla.cho_solve((chol, True), rhs)
+    if want_cov:
+        cov = sla.cho_solve((chol, True), np.eye(n))
+        cov = 0.5 * (cov + cov.T)
+        stddevs = np.sqrt(np.diag(cov))
+    else:
+        cov = None
+        stddevs = np.sqrt(_inverse_diagonal(chol))
     return PosteriorResult(
         phi_star=phi_star,
         stddevs=stddevs,
         solver_tag=SolverTag.DENSE,
-        covariance=cov if want_cov else None,
+        covariance=cov,
     )
 
 
@@ -244,21 +278,27 @@ def calibrate_omega(
 def dense_mean_stddev(
     gl: GraphLaplacian, hp_template: HyperParameters, m: int
 ) -> Callable[[float], float]:
-    """Calibration handle: omega -> mean stddev over rows M..N-1, dense."""
+    """Calibration handle: omega -> mean stddev over rows M..N-1, dense.
+
+    The omega-independent prior S (L_sym + tau I)^beta S is built once,
+    here, after the size check; each call only scales it, adds the
+    observation term, takes one Cholesky factor and reads the stddevs
+    from its triangular inverse.  The handle holds that N x N prior, so
+    release it before the final solve.
+
+    Raises
+    ------
+    DenseLimitExceeded
+        On creation, when N exceeds ``DENSE_POSTERIOR_LIMIT``.
+    """
     if m >= gl.graph.n:
         raise InvalidConfig("calibration needs at least one unobserved row")
+    prior = _dense_prior(gl, hp_template, DENSE_POSTERIOR_LIMIT)
+    sigma = hp_template.sigma
 
     def handle(omega: float) -> float:
-        hp = HyperParameters(
-            sigma=hp_template.sigma,
-            omega=omega,
-            tau=hp_template.tau,
-            beta=hp_template.beta,
-            r=hp_template.r,
-        )
-        chol = _map_cholesky(gl, hp, m, DENSE_POSTERIOR_LIMIT)
-        diag = np.diag(sla.cho_solve(chol, np.eye(gl.graph.n)))
-        return float(np.sqrt(diag[m:]).mean())
+        chol = _map_cholesky(prior, omega, sigma, m)
+        return float(np.sqrt(_inverse_diagonal(chol)[m:]).mean())
 
     return handle
 

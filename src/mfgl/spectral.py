@@ -1,11 +1,13 @@
 """Low-lying Laplacian spectrum and the truncated-eigenbasis posterior.
 
-Eigenpairs come from the shifted matrix a*I - L_sym with a = 2 max_i
-D_ii^{1-p-q}: the spectrum of L lies in [0, a], so the low-lying pairs of
-L are the LEADING pairs of the shifted matrix, which is the regime Lanczos
-iteration resolves quickly.  For p != q the symmetric eigenvectors are
-converted via D^{-(p-q)/2}, making them orthonormal in the reweighted
-inner product.
+Up to ``DENSE_EIG_THRESHOLD`` points (or when K is close to N) the K
+lowest pairs come straight from a dense eigensolve of L_sym restricted
+to those K indices.  Above it, Lanczos iteration runs on the shifted
+matrix a*I - L_sym with a = 2 max_i D_ii^{1-p-q}: the spectrum of L lies
+in [0, a], so the low-lying pairs of L are the LEADING pairs of the
+shifted matrix, the regime Lanczos resolves quickly.  For p != q the
+symmetric eigenvectors are converted via D^{-(p-q)/2}, making them
+orthonormal in the reweighted inner product.
 """
 
 from __future__ import annotations
@@ -73,11 +75,12 @@ def low_spectrum(
     K: int,
     dense_threshold: int = DENSE_EIG_THRESHOLD,
 ) -> Spectrum:
-    """K smallest eigenpairs of L, via the shifted leading-pair solve.
+    """K smallest eigenpairs of L.
 
-    A dense symmetric eigensolve is used for N <= ``dense_threshold`` (or
-    whenever K is too close to N for a Krylov solver); above that, Lanczos
-    iteration on a*I - L_sym with a deterministic start vector.
+    A dense symmetric eigensolve of L_sym, for the K lowest indices only,
+    is used for N <= ``dense_threshold`` (or whenever K is too close to N
+    for a Krylov solver); above that, Lanczos iteration on a*I - L_sym with
+    a deterministic start vector.
 
     Raises
     ------
@@ -89,18 +92,15 @@ def low_spectrum(
         raise InvalidConfig(f"K must be in [1, {n}], got {K}")
     lsym = gl.sym_matrix
     a = gl.shift_bound
-    shifted = a * np.eye(n) - lsym
     if n <= dense_threshold or K > n - 2:
-        vals_s, vecs_s = sla.eigh(shifted)
-        vals_s = vals_s[::-1][:K]  # leading K of the shifted matrix
-        vecs_s = vecs_s[:, ::-1][:, :K]
+        vals, vecs_s = sla.eigh(lsym, subset_by_index=[0, K - 1])
     else:
+        shifted = a * np.eye(n) - lsym
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals_s, vecs_s = eigsh(shifted, k=K, which="LA", v0=v0)
         order = np.argsort(vals_s)[::-1]
-        vals_s = vals_s[order]
+        vals = a - vals_s[order]  # ascending eigenvalues of L_sym
         vecs_s = vecs_s[:, order]
-    vals = a - vals_s  # ascending eigenvalues of L_sym
     resid = lsym @ vecs_s - vecs_s * vals[None, :]
     resid_norms = np.linalg.norm(resid, axis=0)
     worst = int(np.argmax(resid_norms))

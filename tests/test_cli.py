@@ -269,6 +269,21 @@ def test_config_unknown_key_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["7", True, [7]], ids=["str", "bool", "list"])
+def test_config_wrong_type_exit_3(tmp_path, capsys, value):
+    _, lf_path = write_problem(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"knn_k": value}))
+    code, _, err = run_cli(
+        capsys, "plan", "--config", str(cfg_path), "--lf-path", str(lf_path),
+        "--output-dir", str(tmp_path / "out"),
+    )
+    assert code == 3
+    error = last_json(err)
+    assert error["error"] == "InvalidConfig"
+    assert "knn_k" in error["message"]
+
+
 def test_threads_env_validation(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MFGL_THREADS", "not-a-number")
     _, lf_path = write_problem(tmp_path)
