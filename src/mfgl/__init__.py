@@ -19,6 +19,7 @@ _SUBMODULES = (
     "acquisition",
     "bench",
     "cli",
+    "config",
     "data",
     "exceptions",
     "graph",

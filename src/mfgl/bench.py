@@ -16,19 +16,13 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .acquisition import AcquisitionPlan, apply_permutation, plan_acquisition
-from .data import (
-    Dataset,
-    HyperParameters,
-    Normalization,
-    NormalizationSpec,
-    displacements,
-    normalize,
-)
+from .config import ErrorMetric, Normalization, PipelineConfig, SolverTag
+from .data import Dataset, HyperParameters, NormalizationSpec, displacements, normalize
 from .exceptions import (
     InvalidConfig,
     MissingHighFidelity,
@@ -55,7 +49,6 @@ from .nystrom import (
 )
 from .posterior import (
     PosteriorResult,
-    SolverTag,
     calibrate_omega,
     choose_tau,
     dense_mean_stddev,
@@ -69,18 +62,10 @@ from .spectral import (
     truncated_variances,
 )
 
-TRUNCATION_FACTOR = 4
-
-
 class Generator(Enum):
     CLUSTERED_SHIFT = "clustered-shift"
     SMOOTH_MANIFOLD = "smooth-manifold"
     BEAM_LIKE_1D = "beam-like-1d"
-
-
-class ErrorMetric(Enum):
-    COMPONENT_REL_ABS = "component"
-    FIELD_REL_L2 = "field"
 
 
 @dataclass(frozen=True)
@@ -315,70 +300,13 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Everything the drivers need beyond the data itself.
-
-    ``sigma``, ``omega``, ``tau``, and ``K`` may be left unset: sigma then
-    comes from the problem's stored noise level, tau from the smallest
-    non-zero eigenvalue, omega from the spread-calibration rule, and K
-    from 4M.  ``sigma`` is in input units on every entry point;
-    :func:`estimate_planned` maps it into normalized coordinates by the
-    mean column std or mean row scale, an approximation because a single
-    scalar cannot be exact once columns are rescaled differently.
-
-    Every field is checked here, against the bounds the solvers enforce,
-    so a bad value fails before any data is read or any graph is built.
-    """
-
-    solver: SolverTag = SolverTag.TRUNCATED
-    m: int = 10
-    knn_k: int = 7
-    p: float = 0.5
-    q: float = 0.5
-    normalization: Normalization = Normalization.NONE
-    sigma: Optional[float] = None
-    K: Optional[int] = None
-    beta: float = 2.0
-    r: float = 3.0
-    omega: Optional[float] = None
-    tau: Optional[float] = None
-    seed: int = 0
-    rank_r: Optional[int] = None
-    embed_dim: Optional[int] = None
-    metric: ErrorMetric = ErrorMetric.FIELD_REL_L2
-
-    def __post_init__(self):
-        if self.solver is SolverTag.NYSTROM and abs(self.p + self.q - 1.0) > 1e-12:
-            raise InvalidConfig(
-                f"the low-rank solver needs p + q = 1, got p={self.p}, q={self.q}"
-            )
-        if self.m < 0:
-            raise InvalidConfig(f"M must be non-negative, got {self.m}")
-        for name in ("knn_k", "K", "rank_r", "embed_dim"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise InvalidConfig(f"{name} must be at least 1, got {value}")
-        for name in ("sigma", "omega", "tau"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise InvalidConfig(f"{name} must be positive, got {value}")
-        if not self.beta >= 1:
-            raise InvalidConfig(f"beta must be at least 1, got {self.beta}")
-        if not self.r > 1:
-            raise InvalidConfig(f"r must exceed 1, got {self.r}")
-
-    def spectrum_size(self, n: int) -> int:
-        return min(n, max(self.K or TRUNCATION_FACTOR * self.m, self.m, 2))
-
-
-@dataclass(frozen=True)
 class EstimateArtifacts:
     """Solver outputs for a dataset whose first M rows are observed.
 
     ``timings["factor"]`` is the time :func:`estimate_attached` spent on
-    the graph prior: building graph and spectrum when it was given no
-    prior, the landmark factor for the low-rank solver, and next to
-    nothing when a prior was passed in.
+    the graph prior: the landmark factor for the low-rank solver, and next
+    to nothing for the dense and truncated solvers, whose prior is passed
+    in.
     """
 
     posterior: PosteriorResult
@@ -468,14 +396,16 @@ def estimate_attached(
 
     ``prior`` is the graph prior of ``ds.lf`` in the dataset's row order,
     usually the planning prior after :meth:`GraphPrior.permuted`; the
-    dense solver needs its Laplacian.  Without one, it is built here by
-    :func:`planning_spectrum`.  The low-rank solver ignores it and builds
-    its own landmark factor, whose landmarks include the observed rows.
+    dense and truncated solvers require it, and the dense solver needs
+    its Laplacian.  The low-rank solver ignores it and builds its own
+    landmark factor, whose landmarks include the observed rows.
     """
     if ds.m == 0:
         raise MissingHighFidelity("estimation needs attached high-fidelity rows")
     if config.sigma is None:
         raise InvalidConfig("sigma is required when estimating from files")
+    if prior is None and config.solver is not SolverTag.NYSTROM:
+        raise InvalidConfig(f"the {config.solver.value} solver needs a graph prior")
     m = ds.m
     sigma = config.sigma
     phi_hat = displacements(ds)
@@ -495,8 +425,6 @@ def estimate_attached(
         spectrum = lowrank_spectrum(lrl)
         gl = None
     else:
-        if prior is None:
-            prior = planning_spectrum(ds.lf, dataclasses.replace(config, embed_dim=None))
         spectrum = prior.spectrum
         gl = prior.laplacian
         lrl = None
@@ -576,6 +504,40 @@ def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior
     return GraphPrior(spectrum, gl if config.solver is SolverTag.DENSE else None)
 
 
+class PlannedRows(NamedTuple):
+    """The planning step's results, all in input order."""
+
+    ds_norm: Dataset
+    nspec: NormalizationSpec
+    prior: GraphPrior
+    plan: AcquisitionPlan
+    timings: dict
+
+
+def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
+    """The planning step shared by :func:`run_pipeline` and ``mfgl plan``:
+    check that 1 <= M <= N, normalize, build the graph prior
+    (:func:`planning_spectrum`) and plan the acquisition.
+
+    M is checked before any graph is built.  ``timings`` holds
+    ``normalize`` and ``plan`` (graph, eigensolve and k-means).
+    """
+    t0 = time.perf_counter()
+    ds_raw = Dataset(lf=lf_raw)
+    if config.m < 1:
+        raise InvalidConfig("plan needs m >= 1")
+    if config.m > ds_raw.n:
+        raise InvalidConfig(f"m={config.m} exceeds the number of rows {ds_raw.n}")
+    ds_norm, nspec = normalize(ds_raw, config.normalization)
+    timings = {"normalize": time.perf_counter() - t0}
+
+    t0 = time.perf_counter()
+    prior = planning_spectrum(ds_norm.lf, config)
+    plan = plan_acquisition(prior.spectrum, config.m, config.seed, embed_dim=config.embed_dim)
+    timings["plan"] = time.perf_counter() - t0
+    return PlannedRows(ds_norm, nspec, prior, plan, timings)
+
+
 def _solve_order_prior(
     ds_norm: Dataset,
     plan: AcquisitionPlan,
@@ -641,45 +603,38 @@ def estimate_planned(
 
 
 def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineOutput:
-    """Full workflow: normalize, plan acquisition on the graph spectrum,
-    attach noisy high-fidelity samples, resolve hyperparameters, solve,
-    and score against the ground truth.
+    """Full workflow: plan (:func:`plan_rows`), attach noisy
+    high-fidelity samples, estimate (:func:`estimate_planned`), and score
+    against the ground truth.
 
-    The graph and its spectrum are built once, in input order, by
-    :func:`planning_spectrum`; :func:`estimate_planned` reuses them in
-    solve order.  ``timings["plan"]`` therefore holds the graph build,
-    the eigensolve and the prior's reordering.  ``sigma`` is in input
-    units and defaults to the problem's noise level.
+    The graph and its spectrum are built once, in input order, by the
+    planning step; :func:`estimate_planned` reuses them in solve order.
+    ``timings["plan"]`` therefore holds the graph build, the eigensolve,
+    the k-means and the prior's reordering.  ``sigma`` is in input units
+    and defaults to the problem's noise level.
 
-    With M = 0 the update is skipped and the report scores the raw
-    low-fidelity data (zero reduction by construction).
+    With M = 0 nothing is normalized, planned or estimated: the report
+    scores the raw low-fidelity data (zero reduction by construction).
     """
-    timings: dict = {}
-    t0 = time.perf_counter()
-    ds_raw = Dataset(lf=problem.lf_data)
-    ds_norm, nspec = normalize(ds_raw, config.normalization)
-    timings["normalize"] = time.perf_counter() - t0
-
     if config.m == 0:
         report = build_report(
             problem.lf_data, problem.lf_data, problem.true_data, config.metric
         )
         return PipelineOutput(
             report=report, posterior=None, plan=None, hyper=None,
-            timings=timings, embedding=None,
+            timings={}, embedding=None,
         )
     if config.sigma is None:
         config = dataclasses.replace(config, sigma=problem.hf_noise_sigma)
 
+    ds_norm, nspec, prior, plan, timings = plan_rows(problem.lf_data, config)
     t0 = time.perf_counter()
-    prior = planning_spectrum(ds_norm.lf, config)
-    plan = plan_acquisition(prior.spectrum, config.m, config.seed, embed_dim=config.embed_dim)
     # Reorder here, not inside estimate_planned: rebinding drops the only
     # reference to the plan-order graph, which the dense solver would
     # otherwise hold through omega calibration (tracemalloc peak 6.7 ->
     # 9.4 MB at N=400).
     prior = _solve_order_prior(ds_norm, plan, config, prior)
-    timings["plan"] = time.perf_counter() - t0
+    timings["plan"] += time.perf_counter() - t0
 
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
     art = estimate_planned(ds_norm, nspec, plan, hf_raw, config, prior)

@@ -10,9 +10,11 @@ short-circuits the loop on synthetic problems where the truth is known.
 Exit codes: 0 ok, 2 I/O error, 3 validation error, 4 numerical failure.
 Errors are reported as one JSON object on stderr.
 
-Only the standard library is imported at module level: ``--threads`` (or
-``MFGL_THREADS``) caps BLAS pools through environment variables, which
-must be set before the numerical stack is first imported.
+The shared pipeline flags and the config-file keys are derived from the
+fields of :class:`mfgl.config.PipelineConfig` (``--knn-k`` for ``knn_k``).
+Only the standard library and that module are imported at module level:
+``--threads`` (or ``MFGL_THREADS``) caps BLAS pools through environment
+variables, which must be set before the numerical stack is first imported.
 """
 from __future__ import annotations
 
@@ -21,10 +23,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
 from . import __version__
+from .config import PipelineConfig
 from .exceptions import (
     InvalidConfig,
     MatrixIOError,
@@ -41,67 +45,29 @@ _THREAD_ENV_VARS = (
 )
 
 _FORMATS = ("csv", "bin")
-_SOLVERS = ("dense", "truncated", "nystrom")
-_NORMALIZATIONS = ("none", "component", "instance")
 _GENERATORS = ("clustered-shift", "smooth-manifold", "beam-like-1d")
-_METRICS = ("component", "field")
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _auto_or_number(value, name: str) -> Optional[float]:
-    # "auto" (or None) means: resolve from the data at run time.
-    if value is None or value == "auto":
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{name} must be 'auto' or a number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings shared by all subcommands; ``PipelineConfig`` checks the
-    pipeline's fields, :meth:`validate` only the CLI's own.
-
-    ``omega`` and ``tau`` accept the string ``"auto"`` (resolve from the
-    data) or a fixed positive value, matching the flags.
-    """
+    """The CLI's own settings: files, format, output and thread cap.  The
+    pipeline's settings are :class:`~mfgl.config.PipelineConfig`'s."""
 
     lf_path: Optional[str] = None
     hf_path: Optional[str] = None
     plan_path: Optional[str] = None
     format: str = "csv"
     header: bool = False
-    normalization: str = "none"
-    p: float = 0.5
-    q: float = 0.5
-    knn_k: int = 7
-    solver: str = "truncated"
-    K: Optional[int] = None
-    m: int = 10
-    sigma: Optional[float] = None
-    beta: float = 2.0
-    r: float = 3.0
-    omega: object = "auto"
-    tau: object = "auto"
-    seed: int = 0
     output_dir: str = "."
     threads: Optional[int] = None
-    rank_r: Optional[int] = None
-    embed_dim: Optional[int] = None
 
     def validate(self) -> None:
         if self.format not in _FORMATS:
             raise InvalidConfig(f"format must be one of {_FORMATS}, got {self.format!r}")
-        if self.solver not in _SOLVERS:
-            raise InvalidConfig(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
-        if self.normalization not in _NORMALIZATIONS:
-            raise InvalidConfig(
-                f"normalization must be one of {_NORMALIZATIONS}, got {self.normalization!r}"
-            )
         if self.threads is not None and self.threads < 1:
             raise InvalidConfig(f"threads must be at least 1, got {self.threads}")
 
@@ -117,15 +83,12 @@ class BenchConfig:
     displacement_rel: float = 0.3
     noise_rel: float = 0.01
     lf_scale: float = 0.8
-    metric: str = "field"
 
     def validate(self) -> None:
         if self.generator not in _GENERATORS:
             raise InvalidConfig(
                 f"generator must be one of {_GENERATORS}, got {self.generator!r}"
             )
-        if self.metric not in _METRICS:
-            raise InvalidConfig(f"metric must be one of {_METRICS}, got {self.metric!r}")
         if self.n < 2:
             raise InvalidConfig(f"n must be at least 2, got {self.n}")
         if self.d < 1:
@@ -142,8 +105,22 @@ class BenchConfig:
             raise InvalidConfig(f"lf-scale must be positive, got {self.lf_scale}")
 
 
-_FIELD_TYPES = {**get_type_hints(RunConfig), **get_type_hints(BenchConfig)}
-_AUTO_KEYS = ("omega", "tau")  # a number, or "auto" to resolve from the data
+# Config-file keys: the fields of all three schemas, in every subcommand.
+_FIELD_TYPES = {
+    name: hint
+    for schema in (RunConfig, BenchConfig, PipelineConfig)
+    for name, hint in get_type_hints(schema).items()
+}
+_AUTO_KEYS = {f.name for f in fields(PipelineConfig) if f.metadata.get("auto")}
+
+
+def _kinds(hint) -> tuple:
+    # Optional[X] -> (X, NoneType)
+    return get_args(hint) or (hint,)
+
+
+def _is_enum(kind) -> bool:
+    return isinstance(kind, type) and issubclass(kind, Enum)
 
 
 def _is_of(value, kind) -> bool:
@@ -152,20 +129,20 @@ def _is_of(value, kind) -> bool:
         return kind is bool
     if kind is float:
         return isinstance(value, (int, float))
-    return isinstance(value, kind)
+    return isinstance(value, str if _is_enum(kind) else kind)
 
 
 def _check_config_type(key: str, value, config_path) -> None:
-    """Reject a config-file value whose JSON type does not fit its field."""
-    if key in _AUTO_KEYS:
-        if value == "auto":
-            return
-        kinds = (float, type(None))
-    else:
-        hint = _FIELD_TYPES[key]
-        kinds = get_args(hint) or (hint,)  # Optional[X] -> (X, NoneType)
+    """Reject a config-file value whose JSON type does not fit its field;
+    an enum field takes its value's string."""
+    if key in _AUTO_KEYS and value == "auto":
+        return
+    kinds = _kinds(_FIELD_TYPES[key])
     if not any(_is_of(value, k) for k in kinds):
-        names = ["null" if k is type(None) else k.__name__ for k in kinds]
+        names = [
+            "null" if k is type(None) else "str" if _is_enum(k) else k.__name__
+            for k in kinds
+        ]
         if key in _AUTO_KEYS:
             names.insert(0, "'auto'")
         expected = " or ".join(names)
@@ -174,10 +151,30 @@ def _check_config_type(key: str, value, config_path) -> None:
         )
 
 
-def _merge_config(ns: argparse.Namespace) -> tuple[RunConfig, BenchConfig]:
+def _pipeline_value(name: str, value):
+    """A flag or config-file value as its ``PipelineConfig`` field holds it."""
+    if name in _AUTO_KEYS:  # "auto" (or None): resolve from the data at run time
+        if value is None or value == "auto":
+            return None
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise InvalidConfig(f"{name} must be 'auto' or a number, got {value!r}")
+    kind = _kinds(_FIELD_TYPES[name])[0]
+    if not _is_enum(kind):
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        choices = tuple(e.value for e in kind)
+        raise InvalidConfig(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _merge_config(
+    ns: argparse.Namespace,
+) -> tuple[RunConfig, BenchConfig, PipelineConfig]:
     """Defaults, then the JSON config file, then explicit flags."""
-    run_kw = {f.name: f.default for f in fields(RunConfig)}
-    bench_kw = {f.name: f.default for f in fields(BenchConfig)}
+    given = {}
     config_path = getattr(ns, "config", None)
     if config_path:
         text = Path(config_path).read_text()
@@ -188,27 +185,23 @@ def _merge_config(ns: argparse.Namespace) -> tuple[RunConfig, BenchConfig]:
         if not isinstance(raw, dict):
             raise InvalidConfig(f"config file {config_path} must hold a JSON object")
         for key, value in raw.items():
-            if key in run_kw:
-                target = run_kw
-            elif key in bench_kw:
-                target = bench_kw
-            else:
+            if key not in _FIELD_TYPES:
                 raise InvalidConfig(f"unknown config key {key!r} in {config_path}")
             _check_config_type(key, value, config_path)
-            target[key] = value
-    for key in run_kw:
+            given[key] = value
+    for key in _FIELD_TYPES:
         flag = getattr(ns, key, None)
         if flag is not None:
-            run_kw[key] = flag
-    for key in bench_kw:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            bench_kw[key] = flag
-    cfg = RunConfig(**run_kw)
+            given[key] = flag
+
+    def pick(schema) -> dict:
+        return {f.name: given[f.name] for f in fields(schema) if f.name in given}
+
+    cfg, bcfg = RunConfig(**pick(RunConfig)), BenchConfig(**pick(BenchConfig))
     cfg.validate()
-    bcfg = BenchConfig(**bench_kw)
     bcfg.validate()
-    return cfg, bcfg
+    pipeline = {k: _pipeline_value(k, v) for k, v in pick(PipelineConfig).items()}
+    return cfg, bcfg, PipelineConfig(**pipeline)
 
 
 def _apply_thread_cap(threads: Optional[int]) -> None:
@@ -224,51 +217,17 @@ def _apply_thread_cap(threads: Optional[int]) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _pipeline_config(cfg: RunConfig, bcfg: BenchConfig):
-    from .bench import ErrorMetric, PipelineConfig
-    from .data import Normalization
-    from .posterior import SolverTag
-
-    return PipelineConfig(
-        solver=SolverTag(cfg.solver),
-        m=cfg.m,
-        knn_k=cfg.knn_k,
-        p=cfg.p,
-        q=cfg.q,
-        normalization=Normalization(cfg.normalization),
-        sigma=cfg.sigma,
-        K=cfg.K,
-        beta=cfg.beta,
-        r=cfg.r,
-        omega=_auto_or_number(cfg.omega, "omega"),
-        tau=_auto_or_number(cfg.tau, "tau"),
-        seed=cfg.seed,
-        rank_r=cfg.rank_r,
-        embed_dim=cfg.embed_dim,
-        metric=ErrorMetric(bcfg.metric),
-    )
-
-
-def cmd_plan(cfg: RunConfig, pcfg) -> int:
+def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     import numpy as np
 
     from . import matio
-    from .acquisition import plan_acquisition, save_plan
-    from .bench import planning_spectrum
-    from .data import Dataset, normalize
+    from .acquisition import save_plan
+    from .bench import plan_rows
 
     if cfg.lf_path is None:
         raise InvalidConfig("plan needs --lf-path")
-    if pcfg.m < 1:
-        raise InvalidConfig("plan needs m >= 1")
     lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
-    ds = Dataset(lf=lf)
-    if pcfg.m > ds.n:
-        raise InvalidConfig(f"m={pcfg.m} exceeds the number of rows {ds.n}")
-
-    ds_norm, _ = normalize(ds, pcfg.normalization)
-    spectrum = planning_spectrum(ds_norm.lf, pcfg).spectrum
-    plan = plan_acquisition(spectrum, pcfg.m, pcfg.seed, embed_dim=pcfg.embed_dim)
+    plan = plan_rows(lf, pcfg).plan
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -278,18 +237,15 @@ def cmd_plan(cfg: RunConfig, pcfg) -> int:
     lf_file = outdir / f"lf_permuted.{cfg.format}"
     matio.write_matrix(lf_file, lf[perm], cfg.format)
 
-    # The ids the user must now evaluate with their high-fidelity model,
-    # in the exact row order the estimate step expects the results in.
-    ids = (
-        [ds.param_ids[i] for i in plan.selected_indices]
-        if ds.param_ids is not None
-        else list(plan.selected_indices)
-    )
+    # The rows the user must now evaluate with their high-fidelity model,
+    # in the exact order the estimate step expects the results in; a
+    # matrix file carries no ids, so the ids are the row indices.
+    selected = list(plan.selected_indices)
     print(
         json.dumps(
             {
-                "parameter_ids": ids,
-                "selected_indices": list(plan.selected_indices),
+                "parameter_ids": selected,
+                "selected_indices": selected,
                 "plan_path": str(plan_file),
                 "lf_permuted_path": str(lf_file),
             }
@@ -298,7 +254,7 @@ def cmd_plan(cfg: RunConfig, pcfg) -> int:
     return 0
 
 
-def cmd_estimate(cfg: RunConfig, pcfg) -> int:
+def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     import numpy as np
 
     from . import matio
@@ -361,14 +317,14 @@ def cmd_estimate(cfg: RunConfig, pcfg) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig, bcfg: BenchConfig, pcfg) -> int:
+def cmd_bench(cfg: RunConfig, bcfg: BenchConfig, pcfg: PipelineConfig) -> int:
     from .bench import Generator, generate, run_pipeline, write_report
 
     problem = generate(
         Generator(bcfg.generator),
         bcfg.n,
         bcfg.d,
-        seed=cfg.seed,
+        seed=pcfg.seed,
         clusters=bcfg.clusters,
         displacement_rel=bcfg.displacement_rel,
         noise_rel=bcfg.noise_rel,
@@ -382,7 +338,7 @@ def cmd_bench(cfg: RunConfig, bcfg: BenchConfig, pcfg) -> int:
                 "generator": bcfg.generator,
                 "n": bcfg.n,
                 "d": bcfg.d,
-                "m": cfg.m,
+                "m": pcfg.m,
                 "mean_lf_error_pct": output.report.mean_lf,
                 "mean_mf_error_pct": output.report.mean_mf,
                 "reduction_pct": output.report.reduction,
@@ -404,29 +360,26 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfig(message)
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+def _add_shared(parser: argparse.ArgumentParser, command: str) -> None:
     g = parser.add_argument_group("shared options")
     g.add_argument("--config", metavar="FILE", help="JSON file with config fields; explicit flags override it")
     g.add_argument("--format", choices=_FORMATS, help="matrix file format (default csv)")
     g.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
                    help="first row of CSV inputs is a header")
-    g.add_argument("--normalization", choices=_NORMALIZATIONS)
-    g.add_argument("--p", type=float, help="left degree exponent")
-    g.add_argument("--q", type=float, help="right degree exponent")
-    g.add_argument("--knn-k", type=int, dest="knn_k", help="neighbor rank for the local kernel scale")
-    g.add_argument("--solver", choices=_SOLVERS)
-    g.add_argument("--K", type=int, dest="K", help="spectrum size (truncated) or landmark count (nystrom)")
-    g.add_argument("--m", type=int, help="high-fidelity budget")
-    g.add_argument("--sigma", type=float, help="observation noise level, in input units")
-    g.add_argument("--beta", type=float, help="prior smoothness exponent")
-    g.add_argument("--r", type=float, help="spread-calibration multiple")
-    g.add_argument("--omega", help="'auto' or a fixed prior strength")
-    g.add_argument("--tau", help="'auto' or a fixed spectral shift")
-    g.add_argument("--seed", type=int)
     g.add_argument("--output-dir", dest="output_dir", metavar="DIR")
     g.add_argument("--threads", type=int, help="cap for BLAS worker pools (MFGL_THREADS equivalent)")
-    g.add_argument("--rank-r", type=int, dest="rank_r", help="extra rank cut for the landmark factor")
-    g.add_argument("--embed-dim", type=int, dest="embed_dim", help="spectral embedding width for planning")
+    # One flag per PipelineConfig field of this subcommand: --knn-k for knn_k.
+    for f in fields(PipelineConfig):
+        if f.metadata.get("command", command) != command:
+            continue
+        kind = _kinds(_FIELD_TYPES[f.name])[0]
+        if _is_enum(kind):
+            kw = {"choices": [e.value for e in kind]}
+        else:  # omega and tau take 'auto' too: strings until _pipeline_value
+            kw = {} if f.name in _AUTO_KEYS else {"type": kind}
+        group = parser if "command" in f.metadata else g  # one command's own flag
+        group.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           help=f.metadata["help"], **kw)
 
 
 def _build_parser() -> _Parser:
@@ -439,13 +392,13 @@ def _build_parser() -> _Parser:
 
     p_plan = sub.add_parser("plan", help="select the rows worth a high-fidelity evaluation")
     p_plan.add_argument("--lf-path", dest="lf_path", metavar="FILE", help="low-fidelity matrix")
-    _add_shared(p_plan)
+    _add_shared(p_plan, "plan")
 
     p_est = sub.add_parser("estimate", help="fuse high-fidelity results into updated estimates")
     p_est.add_argument("--lf-path", dest="lf_path", metavar="FILE", help="reordered low-fidelity matrix from plan")
     p_est.add_argument("--hf-path", dest="hf_path", metavar="FILE", help="high-fidelity rows, in plan order")
     p_est.add_argument("--plan-path", dest="plan_path", metavar="FILE", help="plan.json from the plan step")
-    _add_shared(p_est)
+    _add_shared(p_est, "estimate")
 
     p_bench = sub.add_parser("bench", help="run the pipeline on a synthetic problem")
     p_bench.add_argument("--generator", choices=_GENERATORS)
@@ -455,8 +408,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--displacement-rel", type=float, dest="displacement_rel")
     p_bench.add_argument("--noise-rel", type=float, dest="noise_rel")
     p_bench.add_argument("--lf-scale", type=float, dest="lf_scale")
-    p_bench.add_argument("--metric", choices=_METRICS)
-    _add_shared(p_bench)
+    _add_shared(p_bench, "bench")
 
     return parser
 
@@ -476,9 +428,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ns.threads = int(env_threads)
             except ValueError:
                 raise InvalidConfig(f"MFGL_THREADS must be an integer, got {env_threads!r}")
-        cfg, bcfg = _merge_config(ns)
+        cfg, bcfg, pcfg = _merge_config(ns)
         _apply_thread_cap(cfg.threads)
-        pcfg = _pipeline_config(cfg, bcfg)
         if ns.command == "plan":
             return cmd_plan(cfg, pcfg)
         if ns.command == "estimate":

@@ -10,11 +10,11 @@ is the only place allowed to reorder rows to establish it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
+from .config import Normalization
 from .exceptions import (
     DimensionMismatch,
     InvalidConfig,
@@ -38,14 +38,6 @@ def _frozen_f64(a) -> np.ndarray:
 def _require_finite(a: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput(f"{name} contains NaN or Inf")
-
-
-class Normalization(Enum):
-    """How a dataset is rescaled before graph construction."""
-
-    COMPONENT = "component"   # zero mean, unit (population) std per column
-    INSTANCE = "instance"     # unit Euclidean norm per row
-    NONE = "none"
 
 
 @dataclass(frozen=True)

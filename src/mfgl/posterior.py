@@ -21,13 +21,13 @@ I)^beta S once per handle, not once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dtrtri
 
+from .config import SolverTag
 from .data import HyperParameters
 from .exceptions import (
     AllZeroSpectrum,
@@ -45,12 +45,6 @@ DENSE_POSTERIOR_LIMIT = 3_000
 ZERO_EIGENVALUE_REL_TOL = 1e-8
 CALIBRATION_RTOL = 1e-3
 BRACKET_DECADES = 60
-
-
-class SolverTag(Enum):
-    DENSE = "dense"
-    TRUNCATED = "truncated"
-    NYSTROM = "nystrom"
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 from collections import Counter
@@ -194,6 +195,9 @@ def test_estimate_attached_guards(rng):
     ds_hf = Dataset(lf=rng.normal(size=(20, 2)), hf=rng.normal(size=(3, 2)))
     with pytest.raises(InvalidConfig):
         estimate_attached(ds_hf, PipelineConfig(m=3))
+    for solver in (SolverTag.DENSE, SolverTag.TRUNCATED):  # no graph prior passed
+        with pytest.raises(InvalidConfig):
+            estimate_attached(ds_hf, PipelineConfig(solver=solver, m=3, sigma=0.1))
 
 
 def test_m_zero_skips_update():
@@ -297,6 +301,16 @@ def test_pipeline_builds_graph_and_spectrum_once(solver, monkeypatch):
     assert calls == {"build_graph": 1, "low_spectrum": 1}
 
 
+def test_m_above_n_fails_before_any_graph(monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before M was checked")
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", no_graph)
+    prob = generate(Generator.CLUSTERED_SHIFT, 50, 3, seed=0, clusters=4)
+    with pytest.raises(InvalidConfig):
+        run_pipeline(prob, PipelineConfig(m=60))
+
+
 def _planned_solve_inputs(prob, config):
     """Plan-order prior, the plan's permutation, and the solve-order dataset."""
     prior = planning_spectrum(prob.lf_data, config)
@@ -322,7 +336,8 @@ def test_permuted_prior_matches_fresh_build(kind, dense_threshold, monkeypatch):
     reused = estimate_attached(
         ds, config, prior.permuted(perm, config.spectrum_size(ds.n))
     ).posterior
-    fresh = estimate_attached(ds, config).posterior  # builds on the permuted rows
+    fresh_prior = planning_spectrum(ds.lf, dataclasses.replace(config, embed_dim=None))
+    fresh = estimate_attached(ds, config, fresh_prior).posterior  # built on the permuted rows
     scale = np.abs(fresh.phi_star).max()
     assert np.abs(reused.phi_star - fresh.phi_star).max() <= 1e-8 * scale
     np.testing.assert_allclose(reused.stddevs, fresh.stddevs, rtol=1e-8)

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfgl
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import main
 from mfgl.matio import read_binary, read_csv, write_csv
@@ -269,11 +275,23 @@ def test_config_unknown_key_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("value", ["7", True, [7]], ids=["str", "bool", "list"])
-def test_config_wrong_type_exit_3(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("knn_k", "7"),
+        ("knn_k", True),
+        ("knn_k", [7]),
+        ("solver", "qr"),
+        ("normalization", 1),
+        ("omega", "fast"),
+        ("metric", "l2"),
+    ],
+    ids=["str", "bool", "list", "solver", "normalization", "omega", "metric"],
+)
+def test_config_wrong_type_exit_3(tmp_path, capsys, key, value):
     _, lf_path = write_problem(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"knn_k": value}))
+    cfg_path.write_text(json.dumps({key: value}))
     code, _, err = run_cli(
         capsys, "plan", "--config", str(cfg_path), "--lf-path", str(lf_path),
         "--output-dir", str(tmp_path / "out"),
@@ -281,7 +299,62 @@ def test_config_wrong_type_exit_3(tmp_path, capsys, value):
     assert code == 3
     error = last_json(err)
     assert error["error"] == "InvalidConfig"
-    assert "knn_k" in error["message"]
+    assert key in error["message"]
+
+
+_SHARED_FLAGS = {
+    "-h", "--help", "--config", "--format", "--header", "--no-header",
+    "--output-dir", "--threads", "--normalization", "--p", "--q", "--knn-k",
+    "--solver", "--K", "--m", "--sigma", "--beta", "--r", "--omega", "--tau",
+    "--seed", "--rank-r", "--embed-dim",
+}
+
+
+def test_subcommand_flags_are_fixed():
+    # the flags derived from PipelineConfig are exactly the hand-written
+    # set they replaced: --metric is bench-only, the paths stay put
+    from mfgl.cli import _build_parser
+
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {s for action in p._actions for s in action.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert flags == {
+        "plan": _SHARED_FLAGS | {"--lf-path"},
+        "estimate": _SHARED_FLAGS | {"--lf-path", "--hf-path", "--plan-path"},
+        "bench": _SHARED_FLAGS | {
+            "--generator", "--n", "--d", "--clusters", "--displacement-rel",
+            "--noise-rel", "--lf-scale", "--metric",
+        },
+    }
+
+
+def test_settings_schema_loads_without_numpy(tmp_path):
+    # --threads only caps BLAS pools if it is applied before numpy loads,
+    # so parsing and merging settings must not import it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"solver": "dense", "metric": "component", "omega": "auto", "threads": 2}
+    ))
+    script = (
+        "import sys\n"
+        "from mfgl.cli import _build_parser, _merge_config\n"
+        "parser = _build_parser()\n"
+        "for argv in (['plan'], ['estimate'], ['bench']):\n"
+        "    ns = parser.parse_args(argv + ['--config', sys.argv[1]])\n"
+        "    cfg, bcfg, pcfg = _merge_config(ns)\n"
+        "    assert cfg.threads == 2 and pcfg.solver.value == 'dense', pcfg\n"
+        "    assert pcfg.omega is None and pcfg.metric.value == 'component', pcfg\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mfgl.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_threads_env_validation(tmp_path, capsys, monkeypatch):
