@@ -30,7 +30,7 @@ g = build_graph(rng.normal(size=(n, 3)), knn_k=7)
 hp = HyperParameters(sigma=0.5, omega=2.0, tau=0.3, beta=1.0)
 phi_hat = rng.normal(size=(m, 2))
 ref = dense_posterior(laplacian(g, 0.5, 0.5), phi_hat, hp)
-lrl = nystrom_factor(g.weights, range(n))
+lrl = nystrom_factor(g.weights.toarray(), range(n))
 ops = build_saddle(lrl, hp, m)
 got = solve_map_saddle(lrl, ops, phi_hat)
 rel = np.linalg.norm(got - ref.phi_star) / np.linalg.norm(ref.phi_star)

@@ -342,17 +342,22 @@ class GraphPrior:
         gl = self.laplacian
         if gl is None:
             return GraphPrior(spectrum)
-        both = np.ix_(perm, perm)
         g = gl.graph
         graph = AffinityGraph(
-            weights=g.weights[both],
+            weights=_permute_csr(g.weights, perm),
             degrees=g.degrees[perm],
             scales=g.scales[perm],
             knn_k=g.knn_k,
         )
-        return GraphPrior(
-            spectrum, GraphLaplacian(graph=graph, p=gl.p, q=gl.q, matrix=gl.matrix[both])
-        )
+        lmat = _permute_csr(gl.matrix, perm)
+        return GraphPrior(spectrum, GraphLaplacian(graph=graph, p=gl.p, q=gl.q, matrix=lmat))
+
+
+def _permute_csr(mat, perm: np.ndarray):
+    """P mat P^T for the permutation ``perm``, with sorted column indices."""
+    out = mat[perm][:, perm]
+    out.sort_indices()
+    return out
 
 
 @dataclass(frozen=True)
@@ -665,14 +670,7 @@ def write_report(outdir: Union[str, Path], output: PipelineOutput) -> None:
         "timings_sec": output.timings,
     }
     if output.hyper is not None:
-        payload["hyperparameters"] = {
-            "sigma": output.hyper.sigma,
-            "omega": output.hyper.omega,
-            "tau": output.hyper.tau,
-            "beta": output.hyper.beta,
-            "r": output.hyper.r,
-            "kappa": output.hyper.kappa,
-        }
+        payload["hyperparameters"] = output.hyper.as_dict()
     if output.plan is not None:
         payload["selected_indices"] = list(output.plan.selected_indices)
     (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")

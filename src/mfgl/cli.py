@@ -294,15 +294,7 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     mf_file = outdir / f"mf_estimates.{cfg.format}"
     matio.write_matrix(mf_file, art.posterior.mf_estimates, cfg.format)
     matio.write_csv(outdir / "stddevs.csv", art.posterior.stddevs[:, None])
-    hp = art.hyper
-    resolved = {
-        "sigma": hp.sigma,
-        "omega": hp.omega,
-        "tau": hp.tau,
-        "beta": hp.beta,
-        "r": hp.r,
-        "kappa": hp.kappa,
-    }
+    resolved = art.hyper.as_dict()
     (outdir / "hyperparameters.json").write_text(json.dumps(resolved, indent=2) + "\n")
     (outdir / "timings.json").write_text(json.dumps(art.timings, indent=2) + "\n")
     print(

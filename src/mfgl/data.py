@@ -9,7 +9,7 @@ is the only place allowed to reorder rows to establish it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -284,6 +284,10 @@ class HyperParameters:
     @property
     def kappa(self) -> float:
         return self.omega * self.tau ** self.beta
+
+    def as_dict(self) -> dict:
+        """The five settings plus the derived kappa, as written to JSON."""
+        return {**asdict(self), "kappa": self.kappa}
 
 
 def displacements(data: Dataset) -> np.ndarray:

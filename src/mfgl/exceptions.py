@@ -45,7 +45,7 @@ class NonFiniteInput(ValidationError):
 
 
 class DenseLimitExceeded(ValidationError):
-    """Problem size exceeds the configured dense-algebra limit."""
+    """Problem size exceeds a dense-algebra limit or the graph's byte budget."""
 
 
 class InsufficientSpectrum(ValidationError):

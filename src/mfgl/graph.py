@@ -1,10 +1,14 @@
-"""Complete weighted graph on the low-fidelity points.
+"""Sparse weighted graph on the low-fidelity points.
 
 Weights use a Gaussian kernel with self-tuning bandwidths: each point's
 scale is its distance to the knn_k-th nearest neighbor, and the pairwise
 bandwidth is the geometric mean of the two scales,
 
     W_ij = exp(-||x_i - x_j||^2 / (l_i * l_j)),   W_ii = 0.
+
+Pairs whose weight falls below ``WEIGHT_EPS`` are dropped, so W, the
+degrees and every Laplacian are built and stored in CSR form; with a
+self-tuning kernel almost every pair weight is far below round-off.
 
 The Laplacian family is L = D^{-p} (D - W) D^{-q}.  For p != q, L is a
 similarity transform D^{-(p-q)/2} L_sym D^{(p-q)/2} of the symmetric
@@ -19,6 +23,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .exceptions import (
@@ -31,8 +36,13 @@ from .exceptions import (
 )
 
 DEFAULT_KNN_K = 7
-DENSE_WEIGHT_LIMIT = 20_000
 SCALE_TOL = 1e-14
+# Smallest kernel weight the graph keeps.
+WEIGHT_EPS = 1e-12
+# Most bytes the CSR weights may take: 8 for the value and 4 for the
+# column index of each kept pair.
+GRAPH_BYTE_BUDGET = 1 << 30
+_CSR_ENTRY_BYTES = 12
 _BLOCK_ROWS = 2048
 
 
@@ -97,15 +107,17 @@ def weight_columns(
 
 @dataclass(frozen=True)
 class AffinityGraph:
-    """Dense symmetric kernel matrix with degrees and self-tuning scales."""
+    """Sparse symmetric kernel matrix (CSR) with degrees and self-tuning
+    scales."""
 
-    weights: np.ndarray
+    weights: sp.csr_array
     degrees: np.ndarray
     scales: np.ndarray
     knn_k: int
 
     def __post_init__(self):
-        for name in ("weights", "degrees", "scales"):
+        object.__setattr__(self, "weights", sp.csr_array(self.weights, dtype=np.float64))
+        for name in ("degrees", "scales"):
             a = np.asarray(getattr(self, name), dtype=np.float64)
             a = a.copy()
             a.setflags(write=False)
@@ -119,66 +131,72 @@ class AffinityGraph:
         return self.weights.shape[0]
 
 
-def build_graph(
-    lf: np.ndarray,
-    knn_k: int = DEFAULT_KNN_K,
-    dense_limit: int = DENSE_WEIGHT_LIMIT,
-) -> AffinityGraph:
-    """Build the fully connected affinity graph on the rows of ``lf``.
+def build_graph(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> AffinityGraph:
+    """Build the epsilon-thresholded affinity graph on the rows of ``lf``.
+
+    A pair is kept when its weight is at least ``WEIGHT_EPS``, that is
+    when ||x_i - x_j||^2 / (l_i l_j) <= ln(1 / WEIGHT_EPS).  Rows are
+    computed in blocks of ``_BLOCK_ROWS`` and stored straight into CSR, so
+    no N x N array is formed.
 
     Parameters
     ----------
     lf : ndarray, shape (N, D)
     knn_k : int
         Neighbor index that sets the self-tuning scale.
-    dense_limit : int
-        Largest N for which the O(N^2) weight matrix may be materialized.
 
     Raises
     ------
     DenseLimitExceeded
-        When N exceeds ``dense_limit``; use the low-rank path instead.
+        When the kept pairs would take more than ``GRAPH_BYTE_BUDGET``
+        bytes of CSR storage.
     ZeroDegree
-        When a row of W underflows to all zeros.
+        When a row of W keeps no pair.
     """
     lf = np.asarray(lf, dtype=np.float64)
     n = lf.shape[0]
-    if n > dense_limit:
-        raise DenseLimitExceeded(
-            f"N={n} exceeds the dense weight-matrix limit {dense_limit}"
-        )
     scales = self_tuning_scales(lf, knn_k)
-    w = np.empty((n, n))
+    cut = np.log(1.0 / WEIGHT_EPS)
     sq = np.einsum("ij,ij->i", lf, lf)
+    counts = np.zeros(n, dtype=np.int32)
+    cols, vals = [], []
+    nnz = 0
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * lf[start:stop] @ lf.T
-        np.maximum(d2, 0.0, out=d2)
-        d2 /= scales[start:stop, None] * scales[None, :]
-        np.exp(-d2, out=d2)
-        w[start:stop] = d2
+        arg = sq[start:stop, None] + sq[None, :] - 2.0 * lf[start:stop] @ lf.T
+        np.maximum(arg, 0.0, out=arg)
+        arg /= scales[start:stop, None] * scales[None, :]
+        local = np.arange(stop - start)
+        arg[local, start + local] = np.inf  # the kernel has a zero diagonal
+        keep = arg <= cut
+        counts[start:stop] = np.count_nonzero(keep, axis=1)
+        nnz += int(counts[start:stop].sum())
+        if nnz * _CSR_ENTRY_BYTES > GRAPH_BYTE_BUDGET:
+            raise DenseLimitExceeded(
+                f"the graph on N={n} points keeps over {nnz * _CSR_ENTRY_BYTES} bytes "
+                f"of CSR weights, above the {GRAPH_BYTE_BUDGET}-byte budget"
+            )
+        r, c = np.nonzero(keep)
+        cols.append(c.astype(np.int32))
+        vals.append(np.exp(-arg[r, c]))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    w = sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
     w = 0.5 * (w + w.T)  # kill round-off asymmetry from the blocked pass
-    np.fill_diagonal(w, 0.0)
-    degrees = w.sum(axis=1)
-    bad = np.flatnonzero(degrees <= 0.0)
-    if bad.size:
-        raise ZeroDegree(int(bad[0]))
-    return AffinityGraph(weights=w, degrees=degrees, scales=scales, knn_k=knn_k)
+    return AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=scales, knn_k=knn_k)
 
 
 @dataclass(frozen=True)
 class GraphLaplacian:
-    """One member L = D^{-p} (D - W) D^{-q} of the Laplacian family."""
+    """One member L = D^{-p} (D - W) D^{-q} of the Laplacian family, in CSR."""
 
     graph: AffinityGraph
     p: float
     q: float
-    matrix: np.ndarray
+    matrix: sp.csr_array
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", sp.csr_array(self.matrix, dtype=np.float64))
 
     @property
     def shift_bound(self) -> float:
@@ -186,7 +204,7 @@ class GraphLaplacian:
         return 2.0 * float(np.max(self.graph.degrees ** (1.0 - self.p - self.q)))
 
     @cached_property
-    def sym_matrix(self) -> np.ndarray:
+    def sym_matrix(self) -> sp.csr_array:
         """The similar symmetric member with exponent (p+q)/2."""
         if self.p == self.q:
             return self.matrix
@@ -194,9 +212,11 @@ class GraphLaplacian:
 
 
 def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
-    """Materialize L = D^{-p} (D - W) D^{-q} densely.
+    """L = D^{-p} (D - W) D^{-q} as a CSR matrix.
 
-    For p == q the result is symmetrized to remove round-off asymmetry.
+    Off the diagonal, entry (i, j) is -W_ij (d_i^{-p} d_j^{-q}); for p == q
+    the scale factor is a product of two commuting numbers, so L is
+    exactly symmetric.
 
     Raises
     ------
@@ -208,10 +228,13 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     bad = np.flatnonzero(d <= 0.0)
     if bad.size:
         raise ZeroDegree(int(bad[0]))
-    dm = np.diag(d) - graph.weights
-    mat = (d ** -p)[:, None] * dm * (d ** -q)[None, :]
-    if p == q:
-        mat = 0.5 * (mat + mat.T)
+    w = graph.weights
+    rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
+    off = sp.csr_array(
+        (-w.data * ((d ** -p)[rows] * (d ** -q)[w.indices]), w.indices, w.indptr),
+        shape=w.shape,
+    )
+    mat = (off + sp.diags_array(d ** (1.0 - p - q))).tocsr()
     return GraphLaplacian(graph=graph, p=p, q=q, matrix=mat)
 
 

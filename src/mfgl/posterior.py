@@ -96,7 +96,7 @@ def shifted_power(sym: np.ndarray, tau: float, beta: float) -> np.ndarray:
 def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
     """S (L_sym + tau I)^beta S with S = D^{(p-q)/2}: the prior precision
     per unit omega."""
-    b = shifted_power(gl.sym_matrix, hp.tau, hp.beta)
+    b = shifted_power(gl.sym_matrix.toarray(), hp.tau, hp.beta)
     if gl.p != gl.q:
         s = gl.graph.degrees ** (0.5 * (gl.p - gl.q))
         b = s[:, None] * b * s[None, :]

@@ -1,13 +1,15 @@
 """Low-lying Laplacian spectrum and the truncated-eigenbasis posterior.
 
-Up to ``DENSE_EIG_THRESHOLD`` points (or when K is close to N) the K
-lowest pairs come straight from a dense eigensolve of L_sym restricted
-to those K indices.  Above it, Lanczos iteration runs on the shifted
-matrix a*I - L_sym with a = 2 max_i D_ii^{1-p-q}: the spectrum of L lies
-in [0, a], so the low-lying pairs of L are the LEADING pairs of the
-shifted matrix, the regime Lanczos resolves quickly.  For p != q the
-symmetric eigenvectors are converted via D^{-(p-q)/2}, making them
-orthonormal in the reweighted inner product.
+The K lowest pairs of the sparse L_sym come from one route: Lanczos in
+shift-invert mode about the small negative shift sigma = -1e-3 a, with
+a = 2 max_i D_ii^{1-p-q} bounding the spectrum of L.  L_sym - sigma I is
+positive definite, so its sparse LU factor exists, and the eigenvalues
+nearest zero, crowded together on a clustered graph, become the largest
+and best separated ones of the inverted operator (the spectral
+transformation Lanczos method).  Only when K > N - 2, too close to N for
+ARPACK, does a dense eigensolve take over.  For p != q the symmetric
+eigenvectors are converted via D^{-(p-q)/2}, making them orthonormal in
+the reweighted inner product.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .exceptions import (
 )
 from .graph import GraphLaplacian
 
-DENSE_EIG_THRESHOLD = 2_000
 EIG_RESIDUAL_TOL = 1e-6
+# The shift-invert pole, as a fraction of the spectral bound a.
+_SHIFT_FRACTION = -1e-3
 
 
 @dataclass(frozen=True)
@@ -70,17 +73,12 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def low_spectrum(
-    gl: GraphLaplacian,
-    K: int,
-    dense_threshold: int = DENSE_EIG_THRESHOLD,
-) -> Spectrum:
+def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
     """K smallest eigenpairs of L.
 
-    A dense symmetric eigensolve of L_sym, for the K lowest indices only,
-    is used for N <= ``dense_threshold`` (or whenever K is too close to N
-    for a Krylov solver); above that, Lanczos iteration on a*I - L_sym with
-    a deterministic start vector.
+    Shift-invert Lanczos on the sparse L_sym about sigma = -1e-3 a, with
+    a deterministic start vector; a dense eigensolve of the K lowest
+    indices only when K > N - 2.
 
     Raises
     ------
@@ -92,15 +90,15 @@ def low_spectrum(
         raise InvalidConfig(f"K must be in [1, {n}], got {K}")
     lsym = gl.sym_matrix
     a = gl.shift_bound
-    if n <= dense_threshold or K > n - 2:
-        vals, vecs_s = sla.eigh(lsym, subset_by_index=[0, K - 1])
+    if K > n - 2:
+        vals, vecs_s = sla.eigh(lsym.toarray(), subset_by_index=[0, K - 1])
     else:
-        shifted = a * np.eye(n) - lsym
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        vals_s, vecs_s = eigsh(shifted, k=K, which="LA", v0=v0)
-        order = np.argsort(vals_s)[::-1]
-        vals = a - vals_s[order]  # ascending eigenvalues of L_sym
-        vecs_s = vecs_s[:, order]
+        vals, vecs_s = eigsh(
+            lsym.tocsc(), k=K, sigma=_SHIFT_FRACTION * a, which="LM", v0=v0
+        )
+        order = np.argsort(vals)
+        vals, vecs_s = vals[order], vecs_s[:, order]
     resid = lsym @ vecs_s - vecs_s * vals[None, :]
     resid_norms = np.linalg.norm(resid, axis=0)
     worst = int(np.argmax(resid_norms))

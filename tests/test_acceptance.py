@@ -106,7 +106,7 @@ def test_ac2_nystrom_full_landmarks_matches_dense(capsys):
         g = build_graph(random_points(n, 3, seed=seed), knn_k=6)
         gl = laplacian(g, 0.5, 0.5)
         hp = HyperParameters(sigma=0.5, omega=2.0, tau=0.3, beta=1.0)
-        lrl = nystrom_factor(g.weights, range(n))
+        lrl = nystrom_factor(g.weights.toarray(), range(n))
         ops = build_saddle(lrl, hp, m)
         for _ in range(3):
             phi_hat = rng.normal(size=(m, 2))
@@ -137,7 +137,7 @@ def test_ac3_spectral_invariants(capsys):
         pq = float(rng.uniform(0.25, 1.0))
         g = build_graph(random_points(n, d, seed=300 + i), knn_k=min(5, n - 1))
         gl = laplacian(g, pq, pq)
-        lam = nla.eigvalsh(gl.matrix)
+        lam = nla.eigvalsh(gl.matrix.toarray())
         worst_psd = min(worst_psd, float(lam.min()))
         out_of_range = max(out_of_range, float(lam.max()) - gl.shift_bound)
         kv = g.degrees**pq
@@ -145,7 +145,7 @@ def test_ac3_spectral_invariants(capsys):
             worst_kernel, np.abs(gl.matrix @ kv).max() / np.abs(kv).max()
         )
         # block-power identity on the p = 1/2 low-rank factors
-        lrl = nystrom_factor(g.weights, range(n))
+        lrl = nystrom_factor(g.weights.toarray(), range(n))
         tau = float(rng.uniform(0.05, 0.5))
         beta = float(rng.choice([1.0, 1.5, 2.0]))
         recon = (lrl.u_tilde * lrl.sigma_vals) @ lrl.u_tilde.T
@@ -181,7 +181,7 @@ def test_ac4_regularization_path_converges(capsys):
 
     # independent oracle: equality-constrained minimizer of theta^T B theta
     # via the full Lagrangian block system, solved generically
-    b = nla.matrix_power(gl.matrix + hp.tau * np.eye(n), 2)
+    b = nla.matrix_power(gl.matrix.toarray() + hp.tau * np.eye(n), 2)
     sel = np.zeros((m, n))
     sel[np.arange(m), np.arange(m)] = 1.0
     kkt = np.block([[2.0 * b, sel.T], [sel, np.zeros((m, m))]])
@@ -313,7 +313,7 @@ def test_ac8_general_normalization(capsys):
         hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)
         phi_hat = rng.normal(size=(m, 2))
         ref = dense_posterior(laplacian(g, 1.0, 0.0), phi_hat, hp)
-        lrl = nystrom_factor(g.weights, range(n), p=1.0)
+        lrl = nystrom_factor(g.weights.toarray(), range(n), p=1.0)
         got = solve_map_saddle(lrl, build_saddle(lrl, hp, m), phi_hat)
         worst_map = max(worst_map, nla.norm(got - ref.phi_star) / nla.norm(ref.phi_star))
     worst_adj = 0.0

@@ -1,10 +1,10 @@
 import dataclasses
-import functools
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import mfgl.bench
 from mfgl.acquisition import plan_acquisition
@@ -34,7 +34,7 @@ from mfgl.exceptions import (
     ZeroReferenceSet,
 )
 from mfgl.posterior import SolverTag
-from mfgl.spectral import DENSE_EIG_THRESHOLD, low_spectrum
+from mfgl.spectral import Spectrum, low_spectrum
 
 
 def test_error_component_values(rng):
@@ -320,14 +320,18 @@ def _planned_solve_inputs(prob, config):
     return prior, perm, Dataset(lf=prob.lf_data[perm], hf=hf)
 
 
-@pytest.mark.parametrize("dense_threshold", [DENSE_EIG_THRESHOLD, 50])
+def dense_oracle_spectrum(gl, K):
+    """The K lowest pairs from a dense eigensolve of L_sym (p == q)."""
+    vals, vecs = sla.eigh(gl.sym_matrix.toarray(), subset_by_index=[0, K - 1])
+    return Spectrum(K=K, eigenvalues=vals, eigenvectors=vecs,
+                    shift_a=gl.shift_bound, pq=(gl.p, gl.q))
+
+
+@pytest.mark.parametrize("route", [low_spectrum, dense_oracle_spectrum],
+                         ids=["krylov", "dense_oracle"])
 @pytest.mark.parametrize("kind", [Generator.CLUSTERED_SHIFT, Generator.BEAM_LIKE_1D])
-def test_permuted_prior_matches_fresh_build(kind, dense_threshold, monkeypatch):
-    # a threshold of 50 sends N=300 down the Lanczos branch
-    monkeypatch.setattr(
-        mfgl.bench, "low_spectrum",
-        functools.partial(low_spectrum, dense_threshold=dense_threshold),
-    )
+def test_permuted_prior_matches_fresh_build(kind, route, monkeypatch):
+    monkeypatch.setattr(mfgl.bench, "low_spectrum", route)
     prob = generate(kind, 300, 5, seed=0)
     config = PipelineConfig(
         m=10, seed=0, sigma=prob.hf_noise_sigma, omega=1.0, tau=1e-3
@@ -351,8 +355,12 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
     )
     prior, perm, ds = _planned_solve_inputs(prob, config)
     gl = prior.permuted(perm, config.spectrum_size(ds.n)).laplacian
-    assert np.array_equal(gl.matrix, laplacian(gl.graph, p, q).matrix)
+    rebuilt = laplacian(gl.graph, p, q).matrix
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(gl.matrix, name), getattr(rebuilt, name))
     fresh = build_graph(ds.lf, config.knn_k)
     np.testing.assert_array_equal(gl.graph.scales, fresh.scales)
-    np.testing.assert_allclose(gl.graph.weights, fresh.weights, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        gl.graph.weights.toarray(), fresh.weights.toarray(), rtol=1e-12, atol=0
+    )
     np.testing.assert_allclose(gl.graph.degrees, fresh.degrees, rtol=1e-12)

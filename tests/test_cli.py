@@ -182,6 +182,35 @@ def test_bench_subcommand(tmp_path, capsys):
     assert payload["reduction_pct"] == pytest.approx(report["reduction_pct"])
 
 
+def test_estimate_and_bench_write_the_same_hyperparameter_keys(tmp_path, capsys):
+    _, lf_path = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "plan", "--lf-path", str(lf_path), "--m", "4",
+            "--output-dir", str(out_dir))
+    hf_path = tmp_path / "hf.csv"
+    write_csv(hf_path, read_csv(out_dir / "lf_permuted.csv")[:4])
+    code, _, _ = run_cli(
+        capsys, "estimate",
+        "--lf-path", str(out_dir / "lf_permuted.csv"),
+        "--hf-path", str(hf_path),
+        "--plan-path", str(out_dir / "plan.json"),
+        "--sigma", "0.02", "--output-dir", str(out_dir),
+    )
+    assert code == 0
+    estimated = json.loads((out_dir / "hyperparameters.json").read_text())
+
+    bench_dir = tmp_path / "bench"
+    code, _, _ = run_cli(
+        capsys, "bench", "--generator", "clustered-shift", "--n", "60",
+        "--d", "3", "--clusters", "3", "--m", "4", "--seed", "1",
+        "--output-dir", str(bench_dir),
+    )
+    assert code == 0
+    benched = json.loads((bench_dir / "report.json").read_text())["hyperparameters"]
+    assert set(estimated) == set(benched)
+    assert set(benched) == {"sigma", "omega", "tau", "beta", "r", "kappa"}
+
+
 def test_bench_nystrom_needs_rank_r(tmp_path, capsys):
     # the zero-diagonal kernel leaves sub-sampled landmark blocks
     # indefinite: without truncation the degree guard fires (exit 4),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mfgl.graph
 from conftest import random_points, two_blob_points
 from mfgl.exceptions import (
     DenseLimitExceeded,
@@ -33,15 +34,15 @@ def brute_force_weights(lf, knn_k):
 def test_two_points_weight_is_exp_minus_one():
     lf = np.array([[0.0, 0.0], [0.0, 3.7]])
     g = build_graph(lf, knn_k=1)
-    assert g.weights[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+    assert g.weights.toarray()[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
     assert g.scales[0] == pytest.approx(3.7)
 
 
 def test_weights_symmetric_zero_diagonal(rng):
-    g = build_graph(rng.normal(size=(12, 3)), knn_k=4)
-    assert np.array_equal(g.weights, g.weights.T)
-    assert np.all(np.diag(g.weights) == 0.0)
-    assert np.all(g.weights >= 0.0)
+    w = build_graph(rng.normal(size=(12, 3)), knn_k=4).weights.toarray()
+    assert np.array_equal(w, w.T)
+    assert np.all(np.diag(w) == 0.0)
+    assert np.all(w >= 0.0)
 
 
 def test_weights_match_brute_force_oracle():
@@ -49,7 +50,7 @@ def test_weights_match_brute_force_oracle():
     g = build_graph(lf, knn_k=3)
     w_ref, scales_ref = brute_force_weights(lf, 3)
     assert np.abs(g.scales - scales_ref).max() < 1e-12
-    assert np.abs(g.weights - w_ref).max() < 1e-12
+    assert np.abs(g.weights.toarray() - w_ref).max() < 1e-12
     assert np.abs(g.degrees - w_ref.sum(axis=1)).max() < 1e-12
 
 
@@ -60,7 +61,7 @@ def test_lazy_columns_match_full_matrix():
     idx = np.array([0, 4, 17, 29])
     cols = weight_columns(lf, scales, idx)
     assert cols.shape == (30, 4)
-    assert np.abs(cols - g.weights[:, idx]).max() < 1e-12
+    assert np.abs(cols - g.weights.toarray()[:, idx]).max() < 1e-12
 
 
 def test_duplicate_points_rejected():
@@ -77,17 +78,18 @@ def test_knn_k_bounds():
         self_tuning_scales(lf, 5)
 
 
-def test_dense_limit_enforced():
+def test_dense_limit_enforced(monkeypatch):
     lf = random_points(25, 2, seed=0)
-    with pytest.raises(DenseLimitExceeded):
-        build_graph(lf, knn_k=3, dense_limit=20)
+    monkeypatch.setattr(mfgl.graph, "GRAPH_BYTE_BUDGET", 12 * 100)
+    with pytest.raises(DenseLimitExceeded, match="1200-byte budget"):
+        build_graph(lf, knn_k=3)
 
 
 def test_two_node_symmetric_laplacian():
     lf = np.array([[0.0], [1.0]])
-    gl = laplacian(build_graph(lf, knn_k=1), 0.5, 0.5)
-    assert np.allclose(gl.matrix, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(gl.matrix)), [0.0, 2.0], atol=1e-12)
+    lmat = laplacian(build_graph(lf, knn_k=1), 0.5, 0.5).matrix.toarray()
+    assert np.allclose(lmat, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
+    assert np.allclose(np.sort(np.linalg.eigvalsh(lmat)), [0.0, 2.0], atol=1e-12)
 
 
 def test_random_walk_rows_sum_to_zero():
@@ -100,19 +102,21 @@ def test_general_pq_matches_elementwise_formula():
     g = build_graph(lf, knn_k=2)
     gl = laplacian(g, 0.3, 0.7)
     d = g.degrees
+    w = g.weights.toarray()
     ref = np.empty((6, 6))
     for i in range(6):
         for j in range(6):
-            lij = (d[i] if i == j else 0.0) - g.weights[i, j]
+            lij = (d[i] if i == j else 0.0) - w[i, j]
             ref[i, j] = d[i] ** -0.3 * lij * d[j] ** -0.7
-    assert np.abs(gl.matrix - ref).max() < 1e-12
+    assert np.abs(gl.matrix.toarray() - ref).max() < 1e-12
 
 
 def test_symmetric_laplacian_is_psd(rng):
     for seed in range(5):
         gl = laplacian(build_graph(random_points(18, 3, seed=seed), knn_k=4), 0.5, 0.5)
-        assert np.array_equal(gl.matrix, gl.matrix.T)
-        assert np.linalg.eigvalsh(gl.matrix).min() >= -1e-10
+        lmat = gl.matrix.toarray()
+        assert np.array_equal(lmat, lmat.T)
+        assert np.linalg.eigvalsh(lmat).min() >= -1e-10
 
 
 def test_kernel_vector_is_annihilated():
@@ -130,7 +134,7 @@ def test_eigenvalues_lie_in_shift_interval():
         for seed in range(3):
             g = build_graph(random_points(16, 3, seed=seed), knn_k=4)
             gl = laplacian(g, p, q)
-            lam = np.linalg.eigvals(gl.matrix).real
+            lam = np.linalg.eigvals(gl.matrix.toarray()).real
             a = 2.0 * np.max(g.degrees ** (1.0 - p - q))
             assert gl.shift_bound == pytest.approx(a)
             assert lam.min() > -1e-10
@@ -141,16 +145,16 @@ def test_similarity_to_symmetric_member():
     g = build_graph(random_points(12, 2, seed=4), knn_k=3)
     gl = laplacian(g, 1.0, 0.0)
     s = g.degrees**0.5  # D^{(p-q)/2}
-    conj = (s[:, None] * gl.matrix) / s[None, :]
+    conj = (s[:, None] * gl.matrix.toarray()) / s[None, :]
     assert np.abs(conj - conj.T).max() < 1e-10
-    assert np.abs(conj - gl.sym_matrix).max() < 1e-10
+    assert np.abs(conj - gl.sym_matrix.toarray()).max() < 1e-10
 
 
 def test_scale_invariance_of_weights():
     lf = random_points(13, 3, seed=6)
     g1 = build_graph(lf, knn_k=4)
     g2 = build_graph(2.5 * lf, knn_k=4)
-    assert np.abs(g1.weights - g2.weights).max() < 1e-12
+    assert np.abs(g1.weights.toarray() - g2.weights.toarray()).max() < 1e-12
 
 
 def test_zero_degree_detected():

@@ -26,7 +26,7 @@ from mfgl.nystrom import (
 from mfgl.posterior import dense_posterior
 
 def graph_weights(n, d, seed, knn_k=6):
-    return build_graph(random_points(n, d, seed=seed), knn_k=knn_k).weights
+    return build_graph(random_points(n, d, seed=seed), knn_k=knn_k).weights.toarray()
 
 
 def sym_normalized(w):
@@ -218,7 +218,7 @@ def test_full_landmarks_match_dense_posterior(rng):
     phi_hat = rng.normal(size=(m, 2))
     ref = dense_posterior(gl, phi_hat, hp, want_cov=True)
 
-    lrl = nystrom_factor(g.weights, range(120))
+    lrl = nystrom_factor(g.weights.toarray(), range(120))
     ops = build_saddle(lrl, hp, m=m)
     got = solve_map_saddle(lrl, ops, phi_hat)
     assert nla.norm(got - ref.phi_star) <= 1e-6 * nla.norm(ref.phi_star)
@@ -287,7 +287,7 @@ def test_empty_correction_reduces_to_diagonal(rng):
 def test_general_p_duality_and_dense_agreement(rng):
     pts = random_points(100, 3, seed=16)
     g = build_graph(pts, knn_k=6)
-    lrl = nystrom_factor(g.weights, range(100), p=1.0)
+    lrl = nystrom_factor(g.weights.toarray(), range(100), p=1.0)
     assert np.abs(lrl.v.T @ lrl.u - np.eye(lrl.rank)).max() < 1e-8
 
     hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)

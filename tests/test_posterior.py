@@ -50,7 +50,7 @@ def test_three_node_chain_matches_direct_solve():
     gl = laplacian(g, 0.5, 0.5)
     hp = HyperParameters(sigma=0.5, omega=2.0, tau=0.25, beta=1.0)
     phi_hat = np.array([[1.2]])
-    a = hp.omega * (gl.matrix + hp.tau * np.eye(3))
+    a = hp.omega * (gl.matrix.toarray() + hp.tau * np.eye(3))
     a[0, 0] += 1.0 / hp.sigma**2
     ref = nla.solve(a, np.array([[1.2 / hp.sigma**2], [0.0], [0.0]]))
     res = dense_posterior(gl, phi_hat, hp)
@@ -219,7 +219,7 @@ def test_constrained_minimizer_interpolates_and_minimizes(rng):
     theta = constrained_minimizer(gl, phi_obs, hp)
     assert np.array_equal(theta[:4], phi_obs)
 
-    b = shifted_power(gl.matrix, hp.tau, hp.beta)
+    b = shifted_power(gl.matrix.toarray(), hp.tau, hp.beta)
     energy = float(np.sum(theta * (b @ theta)))
     for _ in range(100):
         other = theta.copy()
@@ -288,7 +288,7 @@ def test_dense_posterior_accurate_with_unobserved_cluster():
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), 0.5, 0.5)
     hp = HyperParameters(sigma=0.05, omega=1.0, tau=5e-8, beta=2.0)
     phi_hat = (prob.true_data - prob.lf_data)[:m]
-    b = gl.matrix + hp.tau * np.eye(n)
+    b = gl.matrix.toarray() + hp.tau * np.eye(n)
     obs = np.zeros((n, n))
     obs[np.arange(m), np.arange(m)] = 1.0 / hp.sigma**2
     block = np.block([[obs, hp.omega * b], [b, -np.eye(n)]])
@@ -302,7 +302,7 @@ def test_dense_posterior_accurate_with_unobserved_cluster():
 def explicit_map_matrix(gl, hp, m):
     # A = omega S (L_sym + tau I)^beta S + P_M^T P_M / sigma^2, the power
     # taken on the eigenvalues of L_sym
-    vals, vecs = nla.eigh(gl.sym_matrix)
+    vals, vecs = nla.eigh(gl.sym_matrix.toarray())
     prior = (vecs * (np.clip(vals, 0.0, None) + hp.tau) ** hp.beta) @ vecs.T
     s = gl.graph.degrees ** (0.5 * (gl.p - gl.q))
     a = hp.omega * s[:, None] * prior * s[None, :]
@@ -376,7 +376,7 @@ def unobserved_cluster_oracle():
     hp = HyperParameters(sigma=0.05, omega=1.0, tau=5e-8, beta=2.0)
     phi_hat = (prob.true_data - prob.lf_data)[:m]
     d = phi_hat.shape[1]
-    b = gl.matrix + hp.tau * np.eye(n)
+    b = gl.matrix.toarray() + hp.tau * np.eye(n)
     obs = np.zeros((n, n))
     obs[np.arange(m), np.arange(m)] = 1.0 / hp.sigma**2
     block = np.block([[obs, hp.omega * b], [b, -np.eye(n)]])

@@ -1,12 +1,15 @@
 import numpy as np
 import numpy.linalg as nla
 import pytest
+import scipy.linalg as sla
 
 from conftest import random_points, two_blob_points
+from mfgl.bench import Generator, generate
 from mfgl.data import Dataset, HyperParameters, displacements
 from mfgl.exceptions import InsufficientSpectrum
-from mfgl.graph import build_graph, laplacian
+from mfgl.graph import WEIGHT_EPS, build_graph, laplacian, self_tuning_scales
 from mfgl.spectral import (
+    EIG_RESIDUAL_TOL,
     embed,
     low_spectrum,
     shifted_eigenvalues,
@@ -17,9 +20,10 @@ from mfgl.spectral import (
 
 def dense_map_oracle(gl, phi_hat, hp):
     """Direct assembly of the posterior from its defining formula."""
-    n = gl.matrix.shape[0]
+    lmat = gl.matrix.toarray()
+    n = lmat.shape[0]
     m = phi_hat.shape[0]
-    b = nla.matrix_power(gl.matrix + hp.tau * np.eye(n), int(hp.beta))
+    b = nla.matrix_power(lmat + hp.tau * np.eye(n), int(hp.beta))
     a = hp.omega * b
     a[np.arange(m), np.arange(m)] += 1.0 / hp.sigma**2
     c = nla.inv(a)
@@ -44,7 +48,7 @@ def test_two_cluster_graph_has_two_near_kernel_modes():
 def test_matches_dense_eigensolve_oracle():
     gl = laplacian(build_graph(random_points(50, 3, seed=1), knn_k=5), 0.5, 0.5)
     spec = low_spectrum(gl, 10)
-    lam_ref, psi_ref = nla.eigh(gl.matrix)
+    lam_ref, psi_ref = nla.eigh(gl.matrix.toarray())
     assert np.abs(spec.eigenvalues - lam_ref[:10]).max() < 1e-8
     # eigenvectors agree to sign when well separated
     gaps = np.diff(lam_ref[:11])
@@ -57,12 +61,46 @@ def test_matches_dense_eigensolve_oracle():
 
 def test_iterative_branch_matches_dense_branch():
     gl = laplacian(build_graph(random_points(120, 3, seed=4), knn_k=5), 0.5, 0.5)
-    dense = low_spectrum(gl, 8, dense_threshold=2000)
-    krylov = low_spectrum(gl, 8, dense_threshold=50)  # force the Lanczos leg
-    assert np.abs(dense.eigenvalues - krylov.eigenvalues).max() < 1e-8
+    lam_ref, psi_ref = nla.eigh(gl.sym_matrix.toarray())  # dense oracle
+    krylov = low_spectrum(gl, 8)
+    assert np.abs(lam_ref[:8] - krylov.eigenvalues).max() < 1e-8
     for k in range(8):
-        dot = abs(float(dense.eigenvectors[:, k] @ krylov.eigenvectors[:, k]))
+        dot = abs(float(psi_ref[:, k] @ krylov.eigenvectors[:, k]))
         assert dot == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "kind, d",
+    [
+        (Generator.CLUSTERED_SHIFT, 5),
+        (Generator.SMOOTH_MANIFOLD, 5),
+        (Generator.BEAM_LIKE_1D, 64),
+    ],
+)
+def test_sparse_engine_matches_unthresholded_dense_oracle(kind, d):
+    lf = generate(kind, 400, d, seed=3).lf_data
+    g = build_graph(lf, knn_k=7)
+    # the complete kernel, from its formula
+    scales = self_tuning_scales(lf, 7)
+    sq = np.einsum("ij,ij->i", lf, lf)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * lf @ lf.T, 0.0)
+    w_full = np.exp(-d2 / np.outer(scales, scales))
+    np.fill_diagonal(w_full, 0.0)
+    w_full = 0.5 * (w_full + w_full.T)
+    w = g.weights.toarray()
+    kept = w != 0.0
+    assert g.weights.nnz < w.size // 2  # the threshold drops most pairs
+    assert np.all(w_full[~kept] < WEIGHT_EPS)
+    np.testing.assert_allclose(w[kept], w_full[kept], rtol=1e-14, atol=0)
+
+    inv_sqrt = 1.0 / np.sqrt(w_full.sum(axis=1))
+    lsym = np.eye(lf.shape[0]) - inv_sqrt[:, None] * w_full * inv_sqrt[None, :]
+    lam_ref = sla.eigh(lsym, eigvals_only=True, subset_by_index=[0, 39])
+    spec = low_spectrum(laplacian(g, 0.5, 0.5), 40)
+    assert np.abs(spec.eigenvalues - lam_ref).max() <= 1e-11
+    psi = spec.eigenvectors
+    resid = nla.norm(lsym @ psi - psi * spec.eigenvalues, axis=0)
+    assert resid.max() <= EIG_RESIDUAL_TOL
 
 
 def test_orthonormality_and_residual_invariants():
