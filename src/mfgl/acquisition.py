@@ -210,11 +210,7 @@ def apply_permutation(data: Dataset, plan: AcquisitionPlan) -> Dataset:
         raise InvalidConfig(
             "cannot permute a dataset with attached high-fidelity rows"
         )
-    perm = np.asarray(plan.permutation, dtype=np.intp)
-    ids = None
-    if data.param_ids is not None:
-        ids = tuple(data.param_ids[i] for i in perm)
-    return Dataset(lf=data.lf[perm], hf=None, param_ids=ids)
+    return Dataset(lf=data.lf[np.asarray(plan.permutation, dtype=np.intp)])
 
 
 def plan_to_json(plan: AcquisitionPlan) -> str:

@@ -30,23 +30,8 @@ from .exceptions import (
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
-from .graph import (
-    AffinityGraph,
-    GraphLaplacian,
-    build_graph,
-    laplacian,
-    self_tuning_scales,
-    weight_columns,
-)
+from .graph import AffinityGraph, GraphLaplacian, build_graph, laplacian
 from .matio import write_csv
-from .nystrom import (
-    CovarianceOperator,
-    build_saddle,
-    lowrank_spectrum,
-    nystrom_factor,
-    select_landmarks,
-    solve_map_saddle,
-)
 from .posterior import (
     PosteriorResult,
     calibrate_omega,
@@ -301,13 +286,7 @@ def build_report(
 
 @dataclass(frozen=True)
 class EstimateArtifacts:
-    """Solver outputs for a dataset whose first M rows are observed.
-
-    ``timings["factor"]`` is the time :func:`estimate_attached` spent on
-    the graph prior: the landmark factor for the low-rank solver, and next
-    to nothing for the dense and truncated solvers, whose prior is passed
-    in.
-    """
+    """Solver outputs for a dataset whose first M rows are observed."""
 
     posterior: PosteriorResult
     hyper: HyperParameters
@@ -390,8 +369,17 @@ def _make_hp(sigma, omega, tau, config) -> HyperParameters:
     )
 
 
+def _refuse_landmark_solver(config: PipelineConfig) -> None:
+    """The pipeline solves with the dense or the truncated prior only."""
+    if config.solver not in (SolverTag.DENSE, SolverTag.TRUNCATED):
+        raise InvalidConfig(
+            f"the pipeline has no {config.solver.value!r} solver; use 'dense' or "
+            "'truncated', or the landmark factor in mfgl.nystrom as a library tool"
+        )
+
+
 def estimate_attached(
-    ds: Dataset, config: PipelineConfig, prior: Optional[GraphPrior] = None
+    ds: Dataset, config: PipelineConfig, prior: GraphPrior
 ) -> EstimateArtifacts:
     """Resolve hyperparameters and solve for an observation-ready dataset.
 
@@ -401,39 +389,18 @@ def estimate_attached(
 
     ``prior`` is the graph prior of ``ds.lf`` in the dataset's row order,
     usually the planning prior after :meth:`GraphPrior.permuted`; the
-    dense and truncated solvers require it, and the dense solver needs
-    its Laplacian.  The low-rank solver ignores it and builds its own
-    landmark factor, whose landmarks include the observed rows.
+    dense solver needs its Laplacian.
     """
+    _refuse_landmark_solver(config)
     if ds.m == 0:
         raise MissingHighFidelity("estimation needs attached high-fidelity rows")
     if config.sigma is None:
         raise InvalidConfig("sigma is required when estimating from files")
-    if prior is None and config.solver is not SolverTag.NYSTROM:
-        raise InvalidConfig(f"the {config.solver.value} solver needs a graph prior")
     m = ds.m
     sigma = config.sigma
     phi_hat = displacements(ds)
+    spectrum, gl = prior.spectrum, prior.laplacian
     timings: dict = {}
-
-    t0 = time.perf_counter()
-    if config.solver is SolverTag.NYSTROM:
-        scales = self_tuning_scales(ds.lf, config.knn_k)
-        lf = ds.lf
-        landmarks = select_landmarks(ds.n, m, config.spectrum_size(ds.n), config.seed)
-        lrl = nystrom_factor(
-            lambda idx: weight_columns(lf, scales, idx),
-            landmarks,
-            rank_r=config.rank_r,
-            p=config.p,
-        )
-        spectrum = lowrank_spectrum(lrl)
-        gl = None
-    else:
-        spectrum = prior.spectrum
-        gl = prior.laplacian
-        lrl = None
-    timings["factor"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     tau = choose_tau(spectrum) if config.tau is None else config.tau
@@ -441,13 +408,7 @@ def estimate_attached(
     if config.omega is not None:
         omega = config.omega
     else:
-        if config.solver is SolverTag.NYSTROM:
-            def mean_stddev(omega: float) -> float:
-                hp = _make_hp(sigma, omega, tau, config)
-                ops = build_saddle(lrl, hp, m)
-                diag = CovarianceOperator(lrl, ops).diagonal()
-                return float(np.sqrt(diag[m:]).mean())
-        elif config.solver is SolverTag.TRUNCATED:
+        if config.solver is SolverTag.TRUNCATED:
             def mean_stddev(omega: float) -> float:
                 hp = _make_hp(sigma, omega, tau, config)
                 tp = truncated_posterior(spectrum, phi_hat, hp)
@@ -461,14 +422,7 @@ def estimate_attached(
     timings["hyperparameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if config.solver is SolverTag.NYSTROM:
-        ops = build_saddle(lrl, hp, m)
-        phi_star = solve_map_saddle(lrl, ops, phi_hat)
-        stddevs = np.sqrt(CovarianceOperator(lrl, ops).diagonal())
-        posterior = PosteriorResult(
-            phi_star=phi_star, stddevs=stddevs, solver_tag=SolverTag.NYSTROM
-        )
-    elif config.solver is SolverTag.TRUNCATED:
+    if config.solver is SolverTag.TRUNCATED:
         tp = truncated_posterior(spectrum, phi_hat, hp)
         posterior = PosteriorResult(
             phi_star=tp.map_displacements(),
@@ -488,22 +442,12 @@ def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior
 
     Holds enough eigenpairs both to plan (``config.embed_dim``, else M)
     and to estimate (``config.spectrum_size``), and keeps the Laplacian
-    only for the dense solver.  The dense and truncated paths build their
-    graph and spectrum here and nowhere else.  The low-rank solver's
-    prior is a landmark factor without observed rows.
+    only for the dense solver.  The pipeline builds its graph and
+    spectrum here and nowhere else.
     """
+    _refuse_landmark_solver(config)
     n = lf_norm.shape[0]
     k_plan = min(n, max(config.spectrum_size(n), config.embed_dim or config.m))
-    if config.solver is SolverTag.NYSTROM:
-        scales = self_tuning_scales(lf_norm, config.knn_k)
-        landmarks = select_landmarks(n, 0, k_plan, config.seed)
-        lrl = nystrom_factor(
-            lambda idx: weight_columns(lf_norm, scales, idx),
-            landmarks,
-            rank_r=config.rank_r,
-            p=config.p,
-        )
-        return GraphPrior(lowrank_spectrum(lrl))
     gl = laplacian(build_graph(lf_norm, config.knn_k), config.p, config.q)
     spectrum = low_spectrum(gl, k_plan)
     return GraphPrior(spectrum, gl if config.solver is SolverTag.DENSE else None)
@@ -548,12 +492,9 @@ def _solve_order_prior(
     plan: AcquisitionPlan,
     config: PipelineConfig,
     prior: Optional[GraphPrior] = None,
-) -> Optional[GraphPrior]:
+) -> GraphPrior:
     """The planning prior of ``ds_norm`` (built here exactly as planning
-    built it when not given) in the plan's row order; None for the
-    low-rank solver, which builds its own landmark factor."""
-    if config.solver is SolverTag.NYSTROM:
-        return None
+    built it when not given) in the plan's row order."""
     if prior is None:
         prior = planning_spectrum(ds_norm.lf, config)
     perm = np.asarray(plan.permutation, dtype=np.intp)
@@ -621,6 +562,7 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     With M = 0 nothing is normalized, planned or estimated: the report
     scores the raw low-fidelity data (zero reduction by construction).
     """
+    _refuse_landmark_solver(config)
     if config.m == 0:
         report = build_report(
             problem.lf_data, problem.lf_data, problem.true_data, config.metric

@@ -21,6 +21,7 @@ TRUNCATION_FACTOR = 4
 class SolverTag(Enum):
     DENSE = "dense"
     TRUNCATED = "truncated"
+    # Kept only for the benchmark's landmark probe; every pipeline entry refuses it.
     NYSTROM = "nystrom"
 
 
@@ -68,24 +69,19 @@ class PipelineConfig:
     q: float = _setting(0.5, "right degree exponent")
     normalization: Normalization = _setting(Normalization.NONE, "rescaling before the graph is built")
     sigma: Optional[float] = _setting(None, "observation noise level, in input units")
-    K: Optional[int] = _setting(None, "spectrum size (truncated) or landmark count (nystrom)")
+    K: Optional[int] = _setting(None, "spectrum size")
     beta: float = _setting(2.0, "prior smoothness exponent")
     r: float = _setting(3.0, "spread-calibration multiple")
     omega: Optional[float] = _setting(None, "'auto' or a fixed prior strength", auto=True)
     tau: Optional[float] = _setting(None, "'auto' or a fixed spectral shift", auto=True)
     seed: int = _setting(0, "random seed")
-    rank_r: Optional[int] = _setting(None, "extra rank cut for the landmark factor")
     embed_dim: Optional[int] = _setting(None, "spectral embedding width for planning")
     metric: ErrorMetric = _setting(ErrorMetric.FIELD_REL_L2, "error metric of the report", command="bench")
 
     def __post_init__(self):
-        if self.solver is SolverTag.NYSTROM and abs(self.p + self.q - 1.0) > 1e-12:
-            raise InvalidConfig(
-                f"the low-rank solver needs p + q = 1, got p={self.p}, q={self.q}"
-            )
         if self.m < 0:
             raise InvalidConfig(f"M must be non-negative, got {self.m}")
-        for name in ("knn_k", "K", "rank_r", "embed_dim"):
+        for name in ("knn_k", "K", "embed_dim"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise InvalidConfig(f"{name} must be at least 1, got {value}")

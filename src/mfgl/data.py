@@ -50,13 +50,10 @@ class Dataset:
         Low-fidelity points, one row per point.
     hf : ndarray, shape (M, D), optional
         High-fidelity points; row ``i`` corresponds to ``lf[i]``.
-    param_ids : sequence of length N, optional
-        Opaque identifiers tying rows back to input parameters.
     """
 
     lf: np.ndarray
     hf: Optional[np.ndarray] = None
-    param_ids: Optional[tuple] = None
 
     def __post_init__(self):
         lf = _frozen_f64(self.lf)
@@ -82,14 +79,6 @@ class Dataset:
                 )
             _require_finite(hf, "hf")
             object.__setattr__(self, "hf", hf)
-
-        if self.param_ids is not None:
-            ids = tuple(self.param_ids)
-            if len(ids) != n:
-                raise RowCountMismatch(
-                    f"param_ids has {len(ids)} entries for {n} rows"
-                )
-            object.__setattr__(self, "param_ids", ids)
 
     @property
     def n(self) -> int:
@@ -246,14 +235,14 @@ def normalize(
         raise InvalidConfig(f"unknown normalization mode {mode!r}")
     lf = spec.apply(data.lf)
     hf = spec.apply(data.hf) if data.hf is not None else None
-    return Dataset(lf=lf, hf=hf, param_ids=data.param_ids), spec
+    return Dataset(lf=lf, hf=hf), spec
 
 
 def denormalize(data: Dataset, spec: NormalizationSpec) -> Dataset:
     """Undo :func:`normalize` using the stored statistics."""
     lf = spec.invert(data.lf)
     hf = spec.invert(data.hf) if data.hf is not None else None
-    return Dataset(lf=lf, hf=hf, param_ids=data.param_ids)
+    return Dataset(lf=lf, hf=hf)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ WEIGHT_EPS = 1e-12
 GRAPH_BYTE_BUDGET = 1 << 30
 _CSR_ENTRY_BYTES = 12
 _BLOCK_ROWS = 2048
+# Most bytes of one block of squared distances in build_graph; forming a
+# block takes about three float arrays of this size at once.
+_BLOCK_BYTES = 48 << 20
 
 
 def self_tuning_scales(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> np.ndarray:
@@ -136,8 +139,8 @@ def build_graph(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> AffinityGraph:
 
     A pair is kept when its weight is at least ``WEIGHT_EPS``, that is
     when ||x_i - x_j||^2 / (l_i l_j) <= ln(1 / WEIGHT_EPS).  Rows are
-    computed in blocks of ``_BLOCK_ROWS`` and stored straight into CSR, so
-    no N x N array is formed.
+    computed in blocks of at most ``_BLOCK_ROWS`` rows and ``_BLOCK_BYTES``
+    bytes and stored straight into CSR, so no N x N array is formed.
 
     Parameters
     ----------
@@ -161,8 +164,9 @@ def build_graph(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> AffinityGraph:
     counts = np.zeros(n, dtype=np.int32)
     cols, vals = [], []
     nnz = 0
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
+    block = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (8 * n)))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
         arg = sq[start:stop, None] + sq[None, :] - 2.0 * lf[start:stop] @ lf.T
         np.maximum(arg, 0.0, out=arg)
         arg /= scales[start:stop, None] * scales[None, :]

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,12 @@ import numpy as np
 import pytest
 
 import mfgl
+import mfgl.bench
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import main
+from mfgl.config import PipelineConfig, SolverTag
+from mfgl.data import Dataset
+from mfgl.exceptions import InvalidConfig
 from mfgl.matio import read_binary, read_csv, write_csv
 
 
@@ -100,7 +105,7 @@ def test_estimate_with_exact_observations_returns_lf(tmp_path, capsys):
     assert stddevs.shape == (60, 1)
     assert np.all(stddevs > 0)
     timings = json.loads((out_dir / "timings.json").read_text())
-    assert {"factor", "hyperparameters", "solve"} <= set(timings)
+    assert {"hyperparameters", "solve"} <= set(timings)
 
 
 def test_estimate_row_count_mismatch(tmp_path, capsys):
@@ -211,26 +216,69 @@ def test_estimate_and_bench_write_the_same_hyperparameter_keys(tmp_path, capsys)
     assert set(benched) == {"sigma", "omega", "tau", "beta", "r", "kappa"}
 
 
-def test_bench_nystrom_needs_rank_r(tmp_path, capsys):
-    # the zero-diagonal kernel leaves sub-sampled landmark blocks
-    # indefinite: without truncation the degree guard fires (exit 4),
-    # with --rank-r the same run completes
-    args = (
-        "bench", "--generator", "clustered-shift", "--n", "400", "--d", "4",
-        "--clusters", "4", "--m", "8", "--solver", "nystrom", "--K", "80",
-        "--seed", "0",
+@pytest.mark.parametrize(
+    "entry",
+    ["run_pipeline", "run_pipeline-m0", "plan_rows", "estimate_planned",
+     "estimate_attached", "cli-plan", "cli-estimate", "cli-bench"],
+)
+def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
+    # the landmark factor is a library tool (mfgl.nystrom), not a pipeline
+    # solver: every pipeline and CLI entry refuses it before any graph
+    prob, lf_path = write_problem(tmp_path)
+    # exactly the config the benchmark's landmark probe builds
+    config = PipelineConfig(solver=SolverTag.NYSTROM, m=10, K=200, seed=0)
+    planned = mfgl.bench.plan_rows(
+        prob.lf_data, dataclasses.replace(config, solver=SolverTag.TRUNCATED)
     )
-    code, _, err = run_cli(
-        capsys, *args, "--output-dir", str(tmp_path / "fail")
-    )
-    assert code == 4
-    assert last_json(err)["error"] == "NegativeApproxDegree"
-
-    code, out, _ = run_cli(
-        capsys, *args, "--rank-r", "40", "--output-dir", str(tmp_path / "ok")
+    hf = sample_hf(prob, planned.plan.selected_indices, seed=1)
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(
+        capsys, "plan", "--lf-path", str(lf_path), "--m", "10", "--output-dir", str(out_dir)
     )
     assert code == 0
-    assert last_json(out)["reduction_pct"] > 50.0
+    write_csv(out_dir / "hf.csv", hf)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built for the nystrom solver")
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", no_graph)
+    if entry.startswith("cli-"):
+        command = entry[len("cli-"):]
+        files = {
+            "plan": ["--lf-path", str(lf_path)],
+            "estimate": [
+                "--lf-path", str(out_dir / "lf_permuted.csv"),
+                "--hf-path", str(out_dir / "hf.csv"),
+                "--plan-path", str(out_dir / "plan.json"), "--sigma", "0.01",
+            ],
+            "bench": ["--n", "60"],
+        }[command]
+        code, _, err = run_cli(
+            capsys, command, *files, "--solver", "nystrom", "--m", "10",
+            "--output-dir", str(tmp_path / "refused"),
+        )
+        assert code == 3
+        error = last_json(err)
+        assert error["error"] == "InvalidConfig"
+        assert "mfgl.nystrom" in error["message"]
+        return
+    ds_hf = Dataset(lf=planned.ds_norm.lf, hf=hf)
+    call = {
+        "run_pipeline": lambda: mfgl.bench.run_pipeline(prob, config),
+        "run_pipeline-m0": lambda: mfgl.bench.run_pipeline(
+            prob, dataclasses.replace(config, m=0)
+        ),
+        "plan_rows": lambda: mfgl.bench.plan_rows(prob.lf_data, config),
+        "estimate_planned": lambda: mfgl.bench.estimate_planned(
+            planned.ds_norm, planned.nspec, planned.plan, hf, config
+        ),
+        # a hand-built prior does not route the tag to another solver
+        "estimate_attached": lambda: mfgl.bench.estimate_attached(
+            ds_hf, dataclasses.replace(config, sigma=0.01), planned.prior
+        ),
+    }[entry]
+    with pytest.raises(InvalidConfig, match="mfgl.nystrom"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -335,7 +383,7 @@ _SHARED_FLAGS = {
     "-h", "--help", "--config", "--format", "--header", "--no-header",
     "--output-dir", "--threads", "--normalization", "--p", "--q", "--knn-k",
     "--solver", "--K", "--m", "--sigma", "--beta", "--r", "--omega", "--tau",
-    "--seed", "--rank-r", "--embed-dim",
+    "--seed", "--embed-dim",
 }
 
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mfgl.graph
 from conftest import random_points, two_blob_points
+from mfgl.bench import Generator, generate
 from mfgl.exceptions import (
     DenseLimitExceeded,
     DuplicatePointScale,
@@ -83,6 +86,33 @@ def test_dense_limit_enforced(monkeypatch):
     monkeypatch.setattr(mfgl.graph, "GRAPH_BYTE_BUDGET", 12 * 100)
     with pytest.raises(DenseLimitExceeded, match="1200-byte budget"):
         build_graph(lf, knn_k=3)
+
+
+def test_block_byte_cap_leaves_the_graph_unchanged(monkeypatch):
+    lf = generate(Generator.SMOOTH_MANIFOLD, 600, 5, seed=0).lf_data
+    ref = build_graph(lf)
+    # 7 rows a block, the last one partial, where the default takes one
+    monkeypatch.setattr(mfgl.graph, "_BLOCK_BYTES", 8 * 600 * 7)
+    got = build_graph(lf).weights
+    assert np.array_equal(got.indptr, ref.weights.indptr)
+    assert np.array_equal(got.indices, ref.weights.indices)
+    # The BLAS may round a block's distance product differently for other
+    # block shapes; an exponent's error is at most a few eps |x|^2 / l^2.
+    sq = np.sum(lf * lf, axis=1)
+    rtol = 4 * np.finfo(float).eps * sq.max() / ref.scales.min() ** 2
+    np.testing.assert_allclose(got.data, ref.weights.data, rtol=rtol, atol=0)
+
+
+def test_graph_blocks_are_bounded_by_bytes():
+    # 2048-row blocks of N=6000 distances peaked at 310 MB for 2.6 MB of CSR
+    lf = generate(Generator.SMOOTH_MANIFOLD, 6000, 5, seed=0).lf_data
+    tracemalloc.start()
+    try:
+        build_graph(lf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
 
 
 def test_two_node_symmetric_laplacian():
