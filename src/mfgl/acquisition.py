@@ -48,31 +48,32 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
     """Lloyd iteration; empty clusters are re-seeded to the point farthest
     from its current centroid (lowest index on ties)."""
     n, m = points.shape[0], centroids.shape[0]
+    point_sq = np.sum(points**2, axis=1)[:, None]
+
+    def sq_dists():
+        return point_sq - 2.0 * points @ centroids.T + np.sum(centroids**2, axis=1)[None, :]
+
     assignment = np.full(n, -1, dtype=np.intp)
     for _ in range(max_iter):
-        d2 = (
-            np.sum(points**2, axis=1)[:, None]
-            - 2.0 * points @ centroids.T
-            + np.sum(centroids**2, axis=1)[None, :]
-        )
+        d2 = sq_dists()
         new_assignment = np.argmin(d2, axis=1)  # argmin ties -> lower cluster
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
         dist_to_own = d2[np.arange(n), assignment]
+        # a stable sort keeps each cluster's members in index order, so a
+        # slice holds the same rows, in the same order, as a boolean mask
+        grouped = points[np.argsort(assignment, kind="stable")]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(assignment, minlength=m))))
         for c in range(m):
-            members = assignment == c
-            if np.any(members):
-                centroids[c] = points[members].mean(axis=0)
+            lo, hi = bounds[c], bounds[c + 1]
+            if hi > lo:
+                centroids[c] = grouped[lo:hi].mean(axis=0)
             else:
                 far = int(np.argmax(dist_to_own))
                 centroids[c] = points[far]
                 dist_to_own[far] = 0.0  # a point re-seeds at most one cluster
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
+    d2 = sq_dists()
     assignment = np.argmin(d2, axis=1)
     wcss = float(d2[np.arange(n), assignment].sum())
     return centroids, assignment, wcss

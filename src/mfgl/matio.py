@@ -2,7 +2,9 @@
 
 CSV: one data point per row, '.' decimal separator, comma-delimited, no
 header by default (an optional header row is supported via flag).  Values
-are written with %.17g so float64 round-trips exactly.
+are written with %.17g so float64 round-trips exactly.  The reader skips
+blank and whitespace-only lines and accepts CRLF line ends; it allows no
+``#`` comments, no quoting and no ``_`` digit separators.
 
 Binary: magic b"MFGL", one version byte 0x01, then two little-endian u64
 values (rows, cols), then rows*cols IEEE-754 f64 values, little-endian,
@@ -48,8 +50,9 @@ def write_csv(path: PathLike, a, header: Optional[Sequence[str]] = None) -> None
                 f"header has {len(header)} names for {a.shape[1]} columns"
             )
         lines.append(",".join(str(h) for h in header))
-    for row in a:
-        lines.append(",".join(f"{x:.17g}" for x in row))
+    # one row template per row keeps the per-value formatting in C
+    row = ",".join(["%.17g"] * a.shape[1])
+    lines.extend(row % tuple(values) for values in a.tolist())
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -57,32 +60,49 @@ def write_csv(path: PathLike, a, header: Optional[Sequence[str]] = None) -> None
 
 
 def read_csv(path: PathLike, header: bool = False) -> np.ndarray:
-    """Read a comma-separated matrix; set ``header=True`` to skip row one."""
+    """Read a comma-separated matrix; set ``header=True`` to skip row one.
+
+    Errors name the 1-based line of the file, counting skipped lines.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise MatrixIOError(f"cannot read {path}: {exc}") from exc
-    rows = []
+    lines = []
+    line_numbers = []
     width = None
-    for ln, line in enumerate(text.splitlines()):
-        if ln == 0 and header:
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if (ln == 1 and header) or not line.strip():
             continue
-        if not line.strip():
-            continue
-        cells = line.split(",")
+        fields = line.count(",") + 1
         if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+            width = fields
+        elif fields != width:
             raise MatrixIOError(
-                f"{path}: line {ln + 1} has {len(cells)} fields, expected {width}"
+                f"{path}: line {ln} has {fields} fields, expected {width}"
             )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise MatrixIOError(f"{path}: line {ln + 1}: {exc}") from exc
-    if not rows:
+        lines.append(line)
+        line_numbers.append(ln)
+    if not lines:
         raise MatrixIOError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    try:
+        return np.loadtxt(
+            lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
+        )
+    except ValueError as exc:
+        raise MatrixIOError(_parse_error(path, lines, line_numbers, exc)) from exc
+
+
+def _parse_error(path: PathLike, lines, line_numbers, exc: ValueError) -> str:
+    """Name the file line of the first cell ``float()`` rejects; a cell only
+    the stricter parser rejects (e.g. ``1_0``) keeps its message."""
+    for ln, line in zip(line_numbers, lines):
+        for cell in line.split(","):
+            try:
+                float(cell)
+            except ValueError as cell_exc:
+                return f"{path}: line {ln}: {cell_exc}"
+    return f"{path}: {exc}"
 
 
 def write_binary(path: PathLike, a) -> None:

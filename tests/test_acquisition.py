@@ -13,6 +13,7 @@ from mfgl.acquisition import (
     plan_to_json,
     load_plan,
     save_plan,
+    _kmeanspp_init,
     _lloyd,
 )
 from mfgl.bench import Generator, generate
@@ -75,6 +76,70 @@ def test_lloyd_reseeds_empty_cluster(rng):
     centroids, assignment, wcss = _lloyd(pts, np.vstack([c0, c0]), 50)
     assert len(set(assignment.tolist())) == 2
     assert np.isfinite(wcss)
+
+
+def _lloyd_mask_reference(points, centroids, max_iter):
+    """The boolean-mask Lloyd loop `_lloyd` replaced; its outputs are the
+    bitwise reference for the sorted-slice update."""
+    n, m = points.shape[0], centroids.shape[0]
+    assignment = np.full(n, -1, dtype=np.intp)
+    for _ in range(max_iter):
+        d2 = (
+            np.sum(points**2, axis=1)[:, None]
+            - 2.0 * points @ centroids.T
+            + np.sum(centroids**2, axis=1)[None, :]
+        )
+        new_assignment = np.argmin(d2, axis=1)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        dist_to_own = d2[np.arange(n), assignment]
+        for c in range(m):
+            members = assignment == c
+            if np.any(members):
+                centroids[c] = points[members].mean(axis=0)
+            else:
+                far = int(np.argmax(dist_to_own))
+                centroids[c] = points[far]
+                dist_to_own[far] = 0.0
+    d2 = (
+        np.sum(points**2, axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + np.sum(centroids**2, axis=1)[None, :]
+    )
+    assignment = np.argmin(d2, axis=1)
+    wcss = float(d2[np.arange(n), assignment].sum())
+    return centroids, assignment, wcss
+
+
+def _assert_lloyd_matches_reference(points, init, max_iter=300):
+    got = _lloyd(points, init.copy(), max_iter)
+    want = _lloyd_mask_reference(points, init.copy(), max_iter)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("kind", list(Generator))
+def test_lloyd_bitwise_equal_to_mask_loop(kind):
+    problem = generate(kind, 150, 4, seed=3, clusters=5)
+    m = 8
+    points = embed(spectrum_for(problem.lf_data, m), m)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        _assert_lloyd_matches_reference(points, _kmeanspp_init(points, m, rng))
+
+
+def test_lloyd_bitwise_equal_to_mask_loop_with_empty_clusters(rng):
+    pts = rng.normal(size=(30, 3))
+    c0 = pts.mean(axis=0)
+    # three identical centroids: clusters 1 and 2 start empty and are
+    # re-seeded, each to a different far point
+    for max_iter in (1, 2, 50):
+        _assert_lloyd_matches_reference(pts, np.vstack([c0, c0, c0]), max_iter)
+    # a centroid far from every point stays empty after the first pass
+    init = np.vstack([pts[0], pts[1], np.full(3, 1e3)])
+    _assert_lloyd_matches_reference(pts, init, 50)
 
 
 def test_plan_single_point_is_nearest_global_centroid():

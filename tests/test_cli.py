@@ -311,6 +311,30 @@ def test_missing_file_exit_2(tmp_path, capsys):
     assert last_json(err)["exit_code"] == 2
 
 
+def test_malformed_hf_csv_exit_2(tmp_path, capsys):
+    _, lf_path = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "plan", "--lf-path", str(lf_path), "--m", "4",
+            "--output-dir", str(out_dir))
+    hf_path = tmp_path / "hf.csv"
+    hf_path.write_text("1,2,3\n\n4,5,6\n7,oops,9\n1,2,3\n")
+    code, out, err = run_cli(
+        capsys, "estimate",
+        "--lf-path", str(out_dir / "lf_permuted.csv"),
+        "--hf-path", str(hf_path),
+        "--plan-path", str(out_dir / "plan.json"),
+        "--sigma", "0.02",
+        "--output-dir", str(out_dir),
+    )
+    assert code == 2
+    payload = last_json(err)
+    assert payload["error"] == "MatrixIOError"
+    assert payload["exit_code"] == 2
+    assert "line 4" in payload["message"]
+    assert "Traceback" not in err
+    assert not (out_dir / "mf_estimates.csv").exists()
+
+
 def test_unknown_flag_exit_3(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "plan", "--no-such-flag", "x")
     assert code == 3

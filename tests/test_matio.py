@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mfgl.exceptions import InvalidConfig, MatrixIOError
 from mfgl.matio import (
@@ -72,6 +75,95 @@ def test_csv_one_dimensional_input_becomes_row(tmp_path):
     path = tmp_path / "v.csv"
     write_csv(path, np.array([1.0, 2.0, 3.0]))
     assert read_csv(path).shape == (1, 3)
+
+
+def _per_element_csv(a, header=None):
+    """The per-element %.17g writer `write_csv` replaced: its bytes are the
+    golden reference for the row-template writer."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in a]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("header", [None, ["a", "b", "c", "d", "e"]])
+def test_csv_bytes_match_per_element_format(tmp_path, rng, header):
+    sign = rng.choice([-1.0, 1.0], size=(40, 5))
+    a = sign * 10.0 ** rng.uniform(-300, 300, size=(40, 5))
+    a[0] = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    a[1] = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    path = tmp_path / "a.csv"
+    write_csv(path, a, header=header)
+    assert path.read_bytes() == _per_element_csv(a, header)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(np.array([[1.0, -2.5, 3e-300]]))
+@example(np.array([[1.0], [np.nan], [-np.inf]]))
+def test_csv_round_trip_property(tmp_path_factory, a):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    write_csv(path, a)
+    back = read_csv(path)
+    assert back.shape == a.shape
+    nan = np.isnan(a)
+    assert np.array_equal(np.isnan(back), nan)
+    assert back[~nan].tobytes() == a[~nan].tobytes()
+
+
+def test_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n\n   \n3,4\n\t\n5,6\n\n  \n")
+    assert np.array_equal(read_csv(path), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
+def test_csv_crlf_lines_read(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"x,y\r\n1.5,-2\r\n\r\n3,4e-3\r\n")
+    assert np.array_equal(read_csv(path, header=True), [[1.5, -2.0], [3.0, 4e-3]])
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1,2\n\n\n3,oops\n", "line 4"),
+        ("1,2\n\n\n3,4,5\n", "line 4"),
+        ("x,y\n1,2\n \n3,\n", "line 4"),
+        ("1,2\n3,4\n5,6,\n", "line 3"),
+    ],
+)
+def test_csv_errors_name_the_file_line(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixIOError, match=line):
+        read_csv(path, header=text.startswith("x"))
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\n", "x,y\n", "x,y\n\n"])
+def test_csv_without_data_rows_rejected(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixIOError, match="no data rows"):
+        read_csv(path, header=text.startswith("x"))
+
+
+def test_csv_header_skips_exactly_one_line(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    assert np.array_equal(read_csv(path, header=True), [[3.0, 4.0]])
+    # the header is the first line even when it is blank
+    path.write_text("\nx,y\n1,2\n")
+    with pytest.raises(MatrixIOError, match="line 2"):
+        read_csv(path, header=True)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "# 1", '"1"', "0x10", "1 2"])
+def test_csv_cells_outside_the_format_rejected(tmp_path, cell):
+    # `1_0` is a float() literal but not a CSV number: rejected too
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n3,{cell}\n")
+    with pytest.raises(MatrixIOError):
+        read_csv(path)
 
 
 def test_binary_round_trip_is_exact(tmp_path, rng):
