@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .posterior import (
     PosteriorResult,
     calibrate_omega,
     choose_tau,
-    dense_mean_stddev,
+    dense_factor,
     dense_posterior,
 )
 from .spectral import (
@@ -378,6 +378,21 @@ def _refuse_landmark_solver(config: PipelineConfig) -> None:
         )
 
 
+def truncated_mean_stddev(
+    spectrum: Spectrum, phi_hat: np.ndarray, hp_template: HyperParameters
+) -> Callable[[float], float]:
+    """Calibration handle of the truncated solver: omega -> mean stddev
+    over the rows after the first ``len(phi_hat)``."""
+    m = phi_hat.shape[0]
+
+    def handle(omega: float) -> float:
+        hp = dataclasses.replace(hp_template, omega=omega)
+        tp = truncated_posterior(spectrum, phi_hat, hp)
+        return float(np.sqrt(truncated_variances(tp)[m:]).mean())
+
+    return handle
+
+
 def estimate_attached(
     ds: Dataset, config: PipelineConfig, prior: GraphPrior
 ) -> EstimateArtifacts:
@@ -404,20 +419,20 @@ def estimate_attached(
 
     t0 = time.perf_counter()
     tau = choose_tau(spectrum) if config.tau is None else config.tau
+    template = _make_hp(sigma, 1.0, tau, config)
+    if config.solver is SolverTag.DENSE:
+        # one factor serves the calibration handle and the final solve
+        factor = dense_factor(gl, template, m)
 
     if config.omega is not None:
         omega = config.omega
     else:
         if config.solver is SolverTag.TRUNCATED:
-            def mean_stddev(omega: float) -> float:
-                hp = _make_hp(sigma, omega, tau, config)
-                tp = truncated_posterior(spectrum, phi_hat, hp)
-                return float(np.sqrt(truncated_variances(tp)[m:]).mean())
+            mean_stddev = truncated_mean_stddev(spectrum, phi_hat, template)
         else:
-            mean_stddev = dense_mean_stddev(gl, _make_hp(sigma, 1.0, tau, config), m)
+            def mean_stddev(omega: float) -> float:
+                return factor.mean_stddev(omega, sigma)
         omega = calibrate_omega(mean_stddev, sigma, config.r)
-        # the dense handle holds an N x N prior; free it before the final solve
-        del mean_stddev
     hp = _make_hp(sigma, omega, tau, config)
     timings["hyperparameters"] = time.perf_counter() - t0
 
@@ -430,7 +445,7 @@ def estimate_attached(
             solver_tag=SolverTag.TRUNCATED,
         )
     else:
-        posterior = dense_posterior(gl, phi_hat, hp)
+        posterior = dense_posterior(factor, phi_hat, hp)
     timings["solve"] = time.perf_counter() - t0
     return EstimateArtifacts(
         posterior=posterior, hyper=hp, spectrum=spectrum, timings=timings

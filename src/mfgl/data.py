@@ -238,13 +238,6 @@ def normalize(
     return Dataset(lf=lf, hf=hf), spec
 
 
-def denormalize(data: Dataset, spec: NormalizationSpec) -> Dataset:
-    """Undo :func:`normalize` using the stored statistics."""
-    lf = spec.invert(data.lf)
-    hf = spec.invert(data.hf) if data.hf is not None else None
-    return Dataset(lf=lf, hf=hf)
-
-
 @dataclass(frozen=True)
 class HyperParameters:
     """Likelihood and prior hyperparameters (sigma, omega, tau, beta, r).

@@ -11,17 +11,20 @@ in its symmetric form
 with S = D^{(p-q)/2}, which equals the D^{p-q}-weighted normal equations
 of the non-symmetric L and stays Cholesky-friendly for any (p, q).
 
-The stddevs sqrt(diag(A^{-1})) are read from the triangular inverse of
-the Cholesky factor L of A (the squared column norms of L^{-1}), so the
-N x N covariance is formed only when it is asked for.  The omega
-calibration handle builds the omega-independent prior S (L_sym + tau
-I)^beta S once per handle, not once per call.
+Only the observation term depends on omega and sigma, and it touches
+the observed block alone.  So :func:`dense_factor` builds the prior
+Q = S (L_sym + tau I)^beta S once and factors it once: a Cholesky of the
+unobserved block Q_uu, its triangular inverse, and an M x M ``eigh`` of
+the Schur complement of Q_uu.  After that the MAP, the stddevs
+sqrt(diag(A^{-1})) and the calibration handle's mean stddev cost O(NM)
+for any (omega, sigma), and the N x N covariance is formed only when it
+is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -103,55 +106,123 @@ def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
     return b
 
 
-def _dense_prior(
-    gl: GraphLaplacian, hp: HyperParameters, dense_limit: int
-) -> np.ndarray:
-    """``_prior_matrix`` after the size check, so an oversized dense run
-    fails before any N^3 work."""
+@dataclass(frozen=True)
+class DenseFactor:
+    """The omega- and sigma-free factor of the dense MAP system for the
+    first M rows observed (o) and the rest unobserved (u).
+
+    With Q = S (L_sym + tau I)^beta S split into blocks, R = Q_uu = L L^T
+    and the Schur complement Q_oo - Q_ou R^{-1} Q_uo = V diag(theta) V^T,
+    it holds
+
+    - ``l_inv`` = L^{-1} and ``r`` = diag(R^{-1}), its squared column norms
+    - ``z`` = R^{-1} Q_uo, (N-M) x M
+    - ``theta`` and ``v``, the Schur complement's eigenpairs
+    - ``y`` = Z V
+
+    so every (omega, sigma) is a closed form in O(NM) (Golub & Van Loan,
+    block LDL^T; Rasmussen & Williams 2006, App. A.3).  Build it with
+    :func:`dense_factor`.
+    """
+
+    tau: float
+    beta: float
+    l_inv: np.ndarray
+    r: np.ndarray
+    z: np.ndarray
+    theta: np.ndarray
+    v: np.ndarray
+    y: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.v.shape[0]
+
+    def _gain(self, omega: float, sigma: float) -> np.ndarray:
+        """g = 1/(theta + c), c = 1/(omega sigma^2): the eigenvalues of
+        omega X_oo, the observed block of A^{-1}, in the basis V."""
+        return 1.0 / (self.theta + 1.0 / (omega * sigma**2))
+
+    def variances(self, omega: float, sigma: float) -> np.ndarray:
+        """diag(A^{-1}); every term is positive, so nothing cancels."""
+        g = self._gain(omega, sigma)
+        var_o = (self.v * self.v) @ g
+        var_u = self.r + (self.y * self.y) @ g
+        return np.concatenate([var_o, var_u]) / omega
+
+    def mean_stddev(self, omega: float, sigma: float) -> float:
+        """Mean stddev over the unobserved rows M..N-1, in O(NM)."""
+        if self.r.size == 0:
+            raise InvalidConfig("calibration needs at least one unobserved row")
+        return float(np.sqrt(self.variances(omega, sigma)[self.m:]).mean())
+
+
+def dense_factor(
+    gl: GraphLaplacian,
+    hp: HyperParameters,
+    m: int,
+    dense_limit: int = DENSE_POSTERIOR_LIMIT,
+) -> DenseFactor:
+    """Factor the prior of ``gl`` under ``hp.tau`` and ``hp.beta`` for the
+    first ``m`` rows observed: one prior build, one Cholesky of the
+    (N-M) x (N-M) block, its triangular inverse and one M x M ``eigh``.
+
+    Raises
+    ------
+    DenseLimitExceeded
+        When N exceeds ``dense_limit``, before any N^3 work.
+    SingularSystem
+        When a factorization fails.
+    """
     n = gl.graph.n
     if n > dense_limit:
         raise DenseLimitExceeded(f"N={n} exceeds the dense posterior limit {dense_limit}")
-    return _prior_matrix(gl, hp)
-
-
-def _map_cholesky(
-    prior: np.ndarray, omega: float, sigma: float, m: int
-) -> np.ndarray:
-    """Lower Cholesky factor (upper triangle zero) of the MAP matrix
-    A = omega * prior + (1/sigma^2) P_M^T P_M for the first M rows observed."""
-    a = omega * prior
-    a[np.arange(m), np.arange(m)] += 1.0 / sigma**2
+    if not 0 <= m <= n:
+        raise DimensionMismatch(f"need 0 <= M <= N, got M={m}, N={n}")
+    q = _prior_matrix(gl, hp)
+    l_inv = np.zeros((0, 0))
+    if m < n:
+        try:
+            chol = sla.cholesky(q[m:, m:], lower=True)
+        except sla.LinAlgError as exc:
+            raise SingularSystem(f"MAP system factorization failed: {exc}") from exc
+        l_inv, info = dtrtri(chol, lower=1, overwrite_c=1)
+        if info != 0:
+            raise SingularSystem(f"triangular inverse failed: dtrtri info={info}")
+    w = l_inv @ q[m:, :m]
+    schur = q[:m, :m] - w.T @ w
+    del q  # the N x N prior is not needed past this point
     try:
-        return sla.cholesky(a, lower=True, overwrite_a=True)
+        theta, v = sla.eigh(schur)
     except sla.LinAlgError as exc:
-        raise SingularSystem(f"MAP system factorization failed: {exc}") from exc
-
-
-def _inverse_diagonal(chol: np.ndarray) -> np.ndarray:
-    """diag(A^{-1}) from the lower Cholesky factor L of A.
-
-    A^{-1} = L^{-T} L^{-1}, so its diagonal holds the squared column norms
-    of the triangular inverse L^{-1} (LAPACK ``dtrtri``, in place); the
-    full A^{-1} is never formed.
-    """
-    inv, info = dtrtri(chol, lower=1, overwrite_c=1)
-    if info != 0:
-        raise SingularSystem(f"triangular inverse failed: dtrtri info={info}")
-    return np.einsum("ij,ij->j", inv, inv)
+        raise SingularSystem(f"Schur complement eigensolve failed: {exc}") from exc
+    z = l_inv.T @ w
+    return DenseFactor(
+        tau=hp.tau,
+        beta=hp.beta,
+        l_inv=l_inv,
+        r=np.einsum("ij,ij->j", l_inv, l_inv),
+        z=z,
+        theta=np.clip(theta, 0.0, None),
+        v=v,
+        y=z @ v,
+    )
 
 
 def dense_posterior(
-    gl: GraphLaplacian,
+    gl: Union[GraphLaplacian, DenseFactor],
     phi_hat: np.ndarray,
     hp: HyperParameters,
     want_cov: bool = False,
     dense_limit: int = DENSE_POSTERIOR_LIMIT,
 ) -> PosteriorResult:
-    """Exact Gaussian posterior by one SPD factorization.
+    """Exact Gaussian posterior: A Phi* = (1/sigma^2) P_M^T Phi_hat and
+    ``stddevs`` = sqrt(diag(A^{-1})).
 
-    Solves A Phi* = (1/sigma^2) P_M^T Phi_hat; ``stddevs`` are
-    sqrt(diag(A^{-1})), from the triangular inverse of the factor unless
-    ``want_cov`` asks for the full inverse, when they are its diagonal.
+    ``gl`` is the graph Laplacian, factored here by :func:`dense_factor`,
+    or a :class:`DenseFactor` already built for ``hp.tau``, ``hp.beta``
+    and M = ``len(phi_hat)``, so a caller that calibrated omega on it
+    factors once.  The N x N covariance is formed only for ``want_cov``.
 
     Raises
     ------
@@ -164,24 +235,31 @@ def dense_posterior(
         raise DimensionMismatch("phi_hat must be 2-D")
     if not np.all(np.isfinite(phi_hat)):
         raise NonFiniteInput("phi_hat contains NaN or Inf")
-    n = gl.graph.n
     m = phi_hat.shape[0]
-    if m > n:
-        raise DimensionMismatch(f"phi_hat has {m} rows, more than N={n}")
-    chol = _map_cholesky(_dense_prior(gl, hp, dense_limit), hp.omega, hp.sigma, m)
-    rhs = np.zeros((n, phi_hat.shape[1]))
-    rhs[:m] = phi_hat / hp.sigma**2
-    phi_star = sla.cho_solve((chol, True), rhs)
-    if want_cov:
-        cov = sla.cho_solve((chol, True), np.eye(n))
-        cov = 0.5 * (cov + cov.T)
-        stddevs = np.sqrt(np.diag(cov))
+    if isinstance(gl, DenseFactor):
+        factor = gl
+        if factor.m != m:
+            raise DimensionMismatch(f"phi_hat has {m} rows, the factor observes {factor.m}")
+        if (factor.tau, factor.beta) != (hp.tau, hp.beta):
+            raise InvalidConfig("the factor was built for another tau or beta")
     else:
-        cov = None
-        stddevs = np.sqrt(_inverse_diagonal(chol))
+        factor = dense_factor(gl, hp, m, dense_limit)
+    omega, sigma = hp.omega, hp.sigma
+    v, z = factor.v, factor.z
+    g = factor._gain(omega, sigma)
+    x_oo = (v * g) @ v.T / omega
+    phi_o = x_oo @ phi_hat / sigma**2
+    phi_star = np.vstack([phi_o, -z @ phi_o])
+    cov = None
+    if want_cov:
+        y = factor.y
+        x_uu = (factor.l_inv.T @ factor.l_inv + (y * g) @ y.T) / omega
+        x_uo = -z @ x_oo
+        cov = np.block([[x_oo, x_uo.T], [x_uo, x_uu]])
+        cov = 0.5 * (cov + cov.T)
     return PosteriorResult(
         phi_star=phi_star,
-        stddevs=stddevs,
+        stddevs=np.sqrt(factor.variances(omega, sigma)),
         solver_tag=SolverTag.DENSE,
         covariance=cov,
     )
@@ -274,11 +352,9 @@ def dense_mean_stddev(
 ) -> Callable[[float], float]:
     """Calibration handle: omega -> mean stddev over rows M..N-1, dense.
 
-    The omega-independent prior S (L_sym + tau I)^beta S is built once,
-    here, after the size check; each call only scales it, adds the
-    observation term, takes one Cholesky factor and reads the stddevs
-    from its triangular inverse.  The handle holds that N x N prior, so
-    release it before the final solve.
+    The prior is built and factored once, here, after the size check
+    (:func:`dense_factor`); each call is the O(NM) closed form
+    :meth:`DenseFactor.mean_stddev` at ``hp_template.sigma``.
 
     Raises
     ------
@@ -287,14 +363,9 @@ def dense_mean_stddev(
     """
     if m >= gl.graph.n:
         raise InvalidConfig("calibration needs at least one unobserved row")
-    prior = _dense_prior(gl, hp_template, DENSE_POSTERIOR_LIMIT)
+    factor = dense_factor(gl, hp_template, m, DENSE_POSTERIOR_LIMIT)
     sigma = hp_template.sigma
-
-    def handle(omega: float) -> float:
-        chol = _map_cholesky(prior, omega, sigma, m)
-        return float(np.sqrt(_inverse_diagonal(chol)[m:]).mean())
-
-    return handle
+    return lambda omega: factor.mean_stddev(omega, sigma)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ import pytest
 import scipy.linalg as sla
 
 import mfgl.bench
+import mfgl.posterior
 from mfgl.acquisition import plan_acquisition
+from mfgl.cli import main as cli_main
 from mfgl.bench import (
     ErrorMetric,
     ErrorReport,
@@ -26,6 +28,7 @@ from mfgl.bench import (
     write_report,
 )
 from mfgl.data import Dataset, Normalization, normalize
+from mfgl.matio import write_csv
 from mfgl.graph import build_graph, laplacian
 from mfgl.exceptions import (
     InvalidConfig,
@@ -354,3 +357,69 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
         gl.graph.weights.toarray(), fresh.weights.toarray(), rtol=1e-12, atol=0
     )
     np.testing.assert_allclose(gl.graph.degrees, fresh.degrees, rtol=1e-12)
+
+
+class DenseWork:
+    """Records the dense solver's O(N^3) steps (prior builds, Cholesky
+    factors, triangular inverses, eigendecompositions) and which of them
+    ran inside a calibration handle call."""
+
+    def __init__(self, monkeypatch):
+        self.steps = []  # (name, shape of the first argument, in a handle call)
+        self.handle_calls = 0
+        self._in_handle = False
+        for module, name in ((mfgl.posterior, "shifted_power"),
+                             (mfgl.posterior, "dtrtri"), (sla, "cholesky"), (sla, "eigh")):
+            monkeypatch.setattr(module, name, self._recording(name, getattr(module, name)))
+        calibrate = mfgl.bench.calibrate_omega
+
+        def counting_calibrate(handle, *args, **kwargs):
+            def counted(omega):
+                self.handle_calls += 1
+                self._in_handle = True
+                try:
+                    return handle(omega)
+                finally:
+                    self._in_handle = False
+
+            return calibrate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(mfgl.bench, "calibrate_omega", counting_calibrate)
+
+    def _recording(self, name, fn):
+        def recorded(*args, **kwargs):
+            self.steps.append((name, np.shape(args[0]), self._in_handle))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    def shapes(self, name):
+        return [shape for step, shape, _ in self.steps if step == name]
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "cli-estimate"])
+def test_dense_estimate_builds_and_factors_the_prior_once(entry, tmp_path, monkeypatch, capsys):
+    n, m = 80, 6
+    prob = generate(Generator.SMOOTH_MANIFOLD, n, 3, seed=0)
+    config = PipelineConfig(solver=SolverTag.DENSE, m=m, seed=0)
+    work = DenseWork(monkeypatch)
+    if entry == "run_pipeline":
+        run_pipeline(prob, config)
+    else:
+        out = tmp_path / "out"
+        write_csv(tmp_path / "lf.csv", prob.lf_data)
+        shared = ["--solver", "dense", "--m", str(m), "--seed", "0", "--output-dir", str(out)]
+        assert cli_main(["plan", "--lf-path", str(tmp_path / "lf.csv"), *shared]) == 0
+        selected = json.loads((out / "plan.json").read_text())["selected_indices"]
+        write_csv(tmp_path / "hf.csv", sample_hf(prob, selected, seed=1))
+        assert cli_main([
+            "estimate", "--lf-path", str(out / "lf_permuted.csv"),
+            "--hf-path", str(tmp_path / "hf.csv"), "--plan-path", str(out / "plan.json"),
+            "--sigma", f"{prob.hf_noise_sigma:.17g}", *shared,
+        ]) == 0
+        capsys.readouterr()
+    assert work.handle_calls > 0
+    assert work.shapes("shifted_power") == [(n, n)]
+    assert work.shapes("cholesky") == [(n - m, n - m)]
+    assert work.shapes("dtrtri") == [(n - m, n - m)]
+    assert not [step for step in work.steps if step[2]], "a handle call did N^3 work"
