@@ -14,7 +14,7 @@ import numpy as np
 
 from mfgl.data import HyperParameters
 from mfgl.graph import build_graph, laplacian
-from mfgl.posterior import calibrate_omega, choose_tau, dense_mean_stddev, dense_posterior
+from mfgl.posterior import calibrate_omega, choose_tau, dense_factor, dense_posterior
 from mfgl.spectral import low_spectrum, truncated_posterior
 
 rng = np.random.default_rng(11)
@@ -29,10 +29,12 @@ phi_hat = truth[:m] + rng.normal(scale=sigma, size=(m, 2))
 
 gl = laplacian(build_graph(pts, knn_k=7), p=0.5, q=0.5)
 tau = choose_tau(low_spectrum(gl, K=12))
-handle = dense_mean_stddev(gl, HyperParameters(sigma=sigma, omega=1.0, tau=tau), m)
-hp = HyperParameters(sigma=sigma, omega=calibrate_omega(handle, sigma), tau=tau)
+# one dense factor serves the calibration and the reference solve
+factor = dense_factor(gl, HyperParameters(sigma=sigma, omega=1.0, tau=tau), m)
+omega = calibrate_omega(lambda w: factor.mean_stddev(w, sigma), sigma)
+hp = HyperParameters(sigma=sigma, omega=omega, tau=tau)
 
-ref = dense_posterior(gl, phi_hat, hp)
+ref = dense_posterior(factor, phi_hat, hp)
 scale = np.linalg.norm(truth)
 print(f"N = {n}, M = {m}, calibrated omega = {hp.omega:.1f}")
 print(f"dense MAP error vs truth: {np.linalg.norm(ref.phi_star - truth) / scale:.3f}")

@@ -403,18 +403,22 @@ def estimate_attached(
     :func:`estimate_planned`, this entry point maps nothing.
 
     ``prior`` is the graph prior of ``ds.lf`` in the dataset's row order,
-    usually the planning prior after :meth:`GraphPrior.permuted`; the
-    dense solver needs its Laplacian.
+    usually the planning prior after :meth:`GraphPrior.permuted`, with
+    one row per row of ``ds``; the dense solver needs its Laplacian.
     """
     _refuse_landmark_solver(config)
     if ds.m == 0:
         raise MissingHighFidelity("estimation needs attached high-fidelity rows")
     if config.sigma is None:
         raise InvalidConfig("sigma is required when estimating from files")
+    spectrum, gl = prior.spectrum, prior.laplacian
+    if config.solver is SolverTag.DENSE and gl is None:
+        raise InvalidConfig("the dense solver needs a graph prior with its Laplacian")
+    if spectrum.n != ds.n:
+        raise RowCountMismatch(f"the graph prior has {spectrum.n} rows, the dataset {ds.n}")
     m = ds.m
     sigma = config.sigma
     phi_hat = displacements(ds)
-    spectrum, gl = prior.spectrum, prior.laplacian
     timings: dict = {}
 
     t0 = time.perf_counter()

@@ -147,21 +147,6 @@ class NormalizationSpec:
         self._check_rows(a)
         return a * self.scales[: a.shape[0], None]
 
-    def invert_spread(self, a: np.ndarray) -> np.ndarray:
-        """Scale-only inverse, for displacements and standard deviations.
-
-        Offsets cancel in differences, so only the multiplicative part of
-        the transform is undone.
-        """
-        a = np.asarray(a, dtype=np.float64)
-        if self.mode is Normalization.NONE:
-            return a.copy()
-        if self.mode is Normalization.COMPONENT:
-            self._check_cols(a)
-            return a * self.std
-        self._check_rows(a)
-        return a * self.scales[: a.shape[0], None]
-
     def permuted(self, perm) -> "NormalizationSpec":
         """The same statistics for the rows reordered by ``perm``."""
         if self.mode is Normalization.INSTANCE:

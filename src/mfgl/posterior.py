@@ -12,18 +12,20 @@ with S = D^{(p-q)/2}, which equals the D^{p-q}-weighted normal equations
 of the non-symmetric L and stays Cholesky-friendly for any (p, q).
 
 Only the observation term depends on omega and sigma, and it touches
-the observed block alone.  So :func:`dense_factor` builds the prior
-Q = S (L_sym + tau I)^beta S once and factors it once: a Cholesky of the
-unobserved block Q_uu, its triangular inverse, and an M x M ``eigh`` of
-the Schur complement of Q_uu.  After that the MAP, the stddevs
-sqrt(diag(A^{-1})) and the calibration handle's mean stddev cost O(NM)
-for any (omega, sigma), and the N x N covariance is formed only when it
-is asked for.
+the observed block alone.  So :func:`dense_factor`, the one place the
+prior is built and factored, builds Q = S (L_sym + tau I)^beta S once
+and factors it once: a Cholesky of the unobserved block Q_uu, its
+triangular inverse, and an M x M ``eigh`` of the Schur complement of
+Q_uu.  After that the MAP, the stddevs sqrt(diag(A^{-1})) and the
+calibration handle's mean stddev cost O(NM) for any (omega, sigma), and
+the N x N covariance is formed only when it is asked for.  The
+vanishing-noise path solves every step on one such factor, and its
+limit, the constrained minimizer, is the factor's -Q_uu^{-1} Q_uo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +49,7 @@ from .spectral import Spectrum
 DENSE_POSTERIOR_LIMIT = 3_000
 ZERO_EIGENVALUE_REL_TOL = 1e-8
 CALIBRATION_RTOL = 1e-3
+CALIBRATION_BRACKET = (1e-4, 1e4)
 BRACKET_DECADES = 60
 
 
@@ -156,13 +159,13 @@ class DenseFactor:
             raise InvalidConfig("calibration needs at least one unobserved row")
         return float(np.sqrt(self.variances(omega, sigma)[self.m:]).mean())
 
+    def interpolant(self, phi_o: np.ndarray) -> np.ndarray:
+        """[phi_o; -Z phi_o]: the rows that minimize <Theta, Q Theta> with
+        the observed block held at ``phi_o``."""
+        return np.vstack([phi_o, -self.z @ phi_o])
 
-def dense_factor(
-    gl: GraphLaplacian,
-    hp: HyperParameters,
-    m: int,
-    dense_limit: int = DENSE_POSTERIOR_LIMIT,
-) -> DenseFactor:
+
+def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor:
     """Factor the prior of ``gl`` under ``hp.tau`` and ``hp.beta`` for the
     first ``m`` rows observed: one prior build, one Cholesky of the
     (N-M) x (N-M) block, its triangular inverse and one M x M ``eigh``.
@@ -170,13 +173,15 @@ def dense_factor(
     Raises
     ------
     DenseLimitExceeded
-        When N exceeds ``dense_limit``, before any N^3 work.
+        When N exceeds ``DENSE_POSTERIOR_LIMIT``, before any N^3 work.
     SingularSystem
         When a factorization fails.
     """
     n = gl.graph.n
-    if n > dense_limit:
-        raise DenseLimitExceeded(f"N={n} exceeds the dense posterior limit {dense_limit}")
+    if n > DENSE_POSTERIOR_LIMIT:
+        raise DenseLimitExceeded(
+            f"N={n} exceeds the dense posterior limit {DENSE_POSTERIOR_LIMIT}"
+        )
     if not 0 <= m <= n:
         raise DimensionMismatch(f"need 0 <= M <= N, got M={m}, N={n}")
     q = _prior_matrix(gl, hp)
@@ -214,7 +219,6 @@ def dense_posterior(
     phi_hat: np.ndarray,
     hp: HyperParameters,
     want_cov: bool = False,
-    dense_limit: int = DENSE_POSTERIOR_LIMIT,
 ) -> PosteriorResult:
     """Exact Gaussian posterior: A Phi* = (1/sigma^2) P_M^T Phi_hat and
     ``stddevs`` = sqrt(diag(A^{-1})).
@@ -227,8 +231,8 @@ def dense_posterior(
     Raises
     ------
     DenseLimitExceeded
-        When N exceeds ``dense_limit``; use the truncated or low-rank
-        solver instead.
+        When N exceeds ``DENSE_POSTERIOR_LIMIT``; use the truncated or
+        low-rank solver instead.
     """
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     if phi_hat.ndim != 2:
@@ -243,18 +247,18 @@ def dense_posterior(
         if (factor.tau, factor.beta) != (hp.tau, hp.beta):
             raise InvalidConfig("the factor was built for another tau or beta")
     else:
-        factor = dense_factor(gl, hp, m, dense_limit)
+        factor = dense_factor(gl, hp, m)
     omega, sigma = hp.omega, hp.sigma
-    v, z = factor.v, factor.z
+    v = factor.v
     g = factor._gain(omega, sigma)
     x_oo = (v * g) @ v.T / omega
     phi_o = x_oo @ phi_hat / sigma**2
-    phi_star = np.vstack([phi_o, -z @ phi_o])
+    phi_star = factor.interpolant(phi_o)
     cov = None
     if want_cov:
         y = factor.y
         x_uu = (factor.l_inv.T @ factor.l_inv + (y * g) @ y.T) / omega
-        x_uo = -z @ x_oo
+        x_uo = -factor.z @ x_oo
         cov = np.block([[x_oo, x_uo.T], [x_uo, x_uu]])
         cov = 0.5 * (cov + cov.T)
     return PosteriorResult(
@@ -288,19 +292,17 @@ def choose_tau(spectrum: Spectrum) -> float:
 
 
 def calibrate_omega(
-    mean_stddev: Callable[[float], float],
-    sigma: float,
-    r: float = 3.0,
-    bracket: tuple = (1e-4, 1e4),
-    rtol: float = CALIBRATION_RTOL,
+    mean_stddev: Callable[[float], float], sigma: float, r: float = 3.0
 ) -> float:
-    """Pick omega so the mean unobserved stddev equals r * sigma.
+    """Pick omega so the mean unobserved stddev equals r * sigma, to a
+    relative ``CALIBRATION_RTOL``.
 
     ``mean_stddev`` maps omega to (1/(N-M)) sum_{i >= M} sqrt(C_ii) under
     any solver's covariance-diagonal access.  The function is decreasing
     in omega (a stronger prior shrinks posterior spread), so the root is
-    found by bisection in log omega; the initial bracket is expanded up to
-    60 decades each way before giving up.
+    found by bisection in log omega; the initial ``CALIBRATION_BRACKET``
+    is expanded up to ``BRACKET_DECADES`` decades each way before giving
+    up.
 
     Raises
     ------
@@ -311,9 +313,8 @@ def calibrate_omega(
     if not r > 1:
         raise InvalidConfig(f"r must exceed 1, got {r}")
     target = r * sigma
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (lo > 0 and hi > lo):
-        raise InvalidConfig(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    tol = CALIBRATION_RTOL * target
+    lo, hi = CALIBRATION_BRACKET
     f_lo = mean_stddev(lo) - target
     f_hi = mean_stddev(hi) - target
     decades = 0.0
@@ -330,15 +331,15 @@ def calibrate_omega(
         raise NoBracket(
             f"mean stddev never crosses r*sigma={target:.3e} within the bracket"
         )
-    if abs(f_lo) <= rtol * target:
+    if abs(f_lo) <= tol:
         return lo
-    if abs(f_hi) <= rtol * target:
+    if abs(f_hi) <= tol:
         return hi
     log_lo, log_hi = np.log(lo), np.log(hi)
     for _ in range(200):
         mid = np.exp(0.5 * (log_lo + log_hi))
         f_mid = mean_stddev(mid) - target
-        if abs(f_mid) <= rtol * target:
+        if abs(f_mid) <= tol:
             return float(mid)
         if f_mid > 0:
             log_lo = np.log(mid)
@@ -347,30 +348,10 @@ def calibrate_omega(
     raise NoBracket("bisection failed to meet the calibration tolerance")
 
 
-def dense_mean_stddev(
-    gl: GraphLaplacian, hp_template: HyperParameters, m: int
-) -> Callable[[float], float]:
-    """Calibration handle: omega -> mean stddev over rows M..N-1, dense.
-
-    The prior is built and factored once, here, after the size check
-    (:func:`dense_factor`); each call is the O(NM) closed form
-    :meth:`DenseFactor.mean_stddev` at ``hp_template.sigma``.
-
-    Raises
-    ------
-    DenseLimitExceeded
-        On creation, when N exceeds ``DENSE_POSTERIOR_LIMIT``.
-    """
-    if m >= gl.graph.n:
-        raise InvalidConfig("calibration needs at least one unobserved row")
-    factor = dense_factor(gl, hp_template, m, DENSE_POSTERIOR_LIMIT)
-    sigma = hp_template.sigma
-    return lambda omega: factor.mean_stddev(omega, sigma)
-
-
 @dataclass(frozen=True)
 class RegularizationPath:
-    """Trace of MAP solutions along a vanishing-noise schedule."""
+    """Trace of MAP solutions along a vanishing-noise schedule, as built
+    (and checked) by :func:`regularization_path`."""
 
     deltas: np.ndarray
     omegas: np.ndarray
@@ -378,48 +359,37 @@ class RegularizationPath:
     limit: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=np.float64)
-        w = np.asarray(self.omegas, dtype=np.float64)
-        if np.any(np.diff(d) >= 0):
-            raise InvalidConfig("noise scales must be strictly decreasing")
-        if np.any(np.diff(w) > 0):
-            raise InvalidConfig("omega schedule must be non-increasing")
-        ratio = d**2 / w
-        if ratio.size >= 2 and not ratio[-1] < ratio[0]:
-            raise InvalidConfig("delta_n^2/omega_n must tend to zero")
-        for name, val in (("deltas", d), ("omegas", w)):
-            val = val.copy()
+        for name in ("deltas", "omegas", "limit"):
+            val = np.asarray(getattr(self, name), dtype=np.float64).copy()
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        lim = np.asarray(self.limit, dtype=np.float64).copy()
-        lim.setflags(write=False)
-        object.__setattr__(self, "limit", lim)
         object.__setattr__(
             self, "iterates", tuple(np.asarray(it, dtype=np.float64) for it in self.iterates)
         )
 
 
+def _observed_rows(gl: GraphLaplacian, phi_observed: np.ndarray) -> np.ndarray:
+    """``phi_observed`` as floats, once 1 <= M < N is checked."""
+    phi_observed = np.asarray(phi_observed, dtype=np.float64)
+    m, n = phi_observed.shape[0], gl.graph.n
+    if not 1 <= m < n:
+        raise DimensionMismatch(f"need 1 <= M < N, got M={m}, N={n}")
+    return phi_observed
+
+
 def constrained_minimizer(
     gl: GraphLaplacian, phi_observed: np.ndarray, hp: HyperParameters
 ) -> np.ndarray:
-    """Minimize <Theta, (L+tau I)^beta Theta>_F subject to the first M rows
-    equaling ``phi_observed``, by eliminating the constraint.
+    """Minimize <Theta, Q Theta>_F, Q = S (L_sym + tau I)^beta S, subject to
+    the first M rows equaling ``phi_observed``, by eliminating the
+    constraint.
 
-    With B the (weighted) power matrix split into observed/unobserved
-    blocks, the free rows solve B_uu Theta_u = -B_uo phi_observed.
+    The free rows solve Q_uu Theta_u = -Q_uo phi_observed, that is
+    Theta_u = -Z phi_observed with Z = Q_uu^{-1} Q_uo taken from
+    :func:`dense_factor` (:meth:`DenseFactor.interpolant`).
     """
-    phi_observed = np.asarray(phi_observed, dtype=np.float64)
-    m = phi_observed.shape[0]
-    n = gl.graph.n
-    if not 1 <= m < n:
-        raise DimensionMismatch(f"need 1 <= M < N, got M={m}, N={n}")
-    b = _prior_matrix(gl, hp)
-    try:
-        chol = sla.cho_factor(b[m:, m:], lower=True)
-    except sla.LinAlgError as exc:
-        raise SingularSystem(f"reduced system factorization failed: {exc}") from exc
-    theta_u = -sla.cho_solve(chol, b[m:, :m] @ phi_observed)
-    return np.vstack([phi_observed, theta_u])
+    phi_observed = _observed_rows(gl, phi_observed)
+    return dense_factor(gl, hp, phi_observed.shape[0]).interpolant(phi_observed)
 
 
 def regularization_path(
@@ -434,44 +404,48 @@ def regularization_path(
     """MAP iterates under shrinking observation noise, plus their limit.
 
     For each scale delta_n the observed block is perturbed by a random
-    matrix of Frobenius norm exactly delta_n and the MAP problem is solved
-    with omega_n = omega_coeff * delta_n^omega_exponent.  The exponent
-    must stay below 2 so that delta_n^2/omega_n vanishes, which is what
-    drives the iterates to the constrained minimizer.
+    matrix of Frobenius norm exactly delta_n, and the objective
+    (1/2)||P_M Theta - observed||^2 + omega_n <Theta, Q Theta> is
+    minimized with omega_n = omega_coeff * delta_n^omega_exponent.  That
+    is the dense MAP problem at sigma = 1 and prior strength 2 omega_n
+    (rescaling sigma only reparameterizes omega), so one
+    :func:`dense_factor` serves every step and the limit, the
+    :func:`constrained_minimizer`.
 
-    The noise level enters the objective directly (sigma is fixed at 1
-    inside this harness; rescaling sigma only reparameterizes omega).
+    The schedule is checked before the prior is built: delta_n strictly
+    decreasing, omega_n positive and non-increasing, and the exponent
+    below 2 so that delta_n^2/omega_n vanishes, which is what drives the
+    iterates to the limit.
     """
     if omega_exponent >= 2:
         raise InvalidConfig(
             f"omega exponent must be < 2 for convergence, got {omega_exponent}"
         )
     deltas = np.asarray(noise_scales, dtype=np.float64)
+    omegas = omega_coeff * deltas**omega_exponent
     if np.any(np.diff(deltas) >= 0):
         raise InvalidConfig("noise scales must be strictly decreasing")
-    phi_observed = np.asarray(phi_observed, dtype=np.float64)
+    if not np.all(omegas > 0):
+        raise InvalidConfig("omega schedule must be positive")
+    if np.any(np.diff(omegas) > 0):
+        raise InvalidConfig("omega schedule must be non-increasing")
+    ratio = deltas**2 / omegas
+    if ratio.size >= 2 and not ratio[-1] < ratio[0]:
+        raise InvalidConfig("delta_n^2/omega_n must tend to zero")
+    phi_observed = _observed_rows(gl, phi_observed)
     m, d = phi_observed.shape
-    n = gl.graph.n
-    omegas = omega_coeff * deltas**omega_exponent
-    b = _prior_matrix(gl, hp)
+    factor = dense_factor(gl, hp, m)
     rng = np.random.default_rng(seed)
     iterates = []
     for delta, omega in zip(deltas, omegas):
         noise = rng.standard_normal((m, d))
         norm = np.linalg.norm(noise)
         noise = noise * (delta / norm) if norm > 0 else noise
-        observed = phi_observed + noise
-        # objective (1/2)||P_M Theta - observed||^2 + omega <Theta, B Theta>
-        a = 2.0 * omega * b
-        a[np.arange(m), np.arange(m)] += 1.0
-        rhs = np.zeros((n, d))
-        rhs[:m] = observed
-        try:
-            chol = sla.cho_factor(a, lower=True)
-        except sla.LinAlgError as exc:
-            raise SingularSystem(f"path solve failed: {exc}") from exc
-        iterates.append(sla.cho_solve(chol, rhs))
-    limit = constrained_minimizer(gl, phi_observed, hp)
+        step = replace(hp, sigma=1.0, omega=2.0 * omega)
+        iterates.append(dense_posterior(factor, phi_observed + noise, step).phi_star)
     return RegularizationPath(
-        deltas=deltas, omegas=omegas, iterates=tuple(iterates), limit=limit
+        deltas=deltas,
+        omegas=omegas,
+        iterates=tuple(iterates),
+        limit=factor.interpolant(phi_observed),
     )

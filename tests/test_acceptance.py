@@ -39,7 +39,7 @@ from mfgl.nystrom import (
 )
 from mfgl.posterior import (
     calibrate_omega,
-    dense_mean_stddev,
+    dense_factor,
     dense_posterior,
     regularization_path,
     shifted_power,
@@ -215,9 +215,11 @@ def test_ac5_calibration_self_consistency(capsys):
             0.5, 0.5,
         )
         sigma = float(rng.uniform(0.02, 0.3))
-        handle = dense_mean_stddev(
-            gl, HyperParameters(sigma=sigma, omega=1.0, tau=0.2), m
-        )
+        factor = dense_factor(gl, HyperParameters(sigma=sigma, omega=1.0, tau=0.2), m)
+
+        def handle(omega):
+            return factor.mean_stddev(omega, sigma)
+
         omega = calibrate_omega(handle, sigma, r=3.0)
         target = 3.0 * sigma
         worst = max(worst, abs(handle(omega) - target) / target)

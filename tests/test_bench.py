@@ -33,6 +33,7 @@ from mfgl.graph import build_graph, laplacian
 from mfgl.exceptions import (
     InvalidConfig,
     MissingHighFidelity,
+    RowCountMismatch,
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
@@ -196,6 +197,14 @@ def test_estimate_attached_guards(rng):
     ds_hf = Dataset(lf=lf, hf=rng.normal(size=(3, 2)))
     with pytest.raises(InvalidConfig):
         estimate_attached(ds_hf, PipelineConfig(m=3), prior)
+    # the truncated prior carries no Laplacian for the dense solver
+    with pytest.raises(InvalidConfig):
+        estimate_attached(
+            ds_hf, PipelineConfig(m=3, sigma=0.1, solver=SolverTag.DENSE), prior
+        )
+    ds_longer = Dataset(lf=rng.normal(size=(30, 2)), hf=rng.normal(size=(3, 2)))
+    with pytest.raises(RowCountMismatch):
+        estimate_attached(ds_longer, PipelineConfig(m=3, sigma=0.1), prior)
 
 
 def test_m_zero_skips_update():

@@ -67,15 +67,6 @@ def test_instance_apply_aligns_leading_rows(rng):
     assert np.allclose(spec.apply(hf), hf / spec.scales[:2, None])
 
 
-def test_invert_spread_scales_without_shift(rng):
-    lf = rng.normal(size=(5, 3)) * 2.0 + 7.0
-    _, spec = normalize(Dataset(lf=lf), Normalization.COMPONENT)
-    spread = np.abs(rng.normal(size=(5, 3)))
-    out = spec.invert_spread(spread)
-    # pure rescale: the mean shift must not leak into spreads
-    assert np.allclose(out, spread * spec.std)
-
-
 def test_component_stats_rejects_constant_column():
     lf = np.array([[1.0, 2.0], [1.0, 5.0], [1.0, 9.0]])
     with pytest.raises(ZeroVariance) as info:

@@ -1,10 +1,12 @@
 import numpy as np
 import numpy.linalg as nla
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points, two_blob_points
+import mfgl.posterior
 from mfgl.bench import Generator, generate, truncated_mean_stddev
 from mfgl.data import Dataset, HyperParameters, displacements
 from mfgl.exceptions import (
@@ -21,7 +23,6 @@ from mfgl.posterior import (
     choose_tau,
     constrained_minimizer,
     dense_factor,
-    dense_mean_stddev,
     dense_posterior,
     regularization_path,
     shifted_power,
@@ -96,11 +97,12 @@ def test_cluster_propagation():
         assert np.abs(blob.mean(axis=0) - target).max() < 0.05
 
 
-def test_dense_limit_guard(rng):
+def test_dense_limit_guard(rng, monkeypatch):
     gl = laplacian(build_graph(random_points(30, 2, seed=1), knn_k=4), 0.5, 0.5)
     hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.3)
+    monkeypatch.setattr("mfgl.posterior.DENSE_POSTERIOR_LIMIT", 10)
     with pytest.raises(DenseLimitExceeded):
-        dense_posterior(gl, rng.normal(size=(5, 2)), hp, dense_limit=10)
+        dense_posterior(gl, rng.normal(size=(5, 2)), hp)
 
 
 def test_shifted_power_integer_beta_is_matrix_power(rng):
@@ -173,8 +175,11 @@ def test_calibration_self_consistency():
         lf = random_points(40, 3, seed=seed)
         gl = laplacian(build_graph(lf, knn_k=5), 0.5, 0.5)
         sigma = 0.05
-        hp0 = HyperParameters(sigma=sigma, omega=1.0, tau=0.3)
-        handle = dense_mean_stddev(gl, hp0, m=8)
+        factor = dense_factor(gl, HyperParameters(sigma=sigma, omega=1.0, tau=0.3), 8)
+
+        def handle(omega):
+            return factor.mean_stddev(omega, sigma)
+
         omega = calibrate_omega(handle, sigma, r=3.0)
         achieved = handle(omega)
         assert abs(achieved - 3.0 * sigma) / (3.0 * sigma) <= 1e-3
@@ -182,10 +187,8 @@ def test_calibration_self_consistency():
 
 def test_mean_stddev_monotone_in_omega():
     gl = laplacian(build_graph(random_points(30, 2, seed=7), knn_k=4), 0.5, 0.5)
-    handle = dense_mean_stddev(
-        gl, HyperParameters(sigma=0.1, omega=1.0, tau=0.2), m=6
-    )
-    values = [handle(om) for om in np.logspace(-3, 3, 10)]
+    factor = dense_factor(gl, HyperParameters(sigma=0.1, omega=1.0, tau=0.2), 6)
+    values = [factor.mean_stddev(om, 0.1) for om in np.logspace(-3, 3, 10)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -212,8 +215,6 @@ def test_no_bracket_when_target_unattainable():
 def test_calibrate_omega_validates_inputs():
     with pytest.raises(InvalidConfig):
         calibrate_omega(lambda om: 1.0, 0.1, r=0.5)
-    with pytest.raises(InvalidConfig):
-        calibrate_omega(lambda om: 1.0, 0.1, bracket=(0.0, 1.0))
 
 
 def test_constrained_minimizer_interpolates_and_minimizes(rng):
@@ -261,15 +262,76 @@ def test_regularization_path_zero_noise_data_consistency():
     assert rel < 1e-3
 
 
-def test_regularization_path_rejects_bad_schedules():
+def test_regularization_path_rejects_bad_schedules(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("prior built for a schedule that is rejected")
+
     lf = random_points(12, 2, seed=17)
     gl = laplacian(build_graph(lf, knn_k=3), 0.5, 0.5)
     hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.3)
     phi_obs = np.ones((2, 2))
+    monkeypatch.setattr("mfgl.posterior.shifted_power", must_not_run)
     with pytest.raises(InvalidConfig):
         regularization_path(gl, phi_obs, [0.1, 0.2], hp)  # not decreasing
     with pytest.raises(InvalidConfig):
         regularization_path(gl, phi_obs, [0.2, 0.1], hp, omega_exponent=2.0)
+    with pytest.raises(InvalidConfig):  # omega_n grows as delta_n shrinks
+        regularization_path(gl, phi_obs, [0.2, 0.1], hp, omega_exponent=-1.0)
+    with pytest.raises(InvalidConfig):
+        regularization_path(gl, phi_obs, [0.2, 0.1], hp, omega_coeff=0.0)
+
+
+def test_regularization_path_factors_the_prior_once(monkeypatch):
+    # one prior build and one Cholesky of the (N-M) x (N-M) block serve
+    # all 20 steps and the limit; no N x N system is factored
+    n, m = 30, 6
+    gl = laplacian(build_graph(random_points(n, 2, seed=13), knn_k=4), 0.5, 0.5)
+    hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.3, beta=2.0)
+    calls = []
+
+    def recording(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append((name, np.shape(args[0])))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for module, name in ((mfgl.posterior, "shifted_power"),
+                         (sla, "cholesky"), (sla, "cho_factor")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    phi_obs = np.random.default_rng(3).normal(size=(m, 2))
+    path = regularization_path(gl, phi_obs, 2.0 ** -np.arange(1, 21), hp)
+    assert len(path.iterates) == 20
+    assert calls == [("shifted_power", (n, n)), ("cholesky", (n - m, n - m))]
+
+
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+@pytest.mark.parametrize("pq", [(0.5, 0.5), (1.0, 0.0)])
+@pytest.mark.parametrize("kind", list(Generator))
+def test_regularization_path_matches_direct_solves(kind, pq, beta):
+    # the route the path took before it shared one factor, kept as the
+    # oracle: per step a generic solve of (P^T P + 2 omega_n Q) Theta =
+    # P^T phi_n with the same noise draws, and Q_uu Theta_u = -Q_uo phi
+    # for the limit
+    n, m, d, seed = 80, 8, 3, 9
+    prob = generate(kind, n, d, seed=2)
+    gl = laplacian(build_graph(prob.lf_data, knn_k=7), *pq)
+    hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.05, beta=beta)
+    phi_obs = np.random.default_rng(4).normal(size=(m, d))
+    deltas = 2.0 ** -np.arange(1, 21)
+    path = regularization_path(gl, phi_obs, deltas, hp, seed=seed)
+    q = explicit_map_matrix(gl, hp, 0)  # omega = 1, nothing observed: Q
+    rng = np.random.default_rng(seed)
+    for delta, omega, got in zip(deltas, path.omegas, path.iterates):
+        noise = rng.standard_normal((m, d))
+        a = 2.0 * omega * q
+        a[np.arange(m), np.arange(m)] += 1.0
+        rhs = np.zeros((n, d))
+        rhs[:m] = phi_obs + noise * (delta / nla.norm(noise))
+        ref = nla.solve(a, rhs)
+        assert nla.norm(got - ref) <= 1e-10 * nla.norm(ref)
+    limit = np.vstack([phi_obs, -nla.solve(q[m:, m:], q[m:, :m] @ phi_obs)])
+    assert nla.norm(path.limit - limit) <= 1e-10 * nla.norm(limit)
 
 
 def test_stddevs_are_positive_and_match_covariance(rng):
@@ -318,19 +380,19 @@ def explicit_map_matrix(gl, hp, m):
 @pytest.mark.parametrize("beta", [2.0, 1.5])
 @pytest.mark.parametrize("pq", [(0.5, 0.5), (1.0, 0.0)])
 @pytest.mark.parametrize("kind", [Generator.SMOOTH_MANIFOLD, Generator.CLUSTERED_SHIFT])
-def test_dense_mean_stddev_matches_explicit_inverse(kind, pq, beta):
+def test_dense_factor_mean_stddev_matches_explicit_inverse(kind, pq, beta):
     prob = generate(kind, 150, 3, seed=1)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), *pq)
     m = 10
     template = HyperParameters(sigma=0.05, omega=1.0, tau=0.05, beta=beta)
-    handle = dense_mean_stddev(gl, template, m)
+    factor = dense_factor(gl, template, m)
     for omega in (1e-2, 1.0, 1e2):
         hp = HyperParameters(sigma=0.05, omega=omega, tau=0.05, beta=beta)
         exact = np.sqrt(np.diag(nla.inv(explicit_map_matrix(gl, hp, m))))[m:].mean()
-        assert handle(omega) == pytest.approx(exact, rel=1e-12)
+        assert factor.mean_stddev(omega, 0.05) == pytest.approx(exact, rel=1e-12)
 
 
-def test_dense_mean_stddev_builds_prior_once(monkeypatch):
+def test_dense_factor_builds_prior_once(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -339,21 +401,27 @@ def test_dense_mean_stddev_builds_prior_once(monkeypatch):
 
     monkeypatch.setattr("mfgl.posterior.shifted_power", counting)
     gl = laplacian(build_graph(random_points(40, 3, seed=2), knn_k=5), 0.5, 0.5)
-    handle = dense_mean_stddev(gl, HyperParameters(sigma=0.1, omega=1.0, tau=0.2), m=5)
+    factor = dense_factor(gl, HyperParameters(sigma=0.1, omega=1.0, tau=0.2), 5)
     for omega in np.logspace(-2, 2, 5):
-        handle(omega)
+        factor.mean_stddev(omega, 0.1)
     assert len(calls) == 1
 
 
-def test_dense_mean_stddev_limit_checked_on_creation(monkeypatch):
+def test_dense_factor_limit_checked_before_prior(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("prior built above the dense limit")
 
     monkeypatch.setattr("mfgl.posterior.DENSE_POSTERIOR_LIMIT", 39)
     monkeypatch.setattr("mfgl.posterior.shifted_power", must_not_run)
     gl = laplacian(build_graph(random_points(40, 3, seed=2), knn_k=5), 0.5, 0.5)
+    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.2)
+    phi_obs = np.ones((5, 2))
     with pytest.raises(DenseLimitExceeded):
-        dense_mean_stddev(gl, HyperParameters(sigma=0.1, omega=1.0, tau=0.2), m=5)
+        dense_factor(gl, hp, 5)
+    with pytest.raises(DenseLimitExceeded):
+        constrained_minimizer(gl, phi_obs, hp)
+    with pytest.raises(DenseLimitExceeded):
+        regularization_path(gl, phi_obs, [0.2, 0.1], hp)
 
 
 def test_dense_factor_guards(rng, monkeypatch):
@@ -480,8 +548,9 @@ def test_mean_stddev_non_increasing_in_omega(kind, p, q, beta, m, k_extra, seed)
     template = HyperParameters(sigma=sigma, omega=1.0, tau=0.05, beta=beta)
     spectrum = low_spectrum(gl, min(n, m + 1 + k_extra))
     phi_hat = np.zeros((m, 3))
+    factor = dense_factor(gl, template, m)
     for handle in (
-        dense_mean_stddev(gl, template, m),
+        lambda omega: factor.mean_stddev(omega, sigma),
         truncated_mean_stddev(spectrum, phi_hat, template),
     ):
         values = np.array([handle(omega) for omega in OMEGA_GRID])
