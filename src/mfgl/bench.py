@@ -27,6 +27,7 @@ from .exceptions import (
     InvalidConfig,
     MissingHighFidelity,
     RowCountMismatch,
+    SingularSystem,
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
@@ -382,12 +383,23 @@ def truncated_mean_stddev(
     spectrum: Spectrum, phi_hat: np.ndarray, hp_template: HyperParameters
 ) -> Callable[[float], float]:
     """Calibration handle of the truncated solver: omega -> mean stddev
-    over the rows after the first ``len(phi_hat)``."""
+    over the rows after the first ``len(phi_hat)``.
+
+    An omega whose coefficient system ``truncated_posterior`` refuses as
+    numerically singular reads as +inf.  The refusal tests the
+    equilibrated factor, which is well conditioned once omega is large,
+    so it marks a prior too weak to pin some direction, whose spread
+    exceeds any target.  Should that misread a step, the bisection cannot
+    meet its tolerance and ``calibrate_omega`` raises ``NoBracket``.
+    """
     m = phi_hat.shape[0]
 
     def handle(omega: float) -> float:
         hp = dataclasses.replace(hp_template, omega=omega)
-        tp = truncated_posterior(spectrum, phi_hat, hp)
+        try:
+            tp = truncated_posterior(spectrum, phi_hat, hp)
+        except SingularSystem:
+            return np.inf
         return float(np.sqrt(truncated_variances(tp)[m:]).mean())
 
     return handle

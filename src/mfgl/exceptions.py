@@ -105,7 +105,9 @@ class ConvergenceFailure(NumericalError):
 
 
 class SingularSystem(NumericalError):
-    """An SPD factorization failed; signals NaN or corrupted input."""
+    """An SPD factorization failed, or its factor shows the system is
+    numerically singular (signals NaN input or a prior with a near-null
+    mode no observation reaches)."""
 
 
 class NoBracket(NumericalError):

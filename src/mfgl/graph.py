@@ -9,6 +9,10 @@ bandwidth is the geometric mean of the two scales,
 Pairs whose weight falls below ``WEIGHT_EPS`` are dropped, so W, the
 degrees and every Laplacian are built and stored in CSR form; with a
 self-tuning kernel almost every pair weight is far below round-off.
+Each kept weight is taken from the direct difference x_i - x_j, once per
+unordered pair, so it is exact to round-off and W is exactly symmetric.
+Building W holds the kept pairs and one working set of ``_WORK_BYTES``
+bytes, never an N x N array.
 
 The Laplacian family is L = D^{-p} (D - W) D^{-q}.  For p != q, L is a
 similarity transform D^{-(p-q)/2} L_sym D^{(p-q)/2} of the symmetric
@@ -43,10 +47,14 @@ WEIGHT_EPS = 1e-12
 # column index of each kept pair.
 GRAPH_BYTE_BUDGET = 1 << 30
 _CSR_ENTRY_BYTES = 12
-_BLOCK_ROWS = 2048
-# Most bytes of one block of squared distances in build_graph; forming a
-# block takes about three float arrays of this size at once.
-_BLOCK_BYTES = 48 << 20
+# Most bytes of one block of squared distances, or of one chunk of
+# gathered point differences, in build_graph and weight_columns.
+_WORK_BYTES = 1 << 20
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a float block ``width`` wide that fit in ``_WORK_BYTES``."""
+    return max(1, _WORK_BYTES // (8 * width))
 
 
 def self_tuning_scales(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> np.ndarray:
@@ -92,8 +100,9 @@ def weight_columns(
     cols_pts = lf[idx]
     cols_sq = np.einsum("ij,ij->i", cols_pts, cols_pts)
     out = np.empty((lf.shape[0], idx.size))
-    for start in range(0, lf.shape[0], _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, lf.shape[0])
+    block = _block_rows(idx.size)
+    for start in range(0, lf.shape[0], block):
+        stop = min(start + block, lf.shape[0])
         rows = lf[start:stop]
         d2 = (
             np.einsum("ij,ij->i", rows, rows)[:, None]
@@ -137,10 +146,22 @@ class AffinityGraph:
 def build_graph(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> AffinityGraph:
     """Build the epsilon-thresholded affinity graph on the rows of ``lf``.
 
-    A pair is kept when its weight is at least ``WEIGHT_EPS``, that is
-    when ||x_i - x_j||^2 / (l_i l_j) <= ln(1 / WEIGHT_EPS).  Rows are
-    computed in blocks of at most ``_BLOCK_ROWS`` rows and ``_BLOCK_BYTES``
-    bytes and stored straight into CSR, so no N x N array is formed.
+    A pair is kept when its weight is at least ``WEIGHT_EPS``.  One pass
+    over the upper triangle, in row blocks of at most ``_WORK_BYTES``
+    bytes, picks candidate pairs from the Gram form |x|^2 + |y|^2 - 2 x.y,
+    with a margin that covers its round-off: |error| <= gamma (|x| + |y|)^2
+    with gamma = (D + 3) u / (1 - (D + 3) u), u the unit round-off
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    sec. 3.1).  The margin takes 4 (D + 3) u, which also covers the
+    rounding of the scaling and of the kept weight.  Each candidate's
+    exponent d^2 / (l_i l_j) is then recomputed from the float64
+    difference x_i - x_j, squared and summed in extended precision
+    (``np.longdouble``), and rounded once; the weight is cut exactly at
+    ``WEIGHT_EPS``.  Where long double is wider than double (80 bits on
+    x86-64), the exponent is within about 3 u of exact whatever D is, so
+    a weight near the cut, with exponent ln(1 / WEIGHT_EPS) = 27.6, is
+    within about 1e-14 relative of exact.  W is assembled once from the
+    kept triangle and its mirror, so W_ij and W_ji are the same float.
 
     Parameters
     ----------
@@ -157,36 +178,56 @@ def build_graph(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> AffinityGraph:
         When a row of W keeps no pair.
     """
     lf = np.asarray(lf, dtype=np.float64)
-    n = lf.shape[0]
+    n, d = lf.shape
     scales = self_tuning_scales(lf, knn_k)
-    cut = np.log(1.0 / WEIGHT_EPS)
     sq = np.einsum("ij,ij->i", lf, lf)
+    norms = np.sqrt(sq)
+    gamma = 2.0 * (d + 3) * np.finfo(float).eps  # 4 (D + 3) u
+    # per row i: ln(1 / WEIGHT_EPS) plus the Gram round-off bound over l_i l_j
+    limit = np.log(1.0 / WEIGHT_EPS) * (1.0 + gamma) + gamma * (
+        (norms + norms.max()) ** 2 / (scales * scales.min())
+    )
+    chunk = max(1, _WORK_BYTES // (32 * d))
     counts = np.zeros(n, dtype=np.int32)
     cols, vals = [], []
-    nnz = 0
-    block = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (8 * n)))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        arg = sq[start:stop, None] + sq[None, :] - 2.0 * lf[start:stop] @ lf.T
-        np.maximum(arg, 0.0, out=arg)
-        arg /= scales[start:stop, None] * scales[None, :]
-        local = np.arange(stop - start)
-        arg[local, start + local] = np.inf  # the kernel has a zero diagonal
-        keep = arg <= cut
-        counts[start:stop] = np.count_nonzero(keep, axis=1)
-        nnz += int(counts[start:stop].sum())
-        if nnz * _CSR_ENTRY_BYTES > GRAPH_BYTE_BUDGET:
+    kept = 0
+    start = 0
+    while start < n:
+        stop = min(start + _block_rows(n - start), n)
+        g = lf[start:stop] @ lf[start:].T
+        g *= -2.0
+        g += sq[start:stop, None]
+        g += sq[None, start:]
+        g /= scales[start:stop, None]
+        g /= scales[None, start:]
+        r, c = np.nonzero(g <= limit[start:stop, None])
+        upper = c > r
+        i, j = r[upper] + start, c[upper] + start
+        arg = np.empty(i.size, dtype=np.longdouble)
+        for s in range(0, i.size, chunk):
+            diff = lf[i[s : s + chunk]]
+            diff -= lf[j[s : s + chunk]]
+            diff = diff.astype(np.longdouble)
+            arg[s : s + chunk] = np.einsum("ij,ij->i", diff, diff)
+        arg /= scales[i]
+        arg /= scales[j]
+        w = np.exp(-arg.astype(np.float64))
+        keep = w >= WEIGHT_EPS
+        kept += int(np.count_nonzero(keep))
+        if 2 * kept * _CSR_ENTRY_BYTES > GRAPH_BYTE_BUDGET:
             raise DenseLimitExceeded(
-                f"the graph on N={n} points keeps over {nnz * _CSR_ENTRY_BYTES} bytes "
-                f"of CSR weights, above the {GRAPH_BYTE_BUDGET}-byte budget"
+                f"the graph on N={n} points keeps over {2 * kept * _CSR_ENTRY_BYTES} "
+                f"bytes of CSR weights, above the {GRAPH_BYTE_BUDGET}-byte budget"
             )
-        r, c = np.nonzero(keep)
-        cols.append(c.astype(np.int32))
-        vals.append(np.exp(-arg[r, c]))
+        counts[start:stop] = np.bincount(i[keep] - start, minlength=stop - start)
+        cols.append(j[keep].astype(np.int32))
+        vals.append(w[keep])
+        start = stop
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    w = sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
-    w = 0.5 * (w + w.T)  # kill round-off asymmetry from the blocked pass
+    upper = sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
+    del cols, vals
+    w = upper + upper.T  # the pairs' patterns are disjoint, so no sum rounds
     return AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=scales, knn_k=knn_k)
 
 
@@ -233,11 +274,12 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     if bad.size:
         raise ZeroDegree(int(bad[0]))
     w = graph.weights
-    rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
-    off = sp.csr_array(
-        (-w.data * ((d ** -p)[rows] * (d ** -q)[w.indices]), w.indices, w.indptr),
-        shape=w.shape,
-    )
+    # -(d_i^{-p} d_j^{-q}) W_ij in one array, with one nnz-sized temporary
+    data = np.repeat(d ** -p, np.diff(w.indptr))
+    data *= (d ** -q)[w.indices]
+    data *= w.data
+    np.negative(data, out=data)
+    off = sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
     mat = (off + sp.diags_array(d ** (1.0 - p - q))).tocsr()
     return GraphLaplacian(graph=graph, p=p, q=q, matrix=mat)
 

@@ -30,6 +30,9 @@ FORMATS = ("csv", "bin")
 
 PathLike = Union[str, Path]
 
+# Values write_csv formats per write call.
+_CSV_CHUNK_VALUES = 1 << 16
+
 
 def _as_matrix(a) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
@@ -41,20 +44,26 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def write_csv(path: PathLike, a, header: Optional[Sequence[str]] = None) -> None:
-    """Write a matrix as comma-separated %.17g rows."""
+    """Write a matrix as comma-separated %.17g rows.
+
+    Rows are formatted and written ``_CSV_CHUNK_VALUES`` values at a time,
+    so no write holds the whole matrix as text.
+    """
     a = _as_matrix(a)
-    lines = []
-    if header is not None:
-        if len(header) != a.shape[1]:
-            raise MatrixIOError(
-                f"header has {len(header)} names for {a.shape[1]} columns"
-            )
-        lines.append(",".join(str(h) for h in header))
+    if header is not None and len(header) != a.shape[1]:
+        raise MatrixIOError(f"header has {len(header)} names for {a.shape[1]} columns")
     # one row template per row keeps the per-value formatting in C
-    row = ",".join(["%.17g"] * a.shape[1])
-    lines.extend(row % tuple(values) for values in a.tolist())
+    row = ",".join(["%.17g"] * a.shape[1]) + "\n"
+    step = max(1, _CSV_CHUNK_VALUES // max(1, a.shape[1]))
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            if header is not None:
+                fh.write(",".join(str(h) for h in header) + "\n")
+            elif a.shape[0] == 0:
+                fh.write("\n")  # a matrix without rows or header is one empty line
+            for start in range(0, a.shape[0], step):
+                chunk = a[start : start + step].tolist()
+                fh.write("".join(row % tuple(values) for values in chunk))
     except OSError as exc:
         raise MatrixIOError(f"cannot write {path}: {exc}") from exc
 

@@ -44,7 +44,7 @@ from .exceptions import (
     SingularSystem,
 )
 from .graph import GraphLaplacian
-from .spectral import Spectrum
+from .spectral import Spectrum, checked_cholesky
 
 DENSE_POSTERIOR_LIMIT = 3_000
 ZERO_EIGENVALUE_REL_TOL = 1e-8
@@ -175,7 +175,8 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
     DenseLimitExceeded
         When N exceeds ``DENSE_POSTERIOR_LIMIT``, before any N^3 work.
     SingularSystem
-        When a factorization fails.
+        When a factorization fails, or when the unobserved block is
+        numerically singular (see :func:`mfgl.spectral.checked_cholesky`).
     """
     n = gl.graph.n
     if n > DENSE_POSTERIOR_LIMIT:
@@ -187,10 +188,7 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
     q = _prior_matrix(gl, hp)
     l_inv = np.zeros((0, 0))
     if m < n:
-        try:
-            chol = sla.cholesky(q[m:, m:], lower=True)
-        except sla.LinAlgError as exc:
-            raise SingularSystem(f"MAP system factorization failed: {exc}") from exc
+        chol = checked_cholesky(q[m:, m:], "unobserved prior block")
         l_inv, info = dtrtri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise SingularSystem(f"triangular inverse failed: dtrtri info={info}")

@@ -3,13 +3,16 @@
 The K lowest pairs of the sparse L_sym come from one route: Lanczos in
 shift-invert mode about the small negative shift sigma = -1e-3 a, with
 a = 2 max_i D_ii^{1-p-q} bounding the spectrum of L.  L_sym - sigma I is
-positive definite, so its sparse LU factor exists, and the eigenvalues
-nearest zero, crowded together on a clustered graph, become the largest
-and best separated ones of the inverted operator (the spectral
-transformation Lanczos method).  Only when K > N - 2, too close to N for
-ARPACK, does a dense eigensolve take over.  For p != q the symmetric
-eigenvectors are converted via D^{-(p-q)/2}, making them orthonormal in
-the reweighted inner product.
+symmetric positive definite, so it is factored once by sparse LU under a
+symmetric minimum-degree ordering of A^T + A (Davis, *Direct Methods for
+Sparse Linear Systems*, SIAM 2006, ch. 7), and the eigenvalues nearest
+zero, crowded together on a clustered graph, become the largest and best
+separated ones of the inverted operator (the spectral transformation
+Lanczos method).  L_sym is exactly symmetric, so its CSR arrays are also
+its CSC arrays and the factor reads them without a copy.  Only when
+K > N - 2, too close to N for ARPACK, does a dense eigensolve take over.
+For p != q the symmetric eigenvectors are converted via D^{-(p-q)/2},
+making them orthonormal in the reweighted inner product.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import eigsh
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .data import HyperParameters
 from .exceptions import (
@@ -31,6 +35,9 @@ from .exceptions import (
 from .graph import GraphLaplacian
 
 EIG_RESIDUAL_TOL = 1e-6
+# Largest squared diagonal ratio of a Cholesky factor that a solve accepts
+# (see checked_cholesky).
+CONDITION_LIMIT = 1e12
 # The shift-invert pole, as a fraction of the spectral bound a.
 _SHIFT_FRACTION = -1e-3
 
@@ -77,8 +84,9 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
     """K smallest eigenpairs of L.
 
     Shift-invert Lanczos on the sparse L_sym about sigma = -1e-3 a, with
-    a deterministic start vector; a dense eigensolve of the K lowest
-    indices only when K > N - 2.
+    a deterministic start vector and one LU factor of L_sym - sigma I in
+    a symmetric minimum-degree ordering; a dense eigensolve of the K
+    lowest indices only when K > N - 2.
 
     Raises
     ------
@@ -93,9 +101,16 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
     if K > n - 2:
         vals, vecs_s = sla.eigh(lsym.toarray(), subset_by_index=[0, K - 1])
     else:
+        sigma = _SHIFT_FRACTION * a
+        # read as CSC, the CSR arrays of the symmetric L_sym are L_sym itself
+        shifted = sp.csc_array((lsym.data.copy(), lsym.indices, lsym.indptr), shape=lsym.shape)
+        shifted.setdiag(lsym.diagonal() - sigma)
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
+        del shifted
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals, vecs_s = eigsh(
-            lsym.tocsc(), k=K, sigma=_SHIFT_FRACTION * a, which="LM", v0=v0
+            lsym, k=K, sigma=sigma, which="LM", v0=v0,
+            OPinv=LinearOperator(lsym.shape, matvec=lu.solve, dtype=np.float64),
         )
         order = np.argsort(vals)
         vals, vecs_s = vals[order], vecs_s[:, order]
@@ -152,6 +167,38 @@ class TruncatedPosterior:
         return self.spectrum.eigenvectors @ self.coeff_mean
 
 
+def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor C of the SPD matrix ``a``, refused when ``a``
+    is numerically singular.
+
+    The test is the squared diagonal ratio of the factor of the
+    equilibrated matrix S a S, S = diag(a)^{-1/2}, whose diagonal is
+    C_ii / sqrt(a_ii): a lower bound on cond(S a S), which bounds the
+    relative error of a Cholesky solve whatever the scaling of the rows
+    (van der Sluis 1969; Demmel, SIAM J. Matrix Anal. Appl., 1989).  An
+    unscaled ratio would also refuse well-posed systems whose diagonal
+    merely spans many decades, such as a weak prior on a fine graph.
+
+    Raises
+    ------
+    SingularSystem
+        When the factorization fails, or when that ratio exceeds
+        ``CONDITION_LIMIT``.
+    """
+    try:
+        chol = sla.cholesky(a, lower=True)
+    except sla.LinAlgError as exc:
+        raise SingularSystem(f"{what} factorization failed: {exc}") from exc
+    pivots = np.diag(chol) ** 2 / np.diag(a)
+    ratio = pivots.max() / pivots.min()
+    if not ratio <= CONDITION_LIMIT:
+        raise SingularSystem(
+            f"{what} is numerically singular: its Cholesky factor has squared "
+            f"diagonal ratio {ratio:.2e}, above {CONDITION_LIMIT:.0e}"
+        )
+    return chol
+
+
 def truncated_posterior(
     spectrum: Spectrum,
     phi_hat: np.ndarray,
@@ -170,7 +217,8 @@ def truncated_posterior(
     ------
     SingularSystem
         If the SPD factorization fails (signals NaN input; the matrix is
-        positive definite for any omega, tau > 0).
+        positive definite for any omega, tau > 0) or the system is
+        numerically singular (see :func:`checked_cholesky`).
     """
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     if phi_hat.ndim != 2:
@@ -184,10 +232,7 @@ def truncated_posterior(
     cinv[np.diag_indices_from(cinv)] += hp.omega * shifted_eigenvalues(
         spectrum.eigenvalues, hp.tau, hp.beta
     )
-    try:
-        chol = sla.cho_factor(cinv, lower=True)
-    except sla.LinAlgError as exc:
-        raise SingularSystem(f"coefficient system factorization failed: {exc}") from exc
+    chol = (checked_cholesky(cinv, "coefficient system"), True)
     cov = sla.cho_solve(chol, np.eye(spectrum.K))
     cov = 0.5 * (cov + cov.T)
     mean = inv_s2 * sla.cho_solve(chol, b.T @ phi_hat)

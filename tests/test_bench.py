@@ -34,6 +34,7 @@ from mfgl.exceptions import (
     InvalidConfig,
     MissingHighFidelity,
     RowCountMismatch,
+    SingularSystem,
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
@@ -432,3 +433,30 @@ def test_dense_estimate_builds_and_factors_the_prior_once(entry, tmp_path, monke
     assert work.shapes("cholesky") == [(n - m, n - m)]
     assert work.shapes("dtrtri") == [(n - m, n - m)]
     assert not [step for step in work.steps if step[2]], "a handle call did N^3 work"
+
+
+def test_refused_calibration_step_leaves_the_estimate_unchanged(monkeypatch):
+    # with 5 observed rows of smooth-manifold N=2000, the truncated system
+    # at the bracket's lower end (omega = 1e-4) is numerically singular;
+    # the handle reads it as +inf, which moves the bisection the same way
+    # the unguarded handle's large finite spread did
+    prob = generate(Generator.SMOOTH_MANIFOLD, 2000, 5, seed=0)
+    config = PipelineConfig(solver=SolverTag.TRUNCATED, m=5, seed=7)
+    refused = []
+    solve = mfgl.bench.truncated_posterior
+
+    def recording(spectrum, phi_hat, hp):
+        try:
+            return solve(spectrum, phi_hat, hp)
+        except SingularSystem:
+            refused.append(hp.omega)
+            raise
+
+    monkeypatch.setattr(mfgl.bench, "truncated_posterior", recording)
+    guarded = run_pipeline(prob, config).posterior
+    assert refused == [1e-4]
+    monkeypatch.setattr("mfgl.spectral.CONDITION_LIMIT", np.inf)
+    unguarded = run_pipeline(prob, config).posterior
+    assert refused == [1e-4]
+    np.testing.assert_array_equal(guarded.mf_estimates, unguarded.mf_estimates)
+    np.testing.assert_array_equal(guarded.stddevs, unguarded.stddevs)

@@ -1,7 +1,10 @@
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mfgl.graph
 from conftest import random_points, two_blob_points
@@ -13,6 +16,7 @@ from mfgl.exceptions import (
     ZeroDegree,
 )
 from mfgl.graph import (
+    WEIGHT_EPS,
     AffinityGraph,
     GraphLaplacian,
     build_graph,
@@ -22,6 +26,13 @@ from mfgl.graph import (
     weight_columns,
     weighted_inner,
 )
+from mfgl.spectral import low_spectrum
+
+GENERATOR_CASES = [
+    (Generator.CLUSTERED_SHIFT, 3000, 5),
+    (Generator.SMOOTH_MANIFOLD, 3000, 5),
+    (Generator.BEAM_LIKE_1D, 2000, 256),
+]
 
 
 def brute_force_weights(lf, knn_k):
@@ -91,28 +102,88 @@ def test_dense_limit_enforced(monkeypatch):
 def test_block_byte_cap_leaves_the_graph_unchanged(monkeypatch):
     lf = generate(Generator.SMOOTH_MANIFOLD, 600, 5, seed=0).lf_data
     ref = build_graph(lf)
-    # 7 rows a block, the last one partial, where the default takes one
-    monkeypatch.setattr(mfgl.graph, "_BLOCK_BYTES", 8 * 600 * 7)
+    # 7 rows in the first block, more as the triangle narrows, the last
+    # one partial, and 210-pair chunks of differences, where the default
+    # takes one block
+    monkeypatch.setattr(mfgl.graph, "_WORK_BYTES", 8 * 600 * 7)
     got = build_graph(lf).weights
+    # each kept weight comes from its own direct difference, so no block
+    # shape can move it
     assert np.array_equal(got.indptr, ref.weights.indptr)
     assert np.array_equal(got.indices, ref.weights.indices)
-    # The BLAS may round a block's distance product differently for other
-    # block shapes; an exponent's error is at most a few eps |x|^2 / l^2.
-    sq = np.sum(lf * lf, axis=1)
-    rtol = 4 * np.finfo(float).eps * sq.max() / ref.scales.min() ** 2
-    np.testing.assert_allclose(got.data, ref.weights.data, rtol=rtol, atol=0)
+    assert np.array_equal(got.data, ref.weights.data)
 
 
 def test_graph_blocks_are_bounded_by_bytes():
-    # 2048-row blocks of N=6000 distances peaked at 310 MB for 2.6 MB of CSR
+    # 2048-row blocks of N=6000 distances peaked at 310 MB for 2.6 MB of
+    # CSR; the triangle pass holds the triangle, W and one working set
     lf = generate(Generator.SMOOTH_MANIFOLD, 6000, 5, seed=0).lf_data
     tracemalloc.start()
     try:
-        build_graph(lf)
+        w = build_graph(lf).weights
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 200e6
+    csr_bytes = w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
+    assert peak < 2 * csr_bytes + 4 * mfgl.graph._WORK_BYTES
+
+
+@pytest.mark.parametrize("kind, n, d", GENERATOR_CASES)
+def test_weights_exactly_symmetric_with_zero_diagonal(kind, n, d):
+    w = build_graph(generate(kind, n, d, seed=0).lf_data).weights
+    assert (w != w.T).nnz == 0
+    assert np.all(w.diagonal() == 0.0)
+    rows = np.repeat(np.arange(n), np.diff(w.indptr))
+    assert not np.any(w.indices == rows)  # no stored diagonal entry
+    assert w.has_canonical_format
+
+
+def exact_weight(x, y, lx, ly):
+    """exp(-|x - y|^2 / (lx ly)) for float inputs: the exponent in exact
+    rational arithmetic, the exponential at 40 digits."""
+    d2 = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x.tolist(), y.tolist()))
+    arg = d2 / (Fraction(lx) * Fraction(ly))
+    with mpmath.workdps(40):
+        return mpmath.exp(-mpmath.mpf(arg.numerator) / arg.denominator)
+
+
+@pytest.mark.parametrize("kind, n, d", GENERATOR_CASES)
+def test_kept_weights_match_exact_arithmetic(kind, n, d):
+    # the sample: the ten closest pairs in distance and in kernel units,
+    # the ten kept weights next to the 1e-12 cut, and ten at random
+    lf = generate(kind, n, d, seed=0).lf_data
+    g = build_graph(lf)
+    upper = sp.triu(g.weights, k=1).tocoo()
+    i, j, w = upper.row, upper.col, upper.data
+    d2 = np.einsum("ij,ij->i", lf[i] - lf[j], lf[i] - lf[j])
+    by_weight = np.argsort(w)
+    rng = np.random.default_rng(0)
+    sample = np.unique(np.concatenate([
+        np.argsort(d2)[:10], by_weight[-10:], by_weight[:10],
+        rng.choice(w.size, 10, replace=False),
+    ]))
+    assert w.min() >= WEIGHT_EPS
+    for k in sample:
+        exact = exact_weight(lf[i[k]], lf[j[k]], g.scales[i[k]], g.scales[j[k]])
+        assert abs((mpmath.mpf(w[k]) - exact) / exact) <= 1e-14, (i[k], j[k])
+
+
+def test_front_end_peak_is_bounded_by_the_csr():
+    # build_graph -> laplacian -> low_spectrum holds W, L and one working
+    # set: no N x N block, no CSC copy of L_sym, one shifted data array.
+    # The LU factor lives in SuperLU's own allocations, which tracemalloc
+    # does not see.
+    lf = generate(Generator.CLUSTERED_SHIFT, 3000, 5, seed=0).lf_data
+    tracemalloc.start()
+    try:
+        g = build_graph(lf)
+        low_spectrum(laplacian(g, 0.5, 0.5), 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    w = g.weights
+    csr_bytes = w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
+    assert peak < 3 * csr_bytes + mfgl.graph._WORK_BYTES
 
 
 def test_two_node_symmetric_laplacian():

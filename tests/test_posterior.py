@@ -15,6 +15,7 @@ from mfgl.exceptions import (
     DimensionMismatch,
     InvalidConfig,
     NoBracket,
+    NumericalError,
     SingularSystem,
 )
 from mfgl.graph import AffinityGraph, build_graph, laplacian
@@ -344,26 +345,19 @@ def test_stddevs_are_positive_and_match_covariance(rng):
     assert nla.eigvalsh(res.covariance).min() > 0
 
 
-def test_dense_posterior_accurate_with_unobserved_cluster():
+def test_unobserved_cluster_is_refused():
     # clustered-shift with clusters 0, 5 and 9 unobserved and a tiny tau:
-    # (L + tau I)^2 is near-singular there.  The oracle is the block form
-    # [[P^T P / sigma^2, omega B], [B, -I]] with B = L + tau I, which
-    # never squares B.
-    prob = generate(Generator.CLUSTERED_SHIFT, 200, 5, seed=0)
-    m, n = 10, 200
-    assert {0, 5, 9}.isdisjoint(prob.cluster_labels[:m])
-    gl = laplacian(build_graph(prob.lf_data, knn_k=7), 0.5, 0.5)
-    hp = HyperParameters(sigma=0.05, omega=1.0, tau=5e-8, beta=2.0)
-    phi_hat = (prob.true_data - prob.lf_data)[:m]
-    b = gl.matrix.toarray() + hp.tau * np.eye(n)
-    obs = np.zeros((n, n))
-    obs[np.arange(m), np.arange(m)] = 1.0 / hp.sigma**2
-    block = np.block([[obs, hp.omega * b], [b, -np.eye(n)]])
-    rhs = np.zeros((2 * n, phi_hat.shape[1]))
-    rhs[:m] = phi_hat / hp.sigma**2
-    oracle = nla.solve(block, rhs)[:n]
-    got = dense_posterior(gl, phi_hat, hp).phi_star
-    assert nla.norm(got - oracle) <= 1e-3 * nla.norm(oracle)
+    # (L + tau I)^2 is near-singular there.  The dense factor's Cholesky of
+    # the unobserved block has squared diagonal ratio 2.6e13 and the
+    # truncated coefficient matrix at K=N 6.0e15, both above
+    # CONDITION_LIMIT, so both solvers refuse (exit code 4) instead of
+    # returning stddevs 1.7e-2 off (dense) or a MAP 5.8% off (truncated).
+    gl, hp, phi_hat, _, _ = unobserved_cluster_oracle()
+    assert issubclass(SingularSystem, NumericalError)
+    with pytest.raises(SingularSystem, match="numerically singular"):
+        dense_posterior(gl, phi_hat, hp)
+    with pytest.raises(SingularSystem, match="numerically singular"):
+        truncated_posterior(low_spectrum(gl, gl.graph.n), phi_hat, hp)
 
 
 def explicit_map_matrix(gl, hp, m):
@@ -454,8 +448,10 @@ def test_dense_stddevs_without_covariance_match_covariance_diagonal(rng):
 
 
 def unobserved_cluster_oracle():
-    # The case of test_dense_posterior_accurate_with_unobserved_cluster,
-    # with the block-form oracle's MAP and stddevs: the top-left N x N
+    # Clustered-shift N=200 with clusters 0, 5 and 9 unobserved and
+    # tau=5e-8, with the block-form oracle's MAP and stddevs (the block
+    # form [[P^T P / sigma^2, omega B], [B, -I]], B = L + tau I, never
+    # squares B): the top-left N x N
     # block of the block matrix's inverse is A^{-1}.
     prob = generate(Generator.CLUSTERED_SHIFT, 200, 5, seed=0)
     m, n = 10, 200
@@ -477,9 +473,9 @@ def unobserved_cluster_oracle():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="shifted_power squares cond(L + tau I): the dense stddevs are "
+    reason="shifted_power squares cond(L + tau I): the dense stddevs were "
     "1.7e-2 max-relative off the block oracle with 1 BLAS thread "
-    "(3.1e-2 with 2)",
+    "(3.1e-2 with 2); the conditioning guard now refuses the case",
 )
 def test_dense_stddevs_accurate_with_unobserved_cluster():
     gl, hp, phi_hat, _, oracle_sd = unobserved_cluster_oracle()
@@ -490,8 +486,8 @@ def test_dense_stddevs_accurate_with_unobserved_cluster():
 @pytest.mark.xfail(
     strict=True,
     reason="the eigenbasis solver at K=N misses a component with no "
-    "observation: its MAP is 5.8% off the block oracle with 1 BLAS thread "
-    "(2.3% with 2)",
+    "observation: its MAP was 5.8% off the block oracle with 1 BLAS thread "
+    "(2.3% with 2); the conditioning guard now refuses the case",
 )
 def test_truncated_full_rank_accurate_with_unobserved_cluster():
     gl, hp, phi_hat, oracle_map, _ = unobserved_cluster_oracle()

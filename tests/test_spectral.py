@@ -80,13 +80,17 @@ def test_iterative_branch_matches_dense_branch():
 def test_sparse_engine_matches_unthresholded_dense_oracle(kind, d):
     lf = generate(kind, 400, d, seed=3).lf_data
     g = build_graph(lf, knn_k=7)
-    # the complete kernel, from its formula
+    # the complete kernel, from its formula with direct differences, in
+    # extended precision and rounded once.  The Gram form |x|^2 + |y|^2 -
+    # 2 x.y shares the round-off of a Gram route (up to 4e-9 relative on
+    # beam-like-1d), and plain float64 is ~1e-14 off near the cut, where
+    # the exponent is 27.6.
     scales = self_tuning_scales(lf, 7)
-    sq = np.einsum("ij,ij->i", lf, lf)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * lf @ lf.T, 0.0)
-    w_full = np.exp(-d2 / np.outer(scales, scales))
+    ext = lf.astype(np.longdouble)
+    d2 = np.array([np.einsum("ij,ij->i", ext - x, ext - x) for x in ext])
+    scales_ext = scales.astype(np.longdouble)
+    w_full = np.exp(-d2 / np.outer(scales_ext, scales_ext)).astype(np.float64)
     np.fill_diagonal(w_full, 0.0)
-    w_full = 0.5 * (w_full + w_full.T)
     w = g.weights.toarray()
     kept = w != 0.0
     assert g.weights.nnz < w.size // 2  # the threshold drops most pairs
