@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, frozen
 from .exceptions import (
     EmptyCluster,
     InsufficientSpectrum,
@@ -128,12 +128,8 @@ class AcquisitionPlan:
     def __post_init__(self):
         object.__setattr__(self, "selected_indices", tuple(int(i) for i in self.selected_indices))
         object.__setattr__(self, "permutation", tuple(int(i) for i in self.permutation))
-        c = np.asarray(self.centroids, dtype=np.float64).copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "centroids", c)
-        a = np.asarray(self.cluster_assignment, dtype=np.intp).copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "cluster_assignment", a)
+        object.__setattr__(self, "centroids", frozen(self.centroids))
+        object.__setattr__(self, "cluster_assignment", frozen(self.cluster_assignment, np.intp))
         n = len(self.permutation)
         if sorted(self.permutation) != list(range(n)):
             raise InvalidConfig("permutation must be a bijection on 0..N-1")
@@ -211,7 +207,9 @@ def apply_permutation(data: Dataset, plan: AcquisitionPlan) -> Dataset:
         raise InvalidConfig(
             "cannot permute a dataset with attached high-fidelity rows"
         )
-    return Dataset(lf=data.lf[np.asarray(plan.permutation, dtype=np.intp)])
+    rows = data.lf[np.asarray(plan.permutation, dtype=np.intp)]
+    rows.setflags(write=False)
+    return Dataset(lf=rows)
 
 
 def plan_to_json(plan: AcquisitionPlan) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .acquisition import AcquisitionPlan, apply_permutation, plan_acquisition
 from .config import ErrorMetric, Normalization, PipelineConfig, SolverTag
-from .data import Dataset, HyperParameters, NormalizationSpec, displacements, normalize
+from .data import Dataset, HyperParameters, NormalizationSpec, displacements, frozen, normalize
 from .exceptions import (
     InvalidConfig,
     MissingHighFidelity,
@@ -70,13 +70,10 @@ class SyntheticProblem:
     cluster_labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("true_data", "lf_data", "cluster_labels"):
-            a = getattr(self, name)
-            if a is None:
-                continue
-            a = np.asarray(a).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "true_data", frozen(self.true_data))
+        object.__setattr__(self, "lf_data", frozen(self.lf_data))
+        if self.cluster_labels is not None:
+            object.__setattr__(self, "cluster_labels", frozen(self.cluster_labels, np.intp))
         if self.true_data.shape != self.lf_data.shape:
             raise InvalidConfig("true and low-fidelity arrays must share a shape")
 
@@ -254,9 +251,7 @@ class ErrorReport:
     metric: ErrorMetric
 
     def __post_init__(self):
-        a = np.asarray(self.per_point, dtype=np.float64).copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "per_point", a)
+        object.__setattr__(self, "per_point", frozen(self.per_point))
         expected = 100.0 * (1.0 - self.mean_mf / self.mean_lf)
         if abs(self.reduction - expected) > 1e-10 * max(1.0, abs(expected)):
             raise InvalidConfig("reduction is inconsistent with the means")
@@ -312,10 +307,12 @@ class GraphPrior:
         for a second build on the reordered rows.
         """
         s = self.spectrum
+        vectors = s.eigenvectors[perm, :K]
+        vectors.setflags(write=False)
         spectrum = Spectrum(
             K=K,
             eigenvalues=s.eigenvalues[:K],
-            eigenvectors=s.eigenvectors[perm, :K],
+            eigenvectors=vectors,
             shift_a=s.shift_a,
             pq=s.pq,
         )
@@ -417,12 +414,18 @@ def estimate_attached(
     ``prior`` is the graph prior of ``ds.lf`` in the dataset's row order,
     usually the planning prior after :meth:`GraphPrior.permuted`, with
     one row per row of ``ds``; the dense solver needs its Laplacian.
+
+    Calibrating omega (``config.omega`` unset) targets the spread of the
+    unobserved rows, so with M = N it raises ``InvalidConfig`` before
+    any solve; a fixed omega still solves.
     """
     _refuse_landmark_solver(config)
     if ds.m == 0:
         raise MissingHighFidelity("estimation needs attached high-fidelity rows")
     if config.sigma is None:
         raise InvalidConfig("sigma is required when estimating from files")
+    if config.omega is None and ds.m == ds.n:
+        raise InvalidConfig("calibration needs at least one unobserved row")
     spectrum, gl = prior.spectrum, prior.laplacian
     if config.solver is SolverTag.DENSE and gl is None:
         raise InvalidConfig("the dense solver needs a graph prior with its Laplacian")
@@ -455,8 +458,10 @@ def estimate_attached(
     t0 = time.perf_counter()
     if config.solver is SolverTag.TRUNCATED:
         tp = truncated_posterior(spectrum, phi_hat, hp)
+        phi_star = tp.map_displacements()
+        phi_star.setflags(write=False)
         posterior = PosteriorResult(
-            phi_star=tp.map_displacements(),
+            phi_star=phi_star,
             stddevs=np.sqrt(truncated_variances(tp)),
             solver_tag=SolverTag.TRUNCATED,
         )
@@ -572,6 +577,7 @@ def estimate_planned(
 
     art = estimate_attached(ds_solve, config, prior)
     mf = spec_perm.invert(ds_solve.lf + art.posterior.phi_star)
+    mf.setflags(write=False)
     return dataclasses.replace(
         art,
         posterior=dataclasses.replace(art.posterior, mf_estimates=mf),

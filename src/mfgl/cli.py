@@ -286,6 +286,8 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     perm = np.asarray(plan.permutation, dtype=np.intp)
     lf_input = np.empty_like(lf)
     lf_input[perm] = lf
+    del lf  # only the input-order rows are needed from here on
+    lf_input.setflags(write=False)
     ds_norm, nspec = normalize(Dataset(lf=lf_input), pcfg.normalization)
     art = estimate_planned(ds_norm, nspec, plan, hf, pcfg)
 

@@ -5,6 +5,12 @@ high-fidelity points aligned with the FIRST M low-fidelity rows.  That
 leading-rows convention is load-bearing: every solver downstream selects
 high-fidelity rows with a plain ``[:M]`` slice, and the acquisition module
 is the only place allowed to reorder rows to establish it.
+
+Every frozen container of the package takes its arrays through
+:func:`frozen`: they are read-only, and an array that is already frozen
+is shared between containers, never copied.  Code that makes a fresh
+array for a container freezes it at the handoff (``setflags(write=False)``)
+so that it is not copied again.
 """
 
 from __future__ import annotations
@@ -28,9 +34,21 @@ from .exceptions import (
 DEGENERACY_TOL = 1e-14
 
 
-def _frozen_f64(a) -> np.ndarray:
-    """Copy to a C-contiguous float64 array and lock it against writes."""
-    out = np.array(a, dtype=np.float64, order="C", copy=True)
+def frozen(a, dtype=np.float64) -> np.ndarray:
+    """``a`` as a read-only, C-contiguous ``dtype`` array.
+
+    ``a`` itself is returned when it already fits and no writeable array
+    can reach its memory: it and each array on its ``.base`` chain are
+    read-only, and the chain ends in owned memory or ``bytes``.  Anything
+    else is copied, so a caller's writeable array is never aliased.
+    """
+    if type(a) is np.ndarray and a.dtype == dtype and a.flags.c_contiguous:
+        base = a
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None or type(base) is bytes:
+            return a
+    out = np.array(a, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -56,7 +74,7 @@ class Dataset:
     hf: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        lf = _frozen_f64(self.lf)
+        lf = frozen(self.lf)
         if lf.ndim != 2:
             raise DimensionMismatch(f"lf must be 2-D, got ndim={lf.ndim}")
         n, d = lf.shape
@@ -68,7 +86,7 @@ class Dataset:
         object.__setattr__(self, "lf", lf)
 
         if self.hf is not None:
-            hf = _frozen_f64(self.hf)
+            hf = frozen(self.hf)
             if hf.ndim != 2 or hf.shape[1] != d:
                 raise DimensionMismatch(
                     f"hf must be (M, {d}), got {hf.shape if hf.ndim == 2 else hf.ndim}"
@@ -113,7 +131,7 @@ class NormalizationSpec:
         for name in ("mean", "std", "scales"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, _frozen_f64(v))
+                object.__setattr__(self, name, frozen(v))
         if self.mode is Normalization.COMPONENT:
             if self.mean is None or self.std is None:
                 raise InvalidConfig("component normalization needs mean and std")
@@ -126,24 +144,30 @@ class NormalizationSpec:
                 raise InvalidConfig("stored norms must be positive")
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Forward transform of a row-aligned matrix."""
+        """Forward transform of a row-aligned matrix, as one new array;
+        mode none returns ``a`` itself."""
         a = np.asarray(a, dtype=np.float64)
         if self.mode is Normalization.NONE:
-            return a.copy()
+            return a
         if self.mode is Normalization.COMPONENT:
             self._check_cols(a)
-            return (a - self.mean) / self.std
+            out = a - self.mean
+            out /= self.std
+            return out
         self._check_rows(a)
         return a / self.scales[: a.shape[0], None]
 
     def invert(self, a: np.ndarray) -> np.ndarray:
-        """Inverse transform of a row-aligned matrix."""
+        """Inverse transform of a row-aligned matrix, as one new array;
+        mode none returns ``a`` itself."""
         a = np.asarray(a, dtype=np.float64)
         if self.mode is Normalization.NONE:
-            return a.copy()
+            return a
         if self.mode is Normalization.COMPONENT:
             self._check_cols(a)
-            return a * self.std + self.mean
+            out = a * self.std
+            out += self.mean
+            return out
         self._check_rows(a)
         return a * self.scales[: a.shape[0], None]
 
@@ -219,6 +243,7 @@ def normalize(
     else:
         raise InvalidConfig(f"unknown normalization mode {mode!r}")
     lf = spec.apply(data.lf)
+    lf.setflags(write=False)
     hf = spec.apply(data.hf) if data.hf is not None else None
     return Dataset(lf=lf, hf=hf), spec
 

@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from .data import frozen
 from .exceptions import (
     DenseLimitExceeded,
     DimensionMismatch,
@@ -130,10 +131,7 @@ class AffinityGraph:
     def __post_init__(self):
         object.__setattr__(self, "weights", sp.csr_array(self.weights, dtype=np.float64))
         for name in ("degrees", "scales"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            a = a.copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
         bad = np.flatnonzero(self.degrees <= 0.0)
         if bad.size:
             raise ZeroDegree(int(bad[0]))

@@ -4,7 +4,13 @@ CSV: one data point per row, '.' decimal separator, comma-delimited, no
 header by default (an optional header row is supported via flag).  Values
 are written with %.17g so float64 round-trips exactly.  The reader skips
 blank and whitespace-only lines and accepts CRLF line ends; it allows no
-``#`` comments, no quoting and no ``_`` digit separators.
+``#`` comments, no quoting and no ``_`` digit separators.  It streams the
+open file through one ``numpy.loadtxt`` call, checking each row's field
+count on the way, and reads the file a second time only to name the line
+of a cell that fails to parse.
+
+Both readers return read-only arrays, which the frozen containers of
+:mod:`mfgl.data` take without a copy.
 
 Binary: magic b"MFGL", one version byte 0x01, then two little-endian u64
 values (rows, cols), then rows*cols IEEE-754 f64 values, little-endian,
@@ -13,12 +19,14 @@ row-major.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .data import frozen
 from .exceptions import InvalidConfig, MatrixIOError
 
 MAGIC = b"MFGL"
@@ -71,16 +79,40 @@ def write_csv(path: PathLike, a, header: Optional[Sequence[str]] = None) -> None
 def read_csv(path: PathLike, header: bool = False) -> np.ndarray:
     """Read a comma-separated matrix; set ``header=True`` to skip row one.
 
-    Errors name the 1-based line of the file, counting skipped lines.
+    The open file streams through one ``np.loadtxt`` call, so neither the
+    file's text nor its list of lines is ever held; only a parse failure
+    reads the file again, to name the line.  Errors name the 1-based line
+    of the file, counting skipped lines.  The array is returned read-only.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path) as fh:
+            rows = _data_rows(fh, header, path)
+            first = next(rows, None)
+            if first is None:
+                raise MatrixIOError(f"{path}: no data rows")
+            lines = itertools.chain([first[1]], (line for _, line in rows))
+            try:
+                out = np.loadtxt(
+                    lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
+                )
+            except ValueError as exc:
+                fh.seek(0)
+                raise MatrixIOError(
+                    _parse_error(path, _data_rows(fh, header, path), exc)
+                ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixIOError(f"cannot read {path}: {exc}") from exc
-    lines = []
-    line_numbers = []
+    out.setflags(write=False)
+    return out
+
+
+def _data_rows(fh, header: bool, path: PathLike):
+    """(1-based line number, line) of each data row of an open CSV file:
+    the header line (with ``header``) and blank or whitespace-only lines
+    are skipped, and a row whose field count differs from the first
+    row's raises."""
     width = None
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(fh, start=1):
         if (ln == 1 and header) or not line.strip():
             continue
         fields = line.count(",") + 1
@@ -90,23 +122,14 @@ def read_csv(path: PathLike, header: bool = False) -> np.ndarray:
             raise MatrixIOError(
                 f"{path}: line {ln} has {fields} fields, expected {width}"
             )
-        lines.append(line)
-        line_numbers.append(ln)
-    if not lines:
-        raise MatrixIOError(f"{path}: no data rows")
-    try:
-        return np.loadtxt(
-            lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
-        )
-    except ValueError as exc:
-        raise MatrixIOError(_parse_error(path, lines, line_numbers, exc)) from exc
+        yield ln, line
 
 
-def _parse_error(path: PathLike, lines, line_numbers, exc: ValueError) -> str:
+def _parse_error(path: PathLike, rows, exc: ValueError) -> str:
     """Name the file line of the first cell ``float()`` rejects; a cell only
     the stricter parser rejects (e.g. ``1_0``) keeps its message."""
-    for ln, line in zip(line_numbers, lines):
-        for cell in line.split(","):
+    for ln, line in rows:
+        for cell in line.rstrip("\n").split(","):
             try:
                 float(cell)
             except ValueError as cell_exc:
@@ -128,7 +151,8 @@ def write_binary(path: PathLike, a) -> None:
 
 
 def read_binary(path: PathLike) -> np.ndarray:
-    """Read a matrix from the MFGL binary container."""
+    """Read a matrix from the MFGL binary container, as a read-only array
+    over the bytes read (no second copy)."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -146,8 +170,9 @@ def read_binary(path: PathLike) -> np.ndarray:
             f"{path}: payload is {len(blob) - _HEADER.size} bytes, "
             f"expected {8 * rows * cols} for {rows}x{cols}"
         )
+    # read-only over the immutable bytes, so frozen() shares it
     data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    return data.reshape(rows, cols).astype(np.float64, copy=True)
+    return frozen(data.reshape(rows, cols))
 
 
 def read_matrix(path: PathLike, fmt: str, header: bool = False) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import scipy.linalg as sla
 
-from .data import HyperParameters
+from .data import HyperParameters, frozen
 from .exceptions import (
     DimensionMismatch,
     InvalidConfig,
@@ -80,9 +80,7 @@ class LowRankLaplacian:
             self, "landmarks", tuple(int(i) for i in self.landmarks)
         )
         for name in ("u_tilde", "sigma_vals", "d_hat"):
-            a = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -248,9 +246,7 @@ class SaddleOperators:
 
     def __post_init__(self):
         for name in ("theta", "xi"):
-            a = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
         object.__setattr__(self, "retained", tuple(int(i) for i in self.retained))
         object.__setattr__(
             self, "dropped_columns", tuple(int(i) for i in self.dropped_columns)

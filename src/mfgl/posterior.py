@@ -33,7 +33,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dtrtri
 
 from .config import SolverTag
-from .data import HyperParameters
+from .data import HyperParameters, frozen
 from .exceptions import (
     AllZeroSpectrum,
     DenseLimitExceeded,
@@ -70,11 +70,8 @@ class PosteriorResult:
     def __post_init__(self):
         for name in ("phi_star", "stddevs", "mf_estimates", "covariance"):
             a = getattr(self, name)
-            if a is None:
-                continue
-            a = np.asarray(a, dtype=np.float64).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            if a is not None:
+                object.__setattr__(self, name, frozen(a))
         if self.stddevs.ndim != 1 or self.stddevs.shape[0] != self.phi_star.shape[0]:
             raise DimensionMismatch("stddevs must have one entry per point")
         if np.any(self.stddevs <= 0):
@@ -252,6 +249,7 @@ def dense_posterior(
     x_oo = (v * g) @ v.T / omega
     phi_o = x_oo @ phi_hat / sigma**2
     phi_star = factor.interpolant(phi_o)
+    phi_star.setflags(write=False)
     cov = None
     if want_cov:
         y = factor.y
@@ -358,9 +356,7 @@ class RegularizationPath:
 
     def __post_init__(self):
         for name in ("deltas", "omegas", "limit"):
-            val = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
         object.__setattr__(
             self, "iterates", tuple(np.asarray(it, dtype=np.float64) for it in self.iterates)
         )

@@ -24,7 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .data import HyperParameters
+from .data import HyperParameters, frozen
 from .exceptions import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -59,9 +59,7 @@ class Spectrum:
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
-            a = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
         if self.eigenvalues.shape != (self.K,):
             raise DimensionMismatch("eigenvalue count must equal K")
         if self.eigenvectors.shape[1] != self.K:
@@ -158,9 +156,7 @@ class TruncatedPosterior:
 
     def __post_init__(self):
         for name in ("coeff_mean", "coeff_cov"):
-            a = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def map_displacements(self) -> np.ndarray:
         """Reconstruct the N x D MAP displacement field Psi_K A*_K."""

@@ -216,6 +216,18 @@ def test_m_zero_skips_update():
     assert out.embedding is None
 
 
+@pytest.mark.parametrize("solver", [SolverTag.DENSE, SolverTag.TRUNCATED])
+def test_m_equal_n_refuses_calibration_only(solver):
+    # omega is calibrated on the unobserved rows' spread: with none left
+    # both solvers refuse it up front, and a fixed omega still solves
+    prob = generate(Generator.CLUSTERED_SHIFT, 40, 3, seed=0, clusters=4)
+    with pytest.raises(InvalidConfig, match="unobserved row"):
+        run_pipeline(prob, PipelineConfig(m=40, solver=solver))
+    out = run_pipeline(prob, PipelineConfig(m=40, solver=solver, omega=2.0))
+    assert out.posterior.phi_star.shape == (40, 3)
+    assert np.all(out.posterior.stddevs > 0)
+
+
 def test_solvers_agree_at_full_rank():
     prob = generate(Generator.CLUSTERED_SHIFT, 240, 3, seed=6, clusters=6)
     base = dict(m=8, K=240, omega=2.0, tau=0.01, seed=3)

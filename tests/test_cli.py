@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,14 @@ def test_bench_subcommand(tmp_path, capsys):
         100.0 * (1.0 - report["mean_mf_error_pct"] / report["mean_lf_error_pct"])
     )
     assert payload["reduction_pct"] == pytest.approx(report["reduction_pct"])
+
+
+def test_bench_with_every_row_observed_exit_3(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "bench", "--n", "40", "--m", "40", "--output-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert last_json(err)["error"] == "InvalidConfig"
 
 
 def test_estimate_and_bench_write_the_same_hyperparameter_keys(tmp_path, capsys):
@@ -529,6 +538,35 @@ def test_cli_estimate_matches_pipeline_phi_star(tmp_path, capsys):
     assert code == 0
     mf_cli = read_csv(out_dir / "mf_estimates.csv")
     assert np.array_equal(mf_cli, out.posterior.mf_estimates)
+
+
+def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys):
+    # the rows exist once per row order (input and solve order), next to
+    # the MAP field and the estimates
+    prob = generate(Generator.BEAM_LIKE_1D, 1000, 256, seed=0)
+    lf_path = tmp_path / "lf.csv"
+    write_csv(lf_path, prob.lf_data)
+    out_dir = tmp_path / "out"
+    shared = ["--m", "20", "--seed", "7", "--output-dir", str(out_dir)]
+    code, out, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), *shared)
+    assert code == 0
+    hf_path = tmp_path / "hf.csv"
+    write_csv(hf_path, sample_hf(prob, last_json(out)["selected_indices"], seed=8))
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            capsys, "estimate",
+            "--lf-path", str(out_dir / "lf_permuted.csv"),
+            "--hf-path", str(hf_path),
+            "--plan-path", str(out_dir / "plan.json"),
+            "--sigma", f"{prob.hf_noise_sigma:.17g}",
+            *shared,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 7.0 * prob.lf_data.nbytes
 
 
 @pytest.mark.parametrize(

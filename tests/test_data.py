@@ -7,6 +7,7 @@ from mfgl.data import (
     Normalization,
     component_stats,
     displacements,
+    frozen,
     instance_scales,
     normalize,
 )
@@ -130,6 +131,30 @@ def test_dataset_arrays_are_frozen(rng):
     ds = Dataset(lf=rng.normal(size=(4, 2)))
     with pytest.raises(ValueError):
         ds.lf[0, 0] = 99.0
+
+
+def test_frozen_arrays_are_shared_and_writeable_ones_copied(rng):
+    ds = Dataset(lf=rng.normal(size=(4, 2)))
+    assert Dataset(lf=ds.lf).lf is ds.lf
+    # a caller's writeable array is copied, never aliased
+    lf = rng.normal(size=(4, 2))
+    held = Dataset(lf=lf)
+    lf[0, 0] = 99.0
+    assert held.lf[0, 0] != 99.0
+    # so is a read-only view whose base stays writeable
+    base = rng.normal(size=(4, 2))
+    view = base[:]
+    view.setflags(write=False)
+    held = Dataset(lf=view)
+    base[0, 0] = 99.0
+    assert held.lf[0, 0] != 99.0
+    assert not np.shares_memory(held.lf, base)
+    # and a frozen array of another dtype or layout
+    assert frozen(ds.lf, np.float32).dtype == np.float32
+    assert frozen(ds.lf.T).flags.c_contiguous
+    labels = np.arange(4)
+    labels.setflags(write=False)
+    assert frozen(labels, np.intp) is labels
 
 
 def test_hyperparameters_kappa():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,35 @@ def test_csv_cells_outside_the_format_rejected(tmp_path, cell):
     path.write_text(f"1,2\n3,{cell}\n")
     with pytest.raises(MatrixIOError):
         read_csv(path)
+
+
+def test_csv_that_is_not_text_is_io_error(tmp_path):
+    path = tmp_path / "a.csv"
+    write_binary(path, np.full((2, 2), -np.inf))  # 0xff bytes: not UTF-8
+    with pytest.raises(MatrixIOError):
+        read_csv(path)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt, bound", [("csv", 1.5), ("bin", 1.2)])
+def test_reader_peak_stays_near_the_matrix(tmp_path, rng, fmt, bound):
+    # the CSV reader streams the file, the binary reader keeps the bytes
+    # it read; neither holds a second copy of the matrix
+    a = rng.normal(size=(1000, 256))
+    path = tmp_path / f"a.{fmt}"
+    write_matrix(path, a, fmt)
+    back, peak = _traced_peak(lambda: read_matrix(path, fmt))
+    assert peak < bound * a.nbytes
+    assert np.array_equal(back, a)
+    assert not back.flags.writeable
 
 
 def test_binary_round_trip_is_exact(tmp_path, rng):
