@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -241,11 +240,3 @@ def plan_from_json(text: str) -> AcquisitionPlan:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed acquisition plan: {exc}") from exc
-
-
-def load_plan(path: Union[str, Path]) -> AcquisitionPlan:
-    return plan_from_json(Path(path).read_text())
-
-
-def save_plan(path: Union[str, Path], plan: AcquisitionPlan) -> None:
-    Path(path).write_text(plan_to_json(plan) + "\n")

@@ -14,14 +14,13 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .acquisition import AcquisitionPlan, apply_permutation, plan_acquisition
-from .config import ErrorMetric, Normalization, PipelineConfig, SolverTag
+from .config import ErrorMetric, Generator, Normalization, PipelineConfig, ProblemConfig, SolverTag
 from .data import Dataset, HyperParameters, NormalizationSpec, displacements, frozen, normalize
 from .exceptions import (
     InvalidConfig,
@@ -47,11 +46,6 @@ from .spectral import (
     truncated_posterior,
     truncated_variances,
 )
-
-class Generator(Enum):
-    CLUSTERED_SHIFT = "clustered-shift"
-    SMOOTH_MANIFOLD = "smooth-manifold"
-    BEAM_LIKE_1D = "beam-like-1d"
 
 
 @dataclass(frozen=True)
@@ -109,8 +103,6 @@ def _separated_centers(rng, clusters: int, d: int, gap: float) -> np.ndarray:
 def _gen_clustered_shift(
     n, d, seed, clusters, displacement_rel, noise_rel
 ) -> SyntheticProblem:
-    if clusters < 2 or clusters > n:
-        raise InvalidConfig(f"cluster count must be in [2, {n}], got {clusters}")
     rng = np.random.default_rng(seed)
     within = 0.1
     # Centers 8 within-spreads apart: distinct clusters whose kernel
@@ -157,8 +149,6 @@ def _gen_smooth_manifold(n, d, seed, displacement_rel, noise_rel) -> SyntheticPr
 
 
 def _gen_beam_like(n, d, seed, lf_scale, noise_rel) -> SyntheticProblem:
-    if d < 3:
-        raise InvalidConfig(f"field discretization needs D >= 3, got {d}")
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, d)
     amp = rng.uniform(0.5, 1.5, n)
@@ -182,10 +172,10 @@ def generate(
     n: int,
     d: int,
     seed: int,
-    clusters: int = 10,
-    displacement_rel: float = 0.3,
-    noise_rel: float = 0.01,
-    lf_scale: float = 0.8,
+    clusters: int = ProblemConfig.clusters,
+    displacement_rel: float = ProblemConfig.displacement_rel,
+    noise_rel: float = ProblemConfig.noise_rel,
+    lf_scale: float = ProblemConfig.lf_scale,
 ) -> SyntheticProblem:
     """Build one synthetic bi-fidelity problem.
 
@@ -197,16 +187,15 @@ def generate(
     (``lf_scale``) and smears the truth.
 
     The stored noise level is ``noise_rel`` times the displacement scale.
+    The arguments are checked, and their defaults taken, by
+    :class:`~mfgl.config.ProblemConfig`, as ``mfgl bench`` checks its own.
     """
-    if n < 2 or d < 1:
-        raise InvalidConfig(f"need N >= 2 and D >= 1, got N={n}, D={d}")
+    ProblemConfig(kind, n, d, clusters, displacement_rel, noise_rel, lf_scale)
     if kind is Generator.CLUSTERED_SHIFT:
         return _gen_clustered_shift(n, d, seed, clusters, displacement_rel, noise_rel)
     if kind is Generator.SMOOTH_MANIFOLD:
         return _gen_smooth_manifold(n, d, seed, displacement_rel, noise_rel)
-    if kind is Generator.BEAM_LIKE_1D:
-        return _gen_beam_like(n, d, seed, lf_scale, noise_rel)
-    raise InvalidConfig(f"unknown generator {kind!r}")
+    return _gen_beam_like(n, d, seed, lf_scale, noise_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +256,10 @@ def build_report(
     lf_err = fn(lf, ref)
     mean_mf = float(mf_err.mean())
     mean_lf = float(lf_err.mean())
+    if mean_lf == 0.0:
+        raise InvalidConfig(
+            "the low-fidelity rows already equal the reference: there is no error to reduce"
+        )
     return ErrorReport(
         per_point=mf_err,
         mean_lf=mean_lf,
@@ -388,8 +381,12 @@ def truncated_mean_stddev(
     so it marks a prior too weak to pin some direction, whose spread
     exceeds any target.  Should that misread a step, the bisection cannot
     meet its tolerance and ``calibrate_omega`` raises ``NoBracket``.
+    With no row after the first ``len(phi_hat)`` it raises
+    ``InvalidConfig`` before any solve.
     """
     m = phi_hat.shape[0]
+    if m >= spectrum.n:
+        raise InvalidConfig("calibration needs at least one unobserved row")
 
     def handle(omega: float) -> float:
         hp = dataclasses.replace(hp_template, omega=omega)

@@ -10,11 +10,13 @@ short-circuits the loop on synthetic problems where the truth is known.
 Exit codes: 0 ok, 2 I/O error, 3 validation error, 4 numerical failure.
 Errors are reported as one JSON object on stderr.
 
-The shared pipeline flags and the config-file keys are derived from the
-fields of :class:`mfgl.config.PipelineConfig` (``--knn-k`` for ``knn_k``).
-Only the standard library and that module are imported at module level:
-``--threads`` (or ``MFGL_THREADS``) caps BLAS pools through environment
-variables, which must be set before the numerical stack is first imported.
+The pipeline flags, the bench problem flags and the config-file keys are
+derived from the fields of :class:`mfgl.config.PipelineConfig` and
+:class:`mfgl.config.ProblemConfig` (``--knn-k`` for ``knn_k``), which
+also hold their bounds.  Only the standard library and :mod:`mfgl.config`
+are imported at module level: ``--threads`` (or ``MFGL_THREADS``) caps
+BLAS pools through environment variables, which must be set before the
+numerical stack is first imported.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
 from . import __version__
-from .config import PipelineConfig
+from .config import FORMATS, PipelineConfig, ProblemConfig
 from .exceptions import (
     InvalidConfig,
     MatrixIOError,
@@ -43,9 +45,6 @@ _THREAD_ENV_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-_FORMATS = ("csv", "bin")
-_GENERATORS = ("clustered-shift", "smooth-manifold", "beam-like-1d")
 
 
 # ---------------------------------------------------------------------------
@@ -65,51 +64,17 @@ class RunConfig:
     output_dir: str = "."
     threads: Optional[int] = None
 
-    def validate(self) -> None:
-        if self.format not in _FORMATS:
-            raise InvalidConfig(f"format must be one of {_FORMATS}, got {self.format!r}")
+    def __post_init__(self):
+        if self.format not in FORMATS:
+            raise InvalidConfig(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.threads is not None and self.threads < 1:
             raise InvalidConfig(f"threads must be at least 1, got {self.threads}")
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    """Synthetic-problem knobs, only consumed by the bench subcommand."""
-
-    generator: str = "clustered-shift"
-    n: int = 1000
-    d: int = 5
-    clusters: int = 10
-    displacement_rel: float = 0.3
-    noise_rel: float = 0.01
-    lf_scale: float = 0.8
-
-    def validate(self) -> None:
-        if self.generator not in _GENERATORS:
-            raise InvalidConfig(
-                f"generator must be one of {_GENERATORS}, got {self.generator!r}"
-            )
-        if self.n < 2:
-            raise InvalidConfig(f"n must be at least 2, got {self.n}")
-        if self.d < 1:
-            raise InvalidConfig(f"d must be at least 1, got {self.d}")
-        if self.clusters < 1:
-            raise InvalidConfig(f"clusters must be at least 1, got {self.clusters}")
-        if not self.displacement_rel > 0:
-            raise InvalidConfig(
-                f"displacement-rel must be positive, got {self.displacement_rel}"
-            )
-        if self.noise_rel < 0:
-            raise InvalidConfig(f"noise-rel must be non-negative, got {self.noise_rel}")
-        if not self.lf_scale > 0:
-            raise InvalidConfig(f"lf-scale must be positive, got {self.lf_scale}")
-
-
 # Config-file keys: the fields of all three schemas, in every subcommand.
+_SCHEMAS = (RunConfig, ProblemConfig, PipelineConfig)
 _FIELD_TYPES = {
-    name: hint
-    for schema in (RunConfig, BenchConfig, PipelineConfig)
-    for name, hint in get_type_hints(schema).items()
+    name: hint for schema in _SCHEMAS for name, hint in get_type_hints(schema).items()
 }
 _AUTO_KEYS = {f.name for f in fields(PipelineConfig) if f.metadata.get("auto")}
 
@@ -151,8 +116,8 @@ def _check_config_type(key: str, value, config_path) -> None:
         )
 
 
-def _pipeline_value(name: str, value):
-    """A flag or config-file value as its ``PipelineConfig`` field holds it."""
+def _field_value(name: str, value):
+    """A flag or config-file value as its schema's field holds it."""
     if name in _AUTO_KEYS:  # "auto" (or None): resolve from the data at run time
         if value is None or value == "auto":
             return None
@@ -172,7 +137,7 @@ def _pipeline_value(name: str, value):
 
 def _merge_config(
     ns: argparse.Namespace,
-) -> tuple[RunConfig, BenchConfig, PipelineConfig]:
+) -> tuple[RunConfig, ProblemConfig, PipelineConfig]:
     """Defaults, then the JSON config file, then explicit flags."""
     given = {}
     config_path = getattr(ns, "config", None)
@@ -194,14 +159,12 @@ def _merge_config(
         if flag is not None:
             given[key] = flag
 
-    def pick(schema) -> dict:
-        return {f.name: given[f.name] for f in fields(schema) if f.name in given}
+    def build(schema):
+        return schema(**{
+            f.name: _field_value(f.name, given[f.name]) for f in fields(schema) if f.name in given
+        })
 
-    cfg, bcfg = RunConfig(**pick(RunConfig)), BenchConfig(**pick(BenchConfig))
-    cfg.validate()
-    bcfg.validate()
-    pipeline = {k: _pipeline_value(k, v) for k, v in pick(PipelineConfig).items()}
-    return cfg, bcfg, PipelineConfig(**pipeline)
+    return tuple(build(schema) for schema in _SCHEMAS)
 
 
 def _apply_thread_cap(threads: Optional[int]) -> None:
@@ -221,7 +184,7 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     import numpy as np
 
     from . import matio
-    from .acquisition import save_plan
+    from .acquisition import plan_to_json
     from .bench import plan_rows
 
     if cfg.lf_path is None:
@@ -232,7 +195,7 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     plan_file = outdir / "plan.json"
-    save_plan(plan_file, plan)
+    plan_file.write_text(plan_to_json(plan) + "\n")
     perm = np.asarray(plan.permutation, dtype=np.intp)
     lf_file = outdir / f"lf_permuted.{cfg.format}"
     matio.write_matrix(lf_file, lf[perm], cfg.format)
@@ -258,7 +221,7 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     import numpy as np
 
     from . import matio
-    from .acquisition import load_plan
+    from .acquisition import plan_from_json
     from .bench import estimate_planned
     from .data import Dataset, normalize
 
@@ -271,7 +234,7 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     if pcfg.sigma is None:
         raise InvalidConfig("estimate needs --sigma (observation noise level)")
 
-    plan = load_plan(cfg.plan_path)
+    plan = plan_from_json(Path(cfg.plan_path).read_text())
     lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
     hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
     if lf.shape[0] != len(plan.permutation):
@@ -311,27 +274,21 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig, bcfg: BenchConfig, pcfg: PipelineConfig) -> int:
-    from .bench import Generator, generate, run_pipeline, write_report
+def cmd_bench(cfg: RunConfig, prob: ProblemConfig, pcfg: PipelineConfig) -> int:
+    from .bench import generate, run_pipeline, write_report
 
     problem = generate(
-        Generator(bcfg.generator),
-        bcfg.n,
-        bcfg.d,
-        seed=pcfg.seed,
-        clusters=bcfg.clusters,
-        displacement_rel=bcfg.displacement_rel,
-        noise_rel=bcfg.noise_rel,
-        lf_scale=bcfg.lf_scale,
+        prob.generator, prob.n, prob.d, seed=pcfg.seed, clusters=prob.clusters,
+        displacement_rel=prob.displacement_rel, noise_rel=prob.noise_rel, lf_scale=prob.lf_scale,
     )
     output = run_pipeline(problem, pcfg)
     write_report(cfg.output_dir, output)
     print(
         json.dumps(
             {
-                "generator": bcfg.generator,
-                "n": bcfg.n,
-                "d": bcfg.d,
+                "generator": prob.generator.value,
+                "n": prob.n,
+                "d": prob.d,
                 "m": pcfg.m,
                 "mean_lf_error_pct": output.report.mean_lf,
                 "mean_mf_error_pct": output.report.mean_mf,
@@ -357,19 +314,19 @@ class _Parser(argparse.ArgumentParser):
 def _add_shared(parser: argparse.ArgumentParser, command: str) -> None:
     g = parser.add_argument_group("shared options")
     g.add_argument("--config", metavar="FILE", help="JSON file with config fields; explicit flags override it")
-    g.add_argument("--format", choices=_FORMATS, help="matrix file format (default csv)")
+    g.add_argument("--format", choices=FORMATS, help="matrix file format (default csv)")
     g.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
                    help="first row of CSV inputs is a header")
-    g.add_argument("--output-dir", dest="output_dir", metavar="DIR")
+    g.add_argument("--output-dir", dest="output_dir", metavar="DIR", help="where outputs are written (default .)")
     g.add_argument("--threads", type=int, help="cap for BLAS worker pools (MFGL_THREADS equivalent)")
-    # One flag per PipelineConfig field of this subcommand: --knn-k for knn_k.
-    for f in fields(PipelineConfig):
+    # One flag per settings field of this subcommand: --knn-k for knn_k.
+    for f in (*fields(ProblemConfig), *fields(PipelineConfig)):
         if f.metadata.get("command", command) != command:
             continue
         kind = _kinds(_FIELD_TYPES[f.name])[0]
         if _is_enum(kind):
             kw = {"choices": [e.value for e in kind]}
-        else:  # omega and tau take 'auto' too: strings until _pipeline_value
+        else:  # omega and tau take 'auto' too: strings until _field_value
             kw = {} if f.name in _AUTO_KEYS else {"type": kind}
         group = parser if "command" in f.metadata else g  # one command's own flag
         group.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
@@ -395,13 +352,6 @@ def _build_parser() -> _Parser:
     _add_shared(p_est, "estimate")
 
     p_bench = sub.add_parser("bench", help="run the pipeline on a synthetic problem")
-    p_bench.add_argument("--generator", choices=_GENERATORS)
-    p_bench.add_argument("--n", type=int, help="number of parameter points")
-    p_bench.add_argument("--d", type=int, help="state dimension")
-    p_bench.add_argument("--clusters", type=int)
-    p_bench.add_argument("--displacement-rel", type=float, dest="displacement_rel")
-    p_bench.add_argument("--noise-rel", type=float, dest="noise_rel")
-    p_bench.add_argument("--lf-scale", type=float, dest="lf_scale")
     _add_shared(p_bench, "bench")
 
     return parser
@@ -422,13 +372,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ns.threads = int(env_threads)
             except ValueError:
                 raise InvalidConfig(f"MFGL_THREADS must be an integer, got {env_threads!r}")
-        cfg, bcfg, pcfg = _merge_config(ns)
+        cfg, prob, pcfg = _merge_config(ns)
         _apply_thread_cap(cfg.threads)
         if ns.command == "plan":
             return cmd_plan(cfg, pcfg)
         if ns.command == "estimate":
             return cmd_estimate(cfg, pcfg)
-        return cmd_bench(cfg, bcfg, pcfg)
+        return cmd_bench(cfg, prob, pcfg)
     except SystemExit as exc:  # argparse --help/--version
         return exc.code if isinstance(exc.code, int) else 0
     except (MatrixIOError, OSError) as exc:

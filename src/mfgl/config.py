@@ -1,11 +1,13 @@
-"""The pipeline's settings: one schema for the library and the command line.
+"""The settings: one schema for the library and the command line.
 
-:class:`PipelineConfig` declares every pipeline setting once, with its
-default, its bounds and its help text (in the field's ``metadata``).  The
-command line derives its shared flags, its config-file keys and their
-type checks from these fields.  This module imports only the standard
-library: the command line builds its parser and settings, and applies
-``--threads``, before numpy may load.
+:class:`PipelineConfig` declares every pipeline setting once, and
+:class:`ProblemConfig` every setting of a synthetic problem, each with
+its default, its bounds and its help text (in the field's ``metadata``).
+The command line derives its flags, its config-file keys and their type
+checks from these fields, and :func:`mfgl.bench.generate` checks its
+arguments by building a :class:`ProblemConfig`.  This module imports only
+the standard library: the command line builds its parser and settings,
+and applies ``--threads``, before numpy may load.
 """
 from __future__ import annotations
 
@@ -16,6 +18,9 @@ from typing import Optional
 from .exceptions import InvalidConfig
 
 TRUNCATION_FACTOR = 4
+
+# The format of a matrix file is always named, never guessed from a suffix.
+FORMATS = ("csv", "bin")
 
 
 class SolverTag(Enum):
@@ -36,6 +41,12 @@ class Normalization(Enum):
 class ErrorMetric(Enum):
     COMPONENT_REL_ABS = "component"
     FIELD_REL_L2 = "field"
+
+
+class Generator(Enum):
+    CLUSTERED_SHIFT = "clustered-shift"
+    SMOOTH_MANIFOLD = "smooth-manifold"
+    BEAM_LIKE_1D = "beam-like-1d"
 
 
 def _setting(default, help: str, **cli):
@@ -96,3 +107,39 @@ class PipelineConfig:
 
     def spectrum_size(self, n: int) -> int:
         return min(n, max(self.K or TRUNCATION_FACTOR * self.m, self.m, 2))
+
+
+@dataclass(frozen=True)
+class ProblemConfig:
+    """The settings of one synthetic problem (see :func:`mfgl.bench.generate`),
+    with the bounds every generator needs."""
+
+    generator: Generator = _setting(Generator.CLUSTERED_SHIFT, "synthetic problem family", command="bench")
+    n: int = _setting(1000, "number of parameter points", command="bench")
+    d: int = _setting(5, "state dimension", command="bench")
+    clusters: int = _setting(10, "point groups of clustered-shift, in [2, n]", command="bench")
+    displacement_rel: float = _setting(0.3, "shift of the truth relative to the data scale", command="bench")
+    noise_rel: float = _setting(0.01, "observation noise relative to the displacement scale", command="bench")
+    lf_scale: float = _setting(0.8, "low-fidelity underprediction factor (beam-like-1d)", command="bench")
+
+    def __post_init__(self):
+        if not isinstance(self.generator, Generator):
+            raise InvalidConfig(f"unknown generator {self.generator!r}")
+        if self.n < 2:
+            raise InvalidConfig(f"n must be at least 2, got {self.n}")
+        if self.d < 1:
+            raise InvalidConfig(f"d must be at least 1, got {self.d}")
+        if self.clusters < 1:
+            raise InvalidConfig(f"clusters must be at least 1, got {self.clusters}")
+        if self.generator is Generator.CLUSTERED_SHIFT and not 2 <= self.clusters <= self.n:
+            raise InvalidConfig(
+                f"clustered-shift needs clusters in [2, {self.n}], got {self.clusters}"
+            )
+        if self.generator is Generator.BEAM_LIKE_1D and self.d < 3:
+            raise InvalidConfig(f"beam-like-1d needs d >= 3, got {self.d}")
+        for name in ("displacement_rel", "noise_rel"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise InvalidConfig(f"{name} must be non-negative, got {value}")
+        if not self.lf_scale > 0:
+            raise InvalidConfig(f"lf_scale must be positive, got {self.lf_scale}")

@@ -26,15 +26,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .config import FORMATS
 from .data import frozen
 from .exceptions import InvalidConfig, MatrixIOError
 
 MAGIC = b"MFGL"
 VERSION = 0x01
 _HEADER = struct.Struct("<4sBQQ")
-
-# The format of a matrix file is always named, never guessed from a suffix.
-FORMATS = ("csv", "bin")
 
 PathLike = Union[str, Path]
 

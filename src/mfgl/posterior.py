@@ -44,7 +44,7 @@ from .exceptions import (
     SingularSystem,
 )
 from .graph import GraphLaplacian
-from .spectral import Spectrum, checked_cholesky
+from .spectral import Spectrum, checked_cholesky, shifted_eigenvalues
 
 DENSE_POSTERIOR_LIMIT = 3_000
 ZERO_EIGENVALUE_REL_TOL = 1e-8
@@ -85,15 +85,14 @@ def shifted_power(sym: np.ndarray, tau: float, beta: float) -> np.ndarray:
     """(sym + tau I)^beta for a symmetric PSD matrix.
 
     Integer beta multiplies out exactly; otherwise the power is taken on
-    the eigenvalues, clipped below at zero to remove round-off negatives.
+    the eigenvalues (:func:`~mfgl.spectral.shifted_eigenvalues`).
     """
     sym = np.asarray(sym, dtype=np.float64)
     base = sym + tau * np.eye(sym.shape[0])
     if float(beta).is_integer():
         return np.linalg.matrix_power(base, int(beta))
     vals, vecs = sla.eigh(sym)
-    powered = (np.clip(vals, 0.0, None) + tau) ** beta
-    return (vecs * powered) @ vecs.T
+    return (vecs * shifted_eigenvalues(vals, tau, beta)) @ vecs.T
 
 
 def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:

@@ -11,8 +11,6 @@ from mfgl.acquisition import (
     plan_acquisition,
     plan_from_json,
     plan_to_json,
-    load_plan,
-    save_plan,
     _kmeanspp_init,
     _lloyd,
 )
@@ -269,9 +267,10 @@ def test_plan_json_round_trip(tmp_path):
     assert np.allclose(back.centroids, plan.centroids)
     assert np.array_equal(back.cluster_assignment, plan.cluster_assignment)
 
+    # the file mfgl plan writes and mfgl estimate reads
     path = tmp_path / "plan.json"
-    save_plan(path, plan)
-    assert load_plan(path).selected_indices == plan.selected_indices
+    path.write_text(plan_to_json(plan) + "\n")
+    assert plan_from_json(path.read_text()).selected_indices == plan.selected_indices
     # stored as plain JSON, readable by anything
     json.loads(path.read_text())
 

@@ -115,6 +115,14 @@ def test_generate_zero_displacement_is_exact():
     assert prob.hf_noise_sigma == 0.0
 
 
+def test_zero_displacement_has_no_error_to_reduce():
+    # the low-fidelity baseline error is zero, so no reduction exists
+    prob = generate(Generator.CLUSTERED_SHIFT, 60, 3, seed=0, clusters=3,
+                    displacement_rel=0.0)
+    with pytest.raises(InvalidConfig, match="already equal the reference"):
+        run_pipeline(prob, PipelineConfig(m=3, sigma=0.01))
+
+
 def test_generator_validation():
     with pytest.raises(InvalidConfig):
         generate(Generator.CLUSTERED_SHIFT, 50, 3, seed=0, clusters=1)

@@ -12,9 +12,11 @@ import pytest
 
 import mfgl
 import mfgl.bench
+import mfgl.config
+import mfgl.matio
 from mfgl.bench import Generator, generate, sample_hf
-from mfgl.cli import main
-from mfgl.config import PipelineConfig, SolverTag
+from mfgl.cli import _build_parser, main
+from mfgl.config import PipelineConfig, ProblemConfig, SolverTag
 from mfgl.data import Dataset
 from mfgl.exceptions import InvalidConfig
 from mfgl.matio import read_binary, read_csv, write_csv
@@ -194,6 +196,77 @@ def test_bench_with_every_row_observed_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert last_json(err)["error"] == "InvalidConfig"
+
+
+def test_bench_with_zero_displacement_exit_3(tmp_path, capsys):
+    # the schema admits it; the report then finds no error to reduce
+    code, _, err = run_cli(
+        capsys, "bench", "--n", "60", "--clusters", "3", "--m", "3",
+        "--displacement-rel", "0", "--sigma", "0.01", "--output-dir", str(tmp_path),
+    )
+    assert code == 3
+    (line,) = err.strip().splitlines()  # one JSON object, no traceback
+    payload = json.loads(line)
+    assert payload["error"] == "InvalidConfig"
+    assert "already equal the reference" in payload["message"]
+
+
+_PROBLEM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProblemConfig)}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"n": 1},
+        {"d": 0},
+        {"n": 50, "clusters": 1},
+        {"n": 50, "clusters": 51},
+        {"generator": "smooth-manifold", "clusters": 0},
+        {"generator": "beam-like-1d", "d": 2},
+        {"displacement_rel": -0.5},
+        {"noise_rel": -1.0},
+        {"lf_scale": 0.0},
+    ],
+    ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()),
+)
+def test_problem_bounds_same_in_generate_and_bench(case, tmp_path, capsys, monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the settings were checked")
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", no_graph)
+    s = {**_PROBLEM_DEFAULTS, **case}
+    with pytest.raises(InvalidConfig) as refused:
+        generate(Generator(s["generator"]), s["n"], s["d"], 0, s["clusters"],
+                 s["displacement_rel"], s["noise_rel"], s["lf_scale"])
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in case.items()]
+    code, _, err = run_cli(capsys, "bench", *flags, "--output-dir", str(tmp_path))
+    assert code == 3
+    assert last_json(err) == {
+        "error": "InvalidConfig", "exit_code": 3, "message": str(refused.value),
+    }
+
+
+def test_problem_schema_is_declared_once():
+    assert mfgl.bench.Generator is mfgl.config.Generator
+    assert mfgl.matio.FORMATS is mfgl.config.FORMATS
+
+
+def test_problem_schema_refuses_a_generator_name():
+    # a name is no Generator, so it would skip beam-like-1d's own bound
+    with pytest.raises(InvalidConfig, match="unknown generator 'beam-like-1d'"):
+        ProblemConfig(generator="beam-like-1d", d=2)
+
+
+def test_every_flag_has_help():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    silent = [
+        (name, action.option_strings)
+        for name, p in sub.choices.items()
+        for action in p._actions
+        if not action.help
+    ]
+    assert silent == []
 
 
 def test_estimate_and_bench_write_the_same_hyperparameter_keys(tmp_path, capsys):

@@ -552,3 +552,17 @@ def test_mean_stddev_non_increasing_in_omega(kind, p, q, beta, m, k_extra, seed)
         values = np.array([handle(omega) for omega in OMEGA_GRID])
         assert np.all(values > 0)
         assert np.all(values[1:] <= values[:-1] * (1.0 + 1e-12))
+
+
+def test_truncated_handle_refuses_m_equal_n(monkeypatch):
+    # as DenseFactor.mean_stddev: with every row observed there is no
+    # spread to calibrate on, and no solve may run to find that out
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the truncated posterior was solved")
+
+    monkeypatch.setattr("mfgl.bench.truncated_posterior", must_not_run)
+    gl = laplacian(build_graph(random_points(30, 3, seed=0), knn_k=5), 0.5, 0.5)
+    spectrum = low_spectrum(gl, 10)
+    template = HyperParameters(sigma=0.05, omega=1.0, tau=0.05)
+    with pytest.raises(InvalidConfig, match="calibration needs at least one unobserved row"):
+        truncated_mean_stddev(spectrum, np.zeros((30, 3)), template)(1.0)
