@@ -188,9 +188,11 @@ def generate(
 
     The stored noise level is ``noise_rel`` times the displacement scale.
     The arguments are checked, and their defaults taken, by
-    :class:`~mfgl.config.ProblemConfig`, as ``mfgl bench`` checks its own.
+    :class:`~mfgl.config.ProblemConfig` (the seed by
+    :class:`~mfgl.config.PipelineConfig`), as ``mfgl bench`` checks its own.
     """
     ProblemConfig(kind, n, d, clusters, displacement_rel, noise_rel, lf_scale)
+    PipelineConfig(seed=seed)
     if kind is Generator.CLUSTERED_SHIFT:
         return _gen_clustered_shift(n, d, seed, clusters, displacement_rel, noise_rel)
     if kind is Generator.SMOOTH_MANIFOLD:
@@ -251,6 +253,8 @@ def build_report(
 ) -> ErrorReport:
     """Score an estimate against the reference, with the raw low-fidelity
     error as the baseline."""
+    if not isinstance(metric, ErrorMetric):
+        raise InvalidConfig(f"unknown metric {metric!r}: expected an ErrorMetric member")
     fn = error_component if metric is ErrorMetric.COMPONENT_REL_ABS else error_field
     mf_err = fn(est, ref)
     lf_err = fn(lf, ref)

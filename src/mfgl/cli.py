@@ -12,11 +12,11 @@ Errors are reported as one JSON object on stderr.
 
 The pipeline flags, the bench problem flags and the config-file keys are
 derived from the fields of :class:`mfgl.config.PipelineConfig` and
-:class:`mfgl.config.ProblemConfig` (``--knn-k`` for ``knn_k``), which
-also hold their bounds.  Only the standard library and :mod:`mfgl.config`
-are imported at module level: ``--threads`` (or ``MFGL_THREADS``) caps
-BLAS pools through environment variables, which must be set before the
-numerical stack is first imported.
+:class:`mfgl.config.ProblemConfig` (``--knn-k`` for ``knn_k``).  The CLI
+only converts strings; the schemas decide what is valid.  Only the
+standard library and :mod:`mfgl.config` are imported at module level:
+``--threads`` (or ``MFGL_THREADS``) caps BLAS pools through environment
+variables, which must be set before the numerical stack is first imported.
 """
 from __future__ import annotations
 
@@ -27,10 +27,10 @@ import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, get_args, get_type_hints
+from typing import Optional, Sequence
 
 from . import __version__
-from .config import FORMATS, PipelineConfig, ProblemConfig
+from .config import FORMATS, PipelineConfig, ProblemConfig, check_fields, field_rules, setting
 from .exceptions import (
     InvalidConfig,
     MatrixIOError,
@@ -62,77 +62,36 @@ class RunConfig:
     format: str = "csv"
     header: bool = False
     output_dir: str = "."
-    threads: Optional[int] = None
+    threads: Optional[int] = setting(None, "cap for BLAS worker pools (MFGL_THREADS equivalent)",
+                                     low=1)
 
     def __post_init__(self):
+        check_fields(self)
         if self.format not in FORMATS:
             raise InvalidConfig(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.threads is not None and self.threads < 1:
-            raise InvalidConfig(f"threads must be at least 1, got {self.threads}")
 
 
 # Config-file keys: the fields of all three schemas, in every subcommand.
 _SCHEMAS = (RunConfig, ProblemConfig, PipelineConfig)
-_FIELD_TYPES = {
-    name: hint for schema in _SCHEMAS for name, hint in get_type_hints(schema).items()
-}
+_KINDS = {name: kinds[0] for schema in _SCHEMAS for name, kinds, *_ in field_rules(schema)}
 _AUTO_KEYS = {f.name for f in fields(PipelineConfig) if f.metadata.get("auto")}
 
 
-def _kinds(hint) -> tuple:
-    # Optional[X] -> (X, NoneType)
-    return get_args(hint) or (hint,)
-
-
-def _is_enum(kind) -> bool:
-    return isinstance(kind, type) and issubclass(kind, Enum)
-
-
-def _is_of(value, kind) -> bool:
-    # JSON booleans are Python ints; accept them only where bool is meant.
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, str if _is_enum(kind) else kind)
-
-
-def _check_config_type(key: str, value, config_path) -> None:
-    """Reject a config-file value whose JSON type does not fit its field;
-    an enum field takes its value's string."""
-    if key in _AUTO_KEYS and value == "auto":
-        return
-    kinds = _kinds(_FIELD_TYPES[key])
-    if not any(_is_of(value, k) for k in kinds):
-        names = [
-            "null" if k is type(None) else "str" if _is_enum(k) else k.__name__
-            for k in kinds
-        ]
-        if key in _AUTO_KEYS:
-            names.insert(0, "'auto'")
-        expected = " or ".join(names)
-        raise InvalidConfig(
-            f"config key {key!r} in {config_path} must be {expected}, got {value!r}"
-        )
+def _auto_or_float(text: str):
+    return text if text == "auto" else float(text)
 
 
 def _field_value(name: str, value):
-    """A flag or config-file value as its schema's field holds it."""
-    if name in _AUTO_KEYS:  # "auto" (or None): resolve from the data at run time
-        if value is None or value == "auto":
-            return None
+    """A flag or config-file value as its schema's field holds it: "auto"
+    is None, and an enum value its member; the schema checks the rest."""
+    if name in _AUTO_KEYS and value == "auto":
+        return None
+    if issubclass(_KINDS[name], Enum):
         try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise InvalidConfig(f"{name} must be 'auto' or a number, got {value!r}")
-    kind = _kinds(_FIELD_TYPES[name])[0]
-    if not _is_enum(kind):
-        return value
-    try:
-        return kind(value)
-    except ValueError:
-        choices = tuple(e.value for e in kind)
-        raise InvalidConfig(f"{name} must be one of {choices}, got {value!r}")
+            return _KINDS[name](value)
+        except ValueError:
+            pass  # the schema refuses it by name
+    return value
 
 
 def _merge_config(
@@ -150,11 +109,10 @@ def _merge_config(
         if not isinstance(raw, dict):
             raise InvalidConfig(f"config file {config_path} must hold a JSON object")
         for key, value in raw.items():
-            if key not in _FIELD_TYPES:
+            if key not in _KINDS:
                 raise InvalidConfig(f"unknown config key {key!r} in {config_path}")
-            _check_config_type(key, value, config_path)
             given[key] = value
-    for key in _FIELD_TYPES:
+    for key in _KINDS:
         flag = getattr(ns, key, None)
         if flag is not None:
             given[key] = flag
@@ -323,11 +281,11 @@ def _add_shared(parser: argparse.ArgumentParser, command: str) -> None:
     for f in (*fields(ProblemConfig), *fields(PipelineConfig)):
         if f.metadata.get("command", command) != command:
             continue
-        kind = _kinds(_FIELD_TYPES[f.name])[0]
-        if _is_enum(kind):
+        kind = _KINDS[f.name]
+        if issubclass(kind, Enum):
             kw = {"choices": [e.value for e in kind]}
-        else:  # omega and tau take 'auto' too: strings until _field_value
-            kw = {} if f.name in _AUTO_KEYS else {"type": kind}
+        else:
+            kw = {"type": _auto_or_float if f.name in _AUTO_KEYS else kind}
         group = parser if "command" in f.metadata else g  # one command's own flag
         group.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                            help=f.metadata["help"], **kw)

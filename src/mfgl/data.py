@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import Normalization
+from .config import Normalization, PipelineConfig, check_fields, same_setting
 from .exceptions import (
     DimensionMismatch,
     InvalidConfig,
@@ -250,28 +250,21 @@ def normalize(
 
 @dataclass(frozen=True)
 class HyperParameters:
-    """Likelihood and prior hyperparameters (sigma, omega, tau, beta, r).
+    """Likelihood and prior hyperparameters (sigma, omega, tau, beta, r),
+    resolved: each is declared, and checked, as its
+    :class:`~mfgl.config.PipelineConfig` setting, but must be set.
 
     ``kappa = omega * tau**beta`` is the derived reparameterized strength.
     """
 
-    sigma: float
-    omega: float
-    tau: float
-    beta: float = 2.0
-    r: float = 3.0
+    sigma: float = same_setting(PipelineConfig, "sigma", required=True)
+    omega: float = same_setting(PipelineConfig, "omega", required=True)
+    tau: float = same_setting(PipelineConfig, "tau", required=True)
+    beta: float = same_setting(PipelineConfig, "beta")
+    r: float = same_setting(PipelineConfig, "r")
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise InvalidConfig(f"sigma must be positive, got {self.sigma}")
-        if not (self.omega > 0):
-            raise InvalidConfig(f"omega must be positive, got {self.omega}")
-        if not (self.tau > 0):
-            raise InvalidConfig(f"tau must be positive, got {self.tau}")
-        if not (self.beta >= 1):
-            raise InvalidConfig(f"beta must be >= 1, got {self.beta}")
-        if not (self.r > 1):
-            raise InvalidConfig(f"r must exceed 1, got {self.r}")
+        check_fields(self)
 
     @property
     def kappa(self) -> float:

@@ -93,11 +93,18 @@ def weight_columns(
     """Columns W[:, indices] of the kernel matrix, without forming W.
 
     Runs in O(N * len(indices)) memory; this is the only weight access the
-    large-N solver path is allowed to use.
+    large-N solver path is allowed to use.  Raises ``DimensionMismatch``
+    unless ``scales`` has shape (N,), and ``InvalidConfig`` for an index
+    outside [0, N).
     """
     lf = np.asarray(lf, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.intp)
+    n = lf.shape[0]
+    if scales.shape != (n,):
+        raise DimensionMismatch(f"scales must have shape ({n},), got {scales.shape}")
+    if idx.size and not (0 <= idx.min() and idx.max() < n):
+        raise InvalidConfig(f"column indices must lie in [0, {n}), got {idx.min()} to {idx.max()}")
     cols_pts = lf[idx]
     cols_sq = np.einsum("ij,ij->i", cols_pts, cols_pts)
     out = np.empty((lf.shape[0], idx.size))

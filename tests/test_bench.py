@@ -123,6 +123,13 @@ def test_zero_displacement_has_no_error_to_reduce():
         run_pipeline(prob, PipelineConfig(m=3, sigma=0.01))
 
 
+def test_build_report_refuses_an_unknown_metric(rng):
+    ref = rng.normal(size=(20, 3))
+    lf = ref + 0.5
+    with pytest.raises(InvalidConfig, match="unknown metric 'component'"):
+        build_report(ref, lf, ref, "component")
+
+
 def test_generator_validation():
     with pytest.raises(InvalidConfig):
         generate(Generator.CLUSTERED_SHIFT, 50, 3, seed=0, clusters=1)

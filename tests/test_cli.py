@@ -17,7 +17,7 @@ import mfgl.matio
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import _build_parser, main
 from mfgl.config import PipelineConfig, ProblemConfig, SolverTag
-from mfgl.data import Dataset
+from mfgl.data import Dataset, HyperParameters
 from mfgl.exceptions import InvalidConfig
 from mfgl.matio import read_binary, read_csv, write_csv
 
@@ -244,6 +244,60 @@ def test_problem_bounds_same_in_generate_and_bench(case, tmp_path, capsys, monke
     assert last_json(err) == {
         "error": "InvalidConfig", "exit_code": 3, "message": str(refused.value),
     }
+
+
+@pytest.mark.parametrize("command", ["plan", "bench"])
+def test_negative_seed_refused_before_any_graph(command, tmp_path, capsys, monkeypatch):
+    _, lf_path = write_problem(tmp_path)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the settings were checked")
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", no_graph)
+    with pytest.raises(InvalidConfig, match="seed must be non-negative, got -1") as refused:
+        generate(Generator.CLUSTERED_SHIFT, 100, 3, seed=-1)
+    with pytest.raises(InvalidConfig, match=str(refused.value)):
+        PipelineConfig(m=5, seed=-1)
+    files = ["--lf-path", str(lf_path)] if command == "plan" else []
+    code, _, err = run_cli(capsys, command, "--seed", "-1", *files, "--output-dir", str(tmp_path))
+    assert code == 3
+    assert last_json(err) == {
+        "error": "InvalidConfig", "exit_code": 3, "message": str(refused.value),
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PipelineConfig(solver="dense", m=3),
+        lambda: PipelineConfig(normalization="component"),
+        lambda: PipelineConfig(metric="field"),
+        lambda: ProblemConfig(generator="smooth-manifold"),
+        lambda: PipelineConfig(knn_k="7"),
+        lambda: PipelineConfig(m=True),
+        lambda: PipelineConfig(K=4.0),
+        lambda: HyperParameters(sigma="0.1", omega=1.0, tau=0.1),
+        lambda: PipelineConfig(beta=float("nan")),
+        lambda: ProblemConfig(noise_rel=float("nan")),
+        lambda: HyperParameters(sigma=0.1, omega=float("nan"), tau=0.1),
+        lambda: ProblemConfig(n=None),
+    ],
+    ids=["solver", "normalization", "metric", "generator", "knn_k-str", "m-bool",
+         "K-float", "sigma-str", "beta-nan", "noise_rel-nan", "omega-nan", "n-none"],
+)
+def test_schema_refuses_wrong_types_and_nan(build):
+    with pytest.raises(InvalidConfig):
+        build()
+
+
+def test_schema_accepts_numpy_scalars_and_every_solver_tag():
+    cfg = PipelineConfig(m=np.int64(3), knn_k=np.int32(5), beta=np.float64(2.5),
+                         sigma=np.float32(0.1))
+    assert cfg.m == 3 and cfg.beta == 2.5
+    ProblemConfig(n=np.int64(50), clusters=np.int64(3), lf_scale=np.float64(0.5))
+    HyperParameters(sigma=np.float64(0.1), omega=np.int64(2), tau=np.float64(0.3))
+    # the landmark probe builds this tag; only the pipeline refuses it
+    assert PipelineConfig(solver=SolverTag.NYSTROM).solver is SolverTag.NYSTROM
 
 
 def test_problem_schema_is_declared_once():

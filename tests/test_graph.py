@@ -11,6 +11,7 @@ from conftest import random_points, two_blob_points
 from mfgl.bench import Generator, generate
 from mfgl.exceptions import (
     DenseLimitExceeded,
+    DimensionMismatch,
     DuplicatePointScale,
     InvalidConfig,
     ZeroDegree,
@@ -26,6 +27,7 @@ from mfgl.graph import (
     weight_columns,
     weighted_inner,
 )
+from mfgl.nystrom import nystrom_factor
 from mfgl.spectral import low_spectrum
 
 GENERATOR_CASES = [
@@ -76,6 +78,17 @@ def test_lazy_columns_match_full_matrix():
     cols = weight_columns(lf, scales, idx)
     assert cols.shape == (30, 4)
     assert np.abs(cols - g.weights.toarray()[:, idx]).max() < 1e-12
+
+
+def test_weight_columns_checks_indices_and_scales():
+    lf = random_points(200, 3, seed=1)
+    scales = self_tuning_scales(lf, 5)
+    with pytest.raises(InvalidConfig, match=r"\[0, 200\)"):
+        nystrom_factor(lambda idx: weight_columns(lf, scales, idx), [0, 500])
+    with pytest.raises(InvalidConfig, match=r"\[0, 200\)"):
+        weight_columns(lf, scales, [-1, 3])  # no silent wrap to the last row
+    with pytest.raises(DimensionMismatch):
+        weight_columns(lf, scales[:-1], [0, 3])
 
 
 def test_duplicate_points_rejected():
