@@ -193,7 +193,8 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
         raise InvalidConfig("estimate needs --sigma (observation noise level)")
 
     plan = plan_from_json(Path(cfg.plan_path).read_text())
-    lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
+    # plan wrote lf_permuted without a header; --header is for the user's hf file
+    lf = matio.read_matrix(cfg.lf_path, cfg.format)
     hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
     if lf.shape[0] != len(plan.permutation):
         raise RowCountMismatch(
@@ -274,7 +275,7 @@ def _add_shared(parser: argparse.ArgumentParser, command: str) -> None:
     g.add_argument("--config", metavar="FILE", help="JSON file with config fields; explicit flags override it")
     g.add_argument("--format", choices=FORMATS, help="matrix file format (default csv)")
     g.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
-                   help="first row of CSV inputs is a header")
+                   help="the user's CSV (plan --lf-path, estimate --hf-path) has a header row")
     g.add_argument("--output-dir", dest="output_dir", metavar="DIR", help="where outputs are written (default .)")
     g.add_argument("--threads", type=int, help="cap for BLAS worker pools (MFGL_THREADS equivalent)")
     # One flag per settings field of this subcommand: --knn-k for knn_k.

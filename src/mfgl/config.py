@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cache
+from math import isfinite
 from numbers import Integral, Real
 from typing import Optional, get_args, get_type_hints
 
@@ -85,9 +86,10 @@ def field_rules(schema) -> tuple:
 
 def check_fields(record) -> None:
     """Raise ``InvalidConfig`` when a field of the settings dataclass
-    ``record`` holds a value of the wrong type, or one below its declared
-    bound.  An enum field holds a member, numpy scalars count as numbers,
-    only an Optional field holds None, and NaN fails every bound."""
+    ``record`` holds a value of the wrong type, a float that is not
+    finite, or a value below its declared bound.  An enum field holds a
+    member, numpy scalars count as numbers, and only an Optional field
+    holds None."""
     for name, (kind, *none), low, strict in field_rules(type(record)):
         value = getattr(record, name)
         if value is None and none:
@@ -100,6 +102,8 @@ def check_fields(record) -> None:
                 raise InvalidConfig(f"unknown {name} {value!r}: expected a {kind.__name__}: {values}")
             expected = kind.__name__ + (" or None" if none else "")
             raise InvalidConfig(f"{name} must be of type {expected}, got {value!r}")
+        if kind is float and not isfinite(value):
+            raise InvalidConfig(f"{name} must be finite, got {value}")
         if low is not None and not (value > low if strict else value >= low):
             if strict:
                 bound = "be positive" if low == 0 else f"exceed {low}"

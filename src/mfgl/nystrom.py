@@ -1,6 +1,7 @@
 """Low-rank solver path: Nyström factorization of the kernel, closed-form
-powers of (L + tau I), and the MAP solve and covariance access, both
-through one factored Woodbury core.
+powers of (L + tau I), and the low-rank MAP system, assembled and
+factored once by :func:`build_saddle`, whose MAP solve and covariance
+access all go through that one factored Woodbury core.
 
 Nothing in this module may touch the full N x N weight matrix; kernel
 access goes through W(:, X) columns only, so memory stays O(NK).  The
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 
-from .data import HyperParameters, frozen
+from .data import HyperParameters, _require_finite, frozen
 from .exceptions import (
     DimensionMismatch,
     InvalidConfig,
@@ -34,12 +35,10 @@ from .exceptions import (
     SingularCapacitance,
     SingularLandmarkBlock,
 )
-from .spectral import Spectrum, _fix_signs
+from .spectral import _fix_signs
 
 PINV_REL_CUTOFF = 1e-12
 XI_DROP_REL_TOL = 1e-10
-
-WeightAccess = Union[np.ndarray, Callable[[Sequence[int]], np.ndarray]]
 
 
 def select_landmarks(n: int, m: int, count: int, seed: int) -> tuple:
@@ -49,13 +48,6 @@ def select_landmarks(n: int, m: int, count: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     extra = np.sort(rng.choice(np.arange(m, n), size=count - m, replace=False))
     return tuple(range(m)) + tuple(int(i) for i in extra)
-
-
-def _columns(access: WeightAccess, idx: np.ndarray) -> np.ndarray:
-    if callable(access):
-        return np.asarray(access(idx), dtype=np.float64)
-    w = np.asarray(access, dtype=np.float64)
-    return w[:, idx]
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ class LowRankLaplacian:
 
 
 def nystrom_factor(
-    weight_access: WeightAccess,
+    columns: Callable[[np.ndarray], np.ndarray],
     landmarks: Sequence[int],
     rank_r: Optional[int] = None,
     p: float = 0.5,
@@ -113,9 +105,9 @@ def nystrom_factor(
 
     Parameters
     ----------
-    weight_access : ndarray or callable
-        Either the dense weight matrix, or a callable mapping an index
-        array to the N x K column block W(:, idx).
+    columns : callable
+        Maps an index array to the N x K column block W(:, idx), e.g.
+        ``lambda idx: weight_columns(lf, scales, idx)``.
     landmarks : sequence of int
         Distinct column indices X; must include at least one observed row.
     rank_r : int, optional
@@ -127,6 +119,8 @@ def nystrom_factor(
 
     Raises
     ------
+    DimensionMismatch
+        When ``columns`` does not return an N x K block.
     NegativeApproxDegree
         When an approximate degree is non-positive; the landmark set is
         too poor for a meaningful normalization.
@@ -138,11 +132,11 @@ def nystrom_factor(
         raise InvalidConfig("landmarks must be a non-empty set of distinct indices")
     if idx.min() < 0:
         raise InvalidConfig("landmark indices must be non-negative")
-    if not callable(weight_access):
-        n_cols = np.asarray(weight_access).shape[1]
-        if idx.max() >= n_cols:
-            raise InvalidConfig(f"landmark index out of range for N={n_cols}")
-    wcols = _columns(weight_access, idx)
+    wcols = np.asarray(columns(idx), dtype=np.float64)
+    if wcols.ndim != 2 or wcols.shape[1] != idx.size:
+        raise DimensionMismatch(
+            f"weight columns must be an N x {idx.size} block, got shape {wcols.shape}"
+        )
     n = wcols.shape[0]
     if idx.max() >= n:
         raise InvalidConfig(f"landmark index out of range for N={n}")
@@ -187,21 +181,6 @@ def nystrom_factor(
     )
 
 
-def lowrank_spectrum(lrl: LowRankLaplacian) -> Spectrum:
-    """Approximate low-lying spectrum implied by the factors.
-
-    Eigenvalue estimates are 1 - sigma_i (ascending); eigenvectors are the
-    U view, matching the (p, 1-p) normalization convention.
-    """
-    return Spectrum(
-        K=lrl.rank,
-        eigenvalues=1.0 - lrl.sigma_vals,
-        eigenvectors=lrl.u,
-        shift_a=2.0,
-        pq=(lrl.p, 1.0 - lrl.p),
-    )
-
-
 def lowrank_power_apply(
     lrl: LowRankLaplacian, tau: float, beta: float, v: np.ndarray
 ) -> np.ndarray:
@@ -227,42 +206,104 @@ def lowrank_power_apply(
     return scalar * v + lrl.u_tilde @ (coeff[:, None] * inner)
 
 
+
+
 @dataclass(frozen=True)
 class SaddleOperators:
-    """Diagonals of the low-rank MAP system (Theta - V Xi V^T) x = P_M^T b.
+    """The low-rank MAP system (Theta - V Xi V^T) x = P_M^T b, factored.
 
     Theta folds the observation mask and the scalar part of the prior;
-    Xi carries the rank-K correction.  Columns whose Xi entry is within
+    Xi carries the rank-K correction on the retained columns of V, held
+    as the rows of ``vt`` (K x N).  Columns whose Xi entry is within
     round-off of zero, or whose sigma exceeds 1 + tau, are dropped for
-    conditioning and recorded in ``dropped_columns``.
+    conditioning and recorded in ``dropped_columns``.  ``lu`` holds the
+    LU factors of the K x K Woodbury core Xi^{-1} - V^T Theta^{-1} V
+    (None when no column is retained), so the MAP solve, each covariance
+    matvec and the exact covariance diagonal cost O(NK) on the one
+    O(NK^2) factorization that :func:`build_saddle` made.
     """
 
     theta: np.ndarray
     xi: np.ndarray
+    vt: np.ndarray
+    lu: Optional[tuple]
     retained: tuple
     dropped_columns: tuple
     m: int
     sigma_sq: float
 
     def __post_init__(self):
-        for name in ("theta", "xi"):
+        for name in ("theta", "xi", "vt"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
         object.__setattr__(self, "retained", tuple(int(i) for i in self.retained))
         object.__setattr__(
             self, "dropped_columns", tuple(int(i) for i in self.dropped_columns)
         )
-        if np.any(self.theta <= 0):
-            raise InvalidConfig("Theta must be strictly positive")
+
+    @property
+    def n(self) -> int:
+        return self.theta.shape[0]
 
     @property
     def rank(self) -> int:
         return len(self.retained)
 
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """(Theta - V Xi V^T)^{-1} x by the Woodbury identity: the diagonal
+        Theta^{-1} plus a rank-K correction through the factored core."""
+        theta_inv = 1.0 / self.theta
+        base = (theta_inv[:, None] if x.ndim == 2 else theta_inv) * x
+        if self.lu is None:
+            return base
+        tiv = theta_inv[:, None] * self.vt.T
+        return base + tiv @ sla.lu_solve(self.lu, self.vt @ base)
+
+    def solve(self, phi_hat: np.ndarray) -> np.ndarray:
+        """MAP displacements, N x D, from the observed displacements of
+        the first M rows; each column costs O(NK).
+
+        Raises
+        ------
+        DimensionMismatch
+            ``phi_hat`` is not 2-D with M rows.
+        NonFiniteInput
+            ``phi_hat`` holds NaN or Inf.
+        """
+        phi_hat = np.asarray(phi_hat, dtype=np.float64)
+        if phi_hat.ndim != 2:
+            raise DimensionMismatch("phi_hat must be 2-D")
+        if phi_hat.shape[0] != self.m:
+            raise DimensionMismatch(
+                f"phi_hat has {phi_hat.shape[0]} rows, saddle was built for M={self.m}"
+            )
+        _require_finite(phi_hat, "phi_hat")
+        rhs = np.zeros((self.n, phi_hat.shape[1]))
+        rhs[: self.m] = phi_hat
+        return self._apply(rhs)
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        """C vec for the posterior covariance C = sigma^2 (Theta - V Xi V^T)^{-1}."""
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (self.n,):
+            raise DimensionMismatch(f"vec must have shape ({self.n},), got {vec.shape}")
+        return self.sigma_sq * self._apply(vec)
+
+    def diagonal(self) -> np.ndarray:
+        """Exact diag(C) via the explicit Woodbury form, no sampling."""
+        theta_inv = 1.0 / self.theta
+        if self.lu is None:
+            return self.sigma_sq * theta_inv
+        tiv = theta_inv[:, None] * self.vt.T
+        core_inv = sla.lu_solve(self.lu, np.eye(self.rank))
+        core_inv = 0.5 * (core_inv + core_inv.T)
+        rank_part = np.einsum("nk,nk->n", tiv @ core_inv, tiv)
+        return self.sigma_sq * (theta_inv + rank_part)
+
 
 def build_saddle(
     lrl: LowRankLaplacian, hp: HyperParameters, m: int
 ) -> SaddleOperators:
-    """Assemble the diagonals Theta and Xi of the low-rank MAP system.
+    """Assemble the low-rank MAP system and factor its Woodbury core once.
 
     Theta_ii = [i < M] + sigma^2 omega (1+tau)^beta D_hat_i^{2p-1}
     Xi_ii    = sigma^2 omega ((1+tau)^beta - (1+tau-sigma_i)^beta)
@@ -270,7 +311,12 @@ def build_saddle(
     (D_hat^{2p-1} is identically 1 for p = 1/2.)  Xi entries may be
     negative: the kernel is indefinite, so sigma_i < 0 occurs.  That is
     expected; the Woodbury core inverts Xi, which stays safe under the
-    drop threshold.
+    drop threshold.  The core costs O(NK^2).
+
+    Raises
+    ------
+    SingularCapacitance
+        The Woodbury core is numerically singular.
     """
     if not 0 <= m <= lrl.n:
         raise DimensionMismatch(f"M must be in [0, {lrl.n}], got {m}")
@@ -278,6 +324,8 @@ def build_saddle(
     weight = hp.sigma**2 * hp.omega
     theta = weight * scalar * lrl.d_hat ** (2.0 * lrl.p - 1.0)
     theta[:m] += 1.0
+    if not np.all(theta > 0):
+        raise InvalidConfig("Theta must be strictly positive")
     sig = lrl.sigma_vals
     admissible = sig <= 1.0 + hp.tau
     xi_full = np.where(
@@ -287,102 +335,27 @@ def build_saddle(
     )
     xi_max = float(np.abs(xi_full).max()) if xi_full.size else 0.0
     keep = admissible & (np.abs(xi_full) > XI_DROP_REL_TOL * xi_max)
-    retained = tuple(int(i) for i in np.flatnonzero(keep))
-    dropped = tuple(int(i) for i in np.flatnonzero(~keep))
+    xi = xi_full[keep]
+    vt = lrl.v.T[keep]
+    vt.setflags(write=False)
+    lu = None
+    if xi.size:
+        core = vt @ ((1.0 / theta)[:, None] * vt.T)
+        core *= -1.0
+        core[np.arange(xi.size), np.arange(xi.size)] += 1.0 / xi
+        try:
+            lu = sla.lu_factor(core)
+        except sla.LinAlgError as exc:
+            raise SingularCapacitance(f"Woodbury core factorization failed: {exc}") from exc
+        for a in lu:
+            a.setflags(write=False)
     return SaddleOperators(
         theta=theta,
-        xi=xi_full[keep],
-        retained=retained,
-        dropped_columns=dropped,
+        xi=xi,
+        vt=vt,
+        lu=lu,
+        retained=np.flatnonzero(keep),
+        dropped_columns=np.flatnonzero(~keep),
         m=m,
         sigma_sq=hp.sigma**2,
     )
-
-
-def _woodbury_factors(lrl: LowRankLaplacian, ops: SaddleOperators) -> tuple:
-    """Theta^{-1}, the retained V, Theta^{-1} V, and the LU factors of the
-    K x K Woodbury core Xi^{-1} - V^T Theta^{-1} V (None when no column
-    is retained).  O(NK^2), done once per system.
-
-    Raises
-    ------
-    SingularCapacitance
-        The core is numerically singular.
-    """
-    theta_inv = 1.0 / ops.theta
-    v = lrl.v[:, list(ops.retained)]
-    tiv = theta_inv[:, None] * v
-    if not ops.rank:
-        return theta_inv, v, tiv, None
-    core = v.T @ tiv
-    core *= -1.0
-    core[np.arange(ops.rank), np.arange(ops.rank)] += 1.0 / ops.xi
-    try:
-        lu = sla.lu_factor(core)
-    except sla.LinAlgError as exc:
-        raise SingularCapacitance(f"Woodbury core factorization failed: {exc}") from exc
-    return theta_inv, v, tiv, lu
-
-
-def solve_map_saddle(
-    lrl: LowRankLaplacian, ops: SaddleOperators, phi_hat: np.ndarray
-) -> np.ndarray:
-    """MAP displacements from the low-rank system, N x D.
-
-    Direct: the Woodbury identity turns (Theta - V Xi V^T)^{-1} into the
-    diagonal Theta^{-1} plus a rank-K correction through the factored
-    K x K core, so every column costs O(NK).
-
-    Raises
-    ------
-    SingularCapacitance
-        The Woodbury core is numerically singular.
-    """
-    phi_hat = np.asarray(phi_hat, dtype=np.float64)
-    if phi_hat.ndim != 2:
-        raise DimensionMismatch("phi_hat must be 2-D")
-    if phi_hat.shape[0] != ops.m:
-        raise DimensionMismatch(
-            f"phi_hat has {phi_hat.shape[0]} rows, saddle was built for M={ops.m}"
-        )
-    rhs = np.zeros((lrl.n, phi_hat.shape[1]))
-    rhs[: ops.m] = phi_hat
-    theta_inv, v, tiv, lu = _woodbury_factors(lrl, ops)
-    base = theta_inv[:, None] * rhs
-    if lu is None:
-        return base
-    return base + tiv @ sla.lu_solve(lu, v.T @ base)
-
-
-class CovarianceOperator:
-    """O(NK) matvec access to C = sigma^2 (Theta - V Xi V^T)^{-1}.
-
-    The K x K capacitance is factored once at construction (O(NK^2));
-    each matvec and the exact diagonal then cost O(NK).
-    """
-
-    def __init__(self, lrl: LowRankLaplacian, ops: SaddleOperators):
-        self._sigma_sq = ops.sigma_sq
-        self._theta_inv, self._v, self._tiv, self._lu = _woodbury_factors(lrl, ops)
-
-    @property
-    def n(self) -> int:
-        return self._theta_inv.shape[0]
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.float64)
-        base = self._theta_inv * vec
-        if self._lu is None:
-            return self._sigma_sq * base
-        corr = self._tiv @ sla.lu_solve(self._lu, self._v.T @ base)
-        return self._sigma_sq * (base + corr)
-
-    def diagonal(self) -> np.ndarray:
-        """Exact diag(C) via the explicit Woodbury form, no sampling."""
-        if self._lu is None:
-            return self._sigma_sq * self._theta_inv
-        core_inv = sla.lu_solve(self._lu, np.eye(self._v.shape[1]))
-        core_inv = 0.5 * (core_inv + core_inv.T)
-        rank_part = np.einsum("nk,nk->n", self._tiv @ core_inv, self._tiv)
-        return self._sigma_sq * (self._theta_inv + rank_part)
-

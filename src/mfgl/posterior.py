@@ -33,14 +33,13 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dtrtri
 
 from .config import SolverTag
-from .data import HyperParameters, frozen
+from .data import HyperParameters, _require_finite, frozen
 from .exceptions import (
     AllZeroSpectrum,
     DenseLimitExceeded,
     DimensionMismatch,
     InvalidConfig,
     NoBracket,
-    NonFiniteInput,
     SingularSystem,
 )
 from .graph import GraphLaplacian
@@ -231,8 +230,7 @@ def dense_posterior(
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     if phi_hat.ndim != 2:
         raise DimensionMismatch("phi_hat must be 2-D")
-    if not np.all(np.isfinite(phi_hat)):
-        raise NonFiniteInput("phi_hat contains NaN or Inf")
+    _require_finite(phi_hat, "phi_hat")
     m = phi_hat.shape[0]
     if isinstance(gl, DenseFactor):
         factor = gl

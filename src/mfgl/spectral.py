@@ -24,7 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .data import HyperParameters, frozen
+from .data import HyperParameters, _require_finite, frozen
 from .exceptions import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -211,14 +211,17 @@ def truncated_posterior(
 
     Raises
     ------
+    NonFiniteInput
+        ``phi_hat`` holds NaN or Inf.
     SingularSystem
-        If the SPD factorization fails (signals NaN input; the matrix is
-        positive definite for any omega, tau > 0) or the system is
-        numerically singular (see :func:`checked_cholesky`).
+        If the SPD factorization fails (the matrix is positive definite
+        for any omega, tau > 0) or the system is numerically singular
+        (see :func:`checked_cholesky`).
     """
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     if phi_hat.ndim != 2:
         raise DimensionMismatch("phi_hat must be 2-D")
+    _require_finite(phi_hat, "phi_hat")
     m = phi_hat.shape[0]
     if m > spectrum.n:
         raise DimensionMismatch("more observations than graph nodes")

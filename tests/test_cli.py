@@ -16,7 +16,7 @@ import mfgl.config
 import mfgl.matio
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import _build_parser, main
-from mfgl.config import PipelineConfig, ProblemConfig, SolverTag
+from mfgl.config import PipelineConfig, ProblemConfig, SolverTag, field_rules
 from mfgl.data import Dataset, HyperParameters
 from mfgl.exceptions import InvalidConfig
 from mfgl.matio import read_binary, read_csv, write_csv
@@ -173,6 +173,35 @@ def test_header_flag(tmp_path, capsys):
     assert permuted.shape == (30, 3)
 
 
+def test_header_two_phase_run_matches_headerless(tmp_path, capsys):
+    # --header applies to the files the user supplies; plan writes
+    # lf_permuted.csv without one and estimate reads it so
+    prob, _ = write_problem(tmp_path)
+    outputs = {}
+    for header in (False, True):
+        names = ["x", "y", "z"] if header else None
+        flag = ["--header"] if header else []
+        lf_path = tmp_path / f"lf_{header}.csv"
+        write_csv(lf_path, prob.lf_data, header=names)
+        out_dir = tmp_path / f"out_{header}"
+        code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), "--m", "4",
+                             *flag, "--output-dir", str(out_dir))
+        assert code == 0
+        hf_path = tmp_path / f"hf_{header}.csv"
+        write_csv(hf_path, read_csv(out_dir / "lf_permuted.csv")[:4] + 0.1, header=names)
+        code, _, err = run_cli(
+            capsys, "estimate", "--lf-path", str(out_dir / "lf_permuted.csv"),
+            "--hf-path", str(hf_path), "--plan-path", str(out_dir / "plan.json"),
+            "--sigma", "0.02", *flag, "--output-dir", str(out_dir),
+        )
+        assert code == 0, err
+        outputs[header] = [
+            (out_dir / name).read_bytes()
+            for name in ("plan.json", "lf_permuted.csv", "mf_estimates.csv", "stddevs.csv")
+        ]
+    assert outputs[True] == outputs[False]
+
+
 def test_bench_subcommand(tmp_path, capsys):
     out_dir = tmp_path / "bench"
     code, out, _ = run_cli(
@@ -288,6 +317,47 @@ def test_negative_seed_refused_before_any_graph(command, tmp_path, capsys, monke
 def test_schema_refuses_wrong_types_and_nan(build):
     with pytest.raises(InvalidConfig):
         build()
+
+
+FLOAT_SETTINGS = [
+    (schema, name)
+    for schema in (PipelineConfig, ProblemConfig, HyperParameters)
+    for name, kinds, *_ in field_rules(schema)
+    if kinds[0] is float
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=str)
+@pytest.mark.parametrize(
+    "schema, name", FLOAT_SETTINGS, ids=[f"{s.__name__}.{n}" for s, n in FLOAT_SETTINGS]
+)
+def test_every_float_setting_must_be_finite(schema, name, value):
+    given = dict(sigma=0.1, omega=1.0, tau=0.1) if schema is HyperParameters else {}
+    with pytest.raises(InvalidConfig, match=f"^{name} must be finite, got {value}$"):
+        schema(**{**given, name: value})
+
+
+@pytest.mark.parametrize("command", ["plan", "bench"])
+@pytest.mark.parametrize(
+    "flag, value", [("p", "nan"), ("q", "inf"), ("r", "inf"), ("omega", "inf"), ("tau", "-inf")]
+)
+def test_non_finite_flag_refused_before_any_graph(
+    command, flag, value, tmp_path, capsys, monkeypatch
+):
+    _, lf_path = write_problem(tmp_path)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the settings were checked")
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", no_graph)
+    files = ["--lf-path", str(lf_path)] if command == "plan" else []
+    code, _, err = run_cli(capsys, command, f"--{flag}={value}", *files,
+                           "--output-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert last_json(err) == {
+        "error": "InvalidConfig", "exit_code": 3,
+        "message": f"{flag} must be finite, got {float(value)}",
+    }
 
 
 def test_schema_accepts_numpy_scalars_and_every_solver_tag():

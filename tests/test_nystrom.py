@@ -9,21 +9,24 @@ from mfgl.exceptions import (
     DimensionMismatch,
     InvalidConfig,
     NegativeApproxDegree,
+    NonFiniteInput,
     SingularLandmarkBlock,
 )
 from mfgl.graph import build_graph, laplacian
 from mfgl.nystrom import (
-    CovarianceOperator,
     LowRankLaplacian,
-    SaddleOperators,
     build_saddle,
     lowrank_power_apply,
-    lowrank_spectrum,
     nystrom_factor,
     select_landmarks,
-    solve_map_saddle,
 )
 from mfgl.posterior import dense_posterior
+
+
+def cols(w):
+    """The column callable of a dense weight matrix."""
+    return lambda idx: w[:, idx]
+
 
 def graph_weights(n, d, seed, knn_k=6):
     return build_graph(random_points(n, d, seed=seed), knn_k=knn_k).weights.toarray()
@@ -51,7 +54,7 @@ def test_select_landmarks():
 
 def test_full_landmarks_reproduce_kernel():
     w = graph_weights(60, 3, seed=0)
-    lrl = nystrom_factor(w, range(60))
+    lrl = nystrom_factor(cols(w), range(60))
     recon = (lrl.u_tilde * lrl.sigma_vals) @ lrl.u_tilde.T
     target = sym_normalized(w)
     assert np.abs(recon - target).max() < 1e-8 * np.abs(target).max()
@@ -67,40 +70,29 @@ def test_exact_low_rank_kernel_recovered_from_two_columns():
     c = rng.uniform(0.5, 1.5, size=12)
     d = rng.uniform(0.1, 2.0, size=12)
     w = np.outer(c, c) + np.outer(d, d)
-    lrl = nystrom_factor(w, (0, 5))
+    lrl = nystrom_factor(cols(w), (0, 5))
     recon = (lrl.u_tilde * lrl.sigma_vals) @ lrl.u_tilde.T
     target = sym_normalized(w)
     assert np.abs(recon - target).max() < 1e-10
     assert np.abs(lrl.d_hat - w.sum(axis=1)).max() < 1e-10
-    spec = lowrank_spectrum(lrl)
     ref = np.sort(nla.eigvalsh(target))
-    assert np.abs(np.sort(1.0 - spec.eigenvalues)[::-1] - ref[::-1][: lrl.rank]).max() < 1e-10
-
-
-def test_callable_access_matches_dense_access():
-    # the zero-diagonal kernel leaves the landmark block indefinite, so
-    # every sub-sampled factor here truncates it via rank_r
-    w = graph_weights(40, 2, seed=1)
-    lm = select_landmarks(40, 4, 10, seed=2)
-    a = nystrom_factor(w, lm, rank_r=5)
-    b = nystrom_factor(lambda idx: w[:, idx], lm, rank_r=5)
-    assert np.array_equal(a.u_tilde, b.u_tilde)
-    assert np.array_equal(a.sigma_vals, b.sigma_vals)
-    assert np.array_equal(a.d_hat, b.d_hat)
+    assert np.abs(lrl.sigma_vals - ref[::-1][: lrl.rank]).max() < 1e-10
 
 
 def test_factor_is_deterministic():
     w = graph_weights(35, 3, seed=4)
     lm = select_landmarks(35, 3, 9, seed=5)
-    a = nystrom_factor(w, lm, rank_r=5)
-    b = nystrom_factor(w, lm, rank_r=5)
+    # the zero-diagonal kernel leaves the landmark block indefinite, so
+    # every sub-sampled factor here truncates it via rank_r
+    a = nystrom_factor(cols(w), lm, rank_r=5)
+    b = nystrom_factor(cols(w), lm, rank_r=5)
     assert np.array_equal(a.u_tilde, b.u_tilde)
 
 
 def test_u_tilde_orthonormal():
     for seed, count, rr in ((0, 8, 4), (1, 20, 10), (2, 50, None)):
         w = graph_weights(50, 3, seed=seed)
-        lrl = nystrom_factor(w, select_landmarks(50, 5, count, seed=seed), rank_r=rr)
+        lrl = nystrom_factor(cols(w), select_landmarks(50, 5, count, seed=seed), rank_r=rr)
         gram = lrl.u_tilde.T @ lrl.u_tilde
         assert np.abs(gram - np.eye(lrl.rank)).max() < 1e-10
 
@@ -108,15 +100,17 @@ def test_u_tilde_orthonormal():
 def test_landmark_validation():
     w = graph_weights(20, 2, seed=0)
     with pytest.raises(InvalidConfig):
-        nystrom_factor(w, ())
+        nystrom_factor(cols(w), ())
     with pytest.raises(InvalidConfig):
-        nystrom_factor(w, (0, 0, 1))
+        nystrom_factor(cols(w), (0, 0, 1))
+    with pytest.raises(DimensionMismatch, match="N x 2 block"):
+        nystrom_factor(lambda idx: w[:, :3], (0, 1))
+    with pytest.raises(DimensionMismatch, match="N x 2 block"):
+        nystrom_factor(lambda idx: w[0, idx], (0, 1))
     with pytest.raises(InvalidConfig):
-        nystrom_factor(w, (0, 25))
-    with pytest.raises(InvalidConfig):
-        nystrom_factor(w, (0, 1, 2), rank_r=4)
+        nystrom_factor(cols(w), (0, 1, 2), rank_r=4)
     with pytest.raises(SingularLandmarkBlock):
-        nystrom_factor(np.zeros((6, 6)), (0, 1))
+        nystrom_factor(cols(np.zeros((6, 6))), (0, 1))
 
 
 def test_negative_approx_degree_guard():
@@ -124,7 +118,7 @@ def test_negative_approx_degree_guard():
     # extension drives one approximate degree negative
     w = np.array([[0.0, 1.0, -2.0], [1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
     with pytest.raises(NegativeApproxDegree):
-        nystrom_factor(w, (0, 1))
+        nystrom_factor(cols(w), (0, 1))
 
 
 def test_rank_r_truncates_core():
@@ -132,14 +126,14 @@ def test_rank_r_truncates_core():
     c = rng.uniform(0.5, 1.5, size=10)
     d = rng.uniform(0.1, 2.0, size=10)
     w = np.outer(c, c) + np.outer(d, d)
-    lrl = nystrom_factor(w, (0, 3, 7), rank_r=1)
+    lrl = nystrom_factor(cols(w), (0, 3, 7), rank_r=1)
     nonzero = np.abs(lrl.sigma_vals) > 1e-12 * np.abs(lrl.sigma_vals).max()
     assert int(nonzero.sum()) == 1
 
 
 def test_power_apply_matches_dense_eigenbasis(rng):
     w = graph_weights(80, 3, seed=3)
-    lrl = nystrom_factor(w, select_landmarks(80, 8, 20, seed=1), rank_r=10)
+    lrl = nystrom_factor(cols(w), select_landmarks(80, 8, 20, seed=1), rank_r=10)
     tau, beta = 0.2, 1.7
     recon = (lrl.u_tilde * lrl.sigma_vals) @ lrl.u_tilde.T
     a = (1.0 + tau) * np.eye(80) - recon
@@ -187,7 +181,7 @@ def test_saddle_drops_inadmissible_sigma(rng):
 
 def test_linear_beta_xi_is_proportional_to_sigma(rng):
     w = graph_weights(30, 2, seed=6)
-    lrl = nystrom_factor(w, select_landmarks(30, 3, 10, seed=0), rank_r=5)
+    lrl = nystrom_factor(cols(w), select_landmarks(30, 3, 10, seed=0), rank_r=5)
     hp = HyperParameters(sigma=0.5, omega=3.0, tau=0.2, beta=1.0)
     ops = build_saddle(lrl, hp, m=3)
     expect = 0.25 * 3.0 * lrl.sigma_vals[list(ops.retained)]
@@ -198,11 +192,11 @@ def test_woodbury_solve_residual(rng):
     # rank-truncated factor: the solve must satisfy the reduced system
     # (Theta - V Xi V^T) x = P_M^T phi_hat it was built from
     w = graph_weights(200, 3, seed=8)
-    lrl = nystrom_factor(w, select_landmarks(200, 10, 40, seed=4), rank_r=20)
+    lrl = nystrom_factor(cols(w), select_landmarks(200, 10, 40, seed=4), rank_r=20)
     hp = HyperParameters(sigma=0.05, omega=4.0, tau=0.3, beta=2.0)
     ops = build_saddle(lrl, hp, m=10)
     phi_hat = rng.normal(size=(10, 2))
-    x = solve_map_saddle(lrl, ops, phi_hat)
+    x = ops.solve(phi_hat)
     vr = lrl.v[:, list(ops.retained)]
     resid = ops.theta[:, None] * x - vr @ (ops.xi[:, None] * (vr.T @ x))
     resid[:10] -= phi_hat
@@ -218,67 +212,98 @@ def test_full_landmarks_match_dense_posterior(rng):
     phi_hat = rng.normal(size=(m, 2))
     ref = dense_posterior(gl, phi_hat, hp, want_cov=True)
 
-    lrl = nystrom_factor(g.weights.toarray(), range(120))
+    lrl = nystrom_factor(cols(g.weights.toarray()), range(120))
     ops = build_saddle(lrl, hp, m=m)
-    got = solve_map_saddle(lrl, ops, phi_hat)
+    got = ops.solve(phi_hat)
     assert nla.norm(got - ref.phi_star) <= 1e-6 * nla.norm(ref.phi_star)
-    cov = CovarianceOperator(lrl, ops)
     dref = np.diag(ref.covariance)
-    assert np.abs(cov.diagonal() - dref).max() <= 1e-6 * dref.max()
+    assert np.abs(ops.diagonal() - dref).max() <= 1e-6 * dref.max()
 
 
 def test_zero_rhs_gives_zero():
     w = graph_weights(50, 2, seed=12)
-    lrl = nystrom_factor(w, select_landmarks(50, 4, 15, seed=1), rank_r=7)
+    lrl = nystrom_factor(cols(w), select_landmarks(50, 4, 15, seed=1), rank_r=7)
     ops = build_saddle(lrl, HyperParameters(sigma=0.2, omega=1.0, tau=0.2), m=4)
-    out = solve_map_saddle(lrl, ops, np.zeros((4, 2)))
+    out = ops.solve(np.zeros((4, 2)))
     assert np.all(out == 0.0)
 
 
 def test_map_shape_validation():
     w = graph_weights(30, 2, seed=13)
-    lrl = nystrom_factor(w, select_landmarks(30, 3, 8, seed=0), rank_r=4)
+    lrl = nystrom_factor(cols(w), select_landmarks(30, 3, 8, seed=0), rank_r=4)
     ops = build_saddle(lrl, HyperParameters(sigma=0.2, omega=1.0, tau=0.2), m=3)
     with pytest.raises(DimensionMismatch):
-        solve_map_saddle(lrl, ops, np.zeros(3))
+        ops.solve(np.zeros(3))
     with pytest.raises(DimensionMismatch):
-        solve_map_saddle(lrl, ops, np.zeros((5, 2)))
+        ops.solve(np.zeros((5, 2)))
+
+
+def test_saddle_refuses_non_finite_rhs_and_misshapen_vector():
+    w = graph_weights(30, 2, seed=13)
+    lrl = nystrom_factor(cols(w), select_landmarks(30, 3, 8, seed=0), rank_r=4)
+    ops = build_saddle(lrl, HyperParameters(sigma=0.2, omega=1.0, tau=0.2), m=3)
+    for bad in (np.nan, np.inf):
+        phi_hat = np.zeros((3, 2))
+        phi_hat[1, 0] = bad
+        with pytest.raises(NonFiniteInput, match="phi_hat"):
+            ops.solve(phi_hat)
+    for shape in ((30, 2), (29,), ()):
+        with pytest.raises(DimensionMismatch, match=r"shape \(30,\)"):
+            ops.matvec(np.ones(shape))
+
+
+def test_saddle_factors_its_core_once(monkeypatch, rng):
+    w = graph_weights(60, 2, seed=15)
+    lrl = nystrom_factor(cols(w), select_landmarks(60, 5, 20, seed=1), rank_r=8)
+    calls = []
+    real = sla.lu_factor
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr("mfgl.nystrom.sla.lu_factor", counting)
+    ops = build_saddle(lrl, HyperParameters(sigma=0.1, omega=2.0, tau=0.3), m=5)
+    ops.solve(rng.normal(size=(5, 2)))
+    ops.matvec(rng.normal(size=60))
+    ops.diagonal()
+    assert ops.rank > 0
+    assert calls == [(ops.rank, ops.rank)]
 
 
 def test_covariance_is_the_saddle_inverse(rng):
     w = graph_weights(90, 3, seed=14)
-    lrl = nystrom_factor(w, select_landmarks(90, 6, 25, seed=2), rank_r=12)
+    lrl = nystrom_factor(cols(w), select_landmarks(90, 6, 25, seed=2), rank_r=12)
     hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.3)
     ops = build_saddle(lrl, hp, m=6)
-    cov = CovarianceOperator(lrl, ops)
     vr = lrl.v[:, list(ops.retained)]
     vec = rng.normal(size=90)
-    y = cov.matvec(vec)
+    y = ops.matvec(vec)
     back = ops.theta * y - vr @ (ops.xi * (vr.T @ y))
     assert np.abs(back - hp.sigma**2 * vec).max() < 1e-8 * np.abs(vec).max()
     # diagonal agrees with basis-vector probes
-    diag = cov.diagonal()
+    diag = ops.diagonal()
     for i in (0, 17, 88):
         e = np.zeros(90)
         e[i] = 1.0
-        assert cov.matvec(e)[i] == pytest.approx(diag[i], rel=1e-10)
+        assert ops.matvec(e)[i] == pytest.approx(diag[i], rel=1e-10)
 
 
 def test_empty_correction_reduces_to_diagonal(rng):
+    # both sigmas above 1 + tau: every column is dropped, no core is factored
     u_tilde = nla.qr(rng.normal(size=(7, 2)))[0]
     lrl = LowRankLaplacian(
         landmarks=(0,), u_tilde=u_tilde,
-        sigma_vals=np.array([0.8, 0.3]), d_hat=np.ones(7),
+        sigma_vals=np.array([1.5, 1.2]), d_hat=np.ones(7),
     )
-    theta = rng.uniform(0.5, 2.0, size=7)
-    ops = SaddleOperators(
-        theta=theta, xi=np.empty(0), retained=(), dropped_columns=(0, 1),
-        m=1, sigma_sq=0.04,
-    )
-    cov = CovarianceOperator(lrl, ops)
-    assert np.abs(cov.diagonal() - 0.04 / theta).max() < 1e-15
+    ops = build_saddle(lrl, HyperParameters(sigma=0.2, omega=2.0, tau=0.1), m=1)
+    assert ops.retained == () and ops.dropped_columns == (0, 1) and ops.lu is None
+    theta = ops.theta
+    assert np.abs(ops.diagonal() - 0.04 / theta).max() < 1e-15
+    vec = rng.normal(size=7)
+    assert np.abs(ops.matvec(vec) - 0.04 * vec / theta).max() < 1e-15
     rhs = rng.normal(size=(1, 2))
-    out = solve_map_saddle(lrl, ops, rhs)
+    out = ops.solve(rhs)
     expect = np.zeros((7, 2))
     expect[0] = rhs[0] / theta[0]
     assert np.abs(out - expect).max() < 1e-14
@@ -287,31 +312,21 @@ def test_empty_correction_reduces_to_diagonal(rng):
 def test_general_p_duality_and_dense_agreement(rng):
     pts = random_points(100, 3, seed=16)
     g = build_graph(pts, knn_k=6)
-    lrl = nystrom_factor(g.weights.toarray(), range(100), p=1.0)
+    lrl = nystrom_factor(cols(g.weights.toarray()), range(100), p=1.0)
     assert np.abs(lrl.v.T @ lrl.u - np.eye(lrl.rank)).max() < 1e-8
 
     hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)
     m = 10
     phi_hat = rng.normal(size=(m, 2))
     ops = build_saddle(lrl, hp, m=m)
-    got = solve_map_saddle(lrl, ops, phi_hat)
+    got = ops.solve(phi_hat)
     ref = dense_posterior(laplacian(g, 1.0, 0.0), phi_hat, hp)
     assert nla.norm(got - ref.phi_star) <= 1e-6 * nla.norm(ref.phi_star)
 
 
 def test_p_half_views_are_shared():
     w = graph_weights(25, 2, seed=18)
-    lrl = nystrom_factor(w, select_landmarks(25, 2, 8, seed=0), rank_r=4)
+    lrl = nystrom_factor(cols(w), select_landmarks(25, 2, 8, seed=0), rank_r=4)
     assert lrl.u is lrl.u_tilde
     assert lrl.v is lrl.u_tilde
 
-
-def test_lowrank_spectrum_fields():
-    w = graph_weights(40, 2, seed=19)
-    lrl = nystrom_factor(w, select_landmarks(40, 4, 12, seed=3), rank_r=6, p=1.0)
-    spec = lowrank_spectrum(lrl)
-    assert spec.K == lrl.rank
-    assert np.array_equal(spec.eigenvalues, 1.0 - lrl.sigma_vals)
-    assert np.array_equal(spec.eigenvectors, lrl.u)
-    assert spec.shift_a == 2.0
-    assert spec.pq == (1.0, 0.0)

@@ -15,10 +15,12 @@ from mfgl.exceptions import (
     DimensionMismatch,
     InvalidConfig,
     NoBracket,
+    NonFiniteInput,
     NumericalError,
     SingularSystem,
 )
 from mfgl.graph import AffinityGraph, build_graph, laplacian
+from mfgl.nystrom import build_saddle, nystrom_factor
 from mfgl.posterior import (
     calibrate_omega,
     choose_tau,
@@ -566,3 +568,23 @@ def test_truncated_handle_refuses_m_equal_n(monkeypatch):
     template = HyperParameters(sigma=0.05, omega=1.0, tau=0.05)
     with pytest.raises(InvalidConfig, match="calibration needs at least one unobserved row"):
         truncated_mean_stddev(spectrum, np.zeros((30, 3)), template)(1.0)
+
+
+@pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_solver_refuses_non_finite_observations(solver, bad):
+    g = build_graph(random_points(40, 2, seed=3), knn_k=5)
+    gl = laplacian(g, 0.5, 0.5)
+    hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.2)
+    phi_hat = np.zeros((4, 2))
+    phi_hat[2, 1] = bad
+    if solver == "dense":
+        call = lambda: dense_posterior(gl, phi_hat, hp)
+    elif solver == "truncated":
+        call = lambda: truncated_posterior(low_spectrum(gl, K=8), phi_hat, hp)
+    else:
+        w = g.weights.toarray()
+        lrl = nystrom_factor(lambda idx: w[:, idx], range(40))
+        call = lambda: build_saddle(lrl, hp, 4).solve(phi_hat)
+    with pytest.raises(NonFiniteInput, match="phi_hat contains NaN or Inf"):
+        call()
