@@ -30,7 +30,7 @@ from .exceptions import (
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
-from .graph import AffinityGraph, GraphLaplacian, build_graph, laplacian
+from .graph import GraphLaplacian, build_graph, laplacian
 from .matio import write_csv
 from .posterior import (
     PosteriorResult,
@@ -300,31 +300,24 @@ class GraphPrior:
         the first K eigenpairs.
 
         Reordering the points of a graph reorders the rows of its
-        eigenvectors and leaves the eigenvalues alone, so this stands in
-        for a second build on the reordered rows.
+        eigenvectors, of L, L_sym and the degrees, and leaves the
+        eigenvalues alone, so this stands in for a second build on the
+        reordered rows.
         """
         s = self.spectrum
         vectors = s.eigenvectors[perm, :K]
         vectors.setflags(write=False)
         spectrum = Spectrum(
-            K=K,
-            eigenvalues=s.eigenvalues[:K],
-            eigenvectors=vectors,
-            shift_a=s.shift_a,
-            pq=s.pq,
+            K=K, eigenvalues=s.eigenvalues[:K], eigenvectors=vectors, shift_a=s.shift_a
         )
         gl = self.laplacian
         if gl is None:
             return GraphPrior(spectrum)
-        g = gl.graph
-        graph = AffinityGraph(
-            weights=_permute_csr(g.weights, perm),
-            degrees=g.degrees[perm],
-            scales=g.scales[perm],
-            knn_k=g.knn_k,
-        )
         lmat = _permute_csr(gl.matrix, perm)
-        return GraphPrior(spectrum, GraphLaplacian(graph=graph, p=gl.p, q=gl.q, matrix=lmat))
+        sym = lmat if gl.p == gl.q else _permute_csr(gl.sym_matrix, perm)
+        return GraphPrior(spectrum, GraphLaplacian(
+            matrix=lmat, sym_matrix=sym, degrees=gl.degrees[perm], p=gl.p, q=gl.q
+        ))
 
 
 def _permute_csr(mat, perm: np.ndarray):
@@ -464,7 +457,6 @@ def estimate_attached(
         posterior = PosteriorResult(
             phi_star=phi_star,
             stddevs=np.sqrt(truncated_variances(tp)),
-            solver_tag=SolverTag.TRUNCATED,
         )
     else:
         posterior = dense_posterior(factor, phi_hat, hp)
@@ -480,7 +472,8 @@ def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior
     Holds enough eigenpairs both to plan (``config.embed_dim``, else M)
     and to estimate (``config.spectrum_size``), and keeps the Laplacian
     only for the dense solver.  The pipeline builds its graph and
-    spectrum here and nowhere else.
+    spectrum here and nowhere else; W is freed as soon as
+    :func:`~mfgl.graph.laplacian` returns, before the eigensolve.
     """
     _refuse_landmark_solver(config)
     n = lf_norm.shape[0]
@@ -615,7 +608,7 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     ds_norm, nspec, prior, plan, timings = plan_rows(problem.lf_data, config)
     t0 = time.perf_counter()
     # Reorder here, not inside estimate_planned: rebinding drops the only
-    # reference to the plan-order graph, which the dense solver would
+    # reference to the plan-order Laplacian, which the dense solver would
     # otherwise hold through omega calibration (tracemalloc peak 6.7 ->
     # 9.4 MB at N=400).
     prior = _solve_order_prior(ds_norm, plan, config, prior)

@@ -273,9 +273,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_shared(parser: argparse.ArgumentParser, command: str) -> None:
     g = parser.add_argument_group("shared options")
     g.add_argument("--config", metavar="FILE", help="JSON file with config fields; explicit flags override it")
-    g.add_argument("--format", choices=FORMATS, help="matrix file format (default csv)")
-    g.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
-                   help="the user's CSV (plan --lf-path, estimate --hf-path) has a header row")
+    if command in ("plan", "estimate"):  # the commands that read or write a matrix file
+        g.add_argument("--format", choices=FORMATS, help="matrix file format (default csv)")
+        g.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
+                       help="the user's CSV (plan --lf-path, estimate --hf-path) has a header row")
     g.add_argument("--output-dir", dest="output_dir", metavar="DIR", help="where outputs are written (default .)")
     g.add_argument("--threads", type=int, help="cap for BLAS worker pools (MFGL_THREADS equivalent)")
     # One flag per settings field of this subcommand: --knn-k for knn_k.

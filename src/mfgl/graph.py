@@ -23,13 +23,13 @@ and the reweighted inner product <u, v> = u^T D^{p-q} v work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from .config import PipelineConfig
 from .data import frozen
 from .exceptions import (
     DenseLimitExceeded,
@@ -40,7 +40,6 @@ from .exceptions import (
     ZeroDegree,
 )
 
-DEFAULT_KNN_K = 7
 SCALE_TOL = 1e-14
 # Smallest kernel weight the graph keeps.
 WEIGHT_EPS = 1e-12
@@ -58,7 +57,7 @@ def _block_rows(width: int) -> int:
     return max(1, _WORK_BYTES // (8 * width))
 
 
-def self_tuning_scales(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> np.ndarray:
+def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.ndarray:
     """Distance from each point to its knn_k-th nearest neighbor.
 
     The point itself is excluded from the neighbor count, so exact
@@ -133,7 +132,6 @@ class AffinityGraph:
     weights: sp.csr_array
     degrees: np.ndarray
     scales: np.ndarray
-    knn_k: int
 
     def __post_init__(self):
         object.__setattr__(self, "weights", sp.csr_array(self.weights, dtype=np.float64))
@@ -148,7 +146,7 @@ class AffinityGraph:
         return self.weights.shape[0]
 
 
-def build_graph(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> AffinityGraph:
+def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGraph:
     """Build the epsilon-thresholded affinity graph on the rows of ``lf``.
 
     A pair is kept when its weight is at least ``WEIGHT_EPS``.  One pass
@@ -233,40 +231,42 @@ def build_graph(lf: np.ndarray, knn_k: int = DEFAULT_KNN_K) -> AffinityGraph:
     upper = sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
     del cols, vals
     w = upper + upper.T  # the pairs' patterns are disjoint, so no sum rounds
-    return AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=scales, knn_k=knn_k)
+    return AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=scales)
 
 
 @dataclass(frozen=True)
 class GraphLaplacian:
-    """One member L = D^{-p} (D - W) D^{-q} of the Laplacian family, in CSR."""
+    """One member L = D^{-p} (D - W) D^{-q} of the Laplacian family, in CSR,
+    with what the solvers read of its graph: the similar symmetric member
+    L_sym of exponent (p+q)/2 (``matrix`` itself when p == q) and the
+    degrees.  It holds no W.  Build it with :func:`laplacian`."""
 
-    graph: AffinityGraph
+    matrix: sp.csr_array
+    sym_matrix: sp.csr_array
+    degrees: np.ndarray
     p: float
     q: float
-    matrix: sp.csr_array
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", sp.csr_array(self.matrix, dtype=np.float64))
+        object.__setattr__(self, "degrees", frozen(self.degrees))
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def shift_bound(self) -> float:
         """a = 2 max_i D_ii^{1-p-q}; the spectrum of L lies in [0, a]."""
-        return 2.0 * float(np.max(self.graph.degrees ** (1.0 - self.p - self.q)))
-
-    @cached_property
-    def sym_matrix(self) -> sp.csr_array:
-        """The similar symmetric member with exponent (p+q)/2."""
-        if self.p == self.q:
-            return self.matrix
-        return laplacian(self.graph, 0.5 * (self.p + self.q), 0.5 * (self.p + self.q)).matrix
+        return 2.0 * float(np.max(self.degrees ** (1.0 - self.p - self.q)))
 
 
 def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
-    """L = D^{-p} (D - W) D^{-q} as a CSR matrix.
+    """L = D^{-p} (D - W) D^{-q} as a CSR matrix, with L_sym built here too.
 
     Off the diagonal, entry (i, j) is -W_ij (d_i^{-p} d_j^{-q}); for p == q
     the scale factor is a product of two commuting numbers, so L is
-    exactly symmetric.
+    exactly symmetric.  The result keeps no reference to ``graph``, so W
+    is freed once the caller drops it.
 
     Raises
     ------
@@ -286,22 +286,24 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     np.negative(data, out=data)
     off = sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
     mat = (off + sp.diags_array(d ** (1.0 - p - q))).tocsr()
-    return GraphLaplacian(graph=graph, p=p, q=q, matrix=mat)
+    sym = mat if p == q else laplacian(graph, 0.5 * (p + q), 0.5 * (p + q)).matrix
+    return GraphLaplacian(matrix=mat, sym_matrix=sym, degrees=d, p=p, q=q)
 
 
 def weighted_inner(
-    u: np.ndarray, v: np.ndarray, graph: AffinityGraph, p: float, q: float
+    u: np.ndarray, v: np.ndarray, degrees: np.ndarray, p: float, q: float
 ) -> float:
     """Reweighted dot product u^T D^{p-q} v."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape or u.shape[0] != graph.n:
+    n = len(degrees)
+    if u.shape != v.shape or u.shape[0] != n:
         raise DimensionMismatch(
-            f"expected two length-{graph.n} vectors, got {u.shape} and {v.shape}"
+            f"expected two length-{n} vectors, got {u.shape} and {v.shape}"
         )
     if p == q:
         return float(u @ v)
-    return float(u @ (graph.degrees ** (p - q) * v))
+    return float(u @ (degrees ** (p - q) * v))
 
 
 def self_adjointness_check(
@@ -314,13 +316,12 @@ def self_adjointness_check(
     precision certify the (p, q) algebra.
     """
     rng = np.random.default_rng(seed)
-    n = gl.graph.n
     worst = 0.0
     for _ in range(trials):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        lhs = weighted_inner(u, gl.matrix @ v, gl.graph, gl.p, gl.q)
-        rhs = weighted_inner(v, gl.matrix @ u, gl.graph, gl.p, gl.q)
+        u = rng.standard_normal(gl.n)
+        v = rng.standard_normal(gl.n)
+        lhs = weighted_inner(u, gl.matrix @ v, gl.degrees, gl.p, gl.q)
+        rhs = weighted_inner(v, gl.matrix @ u, gl.degrees, gl.p, gl.q)
         worst = max(
             worst,
             abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v)),

@@ -20,6 +20,7 @@ p + q = 1 on this path (p = q = 1/2 being the symmetric member).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -316,7 +317,8 @@ def build_saddle(
     Raises
     ------
     SingularCapacitance
-        The Woodbury core is numerically singular.
+        The Woodbury core is singular: its LU factor has a zero or
+        non-finite pivot.
     """
     if not 0 <= m <= lrl.n:
         raise DimensionMismatch(f"M must be in [0, {lrl.n}], got {m}")
@@ -343,10 +345,15 @@ def build_saddle(
         core = vt @ ((1.0 / theta)[:, None] * vt.T)
         core *= -1.0
         core[np.arange(xi.size), np.arange(xi.size)] += 1.0 / xi
-        try:
-            lu = sla.lu_factor(core)
-        except sla.LinAlgError as exc:
-            raise SingularCapacitance(f"Woodbury core factorization failed: {exc}") from exc
+        # LAPACK returns a zero pivot with only a warning; the check below
+        # refuses it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu = sla.lu_factor(core, check_finite=False)
+        if not (np.all(np.isfinite(lu[0])) and np.all(np.diag(lu[0]) != 0.0)):
+            raise SingularCapacitance(
+                "the Woodbury core is singular: its LU factor has a zero or non-finite pivot"
+            )
         for a in lu:
             a.setflags(write=False)
     return SaddleOperators(

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dtrtri
 
-from .config import SolverTag
+from .config import SolverTag  # noqa: F401  (re-exported: callers import it from here)
 from .data import HyperParameters, _require_finite, frozen
 from .exceptions import (
     AllZeroSpectrum,
@@ -62,7 +62,6 @@ class PosteriorResult:
 
     phi_star: np.ndarray
     stddevs: np.ndarray
-    solver_tag: SolverTag
     mf_estimates: Optional[np.ndarray] = None
     covariance: Optional[np.ndarray] = None
 
@@ -99,7 +98,7 @@ def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
     per unit omega."""
     b = shifted_power(gl.sym_matrix.toarray(), hp.tau, hp.beta)
     if gl.p != gl.q:
-        s = gl.graph.degrees ** (0.5 * (gl.p - gl.q))
+        s = gl.degrees ** (0.5 * (gl.p - gl.q))
         b = s[:, None] * b * s[None, :]
     return b
 
@@ -173,7 +172,7 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
         When a factorization fails, or when the unobserved block is
         numerically singular (see :func:`mfgl.spectral.checked_cholesky`).
     """
-    n = gl.graph.n
+    n = gl.n
     if n > DENSE_POSTERIOR_LIMIT:
         raise DenseLimitExceeded(
             f"N={n} exceeds the dense posterior limit {DENSE_POSTERIOR_LIMIT}"
@@ -257,7 +256,6 @@ def dense_posterior(
     return PosteriorResult(
         phi_star=phi_star,
         stddevs=np.sqrt(factor.variances(omega, sigma)),
-        solver_tag=SolverTag.DENSE,
         covariance=cov,
     )
 
@@ -362,7 +360,7 @@ class RegularizationPath:
 def _observed_rows(gl: GraphLaplacian, phi_observed: np.ndarray) -> np.ndarray:
     """``phi_observed`` as floats, once 1 <= M < N is checked."""
     phi_observed = np.asarray(phi_observed, dtype=np.float64)
-    m, n = phi_observed.shape[0], gl.graph.n
+    m, n = phi_observed.shape[0], gl.n
     if not 1 <= m < n:
         raise DimensionMismatch(f"need 1 <= M < N, got M={m}, N={n}")
     return phi_observed

@@ -55,7 +55,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     shift_a: float
-    pq: tuple
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
@@ -91,7 +90,7 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
     ConvergenceFailure
         When some returned pair has residual above ``EIG_RESIDUAL_TOL``.
     """
-    n = gl.graph.n
+    n = gl.n
     if not 1 <= K <= n:
         raise InvalidConfig(f"K must be in [1, {n}], got {K}")
     lsym = gl.sym_matrix
@@ -119,13 +118,11 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
         raise ConvergenceFailure(worst, float(resid_norms[worst]))
     vecs_s = _fix_signs(vecs_s)
     if gl.p != gl.q:
-        conv = gl.graph.degrees ** (-0.5 * (gl.p - gl.q))
+        conv = gl.degrees ** (-0.5 * (gl.p - gl.q))
         vecs = conv[:, None] * vecs_s
     else:
         vecs = vecs_s
-    return Spectrum(
-        K=K, eigenvalues=vals, eigenvectors=vecs, shift_a=a, pq=(gl.p, gl.q)
-    )
+    return Spectrum(K=K, eigenvalues=vals, eigenvectors=vecs, shift_a=a)
 
 
 def embed(spectrum: Spectrum, m: int) -> np.ndarray:

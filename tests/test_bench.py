@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 import mfgl.bench
+import mfgl.graph
 import mfgl.posterior
 from mfgl.acquisition import plan_acquisition
 from mfgl.cli import main as cli_main
@@ -29,7 +31,7 @@ from mfgl.bench import (
 )
 from mfgl.data import Dataset, Normalization, normalize
 from mfgl.matio import write_csv
-from mfgl.graph import build_graph, laplacian
+from mfgl.graph import AffinityGraph, build_graph, laplacian
 from mfgl.exceptions import (
     InvalidConfig,
     MissingHighFidelity,
@@ -353,8 +355,7 @@ def _planned_solve_inputs(prob, config):
 def dense_oracle_spectrum(gl, K):
     """The K lowest pairs from a dense eigensolve of L_sym (p == q)."""
     vals, vecs = sla.eigh(gl.sym_matrix.toarray(), subset_by_index=[0, K - 1])
-    return Spectrum(K=K, eigenvalues=vals, eigenvectors=vecs,
-                    shift_a=gl.shift_bound, pq=(gl.p, gl.q))
+    return Spectrum(K=K, eigenvalues=vals, eigenvectors=vecs, shift_a=gl.shift_bound)
 
 
 @pytest.mark.parametrize("route", [low_spectrum, dense_oracle_spectrum],
@@ -385,15 +386,62 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
     )
     prior, perm, ds = _planned_solve_inputs(prob, config)
     gl = prior.permuted(perm, config.spectrum_size(ds.n)).laplacian
-    rebuilt = laplacian(gl.graph, p, q).matrix
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(gl.matrix, name), getattr(rebuilt, name))
-    fresh = build_graph(ds.lf, config.knn_k)
-    np.testing.assert_array_equal(gl.graph.scales, fresh.scales)
-    np.testing.assert_allclose(
-        gl.graph.weights.toarray(), fresh.weights.toarray(), rtol=1e-12, atol=0
+    assert (gl.sym_matrix is gl.matrix) == (p == q)
+    # bitwise the Laplacian of the plan-order graph with W's rows reordered
+    g = build_graph(prob.lf_data, config.knn_k)
+    rebuilt = laplacian(
+        AffinityGraph(weights=g.weights[perm][:, perm], degrees=g.degrees[perm],
+                      scales=g.scales[perm]), p, q,
     )
-    np.testing.assert_allclose(gl.graph.degrees, fresh.degrees, rtol=1e-12)
+    fresh = laplacian(build_graph(ds.lf, config.knn_k), p, q)
+    for name in ("matrix", "sym_matrix"):
+        ours, exact = getattr(gl, name), getattr(rebuilt, name)
+        exact.sort_indices()
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(ours, part), getattr(exact, part))
+        np.testing.assert_allclose(
+            ours.toarray(), getattr(fresh, name).toarray(), rtol=1e-12, atol=0
+        )
+    np.testing.assert_array_equal(gl.degrees, rebuilt.degrees)
+    np.testing.assert_allclose(gl.degrees, fresh.degrees, rtol=1e-12)
+
+
+@pytest.mark.parametrize("solver", [SolverTag.TRUNCATED, SolverTag.DENSE])
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 0.0)])
+def test_graph_freed_before_eigensolve(solver, p, q, monkeypatch):
+    # the Laplacian holds L, L_sym and the degrees, so W dies with the graph
+    refs, alive = [], []
+
+    def traced_build(*args):
+        g = build_graph(*args)
+        refs.extend([weakref.ref(g), weakref.ref(g.weights)])
+        return g
+
+    def traced_spectrum(gl, K):
+        alive.append([ref() is not None for ref in refs])
+        return low_spectrum(gl, K)
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", traced_build)
+    monkeypatch.setattr(mfgl.bench, "low_spectrum", traced_spectrum)
+    prob = generate(Generator.CLUSTERED_SHIFT, 200, 3, seed=0, clusters=4)
+    run_pipeline(prob, PipelineConfig(solver=solver, m=5, p=p, q=q, seed=7))
+    assert alive == [[False, False]]
+
+
+def test_dense_run_builds_each_laplacian_member_once(monkeypatch):
+    # L and L_sym are built once, from W; the solve-order prior reorders them
+    members = []
+    real = mfgl.graph.laplacian
+
+    def counted(graph, p, q):
+        members.append((p, q))
+        return real(graph, p, q)
+
+    monkeypatch.setattr(mfgl.graph, "laplacian", counted)
+    monkeypatch.setattr(mfgl.bench, "laplacian", counted)
+    prob = generate(Generator.SMOOTH_MANIFOLD, 200, 3, seed=0)
+    run_pipeline(prob, PipelineConfig(solver=SolverTag.DENSE, m=5, p=1.0, q=0.0, seed=7))
+    assert members == [(1.0, 0.0), (0.5, 0.5)]
 
 
 class DenseWork:

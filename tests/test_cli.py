@@ -227,6 +227,35 @@ def test_bench_with_every_row_observed_exit_3(tmp_path, capsys):
     assert last_json(err)["error"] == "InvalidConfig"
 
 
+@pytest.mark.parametrize("flag", [["--format", "bin"], ["--header"]])
+def test_bench_refuses_matrix_file_flags(tmp_path, capsys, flag):
+    # bench reads and writes no matrix file, so a format would be ignored
+    code, _, err = run_cli(
+        capsys, "bench", "--n", "60", "--d", "3", "--clusters", "3", "--m", "4",
+        *flag, "--output-dir", str(tmp_path),
+    )
+    assert code == 3
+    error = last_json(err)
+    assert error["error"] == "InvalidConfig"
+    assert flag[0] in error["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_bench_dense_tiny_tau_exit_4(tmp_path, capsys):
+    # tau = 1e-14 leaves the dense prior numerically singular: refused
+    code, _, err = run_cli(
+        capsys, "bench", "--solver", "dense", "--n", "200", "--d", "3", "--m", "5",
+        "--tau", "1e-14", "--output-dir", str(tmp_path),
+    )
+    assert code == 4
+    (line,) = err.strip().splitlines()  # one JSON object, no traceback
+    error = json.loads(line)
+    assert error["error"] == "SingularSystem"
+    assert error["exit_code"] == 4
+    # refused either by its conditioning test or by a failed factorization
+    assert error["message"].startswith("unobserved prior block")
+
+
 def test_bench_with_zero_displacement_exit_3(tmp_path, capsys):
     # the schema admits it; the report then finds no error to reduce
     code, _, err = run_cli(
@@ -610,11 +639,12 @@ def test_config_wrong_type_exit_3(tmp_path, capsys, key, value):
 
 
 _SHARED_FLAGS = {
-    "-h", "--help", "--config", "--format", "--header", "--no-header",
-    "--output-dir", "--threads", "--normalization", "--p", "--q", "--knn-k",
+    "-h", "--help", "--config", "--output-dir", "--threads", "--normalization", "--p", "--q", "--knn-k",
     "--solver", "--K", "--m", "--sigma", "--beta", "--r", "--omega", "--tau",
     "--seed", "--embed-dim",
 }
+# only the commands that read or write a matrix file take these
+_FILE_FLAGS = {"--format", "--header", "--no-header"}
 
 
 def test_subcommand_flags_are_fixed():
@@ -629,8 +659,8 @@ def test_subcommand_flags_are_fixed():
         for name, p in sub.choices.items()
     }
     assert flags == {
-        "plan": _SHARED_FLAGS | {"--lf-path"},
-        "estimate": _SHARED_FLAGS | {"--lf-path", "--hf-path", "--plan-path"},
+        "plan": _SHARED_FLAGS | _FILE_FLAGS | {"--lf-path"},
+        "estimate": _SHARED_FLAGS | _FILE_FLAGS | {"--lf-path", "--hf-path", "--plan-path"},
         "bench": _SHARED_FLAGS | {
             "--generator", "--n", "--d", "--clusters", "--displacement-rel",
             "--noise-rel", "--lf-scale", "--metric",

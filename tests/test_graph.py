@@ -275,21 +275,19 @@ def test_zero_degree_detected():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0  # node 2 isolated
     with pytest.raises(ZeroDegree):
-        AffinityGraph(
-            weights=w, degrees=w.sum(axis=1), scales=np.ones(3), knn_k=1
-        )
+        AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(3))
 
 
 def test_weighted_inner_reduces_to_dot_for_equal_pq(rng):
     g = build_graph(random_points(10, 2, seed=1), knn_k=3)
     u, v = rng.normal(size=(2, 10))
-    assert weighted_inner(u, v, g, 0.5, 0.5) == pytest.approx(float(u @ v))
+    assert weighted_inner(u, v, g.degrees, 0.5, 0.5) == pytest.approx(float(u @ v))
 
 
 def test_weighted_inner_ones_gives_total_degree():
     g = build_graph(random_points(9, 2, seed=8), knn_k=3)
     ones = np.ones(9)
-    assert weighted_inner(ones, ones, g, 1.0, 0.0) == pytest.approx(
+    assert weighted_inner(ones, ones, g.degrees, 1.0, 0.0) == pytest.approx(
         float(g.degrees.sum())
     )
 
@@ -298,7 +296,7 @@ def test_weighted_inner_matches_elementwise_oracle(rng):
     g = build_graph(random_points(11, 3, seed=2), knn_k=3)
     u, v = rng.normal(size=(2, 11))
     oracle = sum(u[i] * g.degrees[i] * v[i] for i in range(11))
-    assert weighted_inner(u, v, g, 1.0, 0.0) == pytest.approx(oracle)
+    assert weighted_inner(u, v, g.degrees, 1.0, 0.0) == pytest.approx(oracle)
 
 
 def test_self_adjointness_in_weighted_inner():
@@ -309,5 +307,6 @@ def test_self_adjointness_in_weighted_inner():
 
 def test_self_adjointness_negative_control(rng):
     g = build_graph(random_points(12, 2, seed=3), knn_k=3)
-    fake = GraphLaplacian(graph=g, p=0.5, q=0.5, matrix=rng.normal(size=(12, 12)))
+    mat = rng.normal(size=(12, 12))
+    fake = GraphLaplacian(matrix=mat, sym_matrix=mat, degrees=g.degrees, p=0.5, q=0.5)
     assert self_adjointness_check(fake) > 1e-6

@@ -10,6 +10,7 @@ from mfgl.exceptions import (
     InvalidConfig,
     NegativeApproxDegree,
     NonFiniteInput,
+    SingularCapacitance,
     SingularLandmarkBlock,
 )
 from mfgl.graph import build_graph, laplacian
@@ -269,6 +270,16 @@ def test_saddle_factors_its_core_once(monkeypatch, rng):
     ops.diagonal()
     assert ops.rank > 0
     assert calls == [(ops.rank, ops.rank)]
+
+
+def test_exactly_singular_core_refused():
+    # Theta = [2, 1] and Xi = 2 give the 1 x 1 core 1/2 - 1/2 = 0 exactly;
+    # LAPACK returns its zero pivot with only a warning
+    lrl = LowRankLaplacian(
+        landmarks=(1,), u_tilde=[[0.0], [1.0]], sigma_vals=[2.0], d_hat=[1.0, 1.0]
+    )
+    with pytest.raises(SingularCapacitance, match="zero or non-finite pivot"):
+        build_saddle(lrl, HyperParameters(sigma=1, omega=1, tau=1, beta=1), m=1)
 
 
 def test_covariance_is_the_saddle_inverse(rng):

@@ -35,9 +35,7 @@ from mfgl.spectral import Spectrum, low_spectrum, truncated_posterior, truncated
 
 def hand_graph(w):
     w = np.asarray(w, dtype=np.float64)
-    return AffinityGraph(
-        weights=w, degrees=w.sum(axis=1), scales=np.ones(w.shape[0]), knn_k=1
-    )
+    return AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(w.shape[0]))
 
 
 def test_zero_rhs_and_data_independent_covariance(rng):
@@ -135,7 +133,7 @@ def spectrum_of(vals, shift_a=2.0):
     vals = np.asarray(vals, dtype=np.float64)
     return Spectrum(
         K=vals.size, eigenvalues=vals, eigenvectors=np.eye(vals.size),
-        shift_a=shift_a, pq=(0.5, 0.5),
+        shift_a=shift_a,
     )
 
 
@@ -168,7 +166,7 @@ def test_choose_tau_does_not_depend_on_K():
     full = spectrum_of(vals)
     first_three = Spectrum(
         K=3, eigenvalues=vals[:3], eigenvectors=full.eigenvectors[:, :3],
-        shift_a=full.shift_a, pq=full.pq,
+        shift_a=full.shift_a,
     )
     assert choose_tau(first_three) == choose_tau(full) == 0.1
 
@@ -359,7 +357,7 @@ def test_unobserved_cluster_is_refused():
     with pytest.raises(SingularSystem, match="numerically singular"):
         dense_posterior(gl, phi_hat, hp)
     with pytest.raises(SingularSystem, match="numerically singular"):
-        truncated_posterior(low_spectrum(gl, gl.graph.n), phi_hat, hp)
+        truncated_posterior(low_spectrum(gl, gl.n), phi_hat, hp)
 
 
 def explicit_map_matrix(gl, hp, m):
@@ -367,7 +365,7 @@ def explicit_map_matrix(gl, hp, m):
     # taken on the eigenvalues of L_sym
     vals, vecs = nla.eigh(gl.sym_matrix.toarray())
     prior = (vecs * (np.clip(vals, 0.0, None) + hp.tau) ** hp.beta) @ vecs.T
-    s = gl.graph.degrees ** (0.5 * (gl.p - gl.q))
+    s = gl.degrees ** (0.5 * (gl.p - gl.q))
     a = hp.omega * s[:, None] * prior * s[None, :]
     a[np.arange(m), np.arange(m)] += 1.0 / hp.sigma**2
     return a
@@ -493,7 +491,7 @@ def test_dense_stddevs_accurate_with_unobserved_cluster():
 )
 def test_truncated_full_rank_accurate_with_unobserved_cluster():
     gl, hp, phi_hat, oracle_map, _ = unobserved_cluster_oracle()
-    tp = truncated_posterior(low_spectrum(gl, gl.graph.n), phi_hat, hp)
+    tp = truncated_posterior(low_spectrum(gl, gl.n), phi_hat, hp)
     got = tp.map_displacements()
     assert nla.norm(got - oracle_map) <= 1e-3 * nla.norm(oracle_map)
 
