@@ -44,11 +44,12 @@ SCALE_TOL = 1e-14
 # Smallest kernel weight the graph keeps.
 WEIGHT_EPS = 1e-12
 # Most bytes the CSR weights may take: 8 for the value and 4 for the
-# column index of each kept pair.
+# column index of each kept pair.  It counts W only; the Laplacian stage
+# holds W and L together, about twice that.
 GRAPH_BYTE_BUDGET = 1 << 30
 _CSR_ENTRY_BYTES = 12
-# Most bytes of one block of squared distances, or of one chunk of
-# gathered point differences, in build_graph and weight_columns.
+# Most bytes of one block of squared distances, point differences or
+# scale factors, in build_graph, weight_columns and laplacian.
 _WORK_BYTES = 1 << 20
 
 
@@ -91,8 +92,8 @@ def weight_columns(
 ) -> np.ndarray:
     """Columns W[:, indices] of the kernel matrix, without forming W.
 
-    Runs in O(N * len(indices)) memory; this is the only weight access the
-    large-N solver path is allowed to use.  Raises ``DimensionMismatch``
+    Runs in O(N * len(indices)) memory; it is the landmark factor's weight
+    access, which no pipeline path calls.  Raises ``DimensionMismatch``
     unless ``scales`` has shape (N,), and ``InvalidConfig`` for an index
     outside [0, N).
     """
@@ -263,10 +264,15 @@ class GraphLaplacian:
 def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     """L = D^{-p} (D - W) D^{-q} as a CSR matrix, with L_sym built here too.
 
-    Off the diagonal, entry (i, j) is -W_ij (d_i^{-p} d_j^{-q}); for p == q
-    the scale factor is a product of two commuting numbers, so L is
-    exactly symmetric.  The result keeps no reference to ``graph``, so W
-    is freed once the caller drops it.
+    Off the diagonal, entry (i, j) is -((d_i^{-p} d_j^{-q}) W_ij); for
+    p == q the scale factor is a product of two commuting numbers, so L is
+    exactly symmetric.  L is written into its final pattern, W's sorted
+    pattern plus the diagonal, and scaled in place in blocks of
+    ``_WORK_BYTES``, so beyond W the call holds L, a byte per entry and
+    one block.  L_sym shares that pattern, and the arrays are read-only:
+    an in-place scipy operation on one member would change the other's
+    pattern, so it raises ``ValueError``; work on a copy.  The result
+    keeps no reference to ``graph``, so W is freed once it is dropped.
 
     Raises
     ------
@@ -279,14 +285,38 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     if bad.size:
         raise ZeroDegree(int(bad[0]))
     w = graph.weights
-    # -(d_i^{-p} d_j^{-q}) W_ij in one array, with one nnz-sized temporary
-    data = np.repeat(d ** -p, np.diff(w.indptr))
-    data *= (d ** -q)[w.indices]
-    data *= w.data
-    np.negative(data, out=data)
-    off = sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
-    mat = (off + sp.diags_array(d ** (1.0 - p - q))).tocsr()
-    sym = mat if p == q else laplacian(graph, 0.5 * (p + q), 0.5 * (p + q)).matrix
+    if not w.has_sorted_indices:
+        w = w.sorted_indices()
+    n = w.shape[0]
+    # L's pattern: W's pattern (marked 1) merged with the diagonal (marked 2)
+    marks = sp.csr_array((np.ones(w.nnz, np.int8), w.indices, w.indptr), shape=w.shape)
+    marks = marks + sp.diags_array(np.full(n, 2, np.int8), dtype=np.int8)
+    indptr, indices, off = marks.indptr, marks.indices, marks.data != 2
+    diag = np.flatnonzero(marks.data > 1)  # a stored W_ii shares its slot
+    del marks
+    counts = np.diff(indptr)
+    step = _block_rows(int(counts.max(initial=1)))  # rows of a work block
+    blocks = [(a, min(a + step, n)) for a in range(0, n, step)]
+
+    def member(p: float, q: float) -> sp.csr_array:
+        # -((d_i^{-p} d_j^{-q}) W_ij), scaled in place one block at a time
+        data = np.zeros(indptr[-1])
+        data[off] = w.data
+        dp, dq = d ** -p, d ** -q
+        for a, b in blocks:
+            seg = data[indptr[a] : indptr[b]]
+            scale = np.repeat(dp[a:b], counts[a:b])
+            scale *= dq[indices[indptr[a] : indptr[b]]]
+            scale *= seg
+            np.negative(scale, out=seg)
+        data[diag] += d ** (1.0 - p - q)
+        data.setflags(write=False)
+        return sp.csr_array((data, indices, indptr), shape=w.shape)
+
+    indices.setflags(write=False)
+    indptr.setflags(write=False)
+    mat = member(p, q)
+    sym = mat if p == q else member(0.5 * (p + q), 0.5 * (p + q))
     return GraphLaplacian(matrix=mat, sym_matrix=sym, degrees=d, p=p, q=q)
 
 

@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
 
 from .config import SolverTag  # noqa: F401  (re-exported: callers import it from here)
@@ -79,27 +80,31 @@ class PosteriorResult:
                 raise DimensionMismatch("covariance must be N x N")
 
 
-def shifted_power(sym: np.ndarray, tau: float, beta: float) -> np.ndarray:
-    """(sym + tau I)^beta for a symmetric PSD matrix.
+def shifted_power(sym, tau: float, beta: float) -> np.ndarray:
+    """(sym + tau I)^beta for a symmetric PSD matrix, sparse or dense.
 
-    Integer beta multiplies out exactly; otherwise the power is taken on
-    the eigenvalues (:func:`~mfgl.spectral.shifted_eigenvalues`).
+    One dense copy of ``sym`` is made and worked on in place.  Integer
+    beta shifts its diagonal and multiplies it out exactly; otherwise the
+    power is taken on the copy's eigenvalues, and the copy is dropped
+    before the product (:func:`~mfgl.spectral.shifted_eigenvalues`).
     """
-    sym = np.asarray(sym, dtype=np.float64)
-    base = sym + tau * np.eye(sym.shape[0])
+    base = sym.toarray() if sp.issparse(sym) else np.array(sym, dtype=np.float64)
     if float(beta).is_integer():
+        base.flat[:: base.shape[0] + 1] += tau
         return np.linalg.matrix_power(base, int(beta))
-    vals, vecs = sla.eigh(sym)
+    vals, vecs = sla.eigh(base)
+    del base
     return (vecs * shifted_eigenvalues(vals, tau, beta)) @ vecs.T
 
 
 def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
     """S (L_sym + tau I)^beta S with S = D^{(p-q)/2}: the prior precision
-    per unit omega."""
-    b = shifted_power(gl.sym_matrix.toarray(), hp.tau, hp.beta)
+    per unit omega, scaled in place."""
+    b = shifted_power(gl.sym_matrix, hp.tau, hp.beta)
     if gl.p != gl.q:
         s = gl.degrees ** (0.5 * (gl.p - gl.q))
-        b = s[:, None] * b * s[None, :]
+        b *= s[:, None]
+        b *= s[None, :]
     return b
 
 

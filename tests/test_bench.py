@@ -429,19 +429,24 @@ def test_graph_freed_before_eigensolve(solver, p, q, monkeypatch):
 
 
 def test_dense_run_builds_each_laplacian_member_once(monkeypatch):
-    # L and L_sym are built once, from W; the solve-order prior reorders them
+    # one laplacian call fills L and L_sym on one pattern, from W; the
+    # solve-order prior reorders them
     members = []
     real = mfgl.graph.laplacian
 
     def counted(graph, p, q):
-        members.append((p, q))
-        return real(graph, p, q)
+        members.append(real(graph, p, q))
+        return members[-1]
 
     monkeypatch.setattr(mfgl.graph, "laplacian", counted)
     monkeypatch.setattr(mfgl.bench, "laplacian", counted)
     prob = generate(Generator.SMOOTH_MANIFOLD, 200, 3, seed=0)
     run_pipeline(prob, PipelineConfig(solver=SolverTag.DENSE, m=5, p=1.0, q=0.0, seed=7))
-    assert members == [(1.0, 0.0), (0.5, 0.5)]
+    [gl] = members
+    assert (gl.p, gl.q) == (1.0, 0.0)
+    assert not np.shares_memory(gl.matrix.data, gl.sym_matrix.data)
+    assert np.shares_memory(gl.matrix.indices, gl.sym_matrix.indices)
+    assert np.shares_memory(gl.matrix.indptr, gl.sym_matrix.indptr)
 
 
 class DenseWork:

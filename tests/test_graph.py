@@ -199,6 +199,117 @@ def test_front_end_peak_is_bounded_by_the_csr():
     assert peak < 3 * csr_bytes + mfgl.graph._WORK_BYTES
 
 
+def _laplacian_reference(graph, p, q):
+    """(L, L_sym) by the two-step formula: the scaled off-diagonal part
+    plus the diagonal as a sparse sum, and L_sym as its own member."""
+    d, w = graph.degrees, graph.weights
+    data = np.repeat(d ** -p, np.diff(w.indptr))
+    data *= (d ** -q)[w.indices]
+    data *= w.data
+    np.negative(data, out=data)
+    off = sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
+    mat = (off + sp.diags_array(d ** (1.0 - p - q))).tocsr()
+    s = 0.5 * (p + q)
+    return mat, mat if p == q else _laplacian_reference(graph, s, s)[0]
+
+
+def assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, part
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), part
+
+
+PQ_CASES = [(0.5, 0.5), (1.0, 0.0), (0.75, 0.25)]
+
+
+def assert_matches_reference(g):
+    for p, q in PQ_CASES:
+        gl = laplacian(g, p, q)
+        ref_mat, ref_sym = _laplacian_reference(g, p, q)
+        assert_same_csr(gl.matrix, ref_mat)
+        assert_same_csr(gl.sym_matrix, ref_sym)
+        assert gl.matrix.indices.dtype == gl.matrix.indptr.dtype == np.int32
+        assert gl.matrix.has_canonical_format
+        if p == q:
+            assert gl.sym_matrix is gl.matrix
+        else:
+            assert np.shares_memory(gl.sym_matrix.indices, gl.matrix.indices)
+            assert np.shares_memory(gl.sym_matrix.indptr, gl.matrix.indptr)
+            assert not np.shares_memory(gl.sym_matrix.data, gl.matrix.data)
+
+
+@pytest.mark.parametrize("kind, n, d", GENERATOR_CASES)
+def test_laplacian_equals_two_step_formula_bitwise(kind, n, d):
+    assert_matches_reference(build_graph(generate(kind, n, d, seed=0).lf_data))
+
+
+def test_laplacian_diagonal_slot_first_middle_and_last():
+    # row 0 has no column below it (slot first), row 3 none above it
+    # (slot last), rows 1 and 2 have columns on both sides
+    w = np.array([[0.0, 0.5, 0.0, 0.2],
+                  [0.5, 0.0, 0.3, 0.1],
+                  [0.0, 0.3, 0.0, 0.7],
+                  [0.2, 0.1, 0.7, 0.0]])
+    g = AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(4))
+    assert_matches_reference(g)
+    gl = laplacian(g, 0.5, 0.5)
+    assert gl.matrix.indices.tolist() == [0, 1, 3, 0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3]
+    # a stored self-loop W_22 is summed into row 2's diagonal slot
+    w[2, 2] = 0.4
+    assert_matches_reference(AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(4)))
+
+
+def test_laplacian_sorts_unsorted_weights_into_a_copy():
+    g = build_graph(random_points(40, 3, seed=3), knn_k=5)
+    perm = np.random.default_rng(0).permutation(40)
+    shuffled = AffinityGraph(weights=g.weights[perm][:, perm], degrees=g.degrees[perm],
+                             scales=g.scales[perm])
+    w = shuffled.weights
+    assert not w.has_sorted_indices
+    before = [getattr(w, part).copy() for part in ("indptr", "indices", "data")]
+    for p, q in PQ_CASES:
+        gl = laplacian(shuffled, p, q)
+        for name in ("matrix", "sym_matrix"):
+            got = getattr(gl, name)
+            assert got.has_canonical_format
+            want = getattr(laplacian(g, p, q), name)[perm][:, perm]
+            want.sort_indices()
+            assert_same_csr(got, want)
+    assert not w.has_sorted_indices
+    for part, old in zip(("indptr", "indices", "data"), before):
+        assert np.array_equal(getattr(w, part), old)
+
+
+def test_laplacian_arrays_are_read_only():
+    gl = laplacian(build_graph(random_points(30, 2, seed=1), knn_k=4), 1.0, 0.0)
+    for mat in (gl.matrix, gl.sym_matrix):
+        for part in ("data", "indices", "indptr"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mat, part)[0] = 0
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 0.0)])
+def test_laplacian_peak_is_its_output_and_a_few_blocks(p, q):
+    # L is filled in place in its final pattern: beyond its input the
+    # stage holds L (and L_sym's values), the off-diagonal mask and
+    # block-sized temporaries, not a scaled copy of W and a sparse sum.
+    # At N=1500 that copy (2.0 MB) fits inside the bound's three blocks,
+    # so the case is N=3000, where it takes 7.5 MB.
+    g = build_graph(generate(Generator.CLUSTERED_SHIFT, 3000, 5, seed=0).lf_data)
+    tracemalloc.start()
+    try:
+        gl = laplacian(g, p, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    mat = gl.matrix
+    out = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    if p != q:
+        out += gl.sym_matrix.data.nbytes
+    assert peak <= out + mat.nnz + 3 * mfgl.graph._WORK_BYTES
+
+
 def test_two_node_symmetric_laplacian():
     lf = np.array([[0.0], [1.0]])
     lmat = laplacian(build_graph(lf, knn_k=1), 0.5, 0.5).matrix.toarray()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.linalg as nla
 import pytest
@@ -121,6 +123,45 @@ def test_shifted_power_fractional_beta_matches_eigh(rng):
     ref = (v * (np.clip(lam, 0.0, None) + 0.4) ** 1.5) @ v.T
     out = shifted_power(s, tau=0.4, beta=1.5)
     assert np.abs(out - ref).max() < 1e-10
+
+
+def _shifted_power_reference(sym, tau, beta):
+    """(sym + tau I)^beta with the shift and the power on fresh arrays."""
+    base = sym + tau * np.eye(sym.shape[0])
+    if float(beta).is_integer():
+        return nla.matrix_power(base, int(beta))
+    vals, vecs = sla.eigh(sym)
+    return (vecs * (np.clip(vals, 0.0, None) + tau) ** beta) @ vecs.T
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0, 1.5])
+def test_shifted_power_in_place_matches_reference_bitwise(beta):
+    gl = laplacian(build_graph(random_points(60, 3, seed=4), knn_k=5), 0.5, 0.5)
+    dense = gl.sym_matrix.toarray()
+    kept = dense.copy()
+    want = _shifted_power_reference(kept, 0.05, beta)
+    for sym in (gl.sym_matrix, dense):
+        got = shifted_power(sym, 0.05, beta)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(dense, kept)  # the sparse argument is read-only
+
+
+@pytest.mark.parametrize("beta, multiple", [(2.0, 2.2), (1.5, 3.3)])
+def test_dense_factor_peak_is_a_few_n_squared_arrays(beta, multiple):
+    # the prior is one dense copy of L_sym, shifted and raised in place:
+    # beta = 2 holds the copy and its square, beta = 1.5 the eigenvectors,
+    # their scaled copy and the product
+    n = 400
+    lf = generate(Generator.SMOOTH_MANIFOLD, n, 5, seed=0).lf_data
+    gl = laplacian(build_graph(lf), 0.5, 0.5)
+    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.01, beta=beta)
+    tracemalloc.start()
+    try:
+        dense_factor(gl, hp, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= multiple * 8 * n * n
 
 
 def test_choose_tau_two_node_graph():
