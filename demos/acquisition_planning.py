@@ -47,7 +47,7 @@ print(f"embedding k-means matches the true partition on "
       f"{100 * agree / pts.shape[0]:.1f}% of points")
 
 # plans serialize losslessly; the permutation puts the picks first
-rt = plan_from_json(plan_to_json(plan))
+rt, _ = plan_from_json(plan_to_json(plan))
 same = (
     rt.selected_indices == plan.selected_indices
     and rt.permutation == plan.permutation

@@ -211,8 +211,9 @@ def apply_permutation(data: Dataset, plan: AcquisitionPlan) -> Dataset:
     return Dataset(lf=rows)
 
 
-def plan_to_json(plan: AcquisitionPlan) -> str:
-    """Serialize a plan for the two-phase CLI workflow."""
+def plan_to_json(plan: AcquisitionPlan, **record) -> str:
+    """Serialize a plan for the two-phase CLI workflow, with the JSON-ready
+    values of ``record`` as further keys."""
     return json.dumps(
         {
             "selected_indices": list(plan.selected_indices),
@@ -221,16 +222,18 @@ def plan_to_json(plan: AcquisitionPlan) -> str:
             "embed_dim": plan.embed_dim,
             "centroids": plan.centroids.tolist(),
             "cluster_assignment": plan.cluster_assignment.tolist(),
+            **record,
         },
         indent=2,
     )
 
 
-def plan_from_json(text: str) -> AcquisitionPlan:
-    """Inverse of :func:`plan_to_json`."""
+def plan_from_json(text: str) -> tuple[AcquisitionPlan, dict]:
+    """Inverse of :func:`plan_to_json`: the plan, and the whole JSON
+    object, which holds the ``record`` keys too."""
     try:
         raw = json.loads(text)
-        return AcquisitionPlan(
+        plan = AcquisitionPlan(
             selected_indices=tuple(raw["selected_indices"]),
             permutation=tuple(raw["permutation"]),
             centroids=np.asarray(raw["centroids"], dtype=np.float64),
@@ -240,3 +243,4 @@ def plan_from_json(text: str) -> AcquisitionPlan:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed acquisition plan: {exc}") from exc
+    return plan, raw

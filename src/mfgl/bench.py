@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .acquisition import AcquisitionPlan, apply_permutation, plan_acquisition
 from .config import ErrorMetric, Generator, Normalization, PipelineConfig, ProblemConfig, SolverTag
@@ -313,17 +314,26 @@ class GraphPrior:
         gl = self.laplacian
         if gl is None:
             return GraphPrior(spectrum)
-        lmat = _permute_csr(gl.matrix, perm)
-        sym = lmat if gl.p == gl.q else _permute_csr(gl.sym_matrix, perm)
+        mats = _permute_csr((gl.matrix,) if gl.p == gl.q else (gl.matrix, gl.sym_matrix), perm)
         return GraphPrior(spectrum, GraphLaplacian(
-            matrix=lmat, sym_matrix=sym, degrees=gl.degrees[perm], p=gl.p, q=gl.q
+            matrix=mats[0], sym_matrix=mats[-1], degrees=gl.degrees[perm], p=gl.p, q=gl.q
         ))
 
 
-def _permute_csr(mat, perm: np.ndarray):
-    """P mat P^T for the permutation ``perm``, with sorted column indices."""
-    out = mat[perm][:, perm]
-    out.sort_indices()
+def _permute_csr(mats: tuple, perm: np.ndarray) -> list:
+    """P A P^T for each A of ``mats``, which share one sparsity pattern:
+    read-only arrays over one sorted pattern, as :func:`~mfgl.graph.laplacian`
+    builds them, permuted once by carrying each entry's position as its value."""
+    a = mats[0]
+    moved = sp.csr_array((np.arange(a.nnz), a.indices, a.indptr), shape=a.shape)[perm][:, perm]
+    moved.sort_indices()
+    moved.indices.setflags(write=False)
+    moved.indptr.setflags(write=False)
+    out = []
+    for m in mats:
+        data = m.data[moved.data]
+        data.setflags(write=False)
+        out.append(sp.csr_array((data, moved.indices, moved.indptr), shape=a.shape))
     return out
 
 
@@ -486,7 +496,6 @@ def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior
 class PlannedRows(NamedTuple):
     """The planning step's results, all in input order."""
 
-    ds_norm: Dataset
     nspec: NormalizationSpec
     prior: GraphPrior
     plan: AcquisitionPlan
@@ -514,44 +523,30 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     prior = planning_spectrum(ds_norm.lf, config)
     plan = plan_acquisition(prior.spectrum, config.m, config.seed, embed_dim=config.embed_dim)
     timings["plan"] = time.perf_counter() - t0
-    return PlannedRows(ds_norm, nspec, prior, plan, timings)
-
-
-def _solve_order_prior(
-    ds_norm: Dataset,
-    plan: AcquisitionPlan,
-    config: PipelineConfig,
-    prior: Optional[GraphPrior] = None,
-) -> GraphPrior:
-    """The planning prior of ``ds_norm`` (built here exactly as planning
-    built it when not given) in the plan's row order."""
-    if prior is None:
-        prior = planning_spectrum(ds_norm.lf, config)
-    perm = np.asarray(plan.permutation, dtype=np.intp)
-    return prior.permuted(perm, config.spectrum_size(ds_norm.n))
+    return PlannedRows(nspec, prior, plan, timings)
 
 
 def estimate_planned(
-    ds_norm: Dataset,
+    lf_raw: np.ndarray,
     nspec: NormalizationSpec,
     plan: AcquisitionPlan,
     hf_raw: np.ndarray,
     config: PipelineConfig,
-    prior: Optional[GraphPrior] = None,
+    prior: GraphPrior,
 ) -> EstimateArtifacts:
     """Estimate from the rows a plan selected: the step shared by
     :func:`run_pipeline` and ``mfgl estimate``.
 
-    ``ds_norm`` holds the normalized low-fidelity rows in input order and
-    ``nspec`` their normalization; ``hf_raw`` holds the high-fidelity rows
-    of ``plan.selected_indices``, in that order and in input units, and so
-    does ``config.sigma``.  M and the embedding width are the plan's.
-    ``prior`` is the graph prior in solve order (see
-    :func:`_solve_order_prior`), built here when not given.
+    ``lf_raw`` holds the low-fidelity rows in solve order (the plan's
+    permutation, selected rows first) and ``prior`` their graph prior in
+    the same order, usually the planning prior after
+    :meth:`GraphPrior.permuted`.  ``nspec`` is the planning
+    normalization, in input order.  ``hf_raw`` holds the high-fidelity
+    rows of ``plan.selected_indices``, in that order and in input units,
+    and so does ``config.sigma``.
 
     Outputs are in solve order; the posterior's ``mf_estimates`` are in
-    input units.  ``timings["assemble"]`` covers the reordering, and the
-    graph prior when none was passed.
+    input units.  ``timings["assemble"]`` covers normalizing the rows.
     """
     t0 = time.perf_counter()
     if len(hf_raw) != plan.m:
@@ -559,18 +554,13 @@ def estimate_planned(
             f"{len(hf_raw)} high-fidelity rows, but the plan selected {plan.m}"
         )
     sigma = None if config.sigma is None else sigma_in_solve_coords(config.sigma, nspec)
-    config = dataclasses.replace(
-        config, m=plan.m, embed_dim=plan.embed_dim, sigma=sigma
-    )
-    if prior is None:
-        prior = _solve_order_prior(ds_norm, plan, config)
-    ds_perm = apply_permutation(ds_norm, plan)
-    spec_perm = nspec.permuted(np.asarray(plan.permutation, dtype=np.intp))
-    ds_solve = Dataset(lf=ds_perm.lf, hf=spec_perm.apply(hf_raw))
+    config = dataclasses.replace(config, sigma=sigma)
+    spec = nspec.permuted(np.asarray(plan.permutation, dtype=np.intp))
+    ds = Dataset(lf=spec.apply(lf_raw), hf=spec.apply(hf_raw))
     assemble_s = time.perf_counter() - t0
 
-    art = estimate_attached(ds_solve, config, prior)
-    mf = spec_perm.invert(ds_solve.lf + art.posterior.phi_star)
+    art = estimate_attached(ds, config, prior)
+    mf = spec.invert(ds.lf + art.posterior.phi_star)
     mf.setflags(write=False)
     return dataclasses.replace(
         art,
@@ -587,8 +577,8 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     The graph and its spectrum are built once, in input order, by the
     planning step; :func:`estimate_planned` reuses them in solve order.
     ``timings["plan"]`` therefore holds the graph build, the eigensolve,
-    the k-means and the prior's reordering.  ``sigma`` is in input units
-    and defaults to the problem's noise level.
+    the k-means and the reordering of the prior and the rows.  ``sigma``
+    is in input units and defaults to the problem's noise level.
 
     With M = 0 nothing is normalized, planned or estimated: the report
     scores the raw low-fidelity data (zero reduction by construction).
@@ -605,23 +595,22 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     if config.sigma is None:
         config = dataclasses.replace(config, sigma=problem.hf_noise_sigma)
 
-    ds_norm, nspec, prior, plan, timings = plan_rows(problem.lf_data, config)
+    nspec, prior, plan, timings = plan_rows(problem.lf_data, config)
     t0 = time.perf_counter()
-    # Reorder here, not inside estimate_planned: rebinding drops the only
-    # reference to the plan-order Laplacian, which the dense solver would
-    # otherwise hold through omega calibration (tracemalloc peak 6.7 ->
-    # 9.4 MB at N=400).
-    prior = _solve_order_prior(ds_norm, plan, config, prior)
+    # Rebinding drops the only reference to the plan-order Laplacian,
+    # which the dense solver would otherwise hold through omega
+    # calibration (tracemalloc peak 6.7 -> 9.4 MB at N=400).
+    perm = np.asarray(plan.permutation, dtype=np.intp)
+    prior = prior.permuted(perm, config.spectrum_size(problem.n))
+    lf_raw = apply_permutation(Dataset(lf=problem.lf_data), plan).lf
     timings["plan"] += time.perf_counter() - t0
 
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
-    art = estimate_planned(ds_norm, nspec, plan, hf_raw, config, prior)
+    art = estimate_planned(lf_raw, nspec, plan, hf_raw, config, prior)
     timings.update(art.timings)
 
-    perm = np.asarray(plan.permutation, dtype=np.intp)
     report = build_report(
-        art.posterior.mf_estimates, problem.lf_data[perm], problem.true_data[perm],
-        config.metric,
+        art.posterior.mf_estimates, lf_raw, problem.true_data[perm], config.metric
     )
     embedding = embed(art.spectrum, min(plan.embed_dim, art.spectrum.K))
     return PipelineOutput(

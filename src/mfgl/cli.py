@@ -21,21 +21,21 @@ variables, which must be set before the numerical stack is first imported.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import FORMATS, PipelineConfig, ProblemConfig, check_fields, field_rules, setting
+from .config import FORMATS, PipelineConfig, ProblemConfig, SolverTag, check_fields, field_rules, setting
 from .exceptions import (
     InvalidConfig,
     MatrixIOError,
     NumericalError,
-    RowCountMismatch,
     ValidationError,
 )
 
@@ -138,7 +138,19 @@ def _apply_thread_cap(threads: Optional[int]) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+# The settings that shape the graph prior: plan.json records them, and
+# estimate refuses a plan made with others.
+_PRIOR_SETTINGS = ("knn_k", "p", "q", "K", "normalization")
+_PLAN_RECORD = ("lf_sha256", "shift_a", "normalization_stats", *_PRIOR_SETTINGS)
+
+
+def _prior_settings(pcfg: PipelineConfig) -> dict:
+    return {k: getattr(pcfg, k) for k in _PRIOR_SETTINGS} | {"normalization": pcfg.normalization.value}
+
+
 def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
+    """Write the plan directory: ``plan.json``, the rows in solve order
+    (``lf_permuted``) and the planning eigenpairs (``spectrum.bin``)."""
     import numpy as np
 
     from . import matio
@@ -148,15 +160,22 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     if cfg.lf_path is None:
         raise InvalidConfig("plan needs --lf-path")
     lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
-    plan = plan_rows(lf, pcfg).plan
+    nspec, prior, plan, _ = plan_rows(lf, pcfg)
+    lf = lf[np.asarray(plan.permutation, dtype=np.intp)]
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # what estimate checks its inputs against and rebuilds the prior from
+    stats = {k: v.tolist() for k, v in vars(nspec).items() if k != "mode" and v is not None}
     plan_file = outdir / "plan.json"
-    plan_file.write_text(plan_to_json(plan) + "\n")
-    perm = np.asarray(plan.permutation, dtype=np.intp)
+    plan_file.write_text(plan_to_json(
+        plan, lf_sha256=hashlib.sha256(lf).hexdigest(), shift_a=prior.spectrum.shift_a,
+        normalization_stats=stats, **_prior_settings(pcfg)) + "\n")
     lf_file = outdir / f"lf_permuted.{cfg.format}"
-    matio.write_matrix(lf_file, lf[perm], cfg.format)
+    matio.write_matrix(lf_file, lf, cfg.format)
+    # input order: the eigenvalues, then one row per point
+    eig = prior.spectrum
+    matio.write_binary(outdir / "spectrum.bin", np.vstack((eig.eigenvalues, eig.eigenvectors)))
 
     # The rows the user must now evaluate with their high-fidelity model,
     # in the exact order the estimate step expects the results in; a
@@ -176,12 +195,23 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
+    """Estimate from a plan directory and the user's high-fidelity rows.
+
+    Before it builds or reads anything else, it refuses (``InvalidConfig``,
+    exit 3) a ``plan.json`` without the plan directory's record, graph-prior
+    settings other than the plan's, and rows whose SHA-256 differs from
+    those plan wrote.  It works in solve order, the rows' order as read.
+    The truncated solver reorders the eigenpairs of ``spectrum.bin`` and
+    builds no graph; the dense one rebuilds the graph from the rows in
+    input order.  Either way the result equals ``run_pipeline``'s bit for bit.
+    """
     import numpy as np
 
     from . import matio
     from .acquisition import plan_from_json
-    from .bench import estimate_planned
-    from .data import Dataset, normalize
+    from .bench import GraphPrior, estimate_planned, planning_spectrum
+    from .data import NormalizationSpec
+    from .spectral import Spectrum
 
     if cfg.lf_path is None:
         raise InvalidConfig("estimate needs --lf-path (the reordered matrix from plan)")
@@ -192,35 +222,48 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     if pcfg.sigma is None:
         raise InvalidConfig("estimate needs --sigma (observation noise level)")
 
-    plan = plan_from_json(Path(cfg.plan_path).read_text())
+    plan, record = plan_from_json(Path(cfg.plan_path).read_text())
+    missing = [k for k in _PLAN_RECORD if k not in record]
+    if missing:
+        raise InvalidConfig(f"{cfg.plan_path} lacks {', '.join(missing)}; run plan again")
+    given = _prior_settings(pcfg)
+    differ = [f"{k}={given[k]!r} (plan: {record[k]!r})" for k in _PRIOR_SETTINGS if given[k] != record[k]]
+    if differ:
+        raise InvalidConfig(f"the plan was made with other graph settings: {', '.join(differ)}")
     # plan wrote lf_permuted without a header; --header is for the user's hf file
     lf = matio.read_matrix(cfg.lf_path, cfg.format)
+    if hashlib.sha256(lf).hexdigest() != record["lf_sha256"]:
+        raise InvalidConfig(f"{cfg.lf_path} does not hold the rows plan wrote to lf_permuted")
     hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
-    if lf.shape[0] != len(plan.permutation):
-        raise RowCountMismatch(
-            f"low-fidelity matrix has {lf.shape[0]} rows but the plan "
-            f"covers {len(plan.permutation)}"
-        )
 
-    # Undo the plan's reordering, then normalize in input order exactly as
-    # plan and run_pipeline do, so the estimate matches run_pipeline bit
-    # for bit.
+    # the plan's M and embedding width shaped its prior
+    pcfg = replace(pcfg, m=plan.m, embed_dim=plan.embed_dim)
+    nspec = NormalizationSpec(pcfg.normalization, **{
+        k: np.asarray(v) for k, v in record["normalization_stats"].items()})
     perm = np.asarray(plan.permutation, dtype=np.intp)
-    lf_input = np.empty_like(lf)
-    lf_input[perm] = lf
-    del lf  # only the input-order rows are needed from here on
-    lf_input.setflags(write=False)
-    ds_norm, nspec = normalize(Dataset(lf=lf_input), pcfg.normalization)
-    art = estimate_planned(ds_norm, nspec, plan, hf, pcfg)
+    n, k = len(perm), pcfg.spectrum_size(len(perm))
+    if pcfg.solver is SolverTag.DENSE:
+        prior = planning_spectrum(nspec.apply(lf[np.argsort(perm)]), pcfg)
+    else:
+        table = matio.read_binary(Path(cfg.plan_path).with_name("spectrum.bin"))
+        if table.shape[0] != n + 1 or table.shape[1] < k:
+            raise MatrixIOError(f"spectrum.bin is {table.shape}, not {n + 1} rows of at least {k} columns")
+        # the eigenvalues are copied, so that no array kept holds the file's bytes
+        prior = GraphPrior(Spectrum(table.shape[1], table[0].copy(), table[1:], record["shift_a"]))
+        del table
+    prior = prior.permuted(perm, k)
+    art = estimate_planned(lf, nspec, plan, hf, pcfg, prior)
+    mf, stddevs, resolved = art.posterior.mf_estimates, art.posterior.stddevs, art.hyper.as_dict()
+    timings = art.timings
+    del art, prior, lf  # the MAP field, the spectrum and the rows, before the writes
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     mf_file = outdir / f"mf_estimates.{cfg.format}"
-    matio.write_matrix(mf_file, art.posterior.mf_estimates, cfg.format)
-    matio.write_csv(outdir / "stddevs.csv", art.posterior.stddevs[:, None])
-    resolved = art.hyper.as_dict()
+    matio.write_matrix(mf_file, mf, cfg.format)
+    matio.write_csv(outdir / "stddevs.csv", stddevs[:, None])
     (outdir / "hyperparameters.json").write_text(json.dumps(resolved, indent=2) + "\n")
-    (outdir / "timings.json").write_text(json.dumps(art.timings, indent=2) + "\n")
+    (outdir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     print(
         json.dumps(
             {

@@ -92,7 +92,10 @@ def weight_columns(
 ) -> np.ndarray:
     """Columns W[:, indices] of the kernel matrix, without forming W.
 
-    Runs in O(N * len(indices)) memory; it is the landmark factor's weight
+    The kernel is the uncut one, in Gram form: every weight is kept,
+    however small (:func:`build_graph` drops those below ``WEIGHT_EPS``),
+    and the squared distances come from |x|^2 + |y|^2 - 2 x.y.  Runs in
+    O(N * len(indices)) memory; it is the landmark factor's weight
     access, which no pipeline path calls.  Raises ``DimensionMismatch``
     unless ``scales`` has shape (N,), and ``InvalidConfig`` for an index
     outside [0, N).

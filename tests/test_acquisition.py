@@ -259,7 +259,8 @@ def test_plan_validation_rules():
 def test_plan_json_round_trip(tmp_path):
     lf = random_points(15, 2, seed=8)
     plan = plan_acquisition(spectrum_for(lf, 6), 3, seed=5)
-    back = plan_from_json(plan_to_json(plan))
+    back, record = plan_from_json(plan_to_json(plan, note="kept"))
+    assert record["note"] == "kept"
     assert back.selected_indices == plan.selected_indices
     assert back.permutation == plan.permutation
     assert back.seed == plan.seed
@@ -270,7 +271,7 @@ def test_plan_json_round_trip(tmp_path):
     # the file mfgl plan writes and mfgl estimate reads
     path = tmp_path / "plan.json"
     path.write_text(plan_to_json(plan) + "\n")
-    assert plan_from_json(path.read_text()).selected_indices == plan.selected_indices
+    assert plan_from_json(path.read_text())[0].selected_indices == plan.selected_indices
     # stored as plain JSON, readable by anything
     json.loads(path.read_text())
 

@@ -404,6 +404,12 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
         )
     np.testing.assert_array_equal(gl.degrees, rebuilt.degrees)
     np.testing.assert_allclose(gl.degrees, fresh.degrees, rtol=1e-12)
+    # L and L_sym share one read-only pattern, as laplacian() builds them
+    for part in ("indices", "indptr"):
+        assert np.shares_memory(getattr(gl.matrix, part), getattr(gl.sym_matrix, part))
+    for mat in (gl.matrix, gl.sym_matrix):
+        assert not any(getattr(mat, part).flags.writeable for part in ("data", "indices", "indptr"))
+    assert not gl.degrees.flags.writeable
 
 
 @pytest.mark.parametrize("solver", [SolverTag.TRUNCATED, SolverTag.DENSE])

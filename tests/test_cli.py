@@ -64,6 +64,9 @@ def test_plan_outputs_and_determinism(tmp_path, capsys):
     assert (out_a / "lf_permuted.csv").read_bytes() == (
         out_b / "lf_permuted.csv"
     ).read_bytes()
+    # the planning eigenvalues, then one row per point in input order
+    assert read_binary(out_a / "spectrum.bin").shape[0] == 61
+    assert (out_a / "spectrum.bin").read_bytes() == (out_b / "spectrum.bin").read_bytes()
 
 
 def test_plan_m_larger_than_rows(tmp_path, capsys):
@@ -497,7 +500,8 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
         assert error["error"] == "InvalidConfig"
         assert "mfgl.nystrom" in error["message"]
         return
-    ds_hf = Dataset(lf=planned.ds_norm.lf, hf=hf)
+    ds_hf = Dataset(lf=prob.lf_data, hf=hf)
+    perm = np.asarray(planned.plan.permutation, dtype=np.intp)
     call = {
         "run_pipeline": lambda: mfgl.bench.run_pipeline(prob, config),
         "run_pipeline-m0": lambda: mfgl.bench.run_pipeline(
@@ -505,7 +509,8 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
         ),
         "plan_rows": lambda: mfgl.bench.plan_rows(prob.lf_data, config),
         "estimate_planned": lambda: mfgl.bench.estimate_planned(
-            planned.ds_norm, planned.nspec, planned.plan, hf, config
+            prob.lf_data[perm], planned.nspec, planned.plan, hf, config,
+            planned.prior.permuted(perm, config.spectrum_size(prob.n)),
         ),
         # a hand-built prior does not route the tag to another solver
         "estimate_attached": lambda: mfgl.bench.estimate_attached(
@@ -768,8 +773,9 @@ def test_cli_estimate_matches_pipeline_phi_star(tmp_path, capsys):
 
 
 def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys):
-    # the rows exist once per row order (input and solve order), next to
-    # the MAP field and the estimates
+    # the rows exist once, in solve order, next to the MAP field and the
+    # estimates; the MAP field and the rows are dropped before the
+    # estimates are written (3.43x the rows' bytes when measured)
     prob = generate(Generator.BEAM_LIKE_1D, 1000, 256, seed=0)
     lf_path = tmp_path / "lf.csv"
     write_csv(lf_path, prob.lf_data)
@@ -793,26 +799,28 @@ def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 7.0 * prob.lf_data.nbytes
+    assert peak < 3.75 * prob.lf_data.nbytes
 
 
 @pytest.mark.parametrize(
     "flags",
     [
+        (),
         ("--normalization", "component"),
         ("--normalization", "instance"),
         ("--solver", "dense"),
     ],
-    ids=["component", "instance", "dense"],
+    ids=["truncated", "component", "instance", "dense"],
 )
-def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, flags):
-    # estimate normalizes and builds the graph prior in input order, as
-    # run_pipeline does, so the files agree bit for bit with it
+def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, flags):
+    # estimate reuses the planning spectrum, or for the dense solver
+    # rebuilds the graph from the rows in input order, so the files agree
+    # bit for bit with run_pipeline
     from mfgl.bench import PipelineConfig, run_pipeline
     from mfgl.data import Normalization
     from mfgl.posterior import SolverTag
 
-    option = dict([flags])
+    option = dict(zip(flags[::2], flags[1::2]))
     prob, lf_path = write_problem(tmp_path, n=80, d=3, seed=2, clusters=4)
     cfg = PipelineConfig(
         m=4,
@@ -828,6 +836,14 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, flags):
     assert code == 0
     hf_path = tmp_path / "hf.csv"
     write_csv(hf_path, sample_hf(prob, out.plan.selected_indices, seed=6))
+    builds = []
+    build_graph = mfgl.bench.build_graph
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", counted)
     code, _, _ = run_cli(
         capsys, "estimate",
         "--lf-path", str(out_dir / "lf_permuted.csv"),
@@ -837,8 +853,68 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, flags):
         *shared,
     )
     assert code == 0
+    # the plan directory holds the spectrum but no Laplacian
+    assert len(builds) == (1 if cfg.solver is SolverTag.DENSE else 0)
     assert np.array_equal(
         read_csv(out_dir / "mf_estimates.csv"), out.posterior.mf_estimates
     )
     stddevs = read_csv(out_dir / "stddevs.csv")[:, 0]
     assert np.array_equal(stddevs, out.posterior.stddevs)
+
+
+_PRIOR_FLAGS = {
+    "knn_k": ("--knn-k", "5"),
+    "p": ("--p", "1.0"),
+    "q": ("--q", "0.0"),
+    "K": ("--K", "30"),
+    "normalization": ("--normalization", "component"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, expected, says",
+    [("other-rows", 3, "lf_permuted"), *((name, 3, name + "=") for name in _PRIOR_FLAGS),
+     ("old-plan", 3, "run plan again"), ("spectrum-deleted", 2, "spectrum.bin"),
+     ("spectrum-truncated", 2, "spectrum.bin"), ("spectrum-other-shape", 2, "spectrum.bin")],
+)
+def test_estimate_refuses_what_the_plan_did_not_see(case, expected, says, tmp_path, capsys,
+                                                    monkeypatch):
+    # a 300x4 problem planned with the default graph settings
+    prob, lf_path = write_problem(tmp_path, n=300, d=4, clusters=5)
+    out_dir = tmp_path / "plan"
+    code, out, _ = run_cli(
+        capsys, "plan", "--lf-path", str(lf_path), "--m", "5", "--output-dir", str(out_dir)
+    )
+    assert code == 0
+    write_csv(out_dir / "hf.csv", sample_hf(prob, last_json(out)["selected_indices"], seed=1))
+    lf_path, flags = out_dir / "lf_permuted.csv", _PRIOR_FLAGS.get(case, ())
+    spectrum = out_dir / "spectrum.bin"
+    if case == "other-rows":
+        lf_path = tmp_path / "other.csv"
+        write_csv(lf_path, generate(Generator.CLUSTERED_SHIFT, 300, 4, seed=1, clusters=5).lf_data)
+    elif case == "old-plan":
+        raw = json.loads((out_dir / "plan.json").read_text())
+        for key in ("lf_sha256", "shift_a", "normalization_stats", *_PRIOR_FLAGS):
+            del raw[key]
+        (out_dir / "plan.json").write_text(json.dumps(raw))
+    elif case == "spectrum-deleted":
+        spectrum.unlink()
+    elif case == "spectrum-truncated":
+        spectrum.write_bytes(spectrum.read_bytes()[:-8])
+    elif case == "spectrum-other-shape":
+        mfgl.matio.write_binary(spectrum, np.ones((300, 20)))
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before the plan directory was checked")
+
+    monkeypatch.setattr(mfgl.bench, "build_graph", no_graph)
+    code, _, err = run_cli(
+        capsys, "estimate", "--lf-path", str(lf_path),
+        "--hf-path", str(out_dir / "hf.csv"), "--plan-path", str(out_dir / "plan.json"),
+        "--sigma", "0.01", "--output-dir", str(tmp_path / "est"), *flags,
+    )
+    assert code == expected
+    error = last_json(err)
+    assert error["error"] == ("InvalidConfig" if expected == 3 else "MatrixIOError")
+    assert says in error["message"]
+    assert not (tmp_path / "est").exists()
