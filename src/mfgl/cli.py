@@ -150,7 +150,10 @@ def _prior_settings(pcfg: PipelineConfig) -> dict:
 
 def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     """Write the plan directory: ``plan.json``, the rows in solve order
-    (``lf_permuted``) and the planning eigenpairs (``spectrum.bin``)."""
+    (``lf_permuted``: the input's rows copied unchanged, never formatted
+    again) and the planning eigenpairs (``spectrum.bin``).  ``lf_sha256``
+    hashes the rows as parsed, so ``estimate`` refuses a copy of a file
+    that changed after the read."""
     import numpy as np
 
     from . import matio
@@ -161,7 +164,11 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
         raise InvalidConfig("plan needs --lf-path")
     lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
     nspec, prior, plan, _ = plan_rows(lf, pcfg)
-    lf = lf[np.asarray(plan.permutation, dtype=np.intp)]
+    perm = np.asarray(plan.permutation, dtype=np.intp)
+    digest = hashlib.sha256()
+    for i in perm:  # one row at a time: no permuted copy of the rows
+        digest.update(lf[i])
+    del lf
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -169,10 +176,10 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     stats = {k: v.tolist() for k, v in vars(nspec).items() if k != "mode" and v is not None}
     plan_file = outdir / "plan.json"
     plan_file.write_text(plan_to_json(
-        plan, lf_sha256=hashlib.sha256(lf).hexdigest(), shift_a=prior.spectrum.shift_a,
+        plan, lf_sha256=digest.hexdigest(), shift_a=prior.spectrum.shift_a,
         normalization_stats=stats, **_prior_settings(pcfg)) + "\n")
     lf_file = outdir / f"lf_permuted.{cfg.format}"
-    matio.write_matrix(lf_file, lf, cfg.format)
+    matio.copy_rows(cfg.lf_path, lf_file, perm, cfg.format, cfg.header)
     # input order: the eigenvalues, then one row per point
     eig = prior.spectrum
     matio.write_binary(outdir / "spectrum.bin", np.vstack((eig.eigenvalues, eig.eigenvectors)))
@@ -200,7 +207,7 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     Before it builds or reads anything else, it refuses (``InvalidConfig``,
     exit 3) a ``plan.json`` without the plan directory's record, graph-prior
     settings other than the plan's, and rows whose SHA-256 differs from
-    those plan wrote.  It works in solve order, the rows' order as read.
+    those plan parsed.  It works in solve order, the rows' order as read.
     The truncated solver reorders the eigenpairs of ``spectrum.bin`` and
     builds no graph; the dense one rebuilds the graph from the rows in
     input order.  Either way the result equals ``run_pipeline``'s bit for bit.
@@ -233,7 +240,7 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     # plan wrote lf_permuted without a header; --header is for the user's hf file
     lf = matio.read_matrix(cfg.lf_path, cfg.format)
     if hashlib.sha256(lf).hexdigest() != record["lf_sha256"]:
-        raise InvalidConfig(f"{cfg.lf_path} does not hold the rows plan wrote to lf_permuted")
+        raise InvalidConfig(f"{cfg.lf_path}: not the rows plan copied to lf_permuted (lf_sha256 differs)")
     hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
 
     # the plan's M and embedding width shaped its prior

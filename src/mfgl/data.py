@@ -158,18 +158,18 @@ class NormalizationSpec:
         return a / self.scales[: a.shape[0], None]
 
     def invert(self, a: np.ndarray) -> np.ndarray:
-        """Inverse transform of a row-aligned matrix, as one new array;
-        mode none returns ``a`` itself."""
-        a = np.asarray(a, dtype=np.float64)
+        """Inverse transform of a row-aligned matrix, in place in ``a`` (a
+        writeable float64 array), which is returned."""
         if self.mode is Normalization.NONE:
             return a
         if self.mode is Normalization.COMPONENT:
             self._check_cols(a)
-            out = a * self.std
-            out += self.mean
-            return out
+            a *= self.std
+            a += self.mean
+            return a
         self._check_rows(a)
-        return a * self.scales[: a.shape[0], None]
+        a *= self.scales[: a.shape[0], None]
+        return a
 
     def permuted(self, perm) -> "NormalizationSpec":
         """The same statistics for the rows reordered by ``perm``."""

@@ -7,7 +7,8 @@ blank and whitespace-only lines and accepts CRLF line ends; it allows no
 ``#`` comments, no quoting and no ``_`` digit separators.  It streams the
 open file through one ``numpy.loadtxt`` call, checking each row's field
 count on the way, and reads the file a second time only to name the line
-of a cell that fails to parse.
+of a cell that fails to parse.  :func:`copy_rows` reorders a file's rows
+without parsing them.
 
 Both readers return read-only arrays, which the frozen containers of
 :mod:`mfgl.data` take without a copy.
@@ -20,6 +21,7 @@ row-major.
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -88,7 +90,7 @@ def read_csv(path: PathLike, header: bool = False) -> np.ndarray:
             first = next(rows, None)
             if first is None:
                 raise MatrixIOError(f"{path}: no data rows")
-            lines = itertools.chain([first[1]], (line for _, line in rows))
+            lines = itertools.chain([first[2]], (line for *_, line in rows))
             try:
                 out = np.loadtxt(
                     lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
@@ -105,12 +107,15 @@ def read_csv(path: PathLike, header: bool = False) -> np.ndarray:
 
 
 def _data_rows(fh, header: bool, path: PathLike):
-    """(1-based line number, line) of each data row of an open CSV file:
-    the header line (with ``header``) and blank or whitespace-only lines
-    are skipped, and a row whose field count differs from the first
-    row's raises."""
+    """(1-based line number, ``fh.tell()`` at its start, line) of each data
+    row of an open CSV file: the header line (with ``header``) and blank or
+    whitespace-only lines are skipped, and a row whose field count differs
+    from the first row's raises."""
     width = None
-    for ln, line in enumerate(fh, start=1):
+    for ln in itertools.count(1):
+        start, line = fh.tell(), fh.readline()
+        if not line:
+            return
         if (ln == 1 and header) or not line.strip():
             continue
         fields = line.count(",") + 1
@@ -120,13 +125,13 @@ def _data_rows(fh, header: bool, path: PathLike):
             raise MatrixIOError(
                 f"{path}: line {ln} has {fields} fields, expected {width}"
             )
-        yield ln, line
+        yield ln, start, line
 
 
 def _parse_error(path: PathLike, rows, exc: ValueError) -> str:
     """Name the file line of the first cell ``float()`` rejects; a cell only
     the stricter parser rejects (e.g. ``1_0``) keeps its message."""
-    for ln, line in rows:
+    for ln, _, line in rows:
         for cell in line.rstrip("\n").split(","):
             try:
                 float(cell)
@@ -171,6 +176,26 @@ def read_binary(path: PathLike) -> np.ndarray:
     # read-only over the immutable bytes, so frozen() shares it
     data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     return frozen(data.reshape(rows, cols))
+
+
+def copy_rows(src: PathLike, dst: PathLike, order, fmt: str, header: bool = False) -> None:
+    """Write the data rows of matrix file ``src`` to ``dst`` in ``order``,
+    each unchanged: a binary row keeps its bytes, and a CSV row, found by
+    the reader's rules, its text, with a line end added where missing."""
+    try:
+        if fmt != "csv":  # bin, or read_matrix refuses the name
+            return write_binary(dst, read_matrix(src, fmt)[order])
+        # through a new file, so that src may be dst
+        with open(src) as fin, open(f"{dst}.part", "w") as fout:
+            starts = [start for _, start, _ in _data_rows(fin, header, src)]
+            for i in order:
+                fin.seek(starts[i])
+                line = fin.readline()
+                fout.write(line if line.endswith("\n") else line + "\n")
+        os.replace(f"{dst}.part", dst)
+    except (OSError, UnicodeDecodeError, IndexError) as exc:
+        Path(f"{dst}.part").unlink(missing_ok=True)
+        raise MatrixIOError(f"cannot copy {src} to {dst}: {exc}") from exc
 
 
 def read_matrix(path: PathLike, fmt: str, header: bool = False) -> np.ndarray:

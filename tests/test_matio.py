@@ -12,6 +12,7 @@ from mfgl.matio import (
     FORMATS,
     MAGIC,
     VERSION,
+    copy_rows,
     read_binary,
     read_csv,
     read_matrix,
@@ -112,6 +113,58 @@ def test_csv_round_trip_property(tmp_path_factory, a):
     assert back[~nan].tobytes() == a[~nan].tobytes()
 
 
+_CELL_TEXTS = st.tuples(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["{!r}", "{:.17g}", " {:.3e}", "{:g} "]),
+).map(lambda cell: cell[1].format(cell[0]))
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV file's text with a header, with blank lines and mixed line
+    ends, and the number of data rows it holds."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_CELL_TEXTS, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    lines = [",".join(["h"] * width)]
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+        lines.append(",".join(row))
+    ends = draw(st.lists(_LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last row
+    return "".join(line + end for line, end in zip(lines, ends)), len(rows)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_csv_texts(), st.data())
+def test_csv_row_copy_property(tmp_path_factory, csv, data):
+    # the copier finds the rows the reader reads, and keeps each one's value
+    text, n = csv
+    order = data.draw(st.permutations(range(n)))
+    src = tmp_path_factory.getbasetemp() / "rows.csv"
+    dst = tmp_path_factory.getbasetemp() / "rows_copy.csv"
+    src.write_bytes(text.encode())
+    copy_rows(src, dst, order, "csv", header=True)
+    assert read_csv(dst).tobytes() == read_csv(src, header=True)[order].tobytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_row_copy_onto_its_source_and_its_errors(tmp_path, fmt):
+    src = tmp_path / "a"
+    write_matrix(src, [[1.0, 2.0], [3.0, 4.0]], fmt)
+    copy_rows(src, src, [1, 0], fmt)
+    assert np.array_equal(read_matrix(src, fmt), [[3.0, 4.0], [1.0, 2.0]])
+    with pytest.raises(MatrixIOError, match="cannot copy"):
+        copy_rows(src, tmp_path / "b", [2, 0, 1], fmt)  # a row the file lacks
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+    with pytest.raises(MatrixIOError, match="cannot (copy|read)"):
+        copy_rows(tmp_path / "missing", tmp_path / "b", [1, 0], fmt)
+    with pytest.raises(InvalidConfig):
+        copy_rows(src, tmp_path / "b", [1, 0], "xlsx")
+
+
 def test_csv_blank_lines_skipped(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("1,2\n\n   \n3,4\n\t\n5,6\n\n  \n")
@@ -172,6 +225,8 @@ def test_csv_that_is_not_text_is_io_error(tmp_path):
     write_binary(path, np.full((2, 2), -np.inf))  # 0xff bytes: not UTF-8
     with pytest.raises(MatrixIOError):
         read_csv(path)
+    with pytest.raises(MatrixIOError, match="cannot copy"):
+        copy_rows(path, tmp_path / "b.csv", [0], "csv")
 
 
 def _traced_peak(fn):
