@@ -30,7 +30,7 @@ print(f"all eigenvalues sit in [0, a] with a = {gl.shift_bound:.3f}")
 
 # D^q 1 spans the kernel of every member of the normalization family
 kv = graph.degrees**gl.q
-print(f"kernel vector residual |L D^q 1|_max = {np.abs(gl.matrix @ kv).max():.2e}")
+print(f"kernel vector residual |L D^q 1|_max = {np.abs(gl.matrix() @ kv).max():.2e}")
 
 # the random-walk variant (p, q) = (1, 0) is self-adjoint under the
 # degree-weighted inner product, not the Euclidean one

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .acquisition import AcquisitionPlan, apply_permutation, plan_acquisition
 from .config import ErrorMetric, Generator, Normalization, PipelineConfig, ProblemConfig, SolverTag
@@ -301,9 +300,8 @@ class GraphPrior:
         the first K eigenpairs.
 
         Reordering the points of a graph reorders the rows of its
-        eigenvectors, of L, L_sym and the degrees, and leaves the
-        eigenvalues alone, so this stands in for a second build on the
-        reordered rows.
+        eigenvectors, of L_sym and the degrees, and leaves the eigenvalues
+        alone, so this stands in for a second build on the reordered rows.
         """
         s = self.spectrum
         vectors = s.eigenvectors[perm, :K]
@@ -314,27 +312,14 @@ class GraphPrior:
         gl = self.laplacian
         if gl is None:
             return GraphPrior(spectrum)
-        mats = _permute_csr((gl.matrix,) if gl.p == gl.q else (gl.matrix, gl.sym_matrix), perm)
+        # P L_sym P^T, read-only over one sorted pattern, as laplacian() builds it
+        lsym = gl.sym_matrix[perm][:, perm]
+        lsym.sort_indices()
+        for arr in (lsym.data, lsym.indices, lsym.indptr):
+            arr.setflags(write=False)
         return GraphPrior(spectrum, GraphLaplacian(
-            matrix=mats[0], sym_matrix=mats[-1], degrees=gl.degrees[perm], p=gl.p, q=gl.q
+            sym_matrix=lsym, degrees=gl.degrees[perm], p=gl.p, q=gl.q
         ))
-
-
-def _permute_csr(mats: tuple, perm: np.ndarray) -> list:
-    """P A P^T for each A of ``mats``, which share one sparsity pattern:
-    read-only arrays over one sorted pattern, as :func:`~mfgl.graph.laplacian`
-    builds them, permuted once by carrying each entry's position as its value."""
-    a = mats[0]
-    moved = sp.csr_array((np.arange(a.nnz), a.indices, a.indptr), shape=a.shape)[perm][:, perm]
-    moved.sort_indices()
-    moved.indices.setflags(write=False)
-    moved.indptr.setflags(write=False)
-    out = []
-    for m in mats:
-        data = m.data[moved.data]
-        data.setflags(write=False)
-        out.append(sp.csr_array((data, moved.indices, moved.indptr), shape=a.shape))
-    return out
 
 
 @dataclass(frozen=True)

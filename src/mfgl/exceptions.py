@@ -77,13 +77,14 @@ class ZeroNorm(NumericalError):
 
 
 class DuplicatePointScale(NumericalError):
-    """Self-tuning scale collapsed: a point has >= knn_k exact duplicates."""
+    """Self-tuning scale collapsed: a point's knn_k-th neighbor distance
+    is zero to round-off of the data's scale."""
 
     def __init__(self, index: int):
         self.index = index
         super().__init__(
-            f"self-tuning scale underflow at point {index}: "
-            "data contains enough exact duplicates to zero the kernel bandwidth"
+            f"self-tuning scale underflow at point {index}: its knn_k-th neighbor "
+            "distance is zero to round-off of the data's scale"
         )
 
 

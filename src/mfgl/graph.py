@@ -17,7 +17,8 @@ bytes, never an N x N array.
 The Laplacian family is L = D^{-p} (D - W) D^{-q}.  For p != q, L is a
 similarity transform D^{-(p-q)/2} L_sym D^{(p-q)/2} of the symmetric
 member with exponent (p+q)/2, which is what makes a symmetric eigensolve
-and the reweighted inner product <u, v> = u^T D^{p-q} v work.
+and the reweighted inner product <u, v> = u^T D^{p-q} v work.  So only
+L_sym and the degrees are built and stored; L is formed on request.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .exceptions import (
     ZeroDegree,
 )
 
+# Smallest self-tuning scale, relative to the largest row norm.
 SCALE_TOL = 1e-14
 # Smallest kernel weight the graph keeps.
 WEIGHT_EPS = 1e-12
@@ -61,13 +63,14 @@ def _block_rows(width: int) -> int:
 def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.ndarray:
     """Distance from each point to its knn_k-th nearest neighbor.
 
-    The point itself is excluded from the neighbor count, so exact
-    duplicates shrink the scale; that degeneracy is an error, not a clamp.
+    The point itself is excluded from the neighbor count, so duplicates
+    shrink the scale; that degeneracy is an error, not a clamp.
 
     Raises
     ------
     DuplicatePointScale
-        When some scale falls below 1e-14 (>= knn_k exact duplicates).
+        When some scale is at most ``SCALE_TOL`` times the largest row
+        norm, i.e. zero to round-off of the data's scale.
     InvalidConfig
         When knn_k is not in [1, N).
     """
@@ -81,7 +84,8 @@ def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.
     # column 0 is the zero self-distance; column knn_k is the knn_k-th
     # neighbor once self is dropped
     scales = np.ascontiguousarray(dists[:, knn_k])
-    bad = np.flatnonzero(scales < SCALE_TOL)
+    floor = SCALE_TOL * np.linalg.norm(lf, axis=1).max()  # the data's scale
+    bad = np.flatnonzero(scales <= floor)
     if bad.size:
         raise DuplicatePointScale(int(bad[0]))
     return scales
@@ -240,12 +244,11 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
 
 @dataclass(frozen=True)
 class GraphLaplacian:
-    """One member L = D^{-p} (D - W) D^{-q} of the Laplacian family, in CSR,
-    with what the solvers read of its graph: the similar symmetric member
-    L_sym of exponent (p+q)/2 (``matrix`` itself when p == q) and the
-    degrees.  It holds no W.  Build it with :func:`laplacian`."""
+    """L_sym, the symmetric member of exponent (p+q)/2 of the Laplacian
+    family, in CSR, and the degrees: all the solvers read of the graph.
+    :meth:`matrix` forms the similar member L = D^{-p} (D - W) D^{-q} on
+    request.  It holds no W.  Build it with :func:`laplacian`."""
 
-    matrix: sp.csr_array
     sym_matrix: sp.csr_array
     degrees: np.ndarray
     p: float
@@ -256,26 +259,38 @@ class GraphLaplacian:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.sym_matrix.shape[0]
 
     @property
     def shift_bound(self) -> float:
         """a = 2 max_i D_ii^{1-p-q}; the spectrum of L lies in [0, a]."""
         return 2.0 * float(np.max(self.degrees ** (1.0 - self.p - self.q)))
 
+    def matrix(self) -> sp.csr_array:
+        """L = D^{-(p-q)/2} L_sym D^{(p-q)/2}, formed on each call on
+        L_sym's pattern; ``sym_matrix`` itself when p == q."""
+        lsym = self.sym_matrix
+        if self.p == self.q:
+            return lsym
+        h = 0.5 * (self.p - self.q)
+        data = np.repeat(self.degrees ** -h, np.diff(lsym.indptr))
+        data *= lsym.data
+        data *= (self.degrees ** h)[lsym.indices]
+        return sp.csr_array((data, lsym.indices, lsym.indptr), shape=lsym.shape)
+
 
 def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
-    """L = D^{-p} (D - W) D^{-q} as a CSR matrix, with L_sym built here too.
+    """L_sym = D^{-s} (D - W) D^{-s}, s = (p+q)/2, as a CSR matrix.
 
-    Off the diagonal, entry (i, j) is -((d_i^{-p} d_j^{-q}) W_ij); for
-    p == q the scale factor is a product of two commuting numbers, so L is
-    exactly symmetric.  L is written into its final pattern, W's sorted
-    pattern plus the diagonal, and scaled in place in blocks of
-    ``_WORK_BYTES``, so beyond W the call holds L, a byte per entry and
-    one block.  L_sym shares that pattern, and the arrays are read-only:
-    an in-place scipy operation on one member would change the other's
-    pattern, so it raises ``ValueError``; work on a copy.  The result
-    keeps no reference to ``graph``, so W is freed once it is dropped.
+    Off the diagonal, entry (i, j) is -((d_i^{-s} d_j^{-s}) W_ij), a
+    product of two commuting numbers, so L_sym is exactly symmetric.  It
+    is written into its final pattern, W's sorted pattern plus the
+    diagonal, and scaled in place in blocks of ``_WORK_BYTES``, so beyond
+    W the call holds L_sym, a byte per entry and one block.  The arrays
+    are read-only: the member L that :meth:`GraphLaplacian.matrix` forms
+    shares the pattern, so an in-place scipy operation raises
+    ``ValueError``; work on a copy.  The result keeps no reference to
+    ``graph``, so W is freed once it is dropped.
 
     Raises
     ------
@@ -291,7 +306,7 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     if not w.has_sorted_indices:
         w = w.sorted_indices()
     n = w.shape[0]
-    # L's pattern: W's pattern (marked 1) merged with the diagonal (marked 2)
+    # L_sym's pattern: W's pattern (marked 1) merged with the diagonal (marked 2)
     marks = sp.csr_array((np.ones(w.nnz, np.int8), w.indices, w.indptr), shape=w.shape)
     marks = marks + sp.diags_array(np.full(n, 2, np.int8), dtype=np.int8)
     indptr, indices, off = marks.indptr, marks.indices, marks.data != 2
@@ -299,28 +314,23 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     del marks
     counts = np.diff(indptr)
     step = _block_rows(int(counts.max(initial=1)))  # rows of a work block
-    blocks = [(a, min(a + step, n)) for a in range(0, n, step)]
-
-    def member(p: float, q: float) -> sp.csr_array:
-        # -((d_i^{-p} d_j^{-q}) W_ij), scaled in place one block at a time
-        data = np.zeros(indptr[-1])
-        data[off] = w.data
-        dp, dq = d ** -p, d ** -q
-        for a, b in blocks:
-            seg = data[indptr[a] : indptr[b]]
-            scale = np.repeat(dp[a:b], counts[a:b])
-            scale *= dq[indices[indptr[a] : indptr[b]]]
-            scale *= seg
-            np.negative(scale, out=seg)
-        data[diag] += d ** (1.0 - p - q)
-        data.setflags(write=False)
-        return sp.csr_array((data, indices, indptr), shape=w.shape)
-
-    indices.setflags(write=False)
-    indptr.setflags(write=False)
-    mat = member(p, q)
-    sym = mat if p == q else member(0.5 * (p + q), 0.5 * (p + q))
-    return GraphLaplacian(matrix=mat, sym_matrix=sym, degrees=d, p=p, q=q)
+    s = 0.5 * (p + q)
+    ds = d ** -s
+    # -((d_i^{-s} d_j^{-s}) W_ij), scaled in place one block at a time
+    data = np.zeros(indptr[-1])
+    data[off] = w.data
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        seg = data[indptr[a] : indptr[b]]
+        scale = np.repeat(ds[a:b], counts[a:b])
+        scale *= ds[indices[indptr[a] : indptr[b]]]
+        scale *= seg
+        np.negative(scale, out=seg)
+    data[diag] += d ** (1.0 - s - s)
+    for arr in (data, indices, indptr):
+        arr.setflags(write=False)
+    lsym = sp.csr_array((data, indices, indptr), shape=w.shape)
+    return GraphLaplacian(sym_matrix=lsym, degrees=d, p=p, q=q)
 
 
 def weighted_inner(
@@ -346,15 +356,17 @@ def self_adjointness_check(
 
     The inner product is the D^{p-q}-reweighted one, under which every
     member of the Laplacian family is self-adjoint; values near machine
-    precision certify the (p, q) algebra.
+    precision certify the exponents of the similarity that forms L from
+    L_sym.
     """
     rng = np.random.default_rng(seed)
+    mat = gl.matrix()
     worst = 0.0
     for _ in range(trials):
         u = rng.standard_normal(gl.n)
         v = rng.standard_normal(gl.n)
-        lhs = weighted_inner(u, gl.matrix @ v, gl.degrees, gl.p, gl.q)
-        rhs = weighted_inner(v, gl.matrix @ u, gl.degrees, gl.p, gl.q)
+        lhs = weighted_inner(u, mat @ v, gl.degrees, gl.p, gl.q)
+        rhs = weighted_inner(v, mat @ u, gl.degrees, gl.p, gl.q)
         worst = max(
             worst,
             abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v)),

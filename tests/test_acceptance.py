@@ -136,12 +136,12 @@ def test_ac3_spectral_invariants(capsys):
         pq = float(rng.uniform(0.25, 1.0))
         g = build_graph(random_points(n, d, seed=300 + i), knn_k=min(5, n - 1))
         gl = laplacian(g, pq, pq)
-        lam = nla.eigvalsh(gl.matrix.toarray())
+        lam = nla.eigvalsh(gl.matrix().toarray())
         worst_psd = min(worst_psd, float(lam.min()))
         out_of_range = max(out_of_range, float(lam.max()) - gl.shift_bound)
         kv = g.degrees**pq
         worst_kernel = max(
-            worst_kernel, np.abs(gl.matrix @ kv).max() / np.abs(kv).max()
+            worst_kernel, np.abs(gl.matrix() @ kv).max() / np.abs(kv).max()
         )
         # block-power identity on the p = 1/2 low-rank factors
         w = g.weights.toarray()
@@ -181,7 +181,7 @@ def test_ac4_regularization_path_converges(capsys):
 
     # independent oracle: equality-constrained minimizer of theta^T B theta
     # via the full Lagrangian block system, solved generically
-    b = nla.matrix_power(gl.matrix.toarray() + hp.tau * np.eye(n), 2)
+    b = nla.matrix_power(gl.matrix().toarray() + hp.tau * np.eye(n), 2)
     sel = np.zeros((m, n))
     sel[np.arange(m), np.arange(m)] = 1.0
     kkt = np.block([[2.0 * b, sel.T], [sel, np.zeros((m, m))]])

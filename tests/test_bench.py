@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import mfgl.bench
 import mfgl.graph
@@ -386,7 +387,7 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
     )
     prior, perm, ds = _planned_solve_inputs(prob, config)
     gl = prior.permuted(perm, config.spectrum_size(ds.n)).laplacian
-    assert (gl.sym_matrix is gl.matrix) == (p == q)
+    assert (gl.matrix() is gl.sym_matrix) == (p == q)
     # bitwise the Laplacian of the plan-order graph with W's rows reordered
     g = build_graph(prob.lf_data, config.knn_k)
     rebuilt = laplacian(
@@ -394,21 +395,17 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
                       scales=g.scales[perm]), p, q,
     )
     fresh = laplacian(build_graph(ds.lf, config.knn_k), p, q)
-    for name in ("matrix", "sym_matrix"):
-        ours, exact = getattr(gl, name), getattr(rebuilt, name)
-        exact.sort_indices()
+    for ours, exact, new in ((gl.sym_matrix, rebuilt.sym_matrix, fresh.sym_matrix),
+                             (gl.matrix(), rebuilt.matrix(), fresh.matrix())):
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(ours, part), getattr(exact, part))
-        np.testing.assert_allclose(
-            ours.toarray(), getattr(fresh, name).toarray(), rtol=1e-12, atol=0
-        )
+        np.testing.assert_allclose(ours.toarray(), new.toarray(), rtol=1e-12, atol=0)
     np.testing.assert_array_equal(gl.degrees, rebuilt.degrees)
     np.testing.assert_allclose(gl.degrees, fresh.degrees, rtol=1e-12)
-    # L and L_sym share one read-only pattern, as laplacian() builds them
-    for part in ("indices", "indptr"):
-        assert np.shares_memory(getattr(gl.matrix, part), getattr(gl.sym_matrix, part))
-    for mat in (gl.matrix, gl.sym_matrix):
-        assert not any(getattr(mat, part).flags.writeable for part in ("data", "indices", "indptr"))
+    # one stored matrix, read-only, as laplacian() builds it
+    assert [v for v in vars(gl).values() if sp.issparse(v)] == [gl.sym_matrix]
+    assert not any(getattr(gl.sym_matrix, part).flags.writeable
+                   for part in ("data", "indices", "indptr"))
     assert not gl.degrees.flags.writeable
 
 
@@ -435,8 +432,8 @@ def test_graph_freed_before_eigensolve(solver, p, q, monkeypatch):
 
 
 def test_dense_run_builds_each_laplacian_member_once(monkeypatch):
-    # one laplacian call fills L and L_sym on one pattern, from W; the
-    # solve-order prior reorders them
+    # one laplacian call fills L_sym from W, and only L_sym is stored; the
+    # solve-order prior reorders it
     members = []
     real = mfgl.graph.laplacian
 
@@ -450,9 +447,14 @@ def test_dense_run_builds_each_laplacian_member_once(monkeypatch):
     run_pipeline(prob, PipelineConfig(solver=SolverTag.DENSE, m=5, p=1.0, q=0.0, seed=7))
     [gl] = members
     assert (gl.p, gl.q) == (1.0, 0.0)
-    assert not np.shares_memory(gl.matrix.data, gl.sym_matrix.data)
-    assert np.shares_memory(gl.matrix.indices, gl.sym_matrix.indices)
-    assert np.shares_memory(gl.matrix.indptr, gl.sym_matrix.indptr)
+    assert [v for v in vars(gl).values() if sp.issparse(v)] == [gl.sym_matrix]
+    assert not any(getattr(gl.sym_matrix, part).flags.writeable
+                   for part in ("data", "indices", "indptr"))
+    # L, formed on request, takes new values on L_sym's pattern
+    mat = gl.matrix()
+    assert not np.shares_memory(mat.data, gl.sym_matrix.data)
+    assert np.shares_memory(mat.indices, gl.sym_matrix.indices)
+    assert np.shares_memory(mat.indptr, gl.sym_matrix.indptr)
 
 
 class DenseWork:

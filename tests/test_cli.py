@@ -686,6 +686,25 @@ def test_duplicate_rows_exit_4(tmp_path, capsys):
     assert last_json(err)["error"] == "DuplicatePointScale"
 
 
+def test_instance_normalized_multiples_exit_4_without_blaming_duplicates(tmp_path, capsys):
+    # 30 distinct rows, ten multiples of each of three profiles: after
+    # instance normalization each row's 7th neighbor is at round-off distance
+    profiles = np.random.default_rng(0).normal(size=(3, 4))
+    lf = np.concatenate([k * profiles for k in range(1, 11)])
+    assert len(np.unique(lf, axis=0)) == 30
+    lf_path = tmp_path / "multiples.csv"
+    write_csv(lf_path, lf)
+    code, _, err = run_cli(
+        capsys, "plan", "--lf-path", str(lf_path), "--m", "2",
+        "--normalization", "instance", "--output-dir", str(tmp_path / "out"),
+    )
+    assert code == 4
+    report = last_json(err)
+    assert report["error"] == "DuplicatePointScale"
+    assert "round-off" in report["message"]
+    assert "duplicate" not in report["message"]
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     _, lf_path = write_problem(tmp_path)
     cfg_path = tmp_path / "cfg.json"
@@ -911,8 +930,9 @@ def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
         ("--normalization", "component"),
         ("--normalization", "instance"),
         ("--solver", "dense"),
+        ("--solver", "dense", "--p", "1.0", "--q", "0.0"),
     ],
-    ids=["truncated", "component", "instance", "dense"],
+    ids=["truncated", "component", "instance", "dense", "dense-random-walk"],
 )
 def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, flags):
     # estimate reuses the planning spectrum, or for the dense solver
@@ -929,6 +949,8 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
         seed=5,
         solver=SolverTag(option.get("--solver", "truncated")),
         normalization=Normalization(option.get("--normalization", "none")),
+        p=float(option.get("--p", PipelineConfig.p)),
+        q=float(option.get("--q", PipelineConfig.q)),
     )
     out = run_pipeline(prob, cfg)
 

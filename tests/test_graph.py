@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -200,17 +201,15 @@ def test_front_end_peak_is_bounded_by_the_csr():
 
 
 def _laplacian_reference(graph, p, q):
-    """(L, L_sym) by the two-step formula: the scaled off-diagonal part
-    plus the diagonal as a sparse sum, and L_sym as its own member."""
+    """L by the two-step formula: the scaled off-diagonal part plus the
+    diagonal as a sparse sum."""
     d, w = graph.degrees, graph.weights
     data = np.repeat(d ** -p, np.diff(w.indptr))
     data *= (d ** -q)[w.indices]
     data *= w.data
     np.negative(data, out=data)
     off = sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
-    mat = (off + sp.diags_array(d ** (1.0 - p - q))).tocsr()
-    s = 0.5 * (p + q)
-    return mat, mat if p == q else _laplacian_reference(graph, s, s)[0]
+    return (off + sp.diags_array(d ** (1.0 - p - q))).tocsr()
 
 
 def assert_same_csr(got, want):
@@ -223,20 +222,30 @@ def assert_same_csr(got, want):
 PQ_CASES = [(0.5, 0.5), (1.0, 0.0), (0.75, 0.25)]
 
 
+def assert_same_pattern_within_ulps(got, want, ulps=8):
+    for part in ("indptr", "indices"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    err = np.abs(got.data - want.data)
+    assert np.all(err <= ulps * np.finfo(float).eps * np.abs(want.data))
+
+
 def assert_matches_reference(g):
+    # L_sym bitwise as the two-step formula builds it; L, formed from L_sym
+    # by the similarity, on L's exact pattern and within 8 ulp of its formula
     for p, q in PQ_CASES:
         gl = laplacian(g, p, q)
-        ref_mat, ref_sym = _laplacian_reference(g, p, q)
-        assert_same_csr(gl.matrix, ref_mat)
-        assert_same_csr(gl.sym_matrix, ref_sym)
-        assert gl.matrix.indices.dtype == gl.matrix.indptr.dtype == np.int32
-        assert gl.matrix.has_canonical_format
+        s = 0.5 * (p + q)
+        lsym, mat = gl.sym_matrix, gl.matrix()
+        assert_same_csr(lsym, _laplacian_reference(g, s, s))
+        assert lsym.indices.dtype == lsym.indptr.dtype == np.int32
+        assert lsym.has_canonical_format
         if p == q:
-            assert gl.sym_matrix is gl.matrix
+            assert mat is lsym
         else:
-            assert np.shares_memory(gl.sym_matrix.indices, gl.matrix.indices)
-            assert np.shares_memory(gl.sym_matrix.indptr, gl.matrix.indptr)
-            assert not np.shares_memory(gl.sym_matrix.data, gl.matrix.data)
+            assert_same_pattern_within_ulps(mat, _laplacian_reference(g, p, q))
+            assert np.shares_memory(lsym.indices, mat.indices)
+            assert np.shares_memory(lsym.indptr, mat.indptr)
+            assert not np.shares_memory(lsym.data, mat.data)
 
 
 @pytest.mark.parametrize("kind, n, d", GENERATOR_CASES)
@@ -254,7 +263,7 @@ def test_laplacian_diagonal_slot_first_middle_and_last():
     g = AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(4))
     assert_matches_reference(g)
     gl = laplacian(g, 0.5, 0.5)
-    assert gl.matrix.indices.tolist() == [0, 1, 3, 0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3]
+    assert gl.sym_matrix.indices.tolist() == [0, 1, 3, 0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3]
     # a stored self-loop W_22 is summed into row 2's diagonal slot
     w[2, 2] = 0.4
     assert_matches_reference(AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(4)))
@@ -269,13 +278,15 @@ def test_laplacian_sorts_unsorted_weights_into_a_copy():
     assert not w.has_sorted_indices
     before = [getattr(w, part).copy() for part in ("indptr", "indices", "data")]
     for p, q in PQ_CASES:
-        gl = laplacian(shuffled, p, q)
-        for name in ("matrix", "sym_matrix"):
-            got = getattr(gl, name)
-            assert got.has_canonical_format
-            want = getattr(laplacian(g, p, q), name)[perm][:, perm]
-            want.sort_indices()
-            assert_same_csr(got, want)
+        gl, ref = laplacian(shuffled, p, q), laplacian(g, p, q)
+        got = gl.sym_matrix
+        assert got.has_canonical_format
+        want = ref.sym_matrix[perm][:, perm]
+        want.sort_indices()
+        assert_same_csr(got, want)
+        want = ref.matrix()[perm][:, perm]
+        want.sort_indices()
+        assert_same_pattern_within_ulps(gl.matrix(), want)
     assert not w.has_sorted_indices
     for part, old in zip(("indptr", "indices", "data"), before):
         assert np.array_equal(getattr(w, part), old)
@@ -283,17 +294,18 @@ def test_laplacian_sorts_unsorted_weights_into_a_copy():
 
 def test_laplacian_arrays_are_read_only():
     gl = laplacian(build_graph(random_points(30, 2, seed=1), knn_k=4), 1.0, 0.0)
-    for mat in (gl.matrix, gl.sym_matrix):
-        for part in ("data", "indices", "indptr"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(mat, part)[0] = 0
+    # one stored matrix: L is formed on request, not kept
+    assert [f.name for f in dataclasses.fields(gl)] == ["sym_matrix", "degrees", "p", "q"]
+    for part in ("data", "indices", "indptr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(gl.sym_matrix, part)[0] = 0
 
 
 @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 0.0)])
 def test_laplacian_peak_is_its_output_and_a_few_blocks(p, q):
-    # L is filled in place in its final pattern: beyond its input the
-    # stage holds L (and L_sym's values), the off-diagonal mask and
-    # block-sized temporaries, not a scaled copy of W and a sparse sum.
+    # L_sym is filled in place in its final pattern: beyond its input the
+    # stage holds L_sym, the off-diagonal mask and block-sized
+    # temporaries, not a scaled copy of W and a sparse sum, nor L for p != q.
     # At N=1500 that copy (2.0 MB) fits inside the bound's three blocks,
     # so the case is N=3000, where it takes 7.5 MB.
     g = build_graph(generate(Generator.CLUSTERED_SHIFT, 3000, 5, seed=0).lf_data)
@@ -303,23 +315,21 @@ def test_laplacian_peak_is_its_output_and_a_few_blocks(p, q):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    mat = gl.matrix
+    mat = gl.sym_matrix
     out = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    if p != q:
-        out += gl.sym_matrix.data.nbytes
     assert peak <= out + mat.nnz + 3 * mfgl.graph._WORK_BYTES
 
 
 def test_two_node_symmetric_laplacian():
     lf = np.array([[0.0], [1.0]])
-    lmat = laplacian(build_graph(lf, knn_k=1), 0.5, 0.5).matrix.toarray()
+    lmat = laplacian(build_graph(lf, knn_k=1), 0.5, 0.5).matrix().toarray()
     assert np.allclose(lmat, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
     assert np.allclose(np.sort(np.linalg.eigvalsh(lmat)), [0.0, 2.0], atol=1e-12)
 
 
 def test_random_walk_rows_sum_to_zero():
     gl = laplacian(build_graph(random_points(15, 3, seed=2), knn_k=4), 1.0, 0.0)
-    assert np.abs(gl.matrix.sum(axis=1)).max() < 1e-12
+    assert np.abs(gl.matrix().sum(axis=1)).max() < 1e-12
 
 
 def test_general_pq_matches_elementwise_formula():
@@ -333,13 +343,13 @@ def test_general_pq_matches_elementwise_formula():
         for j in range(6):
             lij = (d[i] if i == j else 0.0) - w[i, j]
             ref[i, j] = d[i] ** -0.3 * lij * d[j] ** -0.7
-    assert np.abs(gl.matrix.toarray() - ref).max() < 1e-12
+    assert np.abs(gl.matrix().toarray() - ref).max() < 1e-12
 
 
 def test_symmetric_laplacian_is_psd(rng):
     for seed in range(5):
         gl = laplacian(build_graph(random_points(18, 3, seed=seed), knn_k=4), 0.5, 0.5)
-        lmat = gl.matrix.toarray()
+        lmat = gl.matrix().toarray()
         assert np.array_equal(lmat, lmat.T)
         assert np.linalg.eigvalsh(lmat).min() >= -1e-10
 
@@ -350,7 +360,7 @@ def test_kernel_vector_is_annihilated():
         g = build_graph(random_points(14, 2, seed=9), knn_k=4)
         gl = laplacian(g, p, q)
         v = g.degrees**q
-        rel = np.abs(gl.matrix @ v).max() / np.abs(v).max()
+        rel = np.abs(gl.matrix() @ v).max() / np.abs(v).max()
         assert rel < 1e-10
 
 
@@ -359,7 +369,7 @@ def test_eigenvalues_lie_in_shift_interval():
         for seed in range(3):
             g = build_graph(random_points(16, 3, seed=seed), knn_k=4)
             gl = laplacian(g, p, q)
-            lam = np.linalg.eigvals(gl.matrix.toarray()).real
+            lam = np.linalg.eigvals(gl.matrix().toarray()).real
             a = 2.0 * np.max(g.degrees ** (1.0 - p - q))
             assert gl.shift_bound == pytest.approx(a)
             assert lam.min() > -1e-10
@@ -370,16 +380,18 @@ def test_similarity_to_symmetric_member():
     g = build_graph(random_points(12, 2, seed=4), knn_k=3)
     gl = laplacian(g, 1.0, 0.0)
     s = g.degrees**0.5  # D^{(p-q)/2}
-    conj = (s[:, None] * gl.matrix.toarray()) / s[None, :]
+    conj = (s[:, None] * gl.matrix().toarray()) / s[None, :]
     assert np.abs(conj - conj.T).max() < 1e-10
     assert np.abs(conj - gl.sym_matrix.toarray()).max() < 1e-10
 
 
 def test_scale_invariance_of_weights():
+    # the scale floor is relative to the data, so tiny units are no duplicates
     lf = random_points(13, 3, seed=6)
     g1 = build_graph(lf, knn_k=4)
-    g2 = build_graph(2.5 * lf, knn_k=4)
-    assert np.abs(g1.weights.toarray() - g2.weights.toarray()).max() < 1e-12
+    for factor in (2.5, 1e-15):
+        g2 = build_graph(factor * lf, knn_k=4)
+        assert np.abs(g1.weights.toarray() - g2.weights.toarray()).max() < 1e-12
 
 
 def test_zero_degree_detected():
@@ -419,5 +431,5 @@ def test_self_adjointness_in_weighted_inner():
 def test_self_adjointness_negative_control(rng):
     g = build_graph(random_points(12, 2, seed=3), knn_k=3)
     mat = rng.normal(size=(12, 12))
-    fake = GraphLaplacian(matrix=mat, sym_matrix=mat, degrees=g.degrees, p=0.5, q=0.5)
+    fake = GraphLaplacian(sym_matrix=mat, degrees=g.degrees, p=0.5, q=0.5)
     assert self_adjointness_check(fake) > 1e-6

@@ -59,7 +59,7 @@ def test_three_node_chain_matches_direct_solve():
     gl = laplacian(g, 0.5, 0.5)
     hp = HyperParameters(sigma=0.5, omega=2.0, tau=0.25, beta=1.0)
     phi_hat = np.array([[1.2]])
-    a = hp.omega * (gl.matrix.toarray() + hp.tau * np.eye(3))
+    a = hp.omega * (gl.matrix().toarray() + hp.tau * np.eye(3))
     a[0, 0] += 1.0 / hp.sigma**2
     ref = nla.solve(a, np.array([[1.2 / hp.sigma**2], [0.0], [0.0]]))
     res = dense_posterior(gl, phi_hat, hp)
@@ -267,7 +267,7 @@ def test_constrained_minimizer_interpolates_and_minimizes(rng):
     theta = constrained_minimizer(gl, phi_obs, hp)
     assert np.array_equal(theta[:4], phi_obs)
 
-    b = shifted_power(gl.matrix.toarray(), hp.tau, hp.beta)
+    b = shifted_power(gl.matrix().toarray(), hp.tau, hp.beta)
     energy = float(np.sum(theta * (b @ theta)))
     for _ in range(100):
         other = theta.copy()
@@ -501,7 +501,7 @@ def unobserved_cluster_oracle():
     hp = HyperParameters(sigma=0.05, omega=1.0, tau=5e-8, beta=2.0)
     phi_hat = (prob.true_data - prob.lf_data)[:m]
     d = phi_hat.shape[1]
-    b = gl.matrix.toarray() + hp.tau * np.eye(n)
+    b = gl.matrix().toarray() + hp.tau * np.eye(n)
     obs = np.zeros((n, n))
     obs[np.arange(m), np.arange(m)] = 1.0 / hp.sigma**2
     block = np.block([[obs, hp.omega * b], [b, -np.eye(n)]])

@@ -3,12 +3,17 @@ files; a rename or removal in the package must fail here, not only when
 the benchmark runs."""
 import ast
 import importlib
+import json
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from mfgl.config import PipelineConfig
+import mfgl.bench
+import mfgl.cli
+from mfgl.config import Generator, PipelineConfig, SolverTag
+from mfgl.matio import write_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -28,6 +33,40 @@ def traced_targets():
 @pytest.mark.parametrize("module, attr, span", traced_targets())
 def test_traced_target_resolves(module, attr, span):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_every_span_is_entered(monkeypatch, capsys, tmp_path):
+    # a refactor that stops calling a traced name would blank its
+    # per-layer median; the span counts, not the (module, name) entries,
+    # since a span may be reached through one of its entries only
+    entered = Counter()
+
+    def counting(span, fn):
+        def counted(*args, **kwargs):
+            entered[span] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, attr, span in traced_targets():
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, counting(span, getattr(mod, attr)))
+    prob = mfgl.bench.generate(Generator.CLUSTERED_SHIFT, 200, 3, seed=0)
+    for solver in (SolverTag.TRUNCATED, SolverTag.DENSE):
+        mfgl.bench.run_pipeline(prob, PipelineConfig(solver=solver, m=5, seed=7))
+    beam = mfgl.bench.generate(Generator.BEAM_LIKE_1D, 120, 16, seed=0)
+    write_csv(tmp_path / "lf.csv", beam.lf_data)
+    shared = ["--m", "5", "--seed", "7", "--output-dir", str(tmp_path / "out")]
+    assert mfgl.cli.main(["plan", "--lf-path", str(tmp_path / "lf.csv")] + shared) == 0
+    planned = json.loads(capsys.readouterr().out)
+    hf = mfgl.bench.sample_hf(beam, planned["selected_indices"], 8)
+    write_csv(tmp_path / "hf.csv", hf)
+    assert mfgl.cli.main([
+        "estimate", "--lf-path", planned["lf_permuted_path"], "--hf-path",
+        str(tmp_path / "hf.csv"), "--plan-path", planned["plan_path"],
+        "--sigma", repr(beam.hf_noise_sigma),
+    ] + shared) == 0
+    spans = {span for _, _, span in traced_targets()}
+    assert sorted(spans - set(entered)) == []
 
 
 WORKLOADS_TREE = ast.parse(WORKLOADS.read_text())
