@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .exceptions import (
     InvalidConfig,
     MissingHighFidelity,
     RowCountMismatch,
-    SingularSystem,
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
@@ -43,6 +42,7 @@ from .spectral import (
     Spectrum,
     embed,
     low_spectrum,
+    truncated_factor,
     truncated_posterior,
     truncated_variances,
 )
@@ -346,12 +346,6 @@ def sigma_in_solve_coords(sigma_raw: float, nspec: NormalizationSpec) -> float:
     return sigma_raw
 
 
-def _make_hp(sigma, omega, tau, config) -> HyperParameters:
-    return HyperParameters(
-        sigma=sigma, omega=omega, tau=tau, beta=config.beta, r=config.r
-    )
-
-
 def _refuse_landmark_solver(config: PipelineConfig) -> None:
     """The pipeline solves with the dense or the truncated prior only."""
     if config.solver not in (SolverTag.DENSE, SolverTag.TRUNCATED):
@@ -359,36 +353,6 @@ def _refuse_landmark_solver(config: PipelineConfig) -> None:
             f"the pipeline has no {config.solver.value!r} solver; use 'dense' or "
             "'truncated', or the landmark factor in mfgl.nystrom as a library tool"
         )
-
-
-def truncated_mean_stddev(
-    spectrum: Spectrum, phi_hat: np.ndarray, hp_template: HyperParameters
-) -> Callable[[float], float]:
-    """Calibration handle of the truncated solver: omega -> mean stddev
-    over the rows after the first ``len(phi_hat)``.
-
-    An omega whose coefficient system ``truncated_posterior`` refuses as
-    numerically singular reads as +inf.  The refusal tests the
-    equilibrated factor, which is well conditioned once omega is large,
-    so it marks a prior too weak to pin some direction, whose spread
-    exceeds any target.  Should that misread a step, the bisection cannot
-    meet its tolerance and ``calibrate_omega`` raises ``NoBracket``.
-    With no row after the first ``len(phi_hat)`` it raises
-    ``InvalidConfig`` before any solve.
-    """
-    m = phi_hat.shape[0]
-    if m >= spectrum.n:
-        raise InvalidConfig("calibration needs at least one unobserved row")
-
-    def handle(omega: float) -> float:
-        hp = dataclasses.replace(hp_template, omega=omega)
-        try:
-            tp = truncated_posterior(spectrum, phi_hat, hp)
-        except SingularSystem:
-            return np.inf
-        return float(np.sqrt(truncated_variances(tp)[m:]).mean())
-
-    return handle
 
 
 def estimate_attached(
@@ -416,49 +380,35 @@ def estimate_attached(
     if config.omega is None and ds.m == ds.n:
         raise InvalidConfig("calibration needs at least one unobserved row")
     spectrum, gl = prior.spectrum, prior.laplacian
-    if config.solver is SolverTag.DENSE and gl is None:
+    dense = config.solver is SolverTag.DENSE
+    if dense and gl is None:
         raise InvalidConfig("the dense solver needs a graph prior with its Laplacian")
     if spectrum.n != ds.n:
         raise RowCountMismatch(f"the graph prior has {spectrum.n} rows, the dataset {ds.n}")
-    m = ds.m
-    sigma = config.sigma
     phi_hat = displacements(ds)
     timings: dict = {}
 
     t0 = time.perf_counter()
     tau = choose_tau(spectrum) if config.tau is None else config.tau
-    template = _make_hp(sigma, 1.0, tau, config)
-    if config.solver is SolverTag.DENSE:
-        # one factor serves the calibration handle and the final solve
-        factor = dense_factor(gl, template, m)
-
-    if config.omega is not None:
-        omega = config.omega
-    else:
-        if config.solver is SolverTag.TRUNCATED:
-            mean_stddev = truncated_mean_stddev(spectrum, phi_hat, template)
-        else:
-            def mean_stddev(omega: float) -> float:
-                return factor.mean_stddev(omega, sigma)
-        omega = calibrate_omega(mean_stddev, sigma, config.r)
-    hp = _make_hp(sigma, omega, tau, config)
+    hp = HyperParameters(sigma=config.sigma, omega=1.0, tau=tau, beta=config.beta, r=config.r)
+    # one factor serves the calibration handle and the final solve
+    factor = dense_factor(gl, hp, ds.m) if dense else truncated_factor(spectrum, hp, ds.m)
+    omega = config.omega
+    if omega is None:
+        omega = calibrate_omega(lambda w: factor.mean_stddev(w, config.sigma), config.sigma, config.r)
+    hp = dataclasses.replace(hp, omega=omega)
     timings["hyperparameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if config.solver is SolverTag.TRUNCATED:
-        tp = truncated_posterior(spectrum, phi_hat, hp)
+    if dense:
+        posterior = dense_posterior(factor, phi_hat, hp)
+    else:
+        tp = truncated_posterior(factor, phi_hat, hp)
         phi_star = tp.map_displacements()
         phi_star.setflags(write=False)
-        posterior = PosteriorResult(
-            phi_star=phi_star,
-            stddevs=np.sqrt(truncated_variances(tp)),
-        )
-    else:
-        posterior = dense_posterior(factor, phi_hat, hp)
+        posterior = PosteriorResult(phi_star=phi_star, stddevs=np.sqrt(truncated_variances(tp)))
     timings["solve"] = time.perf_counter() - t0
-    return EstimateArtifacts(
-        posterior=posterior, hyper=hp, spectrum=spectrum, timings=timings
-    )
+    return EstimateArtifacts(posterior=posterior, hyper=hp, spectrum=spectrum, timings=timings)
 
 
 def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior:

@@ -208,15 +208,16 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     exit 3) a ``plan.json`` without the plan directory's record, graph-prior
     settings other than the plan's, and rows whose SHA-256 differs from
     those plan parsed.  It works in solve order, the rows' order as read.
-    The truncated solver reorders the eigenpairs of ``spectrum.bin`` and
-    builds no graph; the dense one rebuilds the graph from the rows in
-    input order.  Either way the result equals ``run_pipeline``'s bit for bit.
+    Both solvers reorder the eigenpairs of ``spectrum.bin``, read and
+    checked (exit 2) before any graph is built, and run no eigensolve;
+    the dense one also rebuilds L_sym from the rows in input order.
+    Either way the result equals ``run_pipeline``'s bit for bit.
     """
     import numpy as np
 
     from . import matio
     from .acquisition import plan_from_json
-    from .bench import GraphPrior, estimate_planned, planning_spectrum
+    from .bench import GraphPrior, build_graph, estimate_planned, laplacian
     from .data import NormalizationSpec
     from .spectral import Spectrum
 
@@ -249,15 +250,14 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
         k: np.asarray(v) for k, v in record["normalization_stats"].items()})
     perm = np.asarray(plan.permutation, dtype=np.intp)
     n, k = len(perm), pcfg.spectrum_size(len(perm))
-    if pcfg.solver is SolverTag.DENSE:
-        prior = planning_spectrum(nspec.apply(lf[np.argsort(perm)]), pcfg)
-    else:
-        table = matio.read_binary(Path(cfg.plan_path).with_name("spectrum.bin"))
-        if table.shape[0] != n + 1 or table.shape[1] < k:
-            raise MatrixIOError(f"spectrum.bin is {table.shape}, not {n + 1} rows of at least {k} columns")
-        # the eigenvalues are copied, so that no array kept holds the file's bytes
-        prior = GraphPrior(Spectrum(table.shape[1], table[0].copy(), table[1:], record["shift_a"]))
-        del table
+    table = matio.read_binary(Path(cfg.plan_path).with_name("spectrum.bin"))
+    if table.shape[0] != n + 1 or table.shape[1] < k:
+        raise MatrixIOError(f"spectrum.bin is {table.shape}, not {n + 1} rows of at least {k} columns")
+    gl = (laplacian(build_graph(nspec.apply(lf[np.argsort(perm)]), pcfg.knn_k), pcfg.p, pcfg.q)
+          if pcfg.solver is SolverTag.DENSE else None)  # L_sym, from the rows in input order
+    # the eigenvalues are copied, so that no array kept holds the file's bytes
+    prior = GraphPrior(Spectrum(table.shape[1], table[0].copy(), table[1:], record["shift_a"]), gl)
+    del table, gl  # the input-order prior dies with the reordering
     prior = prior.permuted(perm, k)
     art = estimate_planned(lf, nspec, plan, hf, pcfg, prior)
     mf, stddevs, resolved = art.posterior.mf_estimates, art.posterior.stddevs, art.hyper.as_dict()

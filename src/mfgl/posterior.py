@@ -44,7 +44,7 @@ from .exceptions import (
     SingularSystem,
 )
 from .graph import GraphLaplacian
-from .spectral import Spectrum, checked_cholesky, shifted_eigenvalues
+from .spectral import Spectrum, checked_cholesky, checked_factor, shifted_eigenvalues
 
 DENSE_POSTERIOR_LIMIT = 3_000
 ZERO_EIGENVALUE_REL_TOL = 1e-8
@@ -236,14 +236,7 @@ def dense_posterior(
         raise DimensionMismatch("phi_hat must be 2-D")
     _require_finite(phi_hat, "phi_hat")
     m = phi_hat.shape[0]
-    if isinstance(gl, DenseFactor):
-        factor = gl
-        if factor.m != m:
-            raise DimensionMismatch(f"phi_hat has {m} rows, the factor observes {factor.m}")
-        if (factor.tau, factor.beta) != (hp.tau, hp.beta):
-            raise InvalidConfig("the factor was built for another tau or beta")
-    else:
-        factor = dense_factor(gl, hp, m)
+    factor = checked_factor(gl, hp, m) if isinstance(gl, DenseFactor) else dense_factor(gl, hp, m)
     omega, sigma = hp.omega, hp.sigma
     v = factor.v
     g = factor._gain(omega, sigma)

@@ -192,8 +192,70 @@ def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
     return chol
 
 
+@dataclass(frozen=True)
+class TruncatedFactor:
+    """What the truncated system shares across (omega, sigma) for the first
+    M rows observed: ``btb`` = B^T B, B = P_M Psi_K, and ``prior`` =
+    (Lambda + tau)^beta.  Each (omega, sigma) factors its own K x K
+    C^{-1} = (1/sigma^2) B^T B + omega diag(``prior``).  Build it with
+    :func:`truncated_factor`."""
+
+    spectrum: Spectrum
+    tau: float
+    beta: float
+    m: int
+    btb: np.ndarray
+    prior: np.ndarray
+
+    def _covariance(self, omega: float, sigma: float) -> tuple:
+        """The Cholesky factor of C^{-1}, and C symmetrized."""
+        cinv = (1.0 / sigma**2) * self.btb
+        cinv[np.diag_indices_from(cinv)] += omega * self.prior
+        chol = (checked_cholesky(cinv, "coefficient system"), True)
+        cov = sla.cho_solve(chol, np.eye(self.spectrum.K))
+        return chol, 0.5 * (cov + cov.T)
+
+    def variances(self, omega: float, sigma: float) -> np.ndarray:
+        """diag(Psi_K C Psi_K^T) in O(N K^2)."""
+        psi = self.spectrum.eigenvectors
+        return np.einsum("nk,nk->n", psi @ self._covariance(omega, sigma)[1], psi)
+
+    def mean_stddev(self, omega: float, sigma: float) -> float:
+        """Mean stddev over the unobserved rows M..N-1.  An omega whose
+        system is refused as singular reads as +inf: the test is on the
+        equilibrated factor, well conditioned once omega is large, so a
+        refusal marks a prior too weak to pin some direction."""
+        if self.m >= self.spectrum.n:
+            raise InvalidConfig("calibration needs at least one unobserved row")
+        try:
+            var = self.variances(omega, sigma)
+        except SingularSystem:
+            return np.inf
+        return float(np.sqrt(var[self.m:]).mean())
+
+
+def truncated_factor(spectrum: Spectrum, hp: HyperParameters, m: int) -> TruncatedFactor:
+    """The factor of ``spectrum`` under ``hp.tau`` and ``hp.beta`` for the
+    first ``m`` rows observed."""
+    if m > spectrum.n:
+        raise DimensionMismatch("more observations than graph nodes")
+    b = spectrum.eigenvectors[:m]
+    lam = shifted_eigenvalues(spectrum.eigenvalues, hp.tau, hp.beta)
+    return TruncatedFactor(spectrum, hp.tau, hp.beta, m, b.T @ b, lam)
+
+
+def checked_factor(factor, hp: HyperParameters, m: int):
+    """``factor``, a solver's factor, refused unless it was built for
+    ``hp.tau``, ``hp.beta`` and ``m`` observed rows."""
+    if factor.m != m:
+        raise DimensionMismatch(f"phi_hat has {m} rows, the factor observes {factor.m}")
+    if (factor.tau, factor.beta) != (hp.tau, hp.beta):
+        raise InvalidConfig("the factor was built for another tau or beta")
+    return factor
+
+
 def truncated_posterior(
-    spectrum: Spectrum,
+    spectrum: Spectrum | TruncatedFactor,
     phi_hat: np.ndarray,
     hp: HyperParameters,
 ) -> TruncatedPosterior:
@@ -205,6 +267,8 @@ def truncated_posterior(
         A*     = (1/sigma^2) C B^T Phi_hat
 
     solved through one SPD factorization shared by mean and covariance.
+    ``spectrum`` may also be a :class:`TruncatedFactor` built for
+    ``hp.tau``, ``hp.beta`` and M = ``len(phi_hat)``.
 
     Raises
     ------
@@ -220,19 +284,11 @@ def truncated_posterior(
         raise DimensionMismatch("phi_hat must be 2-D")
     _require_finite(phi_hat, "phi_hat")
     m = phi_hat.shape[0]
-    if m > spectrum.n:
-        raise DimensionMismatch("more observations than graph nodes")
-    b = spectrum.eigenvectors[:m]
-    inv_s2 = 1.0 / hp.sigma**2
-    cinv = inv_s2 * (b.T @ b)
-    cinv[np.diag_indices_from(cinv)] += hp.omega * shifted_eigenvalues(
-        spectrum.eigenvalues, hp.tau, hp.beta
-    )
-    chol = (checked_cholesky(cinv, "coefficient system"), True)
-    cov = sla.cho_solve(chol, np.eye(spectrum.K))
-    cov = 0.5 * (cov + cov.T)
-    mean = inv_s2 * sla.cho_solve(chol, b.T @ phi_hat)
-    return TruncatedPosterior(coeff_mean=mean, coeff_cov=cov, spectrum=spectrum)
+    factor = (checked_factor(spectrum, hp, m) if isinstance(spectrum, TruncatedFactor)
+              else truncated_factor(spectrum, hp, m))
+    chol, cov = factor._covariance(hp.omega, hp.sigma)
+    mean = (1.0 / hp.sigma**2) * sla.cho_solve(chol, factor.spectrum.eigenvectors[:m].T @ phi_hat)
+    return TruncatedPosterior(coeff_mean=mean, coeff_cov=cov, spectrum=factor.spectrum)
 
 
 def truncated_variances(tp: TruncatedPosterior) -> np.ndarray:

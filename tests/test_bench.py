@@ -37,12 +37,11 @@ from mfgl.exceptions import (
     InvalidConfig,
     MissingHighFidelity,
     RowCountMismatch,
-    SingularSystem,
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
 from mfgl.posterior import SolverTag
-from mfgl.spectral import Spectrum, low_spectrum
+from mfgl.spectral import Spectrum, TruncatedFactor, low_spectrum
 
 
 def test_error_component_values(rng):
@@ -526,21 +525,20 @@ def test_dense_estimate_builds_and_factors_the_prior_once(entry, tmp_path, monke
 def test_refused_calibration_step_leaves_the_estimate_unchanged(monkeypatch):
     # with 5 observed rows of smooth-manifold N=2000, the truncated system
     # at the bracket's lower end (omega = 1e-4) is numerically singular;
-    # the handle reads it as +inf, which moves the bisection the same way
-    # the unguarded handle's large finite spread did
+    # the factor reads it as +inf, which moves the bisection the same way
+    # the unguarded system's large finite spread did
     prob = generate(Generator.SMOOTH_MANIFOLD, 2000, 5, seed=0)
     config = PipelineConfig(solver=SolverTag.TRUNCATED, m=5, seed=7)
     refused = []
-    solve = mfgl.bench.truncated_posterior
+    mean_stddev = TruncatedFactor.mean_stddev
 
-    def recording(spectrum, phi_hat, hp):
-        try:
-            return solve(spectrum, phi_hat, hp)
-        except SingularSystem:
-            refused.append(hp.omega)
-            raise
+    def recording(factor, omega, sigma):
+        value = mean_stddev(factor, omega, sigma)
+        if value == np.inf:
+            refused.append(omega)
+        return value
 
-    monkeypatch.setattr(mfgl.bench, "truncated_posterior", recording)
+    monkeypatch.setattr(TruncatedFactor, "mean_stddev", recording)
     guarded = run_pipeline(prob, config).posterior
     assert refused == [1e-4]
     monkeypatch.setattr("mfgl.spectral.CONDITION_LIMIT", np.inf)
@@ -548,3 +546,36 @@ def test_refused_calibration_step_leaves_the_estimate_unchanged(monkeypatch):
     assert refused == [1e-4]
     np.testing.assert_array_equal(guarded.mf_estimates, unguarded.mf_estimates)
     np.testing.assert_array_equal(guarded.stddevs, unguarded.stddevs)
+
+
+def test_truncated_estimate_solves_the_map_once(monkeypatch):
+    # calibration reads variances off the factor; the MAP mean and the
+    # final variances are solved once, after omega is resolved
+    calls = Counter()
+    handle_calls = []
+
+    def counted(name):
+        fn = getattr(mfgl.bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("truncated_posterior", "truncated_variances"):
+        monkeypatch.setattr(mfgl.bench, name, counted(name))
+    calibrate = mfgl.bench.calibrate_omega
+
+    def counting_calibrate(handle, *args, **kwargs):
+        def counted_handle(omega):
+            handle_calls.append(omega)
+            return handle(omega)
+
+        return calibrate(counted_handle, *args, **kwargs)
+
+    monkeypatch.setattr(mfgl.bench, "calibrate_omega", counting_calibrate)
+    prob = generate(Generator.CLUSTERED_SHIFT, 300, 3, seed=0)
+    run_pipeline(prob, PipelineConfig(solver=SolverTag.TRUNCATED, m=5, seed=7))
+    assert len(handle_calls) > 0
+    assert calls == {"truncated_posterior": 1, "truncated_variances": 1}

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -935,9 +936,9 @@ def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
     ids=["truncated", "component", "instance", "dense", "dense-random-walk"],
 )
 def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, flags):
-    # estimate reuses the planning spectrum, or for the dense solver
-    # rebuilds the graph from the rows in input order, so the files agree
-    # bit for bit with run_pipeline
+    # estimate reuses the planning spectrum, and for the dense solver
+    # rebuilds L_sym from the rows in input order, so the files agree bit
+    # for bit with run_pipeline
     from mfgl.bench import PipelineConfig, run_pipeline
     from mfgl.data import Normalization
     from mfgl.posterior import SolverTag
@@ -960,14 +961,19 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
     assert code == 0
     hf_path = tmp_path / "hf.csv"
     write_csv(hf_path, sample_hf(prob, out.plan.selected_indices, seed=6))
-    builds = []
-    build_graph = mfgl.bench.build_graph
+    calls = Counter()
 
-    def counted(*args, **kwargs):
-        builds.append(args)
-        return build_graph(*args, **kwargs)
+    def counted(name):
+        fn = getattr(mfgl.bench, name)
 
-    monkeypatch.setattr(mfgl.bench, "build_graph", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_graph", "low_spectrum"):
+        monkeypatch.setattr(mfgl.bench, name, counted(name))
     code, _, _ = run_cli(
         capsys, "estimate",
         "--lf-path", str(out_dir / "lf_permuted.csv"),
@@ -978,7 +984,8 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
     )
     assert code == 0
     # the plan directory holds the spectrum but no Laplacian
-    assert len(builds) == (1 if cfg.solver is SolverTag.DENSE else 0)
+    assert calls["build_graph"] == (1 if cfg.solver is SolverTag.DENSE else 0)
+    assert calls["low_spectrum"] == 0
     assert np.array_equal(
         read_csv(out_dir / "mf_estimates.csv"), out.posterior.mf_estimates
     )
@@ -998,16 +1005,21 @@ _PRIOR_FLAGS = {
 @pytest.mark.parametrize(
     "case, expected, says",
     [("other-rows", 3, "lf_permuted"), *((name, 3, name + "=") for name in _PRIOR_FLAGS),
-     ("old-plan", 3, "run plan again"), ("spectrum-deleted", 2, "spectrum.bin"),
-     ("spectrum-truncated", 2, "spectrum.bin"), ("spectrum-other-shape", 2, "spectrum.bin")],
+     ("old-plan", 3, "run plan again"),
+     *((case + solver, 2, "spectrum.bin") for case in ("spectrum-deleted", "spectrum-truncated",
+                                                       "spectrum-other-shape")
+       for solver in ("", "-dense"))],
 )
 def test_estimate_refuses_what_the_plan_did_not_see(case, expected, says, tmp_path, capsys,
                                                     monkeypatch):
     # a 300x4 problem planned with the default graph settings
     prob, lf_path = write_problem(tmp_path, n=300, d=4, clusters=5)
     out_dir = tmp_path / "plan"
+    solver = ("--solver", "dense") if case.endswith("-dense") else ()
+    case = case.removesuffix("-dense")
     code, out, _ = run_cli(
-        capsys, "plan", "--lf-path", str(lf_path), "--m", "5", "--output-dir", str(out_dir)
+        capsys, "plan", "--lf-path", str(lf_path), "--m", "5", "--output-dir", str(out_dir),
+        *solver,
     )
     assert code == 0
     write_csv(out_dir / "hf.csv", sample_hf(prob, last_json(out)["selected_indices"], seed=1))
@@ -1035,7 +1047,7 @@ def test_estimate_refuses_what_the_plan_did_not_see(case, expected, says, tmp_pa
     code, _, err = run_cli(
         capsys, "estimate", "--lf-path", str(lf_path),
         "--hf-path", str(out_dir / "hf.csv"), "--plan-path", str(out_dir / "plan.json"),
-        "--sigma", "0.01", "--output-dir", str(tmp_path / "est"), *flags,
+        "--sigma", "0.01", "--output-dir", str(tmp_path / "est"), *flags, *solver,
     )
     assert code == expected
     error = last_json(err)

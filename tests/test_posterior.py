@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.linalg as nla
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_points, two_blob_points
 import mfgl.posterior
-from mfgl.bench import Generator, generate, truncated_mean_stddev
+from mfgl.bench import Generator, generate
 from mfgl.data import Dataset, HyperParameters, displacements
 from mfgl.exceptions import (
     AllZeroSpectrum,
@@ -32,7 +33,13 @@ from mfgl.posterior import (
     regularization_path,
     shifted_power,
 )
-from mfgl.spectral import Spectrum, low_spectrum, truncated_posterior, truncated_variances
+from mfgl.spectral import (
+    Spectrum,
+    low_spectrum,
+    truncated_factor,
+    truncated_posterior,
+    truncated_variances,
+)
 
 
 def hand_graph(w):
@@ -412,19 +419,46 @@ def explicit_map_matrix(gl, hp, m):
     return a
 
 
+def explicit_truncated_covariance(spectrum, hp, m):
+    # Psi C Psi^T with C the generic inverse of the assembled coefficient
+    # system C^{-1} = B^T B / sigma^2 + omega diag((Lambda + tau)^beta)
+    psi = spectrum.eigenvectors
+    lam = (np.clip(spectrum.eigenvalues, 0.0, None) + hp.tau) ** hp.beta
+    cinv = psi[:m].T @ psi[:m] / hp.sigma**2 + hp.omega * np.diag(lam)
+    return psi @ nla.inv(cinv) @ psi.T
+
+
+# solver -> (factor builder, posterior, the prior it factors from a Laplacian)
+FACTORS = {
+    "dense": (dense_factor, dense_posterior, lambda gl, k: gl),
+    "truncated": (truncated_factor, truncated_posterior, low_spectrum),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(FACTORS))
 @pytest.mark.parametrize("beta", [2.0, 1.5])
 @pytest.mark.parametrize("pq", [(0.5, 0.5), (1.0, 0.0)])
 @pytest.mark.parametrize("kind", [Generator.SMOOTH_MANIFOLD, Generator.CLUSTERED_SHIFT])
-def test_dense_factor_mean_stddev_matches_explicit_inverse(kind, pq, beta):
+def test_dense_factor_mean_stddev_matches_explicit_inverse(kind, pq, beta, solver):
     prob = generate(kind, 150, 3, seed=1)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), *pq)
     m = 10
+    build, _, prior_of = FACTORS[solver]
+    prior = prior_of(gl, 40)
     template = HyperParameters(sigma=0.05, omega=1.0, tau=0.05, beta=beta)
-    factor = dense_factor(gl, template, m)
+    factor = build(prior, template, m)
     for omega in (1e-2, 1.0, 1e2):
         hp = HyperParameters(sigma=0.05, omega=omega, tau=0.05, beta=beta)
-        exact = np.sqrt(np.diag(nla.inv(explicit_map_matrix(gl, hp, m))))[m:].mean()
-        assert factor.mean_stddev(omega, 0.05) == pytest.approx(exact, rel=1e-12)
+        if solver == "dense":
+            cov = nla.inv(explicit_map_matrix(gl, hp, m))
+        else:
+            cov = explicit_truncated_covariance(prior, hp, m)
+        exact = np.sqrt(np.diag(cov))[m:].mean()
+        # at omega = 1e-2 the K x K system's condition number reaches 1.6e7,
+        # and both this factor and np.linalg.inv sit up to 4e-11 off a
+        # 40-digit reference on the same inputs
+        rel = 1e-10 if solver == "truncated" and omega < 1 else 1e-12
+        assert factor.mean_stddev(omega, 0.05) == pytest.approx(exact, rel=rel)
 
 
 def test_dense_factor_builds_prior_once(monkeypatch):
@@ -459,19 +493,35 @@ def test_dense_factor_limit_checked_before_prior(monkeypatch):
         regularization_path(gl, phi_obs, [0.2, 0.1], hp)
 
 
-def test_dense_factor_guards(rng, monkeypatch):
+@pytest.mark.parametrize("solver", sorted(FACTORS))
+def test_dense_factor_guards(solver, rng, monkeypatch):
     gl = laplacian(build_graph(random_points(20, 2, seed=3), knn_k=4), 0.5, 0.5)
+    build, solve, prior_of = FACTORS[solver]
+    prior = prior_of(gl, 8)
     hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.2)
-    factor = dense_factor(gl, hp, 4)
+    factor = build(prior, hp, 4)
+    phi_hat = rng.normal(size=(4, 2))
+    # a factor built for hp gives the posterior its solver builds itself
+    ours, fresh = solve(factor, phi_hat, hp), solve(prior, phi_hat, hp)
+    for part in ("phi_star", "stddevs") if solver == "dense" else ("coeff_mean", "coeff_cov"):
+        assert getattr(ours, part).tobytes() == getattr(fresh, part).tobytes()
     with pytest.raises(DimensionMismatch):
-        dense_posterior(factor, rng.normal(size=(5, 2)), hp)
+        solve(factor, rng.normal(size=(5, 2)), hp)
+    for other in (replace(hp, tau=0.3), replace(hp, beta=1.5)):
+        with pytest.raises(InvalidConfig):
+            solve(factor, phi_hat, other)
     with pytest.raises(InvalidConfig):
-        dense_posterior(factor, rng.normal(size=(4, 2)), HyperParameters(sigma=0.1, omega=1.0, tau=0.3))
-    with pytest.raises(InvalidConfig):
-        dense_factor(gl, hp, 20).mean_stddev(1.0, 0.1)  # nothing unobserved
-    monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda gl, hp: -np.eye(20))
-    with pytest.raises(SingularSystem):
-        dense_factor(gl, hp, 4)
+        build(prior, hp, 20).mean_stddev(1.0, 0.1)  # nothing unobserved
+    if solver == "dense":
+        monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda gl, hp: -np.eye(20))
+        with pytest.raises(SingularSystem):
+            dense_factor(gl, hp, 4)
+    else:
+        # a system refused as singular reads as +inf to calibration only
+        monkeypatch.setattr("mfgl.spectral.CONDITION_LIMIT", 0.5)
+        assert factor.mean_stddev(1.0, 0.1) == np.inf
+        with pytest.raises(SingularSystem):
+            solve(factor, phi_hat, hp)
 
 
 def test_dense_stddevs_without_covariance_match_covariance_diagonal(rng):
@@ -584,13 +634,8 @@ def test_mean_stddev_non_increasing_in_omega(kind, p, q, beta, m, k_extra, seed)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), p, q)
     template = HyperParameters(sigma=sigma, omega=1.0, tau=0.05, beta=beta)
     spectrum = low_spectrum(gl, min(n, m + 1 + k_extra))
-    phi_hat = np.zeros((m, 3))
-    factor = dense_factor(gl, template, m)
-    for handle in (
-        lambda omega: factor.mean_stddev(omega, sigma),
-        truncated_mean_stddev(spectrum, phi_hat, template),
-    ):
-        values = np.array([handle(omega) for omega in OMEGA_GRID])
+    for factor in (dense_factor(gl, template, m), truncated_factor(spectrum, template, m)):
+        values = np.array([factor.mean_stddev(omega, sigma) for omega in OMEGA_GRID])
         assert np.all(values > 0)
         assert np.all(values[1:] <= values[:-1] * (1.0 + 1e-12))
 
@@ -599,14 +644,14 @@ def test_truncated_handle_refuses_m_equal_n(monkeypatch):
     # as DenseFactor.mean_stddev: with every row observed there is no
     # spread to calibrate on, and no solve may run to find that out
     def must_not_run(*args, **kwargs):
-        raise AssertionError("the truncated posterior was solved")
+        raise AssertionError("the coefficient system was factored")
 
-    monkeypatch.setattr("mfgl.bench.truncated_posterior", must_not_run)
+    monkeypatch.setattr("mfgl.spectral.checked_cholesky", must_not_run)
     gl = laplacian(build_graph(random_points(30, 3, seed=0), knn_k=5), 0.5, 0.5)
     spectrum = low_spectrum(gl, 10)
     template = HyperParameters(sigma=0.05, omega=1.0, tau=0.05)
     with pytest.raises(InvalidConfig, match="calibration needs at least one unobserved row"):
-        truncated_mean_stddev(spectrum, np.zeros((30, 3)), template)(1.0)
+        truncated_factor(spectrum, template, 30).mean_stddev(1.0, 0.05)
 
 
 @pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
