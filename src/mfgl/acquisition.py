@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .data import Dataset, frozen
 from .exceptions import (
     EmptyCluster,
-    InsufficientSpectrum,
     InvalidConfig,
     RowCountMismatch,
 )
@@ -122,7 +120,6 @@ class AcquisitionPlan:
     centroids: np.ndarray
     cluster_assignment: np.ndarray
     seed: int
-    embed_dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "selected_indices", tuple(int(i) for i in self.selected_indices))
@@ -147,30 +144,23 @@ def plan_acquisition(
     spectrum: Spectrum,
     m: int,
     seed: int,
-    embed_dim: Optional[int] = None,
 ) -> AcquisitionPlan:
     """Choose M observation points by k-means in the spectral embedding.
 
-    Embeds every point with the first ``m`` eigenvectors (override with
-    ``embed_dim``), clusters into ``m`` groups, picks the member nearest
-    each centroid (lowest index on ties), and returns the permutation that
-    moves the picks to the front while preserving the relative order of
-    the remaining rows.
+    Embeds every point with the first ``m`` eigenvectors, clusters into
+    ``m`` groups, picks the member nearest each centroid (lowest index on
+    ties), and returns the permutation that moves the picks to the front
+    while preserving the relative order of the remaining rows.
 
     Raises
     ------
     InsufficientSpectrum
-        When the spectrum holds fewer than ``embed_dim`` eigenvectors.
+        When the spectrum holds fewer than ``m`` eigenvectors.
     """
     n = spectrum.n
     if not 1 <= m <= n:
         raise InvalidConfig(f"M must be in [1, {n}], got {m}")
-    dim = m if embed_dim is None else embed_dim
-    if spectrum.K < dim:
-        raise InsufficientSpectrum(
-            f"planning needs {dim} eigenvectors, spectrum holds {spectrum.K}"
-        )
-    points = embed(spectrum, dim)
+    points = embed(spectrum, m)
     centroids, assignment = kmeans(points, m, seed)
     selected = []
     for c in range(m):
@@ -187,7 +177,6 @@ def plan_acquisition(
         centroids=centroids,
         cluster_assignment=assignment,
         seed=seed,
-        embed_dim=dim,
     )
 
 
@@ -219,7 +208,6 @@ def plan_to_json(plan: AcquisitionPlan, **record) -> str:
             "selected_indices": list(plan.selected_indices),
             "permutation": list(plan.permutation),
             "seed": plan.seed,
-            "embed_dim": plan.embed_dim,
             "centroids": plan.centroids.tolist(),
             "cluster_assignment": plan.cluster_assignment.tolist(),
             **record,
@@ -239,7 +227,6 @@ def plan_from_json(text: str) -> tuple[AcquisitionPlan, dict]:
             centroids=np.asarray(raw["centroids"], dtype=np.float64),
             cluster_assignment=np.asarray(raw["cluster_assignment"], dtype=np.intp),
             seed=int(raw["seed"]),
-            embed_dim=int(raw["embed_dim"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed acquisition plan: {exc}") from exc

@@ -283,7 +283,6 @@ class EstimateArtifacts:
 
     posterior: PosteriorResult
     hyper: HyperParameters
-    spectrum: Spectrum
     timings: dict
 
 
@@ -295,20 +294,16 @@ class GraphPrior:
     spectrum: Spectrum
     laplacian: Optional[GraphLaplacian] = None
 
-    def permuted(self, perm: np.ndarray, K: int) -> "GraphPrior":
-        """The same prior with row i holding point ``perm[i]``, keeping
-        the first K eigenpairs.
+    def permuted(self, perm: np.ndarray) -> "GraphPrior":
+        """The same prior with row i holding point ``perm[i]``.
 
         Reordering the points of a graph reorders the rows of its
         eigenvectors, of L_sym and the degrees, and leaves the eigenvalues
         alone, so this stands in for a second build on the reordered rows.
         """
-        s = self.spectrum
-        vectors = s.eigenvectors[perm, :K]
+        vectors = self.spectrum.eigenvectors[perm]
         vectors.setflags(write=False)
-        spectrum = Spectrum(
-            K=K, eigenvalues=s.eigenvalues[:K], eigenvectors=vectors, shift_a=s.shift_a
-        )
+        spectrum = dataclasses.replace(self.spectrum, eigenvectors=vectors)
         gl = self.laplacian
         if gl is None:
             return GraphPrior(spectrum)
@@ -408,23 +403,21 @@ def estimate_attached(
         phi_star.setflags(write=False)
         posterior = PosteriorResult(phi_star=phi_star, stddevs=np.sqrt(truncated_variances(tp)))
     timings["solve"] = time.perf_counter() - t0
-    return EstimateArtifacts(posterior=posterior, hyper=hp, spectrum=spectrum, timings=timings)
+    return EstimateArtifacts(posterior=posterior, hyper=hp, timings=timings)
 
 
 def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior:
     """The graph prior of the normalized low-fidelity rows, in their order.
 
-    Holds enough eigenpairs both to plan (``config.embed_dim``, else M)
-    and to estimate (``config.spectrum_size``), and keeps the Laplacian
-    only for the dense solver.  The pipeline builds its graph and
-    spectrum here and nowhere else; W is freed as soon as
+    Holds ``config.spectrum_size`` eigenpairs, at least M, so planning
+    embeds in the first M of the eigenpairs estimation uses, and keeps
+    the Laplacian only for the dense solver.  The pipeline builds its
+    graph and spectrum here and nowhere else; W is freed as soon as
     :func:`~mfgl.graph.laplacian` returns, before the eigensolve.
     """
     _refuse_landmark_solver(config)
-    n = lf_norm.shape[0]
-    k_plan = min(n, max(config.spectrum_size(n), config.embed_dim or config.m))
     gl = laplacian(build_graph(lf_norm, config.knn_k), config.p, config.q)
-    spectrum = low_spectrum(gl, k_plan)
+    spectrum = low_spectrum(gl, config.spectrum_size(lf_norm.shape[0]))
     return GraphPrior(spectrum, gl if config.solver is SolverTag.DENSE else None)
 
 
@@ -456,7 +449,7 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
 
     t0 = time.perf_counter()
     prior = planning_spectrum(ds_norm.lf, config)
-    plan = plan_acquisition(prior.spectrum, config.m, config.seed, embed_dim=config.embed_dim)
+    plan = plan_acquisition(prior.spectrum, config.m, config.seed)
     timings["plan"] = time.perf_counter() - t0
     return PlannedRows(nspec, prior, plan, timings)
 
@@ -536,7 +529,7 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     # which the dense solver would otherwise hold through omega
     # calibration (tracemalloc peak 6.7 -> 9.4 MB at N=400).
     perm = np.asarray(plan.permutation, dtype=np.intp)
-    prior = prior.permuted(perm, config.spectrum_size(problem.n))
+    prior = prior.permuted(perm)
     lf_raw = apply_permutation(Dataset(lf=problem.lf_data), plan).lf
     timings["plan"] += time.perf_counter() - t0
 
@@ -547,7 +540,7 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     report = build_report(
         art.posterior.mf_estimates, lf_raw, problem.true_data[perm], config.metric
     )
-    embedding = embed(art.spectrum, min(plan.embed_dim, art.spectrum.K))
+    embedding = embed(prior.spectrum, plan.m)
     return PipelineOutput(
         report=report, posterior=art.posterior, plan=plan, hyper=art.hyper,
         timings=timings, embedding=embedding,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -207,9 +208,11 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     Before it builds or reads anything else, it refuses (``InvalidConfig``,
     exit 3) a ``plan.json`` without the plan directory's record, graph-prior
     settings other than the plan's, and rows whose SHA-256 differs from
-    those plan parsed.  It works in solve order, the rows' order as read.
-    Both solvers reorder the eigenpairs of ``spectrum.bin``, read and
-    checked (exit 2) before any graph is built, and run no eigensolve;
+    those plan parsed, then malformed recorded values (``shift_a``,
+    ``normalization_stats``).  It works in solve order, the rows' order as
+    read.  Both solvers reorder the eigenpairs of ``spectrum.bin``, read
+    and checked for shape and finiteness (exit 2) before any graph is
+    built, and run no eigensolve;
     the dense one also rebuilds L_sym from the rows in input order.
     Either way the result equals ``run_pipeline``'s bit for bit.
     """
@@ -242,23 +245,33 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     lf = matio.read_matrix(cfg.lf_path, cfg.format)
     if hashlib.sha256(lf).hexdigest() != record["lf_sha256"]:
         raise InvalidConfig(f"{cfg.lf_path}: not the rows plan copied to lf_permuted (lf_sha256 differs)")
+    shift_a = record["shift_a"]  # the recorded prior, refused by key if malformed
+    if type(shift_a) not in (int, float) or not 0 < shift_a < math.inf:
+        raise InvalidConfig(f"{cfg.plan_path}: shift_a must be a positive finite number, got {shift_a!r}")
+    shapes = {"mean": lf.shape[1:], "std": lf.shape[1:], "scales": lf.shape[:1]}
+    try:
+        stats = {k: np.asarray(v, dtype=np.float64) for k, v in record["normalization_stats"].items()}
+        if any(a.shape != shapes.get(k) or not np.isfinite(a).all() for k, a in stats.items()):
+            raise ValueError(f"expected finite arrays of shapes {shapes}")
+        nspec = NormalizationSpec(pcfg.normalization, **stats)
+    except (AttributeError, TypeError, ValueError, InvalidConfig) as exc:
+        raise InvalidConfig(f"{cfg.plan_path}: malformed normalization_stats: {exc}") from exc
     hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
 
-    # the plan's M and embedding width shaped its prior
-    pcfg = replace(pcfg, m=plan.m, embed_dim=plan.embed_dim)
-    nspec = NormalizationSpec(pcfg.normalization, **{
-        k: np.asarray(v) for k, v in record["normalization_stats"].items()})
+    pcfg = replace(pcfg, m=plan.m)  # the plan's M shaped its prior
     perm = np.asarray(plan.permutation, dtype=np.intp)
     n, k = len(perm), pcfg.spectrum_size(len(perm))
     table = matio.read_binary(Path(cfg.plan_path).with_name("spectrum.bin"))
-    if table.shape[0] != n + 1 or table.shape[1] < k:
-        raise MatrixIOError(f"spectrum.bin is {table.shape}, not {n + 1} rows of at least {k} columns")
+    if table.shape != (n + 1, k):
+        raise MatrixIOError(f"spectrum.bin is {table.shape}, not {(n + 1, k)}")
+    if not np.isfinite(table).all():
+        raise MatrixIOError("spectrum.bin holds a non-finite entry")
     gl = (laplacian(build_graph(nspec.apply(lf[np.argsort(perm)]), pcfg.knn_k), pcfg.p, pcfg.q)
           if pcfg.solver is SolverTag.DENSE else None)  # L_sym, from the rows in input order
     # the eigenvalues are copied, so that no array kept holds the file's bytes
-    prior = GraphPrior(Spectrum(table.shape[1], table[0].copy(), table[1:], record["shift_a"]), gl)
+    prior = GraphPrior(Spectrum(k, table[0].copy(), table[1:], float(shift_a)), gl)
     del table, gl  # the input-order prior dies with the reordering
-    prior = prior.permuted(perm, k)
+    prior = prior.permuted(perm)
     art = estimate_planned(lf, nspec, plan, hf, pcfg, prior)
     mf, stddevs, resolved = art.posterior.mf_estimates, art.posterior.stddevs, art.hyper.as_dict()
     timings = art.timings

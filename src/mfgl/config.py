@@ -146,7 +146,6 @@ class PipelineConfig:
     tau: Optional[float] = setting(None, "'auto' or a fixed spectral shift",
                                    low=0, strict=True, auto=True)
     seed: int = setting(0, "random seed", low=0)
-    embed_dim: Optional[int] = setting(None, "spectral embedding width for planning", low=1)
     metric: ErrorMetric = setting(ErrorMetric.FIELD_REL_L2, "error metric of the report", command="bench")
 
     def __post_init__(self):

@@ -40,7 +40,6 @@ from mfgl.posterior import (
     dense_factor,
     dense_posterior,
     regularization_path,
-    shifted_power,
 )
 from mfgl.spectral import low_spectrum, truncated_posterior, truncated_variances
 

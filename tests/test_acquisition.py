@@ -183,8 +183,6 @@ def test_plan_needs_enough_eigenvectors():
     spec = spectrum_for(lf, 3)
     with pytest.raises(InsufficientSpectrum):
         plan_acquisition(spec, 5, seed=0)
-    with pytest.raises(InsufficientSpectrum):
-        plan_acquisition(spec, 2, seed=0, embed_dim=4)
 
 
 def test_apply_permutation_identity(rng):
@@ -197,7 +195,6 @@ def test_apply_permutation_identity(rng):
         centroids=plan.centroids,
         cluster_assignment=plan.cluster_assignment,
         seed=0,
-        embed_dim=2,
     )
     out = apply_permutation(Dataset(lf=lf), identity)
     assert np.array_equal(out.lf, lf)
@@ -212,7 +209,6 @@ def test_apply_permutation_round_trip(rng):
         centroids=np.zeros((2, 2)),
         cluster_assignment=np.zeros(6, dtype=int),
         seed=0,
-        embed_dim=2,
     )
     out = apply_permutation(Dataset(lf=lf), plan)
     assert np.array_equal(out.lf, lf[list(perm)])  # gather oracle
@@ -229,7 +225,6 @@ def test_apply_permutation_refuses_attached_hf(rng):
         centroids=np.zeros((2, 2)),
         cluster_assignment=np.zeros(6, dtype=int),
         seed=0,
-        embed_dim=2,
     )
     with pytest.raises(InvalidConfig):
         apply_permutation(ds, plan)
@@ -243,7 +238,6 @@ def test_plan_validation_rules():
             centroids=np.zeros((2, 1)),
             cluster_assignment=np.zeros(3, dtype=int),
             seed=0,
-            embed_dim=2,
         )
     with pytest.raises(InvalidConfig):
         AcquisitionPlan(
@@ -252,7 +246,6 @@ def test_plan_validation_rules():
             centroids=np.zeros((1, 1)),
             cluster_assignment=np.zeros(3, dtype=int),
             seed=0,
-            embed_dim=1,
         )
 
 
@@ -264,7 +257,6 @@ def test_plan_json_round_trip(tmp_path):
     assert back.selected_indices == plan.selected_indices
     assert back.permutation == plan.permutation
     assert back.seed == plan.seed
-    assert back.embed_dim == plan.embed_dim
     assert np.allclose(back.centroids, plan.centroids)
     assert np.array_equal(back.cluster_assignment, plan.cluster_assignment)
 

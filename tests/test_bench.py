@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import weakref
 from collections import Counter
@@ -186,13 +185,11 @@ def test_pipeline_config_rules():
     # one value just past each bound the solvers enforce
     for bad in (
         dict(beta=0.5), dict(r=1.0), dict(K=0), dict(knn_k=0), dict(sigma=0.0),
-        dict(omega=0.0), dict(tau=-1.0), dict(embed_dim=0),
-        dict(sigma=float("nan")),
+        dict(omega=0.0), dict(tau=-1.0), dict(sigma=float("nan")),
     ):
         with pytest.raises(InvalidConfig):
             PipelineConfig(**bad)
-    PipelineConfig(beta=1.0, r=1.5, K=1, knn_k=1, sigma=1e-9, omega=1e-9,
-                   tau=1e-9, embed_dim=1)
+    PipelineConfig(beta=1.0, r=1.5, K=1, knn_k=1, sigma=1e-9, omega=1e-9, tau=1e-9)
 
 
 @pytest.mark.parametrize("mode", [Normalization.COMPONENT, Normalization.INSTANCE])
@@ -290,8 +287,9 @@ def test_pipeline_solver_outputs_are_in_solve_order():
 
 def test_embedding_shape():
     prob = generate(Generator.CLUSTERED_SHIFT, 90, 3, seed=3, clusters=3)
-    out = run_pipeline(prob, PipelineConfig(m=3, seed=0, embed_dim=2))
-    assert out.embedding.shape == (90, 2)
+    # planning embeds in the first M eigenvectors of its spectrum
+    out = run_pipeline(prob, PipelineConfig(m=3, seed=0))
+    assert out.embedding.shape == (90, 3)
 
 
 def test_write_report_files(tmp_path):
@@ -368,10 +366,8 @@ def test_permuted_prior_matches_fresh_build(kind, route, monkeypatch):
         m=10, seed=0, sigma=prob.hf_noise_sigma, omega=1.0, tau=1e-3
     )
     prior, perm, ds = _planned_solve_inputs(prob, config)
-    reused = estimate_attached(
-        ds, config, prior.permuted(perm, config.spectrum_size(ds.n))
-    ).posterior
-    fresh_prior = planning_spectrum(ds.lf, dataclasses.replace(config, embed_dim=None))
+    reused = estimate_attached(ds, config, prior.permuted(perm)).posterior
+    fresh_prior = planning_spectrum(ds.lf, config)
     fresh = estimate_attached(ds, config, fresh_prior).posterior  # built on the permuted rows
     scale = np.abs(fresh.phi_star).max()
     assert np.abs(reused.phi_star - fresh.phi_star).max() <= 1e-8 * scale
@@ -385,7 +381,7 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
         solver=SolverTag.DENSE, m=4, p=p, q=q, seed=1, sigma=prob.hf_noise_sigma
     )
     prior, perm, ds = _planned_solve_inputs(prob, config)
-    gl = prior.permuted(perm, config.spectrum_size(ds.n)).laplacian
+    gl = prior.permuted(perm).laplacian
     assert (gl.matrix() is gl.sym_matrix) == (p == q)
     # bitwise the Laplacian of the plan-order graph with W's rows reordered
     g = build_graph(prob.lf_data, config.knn_k)

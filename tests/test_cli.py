@@ -605,7 +605,7 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
         "plan_rows": lambda: mfgl.bench.plan_rows(prob.lf_data, config),
         "estimate_planned": lambda: mfgl.bench.estimate_planned(
             prob.lf_data[perm], planned.nspec, planned.plan, hf, config,
-            planned.prior.permuted(perm, config.spectrum_size(prob.n)),
+            planned.prior.permuted(perm),
         ),
         # a hand-built prior does not route the tag to another solver
         "estimate_attached": lambda: mfgl.bench.estimate_attached(
@@ -670,9 +670,16 @@ def test_malformed_hf_csv_exit_2(tmp_path, capsys):
     assert not (out_dir / "mf_estimates.csv").exists()
 
 
-def test_unknown_flag_exit_3(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "plan", "--no-such-flag", "x")
+@pytest.mark.parametrize("flag", ["--no-such-flag", "--embed-dim"])
+def test_unknown_flag_exit_3(flag, tmp_path, capsys):
+    # planning embeds in M dimensions: no flag sets another width
+    _, lf_path = write_problem(tmp_path)
+    code, _, err = run_cli(
+        capsys, "plan", "--lf-path", str(lf_path), "--output-dir", str(tmp_path / "out"), flag, "2"
+    )
     assert code == 3
+    assert flag in last_json(err)["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_duplicate_rows_exit_4(tmp_path, capsys):
@@ -719,10 +726,11 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert len(last_json(out)["selected_indices"]) == 5  # flag beats file
 
 
-def test_config_unknown_key_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["mm", "embed_dim"])
+def test_config_unknown_key_exit_3(key, tmp_path, capsys):
     _, lf_path = write_problem(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"mm": 4}))
+    cfg_path.write_text(json.dumps({key: 2}))
     code, _, err = run_cli(
         capsys, "plan", "--config", str(cfg_path), "--lf-path", str(lf_path),
         "--output-dir", str(tmp_path / "out"),
@@ -760,7 +768,7 @@ def test_config_wrong_type_exit_3(tmp_path, capsys, key, value):
 _SHARED_FLAGS = {
     "-h", "--help", "--config", "--output-dir", "--threads", "--normalization", "--p", "--q", "--knn-k",
     "--solver", "--K", "--m", "--sigma", "--beta", "--r", "--omega", "--tau",
-    "--seed", "--embed-dim",
+    "--seed",
 }
 # only the commands that read or write a matrix file take these
 _FILE_FLAGS = {"--format", "--header", "--no-header"}
@@ -853,7 +861,6 @@ def test_cli_estimate_matches_pipeline_phi_star(tmp_path, capsys):
     # the CLI two-phase flow on files reproduces the in-process pipeline:
     # same plan, same hyperparameters, same posterior (bitwise, since
     # csv round-trips doubles via %.17g and normalization stays off)
-    from mfgl.acquisition import plan_acquisition
     from mfgl.bench import PipelineConfig, run_pipeline
 
     prob, lf_path = write_problem(tmp_path, n=80, d=3, seed=2, clusters=4)
@@ -1002,12 +1009,30 @@ _PRIOR_FLAGS = {
 }
 
 
+# plan.json record values of the wrong type, shape or sign
+_TAMPERED_RECORD = {
+    "shift_a-text": ("shift_a", "abc"),
+    "shift_a-null": ("shift_a", None),
+    "shift_a-negative": ("shift_a", -1.0),
+    "stats-unknown-key": ("normalization_stats", {"bogus": [1]}),
+    "stats-list": ("normalization_stats", [1, 2]),
+}
+# spectrum.bin entries overwritten with a non-finite value: (row, column, value)
+_NON_FINITE = {
+    "spectrum-nan-eigenvalue": (0, 1, np.nan),
+    "spectrum-inf-eigenvalue": (0, 1, np.inf),
+    "spectrum-nan-eigenvector": (7, 3, np.nan),
+}
+
+
 @pytest.mark.parametrize(
     "case, expected, says",
     [("other-rows", 3, "lf_permuted"), *((name, 3, name + "=") for name in _PRIOR_FLAGS),
      ("old-plan", 3, "run plan again"),
-     *((case + solver, 2, "spectrum.bin") for case in ("spectrum-deleted", "spectrum-truncated",
-                                                       "spectrum-other-shape")
+     *((case, 3, key) for case, (key, _) in _TAMPERED_RECORD.items()),
+     *((case + solver, 2, "spectrum.bin")
+       for case in ("spectrum-deleted", "spectrum-truncated", "spectrum-other-shape",
+                    "spectrum-one-column-wider", *_NON_FINITE)
        for solver in ("", "-dense"))],
 )
 def test_estimate_refuses_what_the_plan_did_not_see(case, expected, says, tmp_path, capsys,
@@ -1033,12 +1058,26 @@ def test_estimate_refuses_what_the_plan_did_not_see(case, expected, says, tmp_pa
         for key in ("lf_sha256", "shift_a", "normalization_stats", *_PRIOR_FLAGS):
             del raw[key]
         (out_dir / "plan.json").write_text(json.dumps(raw))
+    elif case in _TAMPERED_RECORD:
+        raw = json.loads((out_dir / "plan.json").read_text())
+        key, value = _TAMPERED_RECORD[case]
+        raw[key] = value
+        (out_dir / "plan.json").write_text(json.dumps(raw))
     elif case == "spectrum-deleted":
         spectrum.unlink()
     elif case == "spectrum-truncated":
         spectrum.write_bytes(spectrum.read_bytes()[:-8])
     elif case == "spectrum-other-shape":
         mfgl.matio.write_binary(spectrum, np.ones((300, 20)))
+    elif case == "spectrum-one-column-wider":
+        # as a plan that embedded in more than the K eigenpairs estimate uses
+        table = read_binary(spectrum)
+        mfgl.matio.write_binary(spectrum, np.hstack((table, table[:, -1:])))
+    elif case in _NON_FINITE:
+        table = read_binary(spectrum).copy()
+        row, col, value = _NON_FINITE[case]
+        table[row, col] = value
+        mfgl.matio.write_binary(spectrum, table)
 
     def no_graph(*args, **kwargs):
         raise AssertionError("a graph was built before the plan directory was checked")
@@ -1053,4 +1092,6 @@ def test_estimate_refuses_what_the_plan_did_not_see(case, expected, says, tmp_pa
     error = last_json(err)
     assert error["error"] == ("InvalidConfig" if expected == 3 else "MatrixIOError")
     assert says in error["message"]
+    if case in _TAMPERED_RECORD:
+        assert "plan.json" in error["message"]
     assert not (tmp_path / "est").exists()

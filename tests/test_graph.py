@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import mfgl.graph
-from conftest import random_points, two_blob_points
+from conftest import random_points
 from mfgl.bench import Generator, generate
 from mfgl.exceptions import (
     DenseLimitExceeded,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_points, two_blob_points
 import mfgl.posterior
 from mfgl.bench import Generator, generate
-from mfgl.data import Dataset, HyperParameters, displacements
+from mfgl.data import HyperParameters
 from mfgl.exceptions import (
     AllZeroSpectrum,
     DenseLimitExceeded,
