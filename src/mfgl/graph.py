@@ -6,19 +6,22 @@ bandwidth is the geometric mean of the two scales,
 
     W_ij = exp(-||x_i - x_j||^2 / (l_i * l_j)),   W_ii = 0.
 
-Pairs whose weight falls below ``WEIGHT_EPS`` are dropped, so W, the
-degrees and every Laplacian are built and stored in CSR form; with a
-self-tuning kernel almost every pair weight is far below round-off.
-Each kept weight is taken from the direct difference x_i - x_j, once per
-unordered pair, so it is exact to round-off and W is exactly symmetric.
-Building W holds the kept pairs and one working set of ``_WORK_BYTES``
-bytes, never an N x N array.
+Pairs whose weight falls below ``WEIGHT_EPS`` are dropped, so the graph
+and every Laplacian are built and stored in CSR form; with a self-tuning
+kernel almost every pair weight is far below round-off.  Each kept
+weight is taken from the direct difference x_i - x_j, once per unordered
+pair, so it is exact to round-off.  The graph stores only those pairs,
+W's upper triangle, with the degrees; W is exactly symmetric by
+construction and formed only on request.  Building the graph holds the
+triangle and one working set of ``_WORK_BYTES`` bytes, never an N x N
+array, and for the degrees one array of W's values, freed on return.
 
 The Laplacian family is L = D^{-p} (D - W) D^{-q}.  For p != q, L is a
 similarity transform D^{-(p-q)/2} L_sym D^{(p-q)/2} of the symmetric
 member with exponent (p+q)/2, which is what makes a symmetric eigensolve
 and the reweighted inner product <u, v> = u^T D^{p-q} v work.  So only
-L_sym and the degrees are built and stored; L is formed on request.
+L_sym and the degrees are built and stored, L_sym straight from the
+triangle, which is freed with the graph; L is formed on request.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ SCALE_TOL = 1e-14
 # Smallest kernel weight the graph keeps.
 WEIGHT_EPS = 1e-12
 # Most bytes the CSR weights may take: 8 for the value and 4 for the
-# column index of each kept pair.  It counts W only; the Laplacian stage
-# holds W and L together, about twice that.
+# column index of each of W's entries, two per kept pair.  No stage holds
+# W; the Laplacian stage holds L_sym (W's entries and the diagonal) next
+# to the kept triangle (half of them), about 1.5 times that.
 GRAPH_BYTE_BUDGET = 1 << 30
 _CSR_ENTRY_BYTES = 12
 # Most bytes of one block of squared distances, point differences or
@@ -134,24 +138,127 @@ def weight_columns(
 
 @dataclass(frozen=True)
 class AffinityGraph:
-    """Sparse symmetric kernel matrix (CSR) with degrees and self-tuning
-    scales."""
+    """The kept pairs of the kernel matrix W's upper triangle (CSR, sorted
+    columns), with W's degrees and the self-tuning scales.
 
-    weights: sp.csr_array
+    W itself is formed only on request (:attr:`weights`).  A W built
+    elsewhere makes a graph through :meth:`from_weights`; the triangle
+    then keeps any stored self-loop W_ii.
+    """
+
+    upper: sp.csr_array
     degrees: np.ndarray
     scales: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", sp.csr_array(self.weights, dtype=np.float64))
+        upper = sp.csr_array(self.upper, dtype=np.float64)
+        if not upper.has_sorted_indices:
+            upper = upper.sorted_indices()  # a copy: the caller's stays as it is
+        rows = np.flatnonzero(np.diff(upper.indptr))
+        if upper.shape[0] != upper.shape[1] or np.any(upper.indices[upper.indptr[rows]] < rows):
+            raise InvalidConfig("upper must be the upper triangle of a square matrix")
+        object.__setattr__(self, "upper", upper)
         for name in ("degrees", "scales"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
         bad = np.flatnonzero(self.degrees <= 0.0)
         if bad.size:
             raise ZeroDegree(int(bad[0]))
 
+    @classmethod
+    def from_weights(cls, weights, scales: np.ndarray) -> AffinityGraph:
+        """The graph of a weight matrix W (dense or sparse) built elsewhere,
+        with degrees ``W.sum(axis=1)``.
+
+        Raises
+        ------
+        NonFiniteInput
+            When a weight is NaN or Inf.
+        InvalidConfig
+            When a weight is negative or W is not exactly symmetric.
+        """
+        w = sp.csr_array(weights, dtype=np.float64)
+        if not np.all(np.isfinite(w.data)):
+            raise NonFiniteInput("weights contain NaN or Inf")
+        if np.any(w.data < 0.0):
+            raise InvalidConfig("weights must be non-negative")
+        if w.shape[0] != w.shape[1] or (w != w.T).nnz:
+            raise InvalidConfig("the weight matrix must be square and exactly symmetric")
+        return cls(upper=sp.triu(w, format="csr"), degrees=w.sum(axis=1), scales=scales)
+
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.upper.shape[0]
+
+    @property
+    def weights(self) -> sp.csr_array:
+        """W = upper + upper^T, formed on each call."""
+        upper = self.upper
+        w = upper + upper.T  # the pairs' patterns are disjoint, so no sum rounds
+        loops = upper.diagonal()
+        if loops.any():  # a stored W_ii is in both terms
+            w = w - sp.diags_array(loops)
+        return w
+
+
+def _symmetric(upper: sp.csr_array, values, diagonal=None):
+    """Write the symmetric matrix whose upper triangle is ``upper``.
+
+    ``upper`` is a sorted CSR triangle, which may store W_ii, and
+    ``values(a, b)`` gives the values of its rows a..b-1, one per stored
+    entry.  Each row of the result holds its mirrored entries, then, when
+    ``diagonal`` is given, a diagonal slot that gets ``diagonal`` added
+    (a stored W_ii takes that slot), then its own entries, so its columns
+    ascend.  Only with ``diagonal`` are the column indices written.
+    Returns ``(indptr, indices or None, data)``.
+
+    The mirror is a counting-sort transpose (Gustavson, ACM TOMS 4(3),
+    1978), one ``tocsc`` per block of ``upper``'s rows: each row's
+    mirrored entries come in ascending order without a sort, and every
+    write goes through an ascending list of slots.
+    """
+    n = upper.shape[0]
+    gap = int(diagonal is not None)
+    uptr, uind = upper.indptr, upper.indices
+    counts = np.diff(uptr)
+    nonempty = np.flatnonzero(counts)
+    loops = np.zeros(n, dtype=np.intp)
+    loops[nonempty] = uind[uptr[nonempty]] == nonempty
+    # entries of a block; at about 64 work bytes each, 2 _WORK_BYTES
+    step = max(1, _WORK_BYTES // 32)
+    lower = -loops  # mirrored entries of each row
+    for s in range(0, uind.size, step):
+        lower += np.bincount(uind[s : s + step], minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(lower + gap * (1 - loops) + counts, out=indptr[1:])
+    diag = indptr[:-1] + lower  # the slot of W_ii, or of the diagonal
+    offset = diag + gap * (1 - loops) - uptr[:-1]
+    nxt = indptr[:-1].astype(np.intp)  # next free mirror slot of each row
+    indices = np.empty(indptr[-1], dtype=np.int32) if gap else None
+    data = np.zeros(indptr[-1])
+    starts = np.searchsorted(uptr, np.arange(0, uind.size, step), "right") - 1
+    bounds = np.unique(np.r_[starts, n])  # row blocks of about step entries
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo, hi = uptr[a], uptr[b]
+        vals = values(a, b)
+        own = np.repeat(offset[a:b], counts[a:b])
+        own += np.arange(lo, hi)
+        data[own] = vals
+        # the block's entries by column, and by row within a column
+        csc = sp.csr_array(
+            (vals, uind[lo:hi] - np.int32(a), uptr[a : b + 1] - lo), shape=(b - a, n - a)
+        ).tocsc()
+        per_col = np.diff(csc.indptr)
+        mirror = np.repeat(nxt[a:] - csc.indptr[:-1], per_col)
+        mirror += np.arange(hi - lo)
+        nxt[a:] += per_col
+        data[mirror] = csc.data  # a W_ii lands in its own slot again
+        if gap:
+            indices[own] = uind[lo:hi]
+            indices[mirror] = csc.indices + np.int32(a)
+    if gap:
+        indices[diag] = np.arange(n)
+        data[diag] += diagonal
+    return indptr, indices, data
 
 
 def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGraph:
@@ -171,8 +278,12 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
     ``WEIGHT_EPS``.  Where long double is wider than double (80 bits on
     x86-64), the exponent is within about 3 u of exact whatever D is, so
     a weight near the cut, with exponent ln(1 / WEIGHT_EPS) = 27.6, is
-    within about 1e-14 relative of exact.  W is assembled once from the
-    kept triangle and its mirror, so W_ij and W_ji are the same float.
+    within about 1e-14 relative of exact.  The graph keeps only that
+    triangle, so W_ij and W_ji are always the same float.  The degrees
+    are W's row sums, taken as scipy sums the rows of a CSR W (one
+    ``np.add.reduceat`` over each row in column order) from an array of
+    W's values that the mirror of :func:`_symmetric` writes; that array
+    is dropped on return, so the graph never holds W.
 
     Parameters
     ----------
@@ -211,7 +322,7 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
         g += sq[None, start:]
         g /= scales[start:stop, None]
         g /= scales[None, start:]
-        r, c = np.nonzero(g <= limit[start:stop, None])
+        r, c = np.divmod(np.flatnonzero(g <= limit[start:stop, None]), n - start)
         upper = c > r
         i, j = r[upper] + start, c[upper] + start
         arg = np.empty(i.size, dtype=np.longdouble)
@@ -238,8 +349,12 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
     np.cumsum(counts, out=indptr[1:])
     upper = sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
     del cols, vals
-    w = upper + upper.T  # the pairs' patterns are disjoint, so no sum rounds
-    return AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=scales)
+    # W's values in W's row order, summed per row as scipy sums W
+    w_indptr, _, w_data = _symmetric(upper, lambda a, b: upper.data[indptr[a] : indptr[b]])
+    degrees = np.zeros(n)
+    rows = np.flatnonzero(np.diff(w_indptr))
+    degrees[rows] = np.add.reduceat(w_data, w_indptr[rows])
+    return AffinityGraph(upper=upper, degrees=degrees, scales=scales)
 
 
 @dataclass(frozen=True)
@@ -284,13 +399,15 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
 
     Off the diagonal, entry (i, j) is -((d_i^{-s} d_j^{-s}) W_ij), a
     product of two commuting numbers, so L_sym is exactly symmetric.  It
-    is written into its final pattern, W's sorted pattern plus the
-    diagonal, and scaled in place in blocks of ``_WORK_BYTES``, so beyond
-    W the call holds L_sym, a byte per entry and one block.  The arrays
-    are read-only: the member L that :meth:`GraphLaplacian.matrix` forms
+    is written straight from the graph's triangle into its final
+    pattern, W's sorted pattern plus the diagonal: each kept pair is
+    scaled once, in blocks of the triangle's rows, and written into its
+    two slots (:func:`_symmetric`).  So beyond the triangle the call holds
+    L_sym and a few ``_WORK_BYTES`` blocks, never W.  The arrays are
+    read-only: the member L that :meth:`GraphLaplacian.matrix` forms
     shares the pattern, so an in-place scipy operation raises
     ``ValueError``; work on a copy.  The result keeps no reference to
-    ``graph``, so W is freed once it is dropped.
+    ``graph``, so the triangle is freed once the graph is dropped.
 
     Raises
     ------
@@ -302,34 +419,21 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     bad = np.flatnonzero(d <= 0.0)
     if bad.size:
         raise ZeroDegree(int(bad[0]))
-    w = graph.weights
-    if not w.has_sorted_indices:
-        w = w.sorted_indices()
-    n = w.shape[0]
-    # L_sym's pattern: W's pattern (marked 1) merged with the diagonal (marked 2)
-    marks = sp.csr_array((np.ones(w.nnz, np.int8), w.indices, w.indptr), shape=w.shape)
-    marks = marks + sp.diags_array(np.full(n, 2, np.int8), dtype=np.int8)
-    indptr, indices, off = marks.indptr, marks.indices, marks.data != 2
-    diag = np.flatnonzero(marks.data > 1)  # a stored W_ii shares its slot
-    del marks
-    counts = np.diff(indptr)
-    step = _block_rows(int(counts.max(initial=1)))  # rows of a work block
+    upper = graph.upper
     s = 0.5 * (p + q)
     ds = d ** -s
-    # -((d_i^{-s} d_j^{-s}) W_ij), scaled in place one block at a time
-    data = np.zeros(indptr[-1])
-    data[off] = w.data
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        seg = data[indptr[a] : indptr[b]]
-        scale = np.repeat(ds[a:b], counts[a:b])
-        scale *= ds[indices[indptr[a] : indptr[b]]]
-        scale *= seg
-        np.negative(scale, out=seg)
-    data[diag] += d ** (1.0 - s - s)
+
+    def scaled(a, b):  # -((d_i^{-s} d_j^{-s}) W_ij), once per kept pair
+        lo, hi = upper.indptr[a], upper.indptr[b]
+        scale = np.repeat(ds[a:b], np.diff(upper.indptr[a : b + 1]))
+        scale *= ds[upper.indices[lo:hi]]
+        scale *= upper.data[lo:hi]
+        return np.negative(scale, out=scale)
+
+    indptr, indices, data = _symmetric(upper, scaled, diagonal=d ** (1.0 - s - s))
     for arr in (data, indices, indptr):
         arr.setflags(write=False)
-    lsym = sp.csr_array((data, indices, indptr), shape=w.shape)
+    lsym = sp.csr_array((data, indices, indptr), shape=upper.shape)
     return GraphLaplacian(sym_matrix=lsym, degrees=d, p=p, q=q)
 
 

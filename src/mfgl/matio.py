@@ -90,7 +90,7 @@ def read_csv(path: PathLike, header: bool = False) -> np.ndarray:
             first = next(rows, None)
             if first is None:
                 raise MatrixIOError(f"{path}: no data rows")
-            lines = itertools.chain([first[2]], (line for *_, line in rows))
+            lines = itertools.chain([first[1]], (line for _, line in rows))
             try:
                 out = np.loadtxt(
                     lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
@@ -106,16 +106,13 @@ def read_csv(path: PathLike, header: bool = False) -> np.ndarray:
     return out
 
 
-def _data_rows(fh, header: bool, path: PathLike):
-    """(1-based line number, ``fh.tell()`` at its start, line) of each data
-    row of an open CSV file: the header line (with ``header``) and blank or
-    whitespace-only lines are skipped, and a row whose field count differs
-    from the first row's raises."""
+def _data_rows(lines, header: bool, path: PathLike):
+    """(1-based line number, line) of each data row of the lines of a CSV
+    file: the header line (with ``header``) and blank or whitespace-only
+    lines are skipped, and a row whose field count differs from the first
+    row's raises."""
     width = None
-    for ln in itertools.count(1):
-        start, line = fh.tell(), fh.readline()
-        if not line:
-            return
+    for ln, line in enumerate(lines, 1):
         if (ln == 1 and header) or not line.strip():
             continue
         fields = line.count(",") + 1
@@ -125,13 +122,13 @@ def _data_rows(fh, header: bool, path: PathLike):
             raise MatrixIOError(
                 f"{path}: line {ln} has {fields} fields, expected {width}"
             )
-        yield ln, start, line
+        yield ln, line
 
 
 def _parse_error(path: PathLike, rows, exc: ValueError) -> str:
     """Name the file line of the first cell ``float()`` rejects; a cell only
     the stricter parser rejects (e.g. ``1_0``) keeps its message."""
-    for ln, _, line in rows:
+    for ln, line in rows:
         for cell in line.rstrip("\n").split(","):
             try:
                 float(cell)
@@ -187,9 +184,19 @@ def copy_rows(src: PathLike, dst: PathLike, order, fmt: str, header: bool = Fals
             return write_binary(dst, read_matrix(src, fmt)[order])
         # through a new file, so that src may be dst
         with open(src) as fin, open(f"{dst}.part", "w") as fout:
-            starts = [start for _, start, _ in _data_rows(fin, header, src)]
+            starts = []  # each line's offset, for seek
+
+            def lines():
+                while True:
+                    starts.append(fin.tell())
+                    line = fin.readline()
+                    if not line:
+                        return
+                    yield line
+
+            rows = [ln for ln, _ in _data_rows(lines(), header, src)]
             for i in order:
-                fin.seek(starts[i])
+                fin.seek(starts[rows[i] - 1])
                 line = fin.readline()
                 fout.write(line if line.endswith("\n") else line + "\n")
         os.replace(f"{dst}.part", dst)

@@ -4,9 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import mfgl
 from mfgl.graph import build_graph, laplacian
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 result does not depend on earlier runs.
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 def random_points(n, d, seed):

@@ -386,8 +386,7 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
     # bitwise the Laplacian of the plan-order graph with W's rows reordered
     g = build_graph(prob.lf_data, config.knn_k)
     rebuilt = laplacian(
-        AffinityGraph(weights=g.weights[perm][:, perm], degrees=g.degrees[perm],
-                      scales=g.scales[perm]), p, q,
+        AffinityGraph.from_weights(g.weights[perm][:, perm], scales=g.scales[perm]), p, q,
     )
     fresh = laplacian(build_graph(ds.lf, config.knn_k), p, q)
     for ours, exact, new in ((gl.sym_matrix, rebuilt.sym_matrix, fresh.sym_matrix),

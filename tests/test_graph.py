@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import mfgl.graph
 from conftest import random_points
@@ -15,6 +17,7 @@ from mfgl.exceptions import (
     DimensionMismatch,
     DuplicatePointScale,
     InvalidConfig,
+    NonFiniteInput,
     ZeroDegree,
 )
 from mfgl.graph import (
@@ -183,21 +186,26 @@ def test_kept_weights_match_exact_arithmetic(kind, n, d):
 
 
 def test_front_end_peak_is_bounded_by_the_csr():
-    # build_graph -> laplacian -> low_spectrum holds W, L and one working
-    # set: no N x N block, no CSC copy of L_sym, one shifted data array.
-    # The LU factor lives in SuperLU's own allocations, which tracemalloc
-    # does not see.
+    # build_graph -> laplacian -> low_spectrum never holds W: laplacian
+    # holds L_sym next to the kept triangle, and low_spectrum L_sym next to
+    # one shifted copy of its values, each with a few working blocks; no
+    # N x N block and no CSC copy of L_sym.  The LU factor lives in
+    # SuperLU's own allocations, which tracemalloc does not see.
     lf = generate(Generator.CLUSTERED_SHIFT, 3000, 5, seed=0).lf_data
     tracemalloc.start()
     try:
-        g = build_graph(lf)
-        low_spectrum(laplacian(g, 0.5, 0.5), 40)
+        gl = laplacian(build_graph(lf), 0.5, 0.5)
+        low_spectrum(gl, 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    w = g.weights
-    csr_bytes = w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
-    assert peak < 3 * csr_bytes + mfgl.graph._WORK_BYTES
+    lsym = gl.sym_matrix
+    csr_bytes = lsym.data.nbytes + lsym.indices.nbytes + lsym.indptr.nbytes
+    # the triangle: a value and a column index per kept pair, and N + 1 row pointers
+    pairs = (lsym.nnz - lsym.shape[0]) // 2
+    triangle_bytes = 12 * pairs + lsym.indptr.nbytes
+    bound = csr_bytes + max(triangle_bytes, lsym.data.nbytes) + 3 * mfgl.graph._WORK_BYTES
+    assert peak < bound
 
 
 def _laplacian_reference(graph, p, q):
@@ -260,23 +268,22 @@ def test_laplacian_diagonal_slot_first_middle_and_last():
                   [0.5, 0.0, 0.3, 0.1],
                   [0.0, 0.3, 0.0, 0.7],
                   [0.2, 0.1, 0.7, 0.0]])
-    g = AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(4))
+    g = AffinityGraph.from_weights(w, scales=np.ones(4))
     assert_matches_reference(g)
     gl = laplacian(g, 0.5, 0.5)
     assert gl.sym_matrix.indices.tolist() == [0, 1, 3, 0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3]
     # a stored self-loop W_22 is summed into row 2's diagonal slot
     w[2, 2] = 0.4
-    assert_matches_reference(AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(4)))
+    assert_matches_reference(AffinityGraph.from_weights(w, scales=np.ones(4)))
 
 
 def test_laplacian_sorts_unsorted_weights_into_a_copy():
     g = build_graph(random_points(40, 3, seed=3), knn_k=5)
     perm = np.random.default_rng(0).permutation(40)
-    shuffled = AffinityGraph(weights=g.weights[perm][:, perm], degrees=g.degrees[perm],
-                             scales=g.scales[perm])
-    w = shuffled.weights
+    w = g.weights[perm][:, perm]
     assert not w.has_sorted_indices
     before = [getattr(w, part).copy() for part in ("indptr", "indices", "data")]
+    shuffled = AffinityGraph.from_weights(w, scales=g.scales[perm])
     for p, q in PQ_CASES:
         gl, ref = laplacian(shuffled, p, q), laplacian(g, p, q)
         got = gl.sym_matrix
@@ -303,11 +310,11 @@ def test_laplacian_arrays_are_read_only():
 
 @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 0.0)])
 def test_laplacian_peak_is_its_output_and_a_few_blocks(p, q):
-    # L_sym is filled in place in its final pattern: beyond its input the
-    # stage holds L_sym, the off-diagonal mask and block-sized
-    # temporaries, not a scaled copy of W and a sparse sum, nor L for p != q.
-    # At N=1500 that copy (2.0 MB) fits inside the bound's three blocks,
-    # so the case is N=3000, where it takes 7.5 MB.
+    # L_sym is written from the triangle into its final pattern: beyond its
+    # input the stage holds L_sym and block-sized temporaries, not W, a
+    # scaled copy of the pairs and a sparse sum, nor L for p != q.  At
+    # N=1500 a scaled copy of the pairs (1.0 MB) fits inside the bound's
+    # three blocks, so the case is N=3000, where it takes 3.8 MB.
     g = build_graph(generate(Generator.CLUSTERED_SHIFT, 3000, 5, seed=0).lf_data)
     tracemalloc.start()
     try:
@@ -317,7 +324,7 @@ def test_laplacian_peak_is_its_output_and_a_few_blocks(p, q):
         tracemalloc.stop()
     mat = gl.sym_matrix
     out = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    assert peak <= out + mat.nnz + 3 * mfgl.graph._WORK_BYTES
+    assert peak <= out + 3 * mfgl.graph._WORK_BYTES
 
 
 def test_two_node_symmetric_laplacian():
@@ -398,7 +405,63 @@ def test_zero_degree_detected():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0  # node 2 isolated
     with pytest.raises(ZeroDegree):
-        AffinityGraph(weights=w, degrees=w.sum(axis=1), scales=np.ones(3))
+        AffinityGraph.from_weights(w, scales=np.ones(3))
+
+
+def test_from_weights_refuses_what_is_no_weight_matrix():
+    # an asymmetric W would be read as its upper triangle's mirror, so it
+    # is refused, as are negative and non-finite weights
+    w = np.array([[0.0, 0.5, 0.2, 0.0],
+                  [0.5, 0.0, 0.3, 0.1],
+                  [0.2, 0.3, 0.0, 0.7],
+                  [0.0, 0.1, 0.7, 0.0]])
+    asymmetric = w.copy()
+    asymmetric[0, 1] = 0.4
+    with pytest.raises(InvalidConfig, match="exactly symmetric"):
+        AffinityGraph.from_weights(asymmetric, scales=np.ones(4))
+    negative = w.copy()
+    negative[1, 3] = negative[3, 1] = -0.1
+    with pytest.raises(InvalidConfig, match="non-negative"):
+        AffinityGraph.from_weights(negative, scales=np.ones(4))
+    nan = w.copy()
+    nan[2, 3] = nan[3, 2] = np.nan
+    with pytest.raises(NonFiniteInput):
+        AffinityGraph.from_weights(nan, scales=np.ones(4))
+    # the triangle itself must be one
+    with pytest.raises(InvalidConfig, match="upper triangle"):
+        AffinityGraph(upper=sp.csr_array(w), degrees=np.ones(4), scales=np.ones(4))
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(3, 40),
+    d=st.integers(1, 4),
+    knn_k=st.integers(1, 6),
+    p=st.floats(0.0, 1.0),
+    q=st.floats(0.0, 1.0),
+    work_bytes=st.sampled_from([64, 1024, 8 * 1024]),
+    seed=st.integers(0, 2**16),
+)
+def test_triangle_and_weights_routes_agree(n, d, knn_k, p, q, work_bytes, seed):
+    # small work blocks split the triangle pass and the mirror into many
+    # blocks; the graph rebuilt from its own W, at the default blocks,
+    # gives the same bytes
+    lf = random_points(n, d, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mfgl.graph, "_WORK_BYTES", work_bytes)
+        try:
+            g = build_graph(lf, knn_k=min(knn_k, n - 1))
+        except ZeroDegree:
+            reject()
+        gl = laplacian(g, p, q)
+    w = g.weights
+    assert g.degrees.tobytes() == w.sum(axis=1).tobytes()
+    assert (w != w.T).nnz == 0
+    rows = np.repeat(np.arange(n), np.diff(w.indptr))
+    assert not np.any(w.indices == rows)  # no stored diagonal
+    rebuilt = laplacian(AffinityGraph.from_weights(w, scales=g.scales), p, q)
+    assert rebuilt.degrees.tobytes() == gl.degrees.tobytes()
+    assert_same_csr(rebuilt.sym_matrix, gl.sym_matrix)
 
 
 def test_weighted_inner_reduces_to_dot_for_equal_pq(rng):

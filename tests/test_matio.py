@@ -98,7 +98,7 @@ def test_csv_bytes_match_per_element_format(tmp_path, rng, header):
     assert path.read_bytes() == _per_element_csv(a, header)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
 @example(np.array([[1.0, -2.5, 3e-300]]))
@@ -137,7 +137,7 @@ def _csv_texts(draw):
     return "".join(line + end for line, end in zip(lines, ends)), len(rows)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(_csv_texts(), st.data())
 def test_csv_row_copy_property(tmp_path_factory, csv, data):
     # the copier finds the rows the reader reads, and keeps each one's value
