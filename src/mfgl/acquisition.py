@@ -42,10 +42,19 @@ def _kmeanspp_init(points: np.ndarray, m: int, rng) -> np.ndarray:
 
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
-    """Lloyd iteration; empty clusters are re-seeded to the point farthest
-    from its current centroid (lowest index on ties)."""
+    """Lloyd iteration; empty clusters are re-seeded, in cluster order, to
+    the point farthest from its current centroid (lowest index on ties).
+
+    Each centroid is one ``bincount`` sum per column, over its member
+    count.  Like ``mean(axis=0)`` of the members' rows, it adds them in
+    index order to +0.0, so members that are all -0.0 (``_fix_signs``
+    makes such entries) average to +0.0; with two or more columns the two
+    agree bit for bit.  With one column (M = 1) ``mean`` sums pairwise
+    instead, so the centroid can differ from it in the last bit.
+    """
     n, m = points.shape[0], centroids.shape[0]
     point_sq = np.sum(points**2, axis=1)[:, None]
+    columns = np.ascontiguousarray(points.T)
 
     def sq_dists():
         return point_sq - 2.0 * points @ centroids.T + np.sum(centroids**2, axis=1)[None, :]
@@ -57,19 +66,15 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
+        counts = np.bincount(assignment, minlength=m)
+        sums = np.stack([np.bincount(assignment, col, m) for col in columns], axis=1)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
         dist_to_own = d2[np.arange(n), assignment]
-        # a stable sort keeps each cluster's members in index order, so a
-        # slice holds the same rows, in the same order, as a boolean mask
-        grouped = points[np.argsort(assignment, kind="stable")]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(assignment, minlength=m))))
-        for c in range(m):
-            lo, hi = bounds[c], bounds[c + 1]
-            if hi > lo:
-                centroids[c] = grouped[lo:hi].mean(axis=0)
-            else:
-                far = int(np.argmax(dist_to_own))
-                centroids[c] = points[far]
-                dist_to_own[far] = 0.0  # a point re-seeds at most one cluster
+        for c in np.flatnonzero(~filled):
+            far = int(np.argmax(dist_to_own))
+            centroids[c] = points[far]
+            dist_to_own[far] = 0.0  # a point re-seeds at most one cluster
     d2 = sq_dists()
     assignment = np.argmin(d2, axis=1)
     wcss = float(d2[np.arange(n), assignment].sum())

@@ -475,6 +475,9 @@ def estimate_planned(
 
     Outputs are in solve order; the posterior's ``mf_estimates`` are in
     input units.  ``timings["assemble"]`` covers normalizing the rows.
+    The reference to ``lf_raw`` is dropped once they are normalized, so
+    a caller that passes its only reference (``mfgl estimate``) frees
+    them for the solve; :func:`run_pipeline` keeps its own for the report.
     """
     t0 = time.perf_counter()
     if len(hf_raw) != plan.m:
@@ -485,6 +488,7 @@ def estimate_planned(
     config = dataclasses.replace(config, sigma=sigma)
     spec = nspec.permuted(np.asarray(plan.permutation, dtype=np.intp))
     ds = Dataset(lf=spec.apply(lf_raw), hf=spec.apply(hf_raw))
+    del lf_raw
     assemble_s = time.perf_counter() - t0
 
     art = estimate_attached(ds, config, prior)

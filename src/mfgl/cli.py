@@ -272,10 +272,12 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     prior = GraphPrior(Spectrum(k, table[0].copy(), table[1:], float(shift_a)), gl)
     del table, gl  # the input-order prior dies with the reordering
     prior = prior.permuted(perm)
-    art = estimate_planned(lf, nspec, plan, hf, pcfg, prior)
+    rows = [lf]
+    del lf  # estimate_planned holds the raw rows alone, and drops them once normalized
+    art = estimate_planned(rows.pop(), nspec, plan, hf, pcfg, prior)
     mf, stddevs, resolved = art.posterior.mf_estimates, art.posterior.stddevs, art.hyper.as_dict()
     timings = art.timings
-    del art, prior, lf  # the MAP field, the spectrum and the rows, before the writes
+    del art, prior  # the MAP field and the spectrum, before the writes
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,9 @@ and factors it once: a Cholesky of the unobserved block Q_uu, its
 triangular inverse, and an M x M ``eigh`` of the Schur complement of
 Q_uu.  After that the MAP, the stddevs sqrt(diag(A^{-1})) and the
 calibration handle's mean stddev cost O(NM) for any (omega, sigma), and
-the N x N covariance is formed only when it is asked for.  The
+the N x N covariance is formed only when it is asked for.  Q takes one
+N x N array: an integer power is written from sparse row-block products
+of L_sym + tau I, and Q_uu is factored where it lies in that array.  The
 vanishing-noise path solves every step on one such factor, and its
 limit, the constrained minimizer, is the factor's -Q_uu^{-1} Q_uo.
 """
@@ -47,6 +49,9 @@ from .graph import GraphLaplacian
 from .spectral import Spectrum, checked_cholesky, checked_factor, shifted_eigenvalues
 
 DENSE_POSTERIOR_LIMIT = 3_000
+# Row blocks in which shifted_power writes an integer power, so the sparse
+# products in flight cover N/16 rows of the result at a time.
+_PRIOR_ROW_BLOCKS = 16
 ZERO_EIGENVALUE_REL_TOL = 1e-8
 CALIBRATION_RTOL = 1e-3
 CALIBRATION_BRACKET = (1e-4, 1e4)
@@ -81,30 +86,48 @@ class PosteriorResult:
 
 
 def shifted_power(sym, tau: float, beta: float) -> np.ndarray:
-    """(sym + tau I)^beta for a symmetric PSD matrix, sparse or dense.
+    """(sym + tau I)^beta for a symmetric PSD matrix, sparse or dense, and
+    beta >= 1, as one new N x N array.
 
-    One dense copy of ``sym`` is made and worked on in place.  Integer
-    beta shifts its diagonal and multiplies it out exactly; otherwise the
-    power is taken on the copy's eigenvalues, and the copy is dropped
-    before the product (:func:`~mfgl.spectral.shifted_eigenvalues`).
+    Integer beta multiplies out the sparse A = sym + tau I in
+    ``_PRIOR_ROW_BLOCKS`` row blocks, each A[rows] @ A @ ... written into
+    its rows of the result (Gustavson's row-wise product, ACM TOMS 4(3),
+    1978), so no dense copy of A and no dense operand is made, and
+    beta = 2 costs the sum of the squared row counts of A instead of N^3.
+    Each row is formed alone, so the result equals the full sparse
+    product bit for bit, and it is exactly symmetric for beta <= 2.
+    Otherwise ``eigh`` overwrites one Fortran-ordered dense copy of
+    ``sym``, the eigenvectors are scaled in place by
+    s = sqrt((lambda + tau)^beta) (:func:`~mfgl.spectral.shifted_eigenvalues`),
+    and the result is the one product (V s)(V s)^T.
     """
-    base = sym.toarray() if sp.issparse(sym) else np.array(sym, dtype=np.float64)
+    n = sym.shape[0]
     if float(beta).is_integer():
-        base.flat[:: base.shape[0] + 1] += tau
-        return np.linalg.matrix_power(base, int(beta))
-    vals, vecs = sla.eigh(base)
+        a = sp.csr_array(sym) + tau * sp.eye_array(n, format="csr")
+        out = np.empty((n, n))
+        step = -(-n // _PRIOR_ROW_BLOCKS)
+        for lo in range(0, n, step):
+            block = a[lo:lo + step]
+            for _ in range(int(beta) - 1):
+                block = block @ a
+            block.toarray(out=out[lo:lo + step])
+        return out
+    base = sym.toarray(order="F") if sp.issparse(sym) else np.array(sym, dtype=np.float64, order="F")
+    vals, vecs = sla.eigh(base, overwrite_a=True)
     del base
-    return (vecs * shifted_eigenvalues(vals, tau, beta)) @ vecs.T
+    vecs *= np.sqrt(shifted_eigenvalues(vals, tau, beta))
+    return vecs @ vecs.T
 
 
 def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
     """S (L_sym + tau I)^beta S with S = D^{(p-q)/2}: the prior precision
-    per unit omega, scaled in place."""
+    per unit omega, scaled in place.  Entry (i, j) is multiplied by
+    s_i s_j, which equals s_j s_i, so scaling keeps the power's symmetry."""
     b = shifted_power(gl.sym_matrix, hp.tau, hp.beta)
     if gl.p != gl.q:
         s = gl.degrees ** (0.5 * (gl.p - gl.q))
-        b *= s[:, None]
-        b *= s[None, :]
+        for row, s_i in zip(b, s):
+            row *= s_i * s
     return b
 
 
@@ -117,7 +140,8 @@ class DenseFactor:
     and the Schur complement Q_oo - Q_ou R^{-1} Q_uo = V diag(theta) V^T,
     it holds
 
-    - ``l_inv`` = L^{-1} and ``r`` = diag(R^{-1}), its squared column norms
+    - ``l_inv`` = L^{-1}, Fortran-ordered at the front of Q's N x N
+      buffer, and ``r`` = diag(R^{-1}), its squared column norms
     - ``z`` = R^{-1} Q_uo, (N-M) x M
     - ``theta`` and ``v``, the Schur complement's eigenpairs
     - ``y`` = Z V
@@ -169,6 +193,11 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
     first ``m`` rows observed: one prior build, one Cholesky of the
     (N-M) x (N-M) block, its triangular inverse and one M x M ``eigh``.
 
+    Q is built in one N x N array.  Q_oo and Q_uo are copied out, Q_uu
+    is moved to the front of that array, and the Cholesky factor and its
+    inverse overwrite it there, so the factor holds about one N x N
+    array at its peak; ``l_inv`` keeps that array alive.
+
     Raises
     ------
     DenseLimitExceeded
@@ -185,15 +214,26 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
     if not 0 <= m <= n:
         raise DimensionMismatch(f"need 0 <= M <= N, got M={m}, N={n}")
     q = _prior_matrix(gl, hp)
+    k = n - m
+    q_oo, q_uo = q[:m, :m].copy(), q[m:, :m].copy()
     l_inv = np.zeros((0, 0))
-    if m < n:
-        chol = checked_cholesky(q[m:, m:], "unobserved prior block")
-        l_inv, info = dtrtri(chol, lower=1, overwrite_c=1)
+    if k:
+        # Q_uu moves to the front of Q's buffer a row at a time: row i goes
+        # from (m + i) N + m to i K, forward, onto entries already read
+        flat = q.reshape(-1)
+        for i in range(k):
+            flat[i * k:(i + 1) * k] = q[m + i, m:]
+        # read in Fortran order the block is Q_uu^T, which LAPACK factors
+        # without a copy; it is Q_uu itself for beta <= 2 and fractional
+        # beta, whose Q is exactly symmetric, and Q_uu to round-off else
+        q_uu = flat[:k * k].reshape(k, k, order="F")
+        l_inv, info = dtrtri(checked_cholesky(q_uu, "unobserved prior block"),
+                             lower=1, overwrite_c=1)
         if info != 0:
             raise SingularSystem(f"triangular inverse failed: dtrtri info={info}")
-    w = l_inv @ q[m:, :m]
-    schur = q[:m, :m] - w.T @ w
-    del q  # the N x N prior is not needed past this point
+    del q  # only l_inv, at the front of its buffer, still holds it
+    w = l_inv @ q_uo
+    schur = q_oo - w.T @ w
     try:
         theta, v = sla.eigh(schur)
     except sla.LinAlgError as exc:

@@ -164,6 +164,11 @@ def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor C of the SPD matrix ``a``, refused when ``a``
     is numerically singular.
 
+    ``a`` is overwritten, so callers pass a scratch array: a
+    Fortran-ordered ``a`` becomes C in place, and any other layout is
+    first copied by scipy's LAPACK wrapper.  Its diagonal is read before
+    the factorization starts.
+
     The test is the squared diagonal ratio of the factor of the
     equilibrated matrix S a S, S = diag(a)^{-1/2}, whose diagonal is
     C_ii / sqrt(a_ii): a lower bound on cond(S a S), which bounds the
@@ -178,11 +183,12 @@ def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
         When the factorization fails, or when that ratio exceeds
         ``CONDITION_LIMIT``.
     """
+    diag = a.diagonal().copy()
     try:
-        chol = sla.cholesky(a, lower=True)
+        chol = sla.cholesky(a, lower=True, overwrite_a=True)
     except sla.LinAlgError as exc:
         raise SingularSystem(f"{what} factorization failed: {exc}") from exc
-    pivots = np.diag(chol) ** 2 / np.diag(a)
+    pivots = np.diag(chol) ** 2 / diag
     ratio = pivots.max() / pivots.min()
     if not ratio <= CONDITION_LIMIT:
         raise SingularSystem(

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_points
 from mfgl.acquisition import (
@@ -138,6 +140,73 @@ def test_lloyd_bitwise_equal_to_mask_loop_with_empty_clusters(rng):
     # a centroid far from every point stays empty after the first pass
     init = np.vstack([pts[0], pts[1], np.full(3, 1e3)])
     _assert_lloyd_matches_reference(pts, init, 50)
+
+
+def _lloyd_sorted_reference(points, centroids, max_iter):
+    """The sorted-slice Lloyd loop `_lloyd` replaced: a stable argsort
+    groups each cluster's members in index order, and each centroid is
+    their ``mean``; its outputs are the bitwise reference for the
+    ``bincount`` update."""
+    n, m = points.shape[0], centroids.shape[0]
+    point_sq = np.sum(points**2, axis=1)[:, None]
+
+    def sq_dists():
+        return point_sq - 2.0 * points @ centroids.T + np.sum(centroids**2, axis=1)[None, :]
+
+    assignment = np.full(n, -1, dtype=np.intp)
+    for _ in range(max_iter):
+        d2 = sq_dists()
+        new_assignment = np.argmin(d2, axis=1)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        dist_to_own = d2[np.arange(n), assignment]
+        grouped = points[np.argsort(assignment, kind="stable")]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(assignment, minlength=m))))
+        for c in range(m):
+            lo, hi = bounds[c], bounds[c + 1]
+            if hi > lo:
+                centroids[c] = grouped[lo:hi].mean(axis=0)
+            else:
+                far = int(np.argmax(dist_to_own))
+                centroids[c] = points[far]
+                dist_to_own[far] = 0.0
+    d2 = sq_dists()
+    assignment = np.argmin(d2, axis=1)
+    wcss = float(d2[np.arange(n), assignment].sum())
+    return centroids, assignment, wcss
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 50),
+    dim=st.integers(2, 6),
+    m=st.integers(1, 8),
+    zero_share=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    duplicates=st.integers(0, 7),
+    far=st.booleans(),
+    max_iter=st.sampled_from([1, 2, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lloyd_bitwise_equal_to_sorted_slice_loop(n, dim, m, zero_share, duplicates, far,
+                                                   max_iter, seed):
+    # random points with a share of signed zeros (_fix_signs leaves -0.0
+    # entries), started from centroids that leave clusters empty: copies of
+    # the first one, and one far from every point
+    m = min(m, n)
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, dim))
+    zeros = rng.random((n, dim)) < zero_share
+    points[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    init = points[rng.integers(n, size=m)]
+    init[1:1 + duplicates] = init[0]
+    if far and m > 1:
+        init[-1] = 1e3
+    got = _lloyd(points, init.copy(), max_iter)
+    want = _lloyd_sorted_reference(points, init.copy(), max_iter)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
 
 
 def test_plan_single_point_is_nearest_global_centroid():

@@ -15,12 +15,14 @@ import mfgl
 import mfgl.bench
 import mfgl.config
 import mfgl.matio
+import mfgl.posterior
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import _build_parser, main
 from mfgl.config import PipelineConfig, ProblemConfig, SolverTag, field_rules
 from mfgl.data import Dataset, HyperParameters
-from mfgl.exceptions import InvalidConfig
+from mfgl.exceptions import InvalidConfig, SingularSystem
 from mfgl.matio import read_binary, read_csv, write_csv
+from mfgl.spectral import checked_cholesky
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +354,31 @@ def test_bench_dense_tiny_tau_exit_4(tmp_path, capsys):
     assert error["exit_code"] == 4
     # refused either by its conditioning test or by a failed factorization
     assert error["message"].startswith("unobserved prior block")
+
+
+def test_bench_dense_tiny_tau_refused_as_by_a_copying_factor(tmp_path, capsys, monkeypatch):
+    # dense_factor factors Q_uu where it lies in the prior's buffer; on the
+    # same prior, a Cholesky of a fresh copy of Q_uu is refused the same way
+    priors = []
+    prior_matrix = mfgl.posterior._prior_matrix
+
+    def recording(gl, hp):
+        q = prior_matrix(gl, hp)
+        priors.append(q.copy())
+        return q
+
+    monkeypatch.setattr(mfgl.posterior, "_prior_matrix", recording)
+    code, _, err = run_cli(
+        capsys, "bench", "--solver", "dense", "--n", "200", "--d", "3", "--m", "5",
+        "--tau", "1e-14", "--output-dir", str(tmp_path),
+    )
+    assert code == 4
+    error = json.loads(err)
+    (q,) = priors
+    with pytest.raises(SingularSystem) as copying:
+        checked_cholesky(np.array(q[5:, 5:]), "unobserved prior block")
+    assert error["error"] == "SingularSystem"
+    assert error["message"] == str(copying.value)
 
 
 def test_bench_with_zero_displacement_exit_3(tmp_path, capsys):
@@ -895,16 +922,17 @@ def test_cli_estimate_matches_pipeline_phi_star(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags, bound",
-    [((), 3.75), (("--normalization", "component"), 4.9)],
+    [((), 3.75), (("--normalization", "component"), 3.75)],
     ids=["none", "component"],
 )
 def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
     # the rows exist once, in solve order, next to the MAP field and the
     # estimates; the MAP field and the rows are dropped before the
     # estimates are written (3.43x the rows' bytes when measured).  With
-    # component normalization the normalized rows add one copy, and the
-    # estimates are the inverse transform of their sum with the MAP field,
-    # made in place (4.47x when measured, 5.47x with a second new array)
+    # component normalization the raw rows are dropped once normalized, so
+    # the normalized copy takes their place, and the estimates are the
+    # inverse transform of its sum with the MAP field, made in place
+    # (3.55x when measured; 4.47x while the raw rows were held)
     prob = generate(Generator.BEAM_LIKE_1D, 1000, 256, seed=0)
     lf_path = tmp_path / "lf.csv"
     write_csv(lf_path, prob.lf_data)
