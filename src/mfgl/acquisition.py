@@ -44,6 +44,9 @@ def _kmeanspp_init(points: np.ndarray, m: int, rng) -> np.ndarray:
 def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
     """Lloyd iteration; empty clusters are re-seeded, in cluster order, to
     the point farthest from its current centroid (lowest index on ties).
+    Re-seeding cannot keep a cluster when embedding rows coincide: a
+    centroid placed on a point ties with the lower cluster its twins sit
+    in, ties go to the lower cluster, and the cluster ends empty.
 
     Each centroid is one ``bincount`` sum per column, over its member
     count.  Like ``mean(axis=0)`` of the members' rows, it adds them in
@@ -159,8 +162,13 @@ def plan_acquisition(
 
     Raises
     ------
+    InvalidConfig
+        When ``m`` is not in [1, N].
     InsufficientSpectrum
         When the spectrum holds fewer than ``m`` eigenvectors.
+    EmptyCluster
+        When k-means ends with an empty cluster, as it can when embedding
+        rows coincide (see :func:`_lloyd`).
     """
     n = spectrum.n
     if not 1 <= m <= n:

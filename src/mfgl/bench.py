@@ -204,13 +204,18 @@ def generate(
 # Error metrics
 # ---------------------------------------------------------------------------
 
+def _same_shape(est, ref) -> tuple:
+    """``est`` and ``ref`` as float arrays, refused unless their shapes agree."""
+    est, ref = np.asarray(est, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    if est.shape != ref.shape:
+        raise InvalidConfig(f"shape mismatch: {est.shape} vs {ref.shape}")
+    return est, ref
+
+
 def error_component(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Per-entry percentage error, each column scaled by the reference
     column's mean absolute value."""
-    est = np.asarray(est, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    if est.shape != ref.shape:
-        raise InvalidConfig(f"shape mismatch: {est.shape} vs {ref.shape}")
+    est, ref = _same_shape(est, ref)
     denom = np.mean(np.abs(ref), axis=0)
     bad = np.flatnonzero(denom == 0.0)
     if bad.size:
@@ -220,10 +225,7 @@ def error_component(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def error_field(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Per-row percentage error, scaled by the reference's mean row norm."""
-    est = np.asarray(est, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    if est.shape != ref.shape:
-        raise InvalidConfig(f"shape mismatch: {est.shape} vs {ref.shape}")
+    est, ref = _same_shape(est, ref)
     denom = float(np.mean(np.linalg.norm(ref, axis=1)))
     if denom == 0.0:
         raise ZeroReferenceSet("reference rows are identically zero")
@@ -232,20 +234,24 @@ def error_field(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Mean percentage errors before/after the update, plus the reduction
-    100 (1 - mf/lf)."""
+    """Per-point percentage errors of the estimate and the low-fidelity
+    baseline's mean; the estimate's mean and the reduction 100 (1 - mf/lf)
+    are computed from them."""
 
     per_point: np.ndarray
     mean_lf: float
-    mean_mf: float
-    reduction: float
     metric: ErrorMetric
 
     def __post_init__(self):
         object.__setattr__(self, "per_point", frozen(self.per_point))
-        expected = 100.0 * (1.0 - self.mean_mf / self.mean_lf)
-        if abs(self.reduction - expected) > 1e-10 * max(1.0, abs(expected)):
-            raise InvalidConfig("reduction is inconsistent with the means")
+
+    @property
+    def mean_mf(self) -> float:
+        return float(self.per_point.mean())
+
+    @property
+    def reduction(self) -> float:
+        return 100.0 * (1.0 - self.mean_mf / self.mean_lf)
 
 
 def build_report(
@@ -257,20 +263,12 @@ def build_report(
         raise InvalidConfig(f"unknown metric {metric!r}: expected an ErrorMetric member")
     fn = error_component if metric is ErrorMetric.COMPONENT_REL_ABS else error_field
     mf_err = fn(est, ref)
-    lf_err = fn(lf, ref)
-    mean_mf = float(mf_err.mean())
-    mean_lf = float(lf_err.mean())
+    mean_lf = float(fn(lf, ref).mean())
     if mean_lf == 0.0:
         raise InvalidConfig(
             "the low-fidelity rows already equal the reference: there is no error to reduce"
         )
-    return ErrorReport(
-        per_point=mf_err,
-        mean_lf=mean_lf,
-        mean_mf=mean_mf,
-        reduction=100.0 * (1.0 - mean_mf / mean_lf),
-        metric=metric,
-    )
+    return ErrorReport(per_point=mf_err, mean_lf=mean_lf, metric=metric)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ class RunConfig:
         check_fields(self)
         if self.format not in FORMATS:
             raise InvalidConfig(f"format must be one of {FORMATS}, got {self.format!r}")
+        if self.header and self.format == "bin":
+            raise InvalidConfig("--header applies to csv files only; a bin file has no header")
 
 
 # Config-file keys: the fields of all three schemas, in every subcommand.
@@ -269,7 +271,7 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     gl = (laplacian(build_graph(nspec.apply(lf[np.argsort(perm)]), pcfg.knn_k), pcfg.p, pcfg.q)
           if pcfg.solver is SolverTag.DENSE else None)  # L_sym, from the rows in input order
     # the eigenvalues are copied, so that no array kept holds the file's bytes
-    prior = GraphPrior(Spectrum(k, table[0].copy(), table[1:], float(shift_a)), gl)
+    prior = GraphPrior(Spectrum(table[0].copy(), table[1:], float(shift_a)), gl)
     del table, gl  # the input-order prior dies with the reordering
     prior = prior.permuted(perm)
     rows = [lf]

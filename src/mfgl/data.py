@@ -58,6 +58,16 @@ def _require_finite(a: np.ndarray, name: str) -> None:
         raise NonFiniteInput(f"{name} contains NaN or Inf")
 
 
+def observations(phi_hat) -> np.ndarray:
+    """The observed displacements a solver takes, as floats, refused unless
+    2-D (``DimensionMismatch``) and finite (``NonFiniteInput``)."""
+    phi_hat = np.asarray(phi_hat, dtype=np.float64)
+    if phi_hat.ndim != 2:
+        raise DimensionMismatch("phi_hat must be 2-D")
+    _require_finite(phi_hat, "phi_hat")
+    return phi_hat
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Aligned low-/high-fidelity point sets.

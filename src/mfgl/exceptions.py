@@ -142,7 +142,9 @@ class SingularCapacitance(NumericalError):
 
 
 class EmptyCluster(NumericalError):
-    """Unreachable by construction: empty k-means clusters are re-seeded."""
+    """A k-means cluster ended empty: re-seeding cannot keep a cluster
+    when embedding rows coincide, since the coinciding rows tie and ties
+    go to the lower cluster."""
 
 
 class ZeroReferenceColumn(NumericalError):

@@ -11,9 +11,10 @@ and every Laplacian are built and stored in CSR form; with a self-tuning
 kernel almost every pair weight is far below round-off.  Each kept
 weight is taken from the direct difference x_i - x_j, once per unordered
 pair, so it is exact to round-off.  The graph stores only those pairs,
-W's upper triangle, with the degrees; W is exactly symmetric by
-construction and formed only on request.  Building the graph holds the
-triangle and one working set of ``_WORK_BYTES`` bytes, never an N x N
+W's strict upper triangle, with the degrees: W is exactly symmetric by
+construction, its diagonal is zero (a W built elsewhere with a self-loop
+is refused), and it is formed only on request.  Building the graph holds
+the triangle and one working set of ``_WORK_BYTES`` bytes, never an N x N
 array, and for the degrees one array of W's values, freed on return.
 
 The Laplacian family is L = D^{-p} (D - W) D^{-q}.  For p != q, L is a
@@ -138,12 +139,11 @@ def weight_columns(
 
 @dataclass(frozen=True)
 class AffinityGraph:
-    """The kept pairs of the kernel matrix W's upper triangle (CSR, sorted
-    columns), with W's degrees and the self-tuning scales.
+    """The kept pairs of the kernel matrix W's strict upper triangle (CSR,
+    sorted columns), with W's degrees and the self-tuning scales.
 
-    W itself is formed only on request (:attr:`weights`).  A W built
-    elsewhere makes a graph through :meth:`from_weights`; the triangle
-    then keeps any stored self-loop W_ii.
+    W, whose diagonal is zero, is formed only on request (:attr:`weights`).
+    A W built elsewhere makes a graph through :meth:`from_weights`.
     """
 
     upper: sp.csr_array
@@ -155,8 +155,8 @@ class AffinityGraph:
         if not upper.has_sorted_indices:
             upper = upper.sorted_indices()  # a copy: the caller's stays as it is
         rows = np.flatnonzero(np.diff(upper.indptr))
-        if upper.shape[0] != upper.shape[1] or np.any(upper.indices[upper.indptr[rows]] < rows):
-            raise InvalidConfig("upper must be the upper triangle of a square matrix")
+        if upper.shape[0] != upper.shape[1] or np.any(upper.indices[upper.indptr[rows]] <= rows):
+            raise InvalidConfig("upper must be the strict upper triangle of a square matrix")
         object.__setattr__(self, "upper", upper)
         for name in ("degrees", "scales"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
@@ -167,23 +167,25 @@ class AffinityGraph:
     @classmethod
     def from_weights(cls, weights, scales: np.ndarray) -> AffinityGraph:
         """The graph of a weight matrix W (dense or sparse) built elsewhere,
-        with degrees ``W.sum(axis=1)``.
+        with degrees ``W.sum(axis=1)``; it keeps W's strict upper triangle.
 
         Raises
         ------
         NonFiniteInput
             When a weight is NaN or Inf.
         InvalidConfig
-            When a weight is negative or W is not exactly symmetric.
+            When a weight is negative, W is not exactly symmetric or W has
+            a nonzero diagonal entry: the kernel has W_ii = 0.
         """
         w = sp.csr_array(weights, dtype=np.float64)
         if not np.all(np.isfinite(w.data)):
             raise NonFiniteInput("weights contain NaN or Inf")
         if np.any(w.data < 0.0):
             raise InvalidConfig("weights must be non-negative")
-        if w.shape[0] != w.shape[1] or (w != w.T).nnz:
-            raise InvalidConfig("the weight matrix must be square and exactly symmetric")
-        return cls(upper=sp.triu(w, format="csr"), degrees=w.sum(axis=1), scales=scales)
+        if w.shape[0] != w.shape[1] or (w != w.T).nnz or w.diagonal().any():
+            raise InvalidConfig("the weight matrix must be square, exactly symmetric "
+                                "and have a zero diagonal")
+        return cls(upper=sp.triu(w, k=1, format="csr"), degrees=w.sum(axis=1), scales=scales)
 
     @property
     def n(self) -> int:
@@ -191,25 +193,19 @@ class AffinityGraph:
 
     @property
     def weights(self) -> sp.csr_array:
-        """W = upper + upper^T, formed on each call."""
-        upper = self.upper
-        w = upper + upper.T  # the pairs' patterns are disjoint, so no sum rounds
-        loops = upper.diagonal()
-        if loops.any():  # a stored W_ii is in both terms
-            w = w - sp.diags_array(loops)
-        return w
+        """W = upper + upper^T, formed on each call; the disjoint triangles add exactly."""
+        return self.upper + self.upper.T
 
 
 def _symmetric(upper: sp.csr_array, values, diagonal=None):
     """Write the symmetric matrix whose upper triangle is ``upper``.
 
-    ``upper`` is a sorted CSR triangle, which may store W_ii, and
-    ``values(a, b)`` gives the values of its rows a..b-1, one per stored
-    entry.  Each row of the result holds its mirrored entries, then, when
-    ``diagonal`` is given, a diagonal slot that gets ``diagonal`` added
-    (a stored W_ii takes that slot), then its own entries, so its columns
-    ascend.  Only with ``diagonal`` are the column indices written.
-    Returns ``(indptr, indices or None, data)``.
+    ``upper`` is a sorted strict upper CSR triangle, and ``values(a, b)``
+    gives the values of its rows a..b-1, one per stored entry.  Each row
+    of the result holds its mirrored entries, then, when ``diagonal`` is
+    given, a diagonal slot that holds ``diagonal``, then its own entries,
+    so its columns ascend.  Only with ``diagonal`` are the column indices
+    written.  Returns ``(indptr, indices or None, data)``.
 
     The mirror is a counting-sort transpose (Gustavson, ACM TOMS 4(3),
     1978), one ``tocsc`` per block of ``upper``'s rows: each row's
@@ -220,18 +216,15 @@ def _symmetric(upper: sp.csr_array, values, diagonal=None):
     gap = int(diagonal is not None)
     uptr, uind = upper.indptr, upper.indices
     counts = np.diff(uptr)
-    nonempty = np.flatnonzero(counts)
-    loops = np.zeros(n, dtype=np.intp)
-    loops[nonempty] = uind[uptr[nonempty]] == nonempty
     # entries of a block; at about 64 work bytes each, 2 _WORK_BYTES
     step = max(1, _WORK_BYTES // 32)
-    lower = -loops  # mirrored entries of each row
+    lower = np.zeros(n, dtype=np.intp)  # mirrored entries of each row
     for s in range(0, uind.size, step):
         lower += np.bincount(uind[s : s + step], minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(lower + gap * (1 - loops) + counts, out=indptr[1:])
-    diag = indptr[:-1] + lower  # the slot of W_ii, or of the diagonal
-    offset = diag + gap * (1 - loops) - uptr[:-1]
+    np.cumsum(lower + gap + counts, out=indptr[1:])
+    diag = indptr[:-1] + lower  # the slot of the diagonal
+    offset = diag + gap - uptr[:-1]
     nxt = indptr[:-1].astype(np.intp)  # next free mirror slot of each row
     indices = np.empty(indptr[-1], dtype=np.int32) if gap else None
     data = np.zeros(indptr[-1])
@@ -251,13 +244,13 @@ def _symmetric(upper: sp.csr_array, values, diagonal=None):
         mirror = np.repeat(nxt[a:] - csc.indptr[:-1], per_col)
         mirror += np.arange(hi - lo)
         nxt[a:] += per_col
-        data[mirror] = csc.data  # a W_ii lands in its own slot again
+        data[mirror] = csc.data
         if gap:
             indices[own] = uind[lo:hi]
             indices[mirror] = csc.indices + np.int32(a)
     if gap:
         indices[diag] = np.arange(n)
-        data[diag] += diagonal
+        data[diag] = diagonal
     return indptr, indices, data
 
 
@@ -407,18 +400,10 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     read-only: the member L that :meth:`GraphLaplacian.matrix` forms
     shares the pattern, so an in-place scipy operation raises
     ``ValueError``; work on a copy.  The result keeps no reference to
-    ``graph``, so the triangle is freed once the graph is dropped.
-
-    Raises
-    ------
-    ZeroDegree
-        When any degree is non-positive (cannot happen for graphs built by
-        :func:`build_graph`, which validates on construction).
+    ``graph``, so the triangle is freed once the graph is dropped.  The
+    degrees are positive: :class:`AffinityGraph` refuses any other.
     """
     d = graph.degrees
-    bad = np.flatnonzero(d <= 0.0)
-    if bad.size:
-        raise ZeroDegree(int(bad[0]))
     upper = graph.upper
     s = 0.5 * (p + q)
     ds = d ** -s

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .data import HyperParameters, _require_finite, frozen
+from .data import HyperParameters, frozen, observations
 from .exceptions import (
     DimensionMismatch,
     InvalidConfig,
@@ -270,14 +270,11 @@ class SaddleOperators:
         NonFiniteInput
             ``phi_hat`` holds NaN or Inf.
         """
-        phi_hat = np.asarray(phi_hat, dtype=np.float64)
-        if phi_hat.ndim != 2:
-            raise DimensionMismatch("phi_hat must be 2-D")
+        phi_hat = observations(phi_hat)
         if phi_hat.shape[0] != self.m:
             raise DimensionMismatch(
                 f"phi_hat has {phi_hat.shape[0]} rows, saddle was built for M={self.m}"
             )
-        _require_finite(phi_hat, "phi_hat")
         rhs = np.zeros((self.n, phi_hat.shape[1]))
         rhs[: self.m] = phi_hat
         return self._apply(rhs)

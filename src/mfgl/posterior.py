@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
 
 from .config import SolverTag  # noqa: F401  (re-exported: callers import it from here)
-from .data import HyperParameters, _require_finite, frozen
+from .data import HyperParameters, frozen, observations
 from .exceptions import (
     AllZeroSpectrum,
     DenseLimitExceeded,
@@ -271,10 +271,7 @@ def dense_posterior(
         When N exceeds ``DENSE_POSTERIOR_LIMIT``; use the truncated or
         low-rank solver instead.
     """
-    phi_hat = np.asarray(phi_hat, dtype=np.float64)
-    if phi_hat.ndim != 2:
-        raise DimensionMismatch("phi_hat must be 2-D")
-    _require_finite(phi_hat, "phi_hat")
+    phi_hat = observations(phi_hat)
     m = phi_hat.shape[0]
     factor = checked_factor(gl, hp, m) if isinstance(gl, DenseFactor) else dense_factor(gl, hp, m)
     omega, sigma = hp.omega, hp.sigma

@@ -24,7 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .data import HyperParameters, _require_finite, frozen
+from .data import HyperParameters, frozen, observations
 from .exceptions import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -51,7 +51,6 @@ class Spectrum:
     the (p, q) normalization.
     """
 
-    K: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     shift_a: float
@@ -59,10 +58,13 @@ class Spectrum:
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
-        if self.eigenvalues.shape != (self.K,):
-            raise DimensionMismatch("eigenvalue count must equal K")
-        if self.eigenvectors.shape[1] != self.K:
-            raise DimensionMismatch("eigenvector count must equal K")
+        if self.eigenvalues.ndim != 1 or self.eigenvectors.shape[1:] != self.eigenvalues.shape:
+            raise DimensionMismatch(f"need one eigenvector column per eigenvalue, got shapes "
+                                    f"{self.eigenvalues.shape} and {self.eigenvectors.shape}")
+
+    @property
+    def K(self) -> int:
+        return self.eigenvalues.size
 
     @property
     def n(self) -> int:
@@ -122,7 +124,7 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
         vecs = conv[:, None] * vecs_s
     else:
         vecs = vecs_s
-    return Spectrum(K=K, eigenvalues=vals, eigenvectors=vecs, shift_a=a)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, shift_a=a)
 
 
 def embed(spectrum: Spectrum, m: int) -> np.ndarray:
@@ -278,17 +280,14 @@ def truncated_posterior(
 
     Raises
     ------
-    NonFiniteInput
-        ``phi_hat`` holds NaN or Inf.
+    DimensionMismatch, NonFiniteInput
+        ``phi_hat`` is not 2-D, or holds NaN or Inf (:func:`~mfgl.data.observations`).
     SingularSystem
         If the SPD factorization fails (the matrix is positive definite
         for any omega, tau > 0) or the system is numerically singular
         (see :func:`checked_cholesky`).
     """
-    phi_hat = np.asarray(phi_hat, dtype=np.float64)
-    if phi_hat.ndim != 2:
-        raise DimensionMismatch("phi_hat must be 2-D")
-    _require_finite(phi_hat, "phi_hat")
+    phi_hat = observations(phi_hat)
     m = phi_hat.shape[0]
     factor = (checked_factor(spectrum, hp, m) if isinstance(spectrum, TruncatedFactor)
               else truncated_factor(spectrum, hp, m))

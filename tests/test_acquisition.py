@@ -18,9 +18,9 @@ from mfgl.acquisition import (
 )
 from mfgl.bench import Generator, generate
 from mfgl.data import Dataset
-from mfgl.exceptions import InsufficientSpectrum, InvalidConfig
+from mfgl.exceptions import EmptyCluster, InsufficientSpectrum, InvalidConfig
 from mfgl.graph import build_graph, laplacian
-from mfgl.spectral import embed, low_spectrum
+from mfgl.spectral import Spectrum, embed, low_spectrum
 
 
 def spectrum_for(lf, k, knn_k=5):
@@ -252,6 +252,15 @@ def test_plan_needs_enough_eigenvectors():
     spec = spectrum_for(lf, 3)
     with pytest.raises(InsufficientSpectrum):
         plan_acquisition(spec, 5, seed=0)
+
+
+def test_plan_refuses_coinciding_embedding_rows():
+    # every row embeds at one point: each re-seeded centroid ties with
+    # cluster 0, ties go to the lower cluster, so clusters 1 and 2 end empty
+    spec = Spectrum(eigenvalues=np.arange(4.0), eigenvectors=np.ones((10, 4)), shift_a=2.0)
+    assert not kmeans(embed(spec, 3), 3, 0)[1].any()
+    with pytest.raises(EmptyCluster, match="cluster 1 is empty"):
+        plan_acquisition(spec, 3, 0)
 
 
 def test_apply_permutation_identity(rng):

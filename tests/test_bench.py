@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import weakref
 from collections import Counter
@@ -81,17 +82,13 @@ def test_build_report_consistency(rng):
     lf = ref + 0.3 * rng.normal(size=(10, 2))
     est = ref + 0.03 * rng.normal(size=(10, 2))
     rep = build_report(est, lf, ref, ErrorMetric.FIELD_REL_L2)
-    assert rep.reduction == pytest.approx(
-        100.0 * (1.0 - rep.mean_mf / rep.mean_lf), abs=1e-12
-    )
+    # the estimate's mean and the reduction are computed, never stored
+    assert rep.mean_mf == float(rep.per_point.mean())
+    assert rep.reduction == 100.0 * (1.0 - rep.mean_mf / rep.mean_lf)
+    assert [f.name for f in dataclasses.fields(ErrorReport)] == ["per_point", "mean_lf", "metric"]
     assert rep.per_point.shape == (10,)
     comp = build_report(est, lf, ref, ErrorMetric.COMPONENT_REL_ABS)
     assert comp.per_point.shape == (10, 2)
-    with pytest.raises(InvalidConfig):
-        ErrorReport(
-            per_point=np.zeros(3), mean_lf=10.0, mean_mf=5.0,
-            reduction=80.0, metric=ErrorMetric.FIELD_REL_L2,
-        )
 
 
 def test_clustered_shift_structure():
@@ -353,7 +350,7 @@ def _planned_solve_inputs(prob, config):
 def dense_oracle_spectrum(gl, K):
     """The K lowest pairs from a dense eigensolve of L_sym (p == q)."""
     vals, vecs = sla.eigh(gl.sym_matrix.toarray(), subset_by_index=[0, K - 1])
-    return Spectrum(K=K, eigenvalues=vals, eigenvectors=vecs, shift_a=gl.shift_bound)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, shift_a=gl.shift_bound)
 
 
 @pytest.mark.parametrize("route", [low_spectrum, dense_oracle_spectrum],

@@ -164,6 +164,34 @@ def test_binary_format_round_trip(tmp_path, capsys):
     assert np.array_equal(mf, permuted)
 
 
+@pytest.mark.parametrize("command", ["plan", "estimate"])
+def test_header_refused_with_binary_format(tmp_path, capsys, command):
+    # a binary file has no header row, so --header would be ignored
+    prob, _ = write_problem(tmp_path)
+    from mfgl.matio import write_binary
+
+    lf_bin = tmp_path / "lf.bin"
+    write_binary(lf_bin, prob.lf_data)
+    plan_dir = tmp_path / "plan"
+    assert run_cli(capsys, "plan", "--lf-path", str(lf_bin), "--m", "4",
+                   "--format", "bin", "--output-dir", str(plan_dir))[0] == 0
+    write_binary(tmp_path / "hf.bin", read_binary(plan_dir / "lf_permuted.bin")[:4])
+    args = {
+        "plan": ["--lf-path", str(lf_bin), "--m", "4"],
+        "estimate": ["--lf-path", str(plan_dir / "lf_permuted.bin"),
+                     "--hf-path", str(tmp_path / "hf.bin"),
+                     "--plan-path", str(plan_dir / "plan.json"), "--sigma", "0.02"],
+    }[command]
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, *args, "--format", "bin", "--header",
+                           "--output-dir", str(out_dir))
+    assert code == 3
+    error = last_json(err)
+    assert error["error"] == "InvalidConfig"
+    assert "--header" in error["message"]
+    assert not out_dir.exists()
+
+
 def test_header_flag(tmp_path, capsys):
     prob, _ = write_problem(tmp_path, n=30)
     lf_path = tmp_path / "lf_header.csv"

@@ -272,9 +272,10 @@ def test_laplacian_diagonal_slot_first_middle_and_last():
     assert_matches_reference(g)
     gl = laplacian(g, 0.5, 0.5)
     assert gl.sym_matrix.indices.tolist() == [0, 1, 3, 0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3]
-    # a stored self-loop W_22 is summed into row 2's diagonal slot
+    # the kernel has W_ii = 0, so a stored self-loop W_22 is refused
     w[2, 2] = 0.4
-    assert_matches_reference(AffinityGraph.from_weights(w, scales=np.ones(4)))
+    with pytest.raises(InvalidConfig, match="zero diagonal"):
+        AffinityGraph.from_weights(w, scales=np.ones(4))
 
 
 def test_laplacian_sorts_unsorted_weights_into_a_copy():
@@ -430,6 +431,29 @@ def test_from_weights_refuses_what_is_no_weight_matrix():
     # the triangle itself must be one
     with pytest.raises(InvalidConfig, match="upper triangle"):
         AffinityGraph(upper=sp.csr_array(w), degrees=np.ones(4), scales=np.ones(4))
+
+
+@pytest.mark.parametrize("node", [0, 2, 3])
+def test_graph_refuses_a_self_loop(node):
+    w = np.array([[0.0, 0.5, 0.0, 0.2],
+                  [0.5, 0.0, 0.3, 0.1],
+                  [0.0, 0.3, 0.0, 0.7],
+                  [0.2, 0.1, 0.7, 0.0]])
+    # a stored zero on the diagonal is no self-loop, and is not kept
+    stored_zeros = sp.csr_array(w + np.eye(4))
+    stored_zeros.data[stored_zeros.data == 1.0] = 0.0
+    g = AffinityGraph.from_weights(stored_zeros, scales=np.ones(4))
+    assert_same_csr(g.upper, sp.csr_array(np.triu(w)))
+    assert np.array_equal(g.weights.toarray(), w)
+    loop = w.copy()
+    loop[node, node] = 1e-300
+    for given in (loop, sp.csr_array(loop)):
+        with pytest.raises(InvalidConfig, match="zero diagonal"):
+            AffinityGraph.from_weights(given, scales=np.ones(4))
+    # the graph's own triangle is a strict one
+    upper = sp.csr_array(np.triu(loop))
+    with pytest.raises(InvalidConfig, match="strict upper triangle"):
+        AffinityGraph(upper=upper, degrees=loop.sum(axis=1), scales=np.ones(4))
 
 
 @settings(max_examples=40)

@@ -212,10 +212,7 @@ def test_choose_tau_two_node_graph():
 
 def spectrum_of(vals, shift_a=2.0):
     vals = np.asarray(vals, dtype=np.float64)
-    return Spectrum(
-        K=vals.size, eigenvalues=vals, eigenvectors=np.eye(vals.size),
-        shift_a=shift_a,
-    )
+    return Spectrum(eigenvalues=vals, eigenvectors=np.eye(vals.size), shift_a=shift_a)
 
 
 def test_choose_tau_selection_rule():
@@ -246,8 +243,7 @@ def test_choose_tau_does_not_depend_on_K():
     vals = np.concatenate([[0.0, 3e-9], np.arange(1, 20) / 10.0])
     full = spectrum_of(vals)
     first_three = Spectrum(
-        K=3, eigenvalues=vals[:3], eigenvectors=full.eigenvectors[:, :3],
-        shift_a=full.shift_a,
+        eigenvalues=vals[:3], eigenvectors=full.eigenvectors[:, :3], shift_a=full.shift_a,
     )
     assert choose_tau(first_three) == choose_tau(full) == 0.1
 
@@ -687,21 +683,30 @@ def test_truncated_handle_refuses_m_equal_n(monkeypatch):
         truncated_factor(spectrum, template, 30).mean_stddev(1.0, 0.05)
 
 
-@pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_every_solver_refuses_non_finite_observations(solver, bad):
+def _solve_with(solver, phi_hat):
+    """Solve with ``solver`` for observations of the first 4 of 40 rows."""
     g = build_graph(random_points(40, 2, seed=3), knn_k=5)
     gl = laplacian(g, 0.5, 0.5)
     hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.2)
+    if solver == "dense":
+        return dense_posterior(gl, phi_hat, hp)
+    if solver == "truncated":
+        return truncated_posterior(low_spectrum(gl, K=8), phi_hat, hp)
+    w = g.weights.toarray()
+    lrl = nystrom_factor(lambda idx: w[:, idx], range(40))
+    return build_saddle(lrl, hp, 4).solve(phi_hat)
+
+
+@pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_solver_refuses_non_finite_observations(solver, bad):
     phi_hat = np.zeros((4, 2))
     phi_hat[2, 1] = bad
-    if solver == "dense":
-        call = lambda: dense_posterior(gl, phi_hat, hp)
-    elif solver == "truncated":
-        call = lambda: truncated_posterior(low_spectrum(gl, K=8), phi_hat, hp)
-    else:
-        w = g.weights.toarray()
-        lrl = nystrom_factor(lambda idx: w[:, idx], range(40))
-        call = lambda: build_saddle(lrl, hp, 4).solve(phi_hat)
     with pytest.raises(NonFiniteInput, match="phi_hat contains NaN or Inf"):
-        call()
+        _solve_with(solver, phi_hat)
+
+
+@pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
+def test_every_solver_refuses_observations_that_are_not_2d(solver):
+    with pytest.raises(DimensionMismatch, match="phi_hat must be 2-D"):
+        _solve_with(solver, np.zeros(4))

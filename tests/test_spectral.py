@@ -6,10 +6,11 @@ import scipy.linalg as sla
 from conftest import random_points, two_blob_points
 from mfgl.bench import Generator, generate
 from mfgl.data import Dataset, HyperParameters, displacements
-from mfgl.exceptions import InsufficientSpectrum
+from mfgl.exceptions import DimensionMismatch, InsufficientSpectrum
 from mfgl.graph import WEIGHT_EPS, build_graph, laplacian, self_tuning_scales
 from mfgl.spectral import (
     EIG_RESIDUAL_TOL,
+    Spectrum,
     embed,
     low_spectrum,
     shifted_eigenvalues,
@@ -134,6 +135,16 @@ def test_deterministic_repeat():
     s2 = low_spectrum(gl, 6)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+def test_spectrum_pairs_each_eigenvalue_with_one_eigenvector():
+    vecs = np.eye(5)[:, :3]
+    assert Spectrum(eigenvalues=np.arange(3.0), eigenvectors=vecs, shift_a=2.0).K == 3
+    for vals, vectors in ((np.arange(2.0), vecs), (np.arange(4.0), vecs),
+                          (np.arange(3.0)[:, None], vecs), (np.float64(1.0), vecs[:, :1]),
+                          (np.arange(5.0), np.arange(5.0))):
+        with pytest.raises(DimensionMismatch, match="one eigenvector column per eigenvalue"):
+            Spectrum(eigenvalues=vals, eigenvectors=vectors, shift_a=2.0)
 
 
 def test_embed_is_column_slice():
