@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .exceptions import (
     ZeroReferenceSet,
 )
 from .graph import GraphLaplacian, build_graph, laplacian
-from .matio import write_csv
+from .matio import block_rows, write_csv
 from .posterior import (
     PosteriorResult,
     calibrate_omega,
@@ -397,9 +397,11 @@ def estimate_attached(
         posterior = dense_posterior(factor, phi_hat, hp)
     else:
         tp = truncated_posterior(factor, phi_hat, hp)
+        # the variances' N x K temporaries come and go before the N x D MAP field exists
+        stddevs = np.sqrt(truncated_variances(tp))
         phi_star = tp.map_displacements()
         phi_star.setflags(write=False)
-        posterior = PosteriorResult(phi_star=phi_star, stddevs=np.sqrt(truncated_variances(tp)))
+        posterior = PosteriorResult(phi_star=phi_star, stddevs=stddevs)
     timings["solve"] = time.perf_counter() - t0
     return EstimateArtifacts(posterior=posterior, hyper=hp, timings=timings)
 
@@ -410,12 +412,20 @@ def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior
     Holds ``config.spectrum_size`` eigenpairs, at least M, so planning
     embeds in the first M of the eigenpairs estimation uses, and keeps
     the Laplacian only for the dense solver.  The pipeline builds its
-    graph and spectrum here and nowhere else; W is freed as soon as
-    :func:`~mfgl.graph.laplacian` returns, before the eigensolve.
+    graph and spectrum here and nowhere else.  The reference to
+    ``lf_norm`` is dropped once the graph is built, so the rows of a
+    caller that passed its only reference (:func:`plan_rows` in ``mfgl
+    plan``) die before the Laplacian is written, and the kept triangle
+    dies as soon as :func:`~mfgl.graph.laplacian` returns, before the
+    eigensolve.
     """
     _refuse_landmark_solver(config)
-    gl = laplacian(build_graph(lf_norm, config.knn_k), config.p, config.q)
-    spectrum = low_spectrum(gl, config.spectrum_size(lf_norm.shape[0]))
+    k = config.spectrum_size(lf_norm.shape[0])
+    graph = build_graph(lf_norm, config.knn_k)
+    del lf_norm
+    gl = laplacian(graph, config.p, config.q)
+    del graph
+    spectrum = low_spectrum(gl, k)
     return GraphPrior(spectrum, gl if config.solver is SolverTag.DENSE else None)
 
 
@@ -435,21 +445,54 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
 
     M is checked before any graph is built.  ``timings`` holds
     ``normalize`` and ``plan`` (graph, eigensolve and k-means).
+
+    The reference to ``lf_raw`` is handed on: the raw rows die once
+    normalized (with normalization none they are the normalized rows),
+    and the normalized rows once :func:`planning_spectrum` has built the
+    graph.  So a caller that passes its only reference (``mfgl plan``)
+    holds no rows through the eigensolve; :func:`run_pipeline` keeps its
+    own.
     """
     t0 = time.perf_counter()
-    ds_raw = Dataset(lf=lf_raw)
+    ds = Dataset(lf=lf_raw)
+    del lf_raw
     if config.m < 1:
         raise InvalidConfig("plan needs m >= 1")
-    if config.m > ds_raw.n:
-        raise InvalidConfig(f"m={config.m} exceeds the number of rows {ds_raw.n}")
-    ds_norm, nspec = normalize(ds_raw, config.normalization)
+    if config.m > ds.n:
+        raise InvalidConfig(f"m={config.m} exceeds the number of rows {ds.n}")
+    ds, nspec = normalize(ds, config.normalization)
     timings = {"normalize": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
-    prior = planning_spectrum(ds_norm.lf, config)
+    rows = [ds.lf]
+    del ds  # planning_spectrum holds the normalized rows alone
+    prior = planning_spectrum(rows.pop(), config)
     plan = plan_acquisition(prior.spectrum, config.m, config.seed)
     timings["plan"] = time.perf_counter() - t0
     return PlannedRows(nspec, prior, plan, timings)
+
+
+class PlannedEstimate(NamedTuple):
+    """The estimate step's results, in solve order: the solver outputs
+    (their posterior without ``mf_estimates``), and the multi-fidelity
+    estimates lf + phi_star in input units, one row block at a time."""
+
+    artifacts: EstimateArtifacts
+    estimates: Iterator[np.ndarray]
+
+
+def _estimate_blocks(
+    lf_norm: np.ndarray, phi_star: np.ndarray, spec: NormalizationSpec
+) -> Iterator[np.ndarray]:
+    """The estimates lf + phi_star, mapped back to input units, in blocks
+    of :func:`~mfgl.matio.block_rows` rows, each with the statistics of
+    its own rows: the one formula for the estimates.  Each entry is
+    formed alone, so the blocks stack to the whole-array result bit for
+    bit."""
+    step = block_rows(lf_norm.shape[1])
+    for start in range(0, lf_norm.shape[0], step):
+        rows = slice(start, start + step)
+        yield spec.permuted(rows).invert(lf_norm[rows] + phi_star[rows])
 
 
 def estimate_planned(
@@ -459,7 +502,7 @@ def estimate_planned(
     hf_raw: np.ndarray,
     config: PipelineConfig,
     prior: GraphPrior,
-) -> EstimateArtifacts:
+) -> PlannedEstimate:
     """Estimate from the rows a plan selected: the step shared by
     :func:`run_pipeline` and ``mfgl estimate``.
 
@@ -471,11 +514,14 @@ def estimate_planned(
     rows of ``plan.selected_indices``, in that order and in input units,
     and so does ``config.sigma``.
 
-    Outputs are in solve order; the posterior's ``mf_estimates`` are in
-    input units.  ``timings["assemble"]`` covers normalizing the rows.
-    The reference to ``lf_raw`` is dropped once they are normalized, so
-    a caller that passes its only reference (``mfgl estimate``) frees
-    them for the solve; :func:`run_pipeline` keeps its own for the report.
+    Outputs are in solve order, and the estimates in input units; they
+    are formed a block at a time as ``estimates`` is read, which holds
+    the normalized rows and the MAP field until then.
+    ``timings["assemble"]`` covers normalizing the rows.  The reference
+    to ``lf_raw`` is dropped once they are normalized, so a caller that
+    passes its only reference (``mfgl estimate``) frees them for the
+    solve, unless normalization is none, when they are the normalized
+    rows; :func:`run_pipeline` keeps its own for the report.
     """
     t0 = time.perf_counter()
     if len(hf_raw) != plan.m:
@@ -490,13 +536,8 @@ def estimate_planned(
     assemble_s = time.perf_counter() - t0
 
     art = estimate_attached(ds, config, prior)
-    mf = spec.invert(ds.lf + art.posterior.phi_star)
-    mf.setflags(write=False)
-    return dataclasses.replace(
-        art,
-        posterior=dataclasses.replace(art.posterior, mf_estimates=mf),
-        timings={"assemble": assemble_s, **art.timings},
-    )
+    art = dataclasses.replace(art, timings={"assemble": assemble_s, **art.timings})
+    return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior.phi_star, spec))
 
 
 def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineOutput:
@@ -536,15 +577,16 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     timings["plan"] += time.perf_counter() - t0
 
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
-    art = estimate_planned(lf_raw, nspec, plan, hf_raw, config, prior)
+    art, estimates = estimate_planned(lf_raw, nspec, plan, hf_raw, config, prior)
     timings.update(art.timings)
+    mf = np.concatenate(list(estimates))
+    mf.setflags(write=False)
+    posterior = dataclasses.replace(art.posterior, mf_estimates=mf)
 
-    report = build_report(
-        art.posterior.mf_estimates, lf_raw, problem.true_data[perm], config.metric
-    )
+    report = build_report(mf, lf_raw, problem.true_data[perm], config.metric)
     embedding = embed(prior.spectrum, plan.m)
     return PipelineOutput(
-        report=report, posterior=art.posterior, plan=plan, hyper=art.hyper,
+        report=report, posterior=posterior, plan=plan, hyper=art.hyper,
         timings=timings, embedding=embedding,
     )
 

@@ -144,7 +144,7 @@ def _apply_thread_cap(threads: Optional[int]) -> None:
 # The settings that shape the graph prior: plan.json records them, and
 # estimate refuses a plan made with others.
 _PRIOR_SETTINGS = ("knn_k", "p", "q", "K", "normalization")
-_PLAN_RECORD = ("lf_sha256", "shift_a", "normalization_stats", *_PRIOR_SETTINGS)
+_PLAN_RECORD = ("lf_input_sha256", "shift_a", "normalization_stats", *_PRIOR_SETTINGS)
 
 
 def _prior_settings(pcfg: PipelineConfig) -> dict:
@@ -154,9 +154,14 @@ def _prior_settings(pcfg: PipelineConfig) -> dict:
 def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     """Write the plan directory: ``plan.json``, the rows in solve order
     (``lf_permuted``: the input's rows copied unchanged, never formatted
-    again) and the planning eigenpairs (``spectrum.bin``).  ``lf_sha256``
-    hashes the rows as parsed, so ``estimate`` refuses a copy of a file
-    that changed after the read."""
+    again) and the planning eigenpairs (``spectrum.bin``).
+
+    ``lf_input_sha256`` hashes the rows as parsed, in input order, before
+    planning, so ``estimate`` refuses a copy of a file that changed after
+    the read.  The rows are then handed to :func:`~mfgl.bench.plan_rows`
+    as its only reference, so they die once the graph is built and no
+    rows are held through the eigensolve or the writes.
+    """
     import numpy as np
 
     from . import matio
@@ -166,12 +171,11 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     if cfg.lf_path is None:
         raise InvalidConfig("plan needs --lf-path")
     lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
-    nspec, prior, plan, _ = plan_rows(lf, pcfg)
+    digest = hashlib.sha256(lf)
+    rows = [lf]
+    del lf  # plan_rows holds the rows alone
+    nspec, prior, plan, _ = plan_rows(rows.pop(), pcfg)
     perm = np.asarray(plan.permutation, dtype=np.intp)
-    digest = hashlib.sha256()
-    for i in perm:  # one row at a time: no permuted copy of the rows
-        digest.update(lf[i])
-    del lf
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -179,13 +183,13 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     stats = {k: v.tolist() for k, v in vars(nspec).items() if k != "mode" and v is not None}
     plan_file = outdir / "plan.json"
     plan_file.write_text(plan_to_json(
-        plan, lf_sha256=digest.hexdigest(), shift_a=prior.spectrum.shift_a,
+        plan, lf_input_sha256=digest.hexdigest(), shift_a=prior.spectrum.shift_a,
         normalization_stats=stats, **_prior_settings(pcfg)) + "\n")
     lf_file = outdir / f"lf_permuted.{cfg.format}"
     matio.copy_rows(cfg.lf_path, lf_file, perm, cfg.format, cfg.header)
     # input order: the eigenvalues, then one row per point
     eig = prior.spectrum
-    matio.write_binary(outdir / "spectrum.bin", np.vstack((eig.eigenvalues, eig.eigenvectors)))
+    matio.write_binary(outdir / "spectrum.bin", iter((eig.eigenvalues, eig.eigenvectors)))
 
     # The rows the user must now evaluate with their high-fidelity model,
     # in the exact order the estimate step expects the results in; a
@@ -209,14 +213,20 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
 
     Before it builds or reads anything else, it refuses (``InvalidConfig``,
     exit 3) a ``plan.json`` without the plan directory's record, graph-prior
-    settings other than the plan's, and rows whose SHA-256 differs from
-    those plan parsed, then malformed recorded values (``shift_a``,
-    ``normalization_stats``).  It works in solve order, the rows' order as
-    read.  Both solvers reorder the eigenpairs of ``spectrum.bin``, read
-    and checked for shape and finiteness (exit 2) before any graph is
-    built, and run no eigensolve;
+    settings other than the plan's, and rows whose SHA-256, taken in input
+    order a row at a time, differs from that of the rows plan parsed, then
+    malformed recorded values (``shift_a``, ``normalization_stats``).  It
+    works in solve order, the rows' order as read.  Both solvers reorder
+    the eigenpairs of ``spectrum.bin``, read and checked for shape and
+    finiteness (exit 2) before any graph is built, and run no eigensolve;
     the dense one also rebuilds L_sym from the rows in input order.
     Either way the result equals ``run_pipeline``'s bit for bit.
+
+    The rows are read once and handed to
+    :func:`~mfgl.bench.estimate_planned` as its only reference; its
+    estimates, formed a row block at a time from the normalized rows and
+    the MAP field, go straight to the writer, so the estimates are never
+    held whole.  The spectrum is dropped before the writes.
     """
     import numpy as np
 
@@ -243,10 +253,16 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     differ = [f"{k}={given[k]!r} (plan: {record[k]!r})" for k in _PRIOR_SETTINGS if given[k] != record[k]]
     if differ:
         raise InvalidConfig(f"the plan was made with other graph settings: {', '.join(differ)}")
+    perm = np.asarray(plan.permutation, dtype=np.intp)
     # plan wrote lf_permuted without a header; --header is for the user's hf file
     lf = matio.read_matrix(cfg.lf_path, cfg.format)
-    if hashlib.sha256(lf).hexdigest() != record["lf_sha256"]:
-        raise InvalidConfig(f"{cfg.lf_path}: not the rows plan copied to lf_permuted (lf_sha256 differs)")
+    digest = hashlib.sha256()
+    if len(lf) == len(perm):  # rows of another count hash to nothing
+        for i in np.argsort(perm):  # input order, a row at a time: no reordered copy
+            digest.update(lf[i])
+    if digest.hexdigest() != record["lf_input_sha256"]:
+        raise InvalidConfig(
+            f"{cfg.lf_path}: not the rows plan copied to lf_permuted (lf_input_sha256 differs)")
     shift_a = record["shift_a"]  # the recorded prior, refused by key if malformed
     if type(shift_a) not in (int, float) or not 0 < shift_a < math.inf:
         raise InvalidConfig(f"{cfg.plan_path}: shift_a must be a positive finite number, got {shift_a!r}")
@@ -261,7 +277,6 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
 
     pcfg = replace(pcfg, m=plan.m)  # the plan's M shaped its prior
-    perm = np.asarray(plan.permutation, dtype=np.intp)
     n, k = len(perm), pcfg.spectrum_size(len(perm))
     table = matio.read_binary(Path(cfg.plan_path).with_name("spectrum.bin"))
     if table.shape != (n + 1, k):
@@ -276,15 +291,14 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     prior = prior.permuted(perm)
     rows = [lf]
     del lf  # estimate_planned holds the raw rows alone, and drops them once normalized
-    art = estimate_planned(rows.pop(), nspec, plan, hf, pcfg, prior)
-    mf, stddevs, resolved = art.posterior.mf_estimates, art.posterior.stddevs, art.hyper.as_dict()
-    timings = art.timings
-    del art, prior  # the MAP field and the spectrum, before the writes
+    art, estimates = estimate_planned(rows.pop(), nspec, plan, hf, pcfg, prior)
+    stddevs, resolved, timings = art.posterior.stddevs, art.hyper.as_dict(), art.timings
+    del art, prior  # the spectrum, before the writes; the estimates hold the rows and the MAP field
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     mf_file = outdir / f"mf_estimates.{cfg.format}"
-    matio.write_matrix(mf_file, mf, cfg.format)
+    matio.write_matrix(mf_file, estimates, cfg.format)
     matio.write_csv(outdir / "stddevs.csv", stddevs[:, None])
     (outdir / "hyperparameters.json").write_text(json.dumps(resolved, indent=2) + "\n")
     (outdir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")

@@ -154,8 +154,9 @@ class NormalizationSpec:
                 raise InvalidConfig("stored norms must be positive")
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Forward transform of a row-aligned matrix, as one new array;
-        mode none returns ``a`` itself."""
+        """Forward transform of a row-aligned matrix, as one new read-only
+        array, which a :class:`Dataset` takes without a copy; mode none
+        returns ``a`` itself."""
         a = np.asarray(a, dtype=np.float64)
         if self.mode is Normalization.NONE:
             return a
@@ -163,9 +164,11 @@ class NormalizationSpec:
             self._check_cols(a)
             out = a - self.mean
             out /= self.std
-            return out
-        self._check_rows(a)
-        return a / self.scales[: a.shape[0], None]
+        else:
+            self._check_rows(a)
+            out = a / self.scales[: a.shape[0], None]
+        out.setflags(write=False)
+        return out
 
     def invert(self, a: np.ndarray) -> np.ndarray:
         """Inverse transform of a row-aligned matrix, in place in ``a`` (a
@@ -182,7 +185,8 @@ class NormalizationSpec:
         return a
 
     def permuted(self, perm) -> "NormalizationSpec":
-        """The same statistics for the rows reordered by ``perm``."""
+        """The same statistics for the rows ``perm`` selects: a
+        reordering, or a slice for a block of rows."""
         if self.mode is Normalization.INSTANCE:
             return NormalizationSpec(mode=self.mode, scales=self.scales[perm])
         return self
@@ -252,10 +256,8 @@ def normalize(
         spec = NormalizationSpec(mode=mode, scales=instance_scales(data.lf))
     else:
         raise InvalidConfig(f"unknown normalization mode {mode!r}")
-    lf = spec.apply(data.lf)
-    lf.setflags(write=False)
     hf = spec.apply(data.hf) if data.hf is not None else None
-    return Dataset(lf=lf, hf=hf), spec
+    return Dataset(lf=spec.apply(data.lf), hf=hf), spec
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,8 @@ def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.
     # column 0 is the zero self-distance; column knn_k is the knn_k-th
     # neighbor once self is dropped
     scales = np.ascontiguousarray(dists[:, knn_k])
-    floor = SCALE_TOL * np.linalg.norm(lf, axis=1).max()  # the data's scale
+    # the data's scale, the largest row norm, without an N x D temporary
+    floor = SCALE_TOL * np.sqrt(np.einsum("ij,ij->i", lf, lf).max())
     bad = np.flatnonzero(scales <= floor)
     if bad.size:
         raise DuplicatePointScale(int(bad[0]))

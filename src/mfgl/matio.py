@@ -11,7 +11,11 @@ of a cell that fails to parse.  :func:`copy_rows` reorders a file's rows
 without parsing them.
 
 Both readers return read-only arrays, which the frozen containers of
-:mod:`mfgl.data` take without a copy.
+:mod:`mfgl.data` take without a copy.  Both writers take a matrix as an
+array or as an iterator of row blocks of one width, so a caller can
+write a matrix it forms a block at a time and never holds whole.  They
+write ``block_rows(cols)`` rows at a time: a CSV block is formatted
+alone, and a binary block is written from the array's own buffer.
 
 Binary: magic b"MFGL", one version byte 0x01, then two little-endian u64
 values (rows, cols), then rows*cols IEEE-754 f64 values, little-endian,
@@ -23,6 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -38,8 +43,17 @@ _HEADER = struct.Struct("<4sBQQ")
 
 PathLike = Union[str, Path]
 
-# Values write_csv formats per write call.
-_CSV_CHUNK_VALUES = 1 << 16
+# Values in one row block of a write, and of the estimates the estimate
+# step forms.  A CSV block's Python floats and strings take about 75 bytes
+# a value (0.6 MB here); a 2000 x 256 matrix wrote no slower in these
+# blocks than in blocks eight times larger, whose strings outweighed it.
+_BLOCK_VALUES = 1 << 13
+
+
+def block_rows(cols: int) -> int:
+    """Rows in one block of a matrix with ``cols`` columns: about
+    ``_BLOCK_VALUES`` values, and at least one row."""
+    return max(1, _BLOCK_VALUES // max(1, cols))
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -51,27 +65,51 @@ def _as_matrix(a) -> np.ndarray:
     return out
 
 
-def write_csv(path: PathLike, a, header: Optional[Sequence[str]] = None) -> None:
-    """Write a matrix as comma-separated %.17g rows.
+def _row_blocks(a) -> tuple[int, Iterator[np.ndarray]]:
+    """The width of a matrix given as an array or as an iterator of 2-D
+    row blocks, and its rows in blocks of at most :func:`block_rows`.
 
-    Rows are formatted and written ``_CSV_CHUNK_VALUES`` values at a time,
+    The first block is taken and checked before this returns, so a bad
+    array is refused before a writer opens its file; an iterator without
+    blocks is a 0 x 0 matrix.
+    """
+    blocks = a if isinstance(a, Iterator) else iter([a])
+    first = _as_matrix(next(blocks, np.empty((0, 0))))
+    cols = first.shape[1]
+
+    def split():
+        step = block_rows(cols)
+        for block in itertools.chain([first], map(_as_matrix, blocks)):
+            if block.shape[1] != cols:
+                raise MatrixIOError(f"a row block has {block.shape[1]} columns, not {cols}")
+            for start in range(0, block.shape[0], step):
+                yield block[start : start + step]
+
+    return cols, split()
+
+
+def write_csv(path: PathLike, a, header: Optional[Sequence[str]] = None) -> None:
+    """Write a matrix, an array or an iterator of row blocks, as
+    comma-separated %.17g rows.
+
+    Each block of :func:`block_rows` rows is formatted and written alone,
     so no write holds the whole matrix as text.
     """
-    a = _as_matrix(a)
-    if header is not None and len(header) != a.shape[1]:
-        raise MatrixIOError(f"header has {len(header)} names for {a.shape[1]} columns")
+    cols, blocks = _row_blocks(a)
+    if header is not None and len(header) != cols:
+        raise MatrixIOError(f"header has {len(header)} names for {cols} columns")
     # one row template per row keeps the per-value formatting in C
-    row = ",".join(["%.17g"] * a.shape[1]) + "\n"
-    step = max(1, _CSV_CHUNK_VALUES // max(1, a.shape[1]))
+    row = ",".join(["%.17g"] * cols) + "\n"
     try:
         with open(path, "w") as fh:
             if header is not None:
                 fh.write(",".join(str(h) for h in header) + "\n")
-            elif a.shape[0] == 0:
+            rows = 0
+            for block in blocks:
+                fh.write("".join(row % tuple(values) for values in block.tolist()))
+                rows += block.shape[0]
+            if header is None and rows == 0:
                 fh.write("\n")  # a matrix without rows or header is one empty line
-            for start in range(0, a.shape[0], step):
-                chunk = a[start : start + step].tolist()
-                fh.write("".join(row % tuple(values) for values in chunk))
     except OSError as exc:
         raise MatrixIOError(f"cannot write {path}: {exc}") from exc
 
@@ -138,14 +176,23 @@ def _parse_error(path: PathLike, rows, exc: ValueError) -> str:
 
 
 def write_binary(path: PathLike, a) -> None:
-    """Write a matrix in the MFGL binary container."""
-    a = _as_matrix(a)
-    rows, cols = a.shape
-    payload = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    """Write a matrix, an array or an iterator of row blocks, in the MFGL
+    binary container.
+
+    Each block of :func:`block_rows` rows is written from its own buffer
+    (copied only if it is not C-contiguous little-endian float64), and
+    the row count is written into the header once the blocks are done.
+    """
+    cols, blocks = _row_blocks(a)
     try:
         with open(path, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, 0, cols))
+            rows = 0
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype="<f8"))
+                rows += block.shape[0]
+            fh.seek(0)
             fh.write(_HEADER.pack(MAGIC, VERSION, rows, cols))
-            fh.write(payload)
     except OSError as exc:
         raise MatrixIOError(f"cannot write {path}: {exc}") from exc
 
@@ -178,30 +225,38 @@ def read_binary(path: PathLike) -> np.ndarray:
 def copy_rows(src: PathLike, dst: PathLike, order, fmt: str, header: bool = False) -> None:
     """Write the data rows of matrix file ``src`` to ``dst`` in ``order``,
     each unchanged: a binary row keeps its bytes, and a CSV row, found by
-    the reader's rules, its text, with a line end added where missing."""
+    the reader's rules, its text, with a line end added where missing.
+
+    Both write a new file that replaces ``dst`` once complete, so ``src``
+    may be ``dst``.  A binary copy holds the rows read and one block of
+    them in ``order``, never a reordered copy of them all.
+    """
+    part = f"{dst}.part"
     try:
         if fmt != "csv":  # bin, or read_matrix refuses the name
-            return write_binary(dst, read_matrix(src, fmt)[order])
-        # through a new file, so that src may be dst
-        with open(src) as fin, open(f"{dst}.part", "w") as fout:
-            starts = []  # each line's offset, for seek
+            rows = read_matrix(src, fmt)
+            step = block_rows(rows.shape[1])
+            write_binary(part, (rows[order[s : s + step]] for s in range(0, len(order), step)))
+        else:
+            with open(src) as fin, open(part, "w") as fout:
+                starts = []  # each line's offset, for seek
 
-            def lines():
-                while True:
-                    starts.append(fin.tell())
+                def lines():
+                    while True:
+                        starts.append(fin.tell())
+                        line = fin.readline()
+                        if not line:
+                            return
+                        yield line
+
+                found = [ln for ln, _ in _data_rows(lines(), header, src)]
+                for i in order:
+                    fin.seek(starts[found[i] - 1])
                     line = fin.readline()
-                    if not line:
-                        return
-                    yield line
-
-            rows = [ln for ln, _ in _data_rows(lines(), header, src)]
-            for i in order:
-                fin.seek(starts[rows[i] - 1])
-                line = fin.readline()
-                fout.write(line if line.endswith("\n") else line + "\n")
-        os.replace(f"{dst}.part", dst)
-    except (OSError, UnicodeDecodeError, IndexError) as exc:
-        Path(f"{dst}.part").unlink(missing_ok=True)
+                    fout.write(line if line.endswith("\n") else line + "\n")
+        os.replace(part, dst)
+    except (OSError, UnicodeDecodeError, IndexError, MatrixIOError) as exc:
+        Path(part).unlink(missing_ok=True)
         raise MatrixIOError(f"cannot copy {src} to {dst}: {exc}") from exc
 
 
@@ -216,7 +271,8 @@ def read_matrix(path: PathLike, fmt: str, header: bool = False) -> np.ndarray:
 
 
 def write_matrix(path: PathLike, a, fmt: str) -> None:
-    """Write a matrix in format ``fmt`` (one of :data:`FORMATS`)."""
+    """Write a matrix, an array or an iterator of row blocks, in format
+    ``fmt`` (one of :data:`FORMATS`)."""
     if fmt == "bin":
         write_binary(path, a)
     elif fmt == "csv":

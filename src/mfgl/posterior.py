@@ -63,7 +63,9 @@ class PosteriorResult:
     """Gaussian posterior summary: MAP displacements plus uncertainty.
 
     ``mf_estimates`` (lf + MAP displacement, in original coordinates) is
-    attached by the pipeline once denormalization statistics are known.
+    attached by :func:`~mfgl.bench.run_pipeline`, which collects them
+    from the estimate step's row blocks; ``mfgl estimate`` writes those
+    blocks as they are formed and attaches none.
     """
 
     phi_star: np.ndarray

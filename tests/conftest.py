@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,18 @@ def two_blob_points(n_per=15, gap=0.8, spread=0.1, d=2, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak of the memory traced while it ran,
+    in bytes.  Every memory bound of the suite is measured here: tracing
+    starts after the test's imports and set-up, and stops even if ``fn``
+    raises."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cli_env():

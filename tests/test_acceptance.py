@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy.linalg as nla
 import pytest
 
 import mfgl.cli
-from conftest import cli_env, random_points
+from conftest import cli_env, random_points, traced_peak
 from mfgl.bench import Generator, PipelineConfig, generate, run_pipeline, sample_hf
 from mfgl.data import HyperParameters
 from mfgl.graph import (
@@ -281,10 +280,7 @@ def test_ac7_lowrank_solve_scales_linearly(capsys):
         solves.append((full_path(), phi_hat))
         # peak allocation across factor + solve + variances must stay in
         # the O(NK) regime; half an N x N array already means a dense detour
-        tracemalloc.start()
-        full_path()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        _, peak = traced_peak(full_path)
         no_dense = no_dense and peak < 0.5 * n * n * 8
         peak_multiples.append(peak / (n * k_landmarks * 8))
     # interleaved rounds, each timing every N once, and the best round

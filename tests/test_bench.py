@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 import mfgl.bench
 import mfgl.graph
+import mfgl.matio
 import mfgl.posterior
 from mfgl.acquisition import plan_acquisition
 from mfgl.cli import main as cli_main
@@ -280,6 +281,20 @@ def test_pipeline_solver_outputs_are_in_solve_order():
     # add-then-subtract round-off only
     tol = 1e-12 * np.abs(lf_perm).max()
     assert np.abs(moved - out.posterior.phi_star).max() < tol
+
+
+@pytest.mark.parametrize("mode", list(Normalization))
+def test_estimate_blocks_stack_to_the_whole_array_formula(mode, monkeypatch):
+    # at 7 values a block the estimates come in blocks of two rows, each
+    # mapped back with its own rows' statistics; stacked, they equal the
+    # inverse transform of the whole sum, bit for bit
+    monkeypatch.setattr(mfgl.matio, "_BLOCK_VALUES", 7)
+    prob = generate(Generator.CLUSTERED_SHIFT, 120, 3, seed=9, clusters=4)
+    out = run_pipeline(prob, PipelineConfig(m=4, seed=1, normalization=mode))
+    perm = np.asarray(out.plan.permutation)
+    spec = normalize(Dataset(lf=prob.lf_data), mode)[1].permuted(perm)
+    expected = spec.invert(spec.apply(prob.lf_data[perm]) + out.posterior.phi_star)
+    assert np.array_equal(out.posterior.mf_estimates, expected)
 
 
 def test_embedding_shape():

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,7 @@ from scipy.linalg.lapack import dtrtri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points, two_blob_points
+from conftest import random_points, traced_peak, two_blob_points
 import mfgl.posterior
 from mfgl.bench import Generator, generate
 from mfgl.data import HyperParameters
@@ -195,12 +194,7 @@ def test_dense_factor_peak_is_a_few_n_squared_arrays(beta, multiple, n):
     lf = generate(Generator.SMOOTH_MANIFOLD, n, 5, seed=0).lf_data
     gl = laplacian(build_graph(lf), 0.5, 0.5)
     hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.01, beta=beta)
-    tracemalloc.start()
-    try:
-        dense_factor(gl, hp, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: dense_factor(gl, hp, 10))
     assert peak <= multiple * 8 * n * n
 
 
