@@ -1,8 +1,9 @@
 """High-fidelity acquisition: pick M points by clustering the spectral
-embedding, then re-index the dataset so the picks come first.
+embedding, and order the rows so the picks come first.
 
 The pipeline convention downstream is that observed rows are the FIRST M
-rows; this module is the only place allowed to construct that ordering.
+rows; the plan built here is the one place that ordering is constructed,
+and callers apply its permutation to their own rows.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, frozen
+from .data import frozen
 from .exceptions import (
     EmptyCluster,
     InvalidConfig,
-    RowCountMismatch,
 )
 from .spectral import Spectrum, embed
 
@@ -191,26 +191,6 @@ def plan_acquisition(
         cluster_assignment=assignment,
         seed=seed,
     )
-
-
-def apply_permutation(data: Dataset, plan: AcquisitionPlan) -> Dataset:
-    """Reorder dataset rows per the plan (selected points first).
-
-    The dataset must not already carry high-fidelity rows: their first-M
-    alignment would be silently broken by reordering.  Attach hf to the
-    returned dataset instead.
-    """
-    if len(plan.permutation) != data.n:
-        raise RowCountMismatch(
-            f"plan covers {len(plan.permutation)} rows, dataset has {data.n}"
-        )
-    if data.hf is not None:
-        raise InvalidConfig(
-            "cannot permute a dataset with attached high-fidelity rows"
-        )
-    rows = data.lf[np.asarray(plan.permutation, dtype=np.intp)]
-    rows.setflags(write=False)
-    return Dataset(lf=rows)
 
 
 def plan_to_json(plan: AcquisitionPlan, **record) -> str:

@@ -19,12 +19,11 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .acquisition import AcquisitionPlan, apply_permutation, plan_acquisition
+from .acquisition import AcquisitionPlan, plan_acquisition
 from .config import ErrorMetric, Generator, Normalization, PipelineConfig, ProblemConfig, SolverTag
 from .data import Dataset, HyperParameters, NormalizationSpec, displacements, frozen, normalize
 from .exceptions import (
     InvalidConfig,
-    MissingHighFidelity,
     RowCountMismatch,
     ZeroReferenceColumn,
     ZeroReferenceSet,
@@ -60,7 +59,6 @@ class SyntheticProblem:
     true_data: np.ndarray
     lf_data: np.ndarray
     hf_noise_sigma: float
-    seed: int
     cluster_labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -123,7 +121,6 @@ def _gen_clustered_shift(
         true_data=true,
         lf_data=lf,
         hf_noise_sigma=noise_rel * displacement_rel * scale,
-        seed=seed,
         cluster_labels=labels,
     )
 
@@ -144,7 +141,6 @@ def _gen_smooth_manifold(n, d, seed, displacement_rel, noise_rel) -> SyntheticPr
         true_data=true,
         lf_data=lf,
         hf_noise_sigma=noise_rel * displacement_rel * scale,
-        seed=seed,
     )
 
 
@@ -163,7 +159,6 @@ def _gen_beam_like(n, d, seed, lf_scale, noise_rel) -> SyntheticProblem:
         true_data=true,
         lf_data=lf,
         hf_noise_sigma=noise_rel * disp_scale,
-        seed=seed,
     )
 
 
@@ -317,18 +312,20 @@ class GraphPrior:
 
 @dataclass(frozen=True)
 class PipelineOutput:
-    """Report plus the artifacts a caller may want to inspect or emit.
+    """Report plus the artifacts a caller may want to inspect or emit:
+    the plan, the posterior with its estimates, the resolved
+    hyperparameters and the planning embedding.
 
     Solver outputs are in solve order (selected rows first, per the
     plan's permutation); the report's means are order-free.
     """
 
     report: ErrorReport
-    posterior: Optional[PosteriorResult]
-    plan: Optional[AcquisitionPlan]
-    hyper: Optional[HyperParameters]
+    posterior: PosteriorResult
+    plan: AcquisitionPlan
+    hyper: HyperParameters
     timings: dict
-    embedding: Optional[np.ndarray]
+    embedding: np.ndarray
 
 
 def sigma_in_solve_coords(sigma_raw: float, nspec: NormalizationSpec) -> float:
@@ -363,11 +360,11 @@ def estimate_attached(
 
     Calibrating omega (``config.omega`` unset) targets the spread of the
     unobserved rows, so with M = N it raises ``InvalidConfig`` before
-    any solve; a fixed omega still solves.
+    any solve; a fixed omega still solves.  A dataset without
+    high-fidelity rows raises ``MissingHighFidelity``
+    (:func:`~mfgl.data.displacements`).
     """
     _refuse_landmark_solver(config)
-    if ds.m == 0:
-        raise MissingHighFidelity("estimation needs attached high-fidelity rows")
     if config.sigma is None:
         raise InvalidConfig("sigma is required when estimating from files")
     if config.omega is None and ds.m == ds.n:
@@ -440,8 +437,8 @@ class PlannedRows(NamedTuple):
 
 def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     """The planning step shared by :func:`run_pipeline` and ``mfgl plan``:
-    check that 1 <= M <= N, normalize, build the graph prior
-    (:func:`planning_spectrum`) and plan the acquisition.
+    check that M <= N (``config`` holds M >= 1), normalize, build the
+    graph prior (:func:`planning_spectrum`) and plan the acquisition.
 
     M is checked before any graph is built.  ``timings`` holds
     ``normalize`` and ``plan`` (graph, eigensolve and k-means).
@@ -456,8 +453,6 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     t0 = time.perf_counter()
     ds = Dataset(lf=lf_raw)
     del lf_raw
-    if config.m < 1:
-        raise InvalidConfig("plan needs m >= 1")
     if config.m > ds.n:
         raise InvalidConfig(f"m={config.m} exceeds the number of rows {ds.n}")
     ds, nspec = normalize(ds, config.normalization)
@@ -549,20 +544,10 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     planning step; :func:`estimate_planned` reuses them in solve order.
     ``timings["plan"]`` therefore holds the graph build, the eigensolve,
     the k-means and the reordering of the prior and the rows.  ``sigma``
-    is in input units and defaults to the problem's noise level.
-
-    With M = 0 nothing is normalized, planned or estimated: the report
-    scores the raw low-fidelity data (zero reduction by construction).
+    is in input units and defaults to the problem's noise level.  A
+    solver other than dense or truncated is refused by the planning step
+    before any graph is built.
     """
-    _refuse_landmark_solver(config)
-    if config.m == 0:
-        report = build_report(
-            problem.lf_data, problem.lf_data, problem.true_data, config.metric
-        )
-        return PipelineOutput(
-            report=report, posterior=None, plan=None, hyper=None,
-            timings={}, embedding=None,
-        )
     if config.sigma is None:
         config = dataclasses.replace(config, sigma=problem.hf_noise_sigma)
 
@@ -573,7 +558,8 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     # calibration (tracemalloc peak 6.7 -> 9.4 MB at N=400).
     perm = np.asarray(plan.permutation, dtype=np.intp)
     prior = prior.permuted(perm)
-    lf_raw = apply_permutation(Dataset(lf=problem.lf_data), plan).lf
+    lf_raw = problem.lf_data[perm]
+    lf_raw.setflags(write=False)  # so that the estimate step's Dataset shares it
     timings["plan"] += time.perf_counter() - t0
 
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
@@ -602,17 +588,13 @@ def write_report(outdir: Union[str, Path], output: PipelineOutput) -> None:
         "mean_mf_error_pct": output.report.mean_mf,
         "reduction_pct": output.report.reduction,
         "timings_sec": output.timings,
+        "hyperparameters": output.hyper.as_dict(),
+        "selected_indices": list(output.plan.selected_indices),
     }
-    if output.hyper is not None:
-        payload["hyperparameters"] = output.hyper.as_dict()
-    if output.plan is not None:
-        payload["selected_indices"] = list(output.plan.selected_indices)
     (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
     per_point = output.report.per_point
     if per_point.ndim == 1:
         per_point = per_point[:, None]
     write_csv(outdir / "per_point_errors.csv", per_point)
-    if output.posterior is not None:
-        write_csv(outdir / "stddevs.csv", output.posterior.stddevs[:, None])
-    if output.embedding is not None:
-        write_csv(outdir / "embedding.csv", output.embedding)
+    write_csv(outdir / "stddevs.csv", output.posterior.stddevs[:, None])
+    write_csv(outdir / "embedding.csv", output.embedding)

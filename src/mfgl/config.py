@@ -131,7 +131,7 @@ class PipelineConfig:
     """
 
     solver: SolverTag = setting(SolverTag.TRUNCATED, "posterior solver")
-    m: int = setting(10, "high-fidelity budget", low=0)
+    m: int = setting(10, "high-fidelity budget", low=1)
     knn_k: int = setting(7, "neighbor rank for the local kernel scale", low=1)
     p: float = setting(0.5, "left degree exponent")
     q: float = setting(0.5, "right degree exponent")

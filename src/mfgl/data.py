@@ -3,8 +3,9 @@
 A :class:`Dataset` holds N low-fidelity points in R^D and, optionally, M
 high-fidelity points aligned with the FIRST M low-fidelity rows.  That
 leading-rows convention is load-bearing: every solver downstream selects
-high-fidelity rows with a plain ``[:M]`` slice, and the acquisition module
-is the only place allowed to reorder rows to establish it.
+high-fidelity rows with a plain ``[:M]`` slice.  Only an acquisition plan
+(:mod:`mfgl.acquisition`) builds the ordering that establishes it; callers
+apply the plan's permutation to their rows.
 
 Every frozen container of the package takes its arrays through
 :func:`frozen`: they are read-only, and an array that is already frozen
@@ -145,12 +146,12 @@ class NormalizationSpec:
         if self.mode is Normalization.COMPONENT:
             if self.mean is None or self.std is None:
                 raise InvalidConfig("component normalization needs mean and std")
-            if np.any(self.std <= 0):
+            if not np.all(self.std > 0):
                 raise InvalidConfig("stored stds must be positive")
         elif self.mode is Normalization.INSTANCE:
             if self.scales is None:
                 raise InvalidConfig("instance normalization needs scale factors")
-            if np.any(self.scales <= 0):
+            if not np.all(self.scales > 0):
                 raise InvalidConfig("stored norms must be positive")
 
     def apply(self, a: np.ndarray) -> np.ndarray:

@@ -161,7 +161,7 @@ class AffinityGraph:
         object.__setattr__(self, "upper", upper)
         for name in ("degrees", "scales"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
-        bad = np.flatnonzero(self.degrees <= 0.0)
+        bad = np.flatnonzero(~(self.degrees > 0.0))
         if bad.size:
             raise ZeroDegree(int(bad[0]))
 

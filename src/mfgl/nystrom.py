@@ -57,21 +57,17 @@ class LowRankLaplacian:
 
     ``sigma_vals`` (descending) approximate the eigenvalues of
     D^{-1/2} W D^{-1/2} = I - L_sym; ``u_tilde`` has orthonormal columns.
-    The general-exponent factors U = D_hat^{1/2-p} U_tilde (approximate
-    eigenvectors of L) and V = D_hat^{p-1/2} U_tilde (their duals, with
-    V^T U = I) are derived views.
+    ``v`` is the derived view V = D_hat^{p-1/2} U_tilde: the dual, with
+    V^T U = I, of the general-exponent factor U = D_hat^{1/2-p} U_tilde
+    (approximate eigenvectors of L).
     """
 
-    landmarks: tuple
     u_tilde: np.ndarray
     sigma_vals: np.ndarray
     d_hat: np.ndarray
     p: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "landmarks", tuple(int(i) for i in self.landmarks)
-        )
         for name in ("u_tilde", "sigma_vals", "d_hat"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
 
@@ -82,12 +78,6 @@ class LowRankLaplacian:
     @property
     def rank(self) -> int:
         return self.u_tilde.shape[1]
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        if self.p == 0.5:
-            return self.u_tilde
-        return (self.d_hat ** (0.5 - self.p))[:, None] * self.u_tilde
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -174,7 +164,6 @@ def nystrom_factor(
     gamma = gamma[:, order]
     u_tilde = _fix_signs(q @ gamma)
     return LowRankLaplacian(
-        landmarks=tuple(int(i) for i in idx),
         u_tilde=u_tilde,
         sigma_vals=sig,
         d_hat=d_hat,

@@ -35,7 +35,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
 
-from .config import SolverTag  # noqa: F401  (re-exported: callers import it from here)
+from .config import PipelineConfig, SolverTag  # noqa: F401  (SolverTag re-exported: callers import it from here)
 from .data import HyperParameters, frozen, observations
 from .exceptions import (
     AllZeroSpectrum,
@@ -80,7 +80,7 @@ class PosteriorResult:
                 object.__setattr__(self, name, frozen(a))
         if self.stddevs.ndim != 1 or self.stddevs.shape[0] != self.phi_star.shape[0]:
             raise DimensionMismatch("stddevs must have one entry per point")
-        if np.any(self.stddevs <= 0):
+        if not np.all(self.stddevs > 0):
             raise SingularSystem("posterior standard deviations must be positive")
         if self.covariance is not None:
             if self.covariance.shape != (self.phi_star.shape[0],) * 2:
@@ -320,7 +320,7 @@ def choose_tau(spectrum: Spectrum) -> float:
 
 
 def calibrate_omega(
-    mean_stddev: Callable[[float], float], sigma: float, r: float = 3.0
+    mean_stddev: Callable[[float], float], sigma: float, r: float = PipelineConfig.r
 ) -> float:
     """Pick omega so the mean unobserved stddev equals r * sigma, to a
     relative ``CALIBRATION_RTOL``.

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import random_points
 from mfgl.acquisition import (
     AcquisitionPlan,
-    apply_permutation,
     kmeans,
     plan_acquisition,
     plan_from_json,
@@ -17,7 +16,6 @@ from mfgl.acquisition import (
     _lloyd,
 )
 from mfgl.bench import Generator, generate
-from mfgl.data import Dataset
 from mfgl.exceptions import EmptyCluster, InsufficientSpectrum, InvalidConfig
 from mfgl.graph import build_graph, laplacian
 from mfgl.spectral import Spectrum, embed, low_spectrum
@@ -261,51 +259,6 @@ def test_plan_refuses_coinciding_embedding_rows():
     assert not kmeans(embed(spec, 3), 3, 0)[1].any()
     with pytest.raises(EmptyCluster, match="cluster 1 is empty"):
         plan_acquisition(spec, 3, 0)
-
-
-def test_apply_permutation_identity(rng):
-    lf = rng.normal(size=(6, 2))
-    spec = spectrum_for(lf, 4, knn_k=3)
-    plan = plan_acquisition(spec, 2, seed=0)
-    identity = AcquisitionPlan(
-        selected_indices=(0, 1),
-        permutation=tuple(range(6)),
-        centroids=plan.centroids,
-        cluster_assignment=plan.cluster_assignment,
-        seed=0,
-    )
-    out = apply_permutation(Dataset(lf=lf), identity)
-    assert np.array_equal(out.lf, lf)
-
-
-def test_apply_permutation_round_trip(rng):
-    lf = rng.normal(size=(6, 2))
-    perm = (3, 5, 0, 1, 2, 4)
-    plan = AcquisitionPlan(
-        selected_indices=(3, 5),
-        permutation=perm,
-        centroids=np.zeros((2, 2)),
-        cluster_assignment=np.zeros(6, dtype=int),
-        seed=0,
-    )
-    out = apply_permutation(Dataset(lf=lf), plan)
-    assert np.array_equal(out.lf, lf[list(perm)])  # gather oracle
-    inverse = np.argsort(np.asarray(perm))
-    assert np.array_equal(out.lf[inverse], lf)
-
-
-def test_apply_permutation_refuses_attached_hf(rng):
-    lf = rng.normal(size=(6, 2))
-    ds = Dataset(lf=lf, hf=lf[:2].copy())
-    plan = AcquisitionPlan(
-        selected_indices=(3, 5),
-        permutation=(3, 5, 0, 1, 2, 4),
-        centroids=np.zeros((2, 2)),
-        cluster_assignment=np.zeros(6, dtype=int),
-        seed=0,
-    )
-    with pytest.raises(InvalidConfig):
-        apply_permutation(ds, plan)
 
 
 def test_plan_validation_rules():

@@ -604,9 +604,22 @@ def test_estimate_and_bench_write_the_same_hyperparameter_keys(tmp_path, capsys)
     assert set(benched) == {"sigma", "omega", "tau", "beta", "r", "kappa"}
 
 
+def test_bench_refuses_m_zero(tmp_path, capsys):
+    # the estimator needs high-fidelity rows: the setting's bound refuses
+    # M = 0 before any problem is generated or any output written
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run_cli(capsys, "bench", "--n", "60", "--m", "0", "--output-dir", str(out_dir))
+    assert code == 3 and out == ""
+    error = last_json(err)
+    assert error["error"] == "InvalidConfig"
+    assert error["message"] == "m must be at least 1, got 0"
+    assert list(out_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "entry",
-    ["run_pipeline", "run_pipeline-m0", "plan_rows", "estimate_planned",
+    ["run_pipeline", "plan_rows", "estimate_planned",
      "estimate_attached", "cli-plan", "cli-estimate", "cli-bench"],
 )
 def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
@@ -654,9 +667,6 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
     perm = np.asarray(planned.plan.permutation, dtype=np.intp)
     call = {
         "run_pipeline": lambda: mfgl.bench.run_pipeline(prob, config),
-        "run_pipeline-m0": lambda: mfgl.bench.run_pipeline(
-            prob, dataclasses.replace(config, m=0)
-        ),
         "plan_rows": lambda: mfgl.bench.plan_rows(prob.lf_data, config),
         "estimate_planned": lambda: mfgl.bench.estimate_planned(
             prob.lf_data[perm], planned.nspec, planned.plan, hf, config,

@@ -5,6 +5,7 @@ from mfgl.data import (
     Dataset,
     HyperParameters,
     Normalization,
+    NormalizationSpec,
     component_stats,
     displacements,
     frozen,
@@ -43,6 +44,14 @@ def test_normalize_round_trip(rng):
         ds = Dataset(lf=lf)
         out, spec = normalize(ds, mode)
         assert np.abs(spec.invert(out.lf.copy()) - lf).max() < 1e-12
+
+
+def test_normalization_spec_refuses_nan_statistics():
+    # NaN <= 0 is False: the guard must ask for positive, not for non-positive
+    with pytest.raises(InvalidConfig, match="stored stds must be positive"):
+        NormalizationSpec(Normalization.COMPONENT, mean=[0.0, 0.0], std=[1.0, np.nan])
+    with pytest.raises(InvalidConfig, match="stored norms must be positive"):
+        NormalizationSpec(Normalization.INSTANCE, scales=[1.0, np.nan])
 
 
 def test_normalize_none_is_identity(rng):

@@ -408,6 +408,13 @@ def test_zero_degree_detected():
         AffinityGraph.from_weights(w, scales=np.ones(3))
 
 
+def test_nan_degree_detected():
+    # NaN <= 0 is False: the guard must ask for positive, not for non-positive
+    upper = sp.csr_array(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(ZeroDegree, match="node 1 has zero degree"):
+        AffinityGraph(upper, degrees=[1.0, np.nan, 1.0], scales=np.ones(3))
+
+
 def test_from_weights_refuses_what_is_no_weight_matrix():
     # an asymmetric W would be read as its upper triangle's mirror, so it
     # is refused, as are negative and non-finite weights

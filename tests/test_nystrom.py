@@ -151,7 +151,7 @@ def test_saddle_diagonals_by_hand(rng):
     u_tilde = nla.qr(rng.normal(size=(6, 3)))[0]
     d_hat = rng.uniform(0.5, 2.0, size=6)
     lrl = LowRankLaplacian(
-        landmarks=(0, 1, 2), u_tilde=u_tilde,
+        u_tilde=u_tilde,
         sigma_vals=np.array([0.9, 0.5, 1e-15]), d_hat=d_hat,
     )
     hp = HyperParameters(sigma=0.3, omega=2.0, tau=0.1, beta=2.0)
@@ -169,7 +169,7 @@ def test_saddle_diagonals_by_hand(rng):
 def test_saddle_drops_inadmissible_sigma(rng):
     u_tilde = nla.qr(rng.normal(size=(5, 3)))[0]
     lrl = LowRankLaplacian(
-        landmarks=(0, 1), u_tilde=u_tilde,
+        u_tilde=u_tilde,
         sigma_vals=np.array([1.3, 0.5, 0.1]), d_hat=np.ones(5),
     )
     hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.1, beta=2.0)
@@ -276,7 +276,7 @@ def test_exactly_singular_core_refused():
     # Theta = [2, 1] and Xi = 2 give the 1 x 1 core 1/2 - 1/2 = 0 exactly;
     # LAPACK returns its zero pivot with only a warning
     lrl = LowRankLaplacian(
-        landmarks=(1,), u_tilde=[[0.0], [1.0]], sigma_vals=[2.0], d_hat=[1.0, 1.0]
+        u_tilde=[[0.0], [1.0]], sigma_vals=[2.0], d_hat=[1.0, 1.0]
     )
     with pytest.raises(SingularCapacitance, match="zero or non-finite pivot"):
         build_saddle(lrl, HyperParameters(sigma=1, omega=1, tau=1, beta=1), m=1)
@@ -304,7 +304,7 @@ def test_empty_correction_reduces_to_diagonal(rng):
     # both sigmas above 1 + tau: every column is dropped, no core is factored
     u_tilde = nla.qr(rng.normal(size=(7, 2)))[0]
     lrl = LowRankLaplacian(
-        landmarks=(0,), u_tilde=u_tilde,
+        u_tilde=u_tilde,
         sigma_vals=np.array([1.5, 1.2]), d_hat=np.ones(7),
     )
     ops = build_saddle(lrl, HyperParameters(sigma=0.2, omega=2.0, tau=0.1), m=1)
@@ -324,7 +324,8 @@ def test_general_p_duality_and_dense_agreement(rng):
     pts = random_points(100, 3, seed=16)
     g = build_graph(pts, knn_k=6)
     lrl = nystrom_factor(cols(g.weights.toarray()), range(100), p=1.0)
-    assert np.abs(lrl.v.T @ lrl.u - np.eye(lrl.rank)).max() < 1e-8
+    u = (lrl.d_hat ** (0.5 - lrl.p))[:, None] * lrl.u_tilde  # approximate eigenvectors of L
+    assert np.abs(lrl.v.T @ u - np.eye(lrl.rank)).max() < 1e-8
 
     hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)
     m = 10
@@ -338,6 +339,5 @@ def test_general_p_duality_and_dense_agreement(rng):
 def test_p_half_views_are_shared():
     w = graph_weights(25, 2, seed=18)
     lrl = nystrom_factor(cols(w), select_landmarks(25, 2, 8, seed=0), rank_r=4)
-    assert lrl.u is lrl.u_tilde
     assert lrl.v is lrl.u_tilde
 

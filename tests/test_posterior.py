@@ -26,6 +26,7 @@ from mfgl.exceptions import (
 from mfgl.graph import AffinityGraph, build_graph, laplacian
 from mfgl.nystrom import build_saddle, nystrom_factor
 from mfgl.posterior import (
+    PosteriorResult,
     calibrate_omega,
     choose_tau,
     constrained_minimizer,
@@ -56,6 +57,12 @@ def test_zero_rhs_and_data_independent_covariance(rng):
     # covariance depends on the design, never on the observed values
     assert np.array_equal(res0.covariance, res1.covariance)
     assert np.array_equal(res0.stddevs, res1.stddevs)
+
+
+def test_posterior_result_refuses_nan_stddev():
+    # NaN <= 0 is False: the guard must ask for positive, not for non-positive
+    with pytest.raises(SingularSystem, match="standard deviations must be positive"):
+        PosteriorResult(phi_star=np.zeros((2, 1)), stddevs=[1.0, np.nan])
 
 
 def test_three_node_chain_matches_direct_solve():
