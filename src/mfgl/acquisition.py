@@ -138,6 +138,8 @@ class AcquisitionPlan:
         if sorted(self.permutation) != list(range(n)):
             raise InvalidConfig("permutation must be a bijection on 0..N-1")
         m = len(self.selected_indices)
+        if not m:
+            raise InvalidConfig("selected_indices is empty: a plan selects at least one row")
         if self.permutation[:m] != self.selected_indices:
             raise InvalidConfig("permutation must lead with the selected indices")
         if len(set(self.selected_indices)) != m:

@@ -21,15 +21,16 @@ import numpy as np
 
 from .acquisition import AcquisitionPlan, plan_acquisition
 from .config import ErrorMetric, Generator, Normalization, PipelineConfig, ProblemConfig, SolverTag
-from .data import Dataset, HyperParameters, NormalizationSpec, displacements, frozen, normalize
+from .data import Dataset, HyperParameters, NormalizationSpec, displacements, frozen, normalize, observations
 from .exceptions import (
     InvalidConfig,
+    MissingHighFidelity,
     RowCountMismatch,
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
 from .graph import GraphLaplacian, build_graph, laplacian
-from .matio import block_rows, write_csv
+from .matio import write_csv
 from .posterior import (
     PosteriorResult,
     calibrate_omega,
@@ -346,43 +347,42 @@ def _refuse_landmark_solver(config: PipelineConfig) -> None:
 
 
 def estimate_attached(
-    ds: Dataset, config: PipelineConfig, prior: GraphPrior
+    phi_hat: np.ndarray, config: PipelineConfig, prior: GraphPrior
 ) -> EstimateArtifacts:
-    """Resolve hyperparameters and solve for an observation-ready dataset.
+    """Resolve hyperparameters and solve for the observed displacements.
 
-    The dataset must carry its high-fidelity rows (first-M convention)
-    and ``config.sigma`` must be set, in the dataset's coordinates: unlike
-    :func:`estimate_planned`, this entry point maps nothing.
-
-    ``prior`` is the graph prior of ``ds.lf`` in the dataset's row order,
-    usually the planning prior after :meth:`GraphPrior.permuted`, with
-    one row per row of ``ds``; the dense solver needs its Laplacian.
+    ``phi_hat`` holds the displacements hf - lf of the first M rows of
+    ``prior``'s row order, and ``config.sigma`` must be set, both in the
+    solve coordinates: unlike :func:`estimate_planned`, this entry point
+    maps nothing.  ``prior`` is usually the planning prior after
+    :meth:`GraphPrior.permuted`; the dense solver needs its Laplacian.
 
     Calibrating omega (``config.omega`` unset) targets the spread of the
     unobserved rows, so with M = N it raises ``InvalidConfig`` before
-    any solve; a fixed omega still solves.  A dataset without
-    high-fidelity rows raises ``MissingHighFidelity``
-    (:func:`~mfgl.data.displacements`).
+    any solve; a fixed omega still solves.  No observed row raises
+    ``MissingHighFidelity``.  The posterior keeps the MAP as its factors,
+    the truncated one the prior's eigenvectors, so no N x D array is
+    formed here.
     """
     _refuse_landmark_solver(config)
     if config.sigma is None:
         raise InvalidConfig("sigma is required when estimating from files")
-    if config.omega is None and ds.m == ds.n:
+    phi_hat = observations(phi_hat)
+    m, spectrum, gl = phi_hat.shape[0], prior.spectrum, prior.laplacian
+    if m == 0:
+        raise MissingHighFidelity("no high-fidelity rows to estimate from")
+    if config.omega is None and m == spectrum.n:
         raise InvalidConfig("calibration needs at least one unobserved row")
-    spectrum, gl = prior.spectrum, prior.laplacian
     dense = config.solver is SolverTag.DENSE
     if dense and gl is None:
         raise InvalidConfig("the dense solver needs a graph prior with its Laplacian")
-    if spectrum.n != ds.n:
-        raise RowCountMismatch(f"the graph prior has {spectrum.n} rows, the dataset {ds.n}")
-    phi_hat = displacements(ds)
     timings: dict = {}
 
     t0 = time.perf_counter()
     tau = choose_tau(spectrum) if config.tau is None else config.tau
     hp = HyperParameters(sigma=config.sigma, omega=1.0, tau=tau, beta=config.beta, r=config.r)
     # one factor serves the calibration handle and the final solve
-    factor = dense_factor(gl, hp, ds.m) if dense else truncated_factor(spectrum, hp, ds.m)
+    factor = dense_factor(gl, hp, m) if dense else truncated_factor(spectrum, hp, m)
     omega = config.omega
     if omega is None:
         omega = calibrate_omega(lambda w: factor.mean_stddev(w, config.sigma), config.sigma, config.r)
@@ -394,11 +394,10 @@ def estimate_attached(
         posterior = dense_posterior(factor, phi_hat, hp)
     else:
         tp = truncated_posterior(factor, phi_hat, hp)
-        # the variances' N x K temporaries come and go before the N x D MAP field exists
-        stddevs = np.sqrt(truncated_variances(tp))
-        phi_star = tp.map_displacements()
-        phi_star.setflags(write=False)
-        posterior = PosteriorResult(phi_star=phi_star, stddevs=stddevs)
+        posterior = PosteriorResult(
+            stddevs=np.sqrt(truncated_variances(tp)), head=np.empty((0, phi_hat.shape[1])),
+            basis=spectrum.eigenvectors, coeffs=tp.coeff_mean,
+        )
     timings["solve"] = time.perf_counter() - t0
     return EstimateArtifacts(posterior=posterior, hyper=hp, timings=timings)
 
@@ -477,17 +476,17 @@ class PlannedEstimate(NamedTuple):
 
 
 def _estimate_blocks(
-    lf_norm: np.ndarray, phi_star: np.ndarray, spec: NormalizationSpec
+    lf_raw: np.ndarray, posterior: PosteriorResult, spec: NormalizationSpec
 ) -> Iterator[np.ndarray]:
-    """The estimates lf + phi_star, mapped back to input units, in blocks
-    of :func:`~mfgl.matio.block_rows` rows, each with the statistics of
-    its own rows: the one formula for the estimates.  Each entry is
-    formed alone, so the blocks stack to the whole-array result bit for
-    bit."""
-    step = block_rows(lf_norm.shape[1])
-    for start in range(0, lf_norm.shape[0], step):
-        rows = slice(start, start + step)
-        yield spec.permuted(rows).invert(lf_norm[rows] + phi_star[rows])
+    """The estimates lf + phi_star in input units, in the blocks of
+    :meth:`~mfgl.posterior.PosteriorResult.map_blocks`: each block's raw
+    rows are normalized, moved by their MAP rows and mapped back with the
+    statistics of its own rows.  The one formula for the estimates; each
+    entry is formed alone, so the blocks stack to the whole-array result
+    bit for bit."""
+    for rows, phi in posterior.map_blocks():
+        block = spec.permuted(rows)
+        yield block.invert(block.apply(lf_raw[rows]) + phi)
 
 
 def estimate_planned(
@@ -509,30 +508,30 @@ def estimate_planned(
     rows of ``plan.selected_indices``, in that order and in input units,
     and so does ``config.sigma``.
 
-    Outputs are in solve order, and the estimates in input units; they
-    are formed a block at a time as ``estimates`` is read, which holds
-    the normalized rows and the MAP field until then.
-    ``timings["assemble"]`` covers normalizing the rows.  The reference
-    to ``lf_raw`` is dropped once they are normalized, so a caller that
-    passes its only reference (``mfgl estimate``) frees them for the
-    solve, unless normalization is none, when they are the normalized
-    rows; :func:`run_pipeline` keeps its own for the report.
+    Outputs are in solve order, and the estimates in input units.  Only
+    the raw rows are kept (shared when read-only): phi_hat is normalized
+    from the M observed rows, ``timings["assemble"]`` covers that, and
+    the estimates are formed a block at a time as ``estimates`` is read
+    (:func:`_estimate_blocks`), so neither the normalized rows nor
+    phi_star is ever whole.
     """
     t0 = time.perf_counter()
     if len(hf_raw) != plan.m:
         raise RowCountMismatch(
             f"{len(hf_raw)} high-fidelity rows, but the plan selected {plan.m}"
         )
+    ds = Dataset(lf=lf_raw, hf=hf_raw)
+    if ds.n != prior.spectrum.n:
+        raise RowCountMismatch(f"the graph prior has {prior.spectrum.n} rows, the dataset {ds.n}")
     sigma = None if config.sigma is None else sigma_in_solve_coords(config.sigma, nspec)
     config = dataclasses.replace(config, sigma=sigma)
     spec = nspec.permuted(np.asarray(plan.permutation, dtype=np.intp))
-    ds = Dataset(lf=spec.apply(lf_raw), hf=spec.apply(hf_raw))
-    del lf_raw
+    phi_hat = displacements(Dataset(lf=spec.apply(ds.lf[:ds.m]), hf=spec.apply(ds.hf)))
     assemble_s = time.perf_counter() - t0
 
-    art = estimate_attached(ds, config, prior)
+    art = estimate_attached(phi_hat, config, prior)
     art = dataclasses.replace(art, timings={"assemble": assemble_s, **art.timings})
-    return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior.phi_star, spec))
+    return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior, spec))
 
 
 def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineOutput:

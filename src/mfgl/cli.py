@@ -212,7 +212,8 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     """Estimate from a plan directory and the user's high-fidelity rows.
 
     Before it builds or reads anything else, it refuses (``InvalidConfig``,
-    exit 3) a ``plan.json`` without the plan directory's record, graph-prior
+    exit 3, naming the file) a ``plan.json`` that is no valid plan (one
+    selecting no row, say) or lacks the plan directory's record, graph-prior
     settings other than the plan's, and rows whose SHA-256, taken in input
     order a row at a time, differs from that of the rows plan parsed, then
     malformed recorded values (``shift_a``, ``normalization_stats``).  It
@@ -222,11 +223,12 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     the dense one also rebuilds L_sym from the rows in input order.
     Either way the result equals ``run_pipeline``'s bit for bit.
 
-    The rows are read once and handed to
-    :func:`~mfgl.bench.estimate_planned` as its only reference; its
-    estimates, formed a row block at a time from the normalized rows and
-    the MAP field, go straight to the writer, so the estimates are never
-    held whole.  The spectrum is dropped before the writes.
+    The rows are read once and shared with
+    :func:`~mfgl.bench.estimate_planned`; its estimates, formed a row
+    block at a time from the raw rows and the MAP factors, go straight to
+    the writer.  So the rows are the one N x D array held, and the
+    reordered eigenvectors (N x K), the truncated MAP's basis, are kept
+    through the writes.
     """
     import numpy as np
 
@@ -245,7 +247,10 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     if pcfg.sigma is None:
         raise InvalidConfig("estimate needs --sigma (observation noise level)")
 
-    plan, record = plan_from_json(Path(cfg.plan_path).read_text())
+    try:
+        plan, record = plan_from_json(Path(cfg.plan_path).read_text())
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{cfg.plan_path}: {exc}") from exc
     missing = [k for k in _PLAN_RECORD if k not in record]
     if missing:
         raise InvalidConfig(f"{cfg.plan_path} lacks {', '.join(missing)}; run plan again")
@@ -289,11 +294,9 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     prior = GraphPrior(Spectrum(table[0].copy(), table[1:], float(shift_a)), gl)
     del table, gl  # the input-order prior dies with the reordering
     prior = prior.permuted(perm)
-    rows = [lf]
-    del lf  # estimate_planned holds the raw rows alone, and drops them once normalized
-    art, estimates = estimate_planned(rows.pop(), nspec, plan, hf, pcfg, prior)
+    art, estimates = estimate_planned(lf, nspec, plan, hf, pcfg, prior)
     stddevs, resolved, timings = art.posterior.stddevs, art.hyper.as_dict(), art.timings
-    del art, prior  # the spectrum, before the writes; the estimates hold the rows and the MAP field
+    del art, prior  # the estimates hold the rows and the posterior, with the eigenvectors
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

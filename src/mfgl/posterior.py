@@ -28,7 +28,7 @@ limit, the constrained minimizer, is the factor's -Q_uu^{-1} Q_uo.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,6 +46,7 @@ from .exceptions import (
     SingularSystem,
 )
 from .graph import GraphLaplacian
+from .matio import block_rows
 from .spectral import Spectrum, checked_cholesky, checked_factor, shifted_eigenvalues
 
 DENSE_POSTERIOR_LIMIT = 3_000
@@ -62,29 +63,59 @@ BRACKET_DECADES = 60
 class PosteriorResult:
     """Gaussian posterior summary: MAP displacements plus uncertainty.
 
+    The MAP field is kept as its solver's factors, shared, not copied:
+    Phi* is ``head`` over ``basis @ coeffs`` (truncated: no head, Psi_K
+    and A*; dense: phi_o, Z and -phi_o).  ``phi_star``, N x D, is the
+    stack of the :meth:`map_blocks`, so the two agree bit for bit.
+
     ``mf_estimates`` (lf + MAP displacement, in original coordinates) is
     attached by :func:`~mfgl.bench.run_pipeline`, which collects them
     from the estimate step's row blocks; ``mfgl estimate`` writes those
     blocks as they are formed and attaches none.
     """
 
-    phi_star: np.ndarray
     stddevs: np.ndarray
+    head: np.ndarray
+    basis: np.ndarray
+    coeffs: np.ndarray
     mf_estimates: Optional[np.ndarray] = None
     covariance: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("phi_star", "stddevs", "mf_estimates", "covariance"):
+        for name in ("stddevs", "head", "basis", "coeffs", "mf_estimates", "covariance"):
             a = getattr(self, name)
             if a is not None:
                 object.__setattr__(self, name, frozen(a))
-        if self.stddevs.ndim != 1 or self.stddevs.shape[0] != self.phi_star.shape[0]:
+        h, b, c = self.head, self.basis, self.coeffs
+        if not (h.ndim == b.ndim == c.ndim == 2 and h.shape[1] == c.shape[1]
+                and b.shape[1] == c.shape[0]):
+            raise DimensionMismatch("the MAP factors must be head (h, D), basis (N - h, r) "
+                                    "and coeffs (r, D)")
+        if self.stddevs.ndim != 1 or self.stddevs.shape[0] != self.n:
             raise DimensionMismatch("stddevs must have one entry per point")
         if not np.all(self.stddevs > 0):
             raise SingularSystem("posterior standard deviations must be positive")
-        if self.covariance is not None:
-            if self.covariance.shape != (self.phi_star.shape[0],) * 2:
-                raise DimensionMismatch("covariance must be N x N")
+        if self.covariance is not None and self.covariance.shape != (self.n,) * 2:
+            raise DimensionMismatch("covariance must be N x N")
+
+    @property
+    def n(self) -> int:
+        return self.head.shape[0] + self.basis.shape[0]
+
+    def map_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """The rows of Phi* in blocks of :func:`~mfgl.matio.block_rows`
+        rows, each a new array, with the slice of rows it holds."""
+        h, step = self.head.shape[0], block_rows(self.coeffs.shape[1])
+        for lo in range(0, self.n, step):
+            tail = self.basis[max(lo - h, 0):max(lo + step - h, 0)] @ self.coeffs
+            yield slice(lo, lo + step), np.concatenate([self.head[lo:lo + step], tail])
+
+    @property
+    def phi_star(self) -> np.ndarray:
+        """Phi*, N x D, stacked from :meth:`map_blocks`."""
+        out = np.concatenate([block for _, block in self.map_blocks()])
+        out.setflags(write=False)
+        return out
 
 
 def shifted_power(sym, tau: float, beta: float) -> np.ndarray:
@@ -241,6 +272,7 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
     except sla.LinAlgError as exc:
         raise SingularSystem(f"Schur complement eigensolve failed: {exc}") from exc
     z = l_inv.T @ w
+    z.setflags(write=False)  # so that a posterior shares it
     return DenseFactor(
         tau=hp.tau,
         beta=hp.beta,
@@ -281,8 +313,6 @@ def dense_posterior(
     g = factor._gain(omega, sigma)
     x_oo = (v * g) @ v.T / omega
     phi_o = x_oo @ phi_hat / sigma**2
-    phi_star = factor.interpolant(phi_o)
-    phi_star.setflags(write=False)
     cov = None
     if want_cov:
         y = factor.y
@@ -291,8 +321,8 @@ def dense_posterior(
         cov = np.block([[x_oo, x_uo.T], [x_uo, x_uu]])
         cov = 0.5 * (cov + cov.T)
     return PosteriorResult(
-        phi_star=phi_star,
         stddevs=np.sqrt(factor.variances(omega, sigma)),
+        head=phi_o, basis=factor.z, coeffs=-phi_o,  # the interpolant's factors
         covariance=cov,
     )
 

@@ -157,10 +157,6 @@ class TruncatedPosterior:
         for name in ("coeff_mean", "coeff_cov"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
 
-    def map_displacements(self) -> np.ndarray:
-        """Reconstruct the N x D MAP displacement field Psi_K A*_K."""
-        return self.spectrum.eigenvectors @ self.coeff_mean
-
 
 def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor C of the SPD matrix ``a``, refused when ``a``

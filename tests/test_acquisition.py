@@ -278,6 +278,15 @@ def test_plan_validation_rules():
             cluster_assignment=np.zeros(3, dtype=int),
             seed=0,
         )
+    # a plan selects at least one row, so no estimate starts without one
+    with pytest.raises(InvalidConfig, match="selected_indices is empty"):
+        AcquisitionPlan(
+            selected_indices=(),
+            permutation=(0, 1, 2),
+            centroids=np.zeros((0, 1)),
+            cluster_assignment=np.zeros(3, dtype=int),
+            seed=0,
+        )
 
 
 def test_plan_json_round_trip(tmp_path):

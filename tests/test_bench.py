@@ -24,6 +24,7 @@ from mfgl.bench import (
     error_component,
     error_field,
     estimate_attached,
+    estimate_planned,
     generate,
     planning_spectrum,
     run_pipeline,
@@ -31,10 +32,11 @@ from mfgl.bench import (
     sigma_in_solve_coords,
     write_report,
 )
-from mfgl.data import Dataset, Normalization, normalize
+from mfgl.data import Dataset, Normalization, NormalizationSpec, displacements, normalize
 from mfgl.matio import write_csv
 from mfgl.graph import AffinityGraph, build_graph, laplacian
 from mfgl.exceptions import (
+    DimensionMismatch,
     InvalidConfig,
     MissingHighFidelity,
     RowCountMismatch,
@@ -204,18 +206,25 @@ def test_estimate_attached_guards(rng):
     lf = rng.normal(size=(20, 2))
     prior = planning_spectrum(lf, PipelineConfig(m=3))
     with pytest.raises(MissingHighFidelity):
-        estimate_attached(Dataset(lf=lf), PipelineConfig(m=3, sigma=0.1), prior)
-    ds_hf = Dataset(lf=lf, hf=rng.normal(size=(3, 2)))
+        estimate_attached(np.empty((0, 2)), PipelineConfig(m=3, sigma=0.1), prior)
+    phi_hat = rng.normal(size=(3, 2))
+    # the observed displacements are one 2-D block
+    with pytest.raises(DimensionMismatch):
+        estimate_attached(phi_hat[0], PipelineConfig(m=3, sigma=0.1), prior)
     with pytest.raises(InvalidConfig):
-        estimate_attached(ds_hf, PipelineConfig(m=3), prior)
+        estimate_attached(phi_hat, PipelineConfig(m=3), prior)
     # the truncated prior carries no Laplacian for the dense solver
     with pytest.raises(InvalidConfig):
         estimate_attached(
-            ds_hf, PipelineConfig(m=3, sigma=0.1, solver=SolverTag.DENSE), prior
+            phi_hat, PipelineConfig(m=3, sigma=0.1, solver=SolverTag.DENSE), prior
         )
-    ds_longer = Dataset(lf=rng.normal(size=(30, 2)), hf=rng.normal(size=(3, 2)))
+    with pytest.raises(DimensionMismatch):  # more observed rows than the prior has
+        estimate_attached(rng.normal(size=(30, 2)), PipelineConfig(m=3, sigma=0.1), prior)
+    # the rows the estimates are formed from must be the prior's
+    plan = plan_acquisition(prior.spectrum, 3, seed=0)
     with pytest.raises(RowCountMismatch):
-        estimate_attached(ds_longer, PipelineConfig(m=3, sigma=0.1), prior)
+        estimate_planned(rng.normal(size=(30, 2)), NormalizationSpec(Normalization.NONE),
+                         plan, phi_hat, PipelineConfig(m=3, sigma=0.1), prior)
 
 
 def test_m_zero_refused_by_the_schema():
@@ -292,6 +301,44 @@ def test_estimate_blocks_stack_to_the_whole_array_formula(mode, monkeypatch):
     spec = normalize(Dataset(lf=prob.lf_data), mode)[1].permuted(perm)
     expected = spec.invert(spec.apply(prob.lf_data[perm]) + out.posterior.phi_star)
     assert np.array_equal(out.posterior.mf_estimates, expected)
+
+
+@pytest.mark.parametrize("solver", [SolverTag.DENSE, SolverTag.TRUNCATED])
+def test_map_blocks_stack_to_phi_star(solver):
+    # D = 256 makes blocks of 32 rows, so N = 97 ends in a one-row block,
+    # which numpy multiplies by another kernel (gemv) than the rest:
+    # phi_star is the stack of the blocks, equal to one product of the
+    # factors to round-off, and the estimates are formed from the blocks
+    prob = generate(Generator.BEAM_LIKE_1D, 97, 256, seed=4)
+    out = run_pipeline(prob, PipelineConfig(m=5, seed=3, solver=solver))
+    post = out.posterior
+    blocks = list(post.map_blocks())
+    assert [rows.start for rows, _ in blocks] == [0, 32, 64, 96]
+    assert blocks[-1][1].shape == (1, 256)
+    assert np.array_equal(np.concatenate([block for _, block in blocks]), post.phi_star)
+    whole = np.vstack([post.head, post.basis @ post.coeffs])
+    assert np.abs(post.phi_star - whole).max() <= 1e-12 * np.abs(whole).max()
+    lf = prob.lf_data[np.asarray(out.plan.permutation)]
+    assert np.array_equal(post.mf_estimates, lf + post.phi_star)  # normalization none
+
+
+@pytest.mark.parametrize("solver", [SolverTag.DENSE, SolverTag.TRUNCATED])
+def test_posterior_keeps_the_map_as_its_factors(solver):
+    # the estimate step's posterior holds no N x D array, nor the dense
+    # factor's N x N buffer: each array it holds, followed to the memory
+    # it views, is smaller than N x D when D exceeds K and M
+    prob = generate(Generator.BEAM_LIKE_1D, 150, 40, seed=3)
+    config = PipelineConfig(m=6, seed=2, solver=solver, sigma=prob.hf_noise_sigma)
+    prior, perm, ds = _planned_solve_inputs(prob, config)
+    prior = prior.permuted(perm)
+    post = estimate_attached(displacements(ds), config, prior).posterior
+    if solver is SolverTag.TRUNCATED:
+        assert post.basis is prior.spectrum.eigenvectors  # shared, not copied
+    for field in dataclasses.fields(post):
+        a = getattr(post, field.name)
+        while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+            a = a.base
+        assert a is None or a.size < ds.n * ds.d, field.name
 
 
 def test_embedding_shape():
@@ -375,9 +422,9 @@ def test_permuted_prior_matches_fresh_build(kind, route, monkeypatch):
         m=10, seed=0, sigma=prob.hf_noise_sigma, omega=1.0, tau=1e-3
     )
     prior, perm, ds = _planned_solve_inputs(prob, config)
-    reused = estimate_attached(ds, config, prior.permuted(perm)).posterior
+    reused = estimate_attached(displacements(ds), config, prior.permuted(perm)).posterior
     fresh_prior = planning_spectrum(ds.lf, config)
-    fresh = estimate_attached(ds, config, fresh_prior).posterior  # built on the permuted rows
+    fresh = estimate_attached(displacements(ds), config, fresh_prior).posterior  # built on the permuted rows
     scale = np.abs(fresh.phi_star).max()
     assert np.abs(reused.phi_star - fresh.phi_star).max() <= 1e-8 * scale
     np.testing.assert_allclose(reused.stddevs, fresh.stddevs, rtol=1e-8)

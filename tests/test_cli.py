@@ -15,11 +15,11 @@ import mfgl.bench
 import mfgl.config
 import mfgl.matio
 import mfgl.posterior
-from conftest import traced_peak
+from conftest import cli_env, traced_peak
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import _build_parser, main
 from mfgl.config import PipelineConfig, ProblemConfig, SolverTag, field_rules
-from mfgl.data import Dataset, HyperParameters
+from mfgl.data import Dataset, HyperParameters, displacements
 from mfgl.exceptions import InvalidConfig, SingularSystem
 from mfgl.matio import read_binary, read_csv, write_csv
 from mfgl.spectral import checked_cholesky
@@ -674,7 +674,7 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
         ),
         # a hand-built prior does not route the tag to another solver
         "estimate_attached": lambda: mfgl.bench.estimate_attached(
-            ds_hf, dataclasses.replace(config, sigma=0.01), planned.prior
+            displacements(ds_hf), dataclasses.replace(config, sigma=0.01), planned.prior
         ),
     }[entry]
     with pytest.raises(InvalidConfig, match="mfgl.nystrom"):
@@ -985,18 +985,18 @@ def wide_field_peaks(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize(
     "flags, bound",
-    [((), 2.8), (("--normalization", "component"), 2.8)],
+    [((), 2.0), (("--normalization", "component"), 2.0)],
     ids=["none", "component"],
 )
 def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
-    # the rows exist once, in solve order (with component normalization
-    # the raw rows die once normalized, and the normalized ones take their
-    # place), next to the MAP field, which is formed after the variances;
-    # the estimates are formed and written a row block at a time, never
-    # held whole.  Measured: 2.56x the rows' bytes without normalization
-    # and 2.59x with component normalization (3.43x and 3.55x while the
-    # estimates were one array and the normalized rows were copied into
-    # the dataset)
+    # the raw rows are the one N x D array: the posterior keeps the MAP as
+    # its factors (the reordered eigenvectors and A*), and each block of
+    # estimates normalizes its rows, adds its MAP rows and is written, so
+    # neither the normalized rows nor the MAP field is ever whole; the
+    # peak is the rows, the eigenvectors and the variances' N x K product.
+    # Measured: 1.87x the rows' bytes without normalization and 1.88x with
+    # component normalization (2.56x and 2.59x while the MAP field and the
+    # normalized rows were whole)
     _, estimate = wide_field_peaks(tmp_path, capsys, flags)
     assert estimate < bound
 
@@ -1089,6 +1089,59 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
     assert np.array_equal(stddevs, out.posterior.stddevs)
 
 
+@pytest.mark.parametrize("solver", ["truncated", "dense"])
+def test_cli_estimate_matches_pipeline_with_a_one_row_tail_block(tmp_path, capsys, solver):
+    # D = 256 makes blocks of 32 rows, so N = 97 ends in a one-row block,
+    # which numpy multiplies by another kernel than the blocks before it;
+    # the CLI's files still equal run_pipeline's outputs bit for bit
+    from mfgl.bench import run_pipeline
+
+    assert 97 % mfgl.matio.block_rows(256) == 1
+    prob = generate(Generator.BEAM_LIKE_1D, 97, 256, seed=4)
+    cfg = PipelineConfig(m=5, seed=3, solver=SolverTag(solver))
+    out = run_pipeline(prob, cfg)
+    lf_path, out_dir = tmp_path / "lf.csv", tmp_path / "cli"
+    write_csv(lf_path, prob.lf_data)
+    shared = ["--m", "5", "--seed", "3", "--solver", solver, "--output-dir", str(out_dir)]
+    code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), *shared)
+    assert code == 0
+    hf_path = tmp_path / "hf.csv"
+    write_csv(hf_path, sample_hf(prob, out.plan.selected_indices, seed=4))
+    code, _, _ = run_cli(
+        capsys, "estimate", "--lf-path", str(out_dir / "lf_permuted.csv"),
+        "--hf-path", str(hf_path), "--plan-path", str(out_dir / "plan.json"),
+        "--sigma", f"{prob.hf_noise_sigma:.17g}", *shared,
+    )
+    assert code == 0
+    assert np.array_equal(read_csv(out_dir / "mf_estimates.csv"), out.posterior.mf_estimates)
+    assert np.array_equal(read_csv(out_dir / "stddevs.csv")[:, 0], out.posterior.stddevs)
+
+
+@pytest.mark.parametrize("solver", ["truncated", "dense"])
+def test_bench_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, solver):
+    # --threads caps the BLAS pools before numpy loads, so each run is its
+    # own process.  The truncated pipeline's files are byte-identical; the
+    # dense one's multithreaded LAPACK calls may sum in another order, so
+    # they agree to 1e-12 of each file's largest value.  (A per-point
+    # error is a difference of close numbers: measured, its entrywise
+    # change reached 1.3e-12 where the file's largest moved 2.5e-13.)
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfgl.cli", "bench", "--generator", "beam-like-1d",
+             "--n", "300", "--d", "24", "--m", "8", "--seed", "2", "--solver", solver,
+             "--threads", threads, "--output-dir", str(tmp_path / threads)],
+            capture_output=True, text=True, timeout=120, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("stddevs.csv", "per_point_errors.csv"):
+        one, two = tmp_path / "1" / name, tmp_path / "2" / name
+        if solver == "truncated":
+            assert one.read_bytes() == two.read_bytes()
+        else:
+            a, b = read_csv(one), read_csv(two)
+            assert np.abs(b - a).max() <= 1e-12 * np.abs(a).max()
+
+
 _PRIOR_FLAGS = {
     "knn_k": ("--knn-k", "5"),
     "p": ("--p", "1.0"),
@@ -1105,6 +1158,8 @@ _TAMPERED_RECORD = {
     "shift_a-negative": ("shift_a", -1.0),
     "stats-unknown-key": ("normalization_stats", {"bogus": [1]}),
     "stats-list": ("normalization_stats", [1, 2]),
+    # refused as the plan file's, not as the --m setting's M >= 1
+    "selected_indices-empty": ("selected_indices", []),
 }
 # spectrum.bin entries overwritten with a non-finite value: (row, column, value)
 _NON_FINITE = {

@@ -62,7 +62,8 @@ def test_zero_rhs_and_data_independent_covariance(rng):
 def test_posterior_result_refuses_nan_stddev():
     # NaN <= 0 is False: the guard must ask for positive, not for non-positive
     with pytest.raises(SingularSystem, match="standard deviations must be positive"):
-        PosteriorResult(phi_star=np.zeros((2, 1)), stddevs=[1.0, np.nan])
+        PosteriorResult(stddevs=[1.0, np.nan], head=np.zeros((0, 1)), basis=np.zeros((2, 1)),
+                        coeffs=np.zeros((1, 1)))
 
 
 def test_three_node_chain_matches_direct_solve():
@@ -613,7 +614,7 @@ def test_dense_stddevs_accurate_with_unobserved_cluster():
 def test_truncated_full_rank_accurate_with_unobserved_cluster():
     gl, hp, phi_hat, oracle_map, _ = unobserved_cluster_oracle()
     tp = truncated_posterior(low_spectrum(gl, gl.n), phi_hat, hp)
-    got = tp.map_displacements()
+    got = tp.spectrum.eigenvectors @ tp.coeff_mean
     assert nla.norm(got - oracle_map) <= 1e-3 * nla.norm(oracle_map)
 
 
