@@ -6,9 +6,14 @@ lands exactly one pick per cluster, which is what the propagation step
 needs; a uniform random pick routinely doubles up and starves clusters.
 """
 
+import hashlib
+import tempfile
+
 import numpy as np
 
-from mfgl.acquisition import plan_acquisition, plan_from_json, plan_to_json
+from mfgl.acquisition import PlanRecord, plan_acquisition
+from mfgl.config import Normalization, PipelineConfig
+from mfgl.data import NormalizationSpec
 from mfgl.graph import build_graph, laplacian
 from mfgl.spectral import low_spectrum
 
@@ -46,12 +51,19 @@ for c in range(m):
 print(f"embedding k-means matches the true partition on "
       f"{100 * agree / pts.shape[0]:.1f}% of points")
 
-# plans serialize losslessly; the permutation puts the picks first
-rt, _ = plan_from_json(plan_to_json(plan))
+# the plan directory mfgl plan writes holds the plan losslessly, and the
+# spectrum bit for bit; the permutation puts the picks first
+config = PipelineConfig(m=m, K=2 * m, seed=0)
+record = PlanRecord.of(config, plan, NormalizationSpec(Normalization.NONE), spec,
+                       hashlib.sha256(pts).hexdigest())
+with tempfile.TemporaryDirectory() as plan_dir:
+    plan_file = record.write(plan_dir, spec)
+    rt, rt_spec = PlanRecord.read(plan_file, config, pts[list(plan.permutation)])
 same = (
-    rt.selected_indices == plan.selected_indices
-    and rt.permutation == plan.permutation
-    and np.array_equal(rt.centroids, plan.centroids)
+    rt.plan.selected_indices == plan.selected_indices
+    and rt.plan.permutation == plan.permutation
+    and np.array_equal(rt.plan.centroids, plan.centroids)
+    and np.array_equal(rt_spec.eigenvectors, spec.eigenvectors)
 )
-print(f"JSON round trip preserves the plan: {same}")
+print(f"plan directory round trip preserves the plan: {same}")
 print(f"permutation head: {plan.permutation[:m]} == picks {plan.selected_indices}")

@@ -8,16 +8,18 @@ and callers apply its permutation to their own rows.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
-from .data import frozen
-from .exceptions import (
-    EmptyCluster,
-    InvalidConfig,
-)
+from . import matio
+from .config import Normalization, PipelineConfig, check_fields, same_setting, setting
+from .data import NormalizationSpec, frozen
+from .exceptions import EmptyCluster, InvalidConfig, MatrixIOError
 from .spectral import Spectrum, embed
 
 KMEANS_RESTARTS = 10
@@ -119,31 +121,48 @@ def kmeans(
     return best[0], best[1]
 
 
+def _array(name: str, values, ndim: int = 1, dtype=np.intp) -> np.ndarray:
+    """``values`` as a read-only ``ndim``-D ``dtype`` array, refused unless
+    each entry is an integer, or for float64 a real (numpy's count too)."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged list
+        a = None
+    if a is None or a.ndim != ndim or a.size and a.dtype.kind not in ("iu" if dtype is np.intp else "iuf"):
+        raise InvalidConfig(f"{name} must be {ndim}-D, of {np.dtype(dtype).name} values, got {values!r:.60}")
+    return frozen(a, dtype)
+
+
 @dataclass(frozen=True)
 class AcquisitionPlan:
-    """Which rows to observe, and the re-indexing that puts them first."""
+    """Which rows to observe, and the re-indexing that puts them first,
+    with the k-means that chose them: M x M centroids in the embedding,
+    and each row's cluster, in [0, M)."""
 
     selected_indices: tuple
     permutation: tuple
     centroids: np.ndarray
     cluster_assignment: np.ndarray
-    seed: int
+    seed: int = same_setting(PipelineConfig, "seed", required=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "selected_indices", tuple(int(i) for i in self.selected_indices))
-        object.__setattr__(self, "permutation", tuple(int(i) for i in self.permutation))
-        object.__setattr__(self, "centroids", frozen(self.centroids))
-        object.__setattr__(self, "cluster_assignment", frozen(self.cluster_assignment, np.intp))
-        n = len(self.permutation)
+        for name in ("selected_indices", "permutation"):
+            object.__setattr__(self, name, tuple(_array(name, getattr(self, name)).tolist()))
+        labels = _array("cluster_assignment", self.cluster_assignment)
+        object.__setattr__(self, "cluster_assignment", labels)
+        object.__setattr__(self, "centroids", _array("centroids", self.centroids, 2, np.float64))
+        check_fields(self)
+        n, m = len(self.permutation), len(self.selected_indices)
         if sorted(self.permutation) != list(range(n)):
             raise InvalidConfig("permutation must be a bijection on 0..N-1")
-        m = len(self.selected_indices)
         if not m:
             raise InvalidConfig("selected_indices is empty: a plan selects at least one row")
         if self.permutation[:m] != self.selected_indices:
             raise InvalidConfig("permutation must lead with the selected indices")
-        if len(set(self.selected_indices)) != m:
-            raise InvalidConfig("selected indices must be distinct")
+        if labels.shape != (n,) or labels.min() < 0 or labels.max() >= m:
+            raise InvalidConfig(f"cluster_assignment must hold one label in [0, {m}) per row")
+        if self.centroids.shape != (m, m):
+            raise InvalidConfig(f"centroids must be {m} x {m}, got shape {self.centroids.shape}")
 
     @property
     def m(self) -> int:
@@ -195,34 +214,129 @@ def plan_acquisition(
     )
 
 
-def plan_to_json(plan: AcquisitionPlan, **record) -> str:
-    """Serialize a plan for the two-phase CLI workflow, with the JSON-ready
-    values of ``record`` as further keys."""
-    return json.dumps(
-        {
+@dataclass(frozen=True)
+class PlanRecord:
+    """The plan directory: ``plan.json`` holds the plan's fields, then the
+    record's others, and ``spectrum.bin`` the planning eigenpairs in input
+    order.  ``lf_input_sha256`` hashes the float64 rows plan parsed, in
+    input order, ``normalization_stats`` holds the arrays of :attr:`nspec`,
+    and the last five fields are the settings that shaped the graph prior."""
+
+    plan: AcquisitionPlan
+    lf_input_sha256: str
+    shift_a: float = setting(help="bound a of the planning spectrum", low=0, strict=True)
+    normalization_stats: dict
+    knn_k: int = same_setting(PipelineConfig, "knn_k", required=True)
+    p: float = same_setting(PipelineConfig, "p", required=True)
+    q: float = same_setting(PipelineConfig, "q", required=True)
+    K: Optional[int] = same_setting(PipelineConfig, "K", required=True)
+    normalization: Normalization = same_setting(PipelineConfig, "normalization", required=True)
+
+    def __post_init__(self):
+        check_fields(self)
+        try:
+            stats = {k: frozen(v) for k, v in self.normalization_stats.items()}
+            NormalizationSpec(self.normalization, **stats)
+        except (TypeError, ValueError, InvalidConfig) as exc:
+            raise InvalidConfig(f"malformed normalization_stats: {exc}") from exc
+        object.__setattr__(self, "normalization_stats", stats)
+        d = stats["mean"].size if "mean" in stats else None
+        shapes = {"mean": (d,), "std": (d,), "scales": (len(self.plan.permutation),)}
+        if any(a.shape != shapes[k] for k, a in stats.items()):
+            raise InvalidConfig(f"normalization_stats must be of shapes { {k: shapes[k] for k in stats} }")
+
+    @property
+    def nspec(self) -> NormalizationSpec:
+        """The planning normalization, in input order."""
+        return NormalizationSpec(self.normalization, **self.normalization_stats)
+
+    @classmethod
+    def of(cls, config: PipelineConfig, plan: AcquisitionPlan, nspec: NormalizationSpec,
+           spectrum: Spectrum, lf_input_sha256: str) -> PlanRecord:
+        """The record of ``plan``, planned under ``config`` with ``nspec`` and ``spectrum``."""
+        stats = {k: v for k, v in vars(nspec).items() if k != "mode" and v is not None}
+        return cls(plan, lf_input_sha256, spectrum.shift_a, stats, **{k: getattr(config, k) for k in _SETTINGS})
+
+    def write(self, outdir: Path, spectrum: Spectrum) -> Path:
+        """Write ``plan.json``, and the planning ``spectrum`` as
+        ``spectrum.bin``, into ``outdir``; return the plan file."""
+        plan, plan_file = self.plan, Path(outdir) / "plan.json"
+        plan_file.write_text(json.dumps({
             "selected_indices": list(plan.selected_indices),
             "permutation": list(plan.permutation),
             "seed": plan.seed,
             "centroids": plan.centroids.tolist(),
             "cluster_assignment": plan.cluster_assignment.tolist(),
-            **record,
-        },
-        indent=2,
-    )
+            "lf_input_sha256": self.lf_input_sha256,
+            "shift_a": self.shift_a,
+            "normalization_stats": {k: v.tolist() for k, v in self.normalization_stats.items()},
+            **_settings(self),
+        }, indent=2) + "\n")
+        matio.write_binary(plan_file.with_name("spectrum.bin"),
+                           iter((spectrum.eigenvalues, spectrum.eigenvectors)))
+        return plan_file
+
+    @classmethod
+    def read(cls, path, config: PipelineConfig, lf: np.ndarray) -> tuple[PlanRecord, Spectrum]:
+        """The record of the ``plan.json`` at ``path``, refused
+        (``InvalidConfig``, naming the file and the key) if malformed or
+        made for other settings than ``config``'s or other rows than ``lf``
+        (solve order), and the input-order spectrum of the ``spectrum.bin``
+        beside it, refused (``MatrixIOError``) unless (N + 1) x K and
+        finite.  Its eigenvectors are a view over the file's bytes."""
+        path, keys = Path(path), (*_PLAN_KEYS, *(f.name for f in fields(cls)[1:]))
+        try:
+            raw = json.loads(path.read_text())
+        except ValueError as exc:
+            raise InvalidConfig(f"{path} is not valid JSON: {exc}") from exc
+        raw = raw if isinstance(raw, dict) else {}  # lacks every key
+        missing = [k for k in keys if k not in raw]
+        if missing:
+            raise InvalidConfig(f"{path} lacks {', '.join(missing)}; run plan again")
+        unknown = [k for k in raw if k not in keys]
+        if unknown:
+            raise InvalidConfig(f"{path} holds unknown keys: {', '.join(unknown)}")
+        mode = raw["normalization"]  # a member, or the value check_fields refuses by name
+        mode = Normalization(mode) if mode in [e.value for e in Normalization] else mode
+        try:
+            record = cls(AcquisitionPlan(**{k: raw[k] for k in _PLAN_KEYS}),
+                         **{f.name: raw[f.name] for f in fields(cls)[1:]} | {"normalization": mode})
+            record._check(config, lf)
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"{path}: {exc}") from exc
+        file, n = path.with_name("spectrum.bin"), len(lf)
+        shape, table = (n + 1, replace(config, m=record.plan.m).spectrum_size(n)), matio.read_binary(file)
+        if table.shape != shape:
+            raise MatrixIOError(f"{file} is {table.shape}, not {shape}")
+        if not np.isfinite(table).all():
+            raise MatrixIOError(f"{file} holds a non-finite entry")
+        # the eigenvalues are copied, so that no array kept holds the file's bytes
+        return record, Spectrum(table[0].copy(), table[1:], float(record.shift_a))
+
+    def _check(self, config: PipelineConfig, lf: np.ndarray) -> None:
+        """Refuse other settings than the record's, and other rows than
+        plan hashed, whose SHA-256 is taken in input order, a row at a
+        time, with no reordered copy."""
+        given, made = _settings(config), _settings(self)
+        differ = [f"{k}={given[k]!r} (plan: {made[k]!r})" for k in made if given[k] != made[k]]
+        if differ:
+            raise InvalidConfig(f"the plan was made with other graph settings: {', '.join(differ)}")
+        perm, digest = self.plan.permutation, hashlib.sha256()
+        if len(lf) == len(perm):  # rows of another count hash to nothing
+            for i in np.argsort(perm):
+                digest.update(lf[i])
+        if digest.hexdigest() != self.lf_input_sha256:
+            raise InvalidConfig("lf_input_sha256 is not the hash of the rows given: "
+                                "they are not the rows plan copied to lf_permuted")
+        if "mean" in self.normalization_stats and self.normalization_stats["mean"].shape != lf.shape[1:]:
+            raise InvalidConfig(f"normalization_stats is for rows of another width than {lf.shape[1]}")
 
 
-def plan_from_json(text: str) -> tuple[AcquisitionPlan, dict]:
-    """Inverse of :func:`plan_to_json`: the plan, and the whole JSON
-    object, which holds the ``record`` keys too."""
-    try:
-        raw = json.loads(text)
-        plan = AcquisitionPlan(
-            selected_indices=tuple(raw["selected_indices"]),
-            permutation=tuple(raw["permutation"]),
-            centroids=np.asarray(raw["centroids"], dtype=np.float64),
-            cluster_assignment=np.asarray(raw["cluster_assignment"], dtype=np.intp),
-            seed=int(raw["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfig(f"malformed acquisition plan: {exc}") from exc
-    return plan, raw
+# The plan's keys in plan.json, and the record's graph-prior settings.
+_PLAN_KEYS = ("selected_indices", "permutation", "seed", "centroids", "cluster_assignment")
+_SETTINGS = tuple(f.name for f in fields(PlanRecord) if f.name in PipelineConfig.__dataclass_fields__)
+
+
+def _settings(record) -> dict:
+    """The graph-prior settings of a record or a config, as plan.json holds them."""
+    return {k: getattr(record, k) for k in _SETTINGS} | {"normalization": record.normalization.value}

@@ -23,22 +23,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from .config import FORMATS, PipelineConfig, ProblemConfig, SolverTag, check_fields, field_rules, setting
-from .exceptions import (
-    InvalidConfig,
-    MatrixIOError,
-    NumericalError,
-    ValidationError,
-)
+from .exceptions import InvalidConfig, MatrixIOError, NumericalError, ValidationError
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -97,16 +91,13 @@ def _field_value(name: str, value):
     return value
 
 
-def _merge_config(
-    ns: argparse.Namespace,
-) -> tuple[RunConfig, ProblemConfig, PipelineConfig]:
+def _merge_config(ns: argparse.Namespace) -> tuple[RunConfig, ProblemConfig, PipelineConfig]:
     """Defaults, then the JSON config file, then explicit flags."""
     given = {}
     config_path = getattr(ns, "config", None)
     if config_path:
-        text = Path(config_path).read_text()
         try:
-            raw = json.loads(text)
+            raw = json.loads(Path(config_path).read_text())
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
@@ -120,179 +111,95 @@ def _merge_config(
         if flag is not None:
             given[key] = flag
 
-    def build(schema):
-        return schema(**{
-            f.name: _field_value(f.name, given[f.name]) for f in fields(schema) if f.name in given
-        })
-
-    return tuple(build(schema) for schema in _SCHEMAS)
+    return tuple(schema(**{f.name: _field_value(f.name, given[f.name])
+                           for f in fields(schema) if f.name in given}) for schema in _SCHEMAS)
 
 
 def _apply_thread_cap(threads: Optional[int]) -> None:
     # Effective only if set before numpy/scipy first load their BLAS; the
     # lazy imports below guarantee that for this process.
-    if threads is None:
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(threads)
+    if threads is not None:
+        os.environ.update(dict.fromkeys(_THREAD_ENV_VARS, str(threads)))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-# The settings that shape the graph prior: plan.json records them, and
-# estimate refuses a plan made with others.
-_PRIOR_SETTINGS = ("knn_k", "p", "q", "K", "normalization")
-_PLAN_RECORD = ("lf_input_sha256", "shift_a", "normalization_stats", *_PRIOR_SETTINGS)
-
-
-def _prior_settings(pcfg: PipelineConfig) -> dict:
-    return {k: getattr(pcfg, k) for k in _PRIOR_SETTINGS} | {"normalization": pcfg.normalization.value}
-
-
 def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
-    """Write the plan directory: ``plan.json``, the rows in solve order
-    (``lf_permuted``: the input's rows copied unchanged, never formatted
-    again) and the planning eigenpairs (``spectrum.bin``).
+    """Write the plan directory (:class:`~mfgl.acquisition.PlanRecord`)
+    and the rows in solve order (``lf_permuted``: the input's rows copied
+    unchanged, never formatted again).
 
-    ``lf_input_sha256`` hashes the rows as parsed, in input order, before
-    planning, so ``estimate`` refuses a copy of a file that changed after
-    the read.  The rows are then handed to :func:`~mfgl.bench.plan_rows`
-    as its only reference, so they die once the graph is built and no
-    rows are held through the eigensolve or the writes.
+    The rows are hashed as parsed, in input order, so ``estimate`` refuses
+    a copy of a file that changed after the read, and then handed to
+    :func:`~mfgl.bench.plan_rows` as its only reference, so they die once
+    the graph is built and no rows are held through the eigensolve or the
+    writes.
     """
     import numpy as np
 
     from . import matio
-    from .acquisition import plan_to_json
+    from .acquisition import PlanRecord
     from .bench import plan_rows
 
     if cfg.lf_path is None:
         raise InvalidConfig("plan needs --lf-path")
     lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
-    digest = hashlib.sha256(lf)
+    digest = hashlib.sha256(lf).hexdigest()
     rows = [lf]
     del lf  # plan_rows holds the rows alone
     nspec, prior, plan, _ = plan_rows(rows.pop(), pcfg)
-    perm = np.asarray(plan.permutation, dtype=np.intp)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # what estimate checks its inputs against and rebuilds the prior from
-    stats = {k: v.tolist() for k, v in vars(nspec).items() if k != "mode" and v is not None}
-    plan_file = outdir / "plan.json"
-    plan_file.write_text(plan_to_json(
-        plan, lf_input_sha256=digest.hexdigest(), shift_a=prior.spectrum.shift_a,
-        normalization_stats=stats, **_prior_settings(pcfg)) + "\n")
+    plan_file = PlanRecord.of(pcfg, plan, nspec, prior.spectrum, digest).write(outdir, prior.spectrum)
     lf_file = outdir / f"lf_permuted.{cfg.format}"
-    matio.copy_rows(cfg.lf_path, lf_file, perm, cfg.format, cfg.header)
-    # input order: the eigenvalues, then one row per point
-    eig = prior.spectrum
-    matio.write_binary(outdir / "spectrum.bin", iter((eig.eigenvalues, eig.eigenvectors)))
-
+    matio.copy_rows(cfg.lf_path, lf_file, np.asarray(plan.permutation, dtype=np.intp), cfg.format,
+                    cfg.header)
     # The rows the user must now evaluate with their high-fidelity model,
     # in the exact order the estimate step expects the results in; a
     # matrix file carries no ids, so the ids are the row indices.
     selected = list(plan.selected_indices)
-    print(
-        json.dumps(
-            {
-                "parameter_ids": selected,
-                "selected_indices": selected,
-                "plan_path": str(plan_file),
-                "lf_permuted_path": str(lf_file),
-            }
-        )
-    )
+    print(json.dumps({"parameter_ids": selected, "selected_indices": selected,
+                      "plan_path": str(plan_file), "lf_permuted_path": str(lf_file)}))
     return 0
 
 
 def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     """Estimate from a plan directory and the user's high-fidelity rows.
 
-    Before it builds or reads anything else, it refuses (``InvalidConfig``,
-    exit 3, naming the file) a ``plan.json`` that is no valid plan (one
-    selecting no row, say) or lacks the plan directory's record, graph-prior
-    settings other than the plan's, and rows whose SHA-256, taken in input
-    order a row at a time, differs from that of the rows plan parsed, then
-    malformed recorded values (``shift_a``, ``normalization_stats``).  It
-    works in solve order, the rows' order as read.  Both solvers reorder
-    the eigenpairs of ``spectrum.bin``, read and checked for shape and
-    finiteness (exit 2) before any graph is built, and run no eigensolve;
-    the dense one also rebuilds L_sym from the rows in input order.
-    Either way the result equals ``run_pipeline``'s bit for bit.
-
-    The rows are read once and shared with
-    :func:`~mfgl.bench.estimate_planned`; its estimates, formed a row
-    block at a time from the raw rows and the MAP factors, go straight to
-    the writer.  So the rows are the one N x D array held, and the
-    reordered eigenvectors (N x K), the truncated MAP's basis, are kept
-    through the writes.
+    Reads the rows (``--lf-path``, solve order), then the plan directory
+    (:meth:`~mfgl.acquisition.PlanRecord.read`, which refuses a record
+    that does not fit them or the settings), then the high-fidelity rows.
+    Both solvers reorder the planning eigenpairs and run no eigensolve;
+    the dense one also rebuilds L_sym from the rows in input order.  The
+    result equals ``run_pipeline``'s bit for bit.  The rows are the one
+    N x D array held: :func:`~mfgl.bench.estimate_planned` forms the
+    estimates a row block at a time, straight into the writer.
     """
     import numpy as np
 
     from . import matio
-    from .acquisition import plan_from_json
+    from .acquisition import PlanRecord
     from .bench import GraphPrior, build_graph, estimate_planned, laplacian
-    from .data import NormalizationSpec
-    from .spectral import Spectrum
 
-    if cfg.lf_path is None:
-        raise InvalidConfig("estimate needs --lf-path (the reordered matrix from plan)")
-    if cfg.hf_path is None:
-        raise InvalidConfig("estimate needs --hf-path")
-    if cfg.plan_path is None:
-        raise InvalidConfig("estimate needs --plan-path")
-    if pcfg.sigma is None:
-        raise InvalidConfig("estimate needs --sigma (observation noise level)")
-
-    try:
-        plan, record = plan_from_json(Path(cfg.plan_path).read_text())
-    except InvalidConfig as exc:
-        raise InvalidConfig(f"{cfg.plan_path}: {exc}") from exc
-    missing = [k for k in _PLAN_RECORD if k not in record]
-    if missing:
-        raise InvalidConfig(f"{cfg.plan_path} lacks {', '.join(missing)}; run plan again")
-    given = _prior_settings(pcfg)
-    differ = [f"{k}={given[k]!r} (plan: {record[k]!r})" for k in _PRIOR_SETTINGS if given[k] != record[k]]
-    if differ:
-        raise InvalidConfig(f"the plan was made with other graph settings: {', '.join(differ)}")
-    perm = np.asarray(plan.permutation, dtype=np.intp)
+    for flag, value in (("--lf-path (the reordered matrix from plan)", cfg.lf_path),
+                        ("--hf-path", cfg.hf_path), ("--plan-path", cfg.plan_path),
+                        ("--sigma (observation noise level)", pcfg.sigma)):
+        if value is None:
+            raise InvalidConfig(f"estimate needs {flag}")
     # plan wrote lf_permuted without a header; --header is for the user's hf file
     lf = matio.read_matrix(cfg.lf_path, cfg.format)
-    digest = hashlib.sha256()
-    if len(lf) == len(perm):  # rows of another count hash to nothing
-        for i in np.argsort(perm):  # input order, a row at a time: no reordered copy
-            digest.update(lf[i])
-    if digest.hexdigest() != record["lf_input_sha256"]:
-        raise InvalidConfig(
-            f"{cfg.lf_path}: not the rows plan copied to lf_permuted (lf_input_sha256 differs)")
-    shift_a = record["shift_a"]  # the recorded prior, refused by key if malformed
-    if type(shift_a) not in (int, float) or not 0 < shift_a < math.inf:
-        raise InvalidConfig(f"{cfg.plan_path}: shift_a must be a positive finite number, got {shift_a!r}")
-    shapes = {"mean": lf.shape[1:], "std": lf.shape[1:], "scales": lf.shape[:1]}
-    try:
-        stats = {k: np.asarray(v, dtype=np.float64) for k, v in record["normalization_stats"].items()}
-        if any(a.shape != shapes.get(k) or not np.isfinite(a).all() for k, a in stats.items()):
-            raise ValueError(f"expected finite arrays of shapes {shapes}")
-        nspec = NormalizationSpec(pcfg.normalization, **stats)
-    except (AttributeError, TypeError, ValueError, InvalidConfig) as exc:
-        raise InvalidConfig(f"{cfg.plan_path}: malformed normalization_stats: {exc}") from exc
+    record, spectrum = PlanRecord.read(cfg.plan_path, pcfg, lf)
+    plan, nspec = record.plan, record.nspec
     hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
 
-    pcfg = replace(pcfg, m=plan.m)  # the plan's M shaped its prior
-    n, k = len(perm), pcfg.spectrum_size(len(perm))
-    table = matio.read_binary(Path(cfg.plan_path).with_name("spectrum.bin"))
-    if table.shape != (n + 1, k):
-        raise MatrixIOError(f"spectrum.bin is {table.shape}, not {(n + 1, k)}")
-    if not np.isfinite(table).all():
-        raise MatrixIOError("spectrum.bin holds a non-finite entry")
+    perm = np.asarray(plan.permutation, dtype=np.intp)
     gl = (laplacian(build_graph(nspec.apply(lf[np.argsort(perm)]), pcfg.knn_k), pcfg.p, pcfg.q)
           if pcfg.solver is SolverTag.DENSE else None)  # L_sym, from the rows in input order
-    # the eigenvalues are copied, so that no array kept holds the file's bytes
-    prior = GraphPrior(Spectrum(table[0].copy(), table[1:], float(shift_a)), gl)
-    del table, gl  # the input-order prior dies with the reordering
+    prior = GraphPrior(spectrum, gl)
+    del spectrum, gl  # the input-order prior dies with the reordering
     prior = prior.permuted(perm)
     art, estimates = estimate_planned(lf, nspec, plan, hf, pcfg, prior)
     stddevs, resolved, timings = art.posterior.stddevs, art.hyper.as_dict(), art.timings
@@ -300,20 +207,13 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    mf_file = outdir / f"mf_estimates.{cfg.format}"
+    mf_file, sd_file = outdir / f"mf_estimates.{cfg.format}", outdir / "stddevs.csv"
     matio.write_matrix(mf_file, estimates, cfg.format)
-    matio.write_csv(outdir / "stddevs.csv", stddevs[:, None])
+    matio.write_csv(sd_file, stddevs[:, None])
     (outdir / "hyperparameters.json").write_text(json.dumps(resolved, indent=2) + "\n")
     (outdir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
-    print(
-        json.dumps(
-            {
-                "mf_estimates_path": str(mf_file),
-                "stddevs_path": str(outdir / "stddevs.csv"),
-                "hyperparameters": resolved,
-            }
-        )
-    )
+    print(json.dumps({"mf_estimates_path": str(mf_file), "stddevs_path": str(sd_file),
+                      "hyperparameters": resolved}))
     return 0
 
 
@@ -326,20 +226,12 @@ def cmd_bench(cfg: RunConfig, prob: ProblemConfig, pcfg: PipelineConfig) -> int:
     )
     output = run_pipeline(problem, pcfg)
     write_report(cfg.output_dir, output)
-    print(
-        json.dumps(
-            {
-                "generator": prob.generator.value,
-                "n": prob.n,
-                "d": prob.d,
-                "m": pcfg.m,
-                "mean_lf_error_pct": output.report.mean_lf,
-                "mean_mf_error_pct": output.report.mean_mf,
-                "reduction_pct": output.report.reduction,
-                "report_path": str(Path(cfg.output_dir) / "report.json"),
-            }
-        )
-    )
+    report = output.report
+    print(json.dumps({
+        "generator": prob.generator.value, "n": prob.n, "d": prob.d, "m": pcfg.m,
+        "mean_lf_error_pct": report.mean_lf, "mean_mf_error_pct": report.mean_mf,
+        "reduction_pct": report.reduction, "report_path": str(Path(cfg.output_dir) / "report.json"),
+    }))
     return 0
 
 
@@ -401,11 +293,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit_error(exc: BaseException, code: int) -> None:
-    payload = {"error": type(exc).__name__, "exit_code": code, "message": str(exc)}
-    print(json.dumps(payload), file=sys.stderr)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = _build_parser()
@@ -425,15 +312,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_bench(cfg, prob, pcfg)
     except SystemExit as exc:  # argparse --help/--version
         return exc.code if isinstance(exc.code, int) else 0
-    except (MatrixIOError, OSError) as exc:
-        _emit_error(exc, 2)
-        return 2
-    except ValidationError as exc:
-        _emit_error(exc, 3)
-        return 3
-    except NumericalError as exc:
-        _emit_error(exc, 4)
-        return 4
+    except (MatrixIOError, OSError, ValidationError, NumericalError) as exc:
+        code = 3 if isinstance(exc, ValidationError) else 4 if isinstance(exc, NumericalError) else 2
+        payload = {"error": type(exc).__name__, "exit_code": code, "message": str(exc)}
+        print(json.dumps(payload), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -128,7 +128,8 @@ class NormalizationSpec:
     """Stored statistics that make a normalization invertible.
 
     ``mean``/``std`` are set for per-component standardization, ``scales``
-    for per-instance scaling.  Both transforms act on matrices whose rows
+    for per-instance scaling, and no array else; each is finite, and the
+    stds and scales positive.  Both transforms act on matrices whose rows
     align with the originating dataset's rows (a leading subset is fine,
     matching the first-M convention).
     """
@@ -139,20 +140,18 @@ class NormalizationSpec:
     scales: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("mean", "std", "scales"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, frozen(v))
-        if self.mode is Normalization.COMPONENT:
-            if self.mean is None or self.std is None:
-                raise InvalidConfig("component normalization needs mean and std")
-            if not np.all(self.std > 0):
-                raise InvalidConfig("stored stds must be positive")
-        elif self.mode is Normalization.INSTANCE:
-            if self.scales is None:
-                raise InvalidConfig("instance normalization needs scale factors")
-            if not np.all(self.scales > 0):
-                raise InvalidConfig("stored norms must be positive")
+        held = [k for k in ("mean", "std", "scales") if getattr(self, k) is not None]
+        for name in held:
+            object.__setattr__(self, name, frozen(getattr(self, name)))
+        check_fields(self)
+        kept = {Normalization.COMPONENT: ["mean", "std"], Normalization.INSTANCE: ["scales"]}.get(self.mode, [])
+        if held != kept:
+            raise InvalidConfig(f"{self.mode.value} normalization keeps {kept}, got {held}")
+        for name, what in (("std", "stds"), ("scales", "norms")):
+            if name in held and not np.all(getattr(self, name) > 0):
+                raise InvalidConfig(f"stored {what} must be positive")
+        if not all(np.isfinite(getattr(self, k)).all() for k in held):
+            raise InvalidConfig("stored statistics must be finite")
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         """Forward transform of a row-aligned matrix, as one new read-only

@@ -145,6 +145,11 @@ def shifted_eigenvalues(
     return (lam + tau) ** beta
 
 
+def _variances(psi: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """diag(Psi_K C Psi_K^T) in O(N K^2), never forming the N x N matrix."""
+    return np.einsum("nk,nk->n", psi @ cov, psi)
+
+
 @dataclass(frozen=True)
 class TruncatedPosterior:
     """Gaussian posterior over the K expansion coefficients."""
@@ -220,9 +225,8 @@ class TruncatedFactor:
         return chol, 0.5 * (cov + cov.T)
 
     def variances(self, omega: float, sigma: float) -> np.ndarray:
-        """diag(Psi_K C Psi_K^T) in O(N K^2)."""
-        psi = self.spectrum.eigenvectors
-        return np.einsum("nk,nk->n", psi @ self._covariance(omega, sigma)[1], psi)
+        """The pointwise variances under (omega, sigma) (:func:`_variances`)."""
+        return _variances(self.spectrum.eigenvectors, self._covariance(omega, sigma)[1])
 
     def mean_stddev(self, omega: float, sigma: float) -> float:
         """Mean stddev over the unobserved rows M..N-1.  An omega whose
@@ -293,6 +297,5 @@ def truncated_posterior(
 
 
 def truncated_variances(tp: TruncatedPosterior) -> np.ndarray:
-    """diag(Psi_K C Psi_K^T) in O(N K^2), never forming the N x N matrix."""
-    psi = tp.spectrum.eigenvectors
-    return np.einsum("nk,nk->n", psi @ tp.coeff_cov, psi)
+    """The posterior's pointwise variances (:func:`_variances`)."""
+    return _variances(tp.spectrum.eigenvectors, tp.coeff_cov)

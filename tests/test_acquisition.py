@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,15 +9,16 @@ from hypothesis import strategies as st
 from conftest import random_points
 from mfgl.acquisition import (
     AcquisitionPlan,
+    PlanRecord,
     kmeans,
     plan_acquisition,
-    plan_from_json,
-    plan_to_json,
     _kmeanspp_init,
     _lloyd,
 )
 from mfgl.bench import Generator, generate
-from mfgl.exceptions import EmptyCluster, InsufficientSpectrum, InvalidConfig
+from mfgl.config import Normalization, PipelineConfig
+from mfgl.data import Dataset, normalize
+from mfgl.exceptions import EmptyCluster, InsufficientSpectrum, InvalidConfig, MatrixIOError
 from mfgl.graph import build_graph, laplacian
 from mfgl.spectral import Spectrum, embed, low_spectrum
 
@@ -233,7 +235,8 @@ def test_plan_is_deterministic():
     assert p1.selected_indices == p2.selected_indices
     assert p1.permutation == p2.permutation
     assert np.array_equal(p1.centroids, p2.centroids)
-    assert plan_to_json(p1) == plan_to_json(p2)
+    assert np.array_equal(p1.cluster_assignment, p2.cluster_assignment)
+    assert p1.seed == p2.seed
 
 
 def test_plan_permutation_shape():
@@ -287,29 +290,128 @@ def test_plan_validation_rules():
             cluster_assignment=np.zeros(3, dtype=int),
             seed=0,
         )
+    # a valid one-row plan of three rows, then one field at a time made wrong
+    valid = dict(selected_indices=(1,), permutation=(1, 0, 2), centroids=np.zeros((1, 1)),
+                 cluster_assignment=np.zeros(3, dtype=int), seed=0)
+    assert AcquisitionPlan(**valid).m == 1
+    # numpy integers are integers
+    plan = AcquisitionPlan(**valid | {"selected_indices": (np.int64(1),),
+                                      "permutation": np.array([1, 0, 2], dtype=np.int32)})
+    assert plan.permutation == (1, 0, 2) and type(plan.permutation[0]) is int
+    for field, value, says in [
+        ("selected_indices", (1.7,), "selected_indices must be 1-D, of int"),
+        ("permutation", (1.0, 0, 2), "permutation must be 1-D, of int"),
+        ("selected_indices", (True,), "selected_indices must be 1-D"),
+        ("cluster_assignment", np.zeros(3), "cluster_assignment must be 1-D, of int"),
+        ("seed", True, "seed must be of type int"),
+        ("seed", 2.0, "seed must be of type int"),
+        ("seed", -3, "seed must be non-negative"),
+        ("cluster_assignment", np.zeros(2, dtype=int), "one label in \\[0, 1\\) per row"),
+        ("cluster_assignment", np.array([0, 9, 0]), "one label in \\[0, 1\\) per row"),
+        ("cluster_assignment", np.array([0, -1, 0]), "one label in \\[0, 1\\) per row"),
+        ("centroids", np.zeros((5, 7)), "centroids must be 1 x 1"),
+        ("centroids", [[0.0], "a"], "centroids must be 2-D"),
+    ]:
+        with pytest.raises(InvalidConfig, match=says):
+            AcquisitionPlan(**valid | {field: value})
 
 
-def test_plan_json_round_trip(tmp_path):
+def planned_record(lf, config):
+    """The plan directory's record of ``lf``, as ``mfgl plan`` makes it,
+    and its planning spectrum."""
+    data, nspec = normalize(Dataset(lf=lf), config.normalization)
+    spectrum = spectrum_for(data.lf, config.spectrum_size(len(lf)), config.knn_k)
+    plan = plan_acquisition(spectrum, config.m, config.seed)
+    digest = hashlib.sha256(np.ascontiguousarray(lf, dtype=np.float64)).hexdigest()
+    return PlanRecord.of(config, plan, nspec, spectrum, digest), spectrum
+
+
+def assert_same_record(a, b):
+    for name in ("selected_indices", "permutation", "seed"):
+        assert getattr(a.plan, name) == getattr(b.plan, name)
+    for name in ("centroids", "cluster_assignment"):
+        assert getattr(a.plan, name).tobytes() == getattr(b.plan, name).tobytes()
+    for name in ("lf_input_sha256", "shift_a", "knn_k", "p", "q", "K", "normalization"):
+        assert getattr(a, name) == getattr(b, name)
+    assert a.normalization_stats.keys() == b.normalization_stats.keys()
+    for key, stats in a.normalization_stats.items():
+        assert b.normalization_stats[key].tobytes() == stats.tobytes()
+
+
+@pytest.mark.parametrize("normalization", ["none", "component", "instance"])
+def test_plan_json_round_trip(tmp_path, normalization):
     lf = random_points(15, 2, seed=8)
-    plan = plan_acquisition(spectrum_for(lf, 6), 3, seed=5)
-    back, record = plan_from_json(plan_to_json(plan, note="kept"))
-    assert record["note"] == "kept"
-    assert back.selected_indices == plan.selected_indices
-    assert back.permutation == plan.permutation
-    assert back.seed == plan.seed
-    assert np.allclose(back.centroids, plan.centroids)
-    assert np.array_equal(back.cluster_assignment, plan.cluster_assignment)
-
-    # the file mfgl plan writes and mfgl estimate reads
-    path = tmp_path / "plan.json"
-    path.write_text(plan_to_json(plan) + "\n")
-    assert plan_from_json(path.read_text())[0].selected_indices == plan.selected_indices
-    # stored as plain JSON, readable by anything
-    json.loads(path.read_text())
+    config = PipelineConfig(m=3, seed=5, normalization=Normalization(normalization))
+    record, spectrum = planned_record(lf, config)
+    plan_file = record.write(tmp_path, spectrum)
+    assert plan_file == tmp_path / "plan.json"
+    # read with the rows in solve order, as estimate reads lf_permuted
+    back, eig = PlanRecord.read(plan_file, config, lf[list(record.plan.permutation)])
+    assert_same_record(back, record)
+    assert eig.eigenvalues.tobytes() == spectrum.eigenvalues.tobytes()
+    assert eig.eigenvectors.tobytes() == spectrum.eigenvectors.tobytes()
+    assert eig.shift_a == spectrum.shift_a
+    # what was read writes the same bytes again
+    (tmp_path / "again").mkdir()
+    again = back.write(tmp_path / "again", eig)
+    for name in ("plan.json", "spectrum.bin"):
+        assert again.with_name(name).read_bytes() == plan_file.with_name(name).read_bytes()
+    # plain JSON, readable by anything, in the key order plan.json has always had
+    assert list(json.loads(plan_file.read_text())) == [
+        "selected_indices", "permutation", "seed", "centroids", "cluster_assignment",
+        "lf_input_sha256", "shift_a", "normalization_stats", "knn_k", "p", "q", "K",
+        "normalization"]
 
 
 def test_plan_json_rejects_garbage(tmp_path):
-    with pytest.raises(InvalidConfig):
-        plan_from_json("{not json")
-    with pytest.raises(InvalidConfig):
-        plan_from_json(json.dumps({"selected_indices": [0]}))  # missing keys
+    lf = random_points(15, 2, seed=8)
+    config = PipelineConfig(m=3, seed=5)
+    record, spectrum = planned_record(lf, config)
+    plan_file = record.write(tmp_path, spectrum)
+    rows = lf[list(record.plan.permutation)]
+    good = json.loads(plan_file.read_text())
+
+    def refused(raw, match, config=config, rows=rows):
+        plan_file.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+        with pytest.raises(InvalidConfig, match=match) as info:
+            PlanRecord.read(plan_file, config, rows)
+        assert str(plan_file) in str(info.value)
+
+    refused("{not json", "not valid JSON")
+    refused([1, 2], "lacks selected_indices")
+    refused({"selected_indices": [0]}, "lacks permutation, seed")  # missing keys
+    refused(good | {"note": "kept"}, "unknown keys: note")
+    refused(good | {"knn_k": 7.0}, "knn_k must be of type int")
+    refused(good | {"seed": "5"}, "seed must be of type int")
+    refused(good | {"normalization": "bogus"}, "unknown normalization 'bogus'")
+    refused(good | {"lf_input_sha256": 0}, "lf_input_sha256 must be of type str")
+    refused(good | {"centroids": [[1.0], [1.0, 2.0]]}, "centroids")
+    refused(good | {"normalization_stats": {"mean": [0.0, 0.0]}}, "normalization_stats")
+    refused(good | {"normalization_stats": None}, "normalization_stats must be of type dict")
+    refused(good, r"knn_k=5 \(plan: 7\)", config=PipelineConfig(m=3, knn_k=5))
+    refused(good, "lf_input_sha256", rows=rows[::-1])
+    plan_file.write_text(json.dumps(good))
+    (tmp_path / "spectrum.bin").write_bytes(b"MFGL")
+    with pytest.raises(MatrixIOError, match="spectrum.bin"):
+        PlanRecord.read(plan_file, config, rows)
+
+
+def test_plan_record_refuses_stats_that_do_not_fit(tmp_path):
+    lf = random_points(15, 2, seed=8)
+    config = PipelineConfig(m=3, seed=5, normalization=Normalization.COMPONENT)
+    record, spectrum = planned_record(lf, config)
+    mean, std = record.normalization_stats["mean"], record.normalization_stats["std"]
+    for stats in ({"mean": mean, "std": std[:1]},  # of another length
+                  {"mean": mean[None], "std": std[None]},  # not a vector
+                  {"mean": mean, "std": std, "scales": np.ones(15)},  # a key too many
+                  {"mean": [np.inf, 0.0], "std": std}):  # not finite
+        with pytest.raises(InvalidConfig, match="normalization_stats"):
+            PlanRecord(**vars(record) | {"normalization_stats": stats})
+    # statistics of another width than the rows, which only the reader sees
+    wide = PlanRecord(**vars(record) | {"normalization_stats": {"mean": np.zeros(3), "std": np.ones(3)}})
+    with pytest.raises(InvalidConfig, match="normalization_stats is for rows of another width than 2"):
+        PlanRecord.read(wide.write(tmp_path, spectrum), config, lf[list(record.plan.permutation)])
+    # the instance normalization keeps one scale per row
+    record, _ = planned_record(lf, PipelineConfig(m=3, seed=5, normalization=Normalization.INSTANCE))
+    with pytest.raises(InvalidConfig, match="normalization_stats"):
+        PlanRecord(**vars(record) | {"normalization_stats": {"scales": np.ones(14)}})

@@ -1160,6 +1160,15 @@ _TAMPERED_RECORD = {
     "stats-list": ("normalization_stats", [1, 2]),
     # refused as the plan file's, not as the --m setting's M >= 1
     "selected_indices-empty": ("selected_indices", []),
+    # once truncated to integers (a function maps the key's value), or taken as they were
+    "selected_indices-float": ("selected_indices", lambda v: [v[0] + 0.9, *v[1:]]),
+    "permutation-float": ("permutation", lambda v: [v[0] + 0.5, *v[1:]]),
+    "cluster_assignment-float": ("cluster_assignment", lambda v: [float(c) for c in v]),
+    "seed-text": ("seed", "7"),
+    "seed-float": ("seed", 2.7),
+    "knn_k-float": ("knn_k", 7.0),
+    "stats-under-none": ("normalization_stats", {"mean": [0.0, 0.0, 0.0, 0.0]}),
+    "unknown-key": ("note", "kept"),
 }
 # spectrum.bin entries overwritten with a non-finite value: (row, column, value)
 _NON_FINITE = {
@@ -1214,7 +1223,7 @@ def test_estimate_refuses_what_the_plan_did_not_see(case, expected, says, tmp_pa
     elif case in _TAMPERED_RECORD:
         raw = json.loads((out_dir / "plan.json").read_text())
         key, value = _TAMPERED_RECORD[case]
-        raw[key] = value
+        raw[key] = value(raw[key]) if callable(value) else value
         (out_dir / "plan.json").write_text(json.dumps(raw))
     elif case == "spectrum-deleted":
         spectrum.unlink()
