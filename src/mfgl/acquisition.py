@@ -133,7 +133,7 @@ def _array(name: str, values, ndim: int = 1, dtype=np.intp) -> np.ndarray:
     return frozen(a, dtype)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcquisitionPlan:
     """Which rows to observe, and the re-indexing that puts them first,
     with the k-means that chose them: M x M centroids in the embedding,
@@ -214,7 +214,7 @@ def plan_acquisition(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanRecord:
     """The plan directory: ``plan.json`` holds the plan's fields, then the
     record's others, and ``spectrum.bin`` the planning eigenpairs in input

@@ -48,7 +48,7 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticProblem:
     """Ground truth, biased low-fidelity copy, and noise level.
 
@@ -228,7 +228,7 @@ def error_field(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return 100.0 * np.linalg.norm(est - ref, axis=1) / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Per-point percentage errors of the estimate and the low-fidelity
     baseline's mean; the estimate's mean and the reduction 100 (1 - mf/lf)
@@ -271,7 +271,7 @@ def build_report(
 # Pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateArtifacts:
     """Solver outputs for a dataset whose first M rows are observed."""
 
@@ -280,7 +280,7 @@ class EstimateArtifacts:
     timings: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphPrior:
     """The similarity graph's low spectrum, plus its Laplacian for the
     dense solver, with rows in one fixed order of the points."""
@@ -311,7 +311,7 @@ class GraphPrior:
         ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineOutput:
     """Report plus the artifacts a caller may want to inspect or emit:
     the plan, the posterior with its estimates, the resolved

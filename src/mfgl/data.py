@@ -11,7 +11,8 @@ Every frozen container of the package takes its arrays through
 :func:`frozen`: they are read-only, and an array that is already frozen
 is shared between containers, never copied.  Code that makes a fresh
 array for a container freezes it at the handoff (``setflags(write=False)``)
-so that it is not copied again.
+so that it is not copied again.  Containers of arrays are ``eq=False``:
+``==`` is identity and they hash; settings records keep value equality.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def observations(phi_hat) -> np.ndarray:
     return phi_hat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Aligned low-/high-fidelity point sets.
 
@@ -123,7 +124,7 @@ class Dataset:
         return 0 if self.hf is None else self.hf.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationSpec:
     """Stored statistics that make a normalization invertible.
 

@@ -14,8 +14,8 @@ pair, so it is exact to round-off.  The graph stores only those pairs,
 W's strict upper triangle, with the degrees: W is exactly symmetric by
 construction, its diagonal is zero (a W built elsewhere with a self-loop
 is refused), and it is formed only on request.  Building the graph holds
-the triangle and one working set of ``_WORK_BYTES`` bytes, never an N x N
-array, and for the degrees one array of W's values, freed on return.
+the triangle and one Gram block of ``_WORK_BYTES`` bytes at a time, never
+an N x N array, and for the degrees W's values, freed on return.
 
 The Laplacian family is L = D^{-p} (D - W) D^{-q}.  For p != q, L is a
 similarity transform D^{-(p-q)/2} L_sym D^{(p-q)/2} of the symmetric
@@ -138,7 +138,7 @@ def weight_columns(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityGraph:
     """The kept pairs of the kernel matrix W's strict upper triangle (CSR,
     sorted columns), with W's degrees and the self-tuning scales.
@@ -217,7 +217,7 @@ def _symmetric(upper: sp.csr_array, values, diagonal=None):
     gap = int(diagonal is not None)
     uptr, uind = upper.indptr, upper.indices
     counts = np.diff(uptr)
-    # entries of a block; at about 64 work bytes each, 2 _WORK_BYTES
+    # entries of a block; at about 64 work bytes each, 2 _WORK_BYTES, one block held at once
     step = max(1, _WORK_BYTES // 32)
     lower = np.zeros(n, dtype=np.intp)  # mirrored entries of each row
     for s in range(0, uind.size, step):
@@ -249,6 +249,7 @@ def _symmetric(upper: sp.csr_array, values, diagonal=None):
         if gap:
             indices[own] = uind[lo:hi]
             indices[mirror] = csc.indices + np.int32(a)
+        del vals, own, csc, per_col, mirror  # before the next block is formed
     if gap:
         indices[diag] = np.arange(n)
         data[diag] = diagonal
@@ -264,7 +265,8 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
     with a margin that covers its round-off: |error| <= gamma (|x| + |y|)^2
     with gamma = (D + 3) u / (1 - (D + 3) u), u the unit round-off
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    sec. 3.1).  The margin takes 4 (D + 3) u, which also covers the
+    sec. 3.1); each block is freed once cut to its candidate mask, before
+    the pairs are listed.  The margin takes 4 (D + 3) u, which also covers the
     rounding of the scaling and of the kept weight.  Each candidate's
     exponent d^2 / (l_i l_j) is then recomputed from the float64
     difference x_i - x_j, squared and summed in extended precision
@@ -316,9 +318,11 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
         g += sq[None, start:]
         g /= scales[start:stop, None]
         g /= scales[None, start:]
-        r, c = np.divmod(np.flatnonzero(g <= limit[start:stop, None]), n - start)
-        upper = c > r
-        i, j = r[upper] + start, c[upper] + start
+        g = g <= limit[start:stop, None]  # the candidate mask; the block is freed
+        i, j = np.nonzero(np.triu(g, 1))  # its strict upper part, row-major
+        del g
+        i += start
+        j += start
         arg = np.empty(i.size, dtype=np.longdouble)
         for s in range(0, i.size, chunk):
             diff = lf[i[s : s + chunk]]
@@ -351,7 +355,7 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
     return AffinityGraph(upper=upper, degrees=degrees, scales=scales)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphLaplacian:
     """L_sym, the symmetric member of exponent (p+q)/2 of the Laplacian
     family, in CSR, and the degrees: all the solvers read of the graph.

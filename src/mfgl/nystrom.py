@@ -51,7 +51,7 @@ def select_landmarks(n: int, m: int, count: int, seed: int) -> tuple:
     return tuple(range(m)) + tuple(int(i) for i in extra)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowRankLaplacian:
     """Nyström factors of the normalized kernel.
 
@@ -198,7 +198,7 @@ def lowrank_power_apply(
 
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaddleOperators:
     """The low-rank MAP system (Theta - V Xi V^T) x = P_M^T b, factored.
 

@@ -59,7 +59,7 @@ CALIBRATION_BRACKET = (1e-4, 1e4)
 BRACKET_DECADES = 60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorResult:
     """Gaussian posterior summary: MAP displacements plus uncertainty.
 
@@ -164,7 +164,7 @@ def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseFactor:
     """The omega- and sigma-free factor of the dense MAP system for the
     first M rows observed (o) and the rest unobserved (u).
@@ -406,7 +406,7 @@ def calibrate_omega(
     raise NoBracket("bisection failed to meet the calibration tolerance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularizationPath:
     """Trace of MAP solutions along a vanishing-noise schedule, as built
     (and checked) by :func:`regularization_path`."""

@@ -42,7 +42,7 @@ CONDITION_LIMIT = 1e12
 _SHIFT_FRACTION = -1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """K low-lying eigenpairs of a graph Laplacian.
 
@@ -146,11 +146,17 @@ def shifted_eigenvalues(
 
 
 def _variances(psi: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """diag(Psi_K C Psi_K^T) in O(N K^2), never forming the N x N matrix."""
-    return np.einsum("nk,nk->n", psi @ cov, psi)
+    """diag(Psi_K C Psi_K^T) in O(N K^2), Psi_K C formed in near-equal row
+    blocks of at least two and 2^20 / K^2 rows: OpenBLAS rounds one row
+    (gemv) and products of at most 100^3 terms unlike a larger gemm."""
+    n, k = psi.shape
+    blocks = max(1, n // max(2, -(-(1 << 20) // (k * k))))
+    bounds = np.arange(blocks + 1) * n // blocks
+    return np.concatenate([np.einsum("nk,nk->n", psi[lo:hi] @ cov, psi[lo:hi])
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedPosterior:
     """Gaussian posterior over the K expansion coefficients."""
 
@@ -201,7 +207,7 @@ def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
     return chol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedFactor:
     """What the truncated system shares across (omega, sigma) for the first
     M rows observed: ``btb`` = B^T B, B = P_M Psi_K, and ``prior`` =

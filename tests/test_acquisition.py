@@ -316,6 +316,19 @@ def test_plan_validation_rules():
             AcquisitionPlan(**valid | {field: value})
 
 
+def test_records_of_arrays_compare_by_identity_and_hash():
+    # value equality would compare the arrays elementwise and raise
+    fields = dict(selected_indices=(1,), permutation=(1, 0, 2), centroids=np.zeros((1, 1)),
+                  cluster_assignment=np.zeros(3, dtype=int), seed=0)
+    a, b = AcquisitionPlan(**fields), AcquisitionPlan(**fields)
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2  # both hash
+    spec = Spectrum(np.zeros(1), np.ones((3, 1)), 1.0)
+    assert spec != Spectrum(np.zeros(1), np.ones((3, 1)), 1.0) and hash(spec) == hash(spec)
+    # settings records keep value equality
+    assert PipelineConfig(m=2) == PipelineConfig(m=2)
+
+
 def planned_record(lf, config):
     """The plan directory's record of ``lf``, as ``mfgl plan`` makes it,
     and its planning spectrum."""

@@ -992,27 +992,32 @@ def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
     # the raw rows are the one N x D array: the posterior keeps the MAP as
     # its factors (the reordered eigenvectors and A*), and each block of
     # estimates normalizes its rows, adds its MAP rows and is written, so
-    # neither the normalized rows nor the MAP field is ever whole; the
-    # peak is the rows, the eigenvectors and the variances' N x K product.
-    # Measured: 1.87x the rows' bytes without normalization and 1.88x with
-    # component normalization (2.56x and 2.59x while the MAP field and the
-    # normalized rows were whole)
+    # neither the normalized rows nor the MAP field is ever whole, and the
+    # variances form their N x K product a row block at a time; the peak
+    # is the rows, the eigenvectors and one block of estimates as CSV text.
+    # Measured: 1.82x the rows' bytes without normalization and 1.81x with
+    # component normalization (1.86x and 1.85x while the variances' product
+    # was whole, 2.56x and 2.59x while the MAP field and the normalized rows
+    # were whole)
     _, estimate = wide_field_peaks(tmp_path, capsys, flags)
     assert estimate < bound
 
 
 @pytest.mark.parametrize(
     "flags, bound",
-    [((), 2.7), (("--normalization", "component"), 2.7)],
+    [((), 2.3), (("--normalization", "component"), 2.3)],
     ids=["none", "component"],
 )
 def test_plan_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
     # plan hashes the rows as read and hands them to planning, which drops
     # them once the graph is built, so no rows are held through the
-    # eigensolve, and the self-tuning scales make no N x D temporary.
-    # Measured: 2.48x the rows' bytes without normalization and 2.47x with
-    # component normalization (2.96x and 3.94x while plan held the rows to
-    # hash them after planning)
+    # eigensolve, and the self-tuning scales make no N x D temporary; the
+    # graph build holds one Gram block at a time.  Measured: 2.02x the
+    # rows' bytes without normalization (the graph build: the rows and one
+    # Gram block) and 2.15x with component normalization (normalize: the
+    # raw rows and their normalized copy); 2.48x and 2.47x while the graph
+    # build held each Gram block through its pair selection, 2.96x and
+    # 3.94x while plan held the rows to hash them after planning
     plan, _ = wide_field_peaks(tmp_path, capsys, flags)
     assert plan < bound
 

@@ -149,6 +149,16 @@ def test_graph_blocks_are_bounded_by_bytes():
     assert peak < 2 * csr_bytes + 4 * mfgl.graph._WORK_BYTES
 
 
+def test_graph_build_holds_one_gram_block():
+    # each Gram block becomes its candidate mask and is freed before the
+    # strict-upper pairs and their extended-precision recompute are
+    # formed: measured 1.20x _WORK_BYTES (2.06x while the block lived
+    # through the pair selection and the recompute)
+    lf = generate(Generator.SMOOTH_MANIFOLD, 400, 5, seed=0).lf_data
+    _, peak = traced_peak(lambda: build_graph(lf))
+    assert peak < 1.5 * mfgl.graph._WORK_BYTES
+
+
 @pytest.mark.parametrize("kind, n, d", GENERATOR_CASES)
 def test_weights_exactly_symmetric_with_zero_diagonal(kind, n, d):
     w = build_graph(generate(kind, n, d, seed=0).lf_data).weights
