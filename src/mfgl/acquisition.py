@@ -38,7 +38,11 @@ def _kmeanspp_init(points: np.ndarray, m: int, rng) -> np.ndarray:
             # all remaining mass at existing centroids; reuse any point
             centroids[j] = points[rng.integers(n)]
             continue
-        centroids[j] = points[rng.choice(n, p=d2 / total)]
+        # rng.choice(n, p=d2 / total) without its checks on p: the same
+        # draw from the same one number of the stream
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        centroids[j] = points[cdf.searchsorted(rng.random(), side="right")]
         d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
     return centroids
 
@@ -50,16 +54,17 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
     centroid placed on a point ties with the lower cluster its twins sit
     in, ties go to the lower cluster, and the cluster ends empty.
 
-    Each centroid is one ``bincount`` sum per column, over its member
-    count.  Like ``mean(axis=0)`` of the members' rows, it adds them in
-    index order to +0.0, so members that are all -0.0 (``_fix_signs``
-    makes such entries) average to +0.0; with two or more columns the two
-    agree bit for bit.  With one column (M = 1) ``mean`` sums pairwise
-    instead, so the centroid can differ from it in the last bit.
+    The centroid sums are one ``bincount`` over (cluster, column) bins,
+    each over its member count.  Like ``mean(axis=0)`` of the members'
+    rows, a bin adds them in index order to +0.0, so members that are all
+    -0.0 (``_fix_signs`` makes such entries) average to +0.0; with two or
+    more columns the two agree bit for bit.  With one column (M = 1)
+    ``mean`` sums pairwise instead, so the centroid can differ from it in
+    the last bit.
     """
-    n, m = points.shape[0], centroids.shape[0]
+    (n, dim), m = points.shape, centroids.shape[0]
     point_sq = np.sum(points**2, axis=1)[:, None]
-    columns = np.ascontiguousarray(points.T)
+    values, columns = points.ravel(), np.arange(dim)
 
     def sq_dists():
         return point_sq - 2.0 * points @ centroids.T + np.sum(centroids**2, axis=1)[None, :]
@@ -72,7 +77,11 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
             break
         assignment = new_assignment
         counts = np.bincount(assignment, minlength=m)
-        sums = np.stack([np.bincount(assignment, col, m) for col in columns], axis=1)
+        bins = (assignment[:, None] * dim + columns).ravel()
+        sums = np.bincount(bins, values, m * dim).reshape(m, dim)
+        if counts.all():
+            np.divide(sums, counts[:, None], out=centroids)
+            continue
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]
         dist_to_own = d2[np.arange(n), assignment]
@@ -241,13 +250,12 @@ class PlanRecord:
             raise InvalidConfig(f"malformed normalization_stats: {exc}") from exc
         object.__setattr__(self, "normalization_stats", stats)
         d = stats["mean"].size if "mean" in stats else None
-        shapes = {"mean": (d,), "std": (d,), "scales": (len(self.plan.permutation),)}
-        if any(a.shape != shapes[k] for k, a in stats.items()):
-            raise InvalidConfig(f"normalization_stats must be of shapes { {k: shapes[k] for k in stats} }")
+        if any(a.shape != (d,) for a in stats.values()):
+            raise InvalidConfig(f"normalization_stats must be of shapes { {k: (d,) for k in stats} }")
 
     @property
     def nspec(self) -> NormalizationSpec:
-        """The planning normalization, in input order."""
+        """The planning normalization."""
         return NormalizationSpec(self.normalization, **self.normalization_stats)
 
     @classmethod

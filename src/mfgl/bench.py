@@ -332,8 +332,6 @@ class PipelineOutput:
 def sigma_in_solve_coords(sigma_raw: float, nspec: NormalizationSpec) -> float:
     if nspec.mode is Normalization.COMPONENT:
         return sigma_raw / float(nspec.std.mean())
-    if nspec.mode is Normalization.INSTANCE:
-        return sigma_raw / float(nspec.scales.mean())
     return sigma_raw
 
 
@@ -480,13 +478,11 @@ def _estimate_blocks(
 ) -> Iterator[np.ndarray]:
     """The estimates lf + phi_star in input units, in the blocks of
     :meth:`~mfgl.posterior.PosteriorResult.map_blocks`: each block's raw
-    rows are normalized, moved by their MAP rows and mapped back with the
-    statistics of its own rows.  The one formula for the estimates; each
-    entry is formed alone, so the blocks stack to the whole-array result
-    bit for bit."""
+    rows are normalized, moved by their MAP rows and mapped back.  The
+    one formula for the estimates; each entry is formed alone, so the
+    blocks stack to the whole-array result bit for bit."""
     for rows, phi in posterior.map_blocks():
-        block = spec.permuted(rows)
-        yield block.invert(block.apply(lf_raw[rows]) + phi)
+        yield spec.invert(spec.apply(lf_raw[rows]) + phi)
 
 
 def estimate_planned(
@@ -504,7 +500,7 @@ def estimate_planned(
     permutation, selected rows first) and ``prior`` their graph prior in
     the same order, usually the planning prior after
     :meth:`GraphPrior.permuted`.  ``nspec`` is the planning
-    normalization, in input order.  ``hf_raw`` holds the high-fidelity
+    normalization.  ``hf_raw`` holds the high-fidelity
     rows of ``plan.selected_indices``, in that order and in input units,
     and so does ``config.sigma``.
 
@@ -525,13 +521,12 @@ def estimate_planned(
         raise RowCountMismatch(f"the graph prior has {prior.spectrum.n} rows, the dataset {ds.n}")
     sigma = None if config.sigma is None else sigma_in_solve_coords(config.sigma, nspec)
     config = dataclasses.replace(config, sigma=sigma)
-    spec = nspec.permuted(np.asarray(plan.permutation, dtype=np.intp))
-    phi_hat = displacements(Dataset(lf=spec.apply(ds.lf[:ds.m]), hf=spec.apply(ds.hf)))
+    phi_hat = displacements(Dataset(lf=nspec.apply(ds.lf[:ds.m]), hf=nspec.apply(ds.hf)))
     assemble_s = time.perf_counter() - t0
 
     art = estimate_attached(phi_hat, config, prior)
     art = dataclasses.replace(art, timings={"assemble": assemble_s, **art.timings})
-    return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior, spec))
+    return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior, nspec))
 
 
 def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineOutput:

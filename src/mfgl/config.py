@@ -39,7 +39,6 @@ class Normalization(Enum):
     """How a dataset is rescaled before graph construction."""
 
     COMPONENT = "component"   # zero mean, unit (population) std per column
-    INSTANCE = "instance"     # unit Euclidean norm per row
     NONE = "none"
 
 
@@ -121,9 +120,8 @@ class PipelineConfig:
     non-zero eigenvalue, omega from the spread-calibration rule, and K
     from 4M.  ``sigma`` is in input units on every entry point;
     :func:`mfgl.bench.estimate_planned` maps it into normalized
-    coordinates by the mean column std or mean row scale, an
-    approximation because a single scalar cannot be exact once columns
-    are rescaled differently.
+    coordinates by the mean column std, an approximation because a
+    single scalar cannot be exact once columns are rescaled differently.
 
     Every field is checked on construction, against the bounds the
     solvers enforce, so a bad value fails before any data is read or any

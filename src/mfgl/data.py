@@ -29,7 +29,6 @@ from .exceptions import (
     MissingHighFidelity,
     NonFiniteInput,
     RowCountMismatch,
-    ZeroNorm,
     ZeroVariance,
 )
 
@@ -128,80 +127,56 @@ class Dataset:
 class NormalizationSpec:
     """Stored statistics that make a normalization invertible.
 
-    ``mean``/``std`` are set for per-component standardization, ``scales``
-    for per-instance scaling, and no array else; each is finite, and the
-    stds and scales positive.  Both transforms act on matrices whose rows
-    align with the originating dataset's rows (a leading subset is fine,
-    matching the first-M convention).
+    ``mean``/``std`` are set for per-component standardization and no
+    array else; each is finite, and the stds positive.  Both transforms
+    act on any matrix of the dataset's width, row by row, so they need
+    no row alignment.
     """
 
     mode: Normalization
     mean: Optional[np.ndarray] = None
     std: Optional[np.ndarray] = None
-    scales: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        held = [k for k in ("mean", "std", "scales") if getattr(self, k) is not None]
+        held = [k for k in ("mean", "std") if getattr(self, k) is not None]
         for name in held:
             object.__setattr__(self, name, frozen(getattr(self, name)))
         check_fields(self)
-        kept = {Normalization.COMPONENT: ["mean", "std"], Normalization.INSTANCE: ["scales"]}.get(self.mode, [])
+        kept = ["mean", "std"] if self.mode is Normalization.COMPONENT else []
         if held != kept:
             raise InvalidConfig(f"{self.mode.value} normalization keeps {kept}, got {held}")
-        for name, what in (("std", "stds"), ("scales", "norms")):
-            if name in held and not np.all(getattr(self, name) > 0):
-                raise InvalidConfig(f"stored {what} must be positive")
+        if held and not np.all(self.std > 0):
+            raise InvalidConfig("stored stds must be positive")
         if not all(np.isfinite(getattr(self, k)).all() for k in held):
             raise InvalidConfig("stored statistics must be finite")
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Forward transform of a row-aligned matrix, as one new read-only
-        array, which a :class:`Dataset` takes without a copy; mode none
-        returns ``a`` itself."""
+        """Forward transform, as one new read-only array, which a
+        :class:`Dataset` takes without a copy; mode none returns ``a``
+        itself."""
         a = np.asarray(a, dtype=np.float64)
         if self.mode is Normalization.NONE:
             return a
-        if self.mode is Normalization.COMPONENT:
-            self._check_cols(a)
-            out = a - self.mean
-            out /= self.std
-        else:
-            self._check_rows(a)
-            out = a / self.scales[: a.shape[0], None]
+        self._check_cols(a)
+        out = a - self.mean
+        out /= self.std
         out.setflags(write=False)
         return out
 
     def invert(self, a: np.ndarray) -> np.ndarray:
-        """Inverse transform of a row-aligned matrix, in place in ``a`` (a
-        writeable float64 array), which is returned."""
+        """Inverse transform, in place in ``a`` (a writeable float64
+        array), which is returned."""
         if self.mode is Normalization.NONE:
             return a
-        if self.mode is Normalization.COMPONENT:
-            self._check_cols(a)
-            a *= self.std
-            a += self.mean
-            return a
-        self._check_rows(a)
-        a *= self.scales[: a.shape[0], None]
+        self._check_cols(a)
+        a *= self.std
+        a += self.mean
         return a
-
-    def permuted(self, perm) -> "NormalizationSpec":
-        """The same statistics for the rows ``perm`` selects: a
-        reordering, or a slice for a block of rows."""
-        if self.mode is Normalization.INSTANCE:
-            return NormalizationSpec(mode=self.mode, scales=self.scales[perm])
-        return self
 
     def _check_cols(self, a: np.ndarray) -> None:
         if a.ndim != 2 or a.shape[1] != self.mean.shape[0]:
             raise DimensionMismatch(
                 f"expected (*, {self.mean.shape[0]}) matrix, got {a.shape}"
-            )
-
-    def _check_rows(self, a: np.ndarray) -> None:
-        if a.ndim != 2 or a.shape[0] > self.scales.shape[0]:
-            raise DimensionMismatch(
-                f"matrix rows {a.shape} exceed stored scales ({self.scales.shape[0]})"
             )
 
 
@@ -216,16 +191,6 @@ def component_stats(lf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def instance_scales(lf: np.ndarray) -> np.ndarray:
-    """Per-row Euclidean norms of ``lf``."""
-    lf = np.asarray(lf, dtype=np.float64)
-    scales = np.linalg.norm(lf, axis=1)
-    bad = np.flatnonzero(scales < DEGENERACY_TOL)
-    if bad.size:
-        raise ZeroNorm(int(bad[0]))
-    return scales
-
-
 def normalize(
     data: Dataset, mode: Normalization
 ) -> tuple[Dataset, NormalizationSpec]:
@@ -233,8 +198,7 @@ def normalize(
 
     Per-component mode standardizes each column to zero mean and unit
     population standard deviation, with the statistics computed over the
-    low-fidelity set only.  Per-instance mode divides pair ``i`` (both the
-    low- and high-fidelity row) by ``||lf[i]||_2``.
+    low-fidelity set only; mode none returns ``data`` itself.
 
     Returns
     -------
@@ -245,18 +209,13 @@ def normalize(
     ------
     ZeroVariance
         Component mode, when a column's std over lf is below 1e-14.
-    ZeroNorm
-        Instance mode, when a low-fidelity row's norm is below 1e-14.
     """
     if mode is Normalization.NONE:
         return data, NormalizationSpec(mode=mode)
-    if mode is Normalization.COMPONENT:
-        mean, std = component_stats(data.lf)
-        spec = NormalizationSpec(mode=mode, mean=mean, std=std)
-    elif mode is Normalization.INSTANCE:
-        spec = NormalizationSpec(mode=mode, scales=instance_scales(data.lf))
-    else:
+    if mode is not Normalization.COMPONENT:
         raise InvalidConfig(f"unknown normalization mode {mode!r}")
+    mean, std = component_stats(data.lf)
+    spec = NormalizationSpec(mode=mode, mean=mean, std=std)
     hf = spec.apply(data.hf) if data.hf is not None else None
     return Dataset(lf=spec.apply(data.lf), hf=hf), spec
 

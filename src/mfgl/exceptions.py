@@ -68,14 +68,6 @@ class ZeroVariance(NumericalError):
         super().__init__(f"component {component} has zero variance over the low-fidelity set")
 
 
-class ZeroNorm(NumericalError):
-    """A low-fidelity instance has (numerically) zero Euclidean norm."""
-
-    def __init__(self, instance: int):
-        self.instance = instance
-        super().__init__(f"instance {instance} has zero norm")
-
-
 class DuplicatePointScale(NumericalError):
     """Self-tuning scale collapsed: a point's knn_k-th neighbor distance
     is zero to round-off of the data's scale."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_points
 from mfgl.acquisition import (
@@ -209,6 +210,47 @@ def test_lloyd_bitwise_equal_to_sorted_slice_loop(n, dim, m, zero_share, duplica
     assert got[2] == want[2]
 
 
+def _kmeanspp_choice_reference(points, m, rng):
+    """The k-means++ seeding `_kmeanspp_init` replaced, which draws each
+    centroid with ``rng.choice``; the bitwise reference for its draws."""
+    n = points.shape[0]
+    centroids = np.empty((m, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for j in range(1, m):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[j] = points[rng.integers(n)]
+            continue
+        centroids[j] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    points=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.integers(1, 5)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+    m=st.integers(1, 10),
+    coincident=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeanspp_init_draws_as_rng_choice(points, m, coincident, seed):
+    # the same centroids as rng.choice, and the stream left where it leaves
+    # it; all points coincident take the zero-mass path after the first draw
+    m = min(m, len(points))
+    if coincident:
+        points[:] = points[0]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _kmeanspp_init(points, m, got_rng)
+    want = _kmeanspp_choice_reference(points, m, want_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
 def test_plan_single_point_is_nearest_global_centroid():
     lf = random_points(17, 2, seed=4)
     spec = spectrum_for(lf, 5)
@@ -351,7 +393,7 @@ def assert_same_record(a, b):
         assert b.normalization_stats[key].tobytes() == stats.tobytes()
 
 
-@pytest.mark.parametrize("normalization", ["none", "component", "instance"])
+@pytest.mark.parametrize("normalization", ["none", "component"])
 def test_plan_json_round_trip(tmp_path, normalization):
     lf = random_points(15, 2, seed=8)
     config = PipelineConfig(m=3, seed=5, normalization=Normalization(normalization))
@@ -397,6 +439,7 @@ def test_plan_json_rejects_garbage(tmp_path):
     refused(good | {"knn_k": 7.0}, "knn_k must be of type int")
     refused(good | {"seed": "5"}, "seed must be of type int")
     refused(good | {"normalization": "bogus"}, "unknown normalization 'bogus'")
+    refused(good | {"normalization": "instance"}, "unknown normalization 'instance'")
     refused(good | {"lf_input_sha256": 0}, "lf_input_sha256 must be of type str")
     refused(good | {"centroids": [[1.0], [1.0, 2.0]]}, "centroids")
     refused(good | {"normalization_stats": {"mean": [0.0, 0.0]}}, "normalization_stats")
@@ -424,7 +467,3 @@ def test_plan_record_refuses_stats_that_do_not_fit(tmp_path):
     wide = PlanRecord(**vars(record) | {"normalization_stats": {"mean": np.zeros(3), "std": np.ones(3)}})
     with pytest.raises(InvalidConfig, match="normalization_stats is for rows of another width than 2"):
         PlanRecord.read(wide.write(tmp_path, spectrum), config, lf[list(record.plan.permutation)])
-    # the instance normalization keeps one scale per row
-    record, _ = planned_record(lf, PipelineConfig(m=3, seed=5, normalization=Normalization.INSTANCE))
-    with pytest.raises(InvalidConfig, match="normalization_stats"):
-        PlanRecord(**vars(record) | {"normalization_stats": {"scales": np.ones(14)}})

@@ -168,7 +168,6 @@ def test_sigma_in_solve_coords(rng):
     for mode, expect in (
         (Normalization.NONE, lambda ns: 0.7),
         (Normalization.COMPONENT, lambda ns: 0.7 / float(ns.std.mean())),
-        (Normalization.INSTANCE, lambda ns: 0.7 / float(ns.scales.mean())),
     ):
         _, nspec = normalize(Dataset(lf=lf), mode)
         assert sigma_in_solve_coords(0.7, nspec) == pytest.approx(expect(nspec))
@@ -190,12 +189,11 @@ def test_pipeline_config_rules():
     PipelineConfig(beta=1.0, r=1.5, K=1, knn_k=1, sigma=1e-9, omega=1e-9, tau=1e-9)
 
 
-@pytest.mark.parametrize("mode", [Normalization.COMPONENT, Normalization.INSTANCE])
-def test_explicit_sigma_is_in_input_units(mode):
+def test_explicit_sigma_is_in_input_units():
     # an explicit sigma means what the default means: the noise level of
     # the high-fidelity rows as given, before normalization
     prob = generate(Generator.CLUSTERED_SHIFT, 120, 3, seed=4, clusters=4)
-    base = dict(m=4, seed=1, normalization=mode)
+    base = dict(m=4, seed=1, normalization=Normalization.COMPONENT)
     auto = run_pipeline(prob, PipelineConfig(**base)).posterior
     given = run_pipeline(prob, PipelineConfig(sigma=prob.hf_noise_sigma, **base)).posterior
     assert np.array_equal(given.phi_star, auto.phi_star)
@@ -292,13 +290,13 @@ def test_pipeline_solver_outputs_are_in_solve_order():
 @pytest.mark.parametrize("mode", list(Normalization))
 def test_estimate_blocks_stack_to_the_whole_array_formula(mode, monkeypatch):
     # at 7 values a block the estimates come in blocks of two rows, each
-    # mapped back with its own rows' statistics; stacked, they equal the
-    # inverse transform of the whole sum, bit for bit
+    # mapped back on its own; stacked, they equal the inverse transform of
+    # the whole sum, bit for bit
     monkeypatch.setattr(mfgl.matio, "_BLOCK_VALUES", 7)
     prob = generate(Generator.CLUSTERED_SHIFT, 120, 3, seed=9, clusters=4)
     out = run_pipeline(prob, PipelineConfig(m=4, seed=1, normalization=mode))
     perm = np.asarray(out.plan.permutation)
-    spec = normalize(Dataset(lf=prob.lf_data), mode)[1].permuted(perm)
+    spec = normalize(Dataset(lf=prob.lf_data), mode)[1]
     expected = spec.invert(spec.apply(prob.lf_data[perm]) + out.posterior.phi_star)
     assert np.array_equal(out.posterior.mf_estimates, expected)
 

@@ -735,15 +735,24 @@ def test_malformed_hf_csv_exit_2(tmp_path, capsys):
     assert not (out_dir / "mf_estimates.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--no-such-flag", "--embed-dim"])
-def test_unknown_flag_exit_3(flag, tmp_path, capsys):
-    # planning embeds in M dimensions: no flag sets another width
-    _, lf_path = write_problem(tmp_path)
-    code, _, err = run_cli(
-        capsys, "plan", "--lf-path", str(lf_path), "--output-dir", str(tmp_path / "out"), flag, "2"
-    )
+@pytest.mark.parametrize(
+    "command, argv",
+    [("plan", ("--no-such-flag", "2")), ("plan", ("--embed-dim", "2")),
+     *((command, ("--normalization", "instance")) for command in ("plan", "estimate", "bench"))],
+    ids=["--no-such-flag", "--embed-dim", "instance-plan", "instance-estimate", "instance-bench"],
+)
+def test_unknown_flag_exit_3(command, argv, tmp_path, capsys):
+    # planning embeds in M dimensions: no flag sets another width, and the
+    # normalizations are none and component.  The files named do not
+    # exist, so the refusal comes before any file is read
+    missing = str(tmp_path / "missing.csv")
+    files = {"plan": ["--lf-path", missing],
+             "estimate": ["--lf-path", missing, "--hf-path", missing, "--plan-path", missing],
+             "bench": []}[command]
+    code, _, err = run_cli(capsys, command, *files, "--output-dir", str(tmp_path / "out"), *argv)
     assert code == 3
-    assert flag in last_json(err)["message"]
+    message = last_json(err)["message"]
+    assert all(word in message for word in argv)
     assert not (tmp_path / "out").exists()
 
 
@@ -759,17 +768,20 @@ def test_duplicate_rows_exit_4(tmp_path, capsys):
     assert last_json(err)["error"] == "DuplicatePointScale"
 
 
-def test_instance_normalized_multiples_exit_4_without_blaming_duplicates(tmp_path, capsys):
-    # 30 distinct rows, ten multiples of each of three profiles: after
-    # instance normalization each row's 7th neighbor is at round-off distance
+def test_round_off_neighbors_exit_4_without_blaming_duplicates(tmp_path, capsys):
+    # 30 distinct rows of norm 1e3 in three groups of ten, each row 1e-12
+    # from the next in its group: each row's 7th neighbor is below
+    # SCALE_TOL (1e-14) x the largest row norm, at round-off distance
     profiles = np.random.default_rng(0).normal(size=(3, 4))
-    lf = np.concatenate([k * profiles for k in range(1, 11)])
+    profiles *= 1e3 / np.linalg.norm(profiles, axis=1, keepdims=True)
+    step = np.array([1e-12, 0.0, 0.0, 0.0])
+    lf = np.concatenate([profiles + k * step for k in range(10)])
     assert len(np.unique(lf, axis=0)) == 30
-    lf_path = tmp_path / "multiples.csv"
+    lf_path = tmp_path / "round-off.csv"
     write_csv(lf_path, lf)
     code, _, err = run_cli(
         capsys, "plan", "--lf-path", str(lf_path), "--m", "2",
-        "--normalization", "instance", "--output-dir", str(tmp_path / "out"),
+        "--normalization", "none", "--output-dir", str(tmp_path / "out"),
     )
     assert code == 4
     report = last_json(err)
@@ -1027,11 +1039,10 @@ def test_plan_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
     [
         (),
         ("--normalization", "component"),
-        ("--normalization", "instance"),
         ("--solver", "dense"),
         ("--solver", "dense", "--p", "1.0", "--q", "0.0"),
     ],
-    ids=["truncated", "component", "instance", "dense", "dense-random-walk"],
+    ids=["truncated", "component", "dense", "dense-random-walk"],
 )
 def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, flags):
     # estimate reuses the planning spectrum, and for the dense solver
@@ -1173,6 +1184,7 @@ _TAMPERED_RECORD = {
     "seed-float": ("seed", 2.7),
     "knn_k-float": ("knn_k", 7.0),
     "stats-under-none": ("normalization_stats", {"mean": [0.0, 0.0, 0.0, 0.0]}),
+    "normalization-instance": ("normalization", "instance"),
     "unknown-key": ("note", "kept"),
 }
 # spectrum.bin entries overwritten with a non-finite value: (row, column, value)

@@ -9,7 +9,6 @@ from mfgl.data import (
     component_stats,
     displacements,
     frozen,
-    instance_scales,
     normalize,
 )
 from mfgl.exceptions import (
@@ -18,7 +17,6 @@ from mfgl.exceptions import (
     MissingHighFidelity,
     NonFiniteInput,
     RowCountMismatch,
-    ZeroNorm,
     ZeroVariance,
 )
 
@@ -29,13 +27,6 @@ def test_standardize_two_point_column():
     assert np.allclose(out.lf, [[-1.0], [1.0]])
     assert spec.mean[0] == 2.0
     assert spec.std[0] == 1.0  # population std, not sample
-
-
-def test_unit_norm_345_triangle():
-    ds = Dataset(lf=np.array([[3.0, 4.0], [6.0, 8.0]]))
-    out, spec = normalize(ds, Normalization.INSTANCE)
-    assert np.allclose(out.lf[0], [0.6, 0.8])
-    assert spec.scales[0] == 5.0
 
 
 def test_normalize_round_trip(rng):
@@ -50,8 +41,6 @@ def test_normalization_spec_refuses_nan_statistics():
     # NaN <= 0 is False: the guard must ask for positive, not for non-positive
     with pytest.raises(InvalidConfig, match="stored stds must be positive"):
         NormalizationSpec(Normalization.COMPONENT, mean=[0.0, 0.0], std=[1.0, np.nan])
-    with pytest.raises(InvalidConfig, match="stored norms must be positive"):
-        NormalizationSpec(Normalization.INSTANCE, scales=[1.0, np.nan])
 
 
 def test_normalize_none_is_identity(rng):
@@ -70,25 +59,11 @@ def test_normalize_carries_hf_rows(rng):
     assert np.abs(spec.invert(out.hf.copy()) - hf).max() < 1e-12
 
 
-def test_instance_apply_aligns_leading_rows(rng):
-    lf = rng.normal(size=(5, 3)) + 4.0
-    _, spec = normalize(Dataset(lf=lf), Normalization.INSTANCE)
-    hf = lf[:2]
-    assert np.allclose(spec.apply(hf), hf / spec.scales[:2, None])
-
-
 def test_component_stats_rejects_constant_column():
     lf = np.array([[1.0, 2.0], [1.0, 5.0], [1.0, 9.0]])
     with pytest.raises(ZeroVariance) as info:
         component_stats(lf)
     assert info.value.component == 0
-
-
-def test_instance_scales_rejects_zero_row():
-    lf = np.array([[1.0, 2.0], [0.0, 0.0]])
-    with pytest.raises(ZeroNorm) as info:
-        instance_scales(lf)
-    assert info.value.instance == 1
 
 
 def test_displacement_single_row():

@@ -1,7 +1,9 @@
 """Every ```python block of README.md runs in a fresh interpreter against
 this checkout's package, and every `mfgl` command of its ```bash blocks
 parses with the command line's own parser, so the README cannot use a
-name or a flag the package no longer has."""
+name or a flag the package no longer has, and its `--flag a|b|c` lists
+are the parser's choices."""
+import argparse
 import re
 import shlex
 import subprocess
@@ -45,3 +47,28 @@ def test_readme_has_mfgl_commands():
 @pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
 def test_readme_command_parses(argv):
     _build_parser().parse_args(argv)
+
+
+# each `--flag a|b|c` choice list of the prose, as (flag, choices)
+CHOICE_LISTS = re.findall(r"`(--[a-z-]+) ([\w-]+(?:\|[\w-]+)+)`", README)
+# choices that parse but that every pipeline entry refuses (exit 3), as
+# README says in its own words rather than in a list
+REFUSED = {"--solver": {"nystrom"}}
+
+
+def _parser_choices():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {flag: set(action.choices) for command in sub.choices.values()
+            for action in command._actions if action.choices for flag in action.option_strings}
+
+
+def test_readme_has_choice_lists():
+    assert {flag for flag, _ in CHOICE_LISTS} == {"--solver", "--normalization", "--format", "--metric"}
+
+
+@pytest.mark.parametrize("flag, listed", CHOICE_LISTS, ids=[flag for flag, _ in CHOICE_LISTS])
+def test_readme_choice_list_is_the_parsers(flag, listed):
+    listed = listed.split("|")
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == _parser_choices()[flag] - REFUSED.get(flag, set())
