@@ -6,14 +6,13 @@ lands exactly one pick per cluster, which is what the propagation step
 needs; a uniform random pick routinely doubles up and starves clusters.
 """
 
-import hashlib
 import tempfile
 
 import numpy as np
 
 from mfgl.acquisition import PlanRecord, plan_acquisition
-from mfgl.config import Normalization, PipelineConfig
-from mfgl.data import NormalizationSpec
+from mfgl.bench import plan_rows
+from mfgl.config import PipelineConfig
 from mfgl.graph import build_graph, laplacian
 from mfgl.spectral import low_spectrum
 
@@ -52,18 +51,16 @@ print(f"embedding k-means matches the true partition on "
       f"{100 * agree / pts.shape[0]:.1f}% of points")
 
 # the plan directory mfgl plan writes holds the plan losslessly, and the
-# spectrum bit for bit; the permutation puts the picks first
+# spectrum in solve order bit for bit; the permutation puts the picks first
 config = PipelineConfig(m=m, K=2 * m, seed=0)
-record = PlanRecord.of(config, plan, NormalizationSpec(Normalization.NONE), spec,
-                       hashlib.sha256(pts).hexdigest())
+record = plan_rows(pts, config).record
 with tempfile.TemporaryDirectory() as plan_dir:
-    plan_file = record.write(plan_dir, spec)
-    rt, rt_spec = PlanRecord.read(plan_file, config, pts[list(plan.permutation)])
+    rt = PlanRecord.read(record.write(plan_dir), config, pts[list(plan.permutation)])
 same = (
-    rt.plan.selected_indices == plan.selected_indices
+    rt.plan.selected_indices == record.plan.selected_indices == plan.selected_indices
     and rt.plan.permutation == plan.permutation
     and np.array_equal(rt.plan.centroids, plan.centroids)
-    and np.array_equal(rt_spec.eigenvectors, spec.eigenvectors)
+    and np.array_equal(rt.spectrum.eigenvectors, spec.eigenvectors[list(plan.permutation)])
 )
 print(f"plan directory round trip preserves the plan: {same}")
 print(f"permutation head: {plan.permutation[:m]} == picks {plan.selected_indices}")

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import matio
-from .config import Normalization, PipelineConfig, check_fields, same_setting, setting
+from .config import Normalization, PipelineConfig, check_fields, same_setting
 from .data import NormalizationSpec, frozen
 from .exceptions import EmptyCluster, InvalidConfig, MatrixIOError
 from .spectral import Spectrum, embed
@@ -225,15 +225,17 @@ def plan_acquisition(
 
 @dataclass(frozen=True, eq=False)
 class PlanRecord:
-    """The plan directory: ``plan.json`` holds the plan's fields, then the
-    record's others, and ``spectrum.bin`` the planning eigenpairs in input
-    order.  ``lf_input_sha256`` hashes the float64 rows plan parsed, in
-    input order, ``normalization_stats`` holds the arrays of :attr:`nspec`,
-    and the last five fields are the settings that shaped the graph prior."""
+    """The planning step's result and the plan directory that holds it, in
+    solve order (the plan's permutation, selected rows first): ``plan.json``
+    holds the plan's fields, then the record's others, and
+    ``spectrum_permuted.bin`` the eigenvalues, then one eigenvector row per
+    point.  ``lf_input_sha256`` hashes the float64 rows plan parsed, in input
+    order, ``normalization_stats`` holds the arrays of :attr:`nspec`, and the
+    last five fields are the settings that shaped the graph prior."""
 
     plan: AcquisitionPlan
     lf_input_sha256: str
-    shift_a: float = setting(help="bound a of the planning spectrum", low=0, strict=True)
+    spectrum: Spectrum
     normalization_stats: dict
     knn_k: int = same_setting(PipelineConfig, "knn_k", required=True)
     p: float = same_setting(PipelineConfig, "p", required=True)
@@ -263,12 +265,12 @@ class PlanRecord:
            spectrum: Spectrum, lf_input_sha256: str) -> PlanRecord:
         """The record of ``plan``, planned under ``config`` with ``nspec`` and ``spectrum``."""
         stats = {k: v for k, v in vars(nspec).items() if k != "mode" and v is not None}
-        return cls(plan, lf_input_sha256, spectrum.shift_a, stats, **{k: getattr(config, k) for k in _SETTINGS})
+        return cls(plan, lf_input_sha256, spectrum, stats, **{k: getattr(config, k) for k in _SETTINGS})
 
-    def write(self, outdir: Path, spectrum: Spectrum) -> Path:
-        """Write ``plan.json``, and the planning ``spectrum`` as
-        ``spectrum.bin``, into ``outdir``; return the plan file."""
-        plan, plan_file = self.plan, Path(outdir) / "plan.json"
+    def write(self, outdir: Path) -> Path:
+        """Write ``plan.json`` and ``spectrum_permuted.bin`` into
+        ``outdir``; return the plan file."""
+        plan, spectrum, plan_file = self.plan, self.spectrum, Path(outdir) / "plan.json"
         plan_file.write_text(json.dumps({
             "selected_indices": list(plan.selected_indices),
             "permutation": list(plan.permutation),
@@ -276,50 +278,51 @@ class PlanRecord:
             "centroids": plan.centroids.tolist(),
             "cluster_assignment": plan.cluster_assignment.tolist(),
             "lf_input_sha256": self.lf_input_sha256,
-            "shift_a": self.shift_a,
+            "shift_a": spectrum.shift_a,
             "normalization_stats": {k: v.tolist() for k, v in self.normalization_stats.items()},
             **_settings(self),
         }, indent=2) + "\n")
-        matio.write_binary(plan_file.with_name("spectrum.bin"),
+        matio.write_binary(plan_file.with_name(_SPECTRUM_FILE),
                            iter((spectrum.eigenvalues, spectrum.eigenvectors)))
         return plan_file
 
     @classmethod
-    def read(cls, path, config: PipelineConfig, lf: np.ndarray) -> tuple[PlanRecord, Spectrum]:
-        """The record of the ``plan.json`` at ``path``, refused
-        (``InvalidConfig``, naming the file and the key) if malformed or
-        made for other settings than ``config``'s or other rows than ``lf``
-        (solve order), and the input-order spectrum of the ``spectrum.bin``
-        beside it, refused (``MatrixIOError``) unless (N + 1) x K and
-        finite.  Its eigenvectors are a view over the file's bytes."""
-        path, keys = Path(path), (*_PLAN_KEYS, *(f.name for f in fields(cls)[1:]))
+    def read(cls, path, config: PipelineConfig, lf: np.ndarray) -> PlanRecord:
+        """The record of the ``plan.json`` at ``path`` and the spectrum file
+        beside it, refused if ``plan.json`` is malformed (``InvalidConfig``,
+        naming the file and the key), then if the spectrum file is not the
+        record's own (N + 1) x K or not finite (``MatrixIOError``), then if
+        the record was made for other settings than ``config``'s or other
+        rows than ``lf`` (solve order, ``InvalidConfig``)."""
+        path = Path(path)
         try:
             raw = json.loads(path.read_text())
         except ValueError as exc:
             raise InvalidConfig(f"{path} is not valid JSON: {exc}") from exc
         raw = raw if isinstance(raw, dict) else {}  # lacks every key
-        missing = [k for k in keys if k not in raw]
+        missing = [k for k in _JSON_KEYS if k not in raw]
         if missing:
             raise InvalidConfig(f"{path} lacks {', '.join(missing)}; run plan again")
-        unknown = [k for k in raw if k not in keys]
+        unknown = [k for k in raw if k not in _JSON_KEYS]
         if unknown:
             raise InvalidConfig(f"{path} holds unknown keys: {', '.join(unknown)}")
         mode = raw["normalization"]  # a member, or the value check_fields refuses by name
         mode = Normalization(mode) if mode in [e.value for e in Normalization] else mode
         try:
-            record = cls(AcquisitionPlan(**{k: raw[k] for k in _PLAN_KEYS}),
-                         **{f.name: raw[f.name] for f in fields(cls)[1:]} | {"normalization": mode})
+            plan = AcquisitionPlan(**{k: raw[k] for k in _PLAN_KEYS})
+            n, file = len(plan.permutation), path.with_name(_SPECTRUM_FILE)
+            shape = (n + 1, PipelineConfig(m=plan.m, K=raw["K"]).spectrum_size(n))  # the plan's K
+            table = matio.read_binary(file)
+            if table.shape != shape:
+                raise MatrixIOError(f"{file} is {table.shape}, not {shape}")
+            if not np.isfinite(table).all():
+                raise MatrixIOError(f"{file} holds a non-finite entry")
+            record = cls(plan, raw["lf_input_sha256"], Spectrum(table[0], table[1:], raw["shift_a"]),
+                         **{k: raw[k] for k in ("normalization_stats", *_SETTINGS)} | {"normalization": mode})
             record._check(config, lf)
         except InvalidConfig as exc:
             raise InvalidConfig(f"{path}: {exc}") from exc
-        file, n = path.with_name("spectrum.bin"), len(lf)
-        shape, table = (n + 1, replace(config, m=record.plan.m).spectrum_size(n)), matio.read_binary(file)
-        if table.shape != shape:
-            raise MatrixIOError(f"{file} is {table.shape}, not {shape}")
-        if not np.isfinite(table).all():
-            raise MatrixIOError(f"{file} holds a non-finite entry")
-        # the eigenvalues are copied, so that no array kept holds the file's bytes
-        return record, Spectrum(table[0].copy(), table[1:], float(record.shift_a))
+        return record
 
     def _check(self, config: PipelineConfig, lf: np.ndarray) -> None:
         """Refuse other settings than the record's, and other rows than
@@ -340,9 +343,12 @@ class PlanRecord:
             raise InvalidConfig(f"normalization_stats is for rows of another width than {lf.shape[1]}")
 
 
-# The plan's keys in plan.json, and the record's graph-prior settings.
+# The plan's keys in plan.json, the record's graph-prior settings, all
+# the keys of plan.json in their order, and the spectrum file beside it.
 _PLAN_KEYS = ("selected_indices", "permutation", "seed", "centroids", "cluster_assignment")
 _SETTINGS = tuple(f.name for f in fields(PlanRecord) if f.name in PipelineConfig.__dataclass_fields__)
+_JSON_KEYS = (*_PLAN_KEYS, "lf_input_sha256", "shift_a", "normalization_stats", *_SETTINGS)
+_SPECTRUM_FILE = "spectrum_permuted.bin"
 
 
 def _settings(record) -> dict:

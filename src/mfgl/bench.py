@@ -6,11 +6,17 @@ a ground truth, a structurally biased low-fidelity copy, and a noise
 level for sampling high-fidelity observations on demand.  Error metrics
 are percentages relative to the reference set's own scale, so reductions
 are comparable across problems.
+
+The pipeline plans on the rows in input order and estimates in solve
+order (observed rows first): :func:`plan_rows` reorders the planning
+prior once, into the plan record ``mfgl plan`` writes and ``mfgl
+estimate`` reads, and nothing downstream reorders it again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .acquisition import AcquisitionPlan, plan_acquisition
+from .acquisition import AcquisitionPlan, PlanRecord, plan_acquisition
 from .config import ErrorMetric, Generator, Normalization, PipelineConfig, ProblemConfig, SolverTag
 from .data import Dataset, HyperParameters, NormalizationSpec, displacements, frozen, normalize, observations
 from .exceptions import (
@@ -281,37 +287,6 @@ class EstimateArtifacts:
 
 
 @dataclass(frozen=True, eq=False)
-class GraphPrior:
-    """The similarity graph's low spectrum, plus its Laplacian for the
-    dense solver, with rows in one fixed order of the points."""
-
-    spectrum: Spectrum
-    laplacian: Optional[GraphLaplacian] = None
-
-    def permuted(self, perm: np.ndarray) -> "GraphPrior":
-        """The same prior with row i holding point ``perm[i]``.
-
-        Reordering the points of a graph reorders the rows of its
-        eigenvectors, of L_sym and the degrees, and leaves the eigenvalues
-        alone, so this stands in for a second build on the reordered rows.
-        """
-        vectors = self.spectrum.eigenvectors[perm]
-        vectors.setflags(write=False)
-        spectrum = dataclasses.replace(self.spectrum, eigenvectors=vectors)
-        gl = self.laplacian
-        if gl is None:
-            return GraphPrior(spectrum)
-        # P L_sym P^T, read-only over one sorted pattern, as laplacian() builds it
-        lsym = gl.sym_matrix[perm][:, perm]
-        lsym.sort_indices()
-        for arr in (lsym.data, lsym.indices, lsym.indptr):
-            arr.setflags(write=False)
-        return GraphPrior(spectrum, GraphLaplacian(
-            sym_matrix=lsym, degrees=gl.degrees[perm], p=gl.p, q=gl.q
-        ))
-
-
-@dataclass(frozen=True, eq=False)
 class PipelineOutput:
     """Report plus the artifacts a caller may want to inspect or emit:
     the plan, the posterior with its estimates, the resolved
@@ -345,15 +320,16 @@ def _refuse_landmark_solver(config: PipelineConfig) -> None:
 
 
 def estimate_attached(
-    phi_hat: np.ndarray, config: PipelineConfig, prior: GraphPrior
+    phi_hat: np.ndarray, config: PipelineConfig, spectrum: Spectrum,
+    laplacian: Optional[GraphLaplacian] = None,
 ) -> EstimateArtifacts:
     """Resolve hyperparameters and solve for the observed displacements.
 
     ``phi_hat`` holds the displacements hf - lf of the first M rows of
-    ``prior``'s row order, and ``config.sigma`` must be set, both in the
-    solve coordinates: unlike :func:`estimate_planned`, this entry point
-    maps nothing.  ``prior`` is usually the planning prior after
-    :meth:`GraphPrior.permuted`; the dense solver needs its Laplacian.
+    ``spectrum``'s row order, and ``config.sigma`` must be set, both in
+    the solve coordinates: unlike :func:`estimate_planned`, this entry
+    point maps nothing.  The dense solver also needs ``laplacian``, in
+    the same row order.
 
     Calibrating omega (``config.omega`` unset) targets the spread of the
     unobserved rows, so with M = N it raises ``InvalidConfig`` before
@@ -366,21 +342,21 @@ def estimate_attached(
     if config.sigma is None:
         raise InvalidConfig("sigma is required when estimating from files")
     phi_hat = observations(phi_hat)
-    m, spectrum, gl = phi_hat.shape[0], prior.spectrum, prior.laplacian
+    m = phi_hat.shape[0]
     if m == 0:
         raise MissingHighFidelity("no high-fidelity rows to estimate from")
     if config.omega is None and m == spectrum.n:
         raise InvalidConfig("calibration needs at least one unobserved row")
     dense = config.solver is SolverTag.DENSE
-    if dense and gl is None:
-        raise InvalidConfig("the dense solver needs a graph prior with its Laplacian")
+    if dense and laplacian is None:
+        raise InvalidConfig("the dense solver needs the graph's Laplacian")
     timings: dict = {}
 
     t0 = time.perf_counter()
     tau = choose_tau(spectrum) if config.tau is None else config.tau
     hp = HyperParameters(sigma=config.sigma, omega=1.0, tau=tau, beta=config.beta, r=config.r)
     # one factor serves the calibration handle and the final solve
-    factor = dense_factor(gl, hp, m) if dense else truncated_factor(spectrum, hp, m)
+    factor = dense_factor(laplacian, hp, m) if dense else truncated_factor(spectrum, hp, m)
     omega = config.omega
     if omega is None:
         omega = calibrate_omega(lambda w: factor.mean_stddev(w, config.sigma), config.sigma, config.r)
@@ -400,13 +376,15 @@ def estimate_attached(
     return EstimateArtifacts(posterior=posterior, hyper=hp, timings=timings)
 
 
-def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior:
-    """The graph prior of the normalized low-fidelity rows, in their order.
+def planning_spectrum(
+    lf_norm: np.ndarray, config: PipelineConfig
+) -> tuple[Spectrum, Optional[GraphLaplacian]]:
+    """The graph prior of the normalized low-fidelity rows, in their
+    order: the spectrum, and for the dense solver only the Laplacian.
 
     Holds ``config.spectrum_size`` eigenpairs, at least M, so planning
-    embeds in the first M of the eigenpairs estimation uses, and keeps
-    the Laplacian only for the dense solver.  The pipeline builds its
-    graph and spectrum here and nowhere else.  The reference to
+    embeds in the first M of the eigenpairs estimation uses.  The
+    pipeline builds its graph and spectrum here and nowhere else.  The reference to
     ``lf_norm`` is dropped once the graph is built, so the rows of a
     caller that passed its only reference (:func:`plan_rows` in ``mfgl
     plan``) die before the Laplacian is written, and the kept triangle
@@ -420,25 +398,27 @@ def planning_spectrum(lf_norm: np.ndarray, config: PipelineConfig) -> GraphPrior
     gl = laplacian(graph, config.p, config.q)
     del graph
     spectrum = low_spectrum(gl, k)
-    return GraphPrior(spectrum, gl if config.solver is SolverTag.DENSE else None)
+    return spectrum, (gl if config.solver is SolverTag.DENSE else None)
 
 
 class PlannedRows(NamedTuple):
-    """The planning step's results, all in input order."""
+    """The planning step's results, in solve order: the plan record and
+    the dense solver's Laplacian."""
 
-    nspec: NormalizationSpec
-    prior: GraphPrior
-    plan: AcquisitionPlan
+    record: PlanRecord
+    laplacian: Optional[GraphLaplacian]
     timings: dict
 
 
 def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     """The planning step shared by :func:`run_pipeline` and ``mfgl plan``:
-    check that M <= N (``config`` holds M >= 1), normalize, build the
-    graph prior (:func:`planning_spectrum`) and plan the acquisition.
+    check that M <= N (``config`` holds M >= 1), hash and normalize the
+    rows, build the graph prior (:func:`planning_spectrum`), plan the
+    acquisition in input order, then reorder the eigenvectors, and the
+    dense solver's L_sym, into solve order, here and nowhere else.
 
     M is checked before any graph is built.  ``timings`` holds
-    ``normalize`` and ``plan`` (graph, eigensolve and k-means).
+    ``normalize`` and ``plan`` (graph, eigensolve, k-means, reordering).
 
     The reference to ``lf_raw`` is handed on: the raw rows die once
     normalized (with normalization none they are the normalized rows),
@@ -452,16 +432,22 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     del lf_raw
     if config.m > ds.n:
         raise InvalidConfig(f"m={config.m} exceeds the number of rows {ds.n}")
+    digest = hashlib.sha256(ds.lf).hexdigest()
     ds, nspec = normalize(ds, config.normalization)
     timings = {"normalize": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
     rows = [ds.lf]
     del ds  # planning_spectrum holds the normalized rows alone
-    prior = planning_spectrum(rows.pop(), config)
-    plan = plan_acquisition(prior.spectrum, config.m, config.seed)
+    spectrum, gl = planning_spectrum(rows.pop(), config)
+    plan = plan_acquisition(spectrum, config.m, config.seed)
+    perm = np.asarray(plan.permutation, dtype=np.intp)
+    vectors = spectrum.eigenvectors[perm]
+    vectors.setflags(write=False)  # so that Spectrum takes it without a copy
+    spectrum = dataclasses.replace(spectrum, eigenvectors=vectors)
+    gl = None if gl is None else gl.permuted(perm)
     timings["plan"] = time.perf_counter() - t0
-    return PlannedRows(nspec, prior, plan, timings)
+    return PlannedRows(PlanRecord.of(config, plan, nspec, spectrum, digest), gl, timings)
 
 
 class PlannedEstimate(NamedTuple):
@@ -486,23 +472,17 @@ def _estimate_blocks(
 
 
 def estimate_planned(
-    lf_raw: np.ndarray,
-    nspec: NormalizationSpec,
-    plan: AcquisitionPlan,
-    hf_raw: np.ndarray,
-    config: PipelineConfig,
-    prior: GraphPrior,
+    lf_raw: np.ndarray, record: PlanRecord, hf_raw: np.ndarray, config: PipelineConfig,
+    laplacian: Optional[GraphLaplacian] = None,
 ) -> PlannedEstimate:
     """Estimate from the rows a plan selected: the step shared by
     :func:`run_pipeline` and ``mfgl estimate``.
 
-    ``lf_raw`` holds the low-fidelity rows in solve order (the plan's
-    permutation, selected rows first) and ``prior`` their graph prior in
-    the same order, usually the planning prior after
-    :meth:`GraphPrior.permuted`.  ``nspec`` is the planning
-    normalization.  ``hf_raw`` holds the high-fidelity
-    rows of ``plan.selected_indices``, in that order and in input units,
-    and so does ``config.sigma``.
+    ``lf_raw`` holds the low-fidelity rows in solve order, the order of
+    ``record``'s spectrum and of ``laplacian`` (dense solver only).
+    ``hf_raw`` holds the high-fidelity rows of the plan's
+    ``selected_indices``, in that order and in input units, and so does
+    ``config.sigma``.
 
     Outputs are in solve order, and the estimates in input units.  Only
     the raw rows are kept (shared when read-only): phi_hat is normalized
@@ -512,19 +492,20 @@ def estimate_planned(
     phi_star is ever whole.
     """
     t0 = time.perf_counter()
+    plan, nspec, spectrum = record.plan, record.nspec, record.spectrum
     if len(hf_raw) != plan.m:
         raise RowCountMismatch(
             f"{len(hf_raw)} high-fidelity rows, but the plan selected {plan.m}"
         )
     ds = Dataset(lf=lf_raw, hf=hf_raw)
-    if ds.n != prior.spectrum.n:
-        raise RowCountMismatch(f"the graph prior has {prior.spectrum.n} rows, the dataset {ds.n}")
+    if ds.n != spectrum.n:
+        raise RowCountMismatch(f"the plan's spectrum has {spectrum.n} rows, the dataset {ds.n}")
     sigma = None if config.sigma is None else sigma_in_solve_coords(config.sigma, nspec)
     config = dataclasses.replace(config, sigma=sigma)
     phi_hat = displacements(Dataset(lf=nspec.apply(ds.lf[:ds.m]), hf=nspec.apply(ds.hf)))
     assemble_s = time.perf_counter() - t0
 
-    art = estimate_attached(phi_hat, config, prior)
+    art = estimate_attached(phi_hat, config, spectrum, laplacian)
     art = dataclasses.replace(art, timings={"assemble": assemble_s, **art.timings})
     return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior, nspec))
 
@@ -534,10 +515,9 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     high-fidelity samples, estimate (:func:`estimate_planned`), and score
     against the ground truth.
 
-    The graph and its spectrum are built once, in input order, by the
-    planning step; :func:`estimate_planned` reuses them in solve order.
-    ``timings["plan"]`` therefore holds the graph build, the eigensolve,
-    the k-means and the reordering of the prior and the rows.  ``sigma``
+    The graph and its spectrum are built once, by the planning step,
+    which hands them on in solve order, so ``timings["plan"]`` holds the
+    graph build, the eigensolve, the k-means and the reordering.  ``sigma``
     is in input units and defaults to the problem's noise level.  A
     solver other than dense or truncated is refused by the planning step
     before any graph is built.
@@ -545,26 +525,21 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     if config.sigma is None:
         config = dataclasses.replace(config, sigma=problem.hf_noise_sigma)
 
-    nspec, prior, plan, timings = plan_rows(problem.lf_data, config)
-    t0 = time.perf_counter()
-    # Rebinding drops the only reference to the plan-order Laplacian,
-    # which the dense solver would otherwise hold through omega
-    # calibration (tracemalloc peak 6.7 -> 9.4 MB at N=400).
+    record, gl, timings = plan_rows(problem.lf_data, config)
+    plan = record.plan
     perm = np.asarray(plan.permutation, dtype=np.intp)
-    prior = prior.permuted(perm)
     lf_raw = problem.lf_data[perm]
     lf_raw.setflags(write=False)  # so that the estimate step's Dataset shares it
-    timings["plan"] += time.perf_counter() - t0
 
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
-    art, estimates = estimate_planned(lf_raw, nspec, plan, hf_raw, config, prior)
+    art, estimates = estimate_planned(lf_raw, record, hf_raw, config, gl)
     timings.update(art.timings)
     mf = np.concatenate(list(estimates))
     mf.setflags(write=False)
     posterior = dataclasses.replace(art.posterior, mf_estimates=mf)
 
     report = build_report(mf, lf_raw, problem.true_data[perm], config.metric)
-    embedding = embed(prior.spectrum, plan.m)
+    embedding = embed(record.spectrum, plan.m)
     return PipelineOutput(
         report=report, posterior=posterior, plan=plan, hyper=art.hyper,
         timings=timings, embedding=embedding,

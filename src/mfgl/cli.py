@@ -21,7 +21,6 @@ variables, which must be set before the numerical stack is first imported.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -127,33 +126,29 @@ def _apply_thread_cap(threads: Optional[int]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
-    """Write the plan directory (:class:`~mfgl.acquisition.PlanRecord`)
-    and the rows in solve order (``lf_permuted``: the input's rows copied
-    unchanged, never formatted again).
+    """Write the plan directory (the :class:`~mfgl.acquisition.PlanRecord`
+    of :func:`~mfgl.bench.plan_rows`) and the rows in solve order
+    (``lf_permuted``: the input's rows copied unchanged, never formatted
+    again).
 
-    The rows are hashed as parsed, in input order, so ``estimate`` refuses
-    a copy of a file that changed after the read, and then handed to
-    :func:`~mfgl.bench.plan_rows` as its only reference, so they die once
-    the graph is built and no rows are held through the eigensolve or the
-    writes.
+    The rows as parsed are handed to ``plan_rows`` as its only reference,
+    so they die once the graph is built and no rows are held through the
+    eigensolve or the writes.  It hashes them, so ``estimate`` refuses a
+    copy of a file that changed after the read.
     """
     import numpy as np
 
     from . import matio
-    from .acquisition import PlanRecord
     from .bench import plan_rows
 
     if cfg.lf_path is None:
         raise InvalidConfig("plan needs --lf-path")
-    lf = matio.read_matrix(cfg.lf_path, cfg.format, cfg.header)
-    digest = hashlib.sha256(lf).hexdigest()
-    rows = [lf]
-    del lf  # plan_rows holds the rows alone
-    nspec, prior, plan, _ = plan_rows(rows.pop(), pcfg)
+    record = plan_rows(matio.read_matrix(cfg.lf_path, cfg.format, cfg.header), pcfg).record
+    plan = record.plan
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    plan_file = PlanRecord.of(pcfg, plan, nspec, prior.spectrum, digest).write(outdir, prior.spectrum)
+    plan_file = record.write(outdir)
     lf_file = outdir / f"lf_permuted.{cfg.format}"
     matio.copy_rows(cfg.lf_path, lf_file, np.asarray(plan.permutation, dtype=np.intp), cfg.format,
                     cfg.header)
@@ -172,17 +167,18 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     Reads the rows (``--lf-path``, solve order), then the plan directory
     (:meth:`~mfgl.acquisition.PlanRecord.read`, which refuses a record
     that does not fit them or the settings), then the high-fidelity rows.
-    Both solvers reorder the planning eigenpairs and run no eigensolve;
-    the dense one also rebuilds L_sym from the rows in input order.  The
-    result equals ``run_pipeline``'s bit for bit.  The rows are the one
-    N x D array held: :func:`~mfgl.bench.estimate_planned` forms the
-    estimates a row block at a time, straight into the writer.
+    The planning eigenpairs are read in solve order and used as read; no
+    eigensolve runs.  The dense solver also rebuilds L_sym from the rows
+    in input order and reorders it.  The result equals ``run_pipeline``'s
+    bit for bit.  The rows are the one N x D array held:
+    :func:`~mfgl.bench.estimate_planned` forms the estimates a row block
+    at a time, straight into the writer.
     """
     import numpy as np
 
     from . import matio
     from .acquisition import PlanRecord
-    from .bench import GraphPrior, build_graph, estimate_planned, laplacian
+    from .bench import build_graph, estimate_planned, laplacian
 
     for flag, value in (("--lf-path (the reordered matrix from plan)", cfg.lf_path),
                         ("--hf-path", cfg.hf_path), ("--plan-path", cfg.plan_path),
@@ -191,19 +187,17 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
             raise InvalidConfig(f"estimate needs {flag}")
     # plan wrote lf_permuted without a header; --header is for the user's hf file
     lf = matio.read_matrix(cfg.lf_path, cfg.format)
-    record, spectrum = PlanRecord.read(cfg.plan_path, pcfg, lf)
-    plan, nspec = record.plan, record.nspec
+    record = PlanRecord.read(cfg.plan_path, pcfg, lf)
     hf = matio.read_matrix(cfg.hf_path, cfg.format, cfg.header)
 
-    perm = np.asarray(plan.permutation, dtype=np.intp)
-    gl = (laplacian(build_graph(nspec.apply(lf[np.argsort(perm)]), pcfg.knn_k), pcfg.p, pcfg.q)
-          if pcfg.solver is SolverTag.DENSE else None)  # L_sym, from the rows in input order
-    prior = GraphPrior(spectrum, gl)
-    del spectrum, gl  # the input-order prior dies with the reordering
-    prior = prior.permuted(perm)
-    art, estimates = estimate_planned(lf, nspec, plan, hf, pcfg, prior)
+    gl = None
+    if pcfg.solver is SolverTag.DENSE:  # L_sym, built from the rows in input order
+        perm = np.asarray(record.plan.permutation, dtype=np.intp)
+        gl = laplacian(build_graph(record.nspec.apply(lf[np.argsort(perm)]), pcfg.knn_k),
+                       pcfg.p, pcfg.q).permuted(perm)
+    art, estimates = estimate_planned(lf, record, hf, pcfg, gl)
     stddevs, resolved, timings = art.posterior.stddevs, art.hyper.as_dict(), art.timings
-    del art, prior  # the estimates hold the rows and the posterior, with the eigenvectors
+    del art, record, gl  # the estimates hold the rows and the posterior, with the eigenvectors
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

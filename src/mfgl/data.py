@@ -55,7 +55,8 @@ def frozen(a, dtype=np.float64) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
+    # min and max propagate NaN and reach +-inf, without an N x D bool array
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise NonFiniteInput(f"{name} contains NaN or Inf")
 
 

@@ -27,7 +27,7 @@ triangle, which is freed with the graph; L is formed on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -390,6 +390,16 @@ class GraphLaplacian:
         data *= lsym.data
         data *= (self.degrees ** h)[lsym.indices]
         return sp.csr_array((data, lsym.indices, lsym.indptr), shape=lsym.shape)
+
+    def permuted(self, perm: np.ndarray) -> "GraphLaplacian":
+        """The Laplacian of the same graph with row i holding point
+        ``perm[i]``: P L_sym P^T, read-only over one sorted pattern as
+        :func:`laplacian` builds it, and the degrees reordered."""
+        lsym = self.sym_matrix[perm][:, perm]
+        lsym.sort_indices()
+        for arr in (lsym.data, lsym.indices, lsym.indptr):
+            arr.setflags(write=False)
+        return replace(self, sym_matrix=lsym, degrees=self.degrees[perm])
 
 
 def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:

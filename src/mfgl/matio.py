@@ -34,7 +34,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .config import FORMATS
-from .data import frozen
 from .exceptions import InvalidConfig, MatrixIOError
 
 MAGIC = b"MFGL"
@@ -198,28 +197,32 @@ def write_binary(path: PathLike, a) -> None:
 
 
 def read_binary(path: PathLike) -> np.ndarray:
-    """Read a matrix from the MFGL binary container, as a read-only array
-    over the bytes read (no second copy)."""
+    """Read a matrix from the MFGL binary container into a new, aligned,
+    read-only array (one copy).  A view over the file's bytes would be off
+    8-byte alignment (the header is 21 bytes), and numpy multiplies such
+    arrays without BLAS, rounding differently."""
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise MatrixIOError(f"{path}: truncated header")
+            magic, version, rows, cols = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise MatrixIOError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+            if version != VERSION:
+                raise MatrixIOError(f"{path}: unsupported version {version}")
+            expected = 8 * rows * cols
+            payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if payload == expected:
+                out = np.empty((rows, cols), dtype="<f8")
+                payload = fh.readinto(out)  # fewer bytes if the file shrank meanwhile
+            if payload != expected:
+                raise MatrixIOError(f"{path}: payload is {payload} bytes, "
+                                    f"expected {expected} for {rows}x{cols}")
     except OSError as exc:
         raise MatrixIOError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise MatrixIOError(f"{path}: truncated header")
-    magic, version, rows, cols = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise MatrixIOError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise MatrixIOError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + 8 * rows * cols
-    if len(blob) != expected:
-        raise MatrixIOError(
-            f"{path}: payload is {len(blob) - _HEADER.size} bytes, "
-            f"expected {8 * rows * cols} for {rows}x{cols}"
-        )
-    # read-only over the immutable bytes, so frozen() shares it
-    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    return frozen(data.reshape(rows, cols))
+    out.setflags(write=False)  # read-only and owned, so frozen() shares it
+    return out
 
 
 def copy_rows(src: PathLike, dst: PathLike, order, fmt: str, header: bool = False) -> None:

@@ -24,6 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
+from .config import check_fields, setting
 from .data import HyperParameters, frozen, observations
 from .exceptions import (
     ConvergenceFailure,
@@ -53,11 +54,12 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    shift_a: float
+    shift_a: float = setting(help="bound a of the spectrum of L", low=0, strict=True)
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
+        check_fields(self)
         if self.eigenvalues.ndim != 1 or self.eigenvectors.shape[1:] != self.eigenvalues.shape:
             raise DimensionMismatch(f"need one eigenvector column per eigenvalue, got shapes "
                                     f"{self.eigenvalues.shape} and {self.eigenvectors.shape}")

@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -16,9 +15,8 @@ from mfgl.acquisition import (
     _kmeanspp_init,
     _lloyd,
 )
-from mfgl.bench import Generator, generate
+from mfgl.bench import Generator, generate, plan_rows
 from mfgl.config import Normalization, PipelineConfig
-from mfgl.data import Dataset, normalize
 from mfgl.exceptions import EmptyCluster, InsufficientSpectrum, InvalidConfig, MatrixIOError
 from mfgl.graph import build_graph, laplacian
 from mfgl.spectral import Spectrum, embed, low_spectrum
@@ -372,13 +370,8 @@ def test_records_of_arrays_compare_by_identity_and_hash():
 
 
 def planned_record(lf, config):
-    """The plan directory's record of ``lf``, as ``mfgl plan`` makes it,
-    and its planning spectrum."""
-    data, nspec = normalize(Dataset(lf=lf), config.normalization)
-    spectrum = spectrum_for(data.lf, config.spectrum_size(len(lf)), config.knn_k)
-    plan = plan_acquisition(spectrum, config.m, config.seed)
-    digest = hashlib.sha256(np.ascontiguousarray(lf, dtype=np.float64)).hexdigest()
-    return PlanRecord.of(config, plan, nspec, spectrum, digest), spectrum
+    """The plan directory's record of ``lf``, as ``mfgl plan`` makes it."""
+    return plan_rows(lf, config).record
 
 
 def assert_same_record(a, b):
@@ -386,8 +379,9 @@ def assert_same_record(a, b):
         assert getattr(a.plan, name) == getattr(b.plan, name)
     for name in ("centroids", "cluster_assignment"):
         assert getattr(a.plan, name).tobytes() == getattr(b.plan, name).tobytes()
-    for name in ("lf_input_sha256", "shift_a", "knn_k", "p", "q", "K", "normalization"):
+    for name in ("lf_input_sha256", "knn_k", "p", "q", "K", "normalization"):
         assert getattr(a, name) == getattr(b, name)
+    assert a.spectrum.shift_a == b.spectrum.shift_a
     assert a.normalization_stats.keys() == b.normalization_stats.keys()
     for key, stats in a.normalization_stats.items():
         assert b.normalization_stats[key].tobytes() == stats.tobytes()
@@ -397,19 +391,20 @@ def assert_same_record(a, b):
 def test_plan_json_round_trip(tmp_path, normalization):
     lf = random_points(15, 2, seed=8)
     config = PipelineConfig(m=3, seed=5, normalization=Normalization(normalization))
-    record, spectrum = planned_record(lf, config)
-    plan_file = record.write(tmp_path, spectrum)
+    record = planned_record(lf, config)
+    plan_file = record.write(tmp_path)
     assert plan_file == tmp_path / "plan.json"
     # read with the rows in solve order, as estimate reads lf_permuted
-    back, eig = PlanRecord.read(plan_file, config, lf[list(record.plan.permutation)])
+    back = PlanRecord.read(plan_file, config, lf[list(record.plan.permutation)])
     assert_same_record(back, record)
+    eig, spectrum = back.spectrum, record.spectrum
     assert eig.eigenvalues.tobytes() == spectrum.eigenvalues.tobytes()
     assert eig.eigenvectors.tobytes() == spectrum.eigenvectors.tobytes()
     assert eig.shift_a == spectrum.shift_a
     # what was read writes the same bytes again
     (tmp_path / "again").mkdir()
-    again = back.write(tmp_path / "again", eig)
-    for name in ("plan.json", "spectrum.bin"):
+    again = back.write(tmp_path / "again")
+    for name in ("plan.json", "spectrum_permuted.bin"):
         assert again.with_name(name).read_bytes() == plan_file.with_name(name).read_bytes()
     # plain JSON, readable by anything, in the key order plan.json has always had
     assert list(json.loads(plan_file.read_text())) == [
@@ -421,8 +416,8 @@ def test_plan_json_round_trip(tmp_path, normalization):
 def test_plan_json_rejects_garbage(tmp_path):
     lf = random_points(15, 2, seed=8)
     config = PipelineConfig(m=3, seed=5)
-    record, spectrum = planned_record(lf, config)
-    plan_file = record.write(tmp_path, spectrum)
+    record = planned_record(lf, config)
+    plan_file = record.write(tmp_path)
     rows = lf[list(record.plan.permutation)]
     good = json.loads(plan_file.read_text())
 
@@ -447,15 +442,15 @@ def test_plan_json_rejects_garbage(tmp_path):
     refused(good, r"knn_k=5 \(plan: 7\)", config=PipelineConfig(m=3, knn_k=5))
     refused(good, "lf_input_sha256", rows=rows[::-1])
     plan_file.write_text(json.dumps(good))
-    (tmp_path / "spectrum.bin").write_bytes(b"MFGL")
-    with pytest.raises(MatrixIOError, match="spectrum.bin"):
+    (tmp_path / "spectrum_permuted.bin").write_bytes(b"MFGL")
+    with pytest.raises(MatrixIOError, match="spectrum_permuted.bin"):
         PlanRecord.read(plan_file, config, rows)
 
 
 def test_plan_record_refuses_stats_that_do_not_fit(tmp_path):
     lf = random_points(15, 2, seed=8)
     config = PipelineConfig(m=3, seed=5, normalization=Normalization.COMPONENT)
-    record, spectrum = planned_record(lf, config)
+    record = planned_record(lf, config)
     mean, std = record.normalization_stats["mean"], record.normalization_stats["std"]
     for stats in ({"mean": mean, "std": std[:1]},  # of another length
                   {"mean": mean[None], "std": std[None]},  # not a vector
@@ -466,4 +461,4 @@ def test_plan_record_refuses_stats_that_do_not_fit(tmp_path):
     # statistics of another width than the rows, which only the reader sees
     wide = PlanRecord(**vars(record) | {"normalization_stats": {"mean": np.zeros(3), "std": np.ones(3)}})
     with pytest.raises(InvalidConfig, match="normalization_stats is for rows of another width than 2"):
-        PlanRecord.read(wide.write(tmp_path, spectrum), config, lf[list(record.plan.permutation)])
+        PlanRecord.read(wide.write(tmp_path), config, lf[list(record.plan.permutation)])

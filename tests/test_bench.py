@@ -12,7 +12,6 @@ import mfgl.bench
 import mfgl.graph
 import mfgl.matio
 import mfgl.posterior
-from mfgl.acquisition import plan_acquisition
 from mfgl.cli import main as cli_main
 from mfgl.bench import (
     ErrorMetric,
@@ -26,13 +25,14 @@ from mfgl.bench import (
     estimate_attached,
     estimate_planned,
     generate,
+    plan_rows,
     planning_spectrum,
     run_pipeline,
     sample_hf,
     sigma_in_solve_coords,
     write_report,
 )
-from mfgl.data import Dataset, Normalization, NormalizationSpec, displacements, normalize
+from mfgl.data import Dataset, Normalization, displacements, normalize
 from mfgl.matio import write_csv
 from mfgl.graph import AffinityGraph, build_graph, laplacian
 from mfgl.exceptions import (
@@ -202,27 +202,26 @@ def test_explicit_sigma_is_in_input_units():
 
 def test_estimate_attached_guards(rng):
     lf = rng.normal(size=(20, 2))
-    prior = planning_spectrum(lf, PipelineConfig(m=3))
+    record = plan_rows(lf, PipelineConfig(m=3)).record
+    spectrum = record.spectrum
     with pytest.raises(MissingHighFidelity):
-        estimate_attached(np.empty((0, 2)), PipelineConfig(m=3, sigma=0.1), prior)
+        estimate_attached(np.empty((0, 2)), PipelineConfig(m=3, sigma=0.1), spectrum)
     phi_hat = rng.normal(size=(3, 2))
     # the observed displacements are one 2-D block
     with pytest.raises(DimensionMismatch):
-        estimate_attached(phi_hat[0], PipelineConfig(m=3, sigma=0.1), prior)
+        estimate_attached(phi_hat[0], PipelineConfig(m=3, sigma=0.1), spectrum)
     with pytest.raises(InvalidConfig):
-        estimate_attached(phi_hat, PipelineConfig(m=3), prior)
-    # the truncated prior carries no Laplacian for the dense solver
+        estimate_attached(phi_hat, PipelineConfig(m=3), spectrum)
+    # the dense solver needs the Laplacian, which a spectrum alone lacks
     with pytest.raises(InvalidConfig):
         estimate_attached(
-            phi_hat, PipelineConfig(m=3, sigma=0.1, solver=SolverTag.DENSE), prior
+            phi_hat, PipelineConfig(m=3, sigma=0.1, solver=SolverTag.DENSE), spectrum
         )
     with pytest.raises(DimensionMismatch):  # more observed rows than the prior has
-        estimate_attached(rng.normal(size=(30, 2)), PipelineConfig(m=3, sigma=0.1), prior)
-    # the rows the estimates are formed from must be the prior's
-    plan = plan_acquisition(prior.spectrum, 3, seed=0)
+        estimate_attached(rng.normal(size=(30, 2)), PipelineConfig(m=3, sigma=0.1), spectrum)
+    # the rows the estimates are formed from must be the plan's
     with pytest.raises(RowCountMismatch):
-        estimate_planned(rng.normal(size=(30, 2)), NormalizationSpec(Normalization.NONE),
-                         plan, phi_hat, PipelineConfig(m=3, sigma=0.1), prior)
+        estimate_planned(rng.normal(size=(30, 2)), record, phi_hat, PipelineConfig(m=3, sigma=0.1))
 
 
 def test_m_zero_refused_by_the_schema():
@@ -327,11 +326,10 @@ def test_posterior_keeps_the_map_as_its_factors(solver):
     # it views, is smaller than N x D when D exceeds K and M
     prob = generate(Generator.BEAM_LIKE_1D, 150, 40, seed=3)
     config = PipelineConfig(m=6, seed=2, solver=solver, sigma=prob.hf_noise_sigma)
-    prior, perm, ds = _planned_solve_inputs(prob, config)
-    prior = prior.permuted(perm)
-    post = estimate_attached(displacements(ds), config, prior).posterior
+    spectrum, gl, _, ds = _planned_solve_inputs(prob, config)
+    post = estimate_attached(displacements(ds), config, spectrum, gl).posterior
     if solver is SolverTag.TRUNCATED:
-        assert post.basis is prior.spectrum.eigenvectors  # shared, not copied
+        assert post.basis is spectrum.eigenvectors  # shared, not copied
     for field in dataclasses.fields(post):
         a = getattr(post, field.name)
         while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
@@ -396,12 +394,13 @@ def test_m_above_n_fails_before_any_graph(monkeypatch):
 
 
 def _planned_solve_inputs(prob, config):
-    """Plan-order prior, the plan's permutation, and the solve-order dataset."""
-    prior = planning_spectrum(prob.lf_data, config)
-    plan = plan_acquisition(prior.spectrum, config.m, config.seed)
+    """The planning spectrum and, for the dense solver, Laplacian, both in
+    solve order, the plan's permutation, and the solve-order dataset."""
+    record, gl, _ = plan_rows(prob.lf_data, config)
+    plan = record.plan
     perm = np.asarray(plan.permutation, dtype=np.intp)
     hf = sample_hf(prob, plan.selected_indices, seed=config.seed + 1)
-    return prior, perm, Dataset(lf=prob.lf_data[perm], hf=hf)
+    return record.spectrum, gl, perm, Dataset(lf=prob.lf_data[perm], hf=hf)
 
 
 def dense_oracle_spectrum(gl, K):
@@ -419,10 +418,10 @@ def test_permuted_prior_matches_fresh_build(kind, route, monkeypatch):
     config = PipelineConfig(
         m=10, seed=0, sigma=prob.hf_noise_sigma, omega=1.0, tau=1e-3
     )
-    prior, perm, ds = _planned_solve_inputs(prob, config)
-    reused = estimate_attached(displacements(ds), config, prior.permuted(perm)).posterior
-    fresh_prior = planning_spectrum(ds.lf, config)
-    fresh = estimate_attached(displacements(ds), config, fresh_prior).posterior  # built on the permuted rows
+    spectrum, _, _, ds = _planned_solve_inputs(prob, config)
+    reused = estimate_attached(displacements(ds), config, spectrum).posterior
+    fresh_spectrum, _ = planning_spectrum(ds.lf, config)
+    fresh = estimate_attached(displacements(ds), config, fresh_spectrum).posterior  # built on the permuted rows
     scale = np.abs(fresh.phi_star).max()
     assert np.abs(reused.phi_star - fresh.phi_star).max() <= 1e-8 * scale
     np.testing.assert_allclose(reused.stddevs, fresh.stddevs, rtol=1e-8)
@@ -434,8 +433,7 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
     config = PipelineConfig(
         solver=SolverTag.DENSE, m=4, p=p, q=q, seed=1, sigma=prob.hf_noise_sigma
     )
-    prior, perm, ds = _planned_solve_inputs(prob, config)
-    gl = prior.permuted(perm).laplacian
+    _, gl, perm, ds = _planned_solve_inputs(prob, config)
     assert (gl.matrix() is gl.sym_matrix) == (p == q)
     # bitwise the Laplacian of the plan-order graph with W's rows reordered
     g = build_graph(prob.lf_data, config.knn_k)
@@ -480,8 +478,8 @@ def test_graph_freed_before_eigensolve(solver, p, q, monkeypatch):
 
 
 def test_dense_run_builds_each_laplacian_member_once(monkeypatch):
-    # one laplacian call fills L_sym from W, and only L_sym is stored; the
-    # solve-order prior reorders it
+    # one laplacian call fills L_sym from W, and only L_sym is stored;
+    # plan_rows reorders it
     members = []
     real = mfgl.graph.laplacian
 

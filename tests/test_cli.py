@@ -16,6 +16,7 @@ import mfgl.config
 import mfgl.matio
 import mfgl.posterior
 from conftest import cli_env, traced_peak
+from mfgl.acquisition import PlanRecord
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import _build_parser, main
 from mfgl.config import PipelineConfig, ProblemConfig, SolverTag, field_rules
@@ -67,9 +68,11 @@ def test_plan_outputs_and_determinism(tmp_path, capsys):
     assert (out_a / "lf_permuted.csv").read_bytes() == (
         out_b / "lf_permuted.csv"
     ).read_bytes()
-    # the planning eigenvalues, then one row per point in input order
-    assert read_binary(out_a / "spectrum.bin").shape[0] == 61
-    assert (out_a / "spectrum.bin").read_bytes() == (out_b / "spectrum.bin").read_bytes()
+    # the planning eigenvalues, then one row per point in solve order
+    assert read_binary(out_a / "spectrum_permuted.bin").shape[0] == 61
+    assert (out_a / "spectrum_permuted.bin").read_bytes() == (
+        out_b / "spectrum_permuted.bin"
+    ).read_bytes()
 
 
 def test_plan_m_larger_than_rows(tmp_path, capsys):
@@ -287,6 +290,62 @@ def test_plan_copies_binary_rows(tmp_path, capsys):
     perm = json.loads((out_dir / "plan.json").read_text())["permutation"]
     mfgl.matio.write_binary(tmp_path / "expected.bin", read_binary(lf_bin)[perm])
     assert (out_dir / "lf_permuted.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
+
+
+def test_estimate_uses_the_planning_eigenvectors_as_read(tmp_path, capsys, monkeypatch):
+    # plan writes the eigenvectors in solve order, so estimate reorders
+    # nothing: the truncated posterior's basis is the array the spectrum
+    # file was read into, not a reordered copy of it
+    prob, lf_path = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), "--m", "4",
+                         "--output-dir", str(out_dir))
+    assert code == 0
+    # row 0 the eigenvalues, rows 1.. the input-order eigenvectors through the permutation
+    spectrum, _ = mfgl.bench.planning_spectrum(prob.lf_data, PipelineConfig(m=4))
+    perm = json.loads((out_dir / "plan.json").read_text())["permutation"]
+    table = read_binary(out_dir / "spectrum_permuted.bin")
+    assert table[0].tobytes() == spectrum.eigenvalues.tobytes()
+    assert table[1:].tobytes() == spectrum.eigenvectors[perm].tobytes()
+
+    tables, real = [], mfgl.matio.read_binary
+    monkeypatch.setattr(mfgl.matio, "read_binary", lambda path: tables.append(real(path)) or tables[-1])
+    config = PipelineConfig(m=4, sigma=prob.hf_noise_sigma)
+    lf = read_csv(out_dir / "lf_permuted.csv")
+    record = PlanRecord.read(out_dir / "plan.json", config, lf)
+    hf = sample_hf(prob, record.plan.selected_indices, seed=1)
+    post = mfgl.bench.estimate_planned(lf, record, hf, config).artifacts.posterior
+    [table] = tables
+    assert post.basis is record.spectrum.eigenvectors
+    assert post.basis.base is table
+
+
+def test_estimate_refuses_a_plan_directory_with_input_order_eigenpairs(tmp_path, capsys):
+    # a plan directory written before the eigenpairs were stored in solve
+    # order holds them, in input order, as spectrum.bin: estimate reads
+    # only spectrum_permuted.bin, so it refuses the directory (exit 2)
+    # rather than pair the rows with another order's eigenvectors
+    prob, lf_path = write_problem(tmp_path)
+    out_dir = tmp_path / "plan"
+    code, out, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), "--m", "4",
+                           "--output-dir", str(out_dir))
+    assert code == 0
+    table = read_binary(out_dir / "spectrum_permuted.bin")
+    perm = json.loads((out_dir / "plan.json").read_text())["permutation"]
+    mfgl.matio.write_binary(out_dir / "spectrum.bin",
+                            np.vstack((table[:1], table[1:][np.argsort(perm)])))
+    (out_dir / "spectrum_permuted.bin").unlink()
+    write_csv(out_dir / "hf.csv", sample_hf(prob, last_json(out)["selected_indices"], seed=1))
+    code, out, err = run_cli(
+        capsys, "estimate", "--lf-path", str(out_dir / "lf_permuted.csv"),
+        "--hf-path", str(out_dir / "hf.csv"), "--plan-path", str(out_dir / "plan.json"),
+        "--sigma", "0.01", "--output-dir", str(tmp_path / "est"),
+    )
+    assert code == 2 and out == ""
+    error = last_json(err)
+    assert error["error"] == "MatrixIOError"
+    assert "spectrum_permuted.bin" in error["message"]
+    assert not (tmp_path / "est").exists()
 
 
 def test_plan_formats_no_row(tmp_path, capsys, monkeypatch):
@@ -628,10 +687,10 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
     prob, lf_path = write_problem(tmp_path)
     # exactly the config the benchmark's landmark probe builds
     config = PipelineConfig(solver=SolverTag.NYSTROM, m=10, K=200, seed=0)
-    planned = mfgl.bench.plan_rows(
+    record = mfgl.bench.plan_rows(
         prob.lf_data, dataclasses.replace(config, solver=SolverTag.TRUNCATED)
-    )
-    hf = sample_hf(prob, planned.plan.selected_indices, seed=1)
+    ).record
+    hf = sample_hf(prob, record.plan.selected_indices, seed=1)
     out_dir = tmp_path / "out"
     code, _, _ = run_cli(
         capsys, "plan", "--lf-path", str(lf_path), "--m", "10", "--output-dir", str(out_dir)
@@ -664,17 +723,14 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
         assert "mfgl.nystrom" in error["message"]
         return
     ds_hf = Dataset(lf=prob.lf_data, hf=hf)
-    perm = np.asarray(planned.plan.permutation, dtype=np.intp)
+    perm = np.asarray(record.plan.permutation, dtype=np.intp)
     call = {
         "run_pipeline": lambda: mfgl.bench.run_pipeline(prob, config),
         "plan_rows": lambda: mfgl.bench.plan_rows(prob.lf_data, config),
-        "estimate_planned": lambda: mfgl.bench.estimate_planned(
-            prob.lf_data[perm], planned.nspec, planned.plan, hf, config,
-            planned.prior.permuted(perm),
-        ),
+        "estimate_planned": lambda: mfgl.bench.estimate_planned(prob.lf_data[perm], record, hf, config),
         # a hand-built prior does not route the tag to another solver
         "estimate_attached": lambda: mfgl.bench.estimate_attached(
-            displacements(ds_hf), dataclasses.replace(config, sigma=0.01), planned.prior
+            displacements(ds_hf), dataclasses.replace(config, sigma=0.01), record.spectrum
         ),
     }[entry]
     with pytest.raises(InvalidConfig, match="mfgl.nystrom"):
@@ -1017,17 +1073,19 @@ def test_estimate_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
 
 @pytest.mark.parametrize(
     "flags, bound",
-    [((), 2.3), (("--normalization", "component"), 2.3)],
+    [((), 2.3), (("--normalization", "component"), 2.2)],
     ids=["none", "component"],
 )
 def test_plan_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
-    # plan hashes the rows as read and hands them to planning, which drops
+    # plan hands the rows as read to planning, which hashes them and drops
     # them once the graph is built, so no rows are held through the
     # eigensolve, and the self-tuning scales make no N x D temporary; the
-    # graph build holds one Gram block at a time.  Measured: 2.02x the
-    # rows' bytes without normalization (the graph build: the rows and one
-    # Gram block) and 2.15x with component normalization (normalize: the
-    # raw rows and their normalized copy); 2.48x and 2.47x while the graph
+    # graph build holds one Gram block at a time, and the finiteness check
+    # no N x D bool array.  Measured: 2.02x the rows' bytes without
+    # normalization (the graph build: the rows and one Gram block) and
+    # 2.07x with component normalization (normalize: the raw rows and
+    # their normalized copy; 2.15x while the finiteness check formed its
+    # bool array there); 2.48x and 2.47x while the graph
     # build held each Gram block through its pair selection, 2.96x and
     # 3.94x while plan held the rows to hash them after planning
     plan, _ = wide_field_peaks(tmp_path, capsys, flags)
@@ -1187,7 +1245,7 @@ _TAMPERED_RECORD = {
     "normalization-instance": ("normalization", "instance"),
     "unknown-key": ("note", "kept"),
 }
-# spectrum.bin entries overwritten with a non-finite value: (row, column, value)
+# spectrum_permuted.bin entries overwritten with a non-finite value: (row, column, value)
 _NON_FINITE = {
     "spectrum-nan-eigenvalue": (0, 1, np.nan),
     "spectrum-inf-eigenvalue": (0, 1, np.inf),
@@ -1201,7 +1259,7 @@ _NON_FINITE = {
      *((name, 3, name + "=") for name in _PRIOR_FLAGS),
      ("old-plan", 3, "run plan again"), ("solve-order-digest", 3, "lacks lf_input_sha256"),
      *((case, 3, key) for case, (key, _) in _TAMPERED_RECORD.items()),
-     *((case + solver, 2, "spectrum.bin")
+     *((case + solver, 2, "spectrum_permuted.bin")
        for case in ("spectrum-deleted", "spectrum-truncated", "spectrum-other-shape",
                     "spectrum-one-column-wider", *_NON_FINITE)
        for solver in ("", "-dense"))],
@@ -1220,7 +1278,7 @@ def test_estimate_refuses_what_the_plan_did_not_see(case, expected, says, tmp_pa
     assert code == 0
     write_csv(out_dir / "hf.csv", sample_hf(prob, last_json(out)["selected_indices"], seed=1))
     lf_path, flags = out_dir / "lf_permuted.csv", _PRIOR_FLAGS.get(case, ())
-    spectrum = out_dir / "spectrum.bin"
+    spectrum = out_dir / "spectrum_permuted.bin"
     if case == "other-rows":
         lf_path = tmp_path / "other.csv"
         write_csv(lf_path, generate(Generator.CLUSTERED_SHIFT, 300, 4, seed=1, clusters=5).lf_data)

@@ -287,6 +287,21 @@ def test_binary_round_trip_is_exact(tmp_path, rng):
     assert np.array_equal(read_binary(path), a)
 
 
+def test_binary_reader_returns_an_aligned_array(tmp_path, rng):
+    # the 21-byte header leaves the payload off 8-byte alignment in the
+    # file; numpy multiplies unaligned arrays without BLAS, rounding
+    # differently, so a view over the file's bytes gave another B^T B
+    # (the truncated factor's product of the first M eigenvector rows)
+    a = rng.normal(size=(100, 20))
+    path = tmp_path / "a.bin"
+    write_binary(path, a)
+    b = read_binary(path)
+    assert b.flags.aligned and b.flags.owndata and not b.flags.writeable
+    for rows in (slice(None), slice(0, 5), slice(1, 6)):
+        x, y = a[rows], b[rows]
+        assert (y.T @ y).tobytes() == (x.T @ x).tobytes()
+
+
 def test_binary_layout_matches_contract(tmp_path):
     # Pin the on-disk bytes: magic, version, u64 dims, f64 payload, all LE.
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -328,6 +343,15 @@ def test_binary_truncated_payload_rejected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(MatrixIOError, match="payload"):
+        read_binary(path)
+
+
+def test_binary_header_checked_against_the_file_size(tmp_path):
+    # a header that claims more than the file holds is refused before any
+    # array of the claimed size is allocated
+    path = tmp_path / "a.bin"
+    path.write_bytes(struct.pack("<4sBQQ", MAGIC, VERSION, 1 << 40, 1 << 10))
+    with pytest.raises(MatrixIOError, match="payload is 0 bytes"):
         read_binary(path)
 
 
