@@ -9,8 +9,9 @@ are comparable across problems.
 
 The pipeline plans on the rows in input order and estimates in solve
 order (observed rows first): :func:`plan_rows` reorders the planning
-prior once, into the plan record ``mfgl plan`` writes and ``mfgl
-estimate`` reads, and nothing downstream reorders it again.
+spectrum once, into the plan record ``mfgl plan`` writes and ``mfgl
+estimate`` reads, and nothing downstream reorders it again.  The dense
+solver's L_sym is reordered only by a caller that estimates.
 """
 
 from __future__ import annotations
@@ -384,26 +385,25 @@ def planning_spectrum(
 
     Holds ``config.spectrum_size`` eigenpairs, at least M, so planning
     embeds in the first M of the eigenpairs estimation uses.  The
-    pipeline builds its graph and spectrum here and nowhere else.  The reference to
-    ``lf_norm`` is dropped once the graph is built, so the rows of a
-    caller that passed its only reference (:func:`plan_rows` in ``mfgl
-    plan``) die before the Laplacian is written, and the kept triangle
-    dies as soon as :func:`~mfgl.graph.laplacian` returns, before the
-    eigensolve.
+    pipeline builds its graph and spectrum here and nowhere else.  The
+    references are handed on: ``lf_norm`` to :func:`~mfgl.graph.build_graph`,
+    so the rows of a caller that passed its only reference
+    (:func:`plan_rows` in ``mfgl plan``) die before the Laplacian is
+    written, and the graph to :func:`~mfgl.graph.laplacian`, which frees
+    the kept triangle in stages as it writes L_sym, before the eigensolve.
     """
     _refuse_landmark_solver(config)
     k = config.spectrum_size(lf_norm.shape[0])
-    graph = build_graph(lf_norm, config.knn_k)
+    rows = [lf_norm]
     del lf_norm
-    gl = laplacian(graph, config.p, config.q)
-    del graph
+    gl = laplacian(build_graph(rows.pop(), config.knn_k), config.p, config.q)
     spectrum = low_spectrum(gl, k)
     return spectrum, (gl if config.solver is SolverTag.DENSE else None)
 
 
 class PlannedRows(NamedTuple):
-    """The planning step's results, in solve order: the plan record and
-    the dense solver's Laplacian."""
+    """The planning step's results: the plan record, in solve order, and
+    the dense solver's Laplacian, in input order."""
 
     record: PlanRecord
     laplacian: Optional[GraphLaplacian]
@@ -414,8 +414,10 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     """The planning step shared by :func:`run_pipeline` and ``mfgl plan``:
     check that M <= N (``config`` holds M >= 1), hash and normalize the
     rows, build the graph prior (:func:`planning_spectrum`), plan the
-    acquisition in input order, then reorder the eigenvectors, and the
-    dense solver's L_sym, into solve order, here and nowhere else.
+    acquisition in input order, then reorder the eigenvectors into solve
+    order, here and nowhere else.  The dense solver's L_sym is returned
+    in input order: only a caller that estimates reorders it
+    (:func:`run_pipeline`; ``mfgl plan`` drops it).
 
     M is checked before any graph is built.  ``timings`` holds
     ``normalize`` and ``plan`` (graph, eigensolve, k-means, reordering).
@@ -445,7 +447,6 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     vectors = spectrum.eigenvectors[perm]
     vectors.setflags(write=False)  # so that Spectrum takes it without a copy
     spectrum = dataclasses.replace(spectrum, eigenvectors=vectors)
-    gl = None if gl is None else gl.permuted(perm)
     timings["plan"] = time.perf_counter() - t0
     return PlannedRows(PlanRecord.of(config, plan, nspec, spectrum, digest), gl, timings)
 
@@ -516,8 +517,9 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     against the ground truth.
 
     The graph and its spectrum are built once, by the planning step,
-    which hands them on in solve order, so ``timings["plan"]`` holds the
-    graph build, the eigensolve, the k-means and the reordering.  ``sigma``
+    which hands the spectrum on in solve order, so ``timings["plan"]``
+    holds the graph build, the eigensolve, the k-means and the
+    reordering; the dense solver's L_sym is reordered here.  ``sigma``
     is in input units and defaults to the problem's noise level.  A
     solver other than dense or truncated is refused by the planning step
     before any graph is built.
@@ -530,6 +532,7 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     perm = np.asarray(plan.permutation, dtype=np.intp)
     lf_raw = problem.lf_data[perm]
     lf_raw.setflags(write=False)  # so that the estimate step's Dataset shares it
+    gl = None if gl is None else gl.permuted(perm)
 
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
     art, estimates = estimate_planned(lf_raw, record, hf_raw, config, gl)

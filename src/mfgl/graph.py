@@ -21,14 +21,21 @@ The Laplacian family is L = D^{-p} (D - W) D^{-q}.  For p != q, L is a
 similarity transform D^{-(p-q)/2} L_sym D^{(p-q)/2} of the symmetric
 member with exponent (p+q)/2, which is what makes a symmetric eigensolve
 and the reweighted inner product <u, v> = u^T D^{p-q} v work.  So only
-L_sym and the degrees are built and stored, L_sym straight from the
-triangle, which is freed with the graph; L is formed on request.
+L_sym and the degrees are built and stored, and L is formed on request.
+L_sym is written straight from the triangle in two passes, its values
+and then its column indices; a graph handed on is freed in stages, its
+values after the first pass and its pattern after the second, so no
+stage holds the whole triangle next to the whole of L_sym.  The
+eigensolve shifts L_sym's diagonal in its own arrays
+(:meth:`GraphLaplacian.shifted`), so no stage holds two copies of L_sym's
+values.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,8 +58,11 @@ SCALE_TOL = 1e-14
 WEIGHT_EPS = 1e-12
 # Most bytes the CSR weights may take: 8 for the value and 4 for the
 # column index of each of W's entries, two per kept pair.  No stage holds
-# W; the Laplacian stage holds L_sym (W's entries and the diagonal) next
-# to the kept triangle (half of them), about 1.5 times that.
+# W.  L_sym (W's entries and the diagonal) takes about that, and the
+# Laplacian stage holds it next to what is left of a triangle handed on
+# (half of W's entries): its values while L_sym's values are written,
+# then its column indices while L_sym's are, about 1.17 times that in
+# either pass (1.5 times when the caller keeps the graph).
 GRAPH_BYTE_BUDGET = 1 << 30
 _CSR_ENTRY_BYTES = 12
 # Most bytes of one block of squared distances, point differences or
@@ -198,62 +208,67 @@ class AffinityGraph:
         return self.upper + self.upper.T
 
 
-def _symmetric(upper: sp.csr_array, values, diagonal=None):
-    """Write the symmetric matrix whose upper triangle is ``upper``.
+def _row_blocks(indptr: np.ndarray, step: int):
+    """Row bounds (a, b) that cut a CSR pattern into blocks of about
+    ``step`` entries; a longer row is a block of its own."""
+    starts = np.searchsorted(indptr, np.arange(0, indptr[-1], step), "right") - 1
+    bounds = np.unique(np.r_[starts, indptr.size - 1])
+    return zip(bounds[:-1], bounds[1:])
 
-    ``upper`` is a sorted strict upper CSR triangle, and ``values(a, b)``
-    gives the values of its rows a..b-1, one per stored entry.  Each row
-    of the result holds its mirrored entries, then, when ``diagonal`` is
-    given, a diagonal slot that holds ``diagonal``, then its own entries,
-    so its columns ascend.  Only with ``diagonal`` are the column indices
-    written.  Returns ``(indptr, indices or None, data)``.
 
-    The mirror is a counting-sort transpose (Gustavson, ACM TOMS 4(3),
-    1978), one ``tocsc`` per block of ``upper``'s rows: each row's
-    mirrored entries come in ascending order without a sort, and every
-    write goes through an ascending list of slots.
-    """
-    n = upper.shape[0]
-    gap = int(diagonal is not None)
-    uptr, uind = upper.indptr, upper.indices
-    counts = np.diff(uptr)
-    # entries of a block; at about 64 work bytes each, 2 _WORK_BYTES, one block held at once
-    step = max(1, _WORK_BYTES // 32)
+def _symmetric_indptr(uptr: np.ndarray, uind: np.ndarray, gap: int) -> np.ndarray:
+    """Row pointers of the symmetric matrix whose strict upper triangle has
+    the sorted CSR pattern (``uptr``, ``uind``).  Each row holds its
+    mirrored entries, then ``gap`` (0 or 1) diagonal slots, then its own
+    entries, so its columns ascend; with the gap, row i's diagonal slot
+    is ``indptr[i + 1] - (uptr[i + 1] - uptr[i]) - 1``."""
+    n = uptr.size - 1
     lower = np.zeros(n, dtype=np.intp)  # mirrored entries of each row
+    step = max(1, _WORK_BYTES // 32)
     for s in range(0, uind.size, step):
         lower += np.bincount(uind[s : s + step], minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(lower + gap + counts, out=indptr[1:])
-    diag = indptr[:-1] + lower  # the slot of the diagonal
-    offset = diag + gap - uptr[:-1]
+    np.cumsum(lower + gap + np.diff(uptr), out=indptr[1:])
+    return indptr
+
+
+def _symmetric_write(out: np.ndarray, uptr: np.ndarray, uind: np.ndarray,
+                     indptr: np.ndarray, values) -> None:
+    """Write into ``out`` the off-diagonal slots of the symmetric matrix
+    whose strict upper triangle has the sorted CSR pattern (``uptr``,
+    ``uind``), laid out by ``indptr`` (:func:`_symmetric_indptr`).
+
+    ``values(a, b)`` gives, for the triangle's rows a..b-1, two arrays
+    with one item per stored entry: what its own slot holds and what its
+    mirrored slot holds.  The mirror is a counting-sort transpose
+    (Gustavson, ACM TOMS 4(3), 1978), one ``tocsc`` per block of about
+    ``_WORK_BYTES / 16`` entries; at most about 32 work bytes each, or 2
+    ``_WORK_BYTES``, are held at once, each freed once written.  Each
+    row's mirrored entries come in ascending order without a sort, and
+    every write goes through an ascending list of slots.
+    """
+    n = uptr.size - 1
+    counts = np.diff(uptr)
+    offset = indptr[1:].astype(np.intp) - uptr[1:]  # own slot minus entry index, per row
     nxt = indptr[:-1].astype(np.intp)  # next free mirror slot of each row
-    indices = np.empty(indptr[-1], dtype=np.int32) if gap else None
-    data = np.zeros(indptr[-1])
-    starts = np.searchsorted(uptr, np.arange(0, uind.size, step), "right") - 1
-    bounds = np.unique(np.r_[starts, n])  # row blocks of about step entries
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    for a, b in _row_blocks(uptr, max(1, _WORK_BYTES // 16)):
         lo, hi = uptr[a], uptr[b]
-        vals = values(a, b)
+        here, there = values(a, b)
         own = np.repeat(offset[a:b], counts[a:b])
         own += np.arange(lo, hi)
-        data[own] = vals
-        # the block's entries by column, and by row within a column
+        out[own] = here
+        del here, own
+        # the block's mirrored items by column, and by row within a column
         csc = sp.csr_array(
-            (vals, uind[lo:hi] - np.int32(a), uptr[a : b + 1] - lo), shape=(b - a, n - a)
+            (there, uind[lo:hi] - np.int32(a), uptr[a : b + 1] - lo), shape=(b - a, n - a)
         ).tocsc()
+        del there
         per_col = np.diff(csc.indptr)
         mirror = np.repeat(nxt[a:] - csc.indptr[:-1], per_col)
         mirror += np.arange(hi - lo)
         nxt[a:] += per_col
-        data[mirror] = csc.data
-        if gap:
-            indices[own] = uind[lo:hi]
-            indices[mirror] = csc.indices + np.int32(a)
-        del vals, own, csc, per_col, mirror  # before the next block is formed
-    if gap:
-        indices[diag] = np.arange(n)
-        data[diag] = diagonal
-    return indptr, indices, data
+        out[mirror] = csc.data
+        del csc, per_col, mirror  # before the next block is formed
 
 
 def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGraph:
@@ -278,7 +293,7 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
     triangle, so W_ij and W_ji are always the same float.  The degrees
     are W's row sums, taken as scipy sums the rows of a CSR W (one
     ``np.add.reduceat`` over each row in column order) from an array of
-    W's values that the mirror of :func:`_symmetric` writes; that array
+    W's values that :func:`_symmetric_write` writes; that array
     is dropped on return, so the graph never holds W.
 
     Parameters
@@ -348,7 +363,10 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
     upper = sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
     del cols, vals
     # W's values in W's row order, summed per row as scipy sums W
-    w_indptr, _, w_data = _symmetric(upper, lambda a, b: upper.data[indptr[a] : indptr[b]])
+    w_indptr = _symmetric_indptr(indptr, upper.indices, 0)
+    w_data = np.zeros(w_indptr[-1])
+    _symmetric_write(w_data, indptr, upper.indices, w_indptr,
+                     lambda a, b: (upper.data[indptr[a] : indptr[b]],) * 2)
     degrees = np.zeros(n)
     rows = np.flatnonzero(np.diff(w_indptr))
     degrees[rows] = np.add.reduceat(w_data, w_indptr[rows])
@@ -401,6 +419,52 @@ class GraphLaplacian:
             arr.setflags(write=False)
         return replace(self, sym_matrix=lsym, degrees=self.degrees[perm])
 
+    @contextmanager
+    def shifted(self, sigma: float) -> Iterator[sp.csc_array]:
+        """L_sym - sigma I in CSC, on L_sym's own arrays, for the span of
+        the ``with`` block: L_sym is exactly symmetric, so its CSR arrays
+        are also its CSC arrays, and the shifted diagonal is written into
+        its diagonal slots.  So no copy of its values is made, and while
+        the block runs ``sym_matrix`` reads shifted too.  On exit, also
+        when the block raises, the saved diagonal is written back bit for
+        bit and the arrays are read-only again.  The one place L_sym's
+        values are written after :func:`laplacian`.
+
+        Raises ``InvalidConfig`` unless L_sym is in canonical form and
+        stores every diagonal entry, as :func:`laplacian` and
+        :meth:`permuted` build it.
+        """
+        lsym = self.sym_matrix
+        slots = _diagonal_slots(lsym)
+        saved = lsym.data[slots]
+        shifted = sp.csc_array((lsym.data, lsym.indices, lsym.indptr), shape=lsym.shape)
+        views = [shifted.data]  # the view written through, then the arrays it views
+        while isinstance(views[-1].base, np.ndarray):
+            views.append(views[-1].base)
+        for arr in reversed(views):  # a view is writeable only once its base is
+            arr.setflags(write=True)
+        try:
+            shifted.data[slots] = saved - sigma
+            yield shifted
+        finally:
+            shifted.data[slots] = saved
+            for arr in views:
+                arr.setflags(write=False)
+
+
+def _diagonal_slots(lsym: sp.csr_array) -> np.ndarray:
+    """The slot in ``lsym.data`` of each row's diagonal entry, found in
+    row blocks of about ``_WORK_BYTES / 16`` entries."""
+    ptr, ind = lsym.indptr, lsym.indices
+    slots = [np.zeros(0, dtype=np.intp)]
+    for a, b in _row_blocks(ptr, max(1, _WORK_BYTES // 16)):
+        rows = np.repeat(np.arange(a, b, dtype=ind.dtype), np.diff(ptr[a : b + 1]))
+        slots.append(ptr[a] + np.flatnonzero(ind[ptr[a] : ptr[b]] == rows))
+    slots = np.concatenate(slots)
+    if not lsym.has_canonical_format or slots.size != lsym.shape[0]:
+        raise InvalidConfig("L_sym must be in canonical form and store every diagonal entry")
+    return slots
+
 
 def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     """L_sym = D^{-s} (D - W) D^{-s}, s = (p+q)/2, as a CSR matrix.
@@ -408,32 +472,53 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     Off the diagonal, entry (i, j) is -((d_i^{-s} d_j^{-s}) W_ij), a
     product of two commuting numbers, so L_sym is exactly symmetric.  It
     is written straight from the graph's triangle into its final
-    pattern, W's sorted pattern plus the diagonal: each kept pair is
-    scaled once, in blocks of the triangle's rows, and written into its
-    two slots (:func:`_symmetric`).  So beyond the triangle the call holds
-    L_sym and a few ``_WORK_BYTES`` blocks, never W.  The arrays are
-    read-only: the member L that :meth:`GraphLaplacian.matrix` forms
-    shares the pattern, so an in-place scipy operation raises
+    pattern, W's sorted pattern plus the diagonal, in two passes of
+    blocks of the triangle's rows (:func:`_symmetric_write`): the first
+    scales each kept pair once and writes its two values, the second
+    writes their two column indices.  The reference to ``graph`` is
+    dropped on entry, and the triangle's values once the first pass is
+    done, so a caller that passes its only reference (``laplacian(
+    build_graph(...), p, q)``) frees the triangle in stages: the call
+    holds the triangle next to L_sym's values, then the triangle's
+    pattern next to L_sym, and a few ``_WORK_BYTES`` blocks, never W.  A
+    caller that keeps the graph gets the same L_sym bit for bit.  The
+    arrays are read-only: the member L that :meth:`GraphLaplacian.matrix`
+    forms shares the pattern, so an in-place scipy operation raises
     ``ValueError``; work on a copy.  The result keeps no reference to
-    ``graph``, so the triangle is freed once the graph is dropped.  The
-    degrees are positive: :class:`AffinityGraph` refuses any other.
+    ``graph``.  The degrees are positive: :class:`AffinityGraph` refuses
+    any other.
     """
     d = graph.degrees
-    upper = graph.upper
+    uptr, uind, tvals = graph.upper.indptr, graph.upper.indices, graph.upper.data
+    del graph  # so a triangle handed on is freed in stages
+    n = d.size
     s = 0.5 * (p + q)
     ds = d ** -s
 
     def scaled(a, b):  # -((d_i^{-s} d_j^{-s}) W_ij), once per kept pair
-        lo, hi = upper.indptr[a], upper.indptr[b]
-        scale = np.repeat(ds[a:b], np.diff(upper.indptr[a : b + 1]))
-        scale *= ds[upper.indices[lo:hi]]
-        scale *= upper.data[lo:hi]
-        return np.negative(scale, out=scale)
+        lo, hi = uptr[a], uptr[b]
+        scale = np.repeat(ds[a:b], np.diff(uptr[a : b + 1]))
+        scale *= ds[uind[lo:hi]]
+        scale *= tvals[lo:hi]
+        np.negative(scale, out=scale)
+        return scale, scale
 
-    indptr, indices, data = _symmetric(upper, scaled, diagonal=d ** (1.0 - s - s))
+    def pattern(a, b):  # column j in row i's slot, and i in row j's
+        return uind[uptr[a] : uptr[b]], np.repeat(np.arange(a, b, dtype=np.int32),
+                                                  np.diff(uptr[a : b + 1]))
+
+    indptr = _symmetric_indptr(uptr, uind, 1)
+    diag = indptr[1:] - np.diff(uptr) - 1  # the slot of each row's diagonal
+    data = np.zeros(indptr[-1])
+    _symmetric_write(data, uptr, uind, indptr, scaled)
+    data[diag] = d ** (1.0 - s - s)
+    del tvals  # the triangle's values, before L_sym's column indices are formed
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    _symmetric_write(indices, uptr, uind, indptr, pattern)
+    indices[diag] = np.arange(n)
     for arr in (data, indices, indptr):
         arr.setflags(write=False)
-    lsym = sp.csr_array((data, indices, indptr), shape=upper.shape)
+    lsym = sp.csr_array((data, indices, indptr), shape=(n, n))
     return GraphLaplacian(sym_matrix=lsym, degrees=d, p=p, q=q)
 
 

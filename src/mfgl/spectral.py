@@ -9,7 +9,11 @@ Sparse Linear Systems*, SIAM 2006, ch. 7), and the eigenvalues nearest
 zero, crowded together on a clustered graph, become the largest and best
 separated ones of the inverted operator (the spectral transformation
 Lanczos method).  L_sym is exactly symmetric, so its CSR arrays are also
-its CSC arrays and the factor reads them without a copy.  Only when
+its CSC arrays, and the factor reads them without a copy: the shift is
+written into L_sym's own diagonal slots while ``splu`` runs, and the
+saved diagonal written back (:meth:`~mfgl.graph.GraphLaplacian.shifted`).
+So the eigensolve holds L_sym, the LU and ARPACK's workspace, never a
+second copy of L_sym's values.  Only when
 K > N - 2, too close to N for ARPACK, does a dense eigensolve take over.
 For p != q the symmetric eigenvectors are converted via D^{-(p-q)/2},
 making them orthonormal in the reweighted inner product.
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .config import check_fields, setting
@@ -86,8 +89,9 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
 
     Shift-invert Lanczos on the sparse L_sym about sigma = -1e-3 a, with
     a deterministic start vector and one LU factor of L_sym - sigma I in
-    a symmetric minimum-degree ordering; a dense eigensolve of the K
-    lowest indices only when K > N - 2.
+    a symmetric minimum-degree ordering, made in L_sym's own arrays and
+    leaving them as they were, also when the factorization raises; a
+    dense eigensolve of the K lowest indices only when K > N - 2.
 
     Raises
     ------
@@ -103,11 +107,8 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
         vals, vecs_s = sla.eigh(lsym.toarray(), subset_by_index=[0, K - 1])
     else:
         sigma = _SHIFT_FRACTION * a
-        # read as CSC, the CSR arrays of the symmetric L_sym are L_sym itself
-        shifted = sp.csc_array((lsym.data.copy(), lsym.indices, lsym.indptr), shape=lsym.shape)
-        shifted.setdiag(lsym.diagonal() - sigma)
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
-        del shifted
+        with gl.shifted(sigma) as shifted:
+            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals, vecs_s = eigsh(
             lsym, k=K, sigma=sigma, which="LM", v0=v0,

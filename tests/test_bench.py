@@ -395,10 +395,12 @@ def test_m_above_n_fails_before_any_graph(monkeypatch):
 
 def _planned_solve_inputs(prob, config):
     """The planning spectrum and, for the dense solver, Laplacian, both in
-    solve order, the plan's permutation, and the solve-order dataset."""
+    solve order, the plan's permutation, and the solve-order dataset; the
+    Laplacian is reordered here, as by :func:`run_pipeline`."""
     record, gl, _ = plan_rows(prob.lf_data, config)
     plan = record.plan
     perm = np.asarray(plan.permutation, dtype=np.intp)
+    gl = None if gl is None else gl.permuted(perm)
     hf = sample_hf(prob, plan.selected_indices, seed=config.seed + 1)
     return record.spectrum, gl, perm, Dataset(lf=prob.lf_data[perm], hf=hf)
 
@@ -479,7 +481,7 @@ def test_graph_freed_before_eigensolve(solver, p, q, monkeypatch):
 
 def test_dense_run_builds_each_laplacian_member_once(monkeypatch):
     # one laplacian call fills L_sym from W, and only L_sym is stored;
-    # plan_rows reorders it
+    # run_pipeline reorders it
     members = []
     real = mfgl.graph.laplacian
 

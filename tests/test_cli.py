@@ -1163,6 +1163,31 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
     assert np.array_equal(stddevs, out.posterior.stddevs)
 
 
+def test_dense_l_sym_is_reordered_only_where_an_estimate_follows(tmp_path, capsys, monkeypatch):
+    # mfgl plan drops the dense solver's L_sym, so it never reorders it;
+    # run_pipeline, which estimates, reorders it once (mfgl estimate
+    # rebuilds its own, and test_cli_estimate_matches_pipeline_bitwise
+    # checks the two routes agree)
+    from mfgl.bench import run_pipeline
+    from mfgl.graph import GraphLaplacian
+
+    calls = Counter()
+    permuted = GraphLaplacian.permuted
+
+    def counted(self, perm):
+        calls["permuted"] += 1
+        return permuted(self, perm)
+
+    monkeypatch.setattr(GraphLaplacian, "permuted", counted)
+    prob, lf_path = write_problem(tmp_path, n=80, d=3, seed=2, clusters=4)
+    code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), "--solver", "dense",
+                         "--m", "4", "--output-dir", str(tmp_path / "cli"))
+    assert code == 0
+    assert calls["permuted"] == 0
+    run_pipeline(prob, PipelineConfig(m=4, solver=SolverTag.DENSE))
+    assert calls["permuted"] == 1
+
+
 @pytest.mark.parametrize("solver", ["truncated", "dense"])
 def test_cli_estimate_matches_pipeline_with_a_one_row_tail_block(tmp_path, capsys, solver):
     # D = 256 makes blocks of 32 rows, so N = 97 ends in a one-row block,

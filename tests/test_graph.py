@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -199,12 +200,24 @@ def test_kept_weights_match_exact_arithmetic(kind, n, d):
         assert abs((mpmath.mpf(w[k]) - exact) / exact) <= 1e-14, (i[k], j[k])
 
 
+def front_end_bound(lsym, k):
+    """Most bytes the graph front end may trace: L_sym's CSR, ARPACK's
+    workspace inside eigsh, 8 N (2 ncv + K) with ncv = 2K + 1, and about
+    two ``_WORK_BYTES`` of working blocks."""
+    n = lsym.shape[0]
+    csr_bytes = lsym.data.nbytes + lsym.indices.nbytes + lsym.indptr.nbytes
+    return csr_bytes + 8 * n * (2 * (2 * k + 1) + k) + 2 * mfgl.graph._WORK_BYTES
+
+
 def test_front_end_peak_is_bounded_by_the_csr():
-    # build_graph -> laplacian -> low_spectrum never holds W: laplacian
-    # holds L_sym next to the kept triangle, and low_spectrum L_sym next to
-    # one shifted copy of its values, each with a few working blocks; no
-    # N x N block and no CSC copy of L_sym.  The LU factor lives in
-    # SuperLU's own allocations, which tracemalloc does not see.
+    # build_graph -> laplacian -> low_spectrum never holds W, and no stage
+    # holds two copies of L_sym's values: laplacian frees the triangle it
+    # is handed in stages as it writes L_sym, and low_spectrum shifts
+    # L_sym's diagonal in place, so the peak is ARPACK's workspace next
+    # to L_sym inside eigsh (measured 16.4 MB here; 19.0 MB while
+    # low_spectrum factored a shifted copy of L_sym's values).  The LU
+    # factor lives in SuperLU's own allocations, which tracemalloc does
+    # not see.
     lf = generate(Generator.CLUSTERED_SHIFT, 3000, 5, seed=0).lf_data
 
     def front_end():
@@ -213,13 +226,58 @@ def test_front_end_peak_is_bounded_by_the_csr():
         return gl
 
     gl, peak = traced_peak(front_end)
-    lsym = gl.sym_matrix
-    csr_bytes = lsym.data.nbytes + lsym.indices.nbytes + lsym.indptr.nbytes
-    # the triangle: a value and a column index per kept pair, and N + 1 row pointers
-    pairs = (lsym.nnz - lsym.shape[0]) // 2
-    triangle_bytes = 12 * pairs + lsym.indptr.nbytes
-    bound = csr_bytes + max(triangle_bytes, lsym.data.nbytes) + 3 * mfgl.graph._WORK_BYTES
+    assert peak < front_end_bound(gl.sym_matrix, 40)
+
+
+def test_truncated_pipeline_peak_is_the_front_ends(monkeypatch):
+    # the same bound over a whole truncated run: a reference in plan_rows,
+    # planning_spectrum or run_pipeline that kept the triangle alive
+    # through laplacian or the eigensolve would break it
+    import mfgl.bench
+    from mfgl.bench import PipelineConfig, run_pipeline
+
+    bounds = []
+    real = mfgl.bench.low_spectrum
+
+    def bounded(gl, k):
+        bounds.append(front_end_bound(gl.sym_matrix, k))
+        return real(gl, k)
+
+    monkeypatch.setattr(mfgl.bench, "low_spectrum", bounded)
+    prob = generate(Generator.CLUSTERED_SHIFT, 3000, 5, seed=0)
+    _, peak = traced_peak(lambda: run_pipeline(prob, PipelineConfig(m=10)))
+    [bound] = bounds
     assert peak < bound
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 0.0)])
+def test_handed_on_and_kept_graphs_give_the_same_laplacian(p, q, monkeypatch):
+    # a graph handed on is dropped on entry, its triangle's values once
+    # L_sym's values are written and its pattern once L_sym's column
+    # indices are; a graph the caller keeps gives the same bytes and is
+    # left as it was
+    lf = generate(Generator.CLUSTERED_SHIFT, 600, 5, seed=0).lf_data
+    kept = build_graph(lf)
+    parts = ("indptr", "indices", "data")
+    before = [getattr(kept.upper, part).copy() for part in parts]
+    want = laplacian(kept, p, q)
+    for part, old in zip(parts, before):
+        assert getattr(kept.upper, part).tobytes() == old.tobytes(), part
+
+    handed = [build_graph(lf)]
+    refs = [weakref.ref(handed[0]), weakref.ref(handed[0].upper.data)]
+    alive = []
+    write = mfgl.graph._symmetric_write
+
+    def recorded(*args):
+        alive.append([ref() is not None for ref in refs])
+        return write(*args)
+
+    monkeypatch.setattr(mfgl.graph, "_symmetric_write", recorded)
+    got = laplacian(handed.pop(), p, q)
+    assert alive == [[False, True], [False, False]]
+    assert_same_csr(got.sym_matrix, want.sym_matrix)
+    assert got.degrees.tobytes() == want.degrees.tobytes()
 
 
 def _laplacian_reference(graph, p, q):
@@ -321,6 +379,18 @@ def test_laplacian_arrays_are_read_only():
     for part in ("data", "indices", "indptr"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(gl.sym_matrix, part)[0] = 0
+
+
+def test_shift_in_place_refuses_a_matrix_without_its_diagonal():
+    # the shift is written into stored diagonal slots, so a matrix that
+    # lacks one is refused before anything is written
+    g = build_graph(random_points(30, 2, seed=1), knn_k=4)
+    gl = GraphLaplacian(sym_matrix=g.weights, degrees=g.degrees, p=0.5, q=0.5)
+    before = gl.sym_matrix.data.copy()
+    with pytest.raises(InvalidConfig, match="diagonal"):
+        with gl.shifted(0.1):
+            pass
+    assert gl.sym_matrix.data.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 0.0)])

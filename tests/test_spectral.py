@@ -3,6 +3,7 @@ import numpy.linalg as nla
 import pytest
 import scipy.linalg as sla
 
+import mfgl.spectral
 from conftest import random_points, traced_peak, two_blob_points
 from mfgl.bench import Generator, generate
 from mfgl.data import Dataset, HyperParameters, displacements
@@ -146,6 +147,47 @@ def test_spectrum_pairs_each_eigenvalue_with_one_eigenvector():
                           (np.arange(5.0), np.arange(5.0))):
         with pytest.raises(DimensionMismatch, match="one eigenvector column per eigenvalue"):
             Spectrum(eigenvalues=vals, eigenvectors=vectors, shift_a=2.0)
+
+
+@pytest.mark.parametrize("route", ["laplacian", "permuted"])
+def test_low_spectrum_leaves_l_sym_unchanged_and_read_only(route, monkeypatch):
+    # the factor is made of L_sym - sigma I written into L_sym's own
+    # diagonal slots; the saved diagonal is written back, also when the
+    # factorization raises, and no array of L_sym is left writeable
+    gl = laplacian(build_graph(generate(Generator.CLUSTERED_SHIFT, 300, 3, seed=0).lf_data),
+                   0.5, 0.5)
+    if route == "permuted":
+        gl = gl.permuted(np.random.default_rng(0).permutation(gl.n))
+    lsym = gl.sym_matrix
+    parts = ("data", "indices", "indptr")
+    before = [getattr(lsym, part).copy() for part in parts]
+
+    def check():
+        for part, old in zip(parts, before):
+            arr = getattr(lsym, part)
+            assert arr.tobytes() == old.tobytes(), part
+            assert not arr.flags.writeable, part
+
+    low_spectrum(gl, 10)
+    check()
+
+    class Refused(Exception):
+        pass
+
+    factored = []
+
+    def refusing(a, **kwargs):
+        factored.append((a.diagonal(), lsym.data.flags.writeable))
+        raise Refused
+
+    monkeypatch.setattr(mfgl.spectral, "splu", refusing)
+    with pytest.raises(Refused):
+        low_spectrum(gl, 10)
+    check()
+    [(diagonal, writeable)] = factored
+    sigma = mfgl.spectral._SHIFT_FRACTION * gl.shift_bound
+    assert diagonal.tobytes() == (lsym.diagonal() - sigma).tobytes()
+    assert not writeable
 
 
 def test_embed_is_column_slice():
