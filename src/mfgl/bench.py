@@ -306,9 +306,18 @@ class PipelineOutput:
 
 
 def sigma_in_solve_coords(sigma_raw: float, nspec: NormalizationSpec) -> float:
+    """The noise level ``sigma_raw``, in input units, in the solve
+    coordinates, refused with ``InvalidConfig`` unless its square there
+    is a positive normal float: every solver divides by sigma^2."""
+    sigma = sigma_raw
     if nspec.mode is Normalization.COMPONENT:
-        return sigma_raw / float(nspec.std.mean())
-    return sigma_raw
+        sigma = sigma_raw / float(nspec.std.mean())
+    if not np.finfo(float).tiny <= sigma * sigma < np.inf:
+        raise InvalidConfig(
+            f"sigma (--sigma) {sigma_raw:.3g} is {sigma:.3g} in the solve coordinates, "
+            f"whose square {sigma * sigma:.3g} is not a positive normal float"
+        )
+    return sigma
 
 
 def _refuse_landmark_solver(config: PipelineConfig) -> None:
@@ -330,7 +339,10 @@ def estimate_attached(
     ``spectrum``'s row order, and ``config.sigma`` must be set, both in
     the solve coordinates: unlike :func:`estimate_planned`, this entry
     point maps nothing.  The dense solver also needs ``laplacian``, in
-    the same row order.
+    the same row order, and hands its reference on to
+    :func:`~mfgl.posterior.dense_factor`: a caller that passes its only
+    reference (:func:`estimate_planned`) frees L_sym once the prior Q is
+    written, before the Cholesky and the calibration.
 
     Calibrating omega (``config.omega`` unset) targets the spread of the
     unobserved rows, so with M = N it raises ``InvalidConfig`` before
@@ -351,13 +363,15 @@ def estimate_attached(
     dense = config.solver is SolverTag.DENSE
     if dense and laplacian is None:
         raise InvalidConfig("the dense solver needs the graph's Laplacian")
+    laplacians = [laplacian]
+    del laplacian  # so that dense_factor holds the one reference to L_sym
     timings: dict = {}
 
     t0 = time.perf_counter()
     tau = choose_tau(spectrum) if config.tau is None else config.tau
     hp = HyperParameters(sigma=config.sigma, omega=1.0, tau=tau, beta=config.beta, r=config.r)
     # one factor serves the calibration handle and the final solve
-    factor = dense_factor(laplacian, hp, m) if dense else truncated_factor(spectrum, hp, m)
+    factor = dense_factor(laplacians.pop(), hp, m) if dense else truncated_factor(spectrum, hp, m)
     omega = config.omega
     if omega is None:
         omega = calibrate_omega(lambda w: factor.mean_stddev(w, config.sigma), config.sigma, config.r)
@@ -490,7 +504,10 @@ def estimate_planned(
     from the M observed rows, ``timings["assemble"]`` covers that, and
     the estimates are formed a block at a time as ``estimates`` is read
     (:func:`_estimate_blocks`), so neither the normalized rows nor
-    phi_star is ever whole.
+    phi_star is ever whole.  The reference to ``laplacian`` is handed on
+    to :func:`estimate_attached`, so a caller that passes its only one
+    (:func:`run_pipeline`, ``mfgl estimate``) frees L_sym once the dense
+    prior is written.
     """
     t0 = time.perf_counter()
     plan, nspec, spectrum = record.plan, record.nspec, record.spectrum
@@ -506,7 +523,9 @@ def estimate_planned(
     phi_hat = displacements(Dataset(lf=nspec.apply(ds.lf[:ds.m]), hf=nspec.apply(ds.hf)))
     assemble_s = time.perf_counter() - t0
 
-    art = estimate_attached(phi_hat, config, spectrum, laplacian)
+    laplacians = [laplacian]
+    del laplacian
+    art = estimate_attached(phi_hat, config, spectrum, laplacians.pop())
     art = dataclasses.replace(art, timings={"assemble": assemble_s, **art.timings})
     return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior, nspec))
 
@@ -519,7 +538,8 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     The graph and its spectrum are built once, by the planning step,
     which hands the spectrum on in solve order, so ``timings["plan"]``
     holds the graph build, the eigensolve, the k-means and the
-    reordering; the dense solver's L_sym is reordered here.  ``sigma``
+    reordering; the dense solver's L_sym is reordered here and handed
+    on, so it dies once the dense prior is written.  ``sigma``
     is in input units and defaults to the problem's noise level.  A
     solver other than dense or truncated is refused by the planning step
     before any graph is built.
@@ -532,10 +552,11 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     perm = np.asarray(plan.permutation, dtype=np.intp)
     lf_raw = problem.lf_data[perm]
     lf_raw.setflags(write=False)  # so that the estimate step's Dataset shares it
-    gl = None if gl is None else gl.permuted(perm)
+    gls = [None if gl is None else gl.permuted(perm)]
+    del gl  # the one reference to L_sym in solve order is handed on
 
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
-    art, estimates = estimate_planned(lf_raw, record, hf_raw, config, gl)
+    art, estimates = estimate_planned(lf_raw, record, hf_raw, config, gls.pop())
     timings.update(art.timings)
     mf = np.concatenate(list(estimates))
     mf.setflags(write=False)

@@ -66,7 +66,8 @@ WEIGHT_EPS = 1e-12
 GRAPH_BYTE_BUDGET = 1 << 30
 _CSR_ENTRY_BYTES = 12
 # Most bytes of one block of squared distances, point differences or
-# scale factors, in build_graph, weight_columns and laplacian.
+# scale factors, in build_graph, weight_columns and laplacian, and of the
+# matrix rows spectral.checked_cholesky checks finite.
 _WORK_BYTES = 1 << 20
 
 
@@ -415,8 +416,9 @@ class GraphLaplacian:
         :func:`laplacian` builds it, and the degrees reordered."""
         lsym = self.sym_matrix[perm][:, perm]
         lsym.sort_indices()
-        for arr in (lsym.data, lsym.indices, lsym.indptr):
-            arr.setflags(write=False)
+        for part in (lsym.data, lsym.indices, lsym.indptr):
+            for arr in _base_chain(part):
+                arr.setflags(write=False)
         return replace(self, sym_matrix=lsym, degrees=self.degrees[perm])
 
     @contextmanager
@@ -428,7 +430,10 @@ class GraphLaplacian:
         the block runs ``sym_matrix`` reads shifted too.  On exit, also
         when the block raises, the saved diagonal is written back bit for
         bit and the arrays are read-only again.  The one place L_sym's
-        values are written after :func:`laplacian`.
+        values are written after :func:`laplacian`, for two callers: the
+        shift-invert LU of :func:`~mfgl.spectral.low_spectrum` (sigma =
+        -1e-3 a) and the integer power of the dense prior,
+        :func:`~mfgl.posterior.shifted_power` (sigma = -tau).
 
         Raises ``InvalidConfig`` unless L_sym is in canonical form and
         stores every diagonal entry, as :func:`laplacian` and
@@ -438,9 +443,7 @@ class GraphLaplacian:
         slots = _diagonal_slots(lsym)
         saved = lsym.data[slots]
         shifted = sp.csc_array((lsym.data, lsym.indices, lsym.indptr), shape=lsym.shape)
-        views = [shifted.data]  # the view written through, then the arrays it views
-        while isinstance(views[-1].base, np.ndarray):
-            views.append(views[-1].base)
+        views = _base_chain(shifted.data)
         for arr in reversed(views):  # a view is writeable only once its base is
             arr.setflags(write=True)
         try:
@@ -450,6 +453,15 @@ class GraphLaplacian:
             shifted.data[slots] = saved
             for arr in views:
                 arr.setflags(write=False)
+
+
+def _base_chain(arr: np.ndarray) -> list:
+    """``arr``, then the array it views, and so on down to the array that
+    owns the memory: all that must be read-only for ``arr`` to stay so."""
+    chain = [arr]
+    while isinstance(chain[-1].base, np.ndarray):
+        chain.append(chain[-1].base)
+    return chain
 
 
 def _diagonal_slots(lsym: sp.csr_array) -> np.ndarray:

@@ -20,7 +20,10 @@ Q_uu.  After that the MAP, the stddevs sqrt(diag(A^{-1})) and the
 calibration handle's mean stddev cost O(NM) for any (omega, sigma), and
 the N x N covariance is formed only when it is asked for.  Q takes one
 N x N array: an integer power is written from sparse row-block products
-of L_sym + tau I, and Q_uu is factored where it lies in that array.  The
+of L_sym + tau I, tau written onto L_sym's own diagonal while they run,
+and Q_uu is checked finite in blocks and factored where it lies in that
+array.  L_sym handed on dies once Q is written, so the dense route holds
+Q, and L_sym only while Q is written, and nothing else of their size.  The
 vanishing-noise path solves every step on one such factor, and its
 limit, the constrained minimizer, is the factor's -Q_uu^{-1} Q_uo.
 """
@@ -32,7 +35,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
 
 from .config import PipelineConfig, SolverTag  # noqa: F401  (SolverTag re-exported: callers import it from here)
@@ -118,34 +120,38 @@ class PosteriorResult:
         return out
 
 
-def shifted_power(sym, tau: float, beta: float) -> np.ndarray:
-    """(sym + tau I)^beta for a symmetric PSD matrix, sparse or dense, and
-    beta >= 1, as one new N x N array.
+def shifted_power(gl: GraphLaplacian, tau: float, beta: float) -> np.ndarray:
+    """(L_sym + tau I)^beta for the Laplacian ``gl`` and beta >= 1, as one
+    new N x N array.
 
-    Integer beta multiplies out the sparse A = sym + tau I in
+    Integer beta writes tau onto L_sym's own diagonal for the span of the
+    product (:meth:`~mfgl.graph.GraphLaplacian.shifted` at sigma = -tau;
+    x - (-tau) rounds as x + tau), so A = L_sym + tau I is L_sym's arrays
+    and no copy of them is made.  A is multiplied out in
     ``_PRIOR_ROW_BLOCKS`` row blocks, each A[rows] @ A @ ... written into
     its rows of the result (Gustavson's row-wise product, ACM TOMS 4(3),
-    1978), so no dense copy of A and no dense operand is made, and
-    beta = 2 costs the sum of the squared row counts of A instead of N^3.
-    Each row is formed alone, so the result equals the full sparse
-    product bit for bit, and it is exactly symmetric for beta <= 2.
-    Otherwise ``eigh`` overwrites one Fortran-ordered dense copy of
-    ``sym``, the eigenvectors are scaled in place by
-    s = sqrt((lambda + tau)^beta) (:func:`~mfgl.spectral.shifted_eigenvalues`),
-    and the result is the one product (V s)(V s)^T.
+    1978), so no dense operand is made, and beta = 2 costs the sum of the
+    squared row counts of A instead of N^3.  Each row is formed alone, so
+    the result equals the full sparse product bit for bit, and it is
+    exactly symmetric for beta <= 2.  Otherwise ``eigh`` overwrites one
+    Fortran-ordered dense copy of L_sym, the eigenvectors are scaled in
+    place by s = sqrt((lambda + tau)^beta)
+    (:func:`~mfgl.spectral.shifted_eigenvalues`), and the result is the
+    one product (V s)(V s)^T.
     """
-    n = sym.shape[0]
     if float(beta).is_integer():
-        a = sp.csr_array(sym) + tau * sp.eye_array(n, format="csr")
-        out = np.empty((n, n))
+        n = gl.n
         step = -(-n // _PRIOR_ROW_BLOCKS)
-        for lo in range(0, n, step):
-            block = a[lo:lo + step]
-            for _ in range(int(beta) - 1):
-                block = block @ a
-            block.toarray(out=out[lo:lo + step])
+        with gl.shifted(-tau) as a:
+            a = a.T  # A = A^T, so this is the CSR view of the same arrays
+            out = np.empty((n, n))  # once the diagonal-slot search has freed its work
+            for lo in range(0, n, step):
+                block = a[lo:lo + step]
+                for _ in range(int(beta) - 1):
+                    block = block @ a
+                block.toarray(out=out[lo:lo + step])
         return out
-    base = sym.toarray(order="F") if sp.issparse(sym) else np.array(sym, dtype=np.float64, order="F")
+    base = gl.sym_matrix.toarray(order="F")
     vals, vecs = sla.eigh(base, overwrite_a=True)
     del base
     vecs *= np.sqrt(shifted_eigenvalues(vals, tau, beta))
@@ -156,7 +162,7 @@ def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
     """S (L_sym + tau I)^beta S with S = D^{(p-q)/2}: the prior precision
     per unit omega, scaled in place.  Entry (i, j) is multiplied by
     s_i s_j, which equals s_j s_i, so scaling keeps the power's symmetry."""
-    b = shifted_power(gl.sym_matrix, hp.tau, hp.beta)
+    b = shifted_power(gl, hp.tau, hp.beta)
     if gl.p != gl.q:
         s = gl.degrees ** (0.5 * (gl.p - gl.q))
         for row, s_i in zip(b, s):
@@ -229,7 +235,12 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
     Q is built in one N x N array.  Q_oo and Q_uo are copied out, Q_uu
     is moved to the front of that array, and the Cholesky factor and its
     inverse overwrite it there, so the factor holds about one N x N
-    array at its peak; ``l_inv`` keeps that array alive.
+    array at its peak; ``l_inv`` keeps that array alive.  The reference
+    to ``gl`` is dropped once Q is written, so a caller that passes its
+    only reference (``dense_factor(laplacians.pop(), hp, m)``, as
+    :func:`~mfgl.bench.estimate_attached` does) holds L_sym next to Q
+    while Q is written and Q alone after that.  A caller that keeps
+    ``gl`` gets the same factor bit for bit.
 
     Raises
     ------
@@ -247,6 +258,7 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
     if not 0 <= m <= n:
         raise DimensionMismatch(f"need 0 <= M <= N, got M={m}, N={n}")
     q = _prior_matrix(gl, hp)
+    del gl  # so that L_sym handed on is freed before the Cholesky
     k = n - m
     q_oo, q_uo = q[:m, :m].copy(), q[m:, :m].copy()
     l_inv = np.zeros((0, 0))

@@ -36,7 +36,7 @@ from .exceptions import (
     InvalidConfig,
     SingularSystem,
 )
-from .graph import GraphLaplacian
+from .graph import GraphLaplacian, _block_rows
 
 EIG_RESIDUAL_TOL = 1e-6
 # Largest squared diagonal ratio of a Cholesky factor that a solve accepts
@@ -178,8 +178,11 @@ def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
 
     ``a`` is overwritten, so callers pass a scratch array: a
     Fortran-ordered ``a`` becomes C in place, and any other layout is
-    first copied by scipy's LAPACK wrapper.  Its diagonal is read before
-    the factorization starts.
+    first copied by scipy's LAPACK wrapper.  Before the factorization
+    starts, every entry of ``a``, in both triangles, is checked finite,
+    a block of rows in memory order of at most
+    :data:`~mfgl.graph._WORK_BYTES` at a time, so the check holds no
+    N x N mask; and its diagonal is read.
 
     The test is the squared diagonal ratio of the factor of the
     equilibrated matrix S a S, S = diag(a)^{-1/2}, whose diagonal is
@@ -192,12 +195,17 @@ def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
     Raises
     ------
     SingularSystem
-        When the factorization fails, or when that ratio exceeds
-        ``CONDITION_LIMIT``.
+        When ``a`` holds NaN or Inf, when the factorization fails, or when
+        that ratio exceeds ``CONDITION_LIMIT``.
     """
+    rows = a.T if a.flags.f_contiguous else a  # rows in a's memory order
+    step = _block_rows(rows.shape[1])
+    for lo in range(0, rows.shape[0], step):
+        if not np.isfinite(rows[lo:lo + step]).all():
+            raise SingularSystem(f"{what} holds NaN or Inf")
     diag = a.diagonal().copy()
     try:
-        chol = sla.cholesky(a, lower=True, overwrite_a=True)
+        chol = sla.cholesky(a, lower=True, overwrite_a=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise SingularSystem(f"{what} factorization failed: {exc}") from exc
     pivots = np.diag(chol) ** 2 / diag

@@ -12,6 +12,7 @@ import mfgl.bench
 import mfgl.graph
 import mfgl.matio
 import mfgl.posterior
+from conftest import traced_peak
 from mfgl.cli import main as cli_main
 from mfgl.bench import (
     ErrorMetric,
@@ -171,6 +172,30 @@ def test_sigma_in_solve_coords(rng):
     ):
         _, nspec = normalize(Dataset(lf=lf), mode)
         assert sigma_in_solve_coords(0.7, nspec) == pytest.approx(expect(nspec))
+
+
+def test_sigma_whose_square_is_not_a_positive_normal_float_is_refused():
+    # every solver divides by sigma^2: a sigma whose square, in the solve
+    # coordinates, is subnormal, zero or infinite is refused there
+    lf = np.random.default_rng(0).normal(size=(60, 3))
+    _, none = normalize(Dataset(lf=lf), Normalization.NONE)
+    _, component = normalize(Dataset(lf=lf * 1e150), Normalization.COMPONENT)
+    assert sigma_in_solve_coords(1.5e-154, none) == 1.5e-154  # its square is normal
+    for sigma, nspec in ((2.5e-162, none), (1e200, none), (1e-13, component)):
+        with pytest.raises(InvalidConfig, match="--sigma"):
+            sigma_in_solve_coords(sigma, nspec)
+
+
+@pytest.mark.parametrize("solver", [SolverTag.TRUNCATED, SolverTag.DENSE])
+def test_estimate_planned_refuses_a_sigma_whose_square_underflows(solver):
+    lf = np.random.default_rng(0).normal(size=(60, 3)) * 1e-160
+    config = PipelineConfig(solver=solver, m=5, sigma=2.5e-162)
+    record, gl, _ = plan_rows(lf, config)
+    perm = np.asarray(record.plan.permutation, dtype=np.intp)
+    gl = None if gl is None else gl.permuted(perm)
+    hf = lf[list(record.plan.selected_indices)] * 1.01
+    with pytest.raises(InvalidConfig, match="--sigma"):
+        estimate_planned(lf[perm], record, hf, config, gl)
 
 
 def test_pipeline_config_rules():
@@ -511,7 +536,7 @@ class DenseWork:
     ran inside a calibration handle call."""
 
     def __init__(self, monkeypatch):
-        self.steps = []  # (name, shape of the first argument, in a handle call)
+        self.steps = []  # (name, shape of the first argument or its L_sym, in a handle call)
         self.handle_calls = 0
         self._in_handle = False
         for module, name in ((mfgl.posterior, "shifted_power"),
@@ -534,7 +559,8 @@ class DenseWork:
 
     def _recording(self, name, fn):
         def recorded(*args, **kwargs):
-            self.steps.append((name, np.shape(args[0]), self._in_handle))
+            self.steps.append((name, np.shape(getattr(args[0], "sym_matrix", args[0])),
+                               self._in_handle))
             return fn(*args, **kwargs)
 
         return recorded
@@ -543,32 +569,82 @@ class DenseWork:
         return [shape for step, shape, _ in self.steps if step == name]
 
 
+def _dense_estimate(entry, prob, m, tmp_path, capsys):
+    """Estimate ``prob`` with the dense solver and M = ``m``: by
+    run_pipeline, or by mfgl plan and mfgl estimate on CSV files."""
+    if entry == "run_pipeline":
+        run_pipeline(prob, PipelineConfig(solver=SolverTag.DENSE, m=m, seed=0))
+        return
+    out = tmp_path / "out"
+    write_csv(tmp_path / "lf.csv", prob.lf_data)
+    shared = ["--solver", "dense", "--m", str(m), "--seed", "0", "--output-dir", str(out)]
+    assert cli_main(["plan", "--lf-path", str(tmp_path / "lf.csv"), *shared]) == 0
+    selected = json.loads((out / "plan.json").read_text())["selected_indices"]
+    write_csv(tmp_path / "hf.csv", sample_hf(prob, selected, seed=1))
+    assert cli_main([
+        "estimate", "--lf-path", str(out / "lf_permuted.csv"),
+        "--hf-path", str(tmp_path / "hf.csv"), "--plan-path", str(out / "plan.json"),
+        "--sigma", f"{prob.hf_noise_sigma:.17g}", *shared,
+    ]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("entry", ["run_pipeline", "cli-estimate"])
 def test_dense_estimate_builds_and_factors_the_prior_once(entry, tmp_path, monkeypatch, capsys):
     n, m = 80, 6
     prob = generate(Generator.SMOOTH_MANIFOLD, n, 3, seed=0)
-    config = PipelineConfig(solver=SolverTag.DENSE, m=m, seed=0)
     work = DenseWork(monkeypatch)
-    if entry == "run_pipeline":
-        run_pipeline(prob, config)
-    else:
-        out = tmp_path / "out"
-        write_csv(tmp_path / "lf.csv", prob.lf_data)
-        shared = ["--solver", "dense", "--m", str(m), "--seed", "0", "--output-dir", str(out)]
-        assert cli_main(["plan", "--lf-path", str(tmp_path / "lf.csv"), *shared]) == 0
-        selected = json.loads((out / "plan.json").read_text())["selected_indices"]
-        write_csv(tmp_path / "hf.csv", sample_hf(prob, selected, seed=1))
-        assert cli_main([
-            "estimate", "--lf-path", str(out / "lf_permuted.csv"),
-            "--hf-path", str(tmp_path / "hf.csv"), "--plan-path", str(out / "plan.json"),
-            "--sigma", f"{prob.hf_noise_sigma:.17g}", *shared,
-        ]) == 0
-        capsys.readouterr()
+    _dense_estimate(entry, prob, m, tmp_path, capsys)
     assert work.handle_calls > 0
     assert work.shapes("shifted_power") == [(n, n)]
     assert work.shapes("cholesky") == [(n - m, n - m)]
     assert work.shapes("dtrtri") == [(n - m, n - m)]
     assert not [step for step in work.steps if step[2]], "a handle call did N^3 work"
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "cli-estimate"])
+def test_dense_l_sym_handed_on_is_freed_before_the_cholesky(entry, tmp_path, monkeypatch, capsys):
+    # the one reference to L_sym in solve order goes down to dense_factor,
+    # which drops it once Q is written: the Laplacian and the memory of
+    # its values are dead before Q_uu is factored
+    refs, alive = [], []
+    permuted = mfgl.graph.GraphLaplacian.permuted
+    cholesky = mfgl.posterior.checked_cholesky
+
+    def traced_permuted(self, perm):
+        gl = permuted(self, perm)
+        memory = gl.sym_matrix.data
+        while memory.base is not None:
+            memory = memory.base
+        refs.extend([weakref.ref(gl), weakref.ref(memory)])
+        return gl
+
+    def traced_cholesky(a, what):
+        alive.append([ref() is not None for ref in refs])
+        return cholesky(a, what)
+
+    monkeypatch.setattr(mfgl.graph.GraphLaplacian, "permuted", traced_permuted)
+    monkeypatch.setattr(mfgl.posterior, "checked_cholesky", traced_cholesky)
+    _dense_estimate(entry, generate(Generator.SMOOTH_MANIFOLD, 80, 3, seed=0), 6,
+                    tmp_path, capsys)
+    assert alive == [[False, False]]
+
+
+def test_dense_pipeline_peak_is_q_l_sym_and_the_eigenvectors():
+    # manifold-dense-400's shape.  The peak comes while Q, 8 N^2 bytes, is
+    # written next to L_sym and the eigenvectors in solve order; the slack
+    # covers the rows, the plan, L_sym's diagonal slots and the sparse row
+    # blocks, measured at 0.087-0.100 x 8 N^2 over generator seeds 0-5.  A
+    # copy of L_sym shifted by tau, a K^2 finiteness mask, or L_sym held
+    # through the Cholesky would each take a share of it.
+    n = 400
+    prob = generate(Generator.SMOOTH_MANIFOLD, n, 5, seed=0)
+    config = PipelineConfig(solver=SolverTag.DENSE, m=10, seed=7)
+    lsym = laplacian(build_graph(prob.lf_data, config.knn_k), config.p, config.q).sym_matrix
+    csr = lsym.data.nbytes + lsym.indices.nbytes + lsym.indptr.nbytes
+    del lsym
+    _, peak = traced_peak(lambda: run_pipeline(prob, config))
+    assert peak <= 8 * n * n + csr + 8 * n * config.spectrum_size(n) + 0.12 * 8 * n * n
 
 
 def test_refused_calibration_step_leaves_the_estimate_unchanged(monkeypatch):

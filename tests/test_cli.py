@@ -990,6 +990,29 @@ def test_estimate_requires_sigma(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("solver", ["truncated", "dense"])
+def test_estimate_refuses_a_sigma_whose_square_underflows(tmp_path, capsys, solver):
+    # rows near 1e-160 plan fine, but sigma = 2.5e-162 squares to a
+    # subnormal: refused as a bad setting (exit 3), not a traceback
+    lf = np.random.default_rng(0).normal(size=(60, 3)) * 1e-160
+    write_csv(tmp_path / "lf.csv", lf)
+    out_dir = tmp_path / "out"
+    shared = ["--solver", solver, "--m", "5", "--output-dir", str(out_dir)]
+    code, out, _ = run_cli(capsys, "plan", "--lf-path", str(tmp_path / "lf.csv"), *shared)
+    assert code == 0
+    write_csv(tmp_path / "hf.csv", lf[last_json(out)["selected_indices"]] * 1.01)
+    code, _, err = run_cli(
+        capsys, "estimate", "--lf-path", str(out_dir / "lf_permuted.csv"),
+        "--hf-path", str(tmp_path / "hf.csv"), "--plan-path", str(out_dir / "plan.json"),
+        "--sigma", "2.5e-162", *shared,
+    )
+    assert code == 3
+    error = last_json(err)
+    assert (error["error"], error["exit_code"]) == ("InvalidConfig", 3)
+    assert "--sigma" in error["message"]
+    assert not (out_dir / "mf_estimates.csv").exists()
+
+
 def test_cli_estimate_matches_pipeline_phi_star(tmp_path, capsys):
     # the CLI two-phase flow on files reproduces the in-process pipeline:
     # same plan, same hyperparameters, same posterior (bitwise, since

@@ -381,6 +381,26 @@ def test_laplacian_arrays_are_read_only():
             getattr(gl.sym_matrix, part)[0] = 0
 
 
+def test_laplacian_and_permuted_arrays_are_read_only_down_to_their_memory():
+    # the views and every array they view, down to the one owning the
+    # memory: a writeable base would let L_sym be written around its views
+    def writeable(arr):
+        while isinstance(arr, np.ndarray):
+            if arr.flags.writeable:
+                return True
+            arr = arr.base
+        return False
+
+    gl = laplacian(build_graph(random_points(30, 2, seed=1), knn_k=4), 1.0, 0.0)
+    perm = np.random.default_rng(1).permutation(30)
+    for g in (gl, gl.permuted(perm), gl.permuted(perm).permuted(np.argsort(perm))):
+        parts = [getattr(g.sym_matrix, part) for part in ("data", "indices", "indptr")]
+        assert not any(writeable(arr) for arr in parts)
+        with g.shifted(0.1):  # writes the diagonal, then makes all read-only again
+            pass
+        assert not any(writeable(arr) for arr in parts)
+
+
 def test_shift_in_place_refuses_a_matrix_without_its_diagonal():
     # the shift is written into stored diagonal slots, so a matrix that
     # lacks one is refused before anything is written

@@ -3,16 +3,18 @@ import numpy.linalg as nla
 import pytest
 import scipy.linalg as sla
 
+import mfgl.graph
 import mfgl.spectral
 from conftest import random_points, traced_peak, two_blob_points
 from mfgl.bench import Generator, generate
 from mfgl.data import Dataset, HyperParameters, displacements
-from mfgl.exceptions import DimensionMismatch, InsufficientSpectrum
+from mfgl.exceptions import DimensionMismatch, InsufficientSpectrum, SingularSystem
 from mfgl.graph import WEIGHT_EPS, build_graph, laplacian, self_tuning_scales
 from mfgl.spectral import (
     EIG_RESIDUAL_TOL,
     Spectrum,
     TruncatedPosterior,
+    checked_cholesky,
     embed,
     low_spectrum,
     shifted_eigenvalues,
@@ -319,3 +321,32 @@ def test_general_pq_truncated_matches_weighted_dense(rng):
     )
     var = truncated_variances(tp)
     assert np.abs(var - ref.stddevs**2).max() <= 1e-8 * (ref.stddevs**2).max()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checked_cholesky_refuses_a_non_finite_entry_anywhere(bad, order, monkeypatch):
+    # blocks of 4 rows of 30; LAPACK reads the lower triangle only, so an
+    # entry above the diagonal is refused by the check alone
+    monkeypatch.setattr(mfgl.graph, "_WORK_BYTES", 8 * 30 * 4)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(30, 30))
+    spd = x @ x.T + 30 * np.eye(30)
+    for i, j in ((29, 0), (13, 12), (0, 29), (12, 13), (7, 7), (29, 29)):
+        a = np.array(spd, order=order)
+        a[i, j] = bad
+        with pytest.raises(SingularSystem, match="NaN or Inf"):
+            checked_cholesky(a, "test block")
+    chol = checked_cholesky(np.array(spd, order=order), "test block")
+    np.testing.assert_array_equal(chol, sla.cholesky(spd, lower=True))
+
+
+def test_checked_cholesky_checks_finiteness_without_a_whole_mask():
+    # the block factored in place, as dense_factor does: a K x K boolean
+    # mask (scipy's check_finite) would take K^2 bytes
+    k = 1000
+    x = np.random.default_rng(1).normal(size=(k, 20))
+    a = np.asfortranarray(x @ x.T + np.eye(k))
+    chol, peak = traced_peak(lambda: checked_cholesky(a, "test block"))
+    assert np.shares_memory(chol, a)
+    assert peak <= mfgl.graph._WORK_BYTES // 8 + 4 * 8 * k
