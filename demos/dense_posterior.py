@@ -10,7 +10,6 @@ the scalable solvers are tested against.
 
 import numpy as np
 
-from mfgl.data import HyperParameters
 from mfgl.graph import build_graph, laplacian
 from mfgl.posterior import calibrate_omega, choose_tau, dense_factor, dense_posterior
 from mfgl.spectral import low_spectrum
@@ -36,7 +35,7 @@ print(f"{n} points, {m} observed, noise sigma = {sigma}, tau = {tau:.4f}")
 # calibrate omega so the mean unobserved stddev hits r * sigma, then ask
 # how the advertised spread compares with the realized error; the prior
 # is built and factored once, and every omega below is closed form
-factor = dense_factor(gl, HyperParameters(sigma=sigma, omega=1.0, tau=tau), m)
+factor = dense_factor(gl, m, tau)
 
 
 def handle(omega):
@@ -46,8 +45,7 @@ def handle(omega):
 print(f"{'r':>4} {'omega':>9} {'advertised':>11} {'realized':>9} {'2-sigma cover':>14}")
 for r in (1.5, 3.0, 6.0):
     omega = calibrate_omega(handle, sigma, r=r)
-    hp = HyperParameters(sigma=sigma, omega=omega, tau=tau)
-    post = dense_posterior(factor, phi_hat, hp)
+    post = dense_posterior(factor, phi_hat, omega, sigma)
     resid = np.abs(post.phi_star - truth)
     cover = (resid[m:] <= 2.0 * post.stddevs[m:, None]).mean()
     print(f"{r:4.1f} {omega:9.1f} {post.stddevs[m:].mean():11.4f} "
@@ -55,9 +53,7 @@ for r in (1.5, 3.0, 6.0):
 
 # r = 1.5 squeezes the band below the achievable error and the intervals
 # start missing; r = 3 is honest; r = 6 just pads the band.
-post = dense_posterior(
-    factor, phi_hat, HyperParameters(sigma=sigma, omega=calibrate_omega(handle, sigma), tau=tau)
-)
+post = dense_posterior(factor, phi_hat, calibrate_omega(handle, sigma), sigma)
 err = np.linalg.norm(post.phi_star - truth, axis=1)
 scale = np.linalg.norm(truth, axis=1).mean()
 print(f"default calibration: mean MAP error {err.mean():.4f} "

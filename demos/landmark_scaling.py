@@ -14,7 +14,7 @@ from mfgl.data import HyperParameters
 from mfgl.exceptions import NegativeApproxDegree
 from mfgl.graph import build_graph, laplacian, self_tuning_scales, weight_columns
 from mfgl.nystrom import build_saddle, nystrom_factor, select_landmarks
-from mfgl.posterior import dense_posterior
+from mfgl.posterior import dense_factor, dense_posterior
 
 rng = np.random.default_rng(21)
 
@@ -23,7 +23,8 @@ n, m = 400, 20
 g = build_graph(rng.normal(size=(n, 3)), knn_k=7)
 hp = HyperParameters(sigma=0.5, omega=2.0, tau=0.3, beta=1.0)
 phi_hat = rng.normal(size=(m, 2))
-ref = dense_posterior(laplacian(g, 0.5, 0.5), phi_hat, hp)
+factor = dense_factor(laplacian(g, 0.5, 0.5), m, hp.tau, hp.beta)
+ref = dense_posterior(factor, phi_hat, hp.omega, hp.sigma)
 w = g.weights.toarray()
 lrl = nystrom_factor(lambda idx: w[:, idx], range(n))
 got = build_saddle(lrl, hp, m).solve(phi_hat)

@@ -8,7 +8,6 @@ that limit, computed independently by eliminating the constraint.
 
 import numpy as np
 
-from mfgl.data import HyperParameters
 from mfgl.graph import build_graph, laplacian
 from mfgl.posterior import constrained_minimizer, regularization_path
 
@@ -16,13 +15,13 @@ rng = np.random.default_rng(30)
 
 n, m = 30, 6
 gl = laplacian(build_graph(rng.normal(size=(n, 2)), knn_k=5), p=0.5, q=0.5)
-hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.3, beta=2.0)
+tau, beta = 0.3, 2.0
 phi_obs = rng.normal(size=(m, 2))
 
 deltas = 2.0 ** -np.arange(1, 21)
-path = regularization_path(gl, phi_obs, deltas, hp)
+path = regularization_path(gl, phi_obs, deltas, tau, beta)
 
-limit = constrained_minimizer(gl, phi_obs, hp)
+limit = constrained_minimizer(gl, phi_obs, tau, beta)
 print(f"limit matches the observed block exactly: "
       f"{np.abs(limit[:m] - phi_obs).max():.1e}")
 
@@ -36,6 +35,6 @@ for i in (0, 4, 9, 14, 19):
 # prior at the observed rows while the prior still picks the smoothest
 # completion elsewhere.  A schedule violating that cannot be built:
 try:
-    regularization_path(gl, phi_obs, deltas, hp, omega_exponent=2.5)
+    regularization_path(gl, phi_obs, deltas, tau, beta, omega_exponent=2.5)
 except Exception as exc:
     print(f"omega_n = delta_n^2.5 rejected: {type(exc).__name__}")

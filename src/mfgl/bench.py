@@ -333,7 +333,8 @@ def estimate_attached(
     phi_hat: np.ndarray, config: PipelineConfig, spectrum: Spectrum,
     laplacian: Optional[GraphLaplacian] = None,
 ) -> EstimateArtifacts:
-    """Resolve hyperparameters and solve for the observed displacements.
+    """Resolve tau, then omega on the one factor tau fixes, and solve for
+    the observed displacements; the resolved hyperparameters are one record.
 
     ``phi_hat`` holds the displacements hf - lf of the first M rows of
     ``spectrum``'s row order, and ``config.sigma`` must be set, both in
@@ -368,21 +369,21 @@ def estimate_attached(
     timings: dict = {}
 
     t0 = time.perf_counter()
-    tau = choose_tau(spectrum) if config.tau is None else config.tau
-    hp = HyperParameters(sigma=config.sigma, omega=1.0, tau=tau, beta=config.beta, r=config.r)
+    sigma, tau = config.sigma, (choose_tau(spectrum) if config.tau is None else config.tau)
     # one factor serves the calibration handle and the final solve
-    factor = dense_factor(laplacians.pop(), hp, m) if dense else truncated_factor(spectrum, hp, m)
+    factor = (dense_factor(laplacians.pop(), m, tau, config.beta) if dense
+              else truncated_factor(spectrum, m, tau, config.beta))
     omega = config.omega
     if omega is None:
-        omega = calibrate_omega(lambda w: factor.mean_stddev(w, config.sigma), config.sigma, config.r)
-    hp = dataclasses.replace(hp, omega=omega)
+        omega = calibrate_omega(lambda w: factor.mean_stddev(w, sigma), sigma, config.r)
+    hp = HyperParameters(sigma=sigma, omega=omega, tau=tau, beta=config.beta, r=config.r)
     timings["hyperparameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if dense:
-        posterior = dense_posterior(factor, phi_hat, hp)
+        posterior = dense_posterior(factor, phi_hat, omega, sigma)
     else:
-        tp = truncated_posterior(factor, phi_hat, hp)
+        tp = truncated_posterior(factor, phi_hat, omega, sigma)
         posterior = PosteriorResult(
             stddevs=np.sqrt(truncated_variances(tp)), head=np.empty((0, phi_hat.shape[1])),
             basis=spectrum.eigenvectors, coeffs=tp.coeff_mean,

@@ -83,22 +83,24 @@ def field_rules(schema) -> tuple:
     )
 
 
-def check_fields(record) -> None:
-    """Raise ``InvalidConfig`` when a field of the settings dataclass
-    ``record`` holds a value of the wrong type, a float that is not
-    finite, or a value below its declared bound.  An enum field holds a
-    member, numpy scalars count as numbers, and only an Optional field
-    holds None."""
-    for name, (kind, *none), low, strict in field_rules(type(record)):
-        value = getattr(record, name)
+def check_values(schema, **values) -> None:
+    """Raise ``InvalidConfig`` when a value, named as a field of the
+    settings dataclass ``schema``, is of the wrong type, a float that is
+    not finite, or below that field's declared bound.  An enum field
+    holds a member, numpy scalars count as numbers, and only an Optional
+    field holds None."""
+    for name, (kind, *none), low, strict in field_rules(schema):
+        if name not in values:
+            continue
+        value = values[name]
         if value is None and none:
             continue
         if not isinstance(value, _ABSTRACT.get(kind, kind)) or (
             isinstance(value, bool) and kind is not bool
         ):
             if issubclass(kind, Enum):
-                values = ", ".join(e.value for e in kind)
-                raise InvalidConfig(f"unknown {name} {value!r}: expected a {kind.__name__}: {values}")
+                members = ", ".join(e.value for e in kind)
+                raise InvalidConfig(f"unknown {name} {value!r}: expected a {kind.__name__}: {members}")
             expected = kind.__name__ + (" or None" if none else "")
             raise InvalidConfig(f"{name} must be of type {expected}, got {value!r}")
         if kind is float and not isfinite(value):
@@ -109,6 +111,11 @@ def check_fields(record) -> None:
             else:
                 bound = "be non-negative" if low == 0 else f"be at least {low}"
             raise InvalidConfig(f"{name} must {bound}, got {value}")
+
+
+def check_fields(record) -> None:
+    """:func:`check_values` on every field of the settings dataclass ``record``."""
+    check_values(type(record), **vars(record))
 
 
 @dataclass(frozen=True)

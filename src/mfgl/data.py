@@ -54,19 +54,23 @@ def frozen(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
-def _require_finite(a: np.ndarray, name: str) -> None:
-    # min and max propagate NaN and reach +-inf, without an N x D bool array
+def require_finite(a: np.ndarray, name: str, error: type = NonFiniteInput) -> None:
+    """Raise ``error`` unless every entry of ``a`` is finite: min and max
+    propagate NaN and reach +-inf, so no mask of ``a``'s size is made."""
     if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise NonFiniteInput(f"{name} contains NaN or Inf")
+        raise error(f"{name} contains NaN or Inf")
 
 
-def observations(phi_hat) -> np.ndarray:
+def observations(phi_hat, m: Optional[int] = None) -> np.ndarray:
     """The observed displacements a solver takes, as floats, refused unless
-    2-D (``DimensionMismatch``) and finite (``NonFiniteInput``)."""
+    2-D, finite (``NonFiniteInput``) and, when ``m`` is given, of ``m``
+    rows, the rows the solver observes (``DimensionMismatch``)."""
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     if phi_hat.ndim != 2:
         raise DimensionMismatch("phi_hat must be 2-D")
-    _require_finite(phi_hat, "phi_hat")
+    require_finite(phi_hat, "phi_hat")
+    if m is not None and phi_hat.shape[0] != m:
+        raise DimensionMismatch(f"phi_hat has {phi_hat.shape[0]} rows, the solve observes M={m}")
     return phi_hat
 
 
@@ -94,7 +98,7 @@ class Dataset:
             raise RowCountMismatch(f"need at least 2 low-fidelity points, got {n}")
         if d < 1:
             raise DimensionMismatch("points must have at least one component")
-        _require_finite(lf, "lf")
+        require_finite(lf, "lf")
         object.__setattr__(self, "lf", lf)
 
         if self.hf is not None:
@@ -107,7 +111,7 @@ class Dataset:
                 raise RowCountMismatch(
                     f"more high-fidelity rows ({hf.shape[0]}) than low-fidelity ({n})"
                 )
-            _require_finite(hf, "hf")
+            require_finite(hf, "hf")
             object.__setattr__(self, "hf", hf)
 
     @property
@@ -182,11 +186,14 @@ class NormalizationSpec:
 
 
 def component_stats(lf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and population standard deviation of ``lf``."""
+    """Per-column mean and population standard deviation of ``lf``,
+    refused (``ZeroVariance``) for a column constant at its own scale:
+    std at most ``DEGENERACY_TOL`` times its largest |entry|."""
     lf = np.asarray(lf, dtype=np.float64)
     mean = lf.mean(axis=0)
     std = lf.std(axis=0)  # population (1/N) convention
-    bad = np.flatnonzero(std < DEGENERACY_TOL)
+    scale = np.maximum(lf.max(axis=0), -lf.min(axis=0))  # no N x D temporary
+    bad = np.flatnonzero(~(std > DEGENERACY_TOL * scale))
     if bad.size:
         raise ZeroVariance(int(bad[0]))
     return mean, std
@@ -209,7 +216,8 @@ def normalize(
     Raises
     ------
     ZeroVariance
-        Component mode, when a column's std over lf is below 1e-14.
+        Component mode, when a column of lf is constant at its own scale
+        (:func:`component_stats`).
     """
     if mode is Normalization.NONE:
         return data, NormalizationSpec(mode=mode)
@@ -224,8 +232,9 @@ def normalize(
 @dataclass(frozen=True)
 class HyperParameters:
     """Likelihood and prior hyperparameters (sigma, omega, tau, beta, r),
-    resolved: each is declared, and checked, as its
-    :class:`~mfgl.config.PipelineConfig` setting, but must be set.
+    resolved, as an estimate returns and writes them: each is declared,
+    and checked, as its :class:`~mfgl.config.PipelineConfig` setting, but
+    must be set.  The solvers check the values they take against it.
 
     ``kappa = omega * tau**beta`` is the derived reparameterized strength.
     """

@@ -42,13 +42,12 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
-from .data import frozen
+from .data import frozen, require_finite
 from .exceptions import (
     DenseLimitExceeded,
     DimensionMismatch,
     DuplicatePointScale,
     InvalidConfig,
-    NonFiniteInput,
     ZeroDegree,
 )
 
@@ -66,8 +65,7 @@ WEIGHT_EPS = 1e-12
 GRAPH_BYTE_BUDGET = 1 << 30
 _CSR_ENTRY_BYTES = 12
 # Most bytes of one block of squared distances, point differences or
-# scale factors, in build_graph, weight_columns and laplacian, and of the
-# matrix rows spectral.checked_cholesky checks finite.
+# scale factors, in build_graph, weight_columns and laplacian.
 _WORK_BYTES = 1 << 20
 
 
@@ -94,8 +92,7 @@ def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.
     n = lf.shape[0]
     if not 1 <= knn_k < n:
         raise InvalidConfig(f"knn_k must be in [1, {n}), got {knn_k}")
-    if not np.all(np.isfinite(lf)):
-        raise NonFiniteInput("points contain NaN or Inf")
+    require_finite(lf, "points")
     dists, _ = cKDTree(lf).query(lf, k=knn_k + 1)
     # column 0 is the zero self-distance; column knn_k is the knn_k-th
     # neighbor once self is dropped
@@ -190,8 +187,7 @@ class AffinityGraph:
             a nonzero diagonal entry: the kernel has W_ii = 0.
         """
         w = sp.csr_array(weights, dtype=np.float64)
-        if not np.all(np.isfinite(w.data)):
-            raise NonFiniteInput("weights contain NaN or Inf")
+        require_finite(w.data, "weights")
         if np.any(w.data < 0.0):
             raise InvalidConfig("weights must be non-negative")
         if w.shape[0] != w.shape[1] or (w != w.T).nnz or w.diagonal().any():

@@ -259,11 +259,7 @@ class SaddleOperators:
         NonFiniteInput
             ``phi_hat`` holds NaN or Inf.
         """
-        phi_hat = observations(phi_hat)
-        if phi_hat.shape[0] != self.m:
-            raise DimensionMismatch(
-                f"phi_hat has {phi_hat.shape[0]} rows, saddle was built for M={self.m}"
-            )
+        phi_hat = observations(phi_hat, self.m)
         rhs = np.zeros((self.n, phi_hat.shape[1]))
         rhs[: self.m] = phi_hat
         return self._apply(rhs)

@@ -30,14 +30,14 @@ limit, the constrained minimizer, is the factor's -Q_uu^{-1} Q_uo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dtrtri
 
-from .config import PipelineConfig, SolverTag  # noqa: F401  (SolverTag re-exported: callers import it from here)
+from .config import PipelineConfig, SolverTag, check_values  # noqa: F401  (SolverTag re-exported: callers import it from here)
 from .data import HyperParameters, frozen, observations
 from .exceptions import (
     AllZeroSpectrum,
@@ -49,7 +49,7 @@ from .exceptions import (
 )
 from .graph import GraphLaplacian
 from .matio import block_rows
-from .spectral import Spectrum, checked_cholesky, checked_factor, shifted_eigenvalues
+from .spectral import Spectrum, checked_cholesky, shifted_eigenvalues
 
 DENSE_POSTERIOR_LIMIT = 3_000
 # Row blocks in which shifted_power writes an integer power, so the sparse
@@ -158,11 +158,11 @@ def shifted_power(gl: GraphLaplacian, tau: float, beta: float) -> np.ndarray:
     return vecs @ vecs.T
 
 
-def _prior_matrix(gl: GraphLaplacian, hp: HyperParameters) -> np.ndarray:
+def _prior_matrix(gl: GraphLaplacian, tau: float, beta: float) -> np.ndarray:
     """S (L_sym + tau I)^beta S with S = D^{(p-q)/2}: the prior precision
     per unit omega, scaled in place.  Entry (i, j) is multiplied by
     s_i s_j, which equals s_j s_i, so scaling keeps the power's symmetry."""
-    b = shifted_power(gl, hp.tau, hp.beta)
+    b = shifted_power(gl, tau, beta)
     if gl.p != gl.q:
         s = gl.degrees ** (0.5 * (gl.p - gl.q))
         for row, s_i in zip(b, s):
@@ -190,8 +190,6 @@ class DenseFactor:
     :func:`dense_factor`.
     """
 
-    tau: float
-    beta: float
     l_inv: np.ndarray
     r: np.ndarray
     z: np.ndarray
@@ -227,37 +225,39 @@ class DenseFactor:
         return np.vstack([phi_o, -self.z @ phi_o])
 
 
-def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor:
-    """Factor the prior of ``gl`` under ``hp.tau`` and ``hp.beta`` for the
-    first ``m`` rows observed: one prior build, one Cholesky of the
-    (N-M) x (N-M) block, its triangular inverse and one M x M ``eigh``.
+def dense_factor(gl: GraphLaplacian, m: int, tau: float,
+                 beta: float = PipelineConfig.beta) -> DenseFactor:
+    """Factor the prior of ``gl`` under ``tau`` and ``beta`` for the first
+    ``m`` rows observed: one prior build, one Cholesky of the (N-M) x
+    (N-M) block, its triangular inverse and one M x M ``eigh``.
 
     Q is built in one N x N array.  Q_oo and Q_uo are copied out, Q_uu
     is moved to the front of that array, and the Cholesky factor and its
     inverse overwrite it there, so the factor holds about one N x N
     array at its peak; ``l_inv`` keeps that array alive.  The reference
     to ``gl`` is dropped once Q is written, so a caller that passes its
-    only reference (``dense_factor(laplacians.pop(), hp, m)``, as
+    only reference (``dense_factor(laplacians.pop(), m, tau, beta)``, as
     :func:`~mfgl.bench.estimate_attached` does) holds L_sym next to Q
     while Q is written and Q alone after that.  A caller that keeps
     ``gl`` gets the same factor bit for bit.
 
     Raises
     ------
-    DenseLimitExceeded
-        When N exceeds ``DENSE_POSTERIOR_LIMIT``, before any N^3 work.
+    InvalidConfig, DenseLimitExceeded
+        Before any N^3 work: when tau or beta is refused as its
+        :class:`~mfgl.data.HyperParameters` field, or N exceeds
+        ``DENSE_POSTERIOR_LIMIT``.
     SingularSystem
         When a factorization fails, or when the unobserved block is
         numerically singular (see :func:`mfgl.spectral.checked_cholesky`).
     """
+    check_values(HyperParameters, tau=tau, beta=beta)
     n = gl.n
     if n > DENSE_POSTERIOR_LIMIT:
-        raise DenseLimitExceeded(
-            f"N={n} exceeds the dense posterior limit {DENSE_POSTERIOR_LIMIT}"
-        )
+        raise DenseLimitExceeded(f"N={n} exceeds the dense posterior limit {DENSE_POSTERIOR_LIMIT}")
     if not 0 <= m <= n:
         raise DimensionMismatch(f"need 0 <= M <= N, got M={m}, N={n}")
-    q = _prior_matrix(gl, hp)
+    q = _prior_matrix(gl, tau, beta)
     del gl  # so that L_sym handed on is freed before the Cholesky
     k = n - m
     q_oo, q_uo = q[:m, :m].copy(), q[m:, :m].copy()
@@ -285,42 +285,23 @@ def dense_factor(gl: GraphLaplacian, hp: HyperParameters, m: int) -> DenseFactor
         raise SingularSystem(f"Schur complement eigensolve failed: {exc}") from exc
     z = l_inv.T @ w
     z.setflags(write=False)  # so that a posterior shares it
-    return DenseFactor(
-        tau=hp.tau,
-        beta=hp.beta,
-        l_inv=l_inv,
-        r=np.einsum("ij,ij->j", l_inv, l_inv),
-        z=z,
-        theta=np.clip(theta, 0.0, None),
-        v=v,
-        y=z @ v,
-    )
+    return DenseFactor(l_inv=l_inv, r=np.einsum("ij,ij->j", l_inv, l_inv), z=z,
+                       theta=np.clip(theta, 0.0, None), v=v, y=z @ v)
 
 
 def dense_posterior(
-    gl: Union[GraphLaplacian, DenseFactor],
-    phi_hat: np.ndarray,
-    hp: HyperParameters,
-    want_cov: bool = False,
+    factor: DenseFactor, phi_hat: np.ndarray, omega: float, sigma: float, want_cov: bool = False
 ) -> PosteriorResult:
     """Exact Gaussian posterior: A Phi* = (1/sigma^2) P_M^T Phi_hat and
-    ``stddevs`` = sqrt(diag(A^{-1})).
-
-    ``gl`` is the graph Laplacian, factored here by :func:`dense_factor`,
-    or a :class:`DenseFactor` already built for ``hp.tau``, ``hp.beta``
-    and M = ``len(phi_hat)``, so a caller that calibrated omega on it
-    factors once.  The N x N covariance is formed only for ``want_cov``.
-
-    Raises
-    ------
-    DenseLimitExceeded
-        When N exceeds ``DENSE_POSTERIOR_LIMIT``; use the truncated or
-        low-rank solver instead.
+    ``stddevs`` = sqrt(diag(A^{-1})), on ``factor`` (:func:`dense_factor`,
+    which fixes tau, beta and M), so a caller that calibrated omega on it
+    factors once.  omega and sigma are checked as their
+    :class:`~mfgl.data.HyperParameters` fields, and ``phi_hat`` must hold
+    the factor's M rows (:func:`~mfgl.data.observations`).  The N x N
+    covariance is formed only for ``want_cov``.
     """
-    phi_hat = observations(phi_hat)
-    m = phi_hat.shape[0]
-    factor = checked_factor(gl, hp, m) if isinstance(gl, DenseFactor) else dense_factor(gl, hp, m)
-    omega, sigma = hp.omega, hp.sigma
+    check_values(HyperParameters, omega=omega, sigma=sigma)
+    phi_hat = observations(phi_hat, factor.m)
     v = factor.v
     g = factor._gain(omega, sigma)
     x_oo = (v * g) @ v.T / omega
@@ -446,7 +427,7 @@ def _observed_rows(gl: GraphLaplacian, phi_observed: np.ndarray) -> np.ndarray:
 
 
 def constrained_minimizer(
-    gl: GraphLaplacian, phi_observed: np.ndarray, hp: HyperParameters
+    gl: GraphLaplacian, phi_observed: np.ndarray, tau: float, beta: float = PipelineConfig.beta
 ) -> np.ndarray:
     """Minimize <Theta, Q Theta>_F, Q = S (L_sym + tau I)^beta S, subject to
     the first M rows equaling ``phi_observed``, by eliminating the
@@ -457,14 +438,15 @@ def constrained_minimizer(
     :func:`dense_factor` (:meth:`DenseFactor.interpolant`).
     """
     phi_observed = _observed_rows(gl, phi_observed)
-    return dense_factor(gl, hp, phi_observed.shape[0]).interpolant(phi_observed)
+    return dense_factor(gl, phi_observed.shape[0], tau, beta).interpolant(phi_observed)
 
 
 def regularization_path(
     gl: GraphLaplacian,
     phi_observed: np.ndarray,
     noise_scales: Sequence[float],
-    hp: HyperParameters,
+    tau: float,
+    beta: float = PipelineConfig.beta,
     omega_coeff: float = 1.0,
     omega_exponent: float = 1.0,
     seed: int = 0,
@@ -502,18 +484,13 @@ def regularization_path(
         raise InvalidConfig("delta_n^2/omega_n must tend to zero")
     phi_observed = _observed_rows(gl, phi_observed)
     m, d = phi_observed.shape
-    factor = dense_factor(gl, hp, m)
+    factor = dense_factor(gl, m, tau, beta)
     rng = np.random.default_rng(seed)
     iterates = []
     for delta, omega in zip(deltas, omegas):
         noise = rng.standard_normal((m, d))
         norm = np.linalg.norm(noise)
         noise = noise * (delta / norm) if norm > 0 else noise
-        step = replace(hp, sigma=1.0, omega=2.0 * omega)
-        iterates.append(dense_posterior(factor, phi_observed + noise, step).phi_star)
-    return RegularizationPath(
-        deltas=deltas,
-        omegas=omegas,
-        iterates=tuple(iterates),
-        limit=factor.interpolant(phi_observed),
-    )
+        iterates.append(dense_posterior(factor, phi_observed + noise, 2.0 * omega, 1.0).phi_star)
+    return RegularizationPath(deltas=deltas, omegas=omegas, iterates=tuple(iterates),
+                              limit=factor.interpolant(phi_observed))

@@ -27,8 +27,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .config import check_fields, setting
-from .data import HyperParameters, frozen, observations
+from .config import PipelineConfig, check_fields, check_values, setting
+from .data import HyperParameters, frozen, observations, require_finite
 from .exceptions import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -36,7 +36,7 @@ from .exceptions import (
     InvalidConfig,
     SingularSystem,
 )
-from .graph import GraphLaplacian, _block_rows
+from .graph import GraphLaplacian
 
 EIG_RESIDUAL_TOL = 1e-6
 # Largest squared diagonal ratio of a Cholesky factor that a solve accepts
@@ -179,10 +179,9 @@ def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
     ``a`` is overwritten, so callers pass a scratch array: a
     Fortran-ordered ``a`` becomes C in place, and any other layout is
     first copied by scipy's LAPACK wrapper.  Before the factorization
-    starts, every entry of ``a``, in both triangles, is checked finite,
-    a block of rows in memory order of at most
-    :data:`~mfgl.graph._WORK_BYTES` at a time, so the check holds no
-    N x N mask; and its diagonal is read.
+    starts, every entry of ``a``, in both triangles, is checked finite
+    (:func:`~mfgl.data.require_finite`, which makes no mask), and its
+    diagonal is read.
 
     The test is the squared diagonal ratio of the factor of the
     equilibrated matrix S a S, S = diag(a)^{-1/2}, whose diagonal is
@@ -198,11 +197,7 @@ def checked_cholesky(a: np.ndarray, what: str) -> np.ndarray:
         When ``a`` holds NaN or Inf, when the factorization fails, or when
         that ratio exceeds ``CONDITION_LIMIT``.
     """
-    rows = a.T if a.flags.f_contiguous else a  # rows in a's memory order
-    step = _block_rows(rows.shape[1])
-    for lo in range(0, rows.shape[0], step):
-        if not np.isfinite(rows[lo:lo + step]).all():
-            raise SingularSystem(f"{what} holds NaN or Inf")
+    require_finite(a, what, SingularSystem)
     diag = a.diagonal().copy()
     try:
         chol = sla.cholesky(a, lower=True, overwrite_a=True, check_finite=False)
@@ -227,8 +222,6 @@ class TruncatedFactor:
     :func:`truncated_factor`."""
 
     spectrum: Spectrum
-    tau: float
-    beta: float
     m: int
     btb: np.ndarray
     prior: np.ndarray
@@ -259,30 +252,20 @@ class TruncatedFactor:
         return float(np.sqrt(var[self.m:]).mean())
 
 
-def truncated_factor(spectrum: Spectrum, hp: HyperParameters, m: int) -> TruncatedFactor:
-    """The factor of ``spectrum`` under ``hp.tau`` and ``hp.beta`` for the
-    first ``m`` rows observed."""
+def truncated_factor(spectrum: Spectrum, m: int, tau: float,
+                     beta: float = PipelineConfig.beta) -> TruncatedFactor:
+    """The factor of ``spectrum``'s prior under ``tau`` and ``beta`` for
+    the first ``m`` rows observed; tau and beta are checked as their
+    :class:`~mfgl.data.HyperParameters` fields."""
+    check_values(HyperParameters, tau=tau, beta=beta)
     if m > spectrum.n:
         raise DimensionMismatch("more observations than graph nodes")
     b = spectrum.eigenvectors[:m]
-    lam = shifted_eigenvalues(spectrum.eigenvalues, hp.tau, hp.beta)
-    return TruncatedFactor(spectrum, hp.tau, hp.beta, m, b.T @ b, lam)
-
-
-def checked_factor(factor, hp: HyperParameters, m: int):
-    """``factor``, a solver's factor, refused unless it was built for
-    ``hp.tau``, ``hp.beta`` and ``m`` observed rows."""
-    if factor.m != m:
-        raise DimensionMismatch(f"phi_hat has {m} rows, the factor observes {factor.m}")
-    if (factor.tau, factor.beta) != (hp.tau, hp.beta):
-        raise InvalidConfig("the factor was built for another tau or beta")
-    return factor
+    return TruncatedFactor(spectrum, m, b.T @ b, shifted_eigenvalues(spectrum.eigenvalues, tau, beta))
 
 
 def truncated_posterior(
-    spectrum: Spectrum | TruncatedFactor,
-    phi_hat: np.ndarray,
-    hp: HyperParameters,
+    factor: TruncatedFactor, phi_hat: np.ndarray, omega: float, sigma: float
 ) -> TruncatedPosterior:
     """Posterior over expansion coefficients in the truncated eigenbasis.
 
@@ -291,25 +274,25 @@ def truncated_posterior(
         C^{-1} = (1/sigma^2) B^T B + omega diag((Lambda + tau)^beta)
         A*     = (1/sigma^2) C B^T Phi_hat
 
-    solved through one SPD factorization shared by mean and covariance.
-    ``spectrum`` may also be a :class:`TruncatedFactor` built for
-    ``hp.tau``, ``hp.beta`` and M = ``len(phi_hat)``.
+    solved through one SPD factorization shared by mean and covariance,
+    on ``factor`` (:func:`truncated_factor`, which fixes tau, beta and M);
+    omega and sigma are checked as their
+    :class:`~mfgl.data.HyperParameters` fields.
 
     Raises
     ------
     DimensionMismatch, NonFiniteInput
-        ``phi_hat`` is not 2-D, or holds NaN or Inf (:func:`~mfgl.data.observations`).
+        ``phi_hat`` is not 2-D with the factor's M rows, or holds NaN or
+        Inf (:func:`~mfgl.data.observations`).
     SingularSystem
         If the SPD factorization fails (the matrix is positive definite
         for any omega, tau > 0) or the system is numerically singular
         (see :func:`checked_cholesky`).
     """
-    phi_hat = observations(phi_hat)
-    m = phi_hat.shape[0]
-    factor = (checked_factor(spectrum, hp, m) if isinstance(spectrum, TruncatedFactor)
-              else truncated_factor(spectrum, hp, m))
-    chol, cov = factor._covariance(hp.omega, hp.sigma)
-    mean = (1.0 / hp.sigma**2) * sla.cho_solve(chol, factor.spectrum.eigenvectors[:m].T @ phi_hat)
+    check_values(HyperParameters, omega=omega, sigma=sigma)
+    phi_hat = observations(phi_hat, factor.m)
+    chol, cov = factor._covariance(omega, sigma)
+    mean = (1.0 / sigma**2) * sla.cho_solve(chol, factor.spectrum.eigenvectors[:factor.m].T @ phi_hat)
     return TruncatedPosterior(coeff_mean=mean, coeff_cov=cov, spectrum=factor.spectrum)
 
 

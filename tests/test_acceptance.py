@@ -40,7 +40,7 @@ from mfgl.posterior import (
     dense_posterior,
     regularization_path,
 )
-from mfgl.spectral import low_spectrum, truncated_posterior, truncated_variances
+from mfgl.spectral import low_spectrum, truncated_factor, truncated_posterior, truncated_variances
 
 
 CLI_MODULE = (sys.executable, "-m", "mfgl.cli")
@@ -73,8 +73,10 @@ def test_ac1_truncated_matches_dense_oracle(capsys):
             beta=beta,
         )
         phi_hat = rng.normal(size=(m, d))
-        ref = dense_posterior(gl, phi_hat, hp, want_cov=True)
-        tp = truncated_posterior(low_spectrum(gl, n), phi_hat, hp)
+        ref = dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma,
+                              want_cov=True)
+        factor = truncated_factor(low_spectrum(gl, n), m, hp.tau, hp.beta)
+        tp = truncated_posterior(factor, phi_hat, hp.omega, hp.sigma)
         rel_map = nla.norm(tp.spectrum.eigenvectors @ tp.coeff_mean - ref.phi_star) / nla.norm(
             ref.phi_star
         )
@@ -105,9 +107,10 @@ def test_ac2_nystrom_full_landmarks_matches_dense(capsys):
         w = g.weights.toarray()
         lrl = nystrom_factor(lambda idx: w[:, idx], range(n))
         ops = build_saddle(lrl, hp, m)
+        factor = dense_factor(gl, m, hp.tau, hp.beta)
         for _ in range(3):
             phi_hat = rng.normal(size=(m, 2))
-            ref = dense_posterior(gl, phi_hat, hp)
+            ref = dense_posterior(factor, phi_hat, hp.omega, hp.sigma)
             got = ops.solve(phi_hat)
             worst_dense = max(
                 worst_dense, nla.norm(got - ref.phi_star) / nla.norm(ref.phi_star)
@@ -172,14 +175,14 @@ def test_ac4_regularization_path_converges(capsys):
     rng = np.random.default_rng(104)
     n, m = 30, 6
     gl = laplacian(build_graph(random_points(n, 2, seed=40), knn_k=5), 0.5, 0.5)
-    hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.3, beta=2.0)
+    tau = 0.3
     phi_obs = rng.normal(size=(m, 2))
     deltas = 2.0 ** -np.arange(1, 21)
-    path = regularization_path(gl, phi_obs, deltas, hp)
+    path = regularization_path(gl, phi_obs, deltas, tau, 2.0)
 
     # independent oracle: equality-constrained minimizer of theta^T B theta
     # via the full Lagrangian block system, solved generically
-    b = nla.matrix_power(gl.matrix().toarray() + hp.tau * np.eye(n), 2)
+    b = nla.matrix_power(gl.matrix().toarray() + tau * np.eye(n), 2)
     sel = np.zeros((m, n))
     sel[np.arange(m), np.arange(m)] = 1.0
     kkt = np.block([[2.0 * b, sel.T], [sel, np.zeros((m, m))]])
@@ -213,7 +216,7 @@ def test_ac5_calibration_self_consistency(capsys):
             0.5, 0.5,
         )
         sigma = float(rng.uniform(0.02, 0.3))
-        factor = dense_factor(gl, HyperParameters(sigma=sigma, omega=1.0, tau=0.2), m)
+        factor = dense_factor(gl, m, 0.2)
 
         def handle(omega):
             return factor.mean_stddev(omega, sigma)
@@ -314,7 +317,8 @@ def test_ac8_general_normalization(capsys):
         g = build_graph(random_points(n, 3, seed=800 + seed), knn_k=6)
         hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)
         phi_hat = rng.normal(size=(m, 2))
-        ref = dense_posterior(laplacian(g, 1.0, 0.0), phi_hat, hp)
+        factor = dense_factor(laplacian(g, 1.0, 0.0), m, hp.tau, hp.beta)
+        ref = dense_posterior(factor, phi_hat, hp.omega, hp.sigma)
         w = g.weights.toarray()
         lrl = nystrom_factor(lambda idx: w[:, idx], range(n), p=1.0)
         got = build_saddle(lrl, hp, m).solve(phi_hat)

@@ -704,3 +704,24 @@ def test_truncated_estimate_solves_the_map_once(monkeypatch):
     run_pipeline(prob, PipelineConfig(solver=SolverTag.TRUNCATED, m=5, seed=7))
     assert len(handle_calls) > 0
     assert calls == {"truncated_posterior": 1, "truncated_variances": 1}
+
+
+@pytest.mark.parametrize("solver", [SolverTag.DENSE, SolverTag.TRUNCATED])
+@pytest.mark.parametrize("kind", list(Generator))
+def test_component_normalized_run_does_not_depend_on_the_rows_scale(kind, solver):
+    # rows and sigma scaled by 2^k, exactly in floating point: the same
+    # plan, the same stddevs and hyperparameters in solve coordinates, and
+    # estimates exactly 2^k times the unscaled ones; a constant-column test
+    # with an absolute floor refused the rows at 2^-100 and 2^-300
+    prob = generate(kind, 300, 5, seed=0)
+    config = PipelineConfig(solver=solver, m=8, seed=3, normalization=Normalization.COMPONENT)
+    base = run_pipeline(prob, config)
+    for k in (-300, -100, 100):
+        s = 2.0**k
+        scaled = dataclasses.replace(prob, true_data=prob.true_data * s, lf_data=prob.lf_data * s,
+                                     hf_noise_sigma=prob.hf_noise_sigma * s)
+        out = run_pipeline(scaled, config)
+        assert out.plan.selected_indices == base.plan.selected_indices
+        assert np.array_equal(out.posterior.mf_estimates, base.posterior.mf_estimates * s)
+        assert np.array_equal(out.posterior.stddevs, base.posterior.stddevs)
+        assert out.hyper == base.hyper

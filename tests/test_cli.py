@@ -449,8 +449,8 @@ def test_bench_dense_tiny_tau_refused_as_by_a_copying_factor(tmp_path, capsys, m
     priors = []
     prior_matrix = mfgl.posterior._prior_matrix
 
-    def recording(gl, hp):
-        q = prior_matrix(gl, hp)
+    def recording(gl, tau, beta):
+        q = prior_matrix(gl, tau, beta)
         priors.append(q.copy())
         return q
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfgl.bench import PipelineConfig, plan_rows
 from mfgl.data import (
     Dataset,
     HyperParameters,
@@ -157,3 +158,21 @@ def test_hyperparameters_validation():
         HyperParameters(sigma=1.0, omega=1.0, tau=0.1, beta=0.0)
     with pytest.raises(InvalidConfig):
         HyperParameters(sigma=1.0, omega=1.0, tau=0.1, r=0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.1, 1e-20, -3e-300, 7e100])
+def test_component_stats_rejects_a_constant_column_at_any_scale(value, rng):
+    lf = np.column_stack([rng.normal(size=50), np.full(50, value)])
+    with pytest.raises(ZeroVariance) as info:
+        component_stats(lf)
+    assert info.value.component == 1
+
+
+def test_component_stats_takes_a_column_of_tiny_values(rng):
+    # the floor is relative to each column's own largest |entry|: a column
+    # of 1e-20-scale values varies at its scale, and the rows plan
+    lf = np.column_stack([rng.normal(size=60), 1e-20 * rng.normal(size=60)])
+    mean, std = component_stats(lf)
+    assert 0 < std[1] < 1e-19
+    record = plan_rows(lf, PipelineConfig(m=4, normalization=Normalization.COMPONENT)).record
+    assert record.plan.m == 4

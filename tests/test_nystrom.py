@@ -21,7 +21,7 @@ from mfgl.nystrom import (
     nystrom_factor,
     select_landmarks,
 )
-from mfgl.posterior import dense_posterior
+from mfgl.posterior import dense_factor, dense_posterior
 
 
 def cols(w):
@@ -211,7 +211,8 @@ def test_full_landmarks_match_dense_posterior(rng):
     hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)
     m = 12
     phi_hat = rng.normal(size=(m, 2))
-    ref = dense_posterior(gl, phi_hat, hp, want_cov=True)
+    ref = dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma,
+                          want_cov=True)
 
     lrl = nystrom_factor(cols(g.weights.toarray()), range(120))
     ops = build_saddle(lrl, hp, m=m)
@@ -332,7 +333,8 @@ def test_general_p_duality_and_dense_agreement(rng):
     phi_hat = rng.normal(size=(m, 2))
     ops = build_saddle(lrl, hp, m=m)
     got = ops.solve(phi_hat)
-    ref = dense_posterior(laplacian(g, 1.0, 0.0), phi_hat, hp)
+    factor = dense_factor(laplacian(g, 1.0, 0.0), m, hp.tau, hp.beta)
+    ref = dense_posterior(factor, phi_hat, hp.omega, hp.sigma)
     assert nla.norm(got - ref.phi_star) <= 1e-6 * nla.norm(ref.phi_star)
 
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import numpy.linalg as nla
 import pytest
@@ -50,10 +48,10 @@ def hand_graph(w):
 
 def test_zero_rhs_and_data_independent_covariance(rng):
     gl = laplacian(build_graph(random_points(20, 2, seed=0), knn_k=4), 0.5, 0.5)
-    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.3)
-    res0 = dense_posterior(gl, np.zeros((4, 2)), hp, want_cov=True)
+    factor = dense_factor(gl, 4, 0.3)
+    res0 = dense_posterior(factor, np.zeros((4, 2)), 1.0, 0.1, want_cov=True)
     assert np.all(res0.phi_star == 0.0)
-    res1 = dense_posterior(gl, rng.normal(size=(4, 2)), hp, want_cov=True)
+    res1 = dense_posterior(factor, rng.normal(size=(4, 2)), 1.0, 0.1, want_cov=True)
     # covariance depends on the design, never on the observed values
     assert np.array_equal(res0.covariance, res1.covariance)
     assert np.array_equal(res0.stddevs, res1.stddevs)
@@ -77,7 +75,7 @@ def test_three_node_chain_matches_direct_solve():
     a = hp.omega * (gl.matrix().toarray() + hp.tau * np.eye(3))
     a[0, 0] += 1.0 / hp.sigma**2
     ref = nla.solve(a, np.array([[1.2 / hp.sigma**2], [0.0], [0.0]]))
-    res = dense_posterior(gl, phi_hat, hp)
+    res = dense_posterior(dense_factor(gl, 1, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     assert np.abs(res.phi_star - ref).max() < 1e-12
 
 
@@ -85,11 +83,11 @@ def test_columns_decouple(rng):
     # each displacement component solves its own system with the shared
     # operator: solving columns together or separately is identical
     gl = laplacian(build_graph(random_points(15, 3, seed=5), knn_k=4), 0.5, 0.5)
-    hp = HyperParameters(sigma=0.2, omega=1.0, tau=0.2)
+    factor = dense_factor(gl, 4, 0.2)
     phi_hat = rng.normal(size=(4, 3))
-    joint = dense_posterior(gl, phi_hat, hp).phi_star
+    joint = dense_posterior(factor, phi_hat, 1.0, 0.2).phi_star
     for j in range(3):
-        single = dense_posterior(gl, phi_hat[:, j : j + 1], hp).phi_star
+        single = dense_posterior(factor, phi_hat[:, j : j + 1], 1.0, 0.2).phi_star
         assert np.abs(joint[:, j : j + 1] - single).max() < 1e-14
 
 
@@ -106,8 +104,7 @@ def test_cluster_propagation():
     lf_p, shift_p = lf[order], shift[order]
     gl_p = laplacian(build_graph(lf_p, knn_k=7), 1.0, 0.0)
     tau = choose_tau(low_spectrum(gl_p, 30))
-    hp = HyperParameters(sigma=0.01, omega=5.0, tau=tau)
-    res = dense_posterior(gl_p, shift_p[:2], hp)
+    res = dense_posterior(dense_factor(gl_p, 2, tau), shift_p[:2], 5.0, 0.01)
     labels = np.array([o < 15 for o in order])
     for blob, target in ((res.phi_star[labels], [0.5, 0.0]),
                          (res.phi_star[~labels], [0.0, -0.5])):
@@ -117,10 +114,9 @@ def test_cluster_propagation():
 
 def test_dense_limit_guard(rng, monkeypatch):
     gl = laplacian(build_graph(random_points(30, 2, seed=1), knn_k=4), 0.5, 0.5)
-    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.3)
     monkeypatch.setattr("mfgl.posterior.DENSE_POSTERIOR_LIMIT", 10)
     with pytest.raises(DenseLimitExceeded):
-        dense_posterior(gl, rng.normal(size=(5, 2)), hp)
+        dense_factor(gl, 5, 0.3)
 
 
 def _laplacian_of(s):
@@ -194,28 +190,26 @@ def test_in_place_factor_equals_factor_of_a_copy(pq, beta):
     # order, is the block a copying factor reads, and LAPACK gives the same
     # factor bit for bit
     gl = laplacian(build_graph(random_points(80, 3, seed=6), knn_k=6), *pq)
-    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.05, beta=beta)
-    q = mfgl.posterior._prior_matrix(gl, hp)
+    q = mfgl.posterior._prior_matrix(gl, 0.05, beta)
     assert np.array_equal(q, q.T)
     m = 7
     l_inv, info = dtrtri(sla.cholesky(q[m:, m:], lower=True), lower=1)
     assert info == 0
-    assert dense_factor(gl, hp, m).l_inv.tobytes() == l_inv.tobytes()
+    assert dense_factor(gl, m, 0.05, beta).l_inv.tobytes() == l_inv.tobytes()
 
 
-@pytest.mark.parametrize("n, integer_multiple", [(400, 1.15), (1000, 1.06)])
+@pytest.mark.parametrize("n, integer_multiple", [(400, 1.125), (1000, 1.06)])
 @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0, 1.5])
 def test_dense_factor_peak_is_a_few_n_squared_arrays(beta, n, integer_multiple):
     # integer beta: one N x N array, written a row block at a time from
-    # sparse products on L_sym's own arrays, checked finite a block at a
-    # time and factored in place: measured 1.131 x 8 N^2 at N=400, the
-    # finiteness block's mask on top, and 1.042 at N=1000, the N x M
-    # blocks of the tail on top.  beta = 1.5: the eigenvectors next to
+    # sparse products on L_sym's own arrays, checked finite by its min and
+    # max and factored in place: measured 1.106-1.112 x 8 N^2 at N=400
+    # (1.131 while the check made a mask of a row block), and 1.042 at
+    # N=1000, the N x M blocks of the tail on top.  beta = 1.5: the eigenvectors next to
     # the copy eigh overwrites, then next to their product
     lf = generate(Generator.SMOOTH_MANIFOLD, n, 5, seed=0).lf_data
     gl = laplacian(build_graph(lf), 0.5, 0.5)
-    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.01, beta=beta)
-    _, peak = traced_peak(lambda: dense_factor(gl, hp, 10))
+    _, peak = traced_peak(lambda: dense_factor(gl, 10, 0.01, beta))
     multiple = integer_multiple if float(beta).is_integer() else 2.2
     assert peak <= multiple * 8 * n * n
 
@@ -269,7 +263,7 @@ def test_calibration_self_consistency():
         lf = random_points(40, 3, seed=seed)
         gl = laplacian(build_graph(lf, knn_k=5), 0.5, 0.5)
         sigma = 0.05
-        factor = dense_factor(gl, HyperParameters(sigma=sigma, omega=1.0, tau=0.3), 8)
+        factor = dense_factor(gl, 8, 0.3)
 
         def handle(omega):
             return factor.mean_stddev(omega, sigma)
@@ -281,7 +275,7 @@ def test_calibration_self_consistency():
 
 def test_mean_stddev_monotone_in_omega():
     gl = laplacian(build_graph(random_points(30, 2, seed=7), knn_k=4), 0.5, 0.5)
-    factor = dense_factor(gl, HyperParameters(sigma=0.1, omega=1.0, tau=0.2), 6)
+    factor = dense_factor(gl, 6, 0.2)
     values = [factor.mean_stddev(om, 0.1) for om in np.logspace(-3, 3, 10)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -295,10 +289,10 @@ def test_no_bracket_when_target_unattainable():
     spec = low_spectrum(gl, m)
     sigma = 0.1
     phi_hat = np.zeros((m, 1))
+    factor = truncated_factor(spec, m, 0.3)
 
     def handle(omega):
-        hp = HyperParameters(sigma=sigma, omega=omega, tau=0.3)
-        tp = truncated_posterior(spec, phi_hat, hp)
+        tp = truncated_posterior(factor, phi_hat, omega, sigma)
         return float(np.sqrt(truncated_variances(tp))[m:].mean())
 
     ceiling = handle(1e-12)  # sigma-only limit
@@ -314,12 +308,11 @@ def test_calibrate_omega_validates_inputs():
 def test_constrained_minimizer_interpolates_and_minimizes(rng):
     lf = random_points(18, 2, seed=11)
     gl = laplacian(build_graph(lf, knn_k=4), 0.5, 0.5)
-    hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.25, beta=2.0)
     phi_obs = rng.normal(size=(4, 2))
-    theta = constrained_minimizer(gl, phi_obs, hp)
+    theta = constrained_minimizer(gl, phi_obs, 0.25, 2.0)
     assert np.array_equal(theta[:4], phi_obs)
 
-    b = shifted_power(gl, hp.tau, hp.beta)
+    b = shifted_power(gl, 0.25, 2.0)
     energy = float(np.sum(theta * (b @ theta)))
     for _ in range(100):
         other = theta.copy()
@@ -330,11 +323,10 @@ def test_constrained_minimizer_interpolates_and_minimizes(rng):
 def test_regularization_path_converges():
     lf = random_points(30, 2, seed=13)
     gl = laplacian(build_graph(lf, knn_k=4), 0.5, 0.5)
-    hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.3, beta=2.0)
     rng = np.random.default_rng(3)
     phi_obs = rng.normal(size=(6, 2))
     deltas = 2.0 ** -np.arange(1, 21)
-    path = regularization_path(gl, phi_obs, deltas, hp)
+    path = regularization_path(gl, phi_obs, deltas, 0.3, 2.0)
     ref = nla.norm(path.limit, "fro")
     errs = [nla.norm(it - path.limit, "fro") / ref for it in path.iterates]
     assert errs[-1] < 1e-4
@@ -344,12 +336,11 @@ def test_regularization_path_converges():
 def test_regularization_path_zero_noise_data_consistency():
     lf = random_points(20, 2, seed=15)
     gl = laplacian(build_graph(lf, knn_k=4), 0.5, 0.5)
-    hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.3, beta=2.0)
     rng = np.random.default_rng(5)
     phi_obs = rng.normal(size=(4, 2))
     # tiny fixed omega, essentially-zero noise: observed rows reproduced
     path = regularization_path(
-        gl, phi_obs, [1e-300], hp, omega_coeff=1e-9, omega_exponent=0.0
+        gl, phi_obs, [1e-300], 0.3, 2.0, omega_coeff=1e-9, omega_exponent=0.0
     )
     got = path.iterates[0][:4]
     rel = nla.norm(got - phi_obs, "fro") / nla.norm(phi_obs, "fro")
@@ -362,17 +353,16 @@ def test_regularization_path_rejects_bad_schedules(monkeypatch):
 
     lf = random_points(12, 2, seed=17)
     gl = laplacian(build_graph(lf, knn_k=3), 0.5, 0.5)
-    hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.3)
     phi_obs = np.ones((2, 2))
     monkeypatch.setattr("mfgl.posterior.shifted_power", must_not_run)
     with pytest.raises(InvalidConfig):
-        regularization_path(gl, phi_obs, [0.1, 0.2], hp)  # not decreasing
+        regularization_path(gl, phi_obs, [0.1, 0.2], 0.3)  # not decreasing
     with pytest.raises(InvalidConfig):
-        regularization_path(gl, phi_obs, [0.2, 0.1], hp, omega_exponent=2.0)
+        regularization_path(gl, phi_obs, [0.2, 0.1], 0.3, omega_exponent=2.0)
     with pytest.raises(InvalidConfig):  # omega_n grows as delta_n shrinks
-        regularization_path(gl, phi_obs, [0.2, 0.1], hp, omega_exponent=-1.0)
+        regularization_path(gl, phi_obs, [0.2, 0.1], 0.3, omega_exponent=-1.0)
     with pytest.raises(InvalidConfig):
-        regularization_path(gl, phi_obs, [0.2, 0.1], hp, omega_coeff=0.0)
+        regularization_path(gl, phi_obs, [0.2, 0.1], 0.3, omega_coeff=0.0)
 
 
 def test_regularization_path_factors_the_prior_once(monkeypatch):
@@ -380,7 +370,6 @@ def test_regularization_path_factors_the_prior_once(monkeypatch):
     # all 20 steps and the limit; no N x N system is factored
     n, m = 30, 6
     gl = laplacian(build_graph(random_points(n, 2, seed=13), knn_k=4), 0.5, 0.5)
-    hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.3, beta=2.0)
     calls = []
 
     def recording(name, fn):
@@ -394,7 +383,7 @@ def test_regularization_path_factors_the_prior_once(monkeypatch):
                          (sla, "cholesky"), (sla, "cho_factor")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     phi_obs = np.random.default_rng(3).normal(size=(m, 2))
-    path = regularization_path(gl, phi_obs, 2.0 ** -np.arange(1, 21), hp)
+    path = regularization_path(gl, phi_obs, 2.0 ** -np.arange(1, 21), 0.3, 2.0)
     assert len(path.iterates) == 20
     assert calls == [("shifted_power", (n, n)), ("cholesky", (n - m, n - m))]
 
@@ -413,7 +402,7 @@ def test_regularization_path_matches_direct_solves(kind, pq, beta):
     hp = HyperParameters(sigma=1.0, omega=1.0, tau=0.05, beta=beta)
     phi_obs = np.random.default_rng(4).normal(size=(m, d))
     deltas = 2.0 ** -np.arange(1, 21)
-    path = regularization_path(gl, phi_obs, deltas, hp, seed=seed)
+    path = regularization_path(gl, phi_obs, deltas, hp.tau, hp.beta, seed=seed)
     q = explicit_map_matrix(gl, hp, 0)  # omega = 1, nothing observed: Q
     rng = np.random.default_rng(seed)
     for delta, omega, got in zip(deltas, path.omegas, path.iterates):
@@ -430,8 +419,7 @@ def test_regularization_path_matches_direct_solves(kind, pq, beta):
 
 def test_stddevs_are_positive_and_match_covariance(rng):
     gl = laplacian(build_graph(random_points(16, 2, seed=19), knn_k=4), 0.5, 0.5)
-    hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.4)
-    res = dense_posterior(gl, rng.normal(size=(3, 2)), hp, want_cov=True)
+    res = dense_posterior(dense_factor(gl, 3, 0.4), rng.normal(size=(3, 2)), 2.0, 0.1, want_cov=True)
     assert np.all(res.stddevs > 0)
     assert np.allclose(res.stddevs, np.sqrt(np.diag(res.covariance)))
     assert np.abs(res.covariance - res.covariance.T).max() < 1e-14
@@ -446,11 +434,13 @@ def test_unobserved_cluster_is_refused():
     # CONDITION_LIMIT, so both solvers refuse (exit code 4) instead of
     # returning stddevs 1.7e-2 off (dense) or a MAP 5.8% off (truncated).
     gl, hp, phi_hat, _, _ = unobserved_cluster_oracle()
+    m = len(phi_hat)
     assert issubclass(SingularSystem, NumericalError)
     with pytest.raises(SingularSystem, match="numerically singular"):
-        dense_posterior(gl, phi_hat, hp)
+        dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     with pytest.raises(SingularSystem, match="numerically singular"):
-        truncated_posterior(low_spectrum(gl, gl.n), phi_hat, hp)
+        factor = truncated_factor(low_spectrum(gl, gl.n), m, hp.tau, hp.beta)
+        truncated_posterior(factor, phi_hat, hp.omega, hp.sigma)
 
 
 def explicit_map_matrix(gl, hp, m):
@@ -490,8 +480,7 @@ def test_dense_factor_mean_stddev_matches_explicit_inverse(kind, pq, beta, solve
     m = 10
     build, _, prior_of = FACTORS[solver]
     prior = prior_of(gl, 40)
-    template = HyperParameters(sigma=0.05, omega=1.0, tau=0.05, beta=beta)
-    factor = build(prior, template, m)
+    factor = build(prior, m, 0.05, beta)
     for omega in (1e-2, 1.0, 1e2):
         hp = HyperParameters(sigma=0.05, omega=omega, tau=0.05, beta=beta)
         if solver == "dense":
@@ -515,7 +504,7 @@ def test_dense_factor_builds_prior_once(monkeypatch):
 
     monkeypatch.setattr("mfgl.posterior.shifted_power", counting)
     gl = laplacian(build_graph(random_points(40, 3, seed=2), knn_k=5), 0.5, 0.5)
-    factor = dense_factor(gl, HyperParameters(sigma=0.1, omega=1.0, tau=0.2), 5)
+    factor = dense_factor(gl, 5, 0.2)
     for omega in np.logspace(-2, 2, 5):
         factor.mean_stddev(omega, 0.1)
     assert len(calls) == 1
@@ -528,14 +517,13 @@ def test_dense_factor_limit_checked_before_prior(monkeypatch):
     monkeypatch.setattr("mfgl.posterior.DENSE_POSTERIOR_LIMIT", 39)
     monkeypatch.setattr("mfgl.posterior.shifted_power", must_not_run)
     gl = laplacian(build_graph(random_points(40, 3, seed=2), knn_k=5), 0.5, 0.5)
-    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.2)
     phi_obs = np.ones((5, 2))
     with pytest.raises(DenseLimitExceeded):
-        dense_factor(gl, hp, 5)
+        dense_factor(gl, 5, 0.2)
     with pytest.raises(DenseLimitExceeded):
-        constrained_minimizer(gl, phi_obs, hp)
+        constrained_minimizer(gl, phi_obs, 0.2)
     with pytest.raises(DenseLimitExceeded):
-        regularization_path(gl, phi_obs, [0.2, 0.1], hp)
+        regularization_path(gl, phi_obs, [0.2, 0.1], 0.2)
 
 
 @pytest.mark.parametrize("solver", sorted(FACTORS))
@@ -543,39 +531,31 @@ def test_dense_factor_guards(solver, rng, monkeypatch):
     gl = laplacian(build_graph(random_points(20, 2, seed=3), knn_k=4), 0.5, 0.5)
     build, solve, prior_of = FACTORS[solver]
     prior = prior_of(gl, 8)
-    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.2)
-    factor = build(prior, hp, 4)
+    factor = build(prior, 4, 0.2)
     phi_hat = rng.normal(size=(4, 2))
-    # a factor built for hp gives the posterior its solver builds itself
-    ours, fresh = solve(factor, phi_hat, hp), solve(prior, phi_hat, hp)
-    for part in ("phi_star", "stddevs") if solver == "dense" else ("coeff_mean", "coeff_cov"):
-        assert getattr(ours, part).tobytes() == getattr(fresh, part).tobytes()
     with pytest.raises(DimensionMismatch):
-        solve(factor, rng.normal(size=(5, 2)), hp)
-    for other in (replace(hp, tau=0.3), replace(hp, beta=1.5)):
-        with pytest.raises(InvalidConfig):
-            solve(factor, phi_hat, other)
+        solve(factor, rng.normal(size=(5, 2)), 1.0, 0.1)
     with pytest.raises(InvalidConfig):
-        build(prior, hp, 20).mean_stddev(1.0, 0.1)  # nothing unobserved
+        build(prior, 20, 0.2).mean_stddev(1.0, 0.1)  # nothing unobserved
     if solver == "dense":
-        monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda gl, hp: -np.eye(20))
+        monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda gl, tau, beta: -np.eye(20))
         with pytest.raises(SingularSystem):
-            dense_factor(gl, hp, 4)
+            dense_factor(gl, 4, 0.2)
     else:
         # a system refused as singular reads as +inf to calibration only
         monkeypatch.setattr("mfgl.spectral.CONDITION_LIMIT", 0.5)
         assert factor.mean_stddev(1.0, 0.1) == np.inf
         with pytest.raises(SingularSystem):
-            solve(factor, phi_hat, hp)
+            solve(factor, phi_hat, 1.0, 0.1)
 
 
 def test_dense_stddevs_without_covariance_match_covariance_diagonal(rng):
     prob = generate(Generator.SMOOTH_MANIFOLD, 150, 3, seed=3)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), 0.5, 0.5)
-    hp = HyperParameters(sigma=0.05, omega=3.0, tau=0.05, beta=2.0)
+    factor = dense_factor(gl, 10, 0.05, 2.0)
     phi_hat = rng.normal(size=(10, 2))
-    with_cov = dense_posterior(gl, phi_hat, hp, want_cov=True)
-    without = dense_posterior(gl, phi_hat, hp)
+    with_cov = dense_posterior(factor, phi_hat, 3.0, 0.05, want_cov=True)
+    without = dense_posterior(factor, phi_hat, 3.0, 0.05)
     assert without.covariance is None
     np.testing.assert_allclose(
         without.stddevs, np.sqrt(np.diag(with_cov.covariance)), rtol=1e-12
@@ -615,7 +595,8 @@ def unobserved_cluster_oracle():
 )
 def test_dense_stddevs_accurate_with_unobserved_cluster():
     gl, hp, phi_hat, _, oracle_sd = unobserved_cluster_oracle()
-    got = dense_posterior(gl, phi_hat, hp).stddevs
+    factor = dense_factor(gl, len(phi_hat), hp.tau, hp.beta)
+    got = dense_posterior(factor, phi_hat, hp.omega, hp.sigma).stddevs
     assert np.max(np.abs(got - oracle_sd) / oracle_sd) <= 1e-6
 
 
@@ -627,7 +608,8 @@ def test_dense_stddevs_accurate_with_unobserved_cluster():
 )
 def test_truncated_full_rank_accurate_with_unobserved_cluster():
     gl, hp, phi_hat, oracle_map, _ = unobserved_cluster_oracle()
-    tp = truncated_posterior(low_spectrum(gl, gl.n), phi_hat, hp)
+    factor = truncated_factor(low_spectrum(gl, gl.n), len(phi_hat), hp.tau, hp.beta)
+    tp = truncated_posterior(factor, phi_hat, hp.omega, hp.sigma)
     got = tp.spectrum.eigenvectors @ tp.coeff_mean
     assert nla.norm(got - oracle_map) <= 1e-3 * nla.norm(oracle_map)
 
@@ -643,11 +625,12 @@ def test_dense_posterior_matches_explicit_inverse(kind, pq, beta, m):
     prob = generate(kind, n, 3, seed=1)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), *pq)
     phi_hat = np.random.default_rng(m).normal(size=(m, 3))
+    factor = dense_factor(gl, m, 0.05, beta)
     for omega in (1e-4, 1.0, 1e4):
         hp = HyperParameters(sigma=0.05, omega=omega, tau=0.05, beta=beta)
         x = nla.inv(explicit_map_matrix(gl, hp, m))
         x = 0.5 * (x + x.T)
-        res = dense_posterior(gl, phi_hat, hp, want_cov=True)
+        res = dense_posterior(factor, phi_hat, omega, 0.05, want_cov=True)
         map_ref = x[:, :m] @ phi_hat / hp.sigma**2
         row_err = nla.norm(res.phi_star - map_ref, axis=1)
         assert np.all(row_err <= 1e-10 * nla.norm(map_ref, axis=1))
@@ -677,9 +660,8 @@ def test_mean_stddev_non_increasing_in_omega(kind, p, q, beta, m, k_extra, seed)
     n, sigma = 40, 0.05
     prob = generate(kind, n, 3, seed=seed)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), p, q)
-    template = HyperParameters(sigma=sigma, omega=1.0, tau=0.05, beta=beta)
     spectrum = low_spectrum(gl, min(n, m + 1 + k_extra))
-    for factor in (dense_factor(gl, template, m), truncated_factor(spectrum, template, m)):
+    for factor in (dense_factor(gl, m, 0.05, beta), truncated_factor(spectrum, m, 0.05, beta)):
         values = np.array([factor.mean_stddev(omega, sigma) for omega in OMEGA_GRID])
         assert np.all(values > 0)
         assert np.all(values[1:] <= values[:-1] * (1.0 + 1e-12))
@@ -694,23 +676,21 @@ def test_truncated_handle_refuses_m_equal_n(monkeypatch):
     monkeypatch.setattr("mfgl.spectral.checked_cholesky", must_not_run)
     gl = laplacian(build_graph(random_points(30, 3, seed=0), knn_k=5), 0.5, 0.5)
     spectrum = low_spectrum(gl, 10)
-    template = HyperParameters(sigma=0.05, omega=1.0, tau=0.05)
     with pytest.raises(InvalidConfig, match="calibration needs at least one unobserved row"):
-        truncated_factor(spectrum, template, 30).mean_stddev(1.0, 0.05)
+        truncated_factor(spectrum, 30, 0.05).mean_stddev(1.0, 0.05)
 
 
 def _solve_with(solver, phi_hat):
     """Solve with ``solver`` for observations of the first 4 of 40 rows."""
     g = build_graph(random_points(40, 2, seed=3), knn_k=5)
     gl = laplacian(g, 0.5, 0.5)
-    hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.2)
     if solver == "dense":
-        return dense_posterior(gl, phi_hat, hp)
+        return dense_posterior(dense_factor(gl, 4, 0.2), phi_hat, 2.0, 0.1)
     if solver == "truncated":
-        return truncated_posterior(low_spectrum(gl, K=8), phi_hat, hp)
+        return truncated_posterior(truncated_factor(low_spectrum(gl, K=8), 4, 0.2), phi_hat, 2.0, 0.1)
     w = g.weights.toarray()
     lrl = nystrom_factor(lambda idx: w[:, idx], range(40))
-    return build_saddle(lrl, hp, 4).solve(phi_hat)
+    return build_saddle(lrl, HyperParameters(sigma=0.1, omega=2.0, tau=0.2), 4).solve(phi_hat)
 
 
 @pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
@@ -726,3 +706,56 @@ def test_every_solver_refuses_non_finite_observations(solver, bad):
 def test_every_solver_refuses_observations_that_are_not_2d(solver):
     with pytest.raises(DimensionMismatch, match="phi_hat must be 2-D"):
         _solve_with(solver, np.zeros(4))
+
+
+@pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
+@pytest.mark.parametrize("rows", [3, 5])
+def test_every_solver_refuses_observations_of_another_row_count(solver, rows):
+    # each factor is built for the first 4 rows observed
+    with pytest.raises(DimensionMismatch, match=f"phi_hat has {rows} rows"):
+        _solve_with(solver, np.zeros((rows, 2)))
+
+
+# refused values for each rule: wrong type, not finite, out of bounds
+FACTOR_BAD_VALUES = [
+    ("tau", "0.2"), ("tau", None), ("tau", np.nan), ("tau", 0.0), ("tau", -0.1),
+    ("beta", True), ("beta", np.inf), ("beta", 0.5),
+]
+SOLVE_BAD_VALUES = [
+    ("omega", "1"), ("omega", None), ("omega", -np.inf), ("omega", 0.0),
+    ("sigma", [0.1]), ("sigma", np.nan), ("sigma", 0.0), ("sigma", -1.0),
+]
+GOOD_VALUES = dict(tau=0.2, beta=2.0, omega=1.0, sigma=0.1)
+
+
+def _hyperparameters_message(name, bad):
+    with pytest.raises(InvalidConfig) as exc:
+        HyperParameters(**{**GOOD_VALUES, name: bad})
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("name, bad", FACTOR_BAD_VALUES)
+def test_builders_refuse_tau_and_beta_as_hyperparameters_do(name, bad, monkeypatch):
+    calls = []
+    monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda *args: calls.append(args))
+    gl = laplacian(build_graph(random_points(20, 2, seed=3), knn_k=4), 0.5, 0.5)
+    values = {"tau": GOOD_VALUES["tau"], "beta": GOOD_VALUES["beta"], name: bad}
+    message = _hyperparameters_message(name, bad)
+    for build, prior in ((dense_factor, gl), (truncated_factor, low_spectrum(gl, 8))):
+        with pytest.raises(InvalidConfig) as exc:
+            build(prior, 4, **values)
+        assert str(exc.value) == message
+    assert calls == []  # refused before any N^3 work
+
+
+@pytest.mark.parametrize("name, bad", SOLVE_BAD_VALUES)
+def test_posteriors_refuse_omega_and_sigma_as_hyperparameters_do(name, bad):
+    gl = laplacian(build_graph(random_points(20, 2, seed=3), knn_k=4), 0.5, 0.5)
+    values = {"omega": GOOD_VALUES["omega"], "sigma": GOOD_VALUES["sigma"], name: bad}
+    message = _hyperparameters_message(name, bad)
+    phi_hat = np.ones((4, 2))
+    for solve, factor in ((dense_posterior, dense_factor(gl, 4, 0.2)),
+                          (truncated_posterior, truncated_factor(low_spectrum(gl, 8), 4, 0.2))):
+        with pytest.raises(InvalidConfig) as exc:
+            solve(factor, phi_hat, **values)
+        assert str(exc.value) == message

@@ -3,7 +3,6 @@ import numpy.linalg as nla
 import pytest
 import scipy.linalg as sla
 
-import mfgl.graph
 import mfgl.spectral
 from conftest import random_points, traced_peak, two_blob_points
 from mfgl.bench import Generator, generate
@@ -18,6 +17,7 @@ from mfgl.spectral import (
     embed,
     low_spectrum,
     shifted_eigenvalues,
+    truncated_factor,
     truncated_posterior,
     truncated_variances,
 )
@@ -228,8 +228,7 @@ def test_shifted_eigenvalues_clip_roundoff():
 def test_truncated_zero_rhs():
     gl = laplacian(build_graph(random_points(16, 2, seed=2), knn_k=3), 0.5, 0.5)
     spec = low_spectrum(gl, 8)
-    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.2)
-    tp = truncated_posterior(spec, np.zeros((4, 2)), hp)
+    tp = truncated_posterior(truncated_factor(spec, 4, 0.2), np.zeros((4, 2)), 1.0, 0.1)
     assert np.all(tp.coeff_mean == 0.0)
     assert np.all(spec.eigenvectors @ tp.coeff_mean == 0.0)
 
@@ -245,7 +244,7 @@ def test_truncated_full_rank_matches_dense_oracle(rng):
     phi_ref, c_ref = dense_map_oracle(gl, phi_hat, hp)
 
     spec = low_spectrum(gl, n)
-    tp = truncated_posterior(spec, phi_hat, hp)
+    tp = truncated_posterior(truncated_factor(spec, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     phi = spec.eigenvectors @ tp.coeff_mean
     assert nla.norm(phi - phi_ref, "fro") <= 1e-8 * nla.norm(phi_ref, "fro")
     var = truncated_variances(tp)
@@ -259,9 +258,9 @@ def test_truncated_data_dominated_limit(rng):
     ds = Dataset(lf=lf, hf=hf)
     gl = laplacian(build_graph(lf, knn_k=4), 0.5, 0.5)
     spec = low_spectrum(gl, n)
-    hp = HyperParameters(sigma=1e-6, omega=1e-6, tau=0.2)
     phi_hat = displacements(ds)
-    phi = spec.eigenvectors @ truncated_posterior(spec, phi_hat, hp).coeff_mean
+    tp = truncated_posterior(truncated_factor(spec, n, 0.2), phi_hat, 1e-6, 1e-6)
+    phi = spec.eigenvectors @ tp.coeff_mean
     rel = nla.norm(phi - phi_hat, "fro") / nla.norm(phi_hat, "fro")
     assert rel < 1e-3
 
@@ -269,8 +268,7 @@ def test_truncated_data_dominated_limit(rng):
 def test_variances_with_identity_covariance():
     gl = laplacian(build_graph(random_points(15, 2, seed=1), knn_k=3), 0.5, 0.5)
     spec = low_spectrum(gl, 6)
-    hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.2)
-    tp = truncated_posterior(spec, np.zeros((3, 1)), hp)
+    tp = truncated_posterior(truncated_factor(spec, 3, 0.2), np.zeros((3, 1)), 1.0, 0.1)
     forced = type(tp)(
         coeff_mean=tp.coeff_mean, coeff_cov=np.eye(6), spectrum=spec
     )
@@ -295,15 +293,14 @@ def test_variances_form_no_whole_n_by_k_product(rng):
 def test_variances_positive(rng):
     gl = laplacian(build_graph(random_points(22, 3, seed=3), knn_k=4), 0.5, 0.5)
     spec = low_spectrum(gl, 10)
-    hp = HyperParameters(sigma=0.2, omega=1.5, tau=0.4)
-    tp = truncated_posterior(spec, rng.normal(size=(5, 2)), hp)
+    tp = truncated_posterior(truncated_factor(spec, 5, 0.4), rng.normal(size=(5, 2)), 1.5, 0.2)
     assert np.all(truncated_variances(tp) > 0.0)
 
 
 def test_general_pq_truncated_matches_weighted_dense(rng):
     # at K=N with (p,q)=(1,0) the truncated solve must equal the dense
     # general-normalization posterior
-    from mfgl.posterior import dense_posterior
+    from mfgl.posterior import dense_factor, dense_posterior
 
     n, m = 24, 4
     lf = random_points(n, 2, seed=11)
@@ -312,9 +309,9 @@ def test_general_pq_truncated_matches_weighted_dense(rng):
     gl = laplacian(build_graph(lf, knn_k=4), 1.0, 0.0)
     hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.3, beta=2.0)
     phi_hat = displacements(ds)
-    ref = dense_posterior(gl, phi_hat, hp)
+    ref = dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     spec = low_spectrum(gl, n)
-    tp = truncated_posterior(spec, phi_hat, hp)
+    tp = truncated_posterior(truncated_factor(spec, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     phi = spec.eigenvectors @ tp.coeff_mean
     assert nla.norm(phi - ref.phi_star, "fro") <= 1e-8 * nla.norm(
         ref.phi_star, "fro"
@@ -325,10 +322,9 @@ def test_general_pq_truncated_matches_weighted_dense(rng):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_checked_cholesky_refuses_a_non_finite_entry_anywhere(bad, order, monkeypatch):
-    # blocks of 4 rows of 30; LAPACK reads the lower triangle only, so an
-    # entry above the diagonal is refused by the check alone
-    monkeypatch.setattr(mfgl.graph, "_WORK_BYTES", 8 * 30 * 4)
+def test_checked_cholesky_refuses_a_non_finite_entry_anywhere(bad, order):
+    # LAPACK reads the lower triangle only, so an entry above the diagonal
+    # is refused by the check alone
     rng = np.random.default_rng(0)
     x = rng.normal(size=(30, 30))
     spd = x @ x.T + 30 * np.eye(30)
@@ -343,10 +339,12 @@ def test_checked_cholesky_refuses_a_non_finite_entry_anywhere(bad, order, monkey
 
 def test_checked_cholesky_checks_finiteness_without_a_whole_mask():
     # the block factored in place, as dense_factor does: a K x K boolean
-    # mask (scipy's check_finite) would take K^2 bytes
+    # mask (scipy's check_finite) would take K^2 bytes, and a mask of a
+    # row block up to 1 MB; min and max make none, so the check holds a
+    # few K-vectors (measured 25 KB at K = 1000: the diagonal, the pivots)
     k = 1000
     x = np.random.default_rng(1).normal(size=(k, 20))
     a = np.asfortranarray(x @ x.T + np.eye(k))
     chol, peak = traced_peak(lambda: checked_cholesky(a, "test block"))
     assert np.shares_memory(chol, a)
-    assert peak <= mfgl.graph._WORK_BYTES // 8 + 4 * 8 * k
+    assert peak <= 4 * 8 * k
