@@ -343,7 +343,10 @@ def estimate_attached(
     the same row order, and hands its reference on to
     :func:`~mfgl.posterior.dense_factor`: a caller that passes its only
     reference (:func:`estimate_planned`) frees L_sym once the prior Q is
-    written, before the Cholesky and the calibration.
+    written, before the Cholesky and the calibration.  The dense solver
+    reads the spectrum only for tau and drops it before the prior is
+    built, so a caller that passes its only reference to the spectrum
+    frees the eigenvectors before Q is written.
 
     Calibrating omega (``config.omega`` unset) targets the spread of the
     unobserved rows, so with M = N it raises ``InvalidConfig`` before
@@ -370,6 +373,8 @@ def estimate_attached(
 
     t0 = time.perf_counter()
     sigma, tau = config.sigma, (choose_tau(spectrum) if config.tau is None else config.tau)
+    if dense:
+        del spectrum  # the eigenvectors, before Q is written
     # one factor serves the calibration handle and the final solve
     factor = (dense_factor(laplacians.pop(), m, tau, config.beta) if dense
               else truncated_factor(spectrum, m, tau, config.beta))
@@ -505,13 +510,15 @@ def estimate_planned(
     from the M observed rows, ``timings["assemble"]`` covers that, and
     the estimates are formed a block at a time as ``estimates`` is read
     (:func:`_estimate_blocks`), so neither the normalized rows nor
-    phi_star is ever whole.  The reference to ``laplacian`` is handed on
-    to :func:`estimate_attached`, so a caller that passes its only one
-    (:func:`run_pipeline`, ``mfgl estimate``) frees L_sym once the dense
-    prior is written.
+    phi_star is ever whole.  The references to ``record``'s spectrum and
+    to ``laplacian`` are handed on to :func:`estimate_attached`, so a
+    caller that passes its only ones (:func:`run_pipeline`, ``mfgl
+    estimate``) frees, on the dense solver, the eigenvectors before the
+    prior is written and L_sym once it is.
     """
     t0 = time.perf_counter()
     plan, nspec, spectrum = record.plan, record.nspec, record.spectrum
+    del record  # so that the spectrum is handed on below
     if len(hf_raw) != plan.m:
         raise RowCountMismatch(
             f"{len(hf_raw)} high-fidelity rows, but the plan selected {plan.m}"
@@ -524,9 +531,9 @@ def estimate_planned(
     phi_hat = displacements(Dataset(lf=nspec.apply(ds.lf[:ds.m]), hf=nspec.apply(ds.hf)))
     assemble_s = time.perf_counter() - t0
 
-    laplacians = [laplacian]
-    del laplacian
-    art = estimate_attached(phi_hat, config, spectrum, laplacians.pop())
+    spectra, laplacians = [spectrum], [laplacian]
+    del spectrum, laplacian
+    art = estimate_attached(phi_hat, config, spectra.pop(), laplacians.pop())
     art = dataclasses.replace(art, timings={"assemble": assemble_s, **art.timings})
     return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior, nspec))
 
@@ -539,8 +546,10 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     The graph and its spectrum are built once, by the planning step,
     which hands the spectrum on in solve order, so ``timings["plan"]``
     holds the graph build, the eigensolve, the k-means and the
-    reordering; the dense solver's L_sym is reordered here and handed
-    on, so it dies once the dense prior is written.  ``sigma``
+    reordering.  The dense solver's L_sym is reordered here; it and the
+    plan record, once the embedding is taken from it, are handed on, so
+    on the dense solver the eigenvectors die before the prior is written
+    and L_sym once it is.  ``sigma``
     is in input units and defaults to the problem's noise level.  A
     solver other than dense or truncated is refused by the planning step
     before any graph is built.
@@ -555,16 +564,18 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     lf_raw.setflags(write=False)  # so that the estimate step's Dataset shares it
     gls = [None if gl is None else gl.permuted(perm)]
     del gl  # the one reference to L_sym in solve order is handed on
+    embedding = embed(record.spectrum, plan.m)
+    records = [record]
+    del record  # and the one reference to the eigenvectors
 
     hf_raw = sample_hf(problem, plan.selected_indices, config.seed + 1)
-    art, estimates = estimate_planned(lf_raw, record, hf_raw, config, gls.pop())
+    art, estimates = estimate_planned(lf_raw, records.pop(), hf_raw, config, gls.pop())
     timings.update(art.timings)
     mf = np.concatenate(list(estimates))
     mf.setflags(write=False)
     posterior = dataclasses.replace(art.posterior, mf_estimates=mf)
 
     report = build_report(mf, lf_raw, problem.true_data[perm], config.metric)
-    embedding = embed(record.spectrum, plan.m)
     return PipelineOutput(
         report=report, posterior=posterior, plan=plan, hyper=art.hyper,
         timings=timings, embedding=embedding,

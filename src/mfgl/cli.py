@@ -169,8 +169,9 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     that does not fit them or the settings), then the high-fidelity rows.
     The planning eigenpairs are read in solve order and used as read; no
     eigensolve runs.  The dense solver also rebuilds L_sym from the rows
-    in input order and reorders it, and hands it on, so L_sym dies once
-    the dense prior is written.  The result equals ``run_pipeline``'s
+    in input order and reorders it.  The record and L_sym are handed on,
+    so on the dense solver the eigenpairs die before the prior is written
+    and L_sym once it is.  The result equals ``run_pipeline``'s
     bit for bit.  The rows are the one N x D array held:
     :func:`~mfgl.bench.estimate_planned` forms the estimates a row block
     at a time, straight into the writer.
@@ -196,9 +197,10 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
         perm = np.asarray(record.plan.permutation, dtype=np.intp)
         gls = [laplacian(build_graph(record.nspec.apply(lf[np.argsort(perm)]), pcfg.knn_k),
                          pcfg.p, pcfg.q).permuted(perm)]
-    art, estimates = estimate_planned(lf, record, hf, pcfg, gls.pop())
+    records = [record]
+    del record  # the one reference to the eigenpairs, handed on
+    art, estimates = estimate_planned(lf, records.pop(), hf, pcfg, gls.pop())
     stddevs, resolved, timings = art.posterior.stddevs, art.hyper.as_dict(), art.timings
-    del art, record  # the estimates hold the rows and the posterior, with the eigenvectors
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,9 @@ its default, its lower bound and its help text (through :func:`setting`).
 declarations, by field type and bound; only rules that join two fields
 are written by hand.  The command line derives its flags and config-file
 keys from these fields, and :func:`mfgl.bench.generate` checks its
-arguments by building a :class:`ProblemConfig`.  This module imports only
+arguments by building a :class:`ProblemConfig`.  :data:`MEMORY_BUDGET`
+is the one size limit, which every large stage checks through
+:func:`check_budget`.  This module imports only
 the standard library: the command line builds its parser and settings,
 and applies ``--threads``, before numpy may load.
 """
@@ -20,9 +22,47 @@ from math import isfinite
 from numbers import Integral, Real
 from typing import Optional, get_args, get_type_hints
 
-from .exceptions import InvalidConfig
+from .exceptions import InvalidConfig, MemoryBudgetExceeded
 
 TRUNCATION_FACTOR = 4
+
+MEMORY_BUDGET = 2 << 30
+"""The most bytes one stage may hold, 2 GiB: each stage predicts what it
+will hold and refuses with ``MemoryBudgetExceeded`` (exit 3), through
+:func:`check_budget`, before it allocates it.  What each stage holds,
+and what it is charged:
+
+- :func:`~mfgl.graph.build_graph`: the kept triangle (12 bytes a pair),
+  one Gram block of ``_WORK_BYTES``, and for the degrees W's values (16
+  bytes a pair) and up to two ``_WORK_BYTES`` of mirror work.
+  :func:`~mfgl.graph.laplacian`, for a graph handed on, holds the
+  triangle next to L_sym's values, then the triangle's pattern next to
+  L_sym (24 bytes a pair), and the triangle dies before the eigensolve.
+  The graph is charged 28 bytes a kept pair plus two ``_WORK_BYTES``,
+  checked as pairs are kept, before the degree pass.
+- :func:`~mfgl.spectral.low_spectrum`: L_sym, the LU and ARPACK's
+  workspace; the shift is written into L_sym's own diagonal, so no copy
+  of its values is made.  Charged L_sym's CSR bytes, 8N (2 ncv + K) for
+  ARPACK's two N x ncv arrays and the K eigenvectors, and 12 bytes (a
+  value and a row index) per LU nonzero: ``_LU_FILL`` = 2 x nnz(L_sym)
+  of them before ``splu`` (the fill is 1.02 x on clustered-shift at
+  N=3000 and 1.21 x at N=20000, 1.52 x on beam-like-1d 2000 x 256 and
+  1.69 x on smooth-manifold 3000), and ``lu.nnz`` after it.  The
+  dense branch (K > N - 2) is charged 4 x 8N^2 (measured 3.06-3.24 x).
+- :func:`~mfgl.posterior.dense_factor`: Q (8N^2) next to L_sym while Q
+  is written, then Q alone; tau is written onto L_sym's own diagonal,
+  and Q_uu is factored where it lies in Q.  The pipeline and ``mfgl
+  estimate`` hand on L_sym and the planning spectrum, so the
+  eigenvectors die before Q is written and L_sym once it is.  Charged
+  L_sym's CSR bytes, and for integer beta Q and one row-block product,
+  at most 12 bytes for each of its ceil(N/16) x N entries, for
+  fractional beta 2.1 x 8N^2 (the copy ``eigh`` overwrites, the
+  eigenvectors and their product).  The charge lies within 10% of the
+  traced peak of the factor and of the dense pipeline at N=400 and 1000.
+
+Not charged: the rows a caller holds (``mfgl plan`` holds 2.02-2.07 x
+their bytes, ``mfgl estimate`` 1.79 x) and the k-means.
+"""
 
 # The format of a matrix file is always named, never guessed from a suffix.
 FORMATS = ("csv", "bin")
@@ -51,6 +91,14 @@ class Generator(Enum):
     CLUSTERED_SHIFT = "clustered-shift"
     SMOOTH_MANIFOLD = "smooth-manifold"
     BEAM_LIKE_1D = "beam-like-1d"
+
+
+def check_budget(stage: str, predicted: int) -> None:
+    """Refuse ``stage`` (``MemoryBudgetExceeded``) when it predicts that it
+    will hold more than ``MEMORY_BUDGET`` bytes."""
+    if predicted > MEMORY_BUDGET:
+        raise MemoryBudgetExceeded(f"{stage} would hold about {int(predicted)} bytes, "
+                                   f"above the {MEMORY_BUDGET}-byte memory budget")
 
 
 def setting(default=MISSING, help: str = "", *, low=None, strict: bool = False, **cli):

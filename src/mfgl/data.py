@@ -188,11 +188,24 @@ class NormalizationSpec:
 def component_stats(lf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and population standard deviation of ``lf``,
     refused (``ZeroVariance``) for a column constant at its own scale:
-    std at most ``DEGENERACY_TOL`` times its largest |entry|."""
+    std at most ``DEGENERACY_TOL`` times its largest |entry|.
+
+    Each column is taken times 2^-e, e the exponent of its largest
+    |entry| (``np.frexp``), so that entry lies in [0.5, 1) and no sum or
+    square overflows, and the statistics are scaled back by 2^e.  Both
+    scalings are exact, and the arithmetic is ``np.mean`` and ``np.std``'s
+    own, so the result equals theirs bit for bit wherever theirs is
+    finite and no entry falls below 2^-1021 of its column's largest."""
     lf = np.asarray(lf, dtype=np.float64)
-    mean = lf.mean(axis=0)
-    std = lf.std(axis=0)  # population (1/N) convention
+    n = lf.shape[0]
     scale = np.maximum(lf.max(axis=0), -lf.min(axis=0))  # no N x D temporary
+    e = np.frexp(scale)[1]
+    x = np.ldexp(lf, -e)  # the one N x D temporary, as np.std makes
+    mean = x.sum(axis=0) / n
+    x -= mean
+    x *= x
+    std = np.ldexp(np.sqrt(x.sum(axis=0) / n), e)  # population (1/N) convention
+    mean = np.ldexp(mean, e)
     bad = np.flatnonzero(~(std > DEGENERACY_TOL * scale))
     if bad.size:
         raise ZeroVariance(int(bad[0]))

@@ -44,8 +44,9 @@ class NonFiniteInput(ValidationError):
     """NaN or Inf encountered in an input array."""
 
 
-class DenseLimitExceeded(ValidationError):
-    """Problem size exceeds a dense-algebra limit or the graph's byte budget."""
+class MemoryBudgetExceeded(ValidationError):
+    """A stage would hold more bytes than the memory budget
+    (:data:`mfgl.config.MEMORY_BUDGET`)."""
 
 
 class InsufficientSpectrum(ValidationError):

@@ -41,13 +41,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check_budget
 from .data import frozen, require_finite
 from .exceptions import (
-    DenseLimitExceeded,
     DimensionMismatch,
     DuplicatePointScale,
     InvalidConfig,
+    NonFiniteInput,
     ZeroDegree,
 )
 
@@ -55,15 +55,11 @@ from .exceptions import (
 SCALE_TOL = 1e-14
 # Smallest kernel weight the graph keeps.
 WEIGHT_EPS = 1e-12
-# Most bytes the CSR weights may take: 8 for the value and 4 for the
-# column index of each of W's entries, two per kept pair.  No stage holds
-# W.  L_sym (W's entries and the diagonal) takes about that, and the
-# Laplacian stage holds it next to what is left of a triangle handed on
-# (half of W's entries): its values while L_sym's values are written,
-# then its column indices while L_sym's are, about 1.17 times that in
-# either pass (1.5 times when the caller keeps the graph).
-GRAPH_BYTE_BUDGET = 1 << 30
-_CSR_ENTRY_BYTES = 12
+# Bytes a kept pair is charged against the memory budget: the degree
+# pass holds the triangle's entry (12) next to W's two values (16), and
+# the Laplacian the triangle's column index (4) next to L_sym's two
+# entries (24).
+_PAIR_BYTES = 28
 # Most bytes of one block of squared distances, point differences or
 # scale factors, in build_graph, weight_columns and laplacian.
 _WORK_BYTES = 1 << 20
@@ -85,6 +81,8 @@ def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.
     DuplicatePointScale
         When some scale is at most ``SCALE_TOL`` times the largest row
         norm, i.e. zero to round-off of the data's scale.
+    NonFiniteInput
+        When a row holds NaN or Inf, or its squared norm overflows.
     InvalidConfig
         When knn_k is not in [1, N).
     """
@@ -93,12 +91,16 @@ def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.
     if not 1 <= knn_k < n:
         raise InvalidConfig(f"knn_k must be in [1, {n}), got {knn_k}")
     require_finite(lf, "points")
+    # the data's scale, the largest row norm, without an N x D temporary
+    top = np.einsum("ij,ij->i", lf, lf).max()
+    if top == np.inf:
+        raise NonFiniteInput("the squared row norms overflow float64: scale the rows "
+                             "down, or use --normalization component")
+    floor = SCALE_TOL * np.sqrt(top)
     dists, _ = cKDTree(lf).query(lf, k=knn_k + 1)
     # column 0 is the zero self-distance; column knn_k is the knn_k-th
     # neighbor once self is dropped
     scales = np.ascontiguousarray(dists[:, knn_k])
-    # the data's scale, the largest row norm, without an N x D temporary
-    floor = SCALE_TOL * np.sqrt(np.einsum("ij,ij->i", lf, lf).max())
     bad = np.flatnonzero(scales <= floor)
     if bad.size:
         raise DuplicatePointScale(int(bad[0]))
@@ -301,9 +303,10 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
 
     Raises
     ------
-    DenseLimitExceeded
-        When the kept pairs would take more than ``GRAPH_BYTE_BUDGET``
-        bytes of CSR storage.
+    MemoryBudgetExceeded
+        As soon as the pairs kept so far, at ``_PAIR_BYTES`` each, and two
+        ``_WORK_BYTES`` blocks exceed the memory budget
+        (:data:`~mfgl.config.MEMORY_BUDGET`), before the degree pass.
     ZeroDegree
         When a row of W keeps no pair.
     """
@@ -346,11 +349,7 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
         w = np.exp(-arg.astype(np.float64))
         keep = w >= WEIGHT_EPS
         kept += int(np.count_nonzero(keep))
-        if 2 * kept * _CSR_ENTRY_BYTES > GRAPH_BYTE_BUDGET:
-            raise DenseLimitExceeded(
-                f"the graph on N={n} points keeps over {2 * kept * _CSR_ENTRY_BYTES} "
-                f"bytes of CSR weights, above the {GRAPH_BYTE_BUDGET}-byte budget"
-            )
+        check_budget(f"the graph on N={n} points", _PAIR_BYTES * kept + 2 * _WORK_BYTES)
         counts[start:stop] = np.bincount(i[keep] - start, minlength=stop - start)
         cols.append(j[keep].astype(np.int32))
         vals.append(w[keep])
@@ -388,6 +387,12 @@ class GraphLaplacian:
     @property
     def n(self) -> int:
         return self.sym_matrix.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of L_sym's CSR arrays."""
+        lsym = self.sym_matrix
+        return lsym.data.nbytes + lsym.indices.nbytes + lsym.indptr.nbytes
 
     @property
     def shift_bound(self) -> float:

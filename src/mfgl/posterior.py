@@ -37,11 +37,10 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dtrtri
 
-from .config import PipelineConfig, SolverTag, check_values  # noqa: F401  (SolverTag re-exported: callers import it from here)
+from .config import PipelineConfig, SolverTag, check_budget, check_values  # noqa: F401  (SolverTag re-exported: callers import it from here)
 from .data import HyperParameters, frozen, observations
 from .exceptions import (
     AllZeroSpectrum,
-    DenseLimitExceeded,
     DimensionMismatch,
     InvalidConfig,
     NoBracket,
@@ -51,10 +50,11 @@ from .graph import GraphLaplacian
 from .matio import block_rows
 from .spectral import Spectrum, checked_cholesky, shifted_eigenvalues
 
-DENSE_POSTERIOR_LIMIT = 3_000
 # Row blocks in which shifted_power writes an integer power, so the sparse
 # products in flight cover N/16 rows of the result at a time.
 _PRIOR_ROW_BLOCKS = 16
+# What a fractional power's eigh route holds next to L_sym, per 8N^2 bytes.
+_EIGH_PRIOR_FACTOR = 2.1
 ZERO_EIGENVALUE_REL_TOL = 1e-8
 CALIBRATION_RTOL = 1e-3
 CALIBRATION_BRACKET = (1e-4, 1e4)
@@ -158,6 +158,17 @@ def shifted_power(gl: GraphLaplacian, tau: float, beta: float) -> np.ndarray:
     return vecs @ vecs.T
 
 
+def _prior_bytes(gl: GraphLaplacian, beta: float) -> int:
+    """The bytes :func:`dense_factor` is charged for the prior of ``gl``:
+    L_sym, and for integer beta Q and one row-block product of at most 12
+    bytes (value and column index) for each entry of its rows, for
+    fractional beta ``_EIGH_PRIOR_FACTOR`` x 8N^2."""
+    n = gl.n
+    if float(beta).is_integer():
+        return gl.nbytes + 8 * n * n + 12 * -(-n // _PRIOR_ROW_BLOCKS) * n
+    return gl.nbytes + int(_EIGH_PRIOR_FACTOR * 8 * n * n)
+
+
 def _prior_matrix(gl: GraphLaplacian, tau: float, beta: float) -> np.ndarray:
     """S (L_sym + tau I)^beta S with S = D^{(p-q)/2}: the prior precision
     per unit omega, scaled in place.  Entry (i, j) is multiplied by
@@ -243,20 +254,20 @@ def dense_factor(gl: GraphLaplacian, m: int, tau: float,
 
     Raises
     ------
-    InvalidConfig, DenseLimitExceeded
-        Before any N^3 work: when tau or beta is refused as its
-        :class:`~mfgl.data.HyperParameters` field, or N exceeds
-        ``DENSE_POSTERIOR_LIMIT``.
+    InvalidConfig, MemoryBudgetExceeded
+        Before the prior is built: when tau or beta is refused as its
+        :class:`~mfgl.data.HyperParameters` field, or when its bytes
+        (:func:`_prior_bytes`) exceed the memory budget
+        (:data:`~mfgl.config.MEMORY_BUDGET`).
     SingularSystem
         When a factorization fails, or when the unobserved block is
         numerically singular (see :func:`mfgl.spectral.checked_cholesky`).
     """
     check_values(HyperParameters, tau=tau, beta=beta)
     n = gl.n
-    if n > DENSE_POSTERIOR_LIMIT:
-        raise DenseLimitExceeded(f"N={n} exceeds the dense posterior limit {DENSE_POSTERIOR_LIMIT}")
     if not 0 <= m <= n:
         raise DimensionMismatch(f"need 0 <= M <= N, got M={m}, N={n}")
+    check_budget(f"the dense prior of N={n} points", _prior_bytes(gl, beta))
     q = _prior_matrix(gl, tau, beta)
     del gl  # so that L_sym handed on is freed before the Cholesky
     k = n - m

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .config import PipelineConfig, check_fields, check_values, setting
+from .config import PipelineConfig, check_budget, check_fields, check_values, setting
 from .data import HyperParameters, frozen, observations, require_finite
 from .exceptions import (
     ConvergenceFailure,
@@ -44,6 +44,9 @@ EIG_RESIDUAL_TOL = 1e-6
 CONDITION_LIMIT = 1e12
 # The shift-invert pole, as a fraction of the spectral bound a.
 _SHIFT_FRACTION = -1e-3
+# The LU's nonzeros charged before it is made, per nonzero of L_sym
+# (measured 1.02-1.69: see mfgl.config.MEMORY_BUDGET).
+_LU_FILL = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +98,12 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
 
     Raises
     ------
+    MemoryBudgetExceeded
+        Before ``splu``, when L_sym, ARPACK's workspace and the LU at
+        ``_LU_FILL`` x nnz(L_sym) nonzeros exceed the memory budget, and
+        after it, when they do at the LU's own nonzeros; before the dense
+        branch's copy of L_sym, when 4 x 8N^2 bytes do
+        (:data:`~mfgl.config.MEMORY_BUDGET`).
     ConvergenceFailure
         When some returned pair has residual above ``EIG_RESIDUAL_TOL``.
     """
@@ -104,11 +113,17 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
     lsym = gl.sym_matrix
     a = gl.shift_bound
     if K > n - 2:
+        check_budget("the dense eigensolve", 4 * 8 * n * n)  # measured 3.06-3.24 x 8N^2
         vals, vecs_s = sla.eigh(lsym.toarray(), subset_by_index=[0, K - 1])
     else:
+        # L_sym, ARPACK's two N x ncv arrays (eigsh's default ncv) and the
+        # K eigenvectors, and the LU at 12 bytes a nonzero
+        held = gl.nbytes + 8 * n * (2 * min(n, max(2 * K + 1, 20)) + K)
+        check_budget("the eigensolve", held + 12 * _LU_FILL * lsym.nnz)
         sigma = _SHIFT_FRACTION * a
         with gl.shifted(sigma) as shifted:
             lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
+        check_budget("the eigensolve", held + 12 * lu.nnz)
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals, vecs_s = eigsh(
             lsym, k=K, sigma=sigma, which="LM", v0=v0,

@@ -52,6 +52,18 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def refused_peak(fn, error):
+    """The ``error`` that ``fn()`` must raise, and the peak of the memory
+    traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as info:
+            fn()
+        return info.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def cli_env():
     """Environment whose PYTHONPATH puts the imported `mfgl` package first."""
     src = str(Path(mfgl.__file__).resolve().parents[1])

@@ -44,6 +44,7 @@ from mfgl.exceptions import (
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
+from mfgl.acquisition import PlanRecord
 from mfgl.posterior import SolverTag
 from mfgl.spectral import Spectrum, TruncatedFactor, low_spectrum
 
@@ -602,49 +603,68 @@ def test_dense_estimate_builds_and_factors_the_prior_once(entry, tmp_path, monke
     assert not [step for step in work.steps if step[2]], "a handle call did N^3 work"
 
 
+def _memory(a):
+    """The array that owns the memory ``a`` views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 @pytest.mark.parametrize("entry", ["run_pipeline", "cli-estimate"])
 def test_dense_l_sym_handed_on_is_freed_before_the_cholesky(entry, tmp_path, monkeypatch, capsys):
     # the one reference to L_sym in solve order goes down to dense_factor,
-    # which drops it once Q is written: the Laplacian and the memory of
-    # its values are dead before Q_uu is factored
-    refs, alive = [], []
+    # which drops it once Q is written, and the one reference to the plan
+    # record's spectrum goes down to estimate_attached, which drops it once
+    # tau is read: the Laplacian, the memory of its values and the memory
+    # of every plan record's eigenvectors are dead before Q_uu is factored
+    laplacian_refs, vector_refs, alive = [], [], []
     permuted = mfgl.graph.GraphLaplacian.permuted
+    post_init = PlanRecord.__post_init__
     cholesky = mfgl.posterior.checked_cholesky
 
     def traced_permuted(self, perm):
         gl = permuted(self, perm)
-        memory = gl.sym_matrix.data
-        while memory.base is not None:
-            memory = memory.base
-        refs.extend([weakref.ref(gl), weakref.ref(memory)])
+        laplacian_refs.extend([weakref.ref(gl), weakref.ref(_memory(gl.sym_matrix.data))])
         return gl
 
+    def traced_post_init(self):
+        post_init(self)
+        vector_refs.append(weakref.ref(_memory(self.spectrum.eigenvectors)))
+
     def traced_cholesky(a, what):
-        alive.append([ref() is not None for ref in refs])
+        alive.append([ref() is not None for ref in laplacian_refs + vector_refs])
         return cholesky(a, what)
 
     monkeypatch.setattr(mfgl.graph.GraphLaplacian, "permuted", traced_permuted)
+    monkeypatch.setattr(PlanRecord, "__post_init__", traced_post_init)
     monkeypatch.setattr(mfgl.posterior, "checked_cholesky", traced_cholesky)
     _dense_estimate(entry, generate(Generator.SMOOTH_MANIFOLD, 80, 3, seed=0), 6,
                     tmp_path, capsys)
-    assert alive == [[False, False]]
+    # run_pipeline makes one record, mfgl plan one and mfgl estimate one
+    assert (len(laplacian_refs), len(vector_refs)) == (2, 1 if entry == "run_pipeline" else 2)
+    assert alive == [[False] * len(laplacian_refs + vector_refs)]
 
 
-def test_dense_pipeline_peak_is_q_l_sym_and_the_eigenvectors():
+@pytest.mark.parametrize("n, slack", [(400, 0.13), (1000, 0.05)])
+def test_dense_pipeline_peak_is_q_and_l_sym(n, slack):
     # manifold-dense-400's shape.  The peak comes while Q, 8 N^2 bytes, is
-    # written next to L_sym and the eigenvectors in solve order; the slack
-    # covers the rows, the plan, L_sym's diagonal slots and the sparse row
-    # blocks, measured at 0.087-0.100 x 8 N^2 over generator seeds 0-5.  A
-    # copy of L_sym shifted by tau, a K^2 finiteness mask, or L_sym held
-    # through the Cholesky would each take a share of it.
-    n = 400
+    # written next to L_sym, with the planning eigenvectors dead; the slack
+    # covers the rows, the plan, the embedding, L_sym's diagonal slots and
+    # the sparse row blocks, measured at 0.098-0.112 x 8 N^2 over generator
+    # seeds 0-5 at N=400, and 0.037-0.038 at N=1000.  The eigenvectors in
+    # solve order (0.1 x 8 N^2 at N=400, 0.04 at N=1000; 0.174-0.189 and
+    # 0.067-0.068 while they lived), a copy of L_sym shifted by tau, a K^2
+    # finiteness mask, or L_sym held through the Cholesky would each take
+    # a share of it.  The dense factor's charge against the memory budget
+    # is within 10% of the peak.
     prob = generate(Generator.SMOOTH_MANIFOLD, n, 5, seed=0)
     config = PipelineConfig(solver=SolverTag.DENSE, m=10, seed=7)
-    lsym = laplacian(build_graph(prob.lf_data, config.knn_k), config.p, config.q).sym_matrix
-    csr = lsym.data.nbytes + lsym.indices.nbytes + lsym.indptr.nbytes
-    del lsym
+    gl = laplacian(build_graph(prob.lf_data, config.knn_k), config.p, config.q)
+    csr, predicted = gl.nbytes, mfgl.posterior._prior_bytes(gl, config.beta)
+    del gl
     _, peak = traced_peak(lambda: run_pipeline(prob, config))
-    assert peak <= 8 * n * n + csr + 8 * n * config.spectrum_size(n) + 0.12 * 8 * n * n
+    assert peak <= 8 * n * n + csr + slack * 8 * n * n
+    assert abs(predicted - peak) <= 0.1 * peak
 
 
 def test_refused_calibration_step_leaves_the_estimate_unchanged(monkeypatch):

@@ -846,6 +846,35 @@ def test_round_off_neighbors_exit_4_without_blaming_duplicates(tmp_path, capsys)
     assert "duplicate" not in report["message"]
 
 
+@pytest.mark.parametrize("scale", [1e160, 2.0**530])
+def test_rows_whose_squared_norms_overflow_exit_3(tmp_path, capsys, scale):
+    # refused by name: the overflow made the floor of the self-tuning
+    # scales inf, which read as a scale underflow (DuplicatePointScale, exit 4)
+    lf_path = tmp_path / "lf.csv"
+    write_csv(lf_path, generate(Generator.CLUSTERED_SHIFT, 60, 3, seed=0, clusters=3).lf_data * scale)
+    code, _, err = run_cli(
+        capsys, "plan", "--lf-path", str(lf_path), "--m", "3",
+        "--normalization", "none", "--output-dir", str(tmp_path / "out"),
+    )
+    assert code == 3
+    report = last_json(err)
+    assert report["error"] == "NonFiniteInput"
+    assert "squared row norms overflow" in report["message"]
+    assert "--normalization component" in report["message"]
+
+
+def test_memory_budget_refusal_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", 1000)
+    code, out, err = run_cli(
+        capsys, "bench", "--n", "200", "--d", "3", "--m", "4", "--output-dir", str(tmp_path),
+    )
+    assert code == 3 and out == ""
+    error = last_json(err)
+    assert error["error"] == "MemoryBudgetExceeded"
+    assert error["message"].startswith("the graph on N=200 points would hold about ")
+    assert error["message"].endswith(" bytes, above the 1000-byte memory budget")
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     _, lf_path = write_problem(tmp_path)
     cfg_path = tmp_path / "cfg.json"

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mfgl.bench import PipelineConfig, plan_rows
+from mfgl.bench import Generator, PipelineConfig, estimate_planned, generate, plan_rows
 from mfgl.data import (
     Dataset,
     HyperParameters,
@@ -160,8 +162,10 @@ def test_hyperparameters_validation():
         HyperParameters(sigma=1.0, omega=1.0, tau=0.1, r=0.0)
 
 
-@pytest.mark.parametrize("value", [0.0, 0.1, 1e-20, -3e-300, 7e100])
+@pytest.mark.parametrize("value", [0.0, 0.1, 1e-20, -3e-300, 7e100, 7e299])
 def test_component_stats_rejects_a_constant_column_at_any_scale(value, rng):
+    # at 7e299 the mean rounds off the entries, and the square of that
+    # residual overflowed to an inf std, which passed the test
     lf = np.column_stack([rng.normal(size=50), np.full(50, value)])
     with pytest.raises(ZeroVariance) as info:
         component_stats(lf)
@@ -176,3 +180,32 @@ def test_component_stats_takes_a_column_of_tiny_values(rng):
     assert 0 < std[1] < 1e-19
     record = plan_rows(lf, PipelineConfig(m=4, normalization=Normalization.COMPONENT)).record
     assert record.plan.m == 4
+
+
+@pytest.mark.parametrize("k", [520, 1000])
+def test_component_stats_past_the_square_overflow(k):
+    # the squared residuals of rows at 2^520 overflowed, and the run was
+    # refused as non-finite statistics; each column is taken times a power
+    # of two, so the statistics are exactly 2^k times the unscaled ones,
+    # and the rows plan and estimate as the unscaled ones do
+    prob = generate(Generator.CLUSTERED_SHIFT, 300, 5, seed=0)
+    s = 2.0**k
+    mean, std = component_stats(prob.lf_data)
+    got_mean, got_std = component_stats(prob.lf_data * s)
+    assert np.array_equal(got_mean, mean * s)
+    assert np.array_equal(got_std, std * s)
+    config = PipelineConfig(m=8, seed=3, normalization=Normalization.COMPONENT)
+    runs = []
+    for c in (1.0, s):
+        scaled = dataclasses.replace(config, sigma=0.01 * c)
+        record = plan_rows(prob.lf_data * c, scaled).record
+        perm = np.asarray(record.plan.permutation)
+        hf = prob.true_data[list(record.plan.selected_indices)] * c
+        art, estimates = estimate_planned(prob.lf_data[perm] * c, record, hf, scaled)
+        runs.append((record.plan.selected_indices, np.concatenate(list(estimates)),
+                     art.posterior.stddevs, art.hyper))
+    (sel, mf, sd, hyper), (got_sel, got_mf, got_sd, got_hyper) = runs
+    assert got_sel == sel
+    assert np.array_equal(got_mf, mf * s)
+    assert np.array_equal(got_sd, sd)
+    assert got_hyper == hyper

@@ -9,14 +9,15 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import mfgl.config
 import mfgl.graph
-from conftest import random_points, traced_peak
+from conftest import random_points, refused_peak, traced_peak
 from mfgl.bench import Generator, generate
 from mfgl.exceptions import (
-    DenseLimitExceeded,
     DimensionMismatch,
     DuplicatePointScale,
     InvalidConfig,
+    MemoryBudgetExceeded,
     NonFiniteInput,
     ZeroDegree,
 )
@@ -119,11 +120,30 @@ def test_knn_k_bounds():
         self_tuning_scales(lf, 5)
 
 
-def test_dense_limit_enforced(monkeypatch):
-    lf = random_points(25, 2, seed=0)
-    monkeypatch.setattr(mfgl.graph, "GRAPH_BYTE_BUDGET", 12 * 100)
-    with pytest.raises(DenseLimitExceeded, match="1200-byte budget"):
-        build_graph(lf, knn_k=3)
+def test_graph_budget_checked_before_the_degree_pass(monkeypatch):
+    # a budget the kept pairs cross about halfway through the triangle:
+    # refused as pairs are kept, before the degree pass writes W's values,
+    # and below the budget all the while
+    lf = generate(Generator.SMOOTH_MANIFOLD, 2000, 5, seed=0).lf_data
+    pairs = build_graph(lf).upper.nnz
+    budget = 2 * mfgl.graph._WORK_BYTES + mfgl.graph._PAIR_BYTES * pairs // 2
+    monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", budget)
+    degree_pass = []
+    monkeypatch.setattr(mfgl.graph, "_symmetric_indptr", lambda *args: degree_pass.append(args))
+    exc, peak = refused_peak(lambda: build_graph(lf), MemoryBudgetExceeded)
+    assert str(exc).startswith("the graph on N=2000 points would hold about ")
+    assert str(exc).endswith(f" bytes, above the {budget}-byte memory budget")
+    assert degree_pass == []
+    assert peak < budget
+
+
+@pytest.mark.parametrize("scale", [2.0**530, 1e160])
+def test_overflowing_row_norms_are_refused_by_name(scale):
+    # the squared row norms overflow, which made the scale floor inf and
+    # read as a scale underflow (DuplicatePointScale, exit 4)
+    lf = generate(Generator.CLUSTERED_SHIFT, 200, 5, seed=0).lf_data * scale
+    with pytest.raises(NonFiniteInput, match="squared row norms overflow.*--normalization component"):
+        self_tuning_scales(lf)
 
 
 def test_block_byte_cap_leaves_the_graph_unchanged(monkeypatch):

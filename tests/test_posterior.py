@@ -7,15 +7,16 @@ from scipy.linalg.lapack import dtrtri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points, traced_peak, two_blob_points
+from conftest import random_points, refused_peak, traced_peak, two_blob_points
+import mfgl.config
 import mfgl.posterior
 from mfgl.bench import Generator, generate
 from mfgl.data import HyperParameters
 from mfgl.exceptions import (
     AllZeroSpectrum,
-    DenseLimitExceeded,
     DimensionMismatch,
     InvalidConfig,
+    MemoryBudgetExceeded,
     NoBracket,
     NonFiniteInput,
     NumericalError,
@@ -112,11 +113,15 @@ def test_cluster_propagation():
         assert np.abs(blob.mean(axis=0) - target).max() < 0.05
 
 
-def test_dense_limit_guard(rng, monkeypatch):
+def test_dense_budget_guard(monkeypatch):
     gl = laplacian(build_graph(random_points(30, 2, seed=1), knn_k=4), 0.5, 0.5)
-    monkeypatch.setattr("mfgl.posterior.DENSE_POSTERIOR_LIMIT", 10)
-    with pytest.raises(DenseLimitExceeded):
+    predicted = mfgl.posterior._prior_bytes(gl, 2.0)
+    monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", predicted - 1)
+    with pytest.raises(MemoryBudgetExceeded, match=f"^the dense prior of N=30 points would hold "
+                       f"about {predicted} bytes, above the {predicted - 1}-byte memory budget$"):
         dense_factor(gl, 5, 0.3)
+    monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", predicted)
+    dense_factor(gl, 5, 0.3)
 
 
 def _laplacian_of(s):
@@ -510,20 +515,32 @@ def test_dense_factor_builds_prior_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_dense_factor_limit_checked_before_prior(monkeypatch):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("prior built above the dense limit")
-
-    monkeypatch.setattr("mfgl.posterior.DENSE_POSTERIOR_LIMIT", 39)
-    monkeypatch.setattr("mfgl.posterior.shifted_power", must_not_run)
-    gl = laplacian(build_graph(random_points(40, 3, seed=2), knn_k=5), 0.5, 0.5)
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+def test_dense_factor_budget_checked_before_prior(beta, monkeypatch):
+    # refused before the prior is built, and below the budget all the while
+    built = []
+    monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda *args: built.append(args))
+    gl = laplacian(build_graph(random_points(400, 3, seed=2), knn_k=5), 0.5, 0.5)
+    budget = mfgl.posterior._prior_bytes(gl, beta) - 1
+    monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", budget)
     phi_obs = np.ones((5, 2))
-    with pytest.raises(DenseLimitExceeded):
-        dense_factor(gl, 5, 0.2)
-    with pytest.raises(DenseLimitExceeded):
-        constrained_minimizer(gl, phi_obs, 0.2)
-    with pytest.raises(DenseLimitExceeded):
-        regularization_path(gl, phi_obs, [0.2, 0.1], 0.2)
+    for run in (lambda: dense_factor(gl, 5, 0.2, beta),
+                lambda: constrained_minimizer(gl, phi_obs, 0.2, beta),
+                lambda: regularization_path(gl, phi_obs, [0.2, 0.1], 0.2, beta)):
+        _, peak = refused_peak(run, MemoryBudgetExceeded)
+        assert peak < budget
+    assert built == []
+
+
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+@pytest.mark.parametrize("n", [400, 1000])
+def test_dense_factor_peak_is_its_predicted_bytes(n, beta):
+    # L_sym written inside the trace and handed on, as the pipeline does:
+    # the prediction measured 1.00-1.08 x the peak on the three generators
+    graph = build_graph(generate(Generator.SMOOTH_MANIFOLD, n, 5, seed=0).lf_data)
+    predicted = mfgl.posterior._prior_bytes(laplacian(graph, 0.5, 0.5), beta)
+    _, peak = traced_peak(lambda: dense_factor(laplacian(graph, 0.5, 0.5), 10, 0.01, beta))
+    assert abs(predicted - peak) <= 0.1 * peak
 
 
 @pytest.mark.parametrize("solver", sorted(FACTORS))

@@ -3,11 +3,12 @@ import numpy.linalg as nla
 import pytest
 import scipy.linalg as sla
 
+import mfgl.config
 import mfgl.spectral
-from conftest import random_points, traced_peak, two_blob_points
+from conftest import random_points, refused_peak, traced_peak, two_blob_points
 from mfgl.bench import Generator, generate
 from mfgl.data import Dataset, HyperParameters, displacements
-from mfgl.exceptions import DimensionMismatch, InsufficientSpectrum, SingularSystem
+from mfgl.exceptions import DimensionMismatch, InsufficientSpectrum, MemoryBudgetExceeded, SingularSystem
 from mfgl.graph import WEIGHT_EPS, build_graph, laplacian, self_tuning_scales
 from mfgl.spectral import (
     EIG_RESIDUAL_TOL,
@@ -190,6 +191,52 @@ def test_low_spectrum_leaves_l_sym_unchanged_and_read_only(route, monkeypatch):
     sigma = mfgl.spectral._SHIFT_FRACTION * gl.shift_bound
     assert diagonal.tobytes() == (lsym.diagonal() - sigma).tobytes()
     assert not writeable
+
+
+def _eigensolve_held(gl, k):
+    """L_sym and ARPACK's workspace at eigsh's default ncv = 2K + 1."""
+    return gl.nbytes + 8 * gl.n * (2 * (2 * k + 1) + k)
+
+
+def test_eigensolve_budget_checked_before_splu(monkeypatch):
+    # L_sym and ARPACK's workspace fit, the LU at 2 x nnz(L_sym) does not:
+    # refused before splu, and below the budget all the while
+    gl = laplacian(build_graph(generate(Generator.CLUSTERED_SHIFT, 1000, 5, seed=0).lf_data),
+                   0.5, 0.5)
+    budget = _eigensolve_held(gl, 40) + 12 * gl.sym_matrix.nnz
+    monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", budget)
+    factored = []
+    monkeypatch.setattr(mfgl.spectral, "splu", lambda *args, **kwargs: factored.append(args))
+    exc, peak = refused_peak(lambda: low_spectrum(gl, 40), MemoryBudgetExceeded)
+    assert str(exc).startswith("the eigensolve would hold about ")
+    assert factored == []
+    assert peak < budget
+
+
+def test_eigensolve_budget_checked_against_the_lu_made(monkeypatch):
+    # charged no LU in advance, the eigensolve is refused on the LU's own
+    # nonzeros, before ARPACK runs, with L_sym's diagonal written back
+    gl = laplacian(build_graph(generate(Generator.CLUSTERED_SHIFT, 1000, 5, seed=0).lf_data),
+                   0.5, 0.5)
+    before = gl.sym_matrix.data.tobytes()
+    monkeypatch.setattr(mfgl.spectral, "_LU_FILL", 0.0)
+    monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", _eigensolve_held(gl, 40))
+    iterated = []
+    monkeypatch.setattr(mfgl.spectral, "eigsh", lambda *args, **kwargs: iterated.append(args))
+    with pytest.raises(MemoryBudgetExceeded, match="^the eigensolve would hold about "):
+        low_spectrum(gl, 40)
+    assert iterated == []
+    assert gl.sym_matrix.data.tobytes() == before
+
+
+def test_dense_eigensolve_budget_checked_before_the_copy(monkeypatch):
+    gl = laplacian(build_graph(generate(Generator.SMOOTH_MANIFOLD, 300, 5, seed=0).lf_data),
+                   0.5, 0.5)
+    budget = 4 * 8 * 300 * 300 - 1
+    monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", budget)
+    exc, peak = refused_peak(lambda: low_spectrum(gl, 300), MemoryBudgetExceeded)
+    assert str(exc).startswith("the dense eigensolve would hold about ")
+    assert peak < 8 * 300 * 300  # no copy of L_sym was made
 
 
 def test_embed_is_column_slice():
