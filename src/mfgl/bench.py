@@ -227,12 +227,21 @@ def error_component(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def error_field(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Per-row percentage error, scaled by the reference's mean row norm."""
+    """Per-row percentage error, scaled by the reference's mean row norm.
+
+    ``ref`` and ``est - ref`` are taken times 2^-e, e the exponent of
+    their largest |entry| (``np.frexp``), before the norms square them:
+    the scaling is exact and cancels in the ratio, and no scale of the
+    rows makes a square overflow or underflow."""
     est, ref = _same_shape(est, ref)
-    denom = float(np.mean(np.linalg.norm(ref, axis=1)))
+    diff = est - ref
+    e = np.frexp(max(np.abs(ref).max(initial=0.0), np.abs(diff).max(initial=0.0)))[1]
+    err = np.linalg.norm(np.ldexp(diff, -e, out=diff), axis=1)
+    del diff
+    denom = float(np.mean(np.linalg.norm(np.ldexp(ref, -e), axis=1)))
     if denom == 0.0:
         raise ZeroReferenceSet("reference rows are identically zero")
-    return 100.0 * np.linalg.norm(est - ref, axis=1) / denom
+    return 100.0 * err / denom
 
 
 @dataclass(frozen=True, eq=False)

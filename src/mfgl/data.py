@@ -133,7 +133,8 @@ class NormalizationSpec:
     """Stored statistics that make a normalization invertible.
 
     ``mean``/``std`` are set for per-component standardization and no
-    array else; each is finite, and the stds positive.  Both transforms
+    array else; they are 1-D of one length, each is finite, and the stds
+    positive (else ``InvalidConfig``).  Both transforms
     act on any matrix of the dataset's width, row by row, so they need
     no row alignment.
     """
@@ -150,6 +151,9 @@ class NormalizationSpec:
         kept = ["mean", "std"] if self.mode is Normalization.COMPONENT else []
         if held != kept:
             raise InvalidConfig(f"{self.mode.value} normalization keeps {kept}, got {held}")
+        if held and (self.mean.ndim != 1 or self.mean.shape != self.std.shape):
+            raise InvalidConfig("stored mean and std must be 1-D arrays of one length, "
+                                f"got shapes {self.mean.shape} and {self.std.shape}")
         if held and not np.all(self.std > 0):
             raise InvalidConfig("stored stds must be positive")
         if not all(np.isfinite(getattr(self, k)).all() for k in held):

@@ -12,10 +12,10 @@ kernel almost every pair weight is far below round-off.  Each kept
 weight is taken from the direct difference x_i - x_j, once per unordered
 pair, so it is exact to round-off.  The graph stores only those pairs,
 W's strict upper triangle, with the degrees: W is exactly symmetric by
-construction, its diagonal is zero (a W built elsewhere with a self-loop
-is refused), and it is formed only on request.  Building the graph holds
-the triangle and one Gram block of ``_WORK_BYTES`` bytes at a time, never
-an N x N array, and for the degrees W's values, freed on return.
+construction, its diagonal is zero, and it is formed only on request.
+Building the graph holds the triangle and one Gram block of
+``_WORK_BYTES`` bytes at a time, never an N x N array, and for the
+degrees W's values, freed on return.
 
 The Laplacian family is L = D^{-p} (D - W) D^{-q}.  For p != q, L is a
 similarity transform D^{-(p-q)/2} L_sym D^{(p-q)/2} of the symmetric
@@ -154,7 +154,6 @@ class AffinityGraph:
     sorted columns), with W's degrees and the self-tuning scales.
 
     W, whose diagonal is zero, is formed only on request (:attr:`weights`).
-    A W built elsewhere makes a graph through :meth:`from_weights`.
     """
 
     upper: sp.csr_array
@@ -174,28 +173,6 @@ class AffinityGraph:
         bad = np.flatnonzero(~(self.degrees > 0.0))
         if bad.size:
             raise ZeroDegree(int(bad[0]))
-
-    @classmethod
-    def from_weights(cls, weights, scales: np.ndarray) -> AffinityGraph:
-        """The graph of a weight matrix W (dense or sparse) built elsewhere,
-        with degrees ``W.sum(axis=1)``; it keeps W's strict upper triangle.
-
-        Raises
-        ------
-        NonFiniteInput
-            When a weight is NaN or Inf.
-        InvalidConfig
-            When a weight is negative, W is not exactly symmetric or W has
-            a nonzero diagonal entry: the kernel has W_ii = 0.
-        """
-        w = sp.csr_array(weights, dtype=np.float64)
-        require_finite(w.data, "weights")
-        if np.any(w.data < 0.0):
-            raise InvalidConfig("weights must be non-negative")
-        if w.shape[0] != w.shape[1] or (w != w.T).nnz or w.diagonal().any():
-            raise InvalidConfig("the weight matrix must be square, exactly symmetric "
-                                "and have a zero diagonal")
-        return cls(upper=sp.triu(w, k=1, format="csr"), degrees=w.sum(axis=1), scales=scales)
 
     @property
     def n(self) -> int:
@@ -546,8 +523,6 @@ def weighted_inner(
         raise DimensionMismatch(
             f"expected two length-{n} vectors, got {u.shape} and {v.shape}"
         )
-    if p == q:
-        return float(u @ v)
     return float(u @ (degrees ** (p - q) * v))
 
 

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings
 
 import mfgl
-from mfgl.graph import build_graph, laplacian
+from mfgl.graph import AffinityGraph, build_graph, laplacian
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 result does not depend on earlier runs.
@@ -19,6 +20,15 @@ settings.load_profile("reproducible")
 def random_points(n, d, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, d))
+
+
+def hand_graph(w, scales=None):
+    """The graph of a weight matrix W given in full, dense or sparse: its
+    strict upper triangle and its row sums, summed as scipy sums a CSR W,
+    with unit scales unless ``scales`` is given."""
+    w = sp.csr_array(w, dtype=np.float64)
+    return AffinityGraph(upper=sp.triu(w, 1, format="csr"), degrees=w.sum(axis=1),
+                         scales=np.ones(w.shape[0]) if scales is None else scales)
 
 
 def small_laplacian(n=20, d=3, seed=0, p=0.5, q=0.5, knn_k=5):

@@ -12,7 +12,7 @@ import mfgl.bench
 import mfgl.graph
 import mfgl.matio
 import mfgl.posterior
-from conftest import traced_peak
+from conftest import hand_graph, traced_peak
 from mfgl.cli import main as cli_main
 from mfgl.bench import (
     ErrorMetric,
@@ -35,7 +35,7 @@ from mfgl.bench import (
 )
 from mfgl.data import Dataset, Normalization, displacements, normalize
 from mfgl.matio import write_csv
-from mfgl.graph import AffinityGraph, build_graph, laplacian
+from mfgl.graph import build_graph, laplacian
 from mfgl.exceptions import (
     DimensionMismatch,
     InvalidConfig,
@@ -466,7 +466,7 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
     # bitwise the Laplacian of the plan-order graph with W's rows reordered
     g = build_graph(prob.lf_data, config.knn_k)
     rebuilt = laplacian(
-        AffinityGraph.from_weights(g.weights[perm][:, perm], scales=g.scales[perm]), p, q,
+        hand_graph(g.weights[perm][:, perm], g.scales[perm]), p, q,
     )
     fresh = laplacian(build_graph(ds.lf, config.knn_k), p, q)
     for ours, exact, new in ((gl.sym_matrix, rebuilt.sym_matrix, fresh.sym_matrix),
@@ -732,11 +732,13 @@ def test_component_normalized_run_does_not_depend_on_the_rows_scale(kind, solver
     # rows and sigma scaled by 2^k, exactly in floating point: the same
     # plan, the same stddevs and hyperparameters in solve coordinates, and
     # estimates exactly 2^k times the unscaled ones; a constant-column test
-    # with an absolute floor refused the rows at 2^-100 and 2^-300
+    # with an absolute floor refused the rows at 2^-100 and 2^-300, and
+    # the field error, squaring the raw rows, read NaN at 2^520 and refused
+    # the reference rows as zero at 2^-600
     prob = generate(kind, 300, 5, seed=0)
     config = PipelineConfig(solver=solver, m=8, seed=3, normalization=Normalization.COMPONENT)
     base = run_pipeline(prob, config)
-    for k in (-300, -100, 100):
+    for k in (-600, -300, -100, 100, 520, 1000):
         s = 2.0**k
         scaled = dataclasses.replace(prob, true_data=prob.true_data * s, lf_data=prob.lf_data * s,
                                      hf_noise_sigma=prob.hf_noise_sigma * s)
@@ -745,3 +747,4 @@ def test_component_normalized_run_does_not_depend_on_the_rows_scale(kind, solver
         assert np.array_equal(out.posterior.mf_estimates, base.posterior.mf_estimates * s)
         assert np.array_equal(out.posterior.stddevs, base.posterior.stddevs)
         assert out.hyper == base.hyper
+        assert out.report.reduction == base.report.reduction

@@ -46,6 +46,17 @@ def test_normalization_spec_refuses_nan_statistics():
         NormalizationSpec(Normalization.COMPONENT, mean=[0.0, 0.0], std=[1.0, np.nan])
 
 
+@pytest.mark.parametrize("mean, std", [
+    (np.zeros((1, 3)), np.ones(3)),  # not a vector
+    (np.zeros(3), np.ones(2)),  # of another length than the stds
+    (np.zeros(()), np.ones(1)),  # a scalar
+], ids=["2-D", "lengths", "0-D"])
+def test_normalization_spec_refuses_statistics_of_mismatched_shapes(mean, std):
+    # apply then failed with a bare ValueError, or IndexError for a 0-D mean
+    with pytest.raises(InvalidConfig, match="1-D arrays of one length"):
+        NormalizationSpec(Normalization.COMPONENT, mean=mean, std=std)
+
+
 def test_normalize_none_is_identity(rng):
     lf = rng.normal(size=(5, 2))
     out, spec = normalize(Dataset(lf=lf), Normalization.NONE)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mfgl.config
 import mfgl.graph
-from conftest import random_points, refused_peak, traced_peak
+from conftest import hand_graph, random_points, refused_peak, traced_peak
 from mfgl.bench import Generator, generate
 from mfgl.exceptions import (
     DimensionMismatch,
@@ -360,14 +360,10 @@ def test_laplacian_diagonal_slot_first_middle_and_last():
                   [0.5, 0.0, 0.3, 0.1],
                   [0.0, 0.3, 0.0, 0.7],
                   [0.2, 0.1, 0.7, 0.0]])
-    g = AffinityGraph.from_weights(w, scales=np.ones(4))
+    g = hand_graph(w)
     assert_matches_reference(g)
     gl = laplacian(g, 0.5, 0.5)
     assert gl.sym_matrix.indices.tolist() == [0, 1, 3, 0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3]
-    # the kernel has W_ii = 0, so a stored self-loop W_22 is refused
-    w[2, 2] = 0.4
-    with pytest.raises(InvalidConfig, match="zero diagonal"):
-        AffinityGraph.from_weights(w, scales=np.ones(4))
 
 
 def test_laplacian_sorts_unsorted_weights_into_a_copy():
@@ -376,7 +372,7 @@ def test_laplacian_sorts_unsorted_weights_into_a_copy():
     w = g.weights[perm][:, perm]
     assert not w.has_sorted_indices
     before = [getattr(w, part).copy() for part in ("indptr", "indices", "data")]
-    shuffled = AffinityGraph.from_weights(w, scales=g.scales[perm])
+    shuffled = hand_graph(w, g.scales[perm])
     for p, q in PQ_CASES:
         gl, ref = laplacian(shuffled, p, q), laplacian(g, p, q)
         got = gl.sym_matrix
@@ -525,7 +521,7 @@ def test_zero_degree_detected():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0  # node 2 isolated
     with pytest.raises(ZeroDegree):
-        AffinityGraph.from_weights(w, scales=np.ones(3))
+        hand_graph(w)
 
 
 def test_nan_degree_detected():
@@ -535,51 +531,19 @@ def test_nan_degree_detected():
         AffinityGraph(upper, degrees=[1.0, np.nan, 1.0], scales=np.ones(3))
 
 
-def test_from_weights_refuses_what_is_no_weight_matrix():
-    # an asymmetric W would be read as its upper triangle's mirror, so it
-    # is refused, as are negative and non-finite weights
-    w = np.array([[0.0, 0.5, 0.2, 0.0],
-                  [0.5, 0.0, 0.3, 0.1],
-                  [0.2, 0.3, 0.0, 0.7],
-                  [0.0, 0.1, 0.7, 0.0]])
-    asymmetric = w.copy()
-    asymmetric[0, 1] = 0.4
-    with pytest.raises(InvalidConfig, match="exactly symmetric"):
-        AffinityGraph.from_weights(asymmetric, scales=np.ones(4))
-    negative = w.copy()
-    negative[1, 3] = negative[3, 1] = -0.1
-    with pytest.raises(InvalidConfig, match="non-negative"):
-        AffinityGraph.from_weights(negative, scales=np.ones(4))
-    nan = w.copy()
-    nan[2, 3] = nan[3, 2] = np.nan
-    with pytest.raises(NonFiniteInput):
-        AffinityGraph.from_weights(nan, scales=np.ones(4))
-    # the triangle itself must be one
-    with pytest.raises(InvalidConfig, match="upper triangle"):
-        AffinityGraph(upper=sp.csr_array(w), degrees=np.ones(4), scales=np.ones(4))
-
-
 @pytest.mark.parametrize("node", [0, 2, 3])
 def test_graph_refuses_a_self_loop(node):
+    # the kernel has W_ii = 0, so the graph's triangle is a strict one:
+    # a stored W_ii is refused, as is an entry below the diagonal
     w = np.array([[0.0, 0.5, 0.0, 0.2],
                   [0.5, 0.0, 0.3, 0.1],
                   [0.0, 0.3, 0.0, 0.7],
                   [0.2, 0.1, 0.7, 0.0]])
-    # a stored zero on the diagonal is no self-loop, and is not kept
-    stored_zeros = sp.csr_array(w + np.eye(4))
-    stored_zeros.data[stored_zeros.data == 1.0] = 0.0
-    g = AffinityGraph.from_weights(stored_zeros, scales=np.ones(4))
-    assert_same_csr(g.upper, sp.csr_array(np.triu(w)))
-    assert np.array_equal(g.weights.toarray(), w)
     loop = w.copy()
     loop[node, node] = 1e-300
-    for given in (loop, sp.csr_array(loop)):
-        with pytest.raises(InvalidConfig, match="zero diagonal"):
-            AffinityGraph.from_weights(given, scales=np.ones(4))
-    # the graph's own triangle is a strict one
-    upper = sp.csr_array(np.triu(loop))
-    with pytest.raises(InvalidConfig, match="strict upper triangle"):
-        AffinityGraph(upper=upper, degrees=loop.sum(axis=1), scales=np.ones(4))
+    for upper in (np.triu(loop), w):
+        with pytest.raises(InvalidConfig, match="strict upper triangle"):
+            AffinityGraph(upper=sp.csr_array(upper), degrees=loop.sum(axis=1), scales=np.ones(4))
 
 
 @settings(max_examples=40)
@@ -609,7 +573,7 @@ def test_triangle_and_weights_routes_agree(n, d, knn_k, p, q, work_bytes, seed):
     assert (w != w.T).nnz == 0
     rows = np.repeat(np.arange(n), np.diff(w.indptr))
     assert not np.any(w.indices == rows)  # no stored diagonal
-    rebuilt = laplacian(AffinityGraph.from_weights(w, scales=g.scales), p, q)
+    rebuilt = laplacian(hand_graph(w, g.scales), p, q)
     assert rebuilt.degrees.tobytes() == gl.degrees.tobytes()
     assert_same_csr(rebuilt.sym_matrix, gl.sym_matrix)
 
@@ -617,7 +581,7 @@ def test_triangle_and_weights_routes_agree(n, d, knn_k, p, q, work_bytes, seed):
 def test_weighted_inner_reduces_to_dot_for_equal_pq(rng):
     g = build_graph(random_points(10, 2, seed=1), knn_k=3)
     u, v = rng.normal(size=(2, 10))
-    assert weighted_inner(u, v, g.degrees, 0.5, 0.5) == pytest.approx(float(u @ v))
+    assert weighted_inner(u, v, g.degrees, 0.5, 0.5) == float(u @ v)  # D^0 is exactly 1
 
 
 def test_weighted_inner_ones_gives_total_degree():

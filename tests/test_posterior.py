@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dtrtri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points, refused_peak, traced_peak, two_blob_points
+from conftest import hand_graph, random_points, refused_peak, traced_peak, two_blob_points
 import mfgl.config
 import mfgl.posterior
 from mfgl.bench import Generator, generate
@@ -22,7 +22,7 @@ from mfgl.exceptions import (
     NumericalError,
     SingularSystem,
 )
-from mfgl.graph import AffinityGraph, GraphLaplacian, build_graph, laplacian
+from mfgl.graph import GraphLaplacian, build_graph, laplacian
 from mfgl.nystrom import build_saddle, nystrom_factor
 from mfgl.posterior import (
     PosteriorResult,
@@ -41,10 +41,6 @@ from mfgl.spectral import (
     truncated_posterior,
     truncated_variances,
 )
-
-
-def hand_graph(w):
-    return AffinityGraph.from_weights(w, scales=np.ones(len(w)))
 
 
 def test_zero_rhs_and_data_independent_covariance(rng):
@@ -323,6 +319,18 @@ def test_constrained_minimizer_interpolates_and_minimizes(rng):
         other = theta.copy()
         other[4:] += 0.3 * rng.normal(size=(14, 2))  # stays feasible
         assert float(np.sum(other * (b @ other))) >= energy - 1e-10
+
+
+def test_constrained_minimizer_refuses_rows_the_solvers_refuse(rng):
+    # one NaN row once gave 27 of 60 entries NaN, and 1-D rows a bare
+    # ValueError; the rows are checked as every solver checks phi_hat
+    gl = laplacian(build_graph(random_points(18, 2, seed=11), knn_k=4), 0.5, 0.5)
+    phi_obs = rng.normal(size=(4, 2))
+    phi_obs[1, 0] = np.nan
+    with pytest.raises(NonFiniteInput, match="phi_hat"):
+        constrained_minimizer(gl, phi_obs, 0.25, 2.0)
+    with pytest.raises(DimensionMismatch, match="2-D"):
+        constrained_minimizer(gl, rng.normal(size=4), 0.25, 2.0)
 
 
 def test_regularization_path_converges():

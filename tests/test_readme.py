@@ -1,9 +1,12 @@
 """Every ```python block of README.md runs in a fresh interpreter against
-this checkout's package, and every `mfgl` command of its ```bash blocks
-parses with the command line's own parser, so the README cannot use a
-name or a flag the package no longer has, and its `--flag a|b|c` lists
-are the parser's choices."""
+this checkout's package, every `mfgl` command of its ```bash blocks
+parses with the command line's own parser, and every `--flag` and
+`mfgl.module.name` its prose quotes is one the parser or the package
+has, so the README cannot use a name or a flag the package no longer
+has, and its `--flag a|b|c` lists are the parser's choices."""
 import argparse
+import functools
+import importlib
 import re
 import shlex
 import subprocess
@@ -56,11 +59,15 @@ CHOICE_LISTS = re.findall(r"`(--[a-z-]+) ([\w-]+(?:\|[\w-]+)+)`", README)
 REFUSED = {"--solver": {"nystrom"}}
 
 
-def _parser_choices():
+def _subcommand_actions():
     parser = _build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {flag: set(action.choices) for command in sub.choices.values()
-            for action in command._actions if action.choices for flag in action.option_strings}
+    return [action for command in sub.choices.values() for action in command._actions]
+
+
+def _parser_choices():
+    return {flag: set(action.choices) for action in _subcommand_actions()
+            if action.choices for flag in action.option_strings}
 
 
 def test_readme_has_choice_lists():
@@ -72,3 +79,30 @@ def test_readme_choice_list_is_the_parsers(flag, listed):
     listed = listed.split("|")
     assert len(set(listed)) == len(listed)
     assert set(listed) == _parser_choices()[flag] - REFUSED.get(flag, set())
+
+
+# the prose, its code blocks cut out, and the flags and package names it quotes
+PROSE = re.sub(r"^```.*?^```", "", README, flags=re.M | re.S)
+PROSE_FLAGS = sorted(set(re.findall(r"`(--[A-Za-z][\w-]*)", PROSE)))
+PROSE_NAMES = sorted(set(re.findall(r"`(mfgl(?:\.\w+)+)", PROSE)))
+
+
+def test_readme_prose_flags_are_the_parsers():
+    flags = {flag for action in _subcommand_actions() for flag in action.option_strings}
+    assert PROSE_FLAGS
+    assert [flag for flag in PROSE_FLAGS if flag not in flags] == []
+
+
+def _resolves(name: str) -> bool:
+    """``mfgl.module`` imports and each further part is an attribute."""
+    parts = name.split(".")
+    try:
+        functools.reduce(getattr, parts[2:], importlib.import_module(".".join(parts[:2])))
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_readme_prose_names_resolve():
+    assert PROSE_NAMES
+    assert [name for name in PROSE_NAMES if not _resolves(name)] == []
