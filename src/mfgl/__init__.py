@@ -3,8 +3,7 @@
 A large set of cheap low-fidelity solutions fixes the geometry; a few
 expensive high-fidelity runs anchor the values.  The package fuses the
 two into Gaussian estimates (mean and pointwise spread) of what the
-high-fidelity model would return everywhere, at a cost that stays
-near-linear in the number of points for the low-rank solvers.
+high-fidelity model would return everywhere.
 
 Submodules load lazily: the command-line front end must be able to cap
 BLAS thread pools via environment variables before numpy first loads.
@@ -24,7 +23,6 @@ _SUBMODULES = (
     "exceptions",
     "graph",
     "matio",
-    "nystrom",
     "posterior",
     "spectral",
 )

@@ -333,8 +333,8 @@ def _refuse_landmark_solver(config: PipelineConfig) -> None:
     """The pipeline solves with the dense or the truncated prior only."""
     if config.solver not in (SolverTag.DENSE, SolverTag.TRUNCATED):
         raise InvalidConfig(
-            f"the pipeline has no {config.solver.value!r} solver; use 'dense' or "
-            "'truncated', or the landmark factor in mfgl.nystrom as a library tool"
+            f"the {config.solver.value!r} landmark solver was removed; "
+            "use 'dense' or 'truncated'"
         )
 
 

@@ -71,7 +71,8 @@ FORMATS = ("csv", "bin")
 class SolverTag(Enum):
     DENSE = "dense"
     TRUNCATED = "truncated"
-    # Kept only for the benchmark's landmark probe; every pipeline entry refuses it.
+    # The landmark solver was removed; the tag stays for the benchmark's probe,
+    # and every pipeline entry refuses it.
     NYSTROM = "nystrom"
 
 

@@ -61,16 +61,17 @@ def require_finite(a: np.ndarray, name: str, error: type = NonFiniteInput) -> No
         raise error(f"{name} contains NaN or Inf")
 
 
-def observations(phi_hat, m: Optional[int] = None) -> np.ndarray:
+def observations(phi_hat, m: Optional[int] = None, name: str = "phi_hat") -> np.ndarray:
     """The observed displacements a solver takes, as floats, refused unless
     2-D, finite (``NonFiniteInput``) and, when ``m`` is given, of ``m``
-    rows, the rows the solver observes (``DimensionMismatch``)."""
+    rows, the rows the solver observes (``DimensionMismatch``).  Messages
+    call the rows ``name``, the caller's argument."""
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     if phi_hat.ndim != 2:
-        raise DimensionMismatch("phi_hat must be 2-D")
-    require_finite(phi_hat, "phi_hat")
+        raise DimensionMismatch(f"{name} must be 2-D")
+    require_finite(phi_hat, name)
     if m is not None and phi_hat.shape[0] != m:
-        raise DimensionMismatch(f"phi_hat has {phi_hat.shape[0]} rows, the solve observes M={m}")
+        raise DimensionMismatch(f"{name} has {phi_hat.shape[0]} rows, the solve observes M={m}")
     return phi_hat
 
 

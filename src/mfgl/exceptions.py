@@ -112,28 +112,6 @@ class AllZeroSpectrum(NumericalError):
     """No eigenvalue exceeds the zero threshold; tau cannot be chosen."""
 
 
-class NegativeApproxDegree(NumericalError):
-    """Nystrom-approximated degree is non-positive; landmark set too poor."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(
-            f"approximate degree at point {index} is not positive; "
-            "increase the landmark count, re-sample landmarks, or pass "
-            "rank_r to truncate the landmark block (the kernel has a zero "
-            "diagonal, so its landmark block is indefinite and an "
-            "untruncated pseudoinverse can extrapolate wildly)"
-        )
-
-
-class SingularLandmarkBlock(NumericalError):
-    """W(X,X) is numerically zero; no usable landmark information."""
-
-
-class SingularCapacitance(NumericalError):
-    """The K x K Woodbury core is numerically singular."""
-
-
 class EmptyCluster(NumericalError):
     """A k-means cluster ended empty: re-seeding cannot keep a cluster
     when embedding rows coincide, since the coinciding rows tie and ties

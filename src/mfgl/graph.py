@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,7 +61,7 @@ WEIGHT_EPS = 1e-12
 # entries (24).
 _PAIR_BYTES = 28
 # Most bytes of one block of squared distances, point differences or
-# scale factors, in build_graph, weight_columns and laplacian.
+# scale factors, in build_graph and laplacian.
 _WORK_BYTES = 1 << 20
 
 
@@ -105,47 +105,6 @@ def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.
     if bad.size:
         raise DuplicatePointScale(int(bad[0]))
     return scales
-
-
-def weight_columns(
-    lf: np.ndarray, scales: np.ndarray, indices: Sequence[int]
-) -> np.ndarray:
-    """Columns W[:, indices] of the kernel matrix, without forming W.
-
-    The kernel is the uncut one, in Gram form: every weight is kept,
-    however small (:func:`build_graph` drops those below ``WEIGHT_EPS``),
-    and the squared distances come from |x|^2 + |y|^2 - 2 x.y.  Runs in
-    O(N * len(indices)) memory; it is the landmark factor's weight
-    access, which no pipeline path calls.  Raises ``DimensionMismatch``
-    unless ``scales`` has shape (N,), and ``InvalidConfig`` for an index
-    outside [0, N).
-    """
-    lf = np.asarray(lf, dtype=np.float64)
-    scales = np.asarray(scales, dtype=np.float64)
-    idx = np.asarray(indices, dtype=np.intp)
-    n = lf.shape[0]
-    if scales.shape != (n,):
-        raise DimensionMismatch(f"scales must have shape ({n},), got {scales.shape}")
-    if idx.size and not (0 <= idx.min() and idx.max() < n):
-        raise InvalidConfig(f"column indices must lie in [0, {n}), got {idx.min()} to {idx.max()}")
-    cols_pts = lf[idx]
-    cols_sq = np.einsum("ij,ij->i", cols_pts, cols_pts)
-    out = np.empty((lf.shape[0], idx.size))
-    block = _block_rows(idx.size)
-    for start in range(0, lf.shape[0], block):
-        stop = min(start + block, lf.shape[0])
-        rows = lf[start:stop]
-        d2 = (
-            np.einsum("ij,ij->i", rows, rows)[:, None]
-            + cols_sq[None, :]
-            - 2.0 * rows @ cols_pts.T
-        )
-        np.maximum(d2, 0.0, out=d2)
-        d2 /= scales[start:stop, None] * scales[idx][None, :]
-        np.exp(-d2, out=d2)
-        out[start:stop] = d2
-    out[idx, np.arange(idx.size)] = 0.0  # kernel has a zero diagonal
-    return out
 
 
 @dataclass(frozen=True, eq=False)

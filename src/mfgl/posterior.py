@@ -431,7 +431,7 @@ class RegularizationPath:
 def _observed_rows(gl: GraphLaplacian, phi_observed: np.ndarray) -> np.ndarray:
     """``phi_observed`` as :func:`~mfgl.data.observations` takes it, once
     1 <= M < N is checked."""
-    phi_observed = observations(phi_observed)
+    phi_observed = observations(phi_observed, name="phi_observed")
     m, n = phi_observed.shape[0], gl.n
     if not 1 <= m < n:
         raise DimensionMismatch(f"need 1 <= M < N, got M={m}, N={n}")

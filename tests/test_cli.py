@@ -676,14 +676,17 @@ def test_bench_refuses_m_zero(tmp_path, capsys):
     assert list(out_dir.iterdir()) == []
 
 
+REMOVED = "the 'nystrom' landmark solver was removed; use 'dense' or 'truncated'"
+
+
 @pytest.mark.parametrize(
     "entry",
     ["run_pipeline", "plan_rows", "estimate_planned",
      "estimate_attached", "cli-plan", "cli-estimate", "cli-bench"],
 )
 def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
-    # the landmark factor is a library tool (mfgl.nystrom), not a pipeline
-    # solver: every pipeline and CLI entry refuses it before any graph
+    # the landmark solver was removed: every pipeline and CLI entry
+    # refuses its tag before any graph
     prob, lf_path = write_problem(tmp_path)
     # exactly the config the benchmark's landmark probe builds
     config = PipelineConfig(solver=SolverTag.NYSTROM, m=10, K=200, seed=0)
@@ -720,7 +723,7 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
         assert code == 3
         error = last_json(err)
         assert error["error"] == "InvalidConfig"
-        assert "mfgl.nystrom" in error["message"]
+        assert error["message"] == REMOVED
         return
     ds_hf = Dataset(lf=prob.lf_data, hf=hf)
     perm = np.asarray(record.plan.permutation, dtype=np.intp)
@@ -733,8 +736,9 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
             displacements(ds_hf), dataclasses.replace(config, sigma=0.01), record.spectrum
         ),
     }[entry]
-    with pytest.raises(InvalidConfig, match="mfgl.nystrom"):
+    with pytest.raises(InvalidConfig) as refused:
         call()
+    assert str(refused.value) == REMOVED
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ import mfgl.graph
 from conftest import hand_graph, random_points, refused_peak, traced_peak
 from mfgl.bench import Generator, generate
 from mfgl.exceptions import (
-    DimensionMismatch,
     DuplicatePointScale,
     InvalidConfig,
     MemoryBudgetExceeded,
@@ -29,10 +28,8 @@ from mfgl.graph import (
     laplacian,
     self_adjointness_check,
     self_tuning_scales,
-    weight_columns,
     weighted_inner,
 )
-from mfgl.nystrom import nystrom_factor
 from mfgl.spectral import low_spectrum
 
 GENERATOR_CASES = [
@@ -73,27 +70,6 @@ def test_weights_match_brute_force_oracle():
     assert np.abs(g.scales - scales_ref).max() < 1e-12
     assert np.abs(g.weights.toarray() - w_ref).max() < 1e-12
     assert np.abs(g.degrees - w_ref.sum(axis=1)).max() < 1e-12
-
-
-def test_lazy_columns_match_full_matrix():
-    lf = random_points(30, 3, seed=7)
-    scales = self_tuning_scales(lf, 5)
-    g = build_graph(lf, knn_k=5)
-    idx = np.array([0, 4, 17, 29])
-    cols = weight_columns(lf, scales, idx)
-    assert cols.shape == (30, 4)
-    assert np.abs(cols - g.weights.toarray()[:, idx]).max() < 1e-12
-
-
-def test_weight_columns_checks_indices_and_scales():
-    lf = random_points(200, 3, seed=1)
-    scales = self_tuning_scales(lf, 5)
-    with pytest.raises(InvalidConfig, match=r"\[0, 200\)"):
-        nystrom_factor(lambda idx: weight_columns(lf, scales, idx), [0, 500])
-    with pytest.raises(InvalidConfig, match=r"\[0, 200\)"):
-        weight_columns(lf, scales, [-1, 3])  # no silent wrap to the last row
-    with pytest.raises(DimensionMismatch):
-        weight_columns(lf, scales[:-1], [0, 3])
 
 
 def test_duplicate_points_rejected():

@@ -2,11 +2,15 @@
 imports.  A standard-library ``ast`` scan stands in for pyflakes' F401:
 an imported name counts as used when the module reads it anywhere, as a
 name or as the head of an attribute chain, or lists it in ``__all__``.
-An import line marked ``# noqa: F401`` is a deliberate re-export."""
+An import line marked ``# noqa: F401`` is a deliberate re-export.  The
+package's submodule list and README's demo list name exactly its files."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import mfgl
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -57,3 +61,13 @@ def test_the_scan_sees_what_it_should():
         "numpy.linalg.norm\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 5: g"]
+
+
+def test_package_lists_match_its_files():
+    # a stale entry would make `mfgl.<name>` a ModuleNotFoundError and
+    # `dir(mfgl)` name a module that is gone
+    modules = {p.stem for p in (ROOT / "src/mfgl").glob("*.py")} - {"__init__"}
+    assert sorted(mfgl._SUBMODULES) == sorted(modules)
+    demos_section = (ROOT / "README.md").read_text().split("## Demos\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([\w.]+\.py)`", demos_section, re.M)
+    assert sorted(listed) == sorted(p.name for p in (ROOT / "demos").glob("*.py"))

@@ -23,7 +23,6 @@ from mfgl.exceptions import (
     SingularSystem,
 )
 from mfgl.graph import GraphLaplacian, build_graph, laplacian
-from mfgl.nystrom import build_saddle, nystrom_factor
 from mfgl.posterior import (
     PosteriorResult,
     calibrate_omega,
@@ -321,16 +320,21 @@ def test_constrained_minimizer_interpolates_and_minimizes(rng):
         assert float(np.sum(other * (b @ other))) >= energy - 1e-10
 
 
-def test_constrained_minimizer_refuses_rows_the_solvers_refuse(rng):
+@pytest.mark.parametrize("solve", [
+    lambda gl, phi_obs: constrained_minimizer(gl, phi_obs, 0.25, 2.0),
+    lambda gl, phi_obs: regularization_path(gl, phi_obs, [0.5, 0.25], 0.25, 2.0),
+], ids=["constrained_minimizer", "regularization_path"])
+def test_constrained_minimizer_refuses_rows_the_solvers_refuse(solve, rng):
     # one NaN row once gave 27 of 60 entries NaN, and 1-D rows a bare
-    # ValueError; the rows are checked as every solver checks phi_hat
+    # ValueError; the rows are checked as every solver checks phi_hat,
+    # and the message names the argument these functions take
     gl = laplacian(build_graph(random_points(18, 2, seed=11), knn_k=4), 0.5, 0.5)
     phi_obs = rng.normal(size=(4, 2))
     phi_obs[1, 0] = np.nan
-    with pytest.raises(NonFiniteInput, match="phi_hat"):
-        constrained_minimizer(gl, phi_obs, 0.25, 2.0)
-    with pytest.raises(DimensionMismatch, match="2-D"):
-        constrained_minimizer(gl, rng.normal(size=4), 0.25, 2.0)
+    with pytest.raises(NonFiniteInput, match="^phi_observed contains NaN or Inf$"):
+        solve(gl, phi_obs)
+    with pytest.raises(DimensionMismatch, match="^phi_observed must be 2-D$"):
+        solve(gl, rng.normal(size=4))
 
 
 def test_regularization_path_converges():
@@ -707,18 +711,13 @@ def test_truncated_handle_refuses_m_equal_n(monkeypatch):
 
 def _solve_with(solver, phi_hat):
     """Solve with ``solver`` for observations of the first 4 of 40 rows."""
-    g = build_graph(random_points(40, 2, seed=3), knn_k=5)
-    gl = laplacian(g, 0.5, 0.5)
+    gl = laplacian(build_graph(random_points(40, 2, seed=3), knn_k=5), 0.5, 0.5)
     if solver == "dense":
         return dense_posterior(dense_factor(gl, 4, 0.2), phi_hat, 2.0, 0.1)
-    if solver == "truncated":
-        return truncated_posterior(truncated_factor(low_spectrum(gl, K=8), 4, 0.2), phi_hat, 2.0, 0.1)
-    w = g.weights.toarray()
-    lrl = nystrom_factor(lambda idx: w[:, idx], range(40))
-    return build_saddle(lrl, HyperParameters(sigma=0.1, omega=2.0, tau=0.2), 4).solve(phi_hat)
+    return truncated_posterior(truncated_factor(low_spectrum(gl, K=8), 4, 0.2), phi_hat, 2.0, 0.1)
 
 
-@pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
+@pytest.mark.parametrize("solver", ["dense", "truncated"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_every_solver_refuses_non_finite_observations(solver, bad):
     phi_hat = np.zeros((4, 2))
@@ -727,13 +726,13 @@ def test_every_solver_refuses_non_finite_observations(solver, bad):
         _solve_with(solver, phi_hat)
 
 
-@pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
+@pytest.mark.parametrize("solver", ["dense", "truncated"])
 def test_every_solver_refuses_observations_that_are_not_2d(solver):
     with pytest.raises(DimensionMismatch, match="phi_hat must be 2-D"):
         _solve_with(solver, np.zeros(4))
 
 
-@pytest.mark.parametrize("solver", ["dense", "truncated", "saddle"])
+@pytest.mark.parametrize("solver", ["dense", "truncated"])
 @pytest.mark.parametrize("rows", [3, 5])
 def test_every_solver_refuses_observations_of_another_row_count(solver, rows):
     # each factor is built for the first 4 rows observed
