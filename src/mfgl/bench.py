@@ -27,8 +27,10 @@ from typing import Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .acquisition import AcquisitionPlan, PlanRecord, plan_acquisition
-from .config import ErrorMetric, Generator, Normalization, PipelineConfig, ProblemConfig, SolverTag
-from .data import Dataset, HyperParameters, NormalizationSpec, displacements, frozen, normalize, observations
+from .config import (
+    ErrorMetric, Generator, Normalization, PipelineConfig, ProblemConfig, SolverTag, check_values,
+)
+from .data import HyperParameters, NormalizationSpec, frozen, normalize, observations
 from .exceptions import (
     InvalidConfig,
     MissingHighFidelity,
@@ -191,11 +193,11 @@ def generate(
 
     The stored noise level is ``noise_rel`` times the displacement scale.
     The arguments are checked, and their defaults taken, by
-    :class:`~mfgl.config.ProblemConfig` (the seed by
-    :class:`~mfgl.config.PipelineConfig`), as ``mfgl bench`` checks its own.
+    :class:`~mfgl.config.ProblemConfig` (the seed as its
+    :class:`~mfgl.config.PipelineConfig` field), as ``mfgl bench`` checks its own.
     """
     ProblemConfig(kind, n, d, clusters, displacement_rel, noise_rel, lf_scale)
-    PipelineConfig(seed=seed)
+    check_values(PipelineConfig, seed=seed)
     if kind is Generator.CLUSTERED_SHIFT:
         return _gen_clustered_shift(n, d, seed, clusters, displacement_rel, noise_rel)
     if kind is Generator.SMOOTH_MANIFOLD:
@@ -343,9 +345,9 @@ def estimate_attached(
     laplacian: Optional[GraphLaplacian] = None,
 ) -> EstimateArtifacts:
     """Resolve tau, then omega on the one factor tau fixes, and solve for
-    the observed displacements; the resolved hyperparameters are one record.
+    the observed displacement rows; the resolved hyperparameters are one record.
 
-    ``phi_hat`` holds the displacements hf - lf of the first M rows of
+    ``phi_hat`` holds hf - lf, the displacement of each of the first M rows of
     ``spectrum``'s row order, and ``config.sigma`` must be set, both in
     the solve coordinates: unlike :func:`estimate_planned`, this entry
     point maps nothing.  The dense solver also needs ``laplacian``, in
@@ -441,14 +443,16 @@ class PlannedRows(NamedTuple):
 
 def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     """The planning step shared by :func:`run_pipeline` and ``mfgl plan``:
-    check that M <= N (``config`` holds M >= 1), hash and normalize the
-    rows, build the graph prior (:func:`planning_spectrum`), plan the
-    acquisition in input order, then reorder the eigenvectors into solve
-    order, here and nowhere else.  The dense solver's L_sym is returned
-    in input order: only a caller that estimates reorders it
-    (:func:`run_pipeline`; ``mfgl plan`` drops it).
+    check and freeze the rows (:func:`~mfgl.data.observations`), refuse
+    fewer than 2 of them, the fewest a graph is built on, and M > N
+    (``config`` holds M >= 1), hash and normalize the rows, build the
+    graph prior (:func:`planning_spectrum`), plan the acquisition in
+    input order, then reorder the eigenvectors into solve order, here and
+    nowhere else.  The dense solver's L_sym is returned in input order:
+    only a caller that estimates reorders it (:func:`run_pipeline`;
+    ``mfgl plan`` drops it).
 
-    M is checked before any graph is built.  ``timings`` holds
+    The rows are checked before any graph is built.  ``timings`` holds
     ``normalize`` and ``plan`` (graph, eigensolve, k-means, reordering).
 
     The reference to ``lf_raw`` is handed on: the raw rows die once
@@ -459,17 +463,20 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     own.
     """
     t0 = time.perf_counter()
-    ds = Dataset(lf=lf_raw)
+    lf = observations(frozen(lf_raw), name="lf")
     del lf_raw
-    if config.m > ds.n:
-        raise InvalidConfig(f"m={config.m} exceeds the number of rows {ds.n}")
-    digest = hashlib.sha256(ds.lf).hexdigest()
-    ds, nspec = normalize(ds, config.normalization)
+    n = lf.shape[0]
+    if n < 2:
+        raise RowCountMismatch(f"need at least 2 low-fidelity points, got {n}")
+    if config.m > n:
+        raise InvalidConfig(f"m={config.m} exceeds the number of rows {n}")
+    digest = hashlib.sha256(lf).hexdigest()
+    lf, nspec = normalize(lf, config.normalization)
     timings = {"normalize": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
-    rows = [ds.lf]
-    del ds  # planning_spectrum holds the normalized rows alone
+    rows = [lf]
+    del lf  # planning_spectrum holds the normalized rows alone
     spectrum, gl = planning_spectrum(rows.pop(), config)
     plan = plan_acquisition(spectrum, config.m, config.seed)
     perm = np.asarray(plan.permutation, dtype=np.intp)
@@ -512,7 +519,9 @@ def estimate_planned(
     ``record``'s spectrum and of ``laplacian`` (dense solver only).
     ``hf_raw`` holds the high-fidelity rows of the plan's
     ``selected_indices``, in that order and in input units, and so does
-    ``config.sigma``.
+    ``config.sigma``.  Both are checked (:func:`~mfgl.data.observations`):
+    ``lf_raw`` for the spectrum's N rows and ``hf_raw`` for the plan's M
+    rows (``RowCountMismatch``), and ``hf_raw`` for ``lf_raw``'s width.
 
     Outputs are in solve order, and the estimates in input units.  Only
     the raw rows are kept (shared when read-only): phi_hat is normalized
@@ -529,22 +538,21 @@ def estimate_planned(
     plan, nspec, spectrum = record.plan, record.nspec, record.spectrum
     del record  # so that the spectrum is handed on below
     if len(hf_raw) != plan.m:
-        raise RowCountMismatch(
-            f"{len(hf_raw)} high-fidelity rows, but the plan selected {plan.m}"
-        )
-    ds = Dataset(lf=lf_raw, hf=hf_raw)
-    if ds.n != spectrum.n:
-        raise RowCountMismatch(f"the plan's spectrum has {spectrum.n} rows, the dataset {ds.n}")
+        raise RowCountMismatch(f"{len(hf_raw)} high-fidelity rows, but the plan selected {plan.m}")
+    lf = observations(frozen(lf_raw), name="lf")  # frozen: the estimate blocks read it again
+    if lf.shape[0] != spectrum.n:
+        raise RowCountMismatch(f"the plan's spectrum has {spectrum.n} rows, lf {lf.shape[0]}")
+    hf = observations(hf_raw, name="hf", d=lf.shape[1])
     sigma = None if config.sigma is None else sigma_in_solve_coords(config.sigma, nspec)
     config = dataclasses.replace(config, sigma=sigma)
-    phi_hat = displacements(Dataset(lf=nspec.apply(ds.lf[:ds.m]), hf=nspec.apply(ds.hf)))
+    phi_hat = nspec.apply(hf) - nspec.apply(lf[:plan.m])
     assemble_s = time.perf_counter() - t0
 
     spectra, laplacians = [spectrum], [laplacian]
     del spectrum, laplacian
     art = estimate_attached(phi_hat, config, spectra.pop(), laplacians.pop())
     art = dataclasses.replace(art, timings={"assemble": assemble_s, **art.timings})
-    return PlannedEstimate(art, _estimate_blocks(ds.lf, art.posterior, nspec))
+    return PlannedEstimate(art, _estimate_blocks(lf, art.posterior, nspec))
 
 
 def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineOutput:
@@ -570,7 +578,7 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     plan = record.plan
     perm = np.asarray(plan.permutation, dtype=np.intp)
     lf_raw = problem.lf_data[perm]
-    lf_raw.setflags(write=False)  # so that the estimate step's Dataset shares it
+    lf_raw.setflags(write=False)  # so that the estimate step shares it
     gls = [None if gl is None else gl.permuted(perm)]
     del gl  # the one reference to L_sym in solve order is handed on
     embedding = embed(record.spectrum, plan.m)

@@ -1,11 +1,13 @@
-"""Dataset containers, normalization, and hyperparameter records.
+"""Row checks, normalization, and hyperparameter records.
 
-A :class:`Dataset` holds N low-fidelity points in R^D and, optionally, M
-high-fidelity points aligned with the FIRST M low-fidelity rows.  That
+Rows are plain arrays: N low-fidelity points in R^D and, when estimating,
+M high-fidelity points aligned with the FIRST M low-fidelity rows.  That
 leading-rows convention is load-bearing: every solver downstream selects
 high-fidelity rows with a plain ``[:M]`` slice.  Only an acquisition plan
 (:mod:`mfgl.acquisition`) builds the ordering that establishes it; callers
-apply the plan's permutation to their rows.
+apply the plan's permutation to their rows.  Every matrix of rows, low- or
+high-fidelity rows and the displacement rows phi_hat alike, is checked by
+:func:`observations`.
 
 Every frozen container of the package takes its arrays through
 :func:`frozen`: they are read-only, and an array that is already frozen
@@ -23,14 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .config import Normalization, PipelineConfig, check_fields, same_setting
-from .exceptions import (
-    DimensionMismatch,
-    InvalidConfig,
-    MissingHighFidelity,
-    NonFiniteInput,
-    RowCountMismatch,
-    ZeroVariance,
-)
+from .exceptions import DimensionMismatch, InvalidConfig, NonFiniteInput, ZeroVariance
 
 DEGENERACY_TOL = 1e-14
 
@@ -61,72 +56,23 @@ def require_finite(a: np.ndarray, name: str, error: type = NonFiniteInput) -> No
         raise error(f"{name} contains NaN or Inf")
 
 
-def observations(phi_hat, m: Optional[int] = None, name: str = "phi_hat") -> np.ndarray:
-    """The observed displacements a solver takes, as floats, refused unless
-    2-D, finite (``NonFiniteInput``) and, when ``m`` is given, of ``m``
-    rows, the rows the solver observes (``DimensionMismatch``).  Messages
-    call the rows ``name``, the caller's argument."""
-    phi_hat = np.asarray(phi_hat, dtype=np.float64)
-    if phi_hat.ndim != 2:
+def observations(rows, m: Optional[int] = None, name: str = "phi_hat",
+                 d: Optional[int] = None) -> np.ndarray:
+    """Rows as floats (low- or high-fidelity rows, or the displacement
+    rows phi_hat a solver observes), refused unless 2-D, of at least one
+    column and, when ``d`` is given, of ``d`` (``DimensionMismatch``),
+    finite (``NonFiniteInput``) and, when ``m`` is given, of ``m`` rows,
+    the rows the solver observes (``DimensionMismatch``).  Messages call
+    the rows ``name``, the caller's argument."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D")
-    require_finite(phi_hat, name)
-    if m is not None and phi_hat.shape[0] != m:
-        raise DimensionMismatch(f"{name} has {phi_hat.shape[0]} rows, the solve observes M={m}")
-    return phi_hat
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Aligned low-/high-fidelity point sets.
-
-    Parameters
-    ----------
-    lf : ndarray, shape (N, D)
-        Low-fidelity points, one row per point.
-    hf : ndarray, shape (M, D), optional
-        High-fidelity points; row ``i`` corresponds to ``lf[i]``.
-    """
-
-    lf: np.ndarray
-    hf: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        lf = frozen(self.lf)
-        if lf.ndim != 2:
-            raise DimensionMismatch(f"lf must be 2-D, got ndim={lf.ndim}")
-        n, d = lf.shape
-        if n < 2:
-            raise RowCountMismatch(f"need at least 2 low-fidelity points, got {n}")
-        if d < 1:
-            raise DimensionMismatch("points must have at least one component")
-        require_finite(lf, "lf")
-        object.__setattr__(self, "lf", lf)
-
-        if self.hf is not None:
-            hf = frozen(self.hf)
-            if hf.ndim != 2 or hf.shape[1] != d:
-                raise DimensionMismatch(
-                    f"hf must be (M, {d}), got {hf.shape if hf.ndim == 2 else hf.ndim}"
-                )
-            if hf.shape[0] > n:
-                raise RowCountMismatch(
-                    f"more high-fidelity rows ({hf.shape[0]}) than low-fidelity ({n})"
-                )
-            require_finite(hf, "hf")
-            object.__setattr__(self, "hf", hf)
-
-    @property
-    def n(self) -> int:
-        return self.lf.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.lf.shape[1]
-
-    @property
-    def m(self) -> int:
-        """Number of high-fidelity rows (0 when absent)."""
-        return 0 if self.hf is None else self.hf.shape[0]
+    if not rows.shape[1] or d not in (None, rows.shape[1]):
+        raise DimensionMismatch(f"{name} has {rows.shape[1]} columns, need {d or 'at least one'}")
+    require_finite(rows, name)
+    if m is not None and rows.shape[0] != m:
+        raise DimensionMismatch(f"{name} has {rows.shape[0]} rows, the solve observes M={m}")
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +82,7 @@ class NormalizationSpec:
     ``mean``/``std`` are set for per-component standardization and no
     array else; they are 1-D of one length, each is finite, and the stds
     positive (else ``InvalidConfig``).  Both transforms
-    act on any matrix of the dataset's width, row by row, so they need
+    act on any matrix of the rows' width, row by row, so they need
     no row alignment.
     """
 
@@ -161,9 +107,8 @@ class NormalizationSpec:
             raise InvalidConfig("stored statistics must be finite")
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Forward transform, as one new read-only array, which a
-        :class:`Dataset` takes without a copy; mode none returns ``a``
-        itself."""
+        """Forward transform, as one new read-only array, which
+        :func:`frozen` shares; mode none returns ``a`` itself."""
         a = np.asarray(a, dtype=np.float64)
         if self.mode is Normalization.NONE:
             return a
@@ -217,19 +162,18 @@ def component_stats(lf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def normalize(
-    data: Dataset, mode: Normalization
-) -> tuple[Dataset, NormalizationSpec]:
-    """Rescale a dataset, applying identical statistics to hf rows.
+def normalize(lf: np.ndarray, mode: Normalization) -> tuple[np.ndarray, NormalizationSpec]:
+    """Rescale the low-fidelity rows ``lf``.
 
     Per-component mode standardizes each column to zero mean and unit
-    population standard deviation, with the statistics computed over the
-    low-fidelity set only; mode none returns ``data`` itself.
+    population standard deviation; mode none returns ``lf`` itself.  The
+    returned statistics map any other rows, high-fidelity rows among
+    them, the same way (:meth:`NormalizationSpec.apply`).
 
     Returns
     -------
-    (Dataset, NormalizationSpec)
-        The transformed copy and the statistics needed to invert it.
+    (ndarray, NormalizationSpec)
+        The transformed rows and the statistics needed to invert them.
 
     Raises
     ------
@@ -238,13 +182,12 @@ def normalize(
         (:func:`component_stats`).
     """
     if mode is Normalization.NONE:
-        return data, NormalizationSpec(mode=mode)
+        return lf, NormalizationSpec(mode=mode)
     if mode is not Normalization.COMPONENT:
         raise InvalidConfig(f"unknown normalization mode {mode!r}")
-    mean, std = component_stats(data.lf)
+    mean, std = component_stats(lf)
     spec = NormalizationSpec(mode=mode, mean=mean, std=std)
-    hf = spec.apply(data.hf) if data.hf is not None else None
-    return Dataset(lf=spec.apply(data.lf), hf=hf), spec
+    return spec.apply(lf), spec
 
 
 @dataclass(frozen=True)
@@ -273,16 +216,3 @@ class HyperParameters:
     def as_dict(self) -> dict:
         """The five settings plus the derived kappa, as written to JSON."""
         return {**asdict(self), "kappa": self.kappa}
-
-
-def displacements(data: Dataset) -> np.ndarray:
-    """Observed low-to-high-fidelity displacements hf - lf[:M], M x D.
-
-    Raises
-    ------
-    MissingHighFidelity
-        When the dataset has no high-fidelity rows.
-    """
-    if data.hf is None or data.m == 0:
-        raise MissingHighFidelity("dataset has no high-fidelity rows")
-    return data.hf - data.lf[: data.m]

@@ -90,18 +90,15 @@ class ZeroDegree(NumericalError):
 
 
 class ConvergenceFailure(NumericalError):
-    """An eigenpair failed its residual tolerance within the iteration budget."""
-
-    def __init__(self, k: int, residual: float):
-        self.k = k
-        self.residual = residual
-        super().__init__(f"eigenpair {k} residual {residual:.3e} exceeds tolerance")
+    """The eigensolve ran out of iterations, or a returned eigenpair
+    failed its residual tolerance."""
 
 
 class SingularSystem(NumericalError):
-    """An SPD factorization failed, or its factor shows the system is
-    numerically singular (signals NaN input or a prior with a near-null
-    mode no observation reaches)."""
+    """A factorization failed, or its factor shows the system is
+    numerically singular (signals NaN input, a prior with a near-null
+    mode no observation reaches, or a shifted Laplacian whose degree
+    powers under- or overflow)."""
 
 
 class NoBracket(NumericalError):

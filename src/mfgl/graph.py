@@ -110,14 +110,13 @@ def self_tuning_scales(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> np.
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
     """The kept pairs of the kernel matrix W's strict upper triangle (CSR,
-    sorted columns), with W's degrees and the self-tuning scales.
+    sorted columns), with W's degrees.
 
     W, whose diagonal is zero, is formed only on request (:attr:`weights`).
     """
 
     upper: sp.csr_array
     degrees: np.ndarray
-    scales: np.ndarray
 
     def __post_init__(self):
         upper = sp.csr_array(self.upper, dtype=np.float64)
@@ -127,8 +126,7 @@ class AffinityGraph:
         if upper.shape[0] != upper.shape[1] or np.any(upper.indices[upper.indptr[rows]] <= rows):
             raise InvalidConfig("upper must be the strict upper triangle of a square matrix")
         object.__setattr__(self, "upper", upper)
-        for name in ("degrees", "scales"):
-            object.__setattr__(self, name, frozen(getattr(self, name)))
+        object.__setattr__(self, "degrees", frozen(self.degrees))
         bad = np.flatnonzero(~(self.degrees > 0.0))
         if bad.size:
             raise ZeroDegree(int(bad[0]))
@@ -302,7 +300,7 @@ def build_graph(lf: np.ndarray, knn_k: int = PipelineConfig.knn_k) -> AffinityGr
     degrees = np.zeros(n)
     rows = np.flatnonzero(np.diff(w_indptr))
     degrees[rows] = np.add.reduceat(w_data, w_indptr[rows])
-    return AffinityGraph(upper=upper, degrees=degrees, scales=scales)
+    return AffinityGraph(upper=upper, degrees=degrees)
 
 
 @dataclass(frozen=True, eq=False)

@@ -63,7 +63,7 @@ BRACKET_DECADES = 60
 
 @dataclass(frozen=True, eq=False)
 class PosteriorResult:
-    """Gaussian posterior summary: MAP displacements plus uncertainty.
+    """Gaussian posterior summary: the MAP displacement field plus uncertainty.
 
     The MAP field is kept as its solver's factors, shared, not copied:
     Phi* is ``head`` over ``basis @ coeffs`` (truncated: no head, Psi_K

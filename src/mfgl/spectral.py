@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .config import PipelineConfig, check_budget, check_fields, check_values, setting
 from .data import HyperParameters, frozen, observations, require_finite
@@ -104,13 +104,18 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
         after it, when they do at the LU's own nonzeros; before the dense
         branch's copy of L_sym, when 4 x 8N^2 bytes do
         (:data:`~mfgl.config.MEMORY_BUDGET`).
+    SingularSystem
+        When L_sym holds NaN or Inf, or ``splu`` finds L_sym - sigma I
+        exactly singular.
     ConvergenceFailure
-        When some returned pair has residual above ``EIG_RESIDUAL_TOL``.
+        When ARPACK runs out of iterations, or some returned pair has
+        residual above ``EIG_RESIDUAL_TOL``.
     """
     n = gl.n
     if not 1 <= K <= n:
         raise InvalidConfig(f"K must be in [1, {n}], got {K}")
     lsym = gl.sym_matrix
+    require_finite(lsym.data, "L_sym", SingularSystem)  # degree powers past float64's range
     a = gl.shift_bound
     if K > n - 2:
         check_budget("the dense eigensolve", 4 * 8 * n * n)  # measured 3.06-3.24 x 8N^2
@@ -122,20 +127,26 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
         check_budget("the eigensolve", held + 12 * _LU_FILL * lsym.nnz)
         sigma = _SHIFT_FRACTION * a
         with gl.shifted(sigma) as shifted:
-            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
+            try:
+                lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise SingularSystem(f"the shift-invert factor of L_sym: {exc}") from exc
         check_budget("the eigensolve", held + 12 * lu.nnz)
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        vals, vecs_s = eigsh(
-            lsym, k=K, sigma=sigma, which="LM", v0=v0,
-            OPinv=LinearOperator(lsym.shape, matvec=lu.solve, dtype=np.float64),
-        )
+        try:
+            vals, vecs_s = eigsh(
+                lsym, k=K, sigma=sigma, which="LM", v0=v0,
+                OPinv=LinearOperator(lsym.shape, matvec=lu.solve, dtype=np.float64),
+            )
+        except ArpackNoConvergence as exc:
+            raise ConvergenceFailure(f"the eigensolve of {K} pairs: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs_s = vals[order], vecs_s[:, order]
     resid = lsym @ vecs_s - vecs_s * vals[None, :]
     resid_norms = np.linalg.norm(resid, axis=0)
     worst = int(np.argmax(resid_norms))
     if resid_norms[worst] > EIG_RESIDUAL_TOL:
-        raise ConvergenceFailure(worst, float(resid_norms[worst]))
+        raise ConvergenceFailure(f"eigenpair {worst} residual {resid_norms[worst]:.3e} exceeds tolerance")
     vecs_s = _fix_signs(vecs_s)
     if gl.p != gl.q:
         conv = gl.degrees ** (-0.5 * (gl.p - gl.q))

@@ -22,13 +22,11 @@ def random_points(n, d, seed):
     return rng.normal(size=(n, d))
 
 
-def hand_graph(w, scales=None):
+def hand_graph(w):
     """The graph of a weight matrix W given in full, dense or sparse: its
-    strict upper triangle and its row sums, summed as scipy sums a CSR W,
-    with unit scales unless ``scales`` is given."""
+    strict upper triangle and its row sums, summed as scipy sums a CSR W."""
     w = sp.csr_array(w, dtype=np.float64)
-    return AffinityGraph(upper=sp.triu(w, 1, format="csr"), degrees=w.sum(axis=1),
-                         scales=np.ones(w.shape[0]) if scales is None else scales)
+    return AffinityGraph(upper=sp.triu(w, 1, format="csr"), degrees=w.sum(axis=1))
 
 
 def small_laplacian(n=20, d=3, seed=0, p=0.5, q=0.5, knn_k=5):

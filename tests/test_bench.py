@@ -33,12 +33,13 @@ from mfgl.bench import (
     sigma_in_solve_coords,
     write_report,
 )
-from mfgl.data import Dataset, Normalization, displacements, normalize
+from mfgl.data import Normalization, normalize
 from mfgl.matio import write_csv
 from mfgl.graph import build_graph, laplacian
 from mfgl.exceptions import (
     DimensionMismatch,
     InvalidConfig,
+    MfglError,
     MissingHighFidelity,
     RowCountMismatch,
     ZeroReferenceColumn,
@@ -171,7 +172,7 @@ def test_sigma_in_solve_coords(rng):
         (Normalization.NONE, lambda ns: 0.7),
         (Normalization.COMPONENT, lambda ns: 0.7 / float(ns.std.mean())),
     ):
-        _, nspec = normalize(Dataset(lf=lf), mode)
+        _, nspec = normalize(lf, mode)
         assert sigma_in_solve_coords(0.7, nspec) == pytest.approx(expect(nspec))
 
 
@@ -179,8 +180,8 @@ def test_sigma_whose_square_is_not_a_positive_normal_float_is_refused():
     # every solver divides by sigma^2: a sigma whose square, in the solve
     # coordinates, is subnormal, zero or infinite is refused there
     lf = np.random.default_rng(0).normal(size=(60, 3))
-    _, none = normalize(Dataset(lf=lf), Normalization.NONE)
-    _, component = normalize(Dataset(lf=lf * 1e150), Normalization.COMPONENT)
+    _, none = normalize(lf, Normalization.NONE)
+    _, component = normalize(lf * 1e150, Normalization.COMPONENT)
     assert sigma_in_solve_coords(1.5e-154, none) == 1.5e-154  # its square is normal
     for sigma, nspec in ((2.5e-162, none), (1e200, none), (1e-13, component)):
         with pytest.raises(InvalidConfig, match="--sigma"):
@@ -257,6 +258,36 @@ def test_m_zero_refused_by_the_schema():
         PipelineConfig(m=0)
 
 
+BOUNDS = {"m": 1, "knn_k": 1, "K": 1, "beta": 1.0}
+
+
+@pytest.mark.parametrize("bound", [*BOUNDS, "all"])
+@pytest.mark.parametrize("solver", [SolverTag.TRUNCATED, SolverTag.DENSE])
+@pytest.mark.parametrize("kind, d", [(Generator.CLUSTERED_SHIFT, 3), (Generator.SMOOTH_MANIFOLD, 3),
+                                     (Generator.BEAM_LIKE_1D, 16)])
+def test_every_setting_at_its_declared_bound_estimates_or_is_refused(kind, d, solver, bound):
+    # each setting at the least value its schema admits, alone and all
+    # together, estimates (a finite MAP, positive finite stddevs) or is
+    # refused with a typed error: M = 1 was refused by a two-row rule
+    # meant for the graph's rows, and knn_k = 1 left ARPACK's traceback
+    prob = generate(kind, 120, d, seed=0, clusters=4)
+    settings = BOUNDS if bound == "all" else {bound: BOUNDS[bound]}
+    try:
+        out = run_pipeline(prob, PipelineConfig(solver=solver, seed=0, **settings))
+    except MfglError:
+        return
+    assert np.all(np.isfinite(out.posterior.phi_star))
+    assert np.all(np.isfinite(out.posterior.stddevs)) and np.all(out.posterior.stddevs > 0)
+
+
+@pytest.mark.parametrize("solver", [SolverTag.TRUNCATED, SolverTag.DENSE])
+def test_one_observed_row_repairs_many(solver):
+    prob = generate(Generator.BEAM_LIKE_1D, 300, 16, seed=0)
+    out = run_pipeline(prob, PipelineConfig(solver=solver, m=1, seed=7))
+    assert out.plan.m == 1
+    assert out.report.reduction > 50.0
+
+
 @pytest.mark.parametrize("solver", [SolverTag.DENSE, SolverTag.TRUNCATED])
 def test_m_equal_n_refuses_calibration_only(solver):
     # omega is calibrated on the unobserved rows' spread: with none left
@@ -321,7 +352,7 @@ def test_estimate_blocks_stack_to_the_whole_array_formula(mode, monkeypatch):
     prob = generate(Generator.CLUSTERED_SHIFT, 120, 3, seed=9, clusters=4)
     out = run_pipeline(prob, PipelineConfig(m=4, seed=1, normalization=mode))
     perm = np.asarray(out.plan.permutation)
-    spec = normalize(Dataset(lf=prob.lf_data), mode)[1]
+    spec = normalize(prob.lf_data, mode)[1]
     expected = spec.invert(spec.apply(prob.lf_data[perm]) + out.posterior.phi_star)
     assert np.array_equal(out.posterior.mf_estimates, expected)
 
@@ -352,15 +383,15 @@ def test_posterior_keeps_the_map_as_its_factors(solver):
     # it views, is smaller than N x D when D exceeds K and M
     prob = generate(Generator.BEAM_LIKE_1D, 150, 40, seed=3)
     config = PipelineConfig(m=6, seed=2, solver=solver, sigma=prob.hf_noise_sigma)
-    spectrum, gl, _, ds = _planned_solve_inputs(prob, config)
-    post = estimate_attached(displacements(ds), config, spectrum, gl).posterior
+    spectrum, gl, _, lf, phi_hat = _planned_solve_inputs(prob, config)
+    post = estimate_attached(phi_hat, config, spectrum, gl).posterior
     if solver is SolverTag.TRUNCATED:
         assert post.basis is spectrum.eigenvectors  # shared, not copied
     for field in dataclasses.fields(post):
         a = getattr(post, field.name)
         while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
             a = a.base
-        assert a is None or a.size < ds.n * ds.d, field.name
+        assert a is None or a.size < lf.size, field.name
 
 
 def test_embedding_shape():
@@ -421,14 +452,16 @@ def test_m_above_n_fails_before_any_graph(monkeypatch):
 
 def _planned_solve_inputs(prob, config):
     """The planning spectrum and, for the dense solver, Laplacian, both in
-    solve order, the plan's permutation, and the solve-order dataset; the
-    Laplacian is reordered here, as by :func:`run_pipeline`."""
+    solve order, the plan's permutation, the rows in solve order and the
+    displacements hf - lf of the observed ones; the Laplacian is
+    reordered here, as by :func:`run_pipeline`."""
     record, gl, _ = plan_rows(prob.lf_data, config)
     plan = record.plan
     perm = np.asarray(plan.permutation, dtype=np.intp)
     gl = None if gl is None else gl.permuted(perm)
     hf = sample_hf(prob, plan.selected_indices, seed=config.seed + 1)
-    return record.spectrum, gl, perm, Dataset(lf=prob.lf_data[perm], hf=hf)
+    lf = prob.lf_data[perm]
+    return record.spectrum, gl, perm, lf, hf - lf[:plan.m]
 
 
 def dense_oracle_spectrum(gl, K):
@@ -446,10 +479,10 @@ def test_permuted_prior_matches_fresh_build(kind, route, monkeypatch):
     config = PipelineConfig(
         m=10, seed=0, sigma=prob.hf_noise_sigma, omega=1.0, tau=1e-3
     )
-    spectrum, _, _, ds = _planned_solve_inputs(prob, config)
-    reused = estimate_attached(displacements(ds), config, spectrum).posterior
-    fresh_spectrum, _ = planning_spectrum(ds.lf, config)
-    fresh = estimate_attached(displacements(ds), config, fresh_spectrum).posterior  # built on the permuted rows
+    spectrum, _, _, lf, phi_hat = _planned_solve_inputs(prob, config)
+    reused = estimate_attached(phi_hat, config, spectrum).posterior
+    fresh_spectrum, _ = planning_spectrum(lf, config)
+    fresh = estimate_attached(phi_hat, config, fresh_spectrum).posterior  # built on the permuted rows
     scale = np.abs(fresh.phi_star).max()
     assert np.abs(reused.phi_star - fresh.phi_star).max() <= 1e-8 * scale
     np.testing.assert_allclose(reused.stddevs, fresh.stddevs, rtol=1e-8)
@@ -461,14 +494,12 @@ def test_permuted_dense_prior_matches_permuted_graph(p, q):
     config = PipelineConfig(
         solver=SolverTag.DENSE, m=4, p=p, q=q, seed=1, sigma=prob.hf_noise_sigma
     )
-    _, gl, perm, ds = _planned_solve_inputs(prob, config)
+    _, gl, perm, lf, _ = _planned_solve_inputs(prob, config)
     assert (gl.matrix() is gl.sym_matrix) == (p == q)
     # bitwise the Laplacian of the plan-order graph with W's rows reordered
     g = build_graph(prob.lf_data, config.knn_k)
-    rebuilt = laplacian(
-        hand_graph(g.weights[perm][:, perm], g.scales[perm]), p, q,
-    )
-    fresh = laplacian(build_graph(ds.lf, config.knn_k), p, q)
+    rebuilt = laplacian(hand_graph(g.weights[perm][:, perm]), p, q)
+    fresh = laplacian(build_graph(lf, config.knn_k), p, q)
     for ours, exact, new in ((gl.sym_matrix, rebuilt.sym_matrix, fresh.sym_matrix),
                              (gl.matrix(), rebuilt.matrix(), fresh.matrix())):
         for part in ("indptr", "indices", "data"):

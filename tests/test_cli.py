@@ -20,7 +20,7 @@ from mfgl.acquisition import PlanRecord
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import _build_parser, main
 from mfgl.config import PipelineConfig, ProblemConfig, SolverTag, field_rules
-from mfgl.data import Dataset, HyperParameters, displacements
+from mfgl.data import HyperParameters
 from mfgl.exceptions import InvalidConfig, SingularSystem
 from mfgl.matio import read_binary, read_csv, write_csv
 from mfgl.spectral import checked_cholesky
@@ -443,6 +443,24 @@ def test_bench_dense_tiny_tau_exit_4(tmp_path, capsys):
     assert error["message"].startswith("unobserved prior block")
 
 
+@pytest.mark.parametrize("argv, error, says", [
+    (["--generator", "beam-like-1d", "--n", "200", "--d", "16", "--m", "2", "--knn-k", "1"],
+     "ConvergenceFailure", "the eigensolve of 8 pairs: ARPACK error -1: No convergence"),
+    (["--generator", "smooth-manifold", "--n", "200", "--d", "3", "--m", "10",
+      "--p", "400", "--q", "400"],
+     "SingularSystem", "the shift-invert factor of L_sym: Factor is exactly singular"),
+], ids=["arpack-out-of-iterations", "singular-shift-invert-factor"])
+def test_bench_eigensolve_failure_exit_4(argv, error, says, tmp_path, capsys):
+    # both once left scipy's traceback (ArpackNoConvergence, and splu's
+    # RuntimeError) and exit 1
+    code, _, err = run_cli(capsys, "bench", *argv, "--output-dir", str(tmp_path))
+    assert code == 4
+    (line,) = err.strip().splitlines()  # one JSON object, no traceback
+    report = json.loads(line)
+    assert (report["error"], report["exit_code"]) == (error, 4)
+    assert report["message"].startswith(says)
+
+
 def test_bench_dense_tiny_tau_refused_as_by_a_copying_factor(tmp_path, capsys, monkeypatch):
     # dense_factor factors Q_uu where it lies in the prior's buffer; on the
     # same prior, a Cholesky of a fresh copy of Q_uu is refused the same way
@@ -725,7 +743,6 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
         assert error["error"] == "InvalidConfig"
         assert error["message"] == REMOVED
         return
-    ds_hf = Dataset(lf=prob.lf_data, hf=hf)
     perm = np.asarray(record.plan.permutation, dtype=np.intp)
     call = {
         "run_pipeline": lambda: mfgl.bench.run_pipeline(prob, config),
@@ -733,7 +750,7 @@ def test_nystrom_refused_before_any_graph(entry, tmp_path, capsys, monkeypatch):
         "estimate_planned": lambda: mfgl.bench.estimate_planned(prob.lf_data[perm], record, hf, config),
         # a hand-built prior does not route the tag to another solver
         "estimate_attached": lambda: mfgl.bench.estimate_attached(
-            displacements(ds_hf), dataclasses.replace(config, sigma=0.01), record.spectrum
+            hf - prob.lf_data[: len(hf)], dataclasses.replace(config, sigma=0.01), record.spectrum
         ),
     }[entry]
     with pytest.raises(InvalidConfig) as refused:
@@ -1155,8 +1172,10 @@ def test_plan_peak_memory_on_a_wide_field(tmp_path, capsys, flags, bound):
         ("--normalization", "component"),
         ("--solver", "dense"),
         ("--solver", "dense", "--p", "1.0", "--q", "0.0"),
+        ("--m", "1"),
+        ("--solver", "dense", "--m", "1"),
     ],
-    ids=["truncated", "component", "dense", "dense-random-walk"],
+    ids=["truncated", "component", "dense", "dense-random-walk", "m1", "dense-m1"],
 )
 def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, flags):
     # estimate reuses the planning spectrum, and for the dense solver
@@ -1169,10 +1188,10 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
     from mfgl.posterior import SolverTag
 
     monkeypatch.setattr(mfgl.matio, "_BLOCK_VALUES", 7)
-    option = dict(zip(flags[::2], flags[1::2]))
+    option = {"--m": "4", **dict(zip(flags[::2], flags[1::2]))}
     prob, lf_path = write_problem(tmp_path, n=80, d=3, seed=2, clusters=4)
     cfg = PipelineConfig(
-        m=4,
+        m=int(option["--m"]),
         seed=5,
         solver=SolverTag(option.get("--solver", "truncated")),
         normalization=Normalization(option.get("--normalization", "none")),
@@ -1182,7 +1201,7 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
     out = run_pipeline(prob, cfg)
 
     out_dir = tmp_path / "cli"
-    shared = list(flags) + ["--m", "4", "--seed", "5", "--output-dir", str(out_dir)]
+    shared = [*sum(option.items(), ()), "--seed", "5", "--output-dir", str(out_dir)]
     code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), *shared)
     assert code == 0
     hf_path = tmp_path / "hf.csv"

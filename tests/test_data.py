@@ -3,21 +3,26 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mfgl.bench import Generator, PipelineConfig, estimate_planned, generate, plan_rows
+from mfgl.bench import (
+    Generator,
+    PipelineConfig,
+    estimate_attached,
+    estimate_planned,
+    generate,
+    plan_rows,
+    sigma_in_solve_coords,
+)
 from mfgl.data import (
-    Dataset,
     HyperParameters,
     Normalization,
     NormalizationSpec,
     component_stats,
-    displacements,
     frozen,
     normalize,
 )
 from mfgl.exceptions import (
     DimensionMismatch,
     InvalidConfig,
-    MissingHighFidelity,
     NonFiniteInput,
     RowCountMismatch,
     ZeroVariance,
@@ -25,9 +30,8 @@ from mfgl.exceptions import (
 
 
 def test_standardize_two_point_column():
-    ds = Dataset(lf=np.array([[1.0], [3.0]]))
-    out, spec = normalize(ds, Normalization.COMPONENT)
-    assert np.allclose(out.lf, [[-1.0], [1.0]])
+    out, spec = normalize(np.array([[1.0], [3.0]]), Normalization.COMPONENT)
+    assert np.allclose(out, [[-1.0], [1.0]])
     assert spec.mean[0] == 2.0
     assert spec.std[0] == 1.0  # population std, not sample
 
@@ -35,9 +39,8 @@ def test_standardize_two_point_column():
 def test_normalize_round_trip(rng):
     lf = rng.normal(size=(4, 3)) + 2.0
     for mode in Normalization:
-        ds = Dataset(lf=lf)
-        out, spec = normalize(ds, mode)
-        assert np.abs(spec.invert(out.lf.copy()) - lf).max() < 1e-12
+        out, spec = normalize(lf, mode)
+        assert np.abs(spec.invert(out.copy()) - lf).max() < 1e-12
 
 
 def test_normalization_spec_refuses_nan_statistics():
@@ -59,18 +62,18 @@ def test_normalization_spec_refuses_statistics_of_mismatched_shapes(mean, std):
 
 def test_normalize_none_is_identity(rng):
     lf = rng.normal(size=(5, 2))
-    out, spec = normalize(Dataset(lf=lf), Normalization.NONE)
-    assert np.array_equal(out.lf, lf)
+    out, spec = normalize(lf, Normalization.NONE)
+    assert out is lf
     assert np.array_equal(spec.apply(lf), lf)
     assert np.array_equal(spec.invert(lf), lf)
 
 
-def test_normalize_carries_hf_rows(rng):
+def test_normalization_maps_hf_rows_by_the_lf_statistics(rng):
     lf = rng.normal(size=(6, 3)) * 3.0 + 1.0
     hf = lf[:2] + 0.5
-    out, spec = normalize(Dataset(lf=lf, hf=hf), Normalization.COMPONENT)
-    assert np.allclose(out.hf, (hf - spec.mean) / spec.std)
-    assert np.abs(spec.invert(out.hf.copy()) - hf).max() < 1e-12
+    _, spec = normalize(lf, Normalization.COMPONENT)
+    assert np.allclose(spec.apply(hf), (hf - spec.mean) / spec.std)
+    assert np.abs(spec.invert(spec.apply(hf).copy()) - hf).max() < 1e-12
 
 
 def test_component_stats_rejects_constant_column():
@@ -80,76 +83,92 @@ def test_component_stats_rejects_constant_column():
     assert info.value.component == 0
 
 
-def test_displacement_single_row():
-    ds = Dataset(lf=np.array([[1.0, 1.0], [5.0, 5.0]]), hf=np.array([[2.0, 0.0]]))
-    phi = displacements(ds)
-    assert np.array_equal(phi[0], [1.0, -1.0])
+def _planned(mode=Normalization.NONE, m=5):
+    """A plan on a small clustered problem, its rows in solve order and
+    its settings, with sigma set."""
+    prob = generate(Generator.CLUSTERED_SHIFT, 80, 3, seed=2, clusters=4)
+    config = PipelineConfig(m=m, seed=1, sigma=0.05, normalization=mode)
+    record = plan_rows(prob.lf_data, config).record
+    return record, prob.lf_data[np.asarray(record.plan.permutation)], config
 
 
-def test_displacement_identity_case(rng):
-    lf = rng.normal(size=(6, 2))
-    ds = Dataset(lf=lf, hf=lf[:3].copy())
-    assert np.all(displacements(ds) == 0.0)
+@pytest.mark.parametrize("mode", list(Normalization))
+def test_estimate_planned_observes_hf_minus_the_leading_lf_rows(mode, rng):
+    # the displacements are hf - lf[:M], each normalized by the plan's
+    # statistics: the estimate is estimate_attached's on that block
+    record, lf, config = _planned(mode)
+    hf = lf[:5] + rng.normal(size=(5, 3))
+    art, _ = estimate_planned(lf, record, hf, config)
+    nspec = record.nspec
+    solve = dataclasses.replace(config, sigma=sigma_in_solve_coords(config.sigma, nspec))
+    want = estimate_attached(nspec.apply(hf) - nspec.apply(lf)[:5], solve, record.spectrum)
+    assert np.array_equal(art.posterior.phi_star, want.posterior.phi_star)
+    assert np.array_equal(art.posterior.stddevs, want.posterior.stddevs)
+    assert art.hyper == want.hyper
 
 
-def test_displacement_matches_elementwise_subtraction(rng):
-    lf = rng.normal(size=(5, 2))
-    hf = rng.normal(size=(2, 2))
-    phi = displacements(Dataset(lf=lf, hf=hf))
-    oracle = np.array([[hf[i, j] - lf[i, j] for j in range(2)] for i in range(2)])
-    assert np.array_equal(phi, oracle)
+def test_hf_equal_to_the_observed_lf_rows_moves_no_row():
+    record, lf, config = _planned()
+    _, estimates = estimate_planned(lf, record, lf[:5].copy(), config)
+    assert np.array_equal(np.concatenate(list(estimates)), lf)
 
 
-def test_displacement_requires_hf(rng):
-    with pytest.raises(MissingHighFidelity):
-        displacements(Dataset(lf=rng.normal(size=(4, 2))))
-
-
-def test_dataset_validation(rng):
+def test_plan_rows_refuses_rows_no_graph_is_built_on(rng):
     lf = rng.normal(size=(4, 2))
-    with pytest.raises(RowCountMismatch):
-        Dataset(lf=lf, hf=rng.normal(size=(5, 2)))  # more HF than rows
-    with pytest.raises(DimensionMismatch):
-        Dataset(lf=lf, hf=rng.normal(size=(2, 3)))
+    config = PipelineConfig(m=1)
     bad = lf.copy()
     bad[1, 1] = np.nan
-    with pytest.raises(NonFiniteInput):
-        Dataset(lf=bad)
-    with pytest.raises(RowCountMismatch):
-        Dataset(lf=lf[:1])  # a single point has no graph
+    with pytest.raises(NonFiniteInput, match="^lf contains NaN or Inf$"):
+        plan_rows(bad, config)
+    with pytest.raises(RowCountMismatch, match="need at least 2 low-fidelity points, got 1"):
+        plan_rows(lf[:1], config)  # a single point has no graph
+    with pytest.raises(DimensionMismatch, match="^lf has 0 columns, need at least one$"):
+        plan_rows(np.empty((4, 0)), config)
+    with pytest.raises(DimensionMismatch, match="^lf must be 2-D$"):
+        plan_rows(lf[0], config)
 
 
-def test_dataset_counts(rng):
-    ds = Dataset(lf=rng.normal(size=(7, 3)), hf=rng.normal(size=(2, 3)))
-    assert (ds.n, ds.d, ds.m) == (7, 3, 2)
-    assert Dataset(lf=rng.normal(size=(4, 2))).m == 0
+def test_estimate_planned_refuses_hf_rows_the_plan_did_not_select(rng):
+    record, lf, config = _planned()
+    hf = lf[:5] + 0.1
+    with pytest.raises(RowCountMismatch, match="6 high-fidelity rows, but the plan selected 5"):
+        estimate_planned(lf, record, np.vstack([hf, hf[:1]]), config)
+    with pytest.raises(DimensionMismatch, match="^hf has 2 columns, need 3$"):
+        estimate_planned(lf, record, hf[:, :2], config)
+    hf[2, 1] = np.inf
+    with pytest.raises(NonFiniteInput, match="^hf contains NaN or Inf$"):
+        estimate_planned(lf, record, hf, config)
+    with pytest.raises(RowCountMismatch, match="the plan's spectrum has 80 rows, lf 79"):
+        estimate_planned(lf[:79], record, hf, config)
 
 
-def test_dataset_arrays_are_frozen(rng):
-    ds = Dataset(lf=rng.normal(size=(4, 2)))
-    with pytest.raises(ValueError):
-        ds.lf[0, 0] = 99.0
+def test_estimates_read_a_frozen_copy_of_writeable_rows(rng):
+    # the estimate blocks read lf again as they are taken: a caller that
+    # writes its rows after the call does not move the estimates
+    record, lf, config = _planned()
+    hf = lf[:5] + rng.normal(size=(5, 3))
+    want = np.concatenate(list(estimate_planned(lf, record, hf, config).estimates))
+    rows = lf.copy()
+    estimates = estimate_planned(rows, record, hf, config).estimates
+    rows[:] = 99.0
+    assert np.array_equal(np.concatenate(list(estimates)), want)
 
 
 def test_frozen_arrays_are_shared_and_writeable_ones_copied(rng):
-    ds = Dataset(lf=rng.normal(size=(4, 2)))
-    assert Dataset(lf=ds.lf).lf is ds.lf
+    held = frozen(rng.normal(size=(4, 2)))
+    assert not held.flags.writeable
+    assert frozen(held) is held
     # a caller's writeable array is copied, never aliased
     lf = rng.normal(size=(4, 2))
-    held = Dataset(lf=lf)
-    lf[0, 0] = 99.0
-    assert held.lf[0, 0] != 99.0
+    assert not np.shares_memory(frozen(lf), lf)
     # so is a read-only view whose base stays writeable
     base = rng.normal(size=(4, 2))
     view = base[:]
     view.setflags(write=False)
-    held = Dataset(lf=view)
-    base[0, 0] = 99.0
-    assert held.lf[0, 0] != 99.0
-    assert not np.shares_memory(held.lf, base)
+    assert not np.shares_memory(frozen(view), base)
     # and a frozen array of another dtype or layout
-    assert frozen(ds.lf, np.float32).dtype == np.float32
-    assert frozen(ds.lf.T).flags.c_contiguous
+    assert frozen(held, np.float32).dtype == np.float32
+    assert frozen(held.T).flags.c_contiguous
     labels = np.arange(4)
     labels.setflags(write=False)
     assert frozen(labels, np.intp) is labels

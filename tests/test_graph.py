@@ -53,7 +53,7 @@ def test_two_points_weight_is_exp_minus_one():
     lf = np.array([[0.0, 0.0], [0.0, 3.7]])
     g = build_graph(lf, knn_k=1)
     assert g.weights.toarray()[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
-    assert g.scales[0] == pytest.approx(3.7)
+    assert self_tuning_scales(lf, 1)[0] == pytest.approx(3.7)
 
 
 def test_weights_symmetric_zero_diagonal(rng):
@@ -67,7 +67,7 @@ def test_weights_match_brute_force_oracle():
     lf = random_points(10, 2, seed=3)
     g = build_graph(lf, knn_k=3)
     w_ref, scales_ref = brute_force_weights(lf, 3)
-    assert np.abs(g.scales - scales_ref).max() < 1e-12
+    assert np.abs(self_tuning_scales(lf, 3) - scales_ref).max() < 1e-12
     assert np.abs(g.weights.toarray() - w_ref).max() < 1e-12
     assert np.abs(g.degrees - w_ref.sum(axis=1)).max() < 1e-12
 
@@ -180,7 +180,7 @@ def test_kept_weights_match_exact_arithmetic(kind, n, d):
     # the sample: the ten closest pairs in distance and in kernel units,
     # the ten kept weights next to the 1e-12 cut, and ten at random
     lf = generate(kind, n, d, seed=0).lf_data
-    g = build_graph(lf)
+    g, scales = build_graph(lf), self_tuning_scales(lf)
     upper = sp.triu(g.weights, k=1).tocoo()
     i, j, w = upper.row, upper.col, upper.data
     d2 = np.einsum("ij,ij->i", lf[i] - lf[j], lf[i] - lf[j])
@@ -192,7 +192,7 @@ def test_kept_weights_match_exact_arithmetic(kind, n, d):
     ]))
     assert w.min() >= WEIGHT_EPS
     for k in sample:
-        exact = exact_weight(lf[i[k]], lf[j[k]], g.scales[i[k]], g.scales[j[k]])
+        exact = exact_weight(lf[i[k]], lf[j[k]], scales[i[k]], scales[j[k]])
         assert abs((mpmath.mpf(w[k]) - exact) / exact) <= 1e-14, (i[k], j[k])
 
 
@@ -348,7 +348,7 @@ def test_laplacian_sorts_unsorted_weights_into_a_copy():
     w = g.weights[perm][:, perm]
     assert not w.has_sorted_indices
     before = [getattr(w, part).copy() for part in ("indptr", "indices", "data")]
-    shuffled = hand_graph(w, g.scales[perm])
+    shuffled = hand_graph(w)
     for p, q in PQ_CASES:
         gl, ref = laplacian(shuffled, p, q), laplacian(g, p, q)
         got = gl.sym_matrix
@@ -504,7 +504,7 @@ def test_nan_degree_detected():
     # NaN <= 0 is False: the guard must ask for positive, not for non-positive
     upper = sp.csr_array(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ZeroDegree, match="node 1 has zero degree"):
-        AffinityGraph(upper, degrees=[1.0, np.nan, 1.0], scales=np.ones(3))
+        AffinityGraph(upper, degrees=[1.0, np.nan, 1.0])
 
 
 @pytest.mark.parametrize("node", [0, 2, 3])
@@ -519,7 +519,7 @@ def test_graph_refuses_a_self_loop(node):
     loop[node, node] = 1e-300
     for upper in (np.triu(loop), w):
         with pytest.raises(InvalidConfig, match="strict upper triangle"):
-            AffinityGraph(upper=sp.csr_array(upper), degrees=loop.sum(axis=1), scales=np.ones(4))
+            AffinityGraph(upper=sp.csr_array(upper), degrees=loop.sum(axis=1))
 
 
 @settings(max_examples=40)
@@ -549,7 +549,7 @@ def test_triangle_and_weights_routes_agree(n, d, knn_k, p, q, work_bytes, seed):
     assert (w != w.T).nnz == 0
     rows = np.repeat(np.arange(n), np.diff(w.indptr))
     assert not np.any(w.indices == rows)  # no stored diagonal
-    rebuilt = laplacian(hand_graph(w, g.scales), p, q)
+    rebuilt = laplacian(hand_graph(w), p, q)
     assert rebuilt.degrees.tobytes() == gl.degrees.tobytes()
     assert_same_csr(rebuilt.sym_matrix, gl.sym_matrix)
 

@@ -1,14 +1,23 @@
+import dataclasses
+
 import numpy as np
 import numpy.linalg as nla
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import mfgl.config
 import mfgl.spectral
 from conftest import random_points, refused_peak, traced_peak, two_blob_points
 from mfgl.bench import Generator, generate
-from mfgl.data import Dataset, HyperParameters, displacements
-from mfgl.exceptions import DimensionMismatch, InsufficientSpectrum, MemoryBudgetExceeded, SingularSystem
+from mfgl.data import HyperParameters
+from mfgl.exceptions import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    InsufficientSpectrum,
+    MemoryBudgetExceeded,
+    SingularSystem,
+)
 from mfgl.graph import WEIGHT_EPS, build_graph, laplacian, self_tuning_scales
 from mfgl.spectral import (
     EIG_RESIDUAL_TOL,
@@ -239,6 +248,28 @@ def test_dense_eigensolve_budget_checked_before_the_copy(monkeypatch):
     assert peak < 8 * 300 * 300  # no copy of L_sym was made
 
 
+@pytest.mark.parametrize("k", [5, 19], ids=["krylov", "dense"])
+def test_eigenpairs_past_the_residual_tolerance_are_refused(k, monkeypatch):
+    # no pair of a float64 eigensolve has a residual below 1e-300
+    gl = laplacian(build_graph(random_points(20, 3, seed=0), knn_k=5), 0.5, 0.5)
+    monkeypatch.setattr(mfgl.spectral, "EIG_RESIDUAL_TOL", 1e-300)
+    with pytest.raises(ConvergenceFailure, match=r"^eigenpair \d+ residual \S+ exceeds tolerance$"):
+        low_spectrum(gl, k)
+
+
+@pytest.mark.parametrize("k", [5, 19], ids=["krylov", "dense"])
+def test_a_non_finite_l_sym_is_refused_before_the_eigensolve(k):
+    # degree powers past float64's range (p = -400, q = 0) put Inf in
+    # L_sym, which reached eigh and raised a bare ValueError
+    gl = laplacian(build_graph(random_points(20, 3, seed=0), knn_k=5), 0.5, 0.5)
+    lsym = gl.sym_matrix
+    data = lsym.data.copy()
+    data[0] = np.inf
+    bad = dataclasses.replace(gl, sym_matrix=sp.csr_array((data, lsym.indices, lsym.indptr)))
+    with pytest.raises(SingularSystem, match="^L_sym contains NaN or Inf$"):
+        low_spectrum(bad, k)
+
+
 def test_embed_is_column_slice():
     gl = laplacian(build_graph(random_points(18, 2, seed=5), knn_k=4), 0.5, 0.5)
     spec = low_spectrum(gl, 7)
@@ -284,10 +315,9 @@ def test_truncated_full_rank_matches_dense_oracle(rng):
     n, m = 30, 5
     lf = random_points(n, 3, seed=8)
     hf = lf[:m] + 0.1 * rng.normal(size=(m, 3))
-    ds = Dataset(lf=lf, hf=hf)
     gl = laplacian(build_graph(lf, knn_k=4), 0.5, 0.5)
     hp = HyperParameters(sigma=0.05, omega=2.0, tau=0.3, beta=2.0)
-    phi_hat = displacements(ds)
+    phi_hat = hf - lf[: len(hf)]
     phi_ref, c_ref = dense_map_oracle(gl, phi_hat, hp)
 
     spec = low_spectrum(gl, n)
@@ -302,10 +332,9 @@ def test_truncated_data_dominated_limit(rng):
     n = 20
     lf = random_points(n, 2, seed=4)
     hf = lf + 0.3 * rng.normal(size=(n, 2))  # observe every point
-    ds = Dataset(lf=lf, hf=hf)
     gl = laplacian(build_graph(lf, knn_k=4), 0.5, 0.5)
     spec = low_spectrum(gl, n)
-    phi_hat = displacements(ds)
+    phi_hat = hf - lf[: len(hf)]
     tp = truncated_posterior(truncated_factor(spec, n, 0.2), phi_hat, 1e-6, 1e-6)
     phi = spec.eigenvectors @ tp.coeff_mean
     rel = nla.norm(phi - phi_hat, "fro") / nla.norm(phi_hat, "fro")
@@ -352,10 +381,9 @@ def test_general_pq_truncated_matches_weighted_dense(rng):
     n, m = 24, 4
     lf = random_points(n, 2, seed=11)
     hf = lf[:m] + 0.1 * rng.normal(size=(m, 2))
-    ds = Dataset(lf=lf, hf=hf)
     gl = laplacian(build_graph(lf, knn_k=4), 1.0, 0.0)
     hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.3, beta=2.0)
-    phi_hat = displacements(ds)
+    phi_hat = hf - lf[: len(hf)]
     ref = dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     spec = low_spectrum(gl, n)
     tp = truncated_posterior(truncated_factor(spec, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
