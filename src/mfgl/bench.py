@@ -414,7 +414,7 @@ def planning_spectrum(
     """The graph prior of the normalized low-fidelity rows, in their
     order: the spectrum, and for the dense solver only the Laplacian.
 
-    Holds ``config.spectrum_size`` eigenpairs, at least M, so planning
+    Holds ``config.spectrum_size`` eigenpairs, more than M, so planning
     embeds in the first M of the eigenpairs estimation uses.  The
     pipeline builds its graph and spectrum here and nowhere else.  The
     references are handed on: ``lf_norm`` to :func:`~mfgl.graph.build_graph`,

@@ -14,15 +14,14 @@ The pipeline flags, the bench problem flags and the config-file keys are
 derived from the fields of :class:`mfgl.config.PipelineConfig` and
 :class:`mfgl.config.ProblemConfig` (``--knn-k`` for ``knn_k``).  The CLI
 only converts strings; the schemas decide what is valid.  Only the
-standard library and :mod:`mfgl.config` are imported at module level:
-``--threads`` (or ``MFGL_THREADS``) caps BLAS pools through environment
-variables, which must be set before the numerical stack is first imported.
+standard library and :mod:`mfgl.config` are imported at module level, so
+``--help``, ``--version`` and refused settings answer without loading
+numpy; each command imports the pipeline when it runs.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -30,15 +29,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import FORMATS, PipelineConfig, ProblemConfig, SolverTag, check_fields, field_rules, setting
+from .config import FORMATS, PipelineConfig, ProblemConfig, SolverTag, check_fields, field_rules
 from .exceptions import InvalidConfig, MatrixIOError, NumericalError, ValidationError
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +39,7 @@ _THREAD_ENV_VARS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The CLI's own settings: files, format, output and thread cap.  The
+    """The CLI's own settings: files, format and output.  The
     pipeline's settings are :class:`~mfgl.config.PipelineConfig`'s."""
 
     lf_path: Optional[str] = None
@@ -56,8 +48,6 @@ class RunConfig:
     format: str = "csv"
     header: bool = False
     output_dir: str = "."
-    threads: Optional[int] = setting(None, "cap for BLAS worker pools (MFGL_THREADS equivalent)",
-                                     low=1)
 
     def __post_init__(self):
         check_fields(self)
@@ -114,13 +104,6 @@ def _merge_config(ns: argparse.Namespace) -> tuple[RunConfig, ProblemConfig, Pip
                            for f in fields(schema) if f.name in given}) for schema in _SCHEMAS)
 
 
-def _apply_thread_cap(threads: Optional[int]) -> None:
-    # Effective only if set before numpy/scipy first load their BLAS; the
-    # lazy imports below guarantee that for this process.
-    if threads is not None:
-        os.environ.update(dict.fromkeys(_THREAD_ENV_VARS, str(threads)))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -153,11 +136,9 @@ def cmd_plan(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     matio.copy_rows(cfg.lf_path, lf_file, np.asarray(plan.permutation, dtype=np.intp), cfg.format,
                     cfg.header)
     # The rows the user must now evaluate with their high-fidelity model,
-    # in the exact order the estimate step expects the results in; a
-    # matrix file carries no ids, so the ids are the row indices.
-    selected = list(plan.selected_indices)
-    print(json.dumps({"parameter_ids": selected, "selected_indices": selected,
-                      "plan_path": str(plan_file), "lf_permuted_path": str(lf_file)}))
+    # in the exact order the estimate step expects the results in.
+    print(json.dumps({"selected_indices": list(plan.selected_indices), "plan_path": str(plan_file),
+                      "lf_permuted_path": str(lf_file)}))
     return 0
 
 
@@ -251,7 +232,6 @@ def _add_shared(parser: argparse.ArgumentParser, command: str) -> None:
         g.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
                        help="the user's CSV (plan --lf-path, estimate --hf-path) has a header row")
     g.add_argument("--output-dir", dest="output_dir", metavar="DIR", help="where outputs are written (default .)")
-    g.add_argument("--threads", type=int, help="cap for BLAS worker pools (MFGL_THREADS equivalent)")
     # One flag per settings field of this subcommand: --knn-k for knn_k.
     for f in (*fields(ProblemConfig), *fields(PipelineConfig)):
         if f.metadata.get("command", command) != command:
@@ -292,16 +272,8 @@ def _build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = _build_parser()
-        ns = parser.parse_args(argv)
-        env_threads = os.environ.get("MFGL_THREADS")
-        if ns.threads is None and env_threads is not None:
-            try:
-                ns.threads = int(env_threads)
-            except ValueError:
-                raise InvalidConfig(f"MFGL_THREADS must be an integer, got {env_threads!r}")
+        ns = _build_parser().parse_args(argv)
         cfg, prob, pcfg = _merge_config(ns)
-        _apply_thread_cap(cfg.threads)
         if ns.command == "plan":
             return cmd_plan(cfg, pcfg)
         if ns.command == "estimate":

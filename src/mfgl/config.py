@@ -10,8 +10,8 @@ keys from these fields, and :func:`mfgl.bench.generate` checks its
 arguments by building a :class:`ProblemConfig`.  :data:`MEMORY_BUDGET`
 is the one size limit, which every large stage checks through
 :func:`check_budget`.  This module imports only
-the standard library: the command line builds its parser and settings,
-and applies ``--threads``, before numpy may load.
+the standard library, so the command line builds its parser and settings,
+and refuses bad ones, without loading numpy.
 """
 from __future__ import annotations
 
@@ -174,7 +174,8 @@ class PipelineConfig:
     ``sigma``, ``omega``, ``tau``, and ``K`` may be left unset: sigma then
     comes from the problem's stored noise level, tau from the smallest
     non-zero eigenvalue, omega from the spread-calibration rule, and K
-    from 4M.  ``sigma`` is in input units on every entry point;
+    from 4M; K is then raised to at least M + 1 and cut to at most N.
+    ``sigma`` is in input units on every entry point;
     :func:`mfgl.bench.estimate_planned` maps it into normalized
     coordinates by the mean column std, an approximation because a
     single scalar cannot be exact once columns are rescaled differently.
@@ -206,7 +207,8 @@ class PipelineConfig:
         check_fields(self)
 
     def spectrum_size(self, n: int) -> int:
-        return min(n, max(self.K or TRUNCATION_FACTOR * self.m, self.m, 2))
+        # M pairs leave the truncated spread rule no unobserved direction
+        return min(n, max(self.K or TRUNCATION_FACTOR * self.m, self.m + 1))
 
 
 @dataclass(frozen=True)

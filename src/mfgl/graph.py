@@ -48,6 +48,7 @@ from .exceptions import (
     DuplicatePointScale,
     InvalidConfig,
     NonFiniteInput,
+    SingularSystem,
     ZeroDegree,
 )
 
@@ -433,14 +434,15 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     forms shares the pattern, so an in-place scipy operation raises
     ``ValueError``; work on a copy.  The result keeps no reference to
     ``graph``.  The degrees are positive: :class:`AffinityGraph` refuses
-    any other.
+    any other.  So every value is finite and the diagonal, d_i^{1-2s}, is
+    positive, unless a degree power leaves float64's range: that L_sym is
+    refused as ``SingularSystem``, naming p and q.
     """
     d = graph.degrees
     uptr, uind, tvals = graph.upper.indptr, graph.upper.indices, graph.upper.data
     del graph  # so a triangle handed on is freed in stages
     n = d.size
     s = 0.5 * (p + q)
-    ds = d ** -s
 
     def scaled(a, b):  # -((d_i^{-s} d_j^{-s}) W_ij), once per kept pair
         lo, hi = uptr[a], uptr[b]
@@ -457,8 +459,12 @@ def laplacian(graph: AffinityGraph, p: float, q: float) -> GraphLaplacian:
     indptr = _symmetric_indptr(uptr, uind, 1)
     diag = indptr[1:] - np.diff(uptr) - 1  # the slot of each row's diagonal
     data = np.zeros(indptr[-1])
-    _symmetric_write(data, uptr, uind, indptr, scaled)
-    data[diag] = d ** (1.0 - s - s)
+    with np.errstate(all="ignore"):  # a power past float64's range is refused below
+        ds = d ** -s  # read by scaled
+        _symmetric_write(data, uptr, uind, indptr, scaled)
+        data[diag] = d ** (1.0 - s - s)
+    if not (np.isfinite(data.min()) and np.isfinite(data.max()) and data[diag].min() > 0):
+        raise SingularSystem(f"L_sym at p={p}, q={q}: a degree power leaves float64's range")
     del tvals  # the triangle's values, before L_sym's column indices are formed
     indices = np.empty(indptr[-1], dtype=np.int32)
     _symmetric_write(indices, uptr, uind, indptr, pattern)

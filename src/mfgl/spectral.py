@@ -115,7 +115,7 @@ def low_spectrum(gl: GraphLaplacian, K: int) -> Spectrum:
     if not 1 <= K <= n:
         raise InvalidConfig(f"K must be in [1, {n}], got {K}")
     lsym = gl.sym_matrix
-    require_finite(lsym.data, "L_sym", SingularSystem)  # degree powers past float64's range
+    require_finite(lsym.data, "L_sym", SingularSystem)  # one built by hand
     a = gl.shift_bound
     if K > n - 2:
         check_budget("the dense eigensolve", 4 * 8 * n * n)  # measured 3.06-3.24 x 8N^2

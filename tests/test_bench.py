@@ -42,6 +42,7 @@ from mfgl.exceptions import (
     MfglError,
     MissingHighFidelity,
     RowCountMismatch,
+    SingularSystem,
     ZeroReferenceColumn,
     ZeroReferenceSet,
 )
@@ -206,6 +207,7 @@ def test_pipeline_config_rules():
     assert cfg.spectrum_size(25) == 25
     assert PipelineConfig(m=10, K=17).spectrum_size(1000) == 17
     assert PipelineConfig(m=1, K=1).spectrum_size(100) == 2
+    assert PipelineConfig(m=10, K=1).spectrum_size(1000) == 11
     # one value just past each bound the solvers enforce
     for bad in (
         dict(m=0), dict(m=-1), dict(beta=0.5), dict(r=1.0), dict(K=0), dict(knn_k=0),
@@ -329,6 +331,27 @@ def test_run_pipeline_deterministic():
     assert np.array_equal(a.posterior.phi_star, b.posterior.phi_star)
     assert a.report.mean_mf == b.report.mean_mf
     assert a.plan.selected_indices == b.plan.selected_indices
+
+
+@pytest.mark.parametrize("generator, d, reduction", [
+    (Generator.CLUSTERED_SHIFT, 5, 93.87),
+    (Generator.SMOOTH_MANIFOLD, 5, 79.47),
+    (Generator.BEAM_LIKE_1D, 16, 93.00),
+], ids=["clustered-shift", "smooth-manifold", "beam-like-1d"])
+def test_truncated_pipeline_runs_at_the_smallest_k(generator, d, reduction):
+    # K = 1 is raised to M + 1: at K = M the spread rule had no unobserved
+    # direction and the calibration ended in NoBracket
+    prob = generate(generator, 120, d, seed=0)
+    out = run_pipeline(prob, PipelineConfig(m=10, K=1, seed=0))
+    assert out.report.reduction == pytest.approx(reduction, abs=0.005)
+
+
+def test_degree_powers_past_float64_are_refused_in_process():
+    # numpy's overflow warnings, errors under this suite's filter, once
+    # ended the run before any typed refusal
+    prob = generate(Generator.SMOOTH_MANIFOLD, 200, 3, seed=0)
+    with pytest.raises(SingularSystem, match=r"^L_sym at p=-400.0, q=0.0: "):
+        run_pipeline(prob, PipelineConfig(m=10, p=-400.0, q=0.0))
 
 
 def test_pipeline_solver_outputs_are_in_solve_order():

@@ -53,7 +53,6 @@ def test_plan_outputs_and_determinism(tmp_path, capsys):
     assert code == 0
     payload = last_json(out)
     assert len(payload["selected_indices"]) == 3
-    assert payload["parameter_ids"] == payload["selected_indices"]
     assert (out_a / "plan.json").exists()
     permuted = read_csv(out_a / "lf_permuted.csv")
     assert permuted.shape == (60, 3)
@@ -446,19 +445,42 @@ def test_bench_dense_tiny_tau_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize("argv, error, says", [
     (["--generator", "beam-like-1d", "--n", "200", "--d", "16", "--m", "2", "--knn-k", "1"],
      "ConvergenceFailure", "the eigensolve of 8 pairs: ARPACK error -1: No convergence"),
-    (["--generator", "smooth-manifold", "--n", "200", "--d", "3", "--m", "10",
-      "--p", "400", "--q", "400"],
-     "SingularSystem", "the shift-invert factor of L_sym: Factor is exactly singular"),
-], ids=["arpack-out-of-iterations", "singular-shift-invert-factor"])
+], ids=["arpack-out-of-iterations"])
 def test_bench_eigensolve_failure_exit_4(argv, error, says, tmp_path, capsys):
-    # both once left scipy's traceback (ArpackNoConvergence, and splu's
-    # RuntimeError) and exit 1
+    # it once left scipy's traceback (ArpackNoConvergence) and exit 1
     code, _, err = run_cli(capsys, "bench", *argv, "--output-dir", str(tmp_path))
     assert code == 4
     (line,) = err.strip().splitlines()  # one JSON object, no traceback
     report = json.loads(line)
     assert (report["error"], report["exit_code"]) == (error, 4)
     assert report["message"].startswith(says)
+
+
+_PAST_FLOAT64 = {  # degree powers that overflow, or underflow to a zero diagonal
+    "overflow": ["--n", "200", "--p", "-400", "--q", "0"],
+    "underflow-dense-eigensolve": ["--n", "20", "--p", "400", "--q", "400"],
+    "underflow-shift-invert": ["--n", "200", "--p", "400", "--q", "400"],
+}
+
+
+@pytest.mark.parametrize("case", _PAST_FLOAT64)
+def test_degree_powers_past_float64_are_refused_exit_4(case, tmp_path):
+    # refused where L_sym is formed: they printed numpy's overflow warnings
+    # before the error object, were refused as InvalidConfig naming the
+    # internal shift_a (exit 3), and reached an exactly singular splu.  Its
+    # own process, so numpy's warnings are not turned into errors
+    argv = _PAST_FLOAT64[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfgl.cli", "bench", "--generator", "smooth-manifold",
+         "--d", "3", "--m", "10", *argv, "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=cli_env(),
+    )
+    assert proc.returncode == 4
+    (line,) = proc.stderr.strip().splitlines()  # one JSON object, no warning
+    report = json.loads(line)
+    assert (report["error"], report["exit_code"]) == ("SingularSystem", 4)
+    p, q = float(argv[3]), float(argv[5])
+    assert report["message"] == f"L_sym at p={p}, q={q}: a degree power leaves float64's range"
 
 
 def test_bench_dense_tiny_tau_refused_as_by_a_copying_factor(tmp_path, capsys, monkeypatch):
@@ -814,12 +836,14 @@ def test_malformed_hf_csv_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, argv",
-    [("plan", ("--no-such-flag", "2")), ("plan", ("--embed-dim", "2")),
+    [("plan", ("--no-such-flag", "2")), ("plan", ("--embed-dim", "2")), ("bench", ("--threads", "2")),
      *((command, ("--normalization", "instance")) for command in ("plan", "estimate", "bench"))],
-    ids=["--no-such-flag", "--embed-dim", "instance-plan", "instance-estimate", "instance-bench"],
+    ids=["--no-such-flag", "--embed-dim", "--threads", "instance-plan", "instance-estimate",
+         "instance-bench"],
 )
 def test_unknown_flag_exit_3(command, argv, tmp_path, capsys):
-    # planning embeds in M dimensions: no flag sets another width, and the
+    # planning embeds in M dimensions: no flag sets another width; the
+    # BLAS library's own variables cap its threads; and the
     # normalizations are none and component.  The files named do not
     # exist, so the refusal comes before any file is read
     missing = str(tmp_path / "missing.csv")
@@ -909,7 +933,8 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert len(last_json(out)["selected_indices"]) == 5  # flag beats file
 
 
-@pytest.mark.parametrize("key", ["mm", "embed_dim"])
+# the BLAS library's own variables cap its threads, not a key or a flag
+@pytest.mark.parametrize("key", ["mm", "embed_dim", "threads"])
 def test_config_unknown_key_exit_3(key, tmp_path, capsys):
     _, lf_path = write_problem(tmp_path)
     cfg_path = tmp_path / "cfg.json"
@@ -949,7 +974,7 @@ def test_config_wrong_type_exit_3(tmp_path, capsys, key, value):
 
 
 _SHARED_FLAGS = {
-    "-h", "--help", "--config", "--output-dir", "--threads", "--normalization", "--p", "--q", "--knn-k",
+    "-h", "--help", "--config", "--output-dir", "--normalization", "--p", "--q", "--knn-k",
     "--solver", "--K", "--m", "--sigma", "--beta", "--r", "--omega", "--tau",
     "--seed",
 }
@@ -979,12 +1004,10 @@ def test_subcommand_flags_are_fixed():
 
 
 def test_settings_schema_loads_without_numpy(tmp_path):
-    # --threads only caps BLAS pools if it is applied before numpy loads,
+    # --help, --version and refused settings answer without loading numpy,
     # so parsing and merging settings must not import it
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(
-        {"solver": "dense", "metric": "component", "omega": "auto", "threads": 2}
-    ))
+    cfg_path.write_text(json.dumps({"solver": "dense", "metric": "component", "omega": "auto"}))
     script = (
         "import sys\n"
         "from mfgl.cli import _build_parser, _merge_config\n"
@@ -992,7 +1015,7 @@ def test_settings_schema_loads_without_numpy(tmp_path):
         "for argv in (['plan'], ['estimate'], ['bench']):\n"
         "    ns = parser.parse_args(argv + ['--config', sys.argv[1]])\n"
         "    cfg, bcfg, pcfg = _merge_config(ns)\n"
-        "    assert cfg.threads == 2 and pcfg.solver.value == 'dense', pcfg\n"
+        "    assert pcfg.solver.value == 'dense', pcfg\n"
         "    assert pcfg.omega is None and pcfg.metric.value == 'component', pcfg\n"
         "assert 'numpy' not in sys.modules\n"
     )
@@ -1002,16 +1025,6 @@ def test_settings_schema_loads_without_numpy(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MFGL_THREADS", "not-a-number")
-    _, lf_path = write_problem(tmp_path)
-    code, _, _ = run_cli(
-        capsys, "plan", "--lf-path", str(lf_path), "--m", "3",
-        "--output-dir", str(tmp_path / "out"),
-    )
-    assert code == 3
 
 
 def test_version_and_help(capsys):
@@ -1293,18 +1306,19 @@ def test_cli_estimate_matches_pipeline_with_a_one_row_tail_block(tmp_path, capsy
 
 @pytest.mark.parametrize("solver", ["truncated", "dense"])
 def test_bench_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, solver):
-    # --threads caps the BLAS pools before numpy loads, so each run is its
-    # own process.  The truncated pipeline's files are byte-identical; the
+    # The BLAS library reads its thread cap when numpy loads, so each run
+    # is its own process.  The truncated pipeline's files are byte-identical; the
     # dense one's multithreaded LAPACK calls may sum in another order, so
     # they agree to 1e-12 of each file's largest value.  (A per-point
     # error is a difference of close numbers: measured, its entrywise
     # change reached 1.3e-12 where the file's largest moved 2.5e-13.)
     for threads in ("1", "2"):
+        cap = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), threads)
         proc = subprocess.run(
             [sys.executable, "-m", "mfgl.cli", "bench", "--generator", "beam-like-1d",
              "--n", "300", "--d", "24", "--m", "8", "--seed", "2", "--solver", solver,
-             "--threads", threads, "--output-dir", str(tmp_path / threads)],
-            capture_output=True, text=True, timeout=120, env=cli_env(),
+             "--output-dir", str(tmp_path / threads)],
+            capture_output=True, text=True, timeout=120, env={**cli_env(), **cap},
         )
         assert proc.returncode == 0, proc.stderr
     for name in ("stddevs.csv", "per_point_errors.csv"):

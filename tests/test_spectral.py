@@ -259,8 +259,8 @@ def test_eigenpairs_past_the_residual_tolerance_are_refused(k, monkeypatch):
 
 @pytest.mark.parametrize("k", [5, 19], ids=["krylov", "dense"])
 def test_a_non_finite_l_sym_is_refused_before_the_eigensolve(k):
-    # degree powers past float64's range (p = -400, q = 0) put Inf in
-    # L_sym, which reached eigh and raised a bare ValueError
+    # an L_sym built by hand may hold Inf, which reached eigh and raised a
+    # bare ValueError (laplacian refuses degree powers past float64's range)
     gl = laplacian(build_graph(random_points(20, 3, seed=0), knn_k=5), 0.5, 0.5)
     lsym = gl.sym_matrix
     data = lsym.data.copy()
@@ -268,6 +268,16 @@ def test_a_non_finite_l_sym_is_refused_before_the_eigensolve(k):
     bad = dataclasses.replace(gl, sym_matrix=sp.csr_array((data, lsym.indices, lsym.indptr)))
     with pytest.raises(SingularSystem, match="^L_sym contains NaN or Inf$"):
         low_spectrum(bad, k)
+
+
+def test_an_exactly_singular_shift_invert_factor_is_refused():
+    # L_sym = sigma I leaves the shift-invert factor zero: splu's
+    # RuntimeError once ended the run with a traceback
+    gl = laplacian(build_graph(random_points(20, 3, seed=0), knn_k=5), 0.5, 0.5)
+    sigma = mfgl.spectral._SHIFT_FRACTION * gl.shift_bound
+    bad = dataclasses.replace(gl, sym_matrix=sp.csr_array(sigma * sp.eye_array(20)))
+    with pytest.raises(SingularSystem, match="^the shift-invert factor of L_sym: Factor is exactly singular"):
+        low_spectrum(bad, 5)
 
 
 def test_embed_is_column_slice():
