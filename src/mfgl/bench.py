@@ -80,10 +80,6 @@ class SyntheticProblem:
             raise InvalidConfig("true and low-fidelity arrays must share a shape")
 
     @property
-    def n(self) -> int:
-        return self.lf_data.shape[0]
-
-    @property
     def d(self) -> int:
         return self.lf_data.shape[1]
 

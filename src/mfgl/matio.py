@@ -1,14 +1,14 @@
 """Matrix file I/O: CSV and a small binary container.
 
-CSV: one data point per row, '.' decimal separator, comma-delimited, no
-header by default (an optional header row is supported via flag).  Values
-are written with %.17g so float64 round-trips exactly.  The reader skips
-blank and whitespace-only lines and accepts CRLF line ends; it allows no
-``#`` comments, no quoting and no ``_`` digit separators.  It streams the
-open file through one ``numpy.loadtxt`` call, checking each row's field
-count on the way, and reads the file a second time only to name the line
-of a cell that fails to parse.  :func:`copy_rows` reorders a file's rows
-without parsing them.
+CSV: one data point per row, '.' decimal separator, comma-delimited.  The
+writer writes no header; the readers skip a header line on request.
+Values are written with %.17g so float64 round-trips exactly.  The reader
+skips blank and whitespace-only lines and accepts CRLF line ends; it
+allows no ``#`` comments, no quoting and no ``_`` digit separators.  It
+streams the open file through one ``numpy.loadtxt`` call, checking each
+row's field count on the way, and reads the file a second time only to
+name the line of a cell that fails to parse.  :func:`copy_rows` reorders
+a file's rows without parsing them.
 
 Both readers return read-only arrays, which the frozen containers of
 :mod:`mfgl.data` take without a copy.  Both writers take a matrix as an
@@ -29,7 +29,7 @@ import os
 import struct
 from collections.abc import Iterator
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -87,7 +87,7 @@ def _row_blocks(a) -> tuple[int, Iterator[np.ndarray]]:
     return cols, split()
 
 
-def write_csv(path: PathLike, a, header: Optional[Sequence[str]] = None) -> None:
+def write_csv(path: PathLike, a) -> None:
     """Write a matrix, an array or an iterator of row blocks, as
     comma-separated %.17g rows.
 
@@ -95,20 +95,12 @@ def write_csv(path: PathLike, a, header: Optional[Sequence[str]] = None) -> None
     so no write holds the whole matrix as text.
     """
     cols, blocks = _row_blocks(a)
-    if header is not None and len(header) != cols:
-        raise MatrixIOError(f"header has {len(header)} names for {cols} columns")
     # one row template per row keeps the per-value formatting in C
     row = ",".join(["%.17g"] * cols) + "\n"
     try:
         with open(path, "w") as fh:
-            if header is not None:
-                fh.write(",".join(str(h) for h in header) + "\n")
-            rows = 0
             for block in blocks:
                 fh.write("".join(row % tuple(values) for values in block.tolist()))
-                rows += block.shape[0]
-            if header is None and rows == 0:
-                fh.write("\n")  # a matrix without rows or header is one empty line
     except OSError as exc:
         raise MatrixIOError(f"cannot write {path}: {exc}") from exc
 

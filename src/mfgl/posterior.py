@@ -379,16 +379,15 @@ def calibrate_omega(
     lo, hi = CALIBRATION_BRACKET
     f_lo = mean_stddev(lo) - target
     f_hi = mean_stddev(hi) - target
-    decades = 0.0
-    while f_lo < 0 and decades < BRACKET_DECADES:
-        lo /= 10.0
-        decades += 1.0
-        f_lo = mean_stddev(lo) - target
-    decades = 0.0
-    while f_hi > 0 and decades < BRACKET_DECADES:
-        hi *= 10.0
-        decades += 1.0
-        f_hi = mean_stddev(hi) - target
+    decades = 0
+    while (f_lo < 0 or f_hi > 0) and decades < BRACKET_DECADES:
+        decades += 1
+        if f_lo < 0:
+            lo /= 10.0
+            f_lo = mean_stddev(lo) - target
+        if f_hi > 0:
+            hi *= 10.0
+            f_hi = mean_stddev(hi) - target
     if f_lo < 0 or f_hi > 0:
         raise NoBracket(
             f"mean stddev never crosses r*sigma={target:.3e} within the bracket"

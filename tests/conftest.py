@@ -10,6 +10,7 @@ from hypothesis import settings
 
 import mfgl
 from mfgl.graph import AffinityGraph, build_graph, laplacian
+from mfgl.matio import write_csv
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 result does not depend on earlier runs.
@@ -70,6 +71,15 @@ def refused_peak(fn, error):
         return info.value, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def write_headed_csv(path, a, names=None):
+    """``write_csv(path, a)`` under a first line of column ``names``, when
+    given: a user's file with a header, which the readers skip on
+    request."""
+    write_csv(path, a)
+    if names is not None:
+        path.write_text(",".join(names) + "\n" + path.read_text())
 
 
 def cli_env():

@@ -462,3 +462,16 @@ def test_plan_record_refuses_stats_that_do_not_fit(tmp_path):
     wide = PlanRecord(**vars(record) | {"normalization_stats": {"mean": np.zeros(3), "std": np.ones(3)}})
     with pytest.raises(InvalidConfig, match="normalization_stats is for rows of another width than 2"):
         PlanRecord.read(wide.write(tmp_path), config, lf[list(record.plan.permutation)])
+
+
+@pytest.mark.parametrize("m", [0, 21])
+def test_kmeans_refuses_a_cluster_count_outside_one_to_n(m):
+    with pytest.raises(InvalidConfig, match=r"cluster count must be in \[1, 20\]"):
+        kmeans(random_points(20, 2, 0), m, seed=0)
+
+
+def test_plan_acquisition_refuses_m_zero():
+    spectrum = Spectrum(eigenvalues=np.array([0.0, 1.0]), eigenvectors=np.eye(20)[:, :2],
+                        shift_a=2.0)
+    with pytest.raises(InvalidConfig, match=r"M must be in \[1, 20\]"):
+        plan_acquisition(spectrum, 0, seed=0)

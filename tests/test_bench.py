@@ -47,7 +47,7 @@ from mfgl.exceptions import (
     ZeroReferenceSet,
 )
 from mfgl.acquisition import PlanRecord
-from mfgl.posterior import SolverTag
+from mfgl.config import SolverTag
 from mfgl.spectral import Spectrum, TruncatedFactor, low_spectrum
 
 
@@ -802,3 +802,8 @@ def test_component_normalized_run_does_not_depend_on_the_rows_scale(kind, solver
         assert np.array_equal(out.posterior.stddevs, base.posterior.stddevs)
         assert out.hyper == base.hyper
         assert out.report.reduction == base.report.reduction
+
+
+def test_synthetic_problem_refuses_truth_and_lf_of_different_shapes():
+    with pytest.raises(InvalidConfig, match="true and low-fidelity arrays must share a shape"):
+        SyntheticProblem(Generator.CLUSTERED_SHIFT, np.zeros((4, 2)), np.zeros((4, 3)), 0.1)

@@ -15,7 +15,7 @@ import mfgl.bench
 import mfgl.config
 import mfgl.matio
 import mfgl.posterior
-from conftest import cli_env, traced_peak
+from conftest import cli_env, traced_peak, write_headed_csv
 from mfgl.acquisition import PlanRecord
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import _build_parser, main
@@ -197,7 +197,7 @@ def test_header_refused_with_binary_format(tmp_path, capsys, command):
 def test_header_flag(tmp_path, capsys):
     prob, _ = write_problem(tmp_path, n=30)
     lf_path = tmp_path / "lf_header.csv"
-    write_csv(lf_path, prob.lf_data, header=["x", "y", "z"])
+    write_headed_csv(lf_path, prob.lf_data, ["x", "y", "z"])
     out_dir = tmp_path / "out"
     code, out, _ = run_cli(
         capsys, "plan", "--lf-path", str(lf_path), "--m", "3", "--header",
@@ -218,13 +218,13 @@ def test_header_two_phase_run_matches_headerless(tmp_path, capsys):
         names = ["x", "y", "z"] if header else None
         flag = ["--header"] if header else []
         lf_path = tmp_path / f"lf_{header}.csv"
-        write_csv(lf_path, prob.lf_data, header=names)
+        write_headed_csv(lf_path, prob.lf_data, names)
         out_dir = tmp_path / f"out_{header}"
         code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), "--m", "4",
                              *flag, "--output-dir", str(out_dir))
         assert code == 0
         hf_path = tmp_path / f"hf_{header}.csv"
-        write_csv(hf_path, read_csv(out_dir / "lf_permuted.csv")[:4] + 0.1, header=names)
+        write_headed_csv(hf_path, read_csv(out_dir / "lf_permuted.csv")[:4] + 0.1, names)
         code, _, err = run_cli(
             capsys, "estimate", "--lf-path", str(out_dir / "lf_permuted.csv"),
             "--hf-path", str(hf_path), "--plan-path", str(out_dir / "plan.json"),
@@ -973,6 +973,40 @@ def test_config_wrong_type_exit_3(tmp_path, capsys, key, value):
     assert key in error["message"]
 
 
+# argparse limits only the --format flag, so "tsv" in a file is RunConfig's
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"format": "tsv"}', "format must be one of ('csv', 'bin'), got 'tsv'"),
+    ],
+    ids=["not-json", "list", "format"],
+)
+def test_config_file_refusals_exit_3(tmp_path, capsys, text, message):
+    _, lf_path = write_problem(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "plan", "--config", str(cfg_path), "--lf-path", str(lf_path),
+        "--output-dir", str(tmp_path / "out"),
+    )
+    assert code == 3 and out == ""
+    error = last_json(err)
+    assert error["error"] == "InvalidConfig"
+    assert message in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_plan_without_lf_path_exit_3(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "plan", "--m", "3", "--output-dir", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    assert last_json(err) == {
+        "error": "InvalidConfig", "message": "plan needs --lf-path", "exit_code": 3,
+    }
+    assert not (tmp_path / "out").exists()
+
+
 _SHARED_FLAGS = {
     "-h", "--help", "--config", "--output-dir", "--normalization", "--p", "--q", "--knn-k",
     "--solver", "--K", "--m", "--sigma", "--beta", "--r", "--omega", "--tau",
@@ -1198,7 +1232,6 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
     # mapped back with its own rows' statistics
     from mfgl.bench import PipelineConfig, run_pipeline
     from mfgl.data import Normalization
-    from mfgl.posterior import SolverTag
 
     monkeypatch.setattr(mfgl.matio, "_BLOCK_VALUES", 7)
     option = {"--m": "4", **dict(zip(flags[::2], flags[1::2]))}

@@ -239,3 +239,16 @@ def test_component_stats_past_the_square_overflow(k):
     assert np.array_equal(got_mf, mf * s)
     assert np.array_equal(got_sd, sd)
     assert got_hyper == hyper
+
+
+def test_normalize_refuses_an_unknown_mode():
+    with pytest.raises(InvalidConfig, match="unknown normalization mode 'bogus'"):
+        normalize(np.ones((3, 2)), "bogus")
+
+
+# width 1 would broadcast against the stored statistics
+@pytest.mark.parametrize("width", [1, 3])
+def test_normalization_spec_refuses_rows_of_another_width(width):
+    spec = NormalizationSpec(mode=Normalization.COMPONENT, mean=np.zeros(2), std=np.ones(2))
+    with pytest.raises(DimensionMismatch, match=r"expected \(\*, 2\) matrix"):
+        spec.apply(np.ones((4, width)))

@@ -14,6 +14,7 @@ import mfgl.graph
 from conftest import hand_graph, random_points, refused_peak, traced_peak
 from mfgl.bench import Generator, generate
 from mfgl.exceptions import (
+    DimensionMismatch,
     DuplicatePointScale,
     InvalidConfig,
     MemoryBudgetExceeded,
@@ -586,3 +587,9 @@ def test_self_adjointness_negative_control(rng):
     mat = rng.normal(size=(12, 12))
     fake = GraphLaplacian(sym_matrix=mat, degrees=g.degrees, p=0.5, q=0.5)
     assert self_adjointness_check(fake) > 1e-6
+
+
+@pytest.mark.parametrize("u, v", [(np.ones(3), np.ones(4)), (np.ones(4), np.ones(4))])
+def test_weighted_inner_refuses_vectors_of_another_length(u, v):
+    with pytest.raises(DimensionMismatch, match="expected two length-3 vectors"):
+        weighted_inner(u, v, np.ones(3), 0.5, 0.5)

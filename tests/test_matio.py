@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mfgl.matio
-from conftest import traced_peak
+from conftest import traced_peak, write_headed_csv
 from mfgl.exceptions import InvalidConfig, MatrixIOError
 from mfgl.matio import (
     FORMATS,
@@ -35,17 +35,12 @@ def test_csv_round_trip_is_exact(tmp_path, rng):
 def test_csv_header_round_trip(tmp_path):
     a = np.array([[1.5, -2.0], [0.25, 3.0]])
     path = tmp_path / "a.csv"
-    write_csv(path, a, header=["x", "y"])
+    write_headed_csv(path, a, ["x", "y"])
     first = path.read_text().splitlines()[0]
     assert first == "x,y"
     assert np.array_equal(read_csv(path, header=True), a)
     with pytest.raises(MatrixIOError):
         read_csv(path)  # header cells are not numbers
-
-
-def test_csv_header_width_checked(tmp_path):
-    with pytest.raises(MatrixIOError):
-        write_csv(tmp_path / "a.csv", np.ones((2, 3)), header=["only", "two"])
 
 
 def test_csv_ragged_rows_rejected(tmp_path):
@@ -80,23 +75,21 @@ def test_csv_one_dimensional_input_becomes_row(tmp_path):
     assert read_csv(path).shape == (1, 3)
 
 
-def _per_element_csv(a, header=None):
+def _per_element_csv(a):
     """The per-element %.17g writer `write_csv` replaced: its bytes are the
     golden reference for the row-template writer."""
-    lines = [] if header is None else [",".join(header)]
-    lines += [",".join(f"{x:.17g}" for x in row) for row in a]
+    lines = [",".join(f"{x:.17g}" for x in row) for row in a]
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("header", [None, ["a", "b", "c", "d", "e"]])
-def test_csv_bytes_match_per_element_format(tmp_path, rng, header):
+def test_csv_bytes_match_per_element_format(tmp_path, rng):
     sign = rng.choice([-1.0, 1.0], size=(40, 5))
     a = sign * 10.0 ** rng.uniform(-300, 300, size=(40, 5))
     a[0] = [0.0, -0.0, np.nan, np.inf, -np.inf]
     a[1] = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
     path = tmp_path / "a.csv"
-    write_csv(path, a, header=header)
-    assert path.read_bytes() == _per_element_csv(a, header)
+    write_csv(path, a)
+    assert path.read_bytes() == _per_element_csv(a)
 
 
 @settings(max_examples=200)
@@ -388,3 +381,15 @@ def test_unknown_format_rejected(tmp_path, rng):
 
 def test_version_constant_is_one():
     assert VERSION == 0x01
+
+
+def test_csv_writer_refuses_a_3d_array(tmp_path):
+    with pytest.raises(MatrixIOError, match="matrices must be 2-D, got ndim=3"):
+        write_csv(tmp_path / "a.csv", np.ones((2, 2, 2)))
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_binary])
+def test_writers_refuse_a_directory_that_does_not_exist(tmp_path, writer):
+    with pytest.raises(MatrixIOError, match="cannot write"):
+        writer(tmp_path / "missing" / "a", np.ones((2, 2)))

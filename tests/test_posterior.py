@@ -7,7 +7,9 @@ from scipy.linalg.lapack import dtrtri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hand_graph, random_points, refused_peak, traced_peak, two_blob_points
+from conftest import (
+    hand_graph, random_points, refused_peak, small_laplacian, traced_peak, two_blob_points,
+)
 import mfgl.config
 import mfgl.posterior
 from mfgl.bench import Generator, generate
@@ -783,3 +785,24 @@ def test_posteriors_refuse_omega_and_sigma_as_hyperparameters_do(name, bad):
         with pytest.raises(InvalidConfig) as exc:
             solve(factor, phi_hat, **values)
         assert str(exc.value) == message
+
+
+def test_choose_tau_needs_two_eigenvalues():
+    one = Spectrum(eigenvalues=np.array([0.5]), eigenvectors=np.ones((3, 1)), shift_a=1.0)
+    with pytest.raises(InvalidConfig, match="need at least two eigenvalues"):
+        choose_tau(one)
+
+
+def test_dense_factor_refuses_more_observed_rows_than_points():
+    with pytest.raises(DimensionMismatch, match="need 0 <= M <= N, got M=21, N=20"):
+        dense_factor(small_laplacian(n=20), 21, 0.1)
+
+
+def test_posterior_result_refuses_factors_and_stddevs_of_other_shapes():
+    good = dict(stddevs=np.ones(5), head=np.zeros((2, 3)), basis=np.zeros((3, 4)),
+                coeffs=np.zeros((4, 3)))
+    assert PosteriorResult(**good).n == 5
+    with pytest.raises(DimensionMismatch, match="the MAP factors must be"):
+        PosteriorResult(**good | {"coeffs": np.zeros((4, 2))})
+    with pytest.raises(DimensionMismatch, match="stddevs must have one entry per point"):
+        PosteriorResult(**good | {"stddevs": np.ones(6)})

@@ -8,13 +8,14 @@ import scipy.sparse as sp
 
 import mfgl.config
 import mfgl.spectral
-from conftest import random_points, refused_peak, traced_peak, two_blob_points
+from conftest import random_points, refused_peak, small_laplacian, traced_peak, two_blob_points
 from mfgl.bench import Generator, generate
 from mfgl.data import HyperParameters
 from mfgl.exceptions import (
     ConvergenceFailure,
     DimensionMismatch,
     InsufficientSpectrum,
+    InvalidConfig,
     MemoryBudgetExceeded,
     SingularSystem,
 )
@@ -433,3 +434,9 @@ def test_checked_cholesky_checks_finiteness_without_a_whole_mask():
     chol, peak = traced_peak(lambda: checked_cholesky(a, "test block"))
     assert np.shares_memory(chol, a)
     assert peak <= 4 * 8 * k
+
+
+@pytest.mark.parametrize("k", [0, 21])
+def test_low_spectrum_refuses_k_outside_one_to_n(k):
+    with pytest.raises(InvalidConfig, match=r"K must be in \[1, 20\]"):
+        low_spectrum(small_laplacian(n=20), k)
