@@ -130,36 +130,29 @@ def kmeans(
     return best[0], best[1]
 
 
-def _array(name: str, values, ndim: int = 1, dtype=np.intp) -> np.ndarray:
-    """``values`` as a read-only ``ndim``-D ``dtype`` array, refused unless
-    each entry is an integer, or for float64 a real (numpy's count too)."""
+def _indices(name: str, values) -> tuple:
+    """``values`` as a tuple of ints, refused unless it is 1-D and each
+    entry is an integer (numpy's count too)."""
     try:
         a = np.asarray(values)
     except ValueError:  # a ragged list
         a = None
-    if a is None or a.ndim != ndim or a.size and a.dtype.kind not in ("iu" if dtype is np.intp else "iuf"):
-        raise InvalidConfig(f"{name} must be {ndim}-D, of {np.dtype(dtype).name} values, got {values!r:.60}")
-    return frozen(a, dtype)
+    if a is None or a.ndim != 1 or a.size and a.dtype.kind not in "iu":
+        raise InvalidConfig(f"{name} must be 1-D, of integers, got {values!r:.60}")
+    return tuple(a.astype(np.intp).tolist())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AcquisitionPlan:
-    """Which rows to observe, and the re-indexing that puts them first,
-    with the k-means that chose them: M x M centroids in the embedding,
-    and each row's cluster, in [0, M)."""
+    """Which rows to observe, and the re-indexing that puts them first."""
 
     selected_indices: tuple
     permutation: tuple
-    centroids: np.ndarray
-    cluster_assignment: np.ndarray
     seed: int = same_setting(PipelineConfig, "seed", required=True)
 
     def __post_init__(self):
         for name in ("selected_indices", "permutation"):
-            object.__setattr__(self, name, tuple(_array(name, getattr(self, name)).tolist()))
-        labels = _array("cluster_assignment", self.cluster_assignment)
-        object.__setattr__(self, "cluster_assignment", labels)
-        object.__setattr__(self, "centroids", _array("centroids", self.centroids, 2, np.float64))
+            object.__setattr__(self, name, _indices(name, getattr(self, name)))
         check_fields(self)
         n, m = len(self.permutation), len(self.selected_indices)
         if sorted(self.permutation) != list(range(n)):
@@ -168,10 +161,6 @@ class AcquisitionPlan:
             raise InvalidConfig("selected_indices is empty: a plan selects at least one row")
         if self.permutation[:m] != self.selected_indices:
             raise InvalidConfig("permutation must lead with the selected indices")
-        if labels.shape != (n,) or labels.min() < 0 or labels.max() >= m:
-            raise InvalidConfig(f"cluster_assignment must hold one label in [0, {m}) per row")
-        if self.centroids.shape != (m, m):
-            raise InvalidConfig(f"centroids must be {m} x {m}, got shape {self.centroids.shape}")
 
     @property
     def m(self) -> int:
@@ -217,8 +206,6 @@ def plan_acquisition(
     return AcquisitionPlan(
         selected_indices=tuple(selected),
         permutation=tuple(selected) + tuple(rest),
-        centroids=centroids,
-        cluster_assignment=assignment,
         seed=seed,
     )
 
@@ -272,8 +259,6 @@ class PlanRecord:
             "selected_indices": list(plan.selected_indices),
             "permutation": list(plan.permutation),
             "seed": plan.seed,
-            "centroids": plan.centroids.tolist(),
-            "cluster_assignment": plan.cluster_assignment.tolist(),
             "lf_input_sha256": self.lf_input_sha256,
             "shift_a": spectrum.shift_a,
             "normalization_stats": {k: v.tolist() for k, v in self.normalization_stats.items()},
@@ -342,7 +327,7 @@ class PlanRecord:
 
 # The plan's keys in plan.json, the record's graph-prior settings, all
 # the keys of plan.json in their order, and the spectrum file beside it.
-_PLAN_KEYS = ("selected_indices", "permutation", "seed", "centroids", "cluster_assignment")
+_PLAN_KEYS = ("selected_indices", "permutation", "seed")
 _SETTINGS = tuple(f.name for f in fields(PlanRecord) if f.name in PipelineConfig.__dataclass_fields__)
 _JSON_KEYS = (*_PLAN_KEYS, "lf_input_sha256", "shift_a", "normalization_stats", *_SETTINGS)
 _SPECTRUM_FILE = "spectrum_permuted.bin"

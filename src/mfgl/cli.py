@@ -87,7 +87,7 @@ def _merge_config(ns: argparse.Namespace) -> tuple[RunConfig, ProblemConfig, Pip
     if config_path:
         try:
             raw = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise InvalidConfig(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise InvalidConfig(f"config file {config_path} must hold a JSON object")

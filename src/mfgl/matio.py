@@ -206,7 +206,10 @@ def read_binary(path: PathLike) -> np.ndarray:
             expected = 8 * rows * cols
             payload = os.fstat(fh.fileno()).st_size - _HEADER.size
             if payload == expected:
-                out = np.empty((rows, cols), dtype="<f8")
+                try:
+                    out = np.empty((rows, cols), dtype="<f8")
+                except ValueError as exc:  # an empty shape numpy cannot index, 2^63 x 0
+                    raise MatrixIOError(f"{path}: cannot hold a {rows}x{cols} matrix: {exc}") from exc
                 payload = fh.readinto(out)  # fewer bytes if the file shrank meanwhile
             if payload != expected:
                 raise MatrixIOError(f"{path}: payload is {payload} bytes, "

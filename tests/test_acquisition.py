@@ -274,8 +274,6 @@ def test_plan_is_deterministic():
     p2 = plan_acquisition(spec, 4, seed=7)
     assert p1.selected_indices == p2.selected_indices
     assert p1.permutation == p2.permutation
-    assert np.array_equal(p1.centroids, p2.centroids)
-    assert np.array_equal(p1.cluster_assignment, p2.cluster_assignment)
     assert p1.seed == p2.seed
 
 
@@ -309,16 +307,12 @@ def test_plan_validation_rules():
         AcquisitionPlan(
             selected_indices=(1, 2),
             permutation=(0, 1, 2),  # does not lead with selections
-            centroids=np.zeros((2, 1)),
-            cluster_assignment=np.zeros(3, dtype=int),
             seed=0,
         )
     with pytest.raises(InvalidConfig):
         AcquisitionPlan(
             selected_indices=(0,),
             permutation=(0, 0, 1),  # not a bijection
-            centroids=np.zeros((1, 1)),
-            cluster_assignment=np.zeros(3, dtype=int),
             seed=0,
         )
     # a plan selects at least one row, so no estimate starts without one
@@ -326,13 +320,10 @@ def test_plan_validation_rules():
         AcquisitionPlan(
             selected_indices=(),
             permutation=(0, 1, 2),
-            centroids=np.zeros((0, 1)),
-            cluster_assignment=np.zeros(3, dtype=int),
             seed=0,
         )
     # a valid one-row plan of three rows, then one field at a time made wrong
-    valid = dict(selected_indices=(1,), permutation=(1, 0, 2), centroids=np.zeros((1, 1)),
-                 cluster_assignment=np.zeros(3, dtype=int), seed=0)
+    valid = dict(selected_indices=(1,), permutation=(1, 0, 2), seed=0)
     assert AcquisitionPlan(**valid).m == 1
     # numpy integers are integers
     plan = AcquisitionPlan(**valid | {"selected_indices": (np.int64(1),),
@@ -342,15 +333,9 @@ def test_plan_validation_rules():
         ("selected_indices", (1.7,), "selected_indices must be 1-D, of int"),
         ("permutation", (1.0, 0, 2), "permutation must be 1-D, of int"),
         ("selected_indices", (True,), "selected_indices must be 1-D"),
-        ("cluster_assignment", np.zeros(3), "cluster_assignment must be 1-D, of int"),
         ("seed", True, "seed must be of type int"),
         ("seed", 2.0, "seed must be of type int"),
         ("seed", -3, "seed must be non-negative"),
-        ("cluster_assignment", np.zeros(2, dtype=int), "one label in \\[0, 1\\) per row"),
-        ("cluster_assignment", np.array([0, 9, 0]), "one label in \\[0, 1\\) per row"),
-        ("cluster_assignment", np.array([0, -1, 0]), "one label in \\[0, 1\\) per row"),
-        ("centroids", np.zeros((5, 7)), "centroids must be 1 x 1"),
-        ("centroids", [[0.0], "a"], "centroids must be 2-D"),
     ]:
         with pytest.raises(InvalidConfig, match=says):
             AcquisitionPlan(**valid | {field: value})
@@ -358,14 +343,13 @@ def test_plan_validation_rules():
 
 def test_records_of_arrays_compare_by_identity_and_hash():
     # value equality would compare the arrays elementwise and raise
-    fields = dict(selected_indices=(1,), permutation=(1, 0, 2), centroids=np.zeros((1, 1)),
-                  cluster_assignment=np.zeros(3, dtype=int), seed=0)
-    a, b = AcquisitionPlan(**fields), AcquisitionPlan(**fields)
+    a, b = (Spectrum(np.zeros(1), np.ones((3, 1)), 1.0) for _ in range(2))
     assert a == a and a != b and not a == b
     assert len({a, b, a}) == 2  # both hash
-    spec = Spectrum(np.zeros(1), np.ones((3, 1)), 1.0)
-    assert spec != Spectrum(np.zeros(1), np.ones((3, 1)), 1.0) and hash(spec) == hash(spec)
-    # settings records keep value equality
+    # a plan, of tuples, and settings records keep value equality
+    fields = dict(selected_indices=(1,), permutation=(1, 0, 2), seed=0)
+    assert AcquisitionPlan(**fields) == AcquisitionPlan(**fields)
+    assert len({AcquisitionPlan(**fields), AcquisitionPlan(**fields)}) == 1
     assert PipelineConfig(m=2) == PipelineConfig(m=2)
 
 
@@ -375,10 +359,7 @@ def planned_record(lf, config):
 
 
 def assert_same_record(a, b):
-    for name in ("selected_indices", "permutation", "seed"):
-        assert getattr(a.plan, name) == getattr(b.plan, name)
-    for name in ("centroids", "cluster_assignment"):
-        assert getattr(a.plan, name).tobytes() == getattr(b.plan, name).tobytes()
+    assert a.plan == b.plan
     for name in ("lf_input_sha256", "knn_k", "p", "q", "K", "normalization"):
         assert getattr(a, name) == getattr(b, name)
     assert a.spectrum.shift_a == b.spectrum.shift_a
@@ -406,11 +387,10 @@ def test_plan_json_round_trip(tmp_path, normalization):
     again = back.write(tmp_path / "again")
     for name in ("plan.json", "spectrum_permuted.bin"):
         assert again.with_name(name).read_bytes() == plan_file.with_name(name).read_bytes()
-    # plain JSON, readable by anything, in the key order plan.json has always had
+    # plain JSON, readable by anything, in plan.json's key order
     assert list(json.loads(plan_file.read_text())) == [
-        "selected_indices", "permutation", "seed", "centroids", "cluster_assignment",
-        "lf_input_sha256", "shift_a", "normalization_stats", "knn_k", "p", "q", "K",
-        "normalization"]
+        "selected_indices", "permutation", "seed", "lf_input_sha256", "shift_a",
+        "normalization_stats", "knn_k", "p", "q", "K", "normalization"]
 
 
 def test_plan_json_rejects_garbage(tmp_path):
@@ -431,12 +411,15 @@ def test_plan_json_rejects_garbage(tmp_path):
     refused([1, 2], "lacks selected_indices")
     refused({"selected_indices": [0]}, "lacks permutation, seed")  # missing keys
     refused(good | {"note": "kept"}, "unknown keys: note")
+    # a plan directory that still holds the k-means by-products is planned again
+    refused(good | {"centroids": [[0.0]], "cluster_assignment": [0]},
+            "unknown keys: centroids, cluster_assignment")
     refused(good | {"knn_k": 7.0}, "knn_k must be of type int")
     refused(good | {"seed": "5"}, "seed must be of type int")
     refused(good | {"normalization": "bogus"}, "unknown normalization 'bogus'")
     refused(good | {"normalization": "instance"}, "unknown normalization 'instance'")
     refused(good | {"lf_input_sha256": 0}, "lf_input_sha256 must be of type str")
-    refused(good | {"centroids": [[1.0], [1.0, 2.0]]}, "centroids")
+    refused(good | {"permutation": [[0], [1, 2]]}, "permutation must be 1-D")
     refused(good | {"normalization_stats": {"mean": [0.0, 0.0]}}, "normalization_stats")
     refused(good | {"normalization_stats": None}, "normalization_stats must be of type dict")
     refused(good, r"knn_k=5 \(plan: 7\)", config=PipelineConfig(m=3, knn_k=5))

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -16,7 +17,7 @@ import mfgl.config
 import mfgl.matio
 import mfgl.posterior
 from conftest import cli_env, traced_peak, write_headed_csv
-from mfgl.acquisition import PlanRecord
+from mfgl.acquisition import PlanRecord, kmeans
 from mfgl.bench import Generator, generate, sample_hf
 from mfgl.cli import _build_parser, main
 from mfgl.config import PipelineConfig, ProblemConfig, SolverTag, field_rules
@@ -291,6 +292,17 @@ def test_plan_copies_binary_rows(tmp_path, capsys):
     assert (out_dir / "lf_permuted.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
 
+def test_plan_refuses_a_binary_header_too_large_for_an_array(tmp_path, capsys):
+    lf_bin, rows, cols = tmp_path / "lf.bin", 1 << 63, 0
+    lf_bin.write_bytes(struct.pack("<4sBQQ", mfgl.matio.MAGIC, mfgl.matio.VERSION, rows, cols))
+    code, out, err = run_cli(capsys, "plan", "--lf-path", str(lf_bin), "--format", "bin",
+                             "--output-dir", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    error = last_json(err)
+    assert error["error"] == "MatrixIOError"
+    assert f"{lf_bin}: cannot hold a {rows}x{cols} matrix" in error["message"]
+
+
 def test_estimate_uses_the_planning_eigenvectors_as_read(tmp_path, capsys, monkeypatch):
     # plan writes the eigenvectors in solve order, so estimate reorders
     # nothing: the truncated posterior's basis is the array the spectrum
@@ -317,6 +329,26 @@ def test_estimate_uses_the_planning_eigenvectors_as_read(tmp_path, capsys, monke
     [table] = tables
     assert post.basis is record.spectrum.eigenvectors
     assert post.basis.base is table
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_plan_directory_rebuilds_the_kmeans_that_chose_the_picks(tmp_path, capsys, m):
+    # plan.json keeps no k-means: the embedding is the spectrum file's first
+    # M columns in input order, and the seed is the plan's
+    _, lf_path = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), "--m", str(m),
+                         "--seed", "7", "--output-dir", str(out_dir))
+    assert code == 0
+    plan = json.loads((out_dir / "plan.json").read_text())
+    table = read_binary(out_dir / "spectrum_permuted.bin")
+    points = table[1:][np.argsort(plan["permutation"])][:, :m]
+    centroids, labels = kmeans(points, m, plan["seed"])
+    assert plan["seed"] == 7 and len(plan["selected_indices"]) == m
+    for c, pick in enumerate(plan["selected_indices"]):
+        members = np.flatnonzero(labels == c)
+        dists = np.linalg.norm(points[members] - centroids[c], axis=1)
+        assert pick == members[np.argmin(dists)]  # nearest, lowest index on ties
 
 
 def test_estimate_refuses_a_plan_directory_with_input_order_eigenpairs(tmp_path, capsys):
@@ -977,16 +1009,17 @@ def test_config_wrong_type_exit_3(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("{not json", "is not valid JSON"),
-        ("[1, 2]", "must hold a JSON object"),
-        ('{"format": "tsv"}', "format must be one of ('csv', 'bin'), got 'tsv'"),
+        (b"{not json", "is not valid JSON"),
+        (b'\xff\xfe{"m": 3}', "is not valid JSON"),  # not UTF-8
+        (b"[1, 2]", "must hold a JSON object"),
+        (b'{"format": "tsv"}', "format must be one of ('csv', 'bin'), got 'tsv'"),
     ],
-    ids=["not-json", "list", "format"],
+    ids=["not-json", "not-utf8", "list", "format"],
 )
 def test_config_file_refusals_exit_3(tmp_path, capsys, text, message):
     _, lf_path = write_problem(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text)
+    cfg_path.write_bytes(text)
     code, out, err = run_cli(
         capsys, "plan", "--config", str(cfg_path), "--lf-path", str(lf_path),
         "--output-dir", str(tmp_path / "out"),
@@ -1384,7 +1417,6 @@ _TAMPERED_RECORD = {
     # once truncated to integers (a function maps the key's value), or taken as they were
     "selected_indices-float": ("selected_indices", lambda v: [v[0] + 0.9, *v[1:]]),
     "permutation-float": ("permutation", lambda v: [v[0] + 0.5, *v[1:]]),
-    "cluster_assignment-float": ("cluster_assignment", lambda v: [float(c) for c in v]),
     "seed-text": ("seed", "7"),
     "seed-float": ("seed", 2.7),
     "knn_k-float": ("knn_k", 7.0),

@@ -348,6 +348,15 @@ def test_binary_header_checked_against_the_file_size(tmp_path):
         read_binary(path)
 
 
+@pytest.mark.parametrize("rows, cols", [(1 << 63, 0), (0, 1 << 63), (0, (1 << 64) - 1)])
+def test_binary_empty_header_too_large_for_an_array_rejected(tmp_path, rows, cols):
+    # no payload is due, but numpy holds no dimension of 2^63 or more
+    path = tmp_path / "a.bin"
+    path.write_bytes(struct.pack("<4sBQQ", MAGIC, VERSION, rows, cols))
+    with pytest.raises(MatrixIOError, match=f"{path}: cannot hold a {rows}x{cols} matrix"):
+        read_binary(path)
+
+
 def test_binary_truncated_header_rejected(tmp_path):
     path = tmp_path / "a.bin"
     path.write_bytes(b"MFG")

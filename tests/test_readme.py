@@ -3,7 +3,8 @@ this checkout's package, every `mfgl` command of its ```bash blocks
 parses with the command line's own parser, and every `--flag` and
 `mfgl.module.name` its prose quotes is one the parser or the package
 has, so the README cannot use a name or a flag the package no longer
-has, and its `--flag a|b|c` lists are the parser's choices."""
+has, its `--flag a|b|c` lists are the parser's choices, and its
+`plan.json` keys are the writer's, in the writer's order."""
 import argparse
 import functools
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_env
+from mfgl.acquisition import _JSON_KEYS
 from mfgl.cli import _build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -106,3 +108,10 @@ def _resolves(name: str) -> bool:
 def test_readme_prose_names_resolve():
     assert PROSE_NAMES
     assert [name for name in PROSE_NAMES if not _resolves(name)] == []
+
+
+def test_readme_plan_json_keys_are_the_writers():
+    # each sub-bullet of the plan.json list names its keys before the colon
+    (block,) = re.findall(r"^- `plan\.json`, with these keys in this order:\n((?:  .*\n)+)", README, re.M)
+    heads = re.findall(r"^  - (.+?): ", block, re.M)
+    assert re.findall(r"`(\w+)`", " ".join(heads)) == list(_JSON_KEYS)
