@@ -35,7 +35,7 @@ print(f"{n} points, {m} observed, noise sigma = {sigma}, tau = {tau:.4f}")
 # calibrate omega so the mean unobserved stddev hits r * sigma, then ask
 # how the advertised spread compares with the realized error; the prior
 # is built and factored once, and every omega below is closed form
-factor = dense_factor(gl, m, tau)
+factor = dense_factor(gl, range(m), tau)
 
 
 def handle(omega):

@@ -29,7 +29,7 @@ phi_hat = truth[:m] + rng.normal(scale=sigma, size=(m, 2))
 gl = laplacian(build_graph(pts, knn_k=7), p=0.5, q=0.5)
 tau = choose_tau(low_spectrum(gl, K=12))
 # one dense factor serves the calibration and the reference solve
-factor = dense_factor(gl, m, tau)
+factor = dense_factor(gl, range(m), tau)
 omega = calibrate_omega(lambda w: factor.mean_stddev(w, sigma), sigma)
 
 ref = dense_posterior(factor, phi_hat, omega, sigma)
@@ -53,7 +53,7 @@ for w in np.logspace(-1, 2, 30):
     truncated_posterior(tfactor, phi_hat, w, sigma)
 t_sweep = time.perf_counter() - t0
 t0 = time.perf_counter()
-dense_posterior(dense_factor(gl, m, tau), phi_hat, omega, sigma)
+dense_posterior(dense_factor(gl, range(m), tau), phi_hat, omega, sigma)
 t_dense = time.perf_counter() - t0
 print(f"30-point omega sweep at K=100: {t_sweep * 1e3:.1f} ms total "
       f"(one dense solve: {t_dense * 1e3:.1f} ms)")

@@ -144,7 +144,7 @@ def _indices(name: str, values) -> tuple:
 
 @dataclass(frozen=True)
 class AcquisitionPlan:
-    """Which rows to observe, and the re-indexing that puts them first."""
+    """Which rows to observe, and the re-indexing that puts them first, the rest ascending."""
 
     selected_indices: tuple
     permutation: tuple
@@ -159,8 +159,9 @@ class AcquisitionPlan:
             raise InvalidConfig("permutation must be a bijection on 0..N-1")
         if not m:
             raise InvalidConfig("selected_indices is empty: a plan selects at least one row")
-        if self.permutation[:m] != self.selected_indices:
-            raise InvalidConfig("permutation must lead with the selected indices")
+        rest = sorted(set(range(n)).difference(self.selected_indices))
+        if self.permutation != self.selected_indices + tuple(rest):
+            raise InvalidConfig("permutation must be the selected indices, then the rest ascending")
 
     @property
     def m(self) -> int:

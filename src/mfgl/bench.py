@@ -11,7 +11,8 @@ The pipeline plans on the rows in input order and estimates in solve
 order (observed rows first): :func:`plan_rows` reorders the planning
 spectrum once, into the plan record ``mfgl plan`` writes and ``mfgl
 estimate`` reads, and nothing downstream reorders it again.  The dense
-solver's L_sym is reordered only by a caller that estimates.
+solver's L_sym stays in input order: its factor reads the observed rows
+by index.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -338,7 +339,7 @@ def _refuse_landmark_solver(config: PipelineConfig) -> None:
 
 def estimate_attached(
     phi_hat: np.ndarray, config: PipelineConfig, spectrum: Spectrum,
-    laplacian: Optional[GraphLaplacian] = None,
+    laplacian: Optional[GraphLaplacian] = None, selected: Optional[Sequence[int]] = None,
 ) -> EstimateArtifacts:
     """Resolve tau, then omega on the one factor tau fixes, and solve for
     the observed displacement rows; the resolved hyperparameters are one record.
@@ -346,8 +347,10 @@ def estimate_attached(
     ``phi_hat`` holds hf - lf, the displacement of each of the first M rows of
     ``spectrum``'s row order, and ``config.sigma`` must be set, both in
     the solve coordinates: unlike :func:`estimate_planned`, this entry
-    point maps nothing.  The dense solver also needs ``laplacian``, in
-    the same row order, and hands its reference on to
+    point maps nothing.  The dense solver also needs ``laplacian`` in
+    input order and ``selected``, the index in it of each row of
+    ``phi_hat`` (the plan's ``selected_indices``), and hands its
+    reference to ``laplacian`` on to
     :func:`~mfgl.posterior.dense_factor`: a caller that passes its only
     reference (:func:`estimate_planned`) frees L_sym once the prior Q is
     written, before the Cholesky and the calibration.  The dense solver
@@ -372,8 +375,9 @@ def estimate_attached(
     if config.omega is None and m == spectrum.n:
         raise InvalidConfig("calibration needs at least one unobserved row")
     dense = config.solver is SolverTag.DENSE
-    if dense and laplacian is None:
-        raise InvalidConfig("the dense solver needs the graph's Laplacian")
+    if dense and (laplacian is None or selected is None or len(selected) != m):
+        raise InvalidConfig("the dense solver needs the graph's Laplacian and the index of "
+                            "each observed row in it")
     laplacians = [laplacian]
     del laplacian  # so that dense_factor holds the one reference to L_sym
     timings: dict = {}
@@ -383,7 +387,7 @@ def estimate_attached(
     if dense:
         del spectrum  # the eigenvectors, before Q is written
     # one factor serves the calibration handle and the final solve
-    factor = (dense_factor(laplacians.pop(), m, tau, config.beta) if dense
+    factor = (dense_factor(laplacians.pop(), selected, tau, config.beta) if dense
               else truncated_factor(spectrum, m, tau, config.beta))
     omega = config.omega
     if omega is None:
@@ -444,9 +448,8 @@ def plan_rows(lf_raw: np.ndarray, config: PipelineConfig) -> PlannedRows:
     (``config`` holds M >= 1), hash and normalize the rows, build the
     graph prior (:func:`planning_spectrum`), plan the acquisition in
     input order, then reorder the eigenvectors into solve order, here and
-    nowhere else.  The dense solver's L_sym is returned in input order:
-    only a caller that estimates reorders it (:func:`run_pipeline`;
-    ``mfgl plan`` drops it).
+    nowhere else.  The dense solver's L_sym is returned in input order,
+    the order its factor reads (``mfgl plan`` drops it).
 
     The rows are checked before any graph is built.  ``timings`` holds
     ``normalize`` and ``plan`` (graph, eigensolve, k-means, reordering).
@@ -512,7 +515,7 @@ def estimate_planned(
     :func:`run_pipeline` and ``mfgl estimate``.
 
     ``lf_raw`` holds the low-fidelity rows in solve order, the order of
-    ``record``'s spectrum and of ``laplacian`` (dense solver only).
+    ``record``'s spectrum; ``laplacian`` (dense solver only) is in input order.
     ``hf_raw`` holds the high-fidelity rows of the plan's
     ``selected_indices``, in that order and in input units, and so does
     ``config.sigma``.  Both are checked (:func:`~mfgl.data.observations`):
@@ -546,7 +549,7 @@ def estimate_planned(
 
     spectra, laplacians = [spectrum], [laplacian]
     del spectrum, laplacian
-    art = estimate_attached(phi_hat, config, spectra.pop(), laplacians.pop())
+    art = estimate_attached(phi_hat, config, spectra.pop(), laplacians.pop(), plan.selected_indices)
     art = dataclasses.replace(art, timings={"assemble": assemble_s, **art.timings})
     return PlannedEstimate(art, _estimate_blocks(lf, art.posterior, nspec))
 
@@ -559,8 +562,8 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     The graph and its spectrum are built once, by the planning step,
     which hands the spectrum on in solve order, so ``timings["plan"]``
     holds the graph build, the eigensolve, the k-means and the
-    reordering.  The dense solver's L_sym is reordered here; it and the
-    plan record, once the embedding is taken from it, are handed on, so
+    reordering.  The dense solver's L_sym, in input order, and the plan
+    record, once the embedding is taken from it, are handed on, so
     on the dense solver the eigenvectors die before the prior is written
     and L_sym once it is.  ``sigma``
     is in input units and defaults to the problem's noise level.  A
@@ -570,13 +573,11 @@ def run_pipeline(problem: SyntheticProblem, config: PipelineConfig) -> PipelineO
     if config.sigma is None:
         config = dataclasses.replace(config, sigma=problem.hf_noise_sigma)
 
-    record, gl, timings = plan_rows(problem.lf_data, config)
+    record, *gls, timings = plan_rows(problem.lf_data, config)  # gls = [L_sym], handed on below
     plan = record.plan
     perm = np.asarray(plan.permutation, dtype=np.intp)
     lf_raw = problem.lf_data[perm]
     lf_raw.setflags(write=False)  # so that the estimate step shares it
-    gls = [None if gl is None else gl.permuted(perm)]
-    del gl  # the one reference to L_sym in solve order is handed on
     embedding = embed(record.spectrum, plan.m)
     records = [record]
     del record  # and the one reference to the eigenvectors

@@ -150,9 +150,9 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
     that does not fit them or the settings), then the high-fidelity rows.
     The planning eigenpairs are read in solve order and used as read; no
     eigensolve runs.  The dense solver also rebuilds L_sym from the rows
-    in input order and reorders it.  The record and L_sym are handed on,
-    so on the dense solver the eigenpairs die before the prior is written
-    and L_sym once it is.  The result equals ``run_pipeline``'s
+    in input order, the order its factor reads.  The record and L_sym are
+    handed on, so on the dense solver the eigenpairs die before the prior
+    is written and L_sym once it is.  The result equals ``run_pipeline``'s
     bit for bit.  The rows are the one N x D array held:
     :func:`~mfgl.bench.estimate_planned` forms the estimates a row block
     at a time, straight into the writer.
@@ -175,9 +175,8 @@ def cmd_estimate(cfg: RunConfig, pcfg: PipelineConfig) -> int:
 
     gls = [None]  # the one reference to L_sym, handed on to the dense factor
     if pcfg.solver is SolverTag.DENSE:  # L_sym, built from the rows in input order
-        perm = np.asarray(record.plan.permutation, dtype=np.intp)
-        gls = [laplacian(build_graph(record.nspec.apply(lf[np.argsort(perm)]), pcfg.knn_k),
-                         pcfg.p, pcfg.q).permuted(perm)]
+        order = np.argsort(record.plan.permutation)  # solve order to input order
+        gls = [laplacian(build_graph(record.nspec.apply(lf[order]), pcfg.knn_k), pcfg.p, pcfg.q)]
     records = [record]
     del record  # the one reference to the eigenpairs, handed on
     art, estimates = estimate_planned(lf, records.pop(), hf, pcfg, gls.pop())

@@ -34,7 +34,7 @@ values.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -346,17 +346,6 @@ class GraphLaplacian:
         data *= (self.degrees ** h)[lsym.indices]
         return sp.csr_array((data, lsym.indices, lsym.indptr), shape=lsym.shape)
 
-    def permuted(self, perm: np.ndarray) -> "GraphLaplacian":
-        """The Laplacian of the same graph with row i holding point
-        ``perm[i]``: P L_sym P^T, read-only over one sorted pattern as
-        :func:`laplacian` builds it, and the degrees reordered."""
-        lsym = self.sym_matrix[perm][:, perm]
-        lsym.sort_indices()
-        for part in (lsym.data, lsym.indices, lsym.indptr):
-            for arr in _base_chain(part):
-                arr.setflags(write=False)
-        return replace(self, sym_matrix=lsym, degrees=self.degrees[perm])
-
     @contextmanager
     def shifted(self, sigma: float) -> Iterator[sp.csc_array]:
         """L_sym - sigma I in CSC, on L_sym's own arrays, for the span of
@@ -372,14 +361,15 @@ class GraphLaplacian:
         :func:`~mfgl.posterior.shifted_power` (sigma = -tau).
 
         Raises ``InvalidConfig`` unless L_sym is in canonical form and
-        stores every diagonal entry, as :func:`laplacian` and
-        :meth:`permuted` build it.
+        stores every diagonal entry, as :func:`laplacian` builds it.
         """
         lsym = self.sym_matrix
         slots = _diagonal_slots(lsym)
         saved = lsym.data[slots]
         shifted = sp.csc_array((lsym.data, lsym.indices, lsym.indptr), shape=lsym.shape)
-        views = _base_chain(shifted.data)
+        views = [shifted.data]  # and the arrays it views, down to the memory's owner
+        while isinstance(views[-1].base, np.ndarray):
+            views.append(views[-1].base)
         for arr in reversed(views):  # a view is writeable only once its base is
             arr.setflags(write=True)
         try:
@@ -389,15 +379,6 @@ class GraphLaplacian:
             shifted.data[slots] = saved
             for arr in views:
                 arr.setflags(write=False)
-
-
-def _base_chain(arr: np.ndarray) -> list:
-    """``arr``, then the array it views, and so on down to the array that
-    owns the memory: all that must be read-only for ``arr`` to stay so."""
-    chain = [arr]
-    while isinstance(chain[-1].base, np.ndarray):
-        chain.append(chain[-1].base)
-    return chain
 
 
 def _diagonal_slots(lsym: sp.csr_array) -> np.ndarray:

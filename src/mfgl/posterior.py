@@ -19,13 +19,14 @@ triangular inverse, and an M x M ``eigh`` of the Schur complement of
 Q_uu.  After that the MAP, the stddevs sqrt(diag(A^{-1})) and the
 calibration handle's mean stddev cost O(NM) for any (omega, sigma), and
 the N x N covariance is formed only when it is asked for.  Q takes one
-N x N array: an integer power is written from sparse row-block products
-of L_sym + tau I, tau written onto L_sym's own diagonal while they run,
-and Q_uu is checked finite in blocks and factored where it lies in that
-array.  L_sym handed on dies once Q is written, so the dense route holds
-Q, and L_sym only while Q is written, and nothing else of their size.  The
-vanishing-noise path solves every step on one such factor, and its
-limit, the constrained minimizer, is the factor's -Q_uu^{-1} Q_uo.
+N x N array, in L_sym's own row order: an integer power is written from
+sparse row-block products of L_sym + tau I, tau written onto L_sym's own
+diagonal while they run; the observed rows are read by index, and Q_uu
+is moved to the front of that array in row blocks, checked finite and
+factored there.  L_sym handed on dies once Q is written, so the dense
+route holds Q, and L_sym only while Q is written, and nothing else of
+their size.  The vanishing-noise path solves every step on one such
+factor, and its limit, the constrained minimizer, is -Q_uu^{-1} Q_uo.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .exceptions import (
 )
 from .graph import GraphLaplacian
 from .matio import block_rows
-from .spectral import Spectrum, checked_cholesky, shifted_eigenvalues
+from .spectral import Spectrum, check_prior_range, checked_cholesky, shifted_eigenvalues
 
 # Row blocks in which shifted_power writes an integer power, so the sparse
 # products in flight cover N/16 rows of the result at a time.
@@ -183,8 +184,8 @@ def _prior_matrix(gl: GraphLaplacian, tau: float, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenseFactor:
-    """The omega- and sigma-free factor of the dense MAP system for the
-    first M rows observed (o) and the rest unobserved (u).
+    """The omega- and sigma-free factor of the dense MAP system, rows in
+    its outputs' order: the M observed (o) as given, then the rest (u) ascending.
 
     With Q = S (L_sym + tau I)^beta S split into blocks, R = Q_uu = L L^T
     and the Schur complement Q_oo - Q_ou R^{-1} Q_uo = V diag(theta) V^T,
@@ -225,7 +226,7 @@ class DenseFactor:
         return np.concatenate([var_o, var_u]) / omega
 
     def mean_stddev(self, omega: float, sigma: float) -> float:
-        """Mean stddev over the unobserved rows M..N-1, in O(NM)."""
+        """Mean stddev over the unobserved rows, in O(NM)."""
         if self.r.size == 0:
             raise InvalidConfig("calibration needs at least one unobserved row")
         return float(np.sqrt(self.variances(omega, sigma)[self.m:]).mean())
@@ -236,28 +237,32 @@ class DenseFactor:
         return np.vstack([phi_o, -self.z @ phi_o])
 
 
-def dense_factor(gl: GraphLaplacian, m: int, tau: float,
+def dense_factor(gl: GraphLaplacian, selected: Sequence[int], tau: float,
                  beta: float = PipelineConfig.beta) -> DenseFactor:
-    """Factor the prior of ``gl`` under ``tau`` and ``beta`` for the first
-    ``m`` rows observed: one prior build, one Cholesky of the (N-M) x
-    (N-M) block, its triangular inverse and one M x M ``eigh``.
+    """Factor the prior of ``gl`` under ``tau`` and ``beta`` for the rows
+    ``selected`` (indices into L_sym's order) observed: one prior build,
+    one Cholesky of the (N-M) x (N-M) block, its triangular inverse and
+    one M x M ``eigh``.
 
-    Q is built in one N x N array.  Q_oo and Q_uo are copied out, Q_uu
-    is moved to the front of that array, and the Cholesky factor and its
-    inverse overwrite it there, so the factor holds about one N x N
-    array at its peak; ``l_inv`` keeps that array alive.  The reference
-    to ``gl`` is dropped once Q is written, so a caller that passes its
-    only reference (``dense_factor(laplacians.pop(), m, tau, beta)``, as
-    :func:`~mfgl.bench.estimate_attached` does) holds L_sym next to Q
-    while Q is written and Q alone after that.  A caller that keeps
-    ``gl`` gets the same factor bit for bit.
+    Q is built in one N x N array, in L_sym's order.  Q_oo and Q_uo are
+    gathered out, Q_uu (the unobserved rows, ascending) is moved to the
+    front of that array a row block at a time, and the Cholesky factor
+    and its inverse overwrite it there, so the factor holds about one
+    N x N array at its peak; ``l_inv`` keeps that array alive.  The
+    reference to ``gl`` is dropped once Q is written, so a caller that
+    passes its only reference (``dense_factor(laplacians.pop(),
+    selected, tau, beta)``, as :func:`~mfgl.bench.estimate_attached`
+    does) holds L_sym next to Q while Q is written and Q alone after
+    that.  A caller that keeps ``gl`` gets the same factor bit for bit.
 
     Raises
     ------
-    InvalidConfig, MemoryBudgetExceeded
-        Before the prior is built: when tau or beta is refused as its
-        :class:`~mfgl.data.HyperParameters` field, or when its bytes
-        (:func:`_prior_bytes`) exceed the memory budget
+    DimensionMismatch, InvalidConfig, MemoryBudgetExceeded, SingularSystem
+        Before the prior is built: when ``selected`` repeats an index or
+        holds one outside 0..N-1, when tau or beta is refused as its
+        :class:`~mfgl.data.HyperParameters` field, when the prior leaves
+        float64's range (:func:`~mfgl.spectral.check_prior_range`), or
+        when its bytes (:func:`_prior_bytes`) exceed the memory budget
         (:data:`~mfgl.config.MEMORY_BUDGET`).
     SingularSystem
         When a factorization fails, or when the unobserved block is
@@ -265,20 +270,28 @@ def dense_factor(gl: GraphLaplacian, m: int, tau: float,
     """
     check_values(HyperParameters, tau=tau, beta=beta)
     n = gl.n
-    if not 0 <= m <= n:
-        raise DimensionMismatch(f"need 0 <= M <= N, got M={m}, N={n}")
+    obs = np.asarray(selected, dtype=np.intp).reshape(-1)
+    if obs.size + np.setdiff1d(np.arange(n), obs).size != n:  # so each is distinct and in range
+        raise DimensionMismatch(f"the observed rows must be distinct indices in 0..{n - 1}")
+    check_prior_range(gl.shift_bound, tau, beta)
     check_budget(f"the dense prior of N={n} points", _prior_bytes(gl, beta))
     q = _prior_matrix(gl, tau, beta)
     del gl  # so that L_sym handed on is freed before the Cholesky
-    k = n - m
-    q_oo, q_uo = q[:m, :m].copy(), q[m:, :m].copy()
+    rest = np.setdiff1d(np.arange(n), obs)  # ascending; not held while Q is written
+    k = rest.size
+    q_oo, q_uo = q[obs][:, obs], q[:, obs][rest]
     l_inv = np.zeros((0, 0))
     if k:
-        # Q_uu moves to the front of Q's buffer a row at a time: row i goes
-        # from (m + i) N + m to i K, forward, onto entries already read
+        # Q_uu moves to the front of Q's buffer a row block at a time: rows
+        # [i, j) of it, consecutive rows of Q and at most K/16 and
+        # block_rows(K) of them, are gathered, then written below
+        # j K <= rest[j] N, where the first row still to be read starts
         flat = q.reshape(-1)
-        for i in range(k):
-            flat[i * k:(i + 1) * k] = q[m + i, m:]
+        step = min(-(-k // _PRIOR_ROW_BLOCKS), block_rows(k))
+        runs = np.flatnonzero(np.diff(rest, prepend=-2) != 1)  # where rest skips a row
+        cuts = np.union1d(np.r_[runs, k], np.arange(0, k, step))
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            flat[i * k:j * k] = q[rest[i]:rest[i] + j - i].take(rest, axis=1).reshape(-1)
         # read in Fortran order the block is Q_uu^T, which LAPACK factors
         # without a copy; it is Q_uu itself for beta <= 2 and fractional
         # beta, whose Q is exactly symmetric, and Q_uu to round-off else
@@ -287,7 +300,7 @@ def dense_factor(gl: GraphLaplacian, m: int, tau: float,
                              lower=1, overwrite_c=1)
         if info != 0:
             raise SingularSystem(f"triangular inverse failed: dtrtri info={info}")
-    del q  # only l_inv, at the front of its buffer, still holds it
+    del q, rest  # only l_inv, at the front of its buffer, still holds Q
     w = l_inv @ q_uo
     schur = q_oo - w.T @ w
     try:
@@ -427,16 +440,6 @@ class RegularizationPath:
         )
 
 
-def _observed_rows(gl: GraphLaplacian, phi_observed: np.ndarray) -> np.ndarray:
-    """``phi_observed`` as :func:`~mfgl.data.observations` takes it, once
-    1 <= M < N is checked."""
-    phi_observed = observations(phi_observed, name="phi_observed")
-    m, n = phi_observed.shape[0], gl.n
-    if not 1 <= m < n:
-        raise DimensionMismatch(f"need 1 <= M < N, got M={m}, N={n}")
-    return phi_observed
-
-
 def constrained_minimizer(
     gl: GraphLaplacian, phi_observed: np.ndarray, tau: float, beta: float = PipelineConfig.beta
 ) -> np.ndarray:
@@ -448,8 +451,8 @@ def constrained_minimizer(
     Theta_u = -Z phi_observed with Z = Q_uu^{-1} Q_uo taken from
     :func:`dense_factor` (:meth:`DenseFactor.interpolant`).
     """
-    phi_observed = _observed_rows(gl, phi_observed)
-    return dense_factor(gl, phi_observed.shape[0], tau, beta).interpolant(phi_observed)
+    phi_observed = observations(phi_observed, name="phi_observed")
+    return dense_factor(gl, range(phi_observed.shape[0]), tau, beta).interpolant(phi_observed)
 
 
 def regularization_path(
@@ -493,9 +496,9 @@ def regularization_path(
     ratio = deltas**2 / omegas
     if ratio.size >= 2 and not ratio[-1] < ratio[0]:
         raise InvalidConfig("delta_n^2/omega_n must tend to zero")
-    phi_observed = _observed_rows(gl, phi_observed)
+    phi_observed = observations(phi_observed, name="phi_observed")
     m, d = phi_observed.shape
-    factor = dense_factor(gl, m, tau, beta)
+    factor = dense_factor(gl, range(m), tau, beta)
     rng = np.random.default_rng(seed)
     iterates = []
     for delta, omega in zip(deltas, omegas):

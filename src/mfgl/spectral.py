@@ -174,6 +174,17 @@ def shifted_eigenvalues(
     return (lam + tau) ** beta
 
 
+def check_prior_range(a: float, tau: float, beta: float) -> None:
+    """Refuse as ``SingularSystem``, before any power is formed, a prior
+    (L + tau I)^beta whose bound (a + tau)^beta, a bounding the spectrum
+    of L, overflows or underflows float64's normal range."""
+    with np.errstate(all="ignore"):
+        top = np.float64(a + tau) ** beta
+    if not np.finfo(float).tiny <= top < np.inf:
+        raise SingularSystem(f"the prior (L + tau I)^beta at tau={tau:g}, beta={beta:g} leaves "
+                             f"float64's range: (a + tau)^beta with a={a:.3g} is {top:.3g}")
+
+
 def _variances(psi: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """diag(Psi_K C Psi_K^T) in O(N K^2), Psi_K C formed in near-equal row
     blocks of at least two and 2^20 / K^2 rows: OpenBLAS rounds one row
@@ -282,8 +293,10 @@ def truncated_factor(spectrum: Spectrum, m: int, tau: float,
                      beta: float = PipelineConfig.beta) -> TruncatedFactor:
     """The factor of ``spectrum``'s prior under ``tau`` and ``beta`` for
     the first ``m`` rows observed; tau and beta are checked as their
-    :class:`~mfgl.data.HyperParameters` fields."""
+    :class:`~mfgl.data.HyperParameters` fields and, past float64's range,
+    by :func:`check_prior_range`."""
     check_values(HyperParameters, tau=tau, beta=beta)
+    check_prior_range(spectrum.shift_a, tau, beta)
     if m > spectrum.n:
         raise DimensionMismatch("more observations than graph nodes")
     b = spectrum.eigenvectors[:m]

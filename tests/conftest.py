@@ -83,7 +83,9 @@ def write_headed_csv(path, a, names=None):
 
 
 def cli_env():
-    """Environment whose PYTHONPATH puts the imported `mfgl` package first."""
+    """Environment whose PYTHONPATH puts the imported `mfgl` package first,
+    with every warning an error, as pyproject's `filterwarnings` makes it
+    in process."""
     src = str(Path(mfgl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}

@@ -65,7 +65,7 @@ def test_ac1_truncated_matches_dense_oracle(capsys):
             beta=beta,
         )
         phi_hat = rng.normal(size=(m, d))
-        ref = dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma,
+        ref = dense_posterior(dense_factor(gl, range(m), hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma,
                               want_cov=True)
         factor = truncated_factor(low_spectrum(gl, n), m, hp.tau, hp.beta)
         tp = truncated_posterior(factor, phi_hat, hp.omega, hp.sigma)
@@ -161,7 +161,7 @@ def test_ac5_calibration_self_consistency(capsys):
             0.5, 0.5,
         )
         sigma = float(rng.uniform(0.02, 0.3))
-        factor = dense_factor(gl, m, 0.2)
+        factor = dense_factor(gl, range(m), 0.2)
 
         def handle(omega):
             return factor.mean_stddev(omega, sigma)
@@ -209,7 +209,7 @@ def test_ac8_general_normalization(capsys):
         hp = HyperParameters(sigma=0.1, omega=2.0, tau=0.25, beta=2.0)
         phi_hat = rng.normal(size=(m, 2))
         gl = laplacian(g, 1.0, 0.0)
-        ref = dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
+        ref = dense_posterior(dense_factor(gl, range(m), hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
         factor = truncated_factor(low_spectrum(gl, n), m, hp.tau, hp.beta)
         tp = truncated_posterior(factor, phi_hat, hp.omega, hp.sigma)
         got = tp.spectrum.eigenvectors @ tp.coeff_mean

@@ -315,6 +315,10 @@ def test_plan_validation_rules():
             permutation=(0, 0, 1),  # not a bijection
             seed=0,
         )
+    # the dense solver lists the unobserved rows ascending, so solve order
+    # must too
+    with pytest.raises(InvalidConfig, match="then the rest ascending"):
+        AcquisitionPlan(selected_indices=(1,), permutation=(1, 2, 0), seed=0)
     # a plan selects at least one row, so no estimate starts without one
     with pytest.raises(InvalidConfig, match="selected_indices is empty"):
         AcquisitionPlan(

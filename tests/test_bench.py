@@ -48,6 +48,7 @@ from mfgl.exceptions import (
 )
 from mfgl.acquisition import PlanRecord
 from mfgl.config import SolverTag
+from mfgl.posterior import calibrate_omega, choose_tau, dense_factor, dense_posterior
 from mfgl.spectral import Spectrum, TruncatedFactor, low_spectrum
 
 
@@ -195,7 +196,6 @@ def test_estimate_planned_refuses_a_sigma_whose_square_underflows(solver):
     config = PipelineConfig(solver=solver, m=5, sigma=2.5e-162)
     record, gl, _ = plan_rows(lf, config)
     perm = np.asarray(record.plan.permutation, dtype=np.intp)
-    gl = None if gl is None else gl.permuted(perm)
     hf = lf[list(record.plan.selected_indices)] * 1.01
     with pytest.raises(InvalidConfig, match="--sigma"):
         estimate_planned(lf[perm], record, hf, config, gl)
@@ -241,11 +241,13 @@ def test_estimate_attached_guards(rng):
         estimate_attached(phi_hat[0], PipelineConfig(m=3, sigma=0.1), spectrum)
     with pytest.raises(InvalidConfig):
         estimate_attached(phi_hat, PipelineConfig(m=3), spectrum)
-    # the dense solver needs the Laplacian, which a spectrum alone lacks
-    with pytest.raises(InvalidConfig):
-        estimate_attached(
-            phi_hat, PipelineConfig(m=3, sigma=0.1, solver=SolverTag.DENSE), spectrum
-        )
+    # the dense solver needs the Laplacian, which a spectrum alone lacks,
+    # and the index of each observed row in it, refused before any prior
+    dense = PipelineConfig(m=3, sigma=0.1, solver=SolverTag.DENSE)
+    gl = laplacian(build_graph(lf, dense.knn_k), dense.p, dense.q)
+    for args in ((), (gl,), (gl, record.plan.selected_indices[:2])):
+        with pytest.raises(InvalidConfig, match="index of each observed row"):
+            estimate_attached(phi_hat, dense, spectrum, *args)
     with pytest.raises(DimensionMismatch):  # more observed rows than the prior has
         estimate_attached(rng.normal(size=(30, 2)), PipelineConfig(m=3, sigma=0.1), spectrum)
     # the rows the estimates are formed from must be the plan's
@@ -406,8 +408,8 @@ def test_posterior_keeps_the_map_as_its_factors(solver):
     # it views, is smaller than N x D when D exceeds K and M
     prob = generate(Generator.BEAM_LIKE_1D, 150, 40, seed=3)
     config = PipelineConfig(m=6, seed=2, solver=solver, sigma=prob.hf_noise_sigma)
-    spectrum, gl, _, lf, phi_hat = _planned_solve_inputs(prob, config)
-    post = estimate_attached(phi_hat, config, spectrum, gl).posterior
+    spectrum, gl, perm, lf, phi_hat = _planned_solve_inputs(prob, config)
+    post = estimate_attached(phi_hat, config, spectrum, gl, perm[:config.m]).posterior
     if solver is SolverTag.TRUNCATED:
         assert post.basis is spectrum.eigenvectors  # shared, not copied
     for field in dataclasses.fields(post):
@@ -474,14 +476,12 @@ def test_m_above_n_fails_before_any_graph(monkeypatch):
 
 
 def _planned_solve_inputs(prob, config):
-    """The planning spectrum and, for the dense solver, Laplacian, both in
-    solve order, the plan's permutation, the rows in solve order and the
-    displacements hf - lf of the observed ones; the Laplacian is
-    reordered here, as by :func:`run_pipeline`."""
+    """The planning spectrum, in solve order, and, for the dense solver,
+    Laplacian, in input order, the plan's permutation, the rows in solve
+    order and the displacements hf - lf of the observed ones."""
     record, gl, _ = plan_rows(prob.lf_data, config)
     plan = record.plan
     perm = np.asarray(plan.permutation, dtype=np.intp)
-    gl = None if gl is None else gl.permuted(perm)
     hf = sample_hf(prob, plan.selected_indices, seed=config.seed + 1)
     lf = prob.lf_data[perm]
     return record.spectrum, gl, perm, lf, hf - lf[:plan.m]
@@ -512,29 +512,34 @@ def test_permuted_prior_matches_fresh_build(kind, route, monkeypatch):
 
 
 @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 0.0)])
-def test_permuted_dense_prior_matches_permuted_graph(p, q):
-    prob = generate(Generator.CLUSTERED_SHIFT, 120, 3, seed=9, clusters=4)
-    config = PipelineConfig(
-        solver=SolverTag.DENSE, m=4, p=p, q=q, seed=1, sigma=prob.hf_noise_sigma
-    )
-    _, gl, perm, lf, _ = _planned_solve_inputs(prob, config)
-    assert (gl.matrix() is gl.sym_matrix) == (p == q)
-    # bitwise the Laplacian of the plan-order graph with W's rows reordered
-    g = build_graph(prob.lf_data, config.knn_k)
-    rebuilt = laplacian(hand_graph(g.weights[perm][:, perm]), p, q)
-    fresh = laplacian(build_graph(lf, config.knn_k), p, q)
-    for ours, exact, new in ((gl.sym_matrix, rebuilt.sym_matrix, fresh.sym_matrix),
-                             (gl.matrix(), rebuilt.matrix(), fresh.matrix())):
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(ours, part), getattr(exact, part))
-        np.testing.assert_allclose(ours.toarray(), new.toarray(), rtol=1e-12, atol=0)
-    np.testing.assert_array_equal(gl.degrees, rebuilt.degrees)
-    np.testing.assert_allclose(gl.degrees, fresh.degrees, rtol=1e-12)
-    # one stored matrix, read-only, as laplacian() builds it
-    assert [v for v in vars(gl).values() if sp.issparse(v)] == [gl.sym_matrix]
-    assert not any(getattr(gl.sym_matrix, part).flags.writeable
-                   for part in ("data", "indices", "indptr"))
-    assert not gl.degrees.flags.writeable
+@pytest.mark.parametrize("kind, rtol", [
+    (Generator.SMOOTH_MANIFOLD, 1e-12), (Generator.BEAM_LIKE_1D, 1e-12),
+    # four clusters all but disconnected: tau = 3.8e-8 makes Q_uu's
+    # condition number ~1e15, and the MAP moves by up to 7.9e-11 (measured),
+    # as any other order of Q's sums would move it
+    (Generator.CLUSTERED_SHIFT, 1e-9),
+])
+def test_dense_factor_reads_the_picks_of_the_input_order_graph(kind, rtol, p, q):
+    # the plan's L_sym stays in input order and the factor reads the picks
+    # by index; relabeling the graph into solve order, W's rows and columns
+    # reordered before the Laplacian is written, and observing its leading
+    # rows gives the same posterior to round-off: Q's sparse sums only run
+    # in another order (measured at most 3.6e-13 on the first two)
+    prob = generate(kind, 150, 4, seed=9)
+    config = PipelineConfig(solver=SolverTag.DENSE, m=6, p=p, q=q, seed=1,
+                            sigma=prob.hf_noise_sigma)
+    spectrum, gl, perm, _, phi_hat = _planned_solve_inputs(prob, config)
+    w = build_graph(prob.lf_data, config.knn_k).weights
+    relabeled = laplacian(hand_graph(w[perm][:, perm]), p, q)
+    tau, sigma = choose_tau(spectrum), config.sigma
+    ours = dense_factor(gl, perm[:6], tau, config.beta)
+    theirs = dense_factor(relabeled, range(6), tau, config.beta)
+    omega = calibrate_omega(lambda w: theirs.mean_stddev(w, sigma), sigma)
+    for scale in (1e-2, 1.0, 1e2):
+        got = dense_posterior(ours, phi_hat, scale * omega, sigma)
+        want = dense_posterior(theirs, phi_hat, scale * omega, sigma)
+        assert np.abs(got.phi_star - want.phi_star).max() <= rtol * np.abs(want.phi_star).max()
+        np.testing.assert_allclose(got.stddevs, want.stddevs, rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("solver", [SolverTag.TRUNCATED, SolverTag.DENSE])
@@ -666,18 +671,18 @@ def _memory(a):
 
 @pytest.mark.parametrize("entry", ["run_pipeline", "cli-estimate"])
 def test_dense_l_sym_handed_on_is_freed_before_the_cholesky(entry, tmp_path, monkeypatch, capsys):
-    # the one reference to L_sym in solve order goes down to dense_factor,
-    # which drops it once Q is written, and the one reference to the plan
-    # record's spectrum goes down to estimate_attached, which drops it once
-    # tau is read: the Laplacian, the memory of its values and the memory
-    # of every plan record's eigenvectors are dead before Q_uu is factored
+    # the one reference to L_sym, as laplacian writes it, goes down to
+    # dense_factor, which drops it once Q is written, and the one reference
+    # to the plan record's spectrum goes down to estimate_attached, which
+    # drops it once tau is read: every Laplacian, the memory of its values
+    # and the memory of every plan record's eigenvectors are dead before
+    # Q_uu is factored
     laplacian_refs, vector_refs, alive = [], [], []
-    permuted = mfgl.graph.GraphLaplacian.permuted
     post_init = PlanRecord.__post_init__
     cholesky = mfgl.posterior.checked_cholesky
 
-    def traced_permuted(self, perm):
-        gl = permuted(self, perm)
+    def traced_laplacian(*args):
+        gl = laplacian(*args)
         laplacian_refs.extend([weakref.ref(gl), weakref.ref(_memory(gl.sym_matrix.data))])
         return gl
 
@@ -689,14 +694,16 @@ def test_dense_l_sym_handed_on_is_freed_before_the_cholesky(entry, tmp_path, mon
         alive.append([ref() is not None for ref in laplacian_refs + vector_refs])
         return cholesky(a, what)
 
-    monkeypatch.setattr(mfgl.graph.GraphLaplacian, "permuted", traced_permuted)
+    monkeypatch.setattr(mfgl.bench, "laplacian", traced_laplacian)
     monkeypatch.setattr(PlanRecord, "__post_init__", traced_post_init)
     monkeypatch.setattr(mfgl.posterior, "checked_cholesky", traced_cholesky)
     _dense_estimate(entry, generate(Generator.SMOOTH_MANIFOLD, 80, 3, seed=0), 6,
                     tmp_path, capsys)
-    # run_pipeline makes one record, mfgl plan one and mfgl estimate one
-    assert (len(laplacian_refs), len(vector_refs)) == (2, 1 if entry == "run_pipeline" else 2)
-    assert alive == [[False] * len(laplacian_refs + vector_refs)]
+    # run_pipeline writes one L_sym and makes one record; mfgl plan writes
+    # one and makes one, and mfgl estimate the same
+    n = 1 if entry == "run_pipeline" else 2
+    assert (len(laplacian_refs), len(vector_refs)) == (2 * n, n)
+    assert alive == [[False] * (3 * n)]
 
 
 @pytest.mark.parametrize("n, slack", [(400, 0.13), (1000, 0.05)])

@@ -516,28 +516,59 @@ def test_degree_powers_past_float64_are_refused_exit_4(case, tmp_path):
 
 
 def test_bench_dense_tiny_tau_refused_as_by_a_copying_factor(tmp_path, capsys, monkeypatch):
-    # dense_factor factors Q_uu where it lies in the prior's buffer; on the
-    # same prior, a Cholesky of a fresh copy of Q_uu is refused the same way
-    priors = []
-    prior_matrix = mfgl.posterior._prior_matrix
+    # dense_factor moves Q_uu to the front of the prior's buffer and factors
+    # it there; on the same prior, in input order, a Cholesky of a fresh
+    # copy of Q_uu, gathered at the unobserved rows, is refused the same way
+    priors, picks = [], []
+    prior_matrix, dense_factor = mfgl.posterior._prior_matrix, mfgl.bench.dense_factor
 
     def recording(gl, tau, beta):
         q = prior_matrix(gl, tau, beta)
         priors.append(q.copy())
         return q
 
+    def picking(gl, selected, *args):
+        picks.append(selected)
+        return dense_factor(gl, selected, *args)
+
     monkeypatch.setattr(mfgl.posterior, "_prior_matrix", recording)
+    monkeypatch.setattr(mfgl.bench, "dense_factor", picking)
     code, _, err = run_cli(
         capsys, "bench", "--solver", "dense", "--n", "200", "--d", "3", "--m", "5",
         "--tau", "1e-14", "--output-dir", str(tmp_path),
     )
     assert code == 4
     error = json.loads(err)
-    (q,) = priors
+    (q,), (selected,) = priors, picks
+    rest = np.setdiff1d(np.arange(200), selected)
+    assert not np.array_equal(rest, np.arange(5, 200))  # the picks are not the leading rows
     with pytest.raises(SingularSystem) as copying:
-        checked_cholesky(np.array(q[5:, 5:]), "unobserved prior block")
+        checked_cholesky(q[np.ix_(rest, rest)], "unobserved prior block")
     assert error["error"] == "SingularSystem"
     assert error["message"] == str(copying.value)
+
+
+@pytest.mark.parametrize("args, tau, beta", [
+    (["--solver", "dense", "--beta", "1e6"], None, "1e+06"),
+    (["--tau", "1e200"], "1e+200", "2"),
+    (["--beta", "1e6"], None, "1e+06"),
+    (["--solver", "dense", "--beta", "1.5", "--tau", "1e300"], "1e+300", "1.5"),
+], ids=["dense-beta", "truncated-tau", "truncated-beta", "dense-fractional-tau"])
+def test_bench_refuses_a_prior_past_float64s_range(args, tau, beta, tmp_path, capsys, monkeypatch):
+    # (a + tau)^beta overflows: refused once, naming tau and beta, before
+    # any power is formed, where a dense beta = 1e6 once ran 999,999 sparse
+    # products per row block, and an overflow warning ended in NoBracket
+    monkeypatch.setattr(mfgl.posterior, "shifted_power",
+                        lambda *a: pytest.fail("the prior's power was formed"))
+    code, _, err = run_cli(capsys, "bench", "--n", "50", "--m", "5", *args,
+                           "--output-dir", str(tmp_path))
+    assert code == 4
+    (line,) = err.strip().splitlines()  # one JSON object, no warning
+    error = json.loads(line)
+    assert error["error"] == "SingularSystem"
+    assert f"beta={beta} leaves float64's range" in error["message"]
+    if tau is not None:
+        assert f"tau={tau}," in error["message"]
 
 
 def test_bench_with_zero_displacement_exit_3(tmp_path, capsys):
@@ -1315,31 +1346,6 @@ def test_cli_estimate_matches_pipeline_bitwise(tmp_path, capsys, monkeypatch, fl
     )
     stddevs = read_csv(out_dir / "stddevs.csv")[:, 0]
     assert np.array_equal(stddevs, out.posterior.stddevs)
-
-
-def test_dense_l_sym_is_reordered_only_where_an_estimate_follows(tmp_path, capsys, monkeypatch):
-    # mfgl plan drops the dense solver's L_sym, so it never reorders it;
-    # run_pipeline, which estimates, reorders it once (mfgl estimate
-    # rebuilds its own, and test_cli_estimate_matches_pipeline_bitwise
-    # checks the two routes agree)
-    from mfgl.bench import run_pipeline
-    from mfgl.graph import GraphLaplacian
-
-    calls = Counter()
-    permuted = GraphLaplacian.permuted
-
-    def counted(self, perm):
-        calls["permuted"] += 1
-        return permuted(self, perm)
-
-    monkeypatch.setattr(GraphLaplacian, "permuted", counted)
-    prob, lf_path = write_problem(tmp_path, n=80, d=3, seed=2, clusters=4)
-    code, _, _ = run_cli(capsys, "plan", "--lf-path", str(lf_path), "--solver", "dense",
-                         "--m", "4", "--output-dir", str(tmp_path / "cli"))
-    assert code == 0
-    assert calls["permuted"] == 0
-    run_pipeline(prob, PipelineConfig(m=4, solver=SolverTag.DENSE))
-    assert calls["permuted"] == 1
 
 
 @pytest.mark.parametrize("solver", ["truncated", "dense"])

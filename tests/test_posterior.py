@@ -37,6 +37,7 @@ from mfgl.posterior import (
 )
 from mfgl.spectral import (
     Spectrum,
+    check_prior_range,
     low_spectrum,
     truncated_factor,
     truncated_posterior,
@@ -46,7 +47,7 @@ from mfgl.spectral import (
 
 def test_zero_rhs_and_data_independent_covariance(rng):
     gl = laplacian(build_graph(random_points(20, 2, seed=0), knn_k=4), 0.5, 0.5)
-    factor = dense_factor(gl, 4, 0.3)
+    factor = dense_factor(gl, range(4), 0.3)
     res0 = dense_posterior(factor, np.zeros((4, 2)), 1.0, 0.1, want_cov=True)
     assert np.all(res0.phi_star == 0.0)
     res1 = dense_posterior(factor, rng.normal(size=(4, 2)), 1.0, 0.1, want_cov=True)
@@ -73,7 +74,7 @@ def test_three_node_chain_matches_direct_solve():
     a = hp.omega * (gl.matrix().toarray() + hp.tau * np.eye(3))
     a[0, 0] += 1.0 / hp.sigma**2
     ref = nla.solve(a, np.array([[1.2 / hp.sigma**2], [0.0], [0.0]]))
-    res = dense_posterior(dense_factor(gl, 1, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
+    res = dense_posterior(dense_factor(gl, range(1), hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     assert np.abs(res.phi_star - ref).max() < 1e-12
 
 
@@ -81,7 +82,7 @@ def test_columns_decouple(rng):
     # each displacement component solves its own system with the shared
     # operator: solving columns together or separately is identical
     gl = laplacian(build_graph(random_points(15, 3, seed=5), knn_k=4), 0.5, 0.5)
-    factor = dense_factor(gl, 4, 0.2)
+    factor = dense_factor(gl, range(4), 0.2)
     phi_hat = rng.normal(size=(4, 3))
     joint = dense_posterior(factor, phi_hat, 1.0, 0.2).phi_star
     for j in range(3):
@@ -102,7 +103,7 @@ def test_cluster_propagation():
     lf_p, shift_p = lf[order], shift[order]
     gl_p = laplacian(build_graph(lf_p, knn_k=7), 1.0, 0.0)
     tau = choose_tau(low_spectrum(gl_p, 30))
-    res = dense_posterior(dense_factor(gl_p, 2, tau), shift_p[:2], 5.0, 0.01)
+    res = dense_posterior(dense_factor(gl_p, range(2), tau), shift_p[:2], 5.0, 0.01)
     labels = np.array([o < 15 for o in order])
     for blob, target in ((res.phi_star[labels], [0.5, 0.0]),
                          (res.phi_star[~labels], [0.0, -0.5])):
@@ -116,9 +117,9 @@ def test_dense_budget_guard(monkeypatch):
     monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", predicted - 1)
     with pytest.raises(MemoryBudgetExceeded, match=f"^the dense prior of N=30 points would hold "
                        f"about {predicted} bytes, above the {predicted - 1}-byte memory budget$"):
-        dense_factor(gl, 5, 0.3)
+        dense_factor(gl, range(5), 0.3)
     monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", predicted)
-    dense_factor(gl, 5, 0.3)
+    dense_factor(gl, range(5), 0.3)
 
 
 def _laplacian_of(s):
@@ -161,18 +162,15 @@ def _shifted_power_reference(sym, tau, beta):
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0, 1.5])
 def test_shifted_power_in_place_matches_reference_bitwise(beta):
-    # tau is written onto L_sym's own diagonal, of the Laplacian as built
-    # and of a permuted one, and then written back
+    # tau is written onto L_sym's own diagonal, and then written back
     gl = laplacian(build_graph(random_points(60, 3, seed=4), knn_k=5), 0.5, 0.5)
     dense = gl.sym_matrix.toarray()
-    for g in (gl, gl.permuted(np.random.default_rng(4).permutation(60))):
-        kept = g.sym_matrix.data.copy()
-        want = _shifted_power_reference(g.sym_matrix.toarray(), 0.05, beta)
-        got = shifted_power(g, 0.05, beta)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert g.sym_matrix.data.tobytes() == kept.tobytes()
-        assert not g.sym_matrix.data.flags.writeable
+    kept = gl.sym_matrix.data.copy()
     want = _shifted_power_reference(dense, 0.05, beta)
+    got = shifted_power(gl, 0.05, beta)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert gl.sym_matrix.data.tobytes() == kept.tobytes()
+    assert not gl.sym_matrix.data.flags.writeable
     # against the dense power (matrix_power, or V (lambda + tau)^beta V^T):
     # 0, 1.8e-16, 8.7e-16 and 2.0e-16 of the largest entry for the four
     # betas here, at most 1.04e-15 over six such graphs
@@ -184,9 +182,16 @@ def test_shifted_power_in_place_matches_reference_bitwise(beta):
     assert np.abs(want - dense_power).max() <= 4e-15 * np.abs(dense_power).max()
 
 
+# picks at the leading rows, and picks that are not: the first and the
+# last row, and rows between; N - M = 73 rows move in 14 blocks of 5 and
+# one of 3
+PICKS = [range(7), [79, 0, 41, 3, 60, 12, 25]]
+
+
+@pytest.mark.parametrize("selected", PICKS, ids=["leading", "scattered"])
 @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
 @pytest.mark.parametrize("pq", [(0.5, 0.5), (1.0, 0.0)])
-def test_in_place_factor_equals_factor_of_a_copy(pq, beta):
+def test_in_place_factor_equals_factor_of_a_copy(pq, beta, selected):
     # below beta = 3 the prior is exactly symmetric, so the unobserved
     # block, moved to the front of the prior's buffer and read in Fortran
     # order, is the block a copying factor reads, and LAPACK gives the same
@@ -194,10 +199,38 @@ def test_in_place_factor_equals_factor_of_a_copy(pq, beta):
     gl = laplacian(build_graph(random_points(80, 3, seed=6), knn_k=6), *pq)
     q = mfgl.posterior._prior_matrix(gl, 0.05, beta)
     assert np.array_equal(q, q.T)
-    m = 7
-    l_inv, info = dtrtri(sla.cholesky(q[m:, m:], lower=True), lower=1)
+    rest = np.setdiff1d(np.arange(80), selected)
+    l_inv, info = dtrtri(sla.cholesky(q[np.ix_(rest, rest)], lower=True), lower=1)
     assert info == 0
-    assert dense_factor(gl, m, 0.05, beta).l_inv.tobytes() == l_inv.tobytes()
+    assert dense_factor(gl, selected, 0.05, beta).l_inv.tobytes() == l_inv.tobytes()
+
+
+@pytest.mark.parametrize("selected", PICKS, ids=["leading", "scattered"])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0, 1.5])
+def test_row_block_move_gathers_the_unobserved_block_bitwise(beta, selected, monkeypatch):
+    # what the Cholesky is handed, read in Fortran order, is Q_uu^T as an
+    # explicit gather of the unobserved rows and columns of the same prior
+    # gives it, bit for bit, also for beta = 3, whose Q is symmetric only
+    # to round-off
+    gl = laplacian(build_graph(random_points(80, 3, seed=6), knn_k=6), 1.0, 0.0)
+    q = mfgl.posterior._prior_matrix(gl, 0.05, beta)
+    handed = []
+    cholesky = mfgl.posterior.checked_cholesky
+    monkeypatch.setattr(mfgl.posterior, "checked_cholesky",
+                        lambda a, what: handed.append(a.copy(order="F")) or cholesky(a, what))
+    dense_factor(gl, selected, 0.05, beta)
+    rest = np.setdiff1d(np.arange(80), selected)
+    (block,) = handed
+    assert block.tobytes(order="F") == q[np.ix_(rest, rest)].tobytes()
+
+
+@pytest.mark.parametrize("selected", [[3, 5, 3], [0, 20], [-1, 4], range(21)],
+                         ids=["repeated", "past-the-end", "negative", "more-than-n"])
+def test_dense_factor_refuses_picks_that_are_not_distinct_rows(selected, monkeypatch):
+    # refused before the prior is built
+    monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda *args: pytest.fail("built"))
+    with pytest.raises(DimensionMismatch, match=r"distinct indices in 0\.\.19"):
+        dense_factor(small_laplacian(n=20), selected, 0.1)
 
 
 @pytest.mark.parametrize("n, integer_multiple", [(400, 1.125), (1000, 1.06)])
@@ -211,7 +244,7 @@ def test_dense_factor_peak_is_a_few_n_squared_arrays(beta, n, integer_multiple):
     # the copy eigh overwrites, then next to their product
     lf = generate(Generator.SMOOTH_MANIFOLD, n, 5, seed=0).lf_data
     gl = laplacian(build_graph(lf), 0.5, 0.5)
-    _, peak = traced_peak(lambda: dense_factor(gl, 10, 0.01, beta))
+    _, peak = traced_peak(lambda: dense_factor(gl, range(10), 0.01, beta))
     multiple = integer_multiple if float(beta).is_integer() else 2.2
     assert peak <= multiple * 8 * n * n
 
@@ -265,7 +298,7 @@ def test_calibration_self_consistency():
         lf = random_points(40, 3, seed=seed)
         gl = laplacian(build_graph(lf, knn_k=5), 0.5, 0.5)
         sigma = 0.05
-        factor = dense_factor(gl, 8, 0.3)
+        factor = dense_factor(gl, range(8), 0.3)
 
         def handle(omega):
             return factor.mean_stddev(omega, sigma)
@@ -277,7 +310,7 @@ def test_calibration_self_consistency():
 
 def test_mean_stddev_monotone_in_omega():
     gl = laplacian(build_graph(random_points(30, 2, seed=7), knn_k=4), 0.5, 0.5)
-    factor = dense_factor(gl, 6, 0.2)
+    factor = dense_factor(gl, range(6), 0.2)
     values = [factor.mean_stddev(om, 0.1) for om in np.logspace(-3, 3, 10)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -337,6 +370,17 @@ def test_constrained_minimizer_refuses_rows_the_solvers_refuse(solve, rng):
         solve(gl, phi_obs)
     with pytest.raises(DimensionMismatch, match="^phi_observed must be 2-D$"):
         solve(gl, rng.normal(size=4))
+
+
+def test_constrained_minimizer_with_no_row_or_every_row_fixed(rng):
+    # nothing fixed leaves the minimizer of <Theta, Q Theta>, zero; every
+    # row fixed leaves the rows given; more rows than points are refused
+    gl = laplacian(build_graph(random_points(18, 2, seed=11), knn_k=4), 0.5, 0.5)
+    assert np.all(constrained_minimizer(gl, np.zeros((0, 2)), 0.25) == 0.0)
+    every = rng.normal(size=(18, 2))
+    assert np.array_equal(constrained_minimizer(gl, every, 0.25), every)
+    with pytest.raises(DimensionMismatch, match=r"distinct indices in 0\.\.17"):
+        constrained_minimizer(gl, rng.normal(size=(19, 2)), 0.25)
 
 
 def test_regularization_path_converges():
@@ -438,7 +482,7 @@ def test_regularization_path_matches_direct_solves(kind, pq, beta):
 
 def test_stddevs_are_positive_and_match_covariance(rng):
     gl = laplacian(build_graph(random_points(16, 2, seed=19), knn_k=4), 0.5, 0.5)
-    res = dense_posterior(dense_factor(gl, 3, 0.4), rng.normal(size=(3, 2)), 2.0, 0.1, want_cov=True)
+    res = dense_posterior(dense_factor(gl, range(3), 0.4), rng.normal(size=(3, 2)), 2.0, 0.1, want_cov=True)
     assert np.all(res.stddevs > 0)
     assert np.allclose(res.stddevs, np.sqrt(np.diag(res.covariance)))
     assert np.abs(res.covariance - res.covariance.T).max() < 1e-14
@@ -456,7 +500,7 @@ def test_unobserved_cluster_is_refused():
     m = len(phi_hat)
     assert issubclass(SingularSystem, NumericalError)
     with pytest.raises(SingularSystem, match="numerically singular"):
-        dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
+        dense_posterior(dense_factor(gl, range(m), hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     with pytest.raises(SingularSystem, match="numerically singular"):
         factor = truncated_factor(low_spectrum(gl, gl.n), m, hp.tau, hp.beta)
         truncated_posterior(factor, phi_hat, hp.omega, hp.sigma)
@@ -482,9 +526,11 @@ def explicit_truncated_covariance(spectrum, hp, m):
     return psi @ nla.inv(cinv) @ psi.T
 
 
-# solver -> (factor builder, posterior, the prior it factors from a Laplacian)
+# solver -> (factor builder for the first m rows observed, posterior, the
+# prior it factors from a Laplacian)
 FACTORS = {
-    "dense": (dense_factor, dense_posterior, lambda gl, k: gl),
+    "dense": (lambda gl, m, *args: dense_factor(gl, range(m), *args), dense_posterior,
+              lambda gl, k: gl),
     "truncated": (truncated_factor, truncated_posterior, low_spectrum),
 }
 
@@ -523,7 +569,7 @@ def test_dense_factor_builds_prior_once(monkeypatch):
 
     monkeypatch.setattr("mfgl.posterior.shifted_power", counting)
     gl = laplacian(build_graph(random_points(40, 3, seed=2), knn_k=5), 0.5, 0.5)
-    factor = dense_factor(gl, 5, 0.2)
+    factor = dense_factor(gl, range(5), 0.2)
     for omega in np.logspace(-2, 2, 5):
         factor.mean_stddev(omega, 0.1)
     assert len(calls) == 1
@@ -538,7 +584,7 @@ def test_dense_factor_budget_checked_before_prior(beta, monkeypatch):
     budget = mfgl.posterior._prior_bytes(gl, beta) - 1
     monkeypatch.setattr(mfgl.config, "MEMORY_BUDGET", budget)
     phi_obs = np.ones((5, 2))
-    for run in (lambda: dense_factor(gl, 5, 0.2, beta),
+    for run in (lambda: dense_factor(gl, range(5), 0.2, beta),
                 lambda: constrained_minimizer(gl, phi_obs, 0.2, beta),
                 lambda: regularization_path(gl, phi_obs, [0.2, 0.1], 0.2, beta)):
         _, peak = refused_peak(run, MemoryBudgetExceeded)
@@ -553,7 +599,7 @@ def test_dense_factor_peak_is_its_predicted_bytes(n, beta):
     # the prediction measured 1.00-1.08 x the peak on the three generators
     graph = build_graph(generate(Generator.SMOOTH_MANIFOLD, n, 5, seed=0).lf_data)
     predicted = mfgl.posterior._prior_bytes(laplacian(graph, 0.5, 0.5), beta)
-    _, peak = traced_peak(lambda: dense_factor(laplacian(graph, 0.5, 0.5), 10, 0.01, beta))
+    _, peak = traced_peak(lambda: dense_factor(laplacian(graph, 0.5, 0.5), range(10), 0.01, beta))
     assert abs(predicted - peak) <= 0.1 * peak
 
 
@@ -571,7 +617,7 @@ def test_dense_factor_guards(solver, rng, monkeypatch):
     if solver == "dense":
         monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda gl, tau, beta: -np.eye(20))
         with pytest.raises(SingularSystem):
-            dense_factor(gl, 4, 0.2)
+            dense_factor(gl, range(4), 0.2)
     else:
         # a system refused as singular reads as +inf to calibration only
         monkeypatch.setattr("mfgl.spectral.CONDITION_LIMIT", 0.5)
@@ -583,7 +629,7 @@ def test_dense_factor_guards(solver, rng, monkeypatch):
 def test_dense_stddevs_without_covariance_match_covariance_diagonal(rng):
     prob = generate(Generator.SMOOTH_MANIFOLD, 150, 3, seed=3)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), 0.5, 0.5)
-    factor = dense_factor(gl, 10, 0.05, 2.0)
+    factor = dense_factor(gl, range(10), 0.05, 2.0)
     phi_hat = rng.normal(size=(10, 2))
     with_cov = dense_posterior(factor, phi_hat, 3.0, 0.05, want_cov=True)
     without = dense_posterior(factor, phi_hat, 3.0, 0.05)
@@ -626,7 +672,7 @@ def unobserved_cluster_oracle():
 )
 def test_dense_stddevs_accurate_with_unobserved_cluster():
     gl, hp, phi_hat, _, oracle_sd = unobserved_cluster_oracle()
-    factor = dense_factor(gl, len(phi_hat), hp.tau, hp.beta)
+    factor = dense_factor(gl, range(len(phi_hat)), hp.tau, hp.beta)
     got = dense_posterior(factor, phi_hat, hp.omega, hp.sigma).stddevs
     assert np.max(np.abs(got - oracle_sd) / oracle_sd) <= 1e-6
 
@@ -656,7 +702,7 @@ def test_dense_posterior_matches_explicit_inverse(kind, pq, beta, m):
     prob = generate(kind, n, 3, seed=1)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), *pq)
     phi_hat = np.random.default_rng(m).normal(size=(m, 3))
-    factor = dense_factor(gl, m, 0.05, beta)
+    factor = dense_factor(gl, range(m), 0.05, beta)
     for omega in (1e-4, 1.0, 1e4):
         hp = HyperParameters(sigma=0.05, omega=omega, tau=0.05, beta=beta)
         x = nla.inv(explicit_map_matrix(gl, hp, m))
@@ -692,7 +738,7 @@ def test_mean_stddev_non_increasing_in_omega(kind, p, q, beta, m, k_extra, seed)
     prob = generate(kind, n, 3, seed=seed)
     gl = laplacian(build_graph(prob.lf_data, knn_k=7), p, q)
     spectrum = low_spectrum(gl, min(n, m + 1 + k_extra))
-    for factor in (dense_factor(gl, m, 0.05, beta), truncated_factor(spectrum, m, 0.05, beta)):
+    for factor in (dense_factor(gl, range(m), 0.05, beta), truncated_factor(spectrum, m, 0.05, beta)):
         values = np.array([factor.mean_stddev(omega, sigma) for omega in OMEGA_GRID])
         assert np.all(values > 0)
         assert np.all(values[1:] <= values[:-1] * (1.0 + 1e-12))
@@ -715,7 +761,7 @@ def _solve_with(solver, phi_hat):
     """Solve with ``solver`` for observations of the first 4 of 40 rows."""
     gl = laplacian(build_graph(random_points(40, 2, seed=3), knn_k=5), 0.5, 0.5)
     if solver == "dense":
-        return dense_posterior(dense_factor(gl, 4, 0.2), phi_hat, 2.0, 0.1)
+        return dense_posterior(dense_factor(gl, range(4), 0.2), phi_hat, 2.0, 0.1)
     return truncated_posterior(truncated_factor(low_spectrum(gl, K=8), 4, 0.2), phi_hat, 2.0, 0.1)
 
 
@@ -760,6 +806,29 @@ def _hyperparameters_message(name, bad):
     return str(exc.value)
 
 
+@pytest.mark.parametrize("tau, beta, top", [(1e200, 2.0, "inf"), (2.0, 1e6, "inf"),
+                                            (1e300, 1.5, "inf"), (1e-3, 1e4, "0")],
+                         ids=["tau-overflows", "beta-overflows", "fractional", "underflows"])
+def test_builders_refuse_a_prior_past_float64s_range(tau, beta, top, monkeypatch):
+    # (a + tau)^beta bounds every eigenvalue of the prior: past float64's
+    # range the power overflows, below its normal range every eigenvalue's
+    # power underflows; both builders refuse before any power is formed
+    calls = []
+    monkeypatch.setattr("mfgl.posterior._prior_matrix", lambda *args: calls.append(args))
+    monkeypatch.setattr("mfgl.spectral.shifted_eigenvalues", lambda *args: calls.append(args))
+    gl = laplacian(build_graph(random_points(40, 2, seed=3), knn_k=15), 1.0, 1.0)
+    spectrum = low_spectrum(gl, 8)
+    assert spectrum.shift_a == gl.shift_bound < 0.6  # so that beta = 1e4 underflows
+    for build, prior, rows in ((dense_factor, gl, range(4)), (truncated_factor, spectrum, 4)):
+        with pytest.raises(SingularSystem) as exc:
+            build(prior, rows, tau, beta)
+        assert str(exc.value) == (
+            f"the prior (L + tau I)^beta at tau={tau:g}, beta={beta:g} leaves float64's "
+            f"range: (a + tau)^beta with a={gl.shift_bound:.3g} is {top}")
+    assert calls == []
+    check_prior_range(gl.shift_bound, 1e-3, 100.0)  # (0.51 + 1e-3)^100 = 4e-30 is kept
+
+
 @pytest.mark.parametrize("name, bad", FACTOR_BAD_VALUES)
 def test_builders_refuse_tau_and_beta_as_hyperparameters_do(name, bad, monkeypatch):
     calls = []
@@ -769,7 +838,7 @@ def test_builders_refuse_tau_and_beta_as_hyperparameters_do(name, bad, monkeypat
     message = _hyperparameters_message(name, bad)
     for build, prior in ((dense_factor, gl), (truncated_factor, low_spectrum(gl, 8))):
         with pytest.raises(InvalidConfig) as exc:
-            build(prior, 4, **values)
+            build(prior, range(4) if build is dense_factor else 4, **values)
         assert str(exc.value) == message
     assert calls == []  # refused before any N^3 work
 
@@ -780,7 +849,7 @@ def test_posteriors_refuse_omega_and_sigma_as_hyperparameters_do(name, bad):
     values = {"omega": GOOD_VALUES["omega"], "sigma": GOOD_VALUES["sigma"], name: bad}
     message = _hyperparameters_message(name, bad)
     phi_hat = np.ones((4, 2))
-    for solve, factor in ((dense_posterior, dense_factor(gl, 4, 0.2)),
+    for solve, factor in ((dense_posterior, dense_factor(gl, range(4), 0.2)),
                           (truncated_posterior, truncated_factor(low_spectrum(gl, 8), 4, 0.2))):
         with pytest.raises(InvalidConfig) as exc:
             solve(factor, phi_hat, **values)
@@ -792,10 +861,6 @@ def test_choose_tau_needs_two_eigenvalues():
     with pytest.raises(InvalidConfig, match="need at least two eigenvalues"):
         choose_tau(one)
 
-
-def test_dense_factor_refuses_more_observed_rows_than_points():
-    with pytest.raises(DimensionMismatch, match="need 0 <= M <= N, got M=21, N=20"):
-        dense_factor(small_laplacian(n=20), 21, 0.1)
 
 
 def test_posterior_result_refuses_factors_and_stddevs_of_other_shapes():

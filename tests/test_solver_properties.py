@@ -9,7 +9,7 @@ whatever the oracle of a single solver says."""
 import numpy as np
 import pytest
 
-from conftest import random_points
+from conftest import hand_graph, random_points
 from mfgl.graph import build_graph, laplacian
 from mfgl.posterior import DenseFactor, dense_factor, dense_posterior
 from mfgl.spectral import low_spectrum, truncated_factor, truncated_posterior, truncated_variances
@@ -23,8 +23,13 @@ solvers = pytest.mark.parametrize("solver", ["dense", "truncated-full", "truncat
 normalizations = pytest.mark.parametrize("pq", [(0.5, 0.5), (1.0, 0.0)], ids=["sym", "rw"])
 
 
-def graph_laplacian(pq):
-    return laplacian(build_graph(random_points(N, 3, seed=3), knn_k=6), *pq)
+def graph_laplacian(pq, perm=None):
+    """The Laplacian of the test graph, with row i holding point
+    ``perm[i]`` when ``perm`` is given: W relabeled before it is written."""
+    graph = build_graph(random_points(N, 3, seed=3), knn_k=6)
+    if perm is not None:
+        graph = hand_graph(graph.weights[perm][:, perm])
+    return laplacian(graph, *pq)
 
 
 def prior_of(solver, gl):
@@ -35,8 +40,10 @@ def prior_of(solver, gl):
 
 
 def factor_of(solver, prior, m=M):
-    build = dense_factor if solver == "dense" else truncated_factor
-    return build(prior, m, TAU, BETA)
+    """The factor for the first ``m`` rows observed."""
+    if solver == "dense":
+        return dense_factor(prior, range(m), TAU, BETA)
+    return truncated_factor(prior, m, TAU, BETA)
 
 
 def solve(factor, phi_hat, omega=OMEGA, sigma=SIGMA):
@@ -128,10 +135,10 @@ def test_noisier_observations_never_narrow_the_posterior(solver, pq):
 def test_relabeling_points_permutes_the_posterior(solver, pq, rng):
     # the observed rows are shuffled among themselves and the unobserved
     # among themselves: the same problem with its rows relabeled
-    gl = graph_laplacian(pq)
     perm = np.concatenate([rng.permutation(M), M + rng.permutation(N - M)])
     phi_hat = rng.normal(size=(M, 2))
-    ref_map, ref_sd = solve(factor_of(solver, prior_of(solver, gl)), phi_hat)
-    got_map, got_sd = solve(factor_of(solver, prior_of(solver, gl.permuted(perm))), phi_hat[perm[:M]])
+    ref_map, ref_sd = solve(factor_of(solver, prior_of(solver, graph_laplacian(pq))), phi_hat)
+    relabeled = prior_of(solver, graph_laplacian(pq, perm))
+    got_map, got_sd = solve(factor_of(solver, relabeled), phi_hat[perm[:M]])
     assert np.abs(got_map - ref_map[perm]).max() <= 1e-9 * np.abs(ref_map).max()
     assert np.abs(got_sd / ref_sd[perm] - 1.0).max() <= 1e-9

@@ -162,15 +162,12 @@ def test_spectrum_pairs_each_eigenvalue_with_one_eigenvector():
             Spectrum(eigenvalues=vals, eigenvectors=vectors, shift_a=2.0)
 
 
-@pytest.mark.parametrize("route", ["laplacian", "permuted"])
-def test_low_spectrum_leaves_l_sym_unchanged_and_read_only(route, monkeypatch):
+def test_low_spectrum_leaves_l_sym_unchanged_and_read_only(monkeypatch):
     # the factor is made of L_sym - sigma I written into L_sym's own
     # diagonal slots; the saved diagonal is written back, also when the
     # factorization raises, and no array of L_sym is left writeable
     gl = laplacian(build_graph(generate(Generator.CLUSTERED_SHIFT, 300, 3, seed=0).lf_data),
                    0.5, 0.5)
-    if route == "permuted":
-        gl = gl.permuted(np.random.default_rng(0).permutation(gl.n))
     lsym = gl.sym_matrix
     parts = ("data", "indices", "indptr")
     before = [getattr(lsym, part).copy() for part in parts]
@@ -395,7 +392,7 @@ def test_general_pq_truncated_matches_weighted_dense(rng):
     gl = laplacian(build_graph(lf, knn_k=4), 1.0, 0.0)
     hp = HyperParameters(sigma=0.1, omega=1.0, tau=0.3, beta=2.0)
     phi_hat = hf - lf[: len(hf)]
-    ref = dense_posterior(dense_factor(gl, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
+    ref = dense_posterior(dense_factor(gl, range(m), hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     spec = low_spectrum(gl, n)
     tp = truncated_posterior(truncated_factor(spec, m, hp.tau, hp.beta), phi_hat, hp.omega, hp.sigma)
     phi = spec.eigenvectors @ tp.coeff_mean
